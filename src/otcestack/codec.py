@@ -92,9 +92,12 @@ def _decode(data: bytes, offset: int):
 def unpack(data: bytes) -> tuple:
     items = []
     offset = 0
-    while offset < len(data):
-        item, offset = _decode(data, offset)
-        items.append(item)
+    try:
+        while offset < len(data):
+            item, offset = _decode(data, offset)
+            items.append(item)
+    except RecursionError:
+        raise CodecError("nesting too deep") from None
     return tuple(items)
 
 

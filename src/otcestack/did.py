@@ -82,11 +82,9 @@ class DIDRegistry:
             attestation[pair[0]] = pair[1]
         return pubkey, attestation
 
-    def apply(self, tx: Transaction, height: int) -> tuple[bool, str]:
-        try:
-            pubkey, attestation = self.decode_payload(tx.kind, tx.payload)
-        except codec.CodecError:
-            return False, "malformed-payload"
+    def apply(self, tx: Transaction, decoded, height: int) -> tuple[bool, str]:
+        """Apply a committed tx, given its payload as `decode_payload` returned it."""
+        pubkey, attestation = decoded
         if self.policy is not None:
             why = self.policy.check(attestation)
             if why is not None:

@@ -8,6 +8,13 @@ End-of-block hooks may append system transactions (the expiry sweep's
 auto-termination markers) to the block being sealed. Replaying a chain
 through fresh contracts must reproduce both the per-tx outcomes and the
 final contract state.
+
+The ledger decodes payloads, contracts apply decoded values. A payload is
+decoded once, at admission; the queued tx carries that value to its
+contract's `apply` at sealing. Markers and replayed txs are decoded
+from their committed bytes, so replay checks what is on the chain, not
+what was admitted; a payload that does not decode there is refused as
+"malformed-payload".
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .keys import KeyStore
 
 ZERO_HASH = bytes(32)
 SYSTEM_SENDER = "system"
+MALFORMED = "malformed-payload"
 
 
 class TxKind(IntEnum):
@@ -97,7 +105,8 @@ class Ledger:
         self.keystore = keystore
         keystore.ensure(SYSTEM_SENDER)
         self.chain: list[Block] = [make_genesis()]
-        self.mempool: list[Transaction] = []
+        # (tx, its admission-time payload decode)
+        self.mempool: list[tuple[Transaction, object]] = []
         self._contracts: dict[TxKind, object] = {}
         self._block_end: list[object] = []
         self._seen: set[bytes] = set()
@@ -125,11 +134,11 @@ class Ledger:
         if contract is None:
             return False, "no-contract"
         try:
-            contract.decode_payload(tx.kind, tx.payload)
+            decoded = contract.decode_payload(tx.kind, tx.payload)
         except codec.CodecError:
-            return False, "malformed-payload"
+            return False, MALFORMED
         self._seen.add(tx.tx_id)
-        self.mempool.append(tx)
+        self.mempool.append((tx, decoded))
         return True, "ok"
 
     def seal_block(self) -> Block:
@@ -137,21 +146,29 @@ class Ledger:
         queued, self.mempool = self.mempool, []
         txs: list[Transaction] = []
         status: list[tuple[bool, str]] = []
-        for tx in queued:
-            ok, reason = self._contracts[tx.kind].apply(tx, height)
+        for tx, decoded in queued:
             txs.append(tx)
-            status.append((ok, reason))
+            status.append(self._contracts[tx.kind].apply(tx, decoded, height))
         for contract in self._block_end:
             for marker in contract.on_block_end(height):
                 self._seen.add(marker.tx_id)
-                ok, reason = self._contracts[marker.kind].apply(marker, height)
                 txs.append(marker)
-                status.append((ok, reason))
+                status.append(_apply_committed(
+                    self._contracts[marker.kind], marker, height))
         prev = self.chain[-1].hash
         block = Block(height, prev, tuple(txs), tuple(status),
                       block_hash(height, prev, txs, status))
         self.chain.append(block)
         return block
+
+
+def _apply_committed(contract, tx: Transaction, height: int) -> tuple[bool, str]:
+    """Decode a tx's payload from its bytes and apply it to its contract."""
+    try:
+        decoded = contract.decode_payload(tx.kind, tx.payload)
+    except codec.CodecError:
+        return False, MALFORMED
+    return contract.apply(tx, decoded, height)
 
 
 def verify_chain(chain, keystore: KeyStore | None = None) -> int | None:
@@ -209,6 +226,8 @@ def load_chain(text: str) -> list[Block]:
                 txs.append(decode_tx(bytes.fromhex(tx_hex)))
                 status.append((ok_s == "1", bytes.fromhex(reason_hex).decode()))
         chain.append(Block(height, prev_hash, tuple(txs), tuple(status), block_h))
+    if not chain:
+        raise ValueError("chain dump holds no blocks")
     return chain
 
 
@@ -226,7 +245,7 @@ def replay_chain(chain, contracts) -> list[str]:
             if handler is None:
                 mismatches.append(f"height {block.height}: no contract for {tx.kind.name}")
                 continue
-            got = handler.apply(tx, block.height)
+            got = _apply_committed(handler, tx, block.height)
             if got != (ok, reason):
                 mismatches.append(
                     f"height {block.height} tx {tx.tx_id.hex()[:8]}: "

@@ -6,10 +6,16 @@ it. Termination is absorbing and has three causes: a verified result
 submission ("results"), a member-initiated close ("closed"), and the
 end-of-block expiry sweep ("expiry") once `created_height + delta_t` is
 reached — the countdown keeps running while a record is suspended.
+
+The sweep is driven by an expiry index: a min-heap of (expiry height, eid)
+filled at creation. Each seal pops only the entries now due, and skips
+records that already terminated, so its cost follows the records expiring
+now rather than every record ever created.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +44,8 @@ LEGAL_TRANSITIONS = frozenset({
 CAUSE_RESULTS = "results"
 CAUSE_EXPIRY = "expiry"
 CAUSE_CLOSED = "closed"
+
+LIVE_STATES = (OTCEState.RUNNING, OTCEState.SUSPEND)
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,9 @@ class OTCERegistry:
         self.records: dict[str, OTCERecord] = {}
         # (eid, from, to, height, note) — audit trail for lifecycle checks
         self.transitions: list[tuple[str, OTCEState, OTCEState, int, str]] = []
+        # (expiry_height, eid) min-heap of every created record; entries of
+        # records that terminated earlier are dropped when they come due
+        self._expiry: list[tuple[int, str]] = []
 
     # -- payload validation (structural; semantic checks live in apply) ----
 
@@ -216,15 +227,12 @@ class OTCERegistry:
 
     def alive(self) -> list[OTCERecord]:
         return [self.records[eid] for eid in sorted(self.records)
-                if self.records[eid].state in (OTCEState.RUNNING, OTCEState.SUSPEND)]
+                if self.records[eid].state in LIVE_STATES]
 
     # -- tx application ----------------------------------------------------
 
-    def apply(self, tx: Transaction, height: int) -> tuple[bool, str]:
-        try:
-            decoded = self.decode_payload(tx.kind, tx.payload)
-        except codec.CodecError:
-            return False, "malformed-payload"
+    def apply(self, tx: Transaction, decoded, height: int) -> tuple[bool, str]:
+        """Apply a committed tx, given its payload as `decode_payload` returned it."""
         verb = decoded[0]
         if verb == "create":
             return self._apply_create(tx, decoded, height)
@@ -254,6 +262,7 @@ class OTCERegistry:
         rec = OTCERecord(eid=eid, state=OTCEState.NEW, group=tuple(sorted(group)),
                          delta_t=delta_t, created_height=height, plan=plan)
         self.records[eid] = rec
+        heapq.heappush(self._expiry, (rec.expiry_height, eid))
         # creation and promotion to Running commit in the same sealing step
         self._transition(rec, OTCEState.RUNNING, height, "create")
         return True, eid
@@ -294,7 +303,7 @@ class OTCERegistry:
             cause = CAUSE_CLOSED
         else:
             return False, "not-a-member"
-        if rec.state not in (OTCEState.RUNNING, OTCEState.SUSPEND):
+        if rec.state not in LIVE_STATES:
             return False, f"bad-state:{rec.state.value}"
         rec.cause = cause
         rec.terminated_height = height
@@ -335,7 +344,7 @@ class OTCERegistry:
             return False, "unknown-eid"
         if tx.sender not in rec.group:
             return False, "not-a-member"
-        if rec.state not in (OTCEState.RUNNING, OTCEState.SUSPEND):
+        if rec.state not in LIVE_STATES:
             return False, f"bad-state:{rec.state.value}"
         try:
             tv = trust_vector(components)
@@ -349,16 +358,22 @@ class OTCERegistry:
 
     # -- expiry sweep ------------------------------------------------------
 
-    def expiry_due(self, height: int) -> list[str]:
-        """Eids whose lifetime window has elapsed at this sealing height."""
-        return [rec.eid for rec in self.alive() if height >= rec.expiry_height]
-
     def on_block_end(self, height: int) -> list[Transaction]:
-        """System-signed auto-termination markers for the block being sealed."""
+        """System-signed auto-termination markers, in eid order, for every live
+        record whose lifetime window has elapsed at this sealing height.
+
+        Due entries leave the index here; the ledger commits the markers in
+        the same seal, and they terminate their records."""
+        due = []
+        while self._expiry and self._expiry[0][0] <= height:
+            eid = heapq.heappop(self._expiry)[1]
+            if self.records[eid].state in LIVE_STATES:
+                due.append(eid)
+        due.sort()
         return [
             make_tx(self.keystore, SYSTEM_SENDER, TxKind.TERMINATE_OTCE,
                     terminate_payload(eid, CAUSE_EXPIRY, nonce=height))
-            for eid in self.expiry_due(height)
+            for eid in due
         ]
 
     # -- dump --------------------------------------------------------------

@@ -160,3 +160,19 @@ def test_unparseable_dump_counts_as_detected_corruption(workdir, capsys):
     (workdir / "junk.dump").write_text("0 zz yy -\n")
     assert main(["verify-chain", "--dump", str(workdir / "junk.dump")]) == 1
     assert "unparseable" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify-chain", "replay"])
+@pytest.mark.parametrize("text", ["", "\n", "# no blocks\n"])
+def test_dump_without_blocks_is_corrupt(tmp_path, capsys, command, text):
+    (tmp_path / "e.dump").write_text(text)
+    assert main([command, "--dump", str(tmp_path / "e.dump")]) == 1
+    assert "chain corrupt" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify-chain", "replay"])
+def test_deeply_nested_tx_is_corrupt(tmp_path, capsys, command):
+    line = f"0 {'00' * 32} {'00' * 32} {'4c00000001' * 5000}:1:\n"
+    (tmp_path / "deep.dump").write_text(line)
+    assert main([command, "--dump", str(tmp_path / "deep.dump")]) == 1
+    assert "nesting too deep" in capsys.readouterr().out

@@ -64,6 +64,19 @@ def test_unpack_rejects_unknown_tag():
         codec.unpack(b"Z\x00\x00\x00\x00")
 
 
+def test_deep_nesting_is_a_codec_error():
+    # 5000 nested one-item lists, far past the interpreter's recursion limit
+    with pytest.raises(codec.CodecError, match="nesting too deep"):
+        codec.unpack(bytes.fromhex("4c00000001" * 5000))
+
+
+def test_deeply_nested_wire_message_is_dropped():
+    from otcestack.consensus import verify_msg
+    from otcestack.keys import KeyStore
+
+    assert verify_msg(KeyStore(1), bytes.fromhex("4c00000001" * 5000)) is None
+
+
 def test_random_round_trips():
     rng = random.Random(20240817)
 

@@ -32,8 +32,7 @@ class CounterContract:
             raise codec.CodecError("bad counter payload")
         return fields
 
-    def apply(self, tx, height):
-        fields = self.decode_payload(tx.kind, tx.payload)
+    def apply(self, tx, fields, height):
         if tx.kind == TxKind.TERMINATE_OTCE:
             self.marks.append(fields[1])
             return True, "ok"
@@ -50,10 +49,27 @@ class CounterContract:
         return []
 
 
-def fresh(sweep_every=0):
+class CountingContract(CounterContract):
+    """CounterContract that logs every payload it decodes and every tx it applies."""
+
+    def __init__(self, keystore, sweep_every=0):
+        super().__init__(keystore, sweep_every)
+        self.decoded: list[bytes] = []
+        self.applied: list[bytes] = []
+
+    def decode_payload(self, kind, payload):
+        self.decoded.append(payload)
+        return super().decode_payload(kind, payload)
+
+    def apply(self, tx, fields, height):
+        self.applied.append(tx.tx_id)
+        return super().apply(tx, fields, height)
+
+
+def fresh(sweep_every=0, contract_cls=CounterContract):
     ks = KeyStore(7)
     ledger = Ledger(ks)
-    contract = CounterContract(ks, sweep_every)
+    contract = contract_cls(ks, sweep_every)
     ledger.register_contract(contract)
     return ks, ledger, contract
 
@@ -182,6 +198,36 @@ def test_mempool_drains_on_seal():
     assert len(ledger.seal_block().txs) == 0
 
 
+# -- decode once -----------------------------------------------------------
+
+def test_admitted_payload_decoded_once_through_seal_and_once_in_replay():
+    ks, ledger, contract = fresh(sweep_every=2, contract_cls=CountingContract)
+    txs = [ctr_tx(ks, "alice", "x", delta, nonce)
+           for nonce, delta in enumerate((1, -2, 3))]
+    for tx in txs:
+        assert ledger.submit_tx(tx) == (True, "ok")
+    assert contract.decoded == [tx.payload for tx in txs]
+    ledger.seal_block()
+    ledger.seal_block()                 # height 2 sweeps: one marker
+    committed = [tx for block in ledger.chain for tx in block.txs]
+    assert committed[:3] == txs and len(committed) == 4
+    # sealing reuses the admission decode; only the marker is decoded there
+    assert contract.decoded == [tx.payload for tx in committed]
+    assert contract.applied == [tx.tx_id for tx in committed]
+    replayed = CountingContract(KeyStore(7))
+    assert replay_chain(ledger.chain, [replayed]) == []
+    assert replayed.decoded == [tx.payload for tx in committed]
+    assert replayed.counts == contract.counts
+
+
+def test_payload_refused_at_admission_never_reaches_apply():
+    ks, ledger, contract = fresh(contract_cls=CountingContract)
+    bad = make_tx(ks, "alice", TxKind.REGISTER_DID, codec.pack("ctr", "x"))
+    assert ledger.submit_tx(bad) == (False, "malformed-payload")
+    assert ledger.seal_block().txs == ()
+    assert contract.applied == []
+
+
 # -- verification ----------------------------------------------------------
 
 def build_chain(n_blocks=30, seed=17, sweep_every=5):
@@ -305,3 +351,20 @@ def test_replay_reports_outcome_mismatch():
     mismatches = replay_chain(chain, [CounterContract(KeyStore(7))])
     assert len(mismatches) == 1
     assert f"height {h}" in mismatches[0]
+
+
+def test_replay_decodes_committed_bytes():
+    # a committed payload that does not decode replays as refused without
+    # reaching apply, whatever was admitted in its place
+    ks, ledger, _ = build_chain(n_blocks=10)
+    chain = list(ledger.chain)
+    h = next(i for i, b in enumerate(chain) if b.txs)
+    block = chain[h]
+    bad = make_tx(ks, "alice", TxKind.REGISTER_DID, codec.pack("ctr", "x"))
+    txs = (bad,) + block.txs[1:]
+    status = ((False, "malformed-payload"),) + block.status[1:]
+    chain[h] = replace(block, txs=txs, status=status)
+    replayed = CountingContract(KeyStore(7))
+    assert replay_chain(chain, [replayed]) == []
+    assert bad.tx_id not in replayed.applied
+    assert bad.payload in replayed.decoded

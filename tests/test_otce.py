@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from otcestack import codec
@@ -227,6 +230,86 @@ def test_expiry_skips_already_terminated():
     block = ledger.seal_block()                     # height 3, past expiry
     assert block.txs == ()
     assert reg.record(eid).cause == CAUSE_CLOSED
+
+
+class SweepChecked(OTCERegistry):
+    """Checks every sweep's markers against a scan of all live records."""
+
+    def __init__(self, keystore, mapping):
+        super().__init__(keystore, mapping)
+        self.swept: list[list[str]] = []
+
+    def on_block_end(self, height):
+        want = sorted(r.eid for r in self.alive() if height >= r.expiry_height)
+        markers = super().on_block_end(height)
+        got = [self.decode_payload(m.kind, m.payload)[1] for m in markers]
+        assert got == want, f"height {height}"
+        self.swept.append(got)
+        return markers
+
+
+def test_expiry_index_matches_full_scan():
+    ks = KeyStore(11)
+    ledger = Ledger(ks)
+    reg = SweepChecked(ks, PlanMapping())
+    ledger.register_contract(reg)
+    rng = random.Random(4242)
+    plan = make_plan(Protocol.PBFT, len(GROUP4))
+    nonce = 0
+    for _ in range(300):
+        for _ in range(rng.randint(0, 4)):
+            nonce += 1
+            delta_t = rng.choice((1, 1, 2, 3, 5, 8, 13))
+            tx = make_tx(ks, rng.choice(GROUP4), TxKind.CREATE_OTCE,
+                         create_payload(GROUP4, delta_t, plan, nonce))
+            assert ledger.submit_tx(tx) == (True, "ok")
+        for rec in reg.alive():
+            nonce += 1
+            roll = rng.random()
+            if roll < 0.25:
+                kind, payload = TxKind.SUSPEND_OTCE, suspend_payload(rec.eid, b"", nonce)
+            elif roll < 0.4:
+                kind, payload = TxKind.RESUME_OTCE, resume_payload(rec.eid, nonce)
+            elif roll < 0.45:
+                kind = TxKind.TERMINATE_OTCE
+                payload = terminate_payload(rec.eid, CAUSE_CLOSED, nonce)
+            elif roll < 0.5:
+                kind = TxKind.SUBMIT_RESULT
+                payload = submit_result_payload(
+                    good_submission(ks, rec.eid, GROUP4, 3), nonce)
+            else:
+                continue
+            tx = make_tx(ks, rng.choice(GROUP4), kind, payload)
+            assert ledger.submit_tx(tx) == (True, "ok")
+        ledger.seal_block()
+        height = ledger.current_height()
+        assert all(r.expiry_height > height for r in reg.alive())
+
+    # the run covered the cases the index has to get right
+    causes = Counter(rec.cause for rec in reg.records.values())
+    assert causes[CAUSE_EXPIRY] and causes[CAUSE_CLOSED] and causes[CAUSE_RESULTS]
+    assert any(src is OTCEState.SUSPEND and note == CAUSE_EXPIRY
+               for _, src, _, _, note in reg.transitions)
+    assert any(rec.cause != CAUSE_EXPIRY and rec.expiry_height <= height
+               for rec in reg.records.values())
+    assert any(reg.records[eid].delta_t == 1 for eids in reg.swept for eid in eids)
+    assert any(len(eids) >= 2 for eids in reg.swept)
+    replayed = OTCERegistry(ks, PlanMapping())
+    assert replay_chain(ledger.chain, [replayed]) == []
+    assert replayed.dump() == reg.dump()
+
+
+def test_sweep_orders_markers_by_eid_across_heights():
+    # a registry restored by replay has swept nothing yet, so one sweep far
+    # ahead finds entries of several expiry heights due at once
+    ks, ledger, _ = fresh()
+    eids = [create(ks, ledger, delta_t=50 - 7 * i, nonce=i) for i in range(6)]
+    restored = OTCERegistry(ks, PlanMapping())
+    assert replay_chain(ledger.chain, [restored]) == []
+    markers = restored.on_block_end(100)
+    got = [restored.decode_payload(m.kind, m.payload)[1] for m in markers]
+    assert got == sorted(eids)
+    assert restored.on_block_end(101) == []
 
 
 # -- verified results ------------------------------------------------------
