@@ -14,6 +14,10 @@ carried across layers. Execution charges one tick per task per node, moves
 values between nodes as signed messages, and survives executor crashes by
 one reassignment round at quiescence. A quorum of members signs the final
 output digest so results can be checked without trusting any single node.
+A broadcast value reaches every peer as the same wire, so the executors of
+one execution share a memo from (sender, wire) to the checked message: each
+distinct pair is verified and decoded once, and every rejected delivery is
+still counted by its receiver.
 """
 
 from __future__ import annotations
@@ -229,10 +233,17 @@ def result_body(execution_id: str, digest: bytes) -> bytes:
 class TaskExecutor:
     """Per-node engine: runs its assigned tasks one at a time, one tick each,
     broadcasting finished values; learns remote values and chunks from
-    signed messages."""
+    signed messages.
+
+    `verified` maps (sender, wire) to the message's (kind, ref, data), or
+    None when it is refused. The outcome depends only on that pair, the
+    members, their keys (each executor ensures its key when built) and the
+    execution id, so the executors of one execution may share the memo. An
+    executor built without one gets a private memo."""
 
     def __init__(self, execution_id: str, dag: TaskDAG, node: str, members,
-                 assigned: list[str], chunks: dict[str, bytes], keystore: KeyStore):
+                 assigned: list[str], chunks: dict[str, bytes], keystore: KeyStore,
+                 verified: dict[tuple[str, bytes], tuple | None] | None = None):
         self.execution_id = execution_id
         self.dag = dag
         self.node = node
@@ -241,6 +252,7 @@ class TaskExecutor:
         self.chunks = dict(chunks)
         self.keystore = keystore
         keystore.ensure(node)
+        self.verified = {} if verified is None else verified
         self.values: dict[str, bytes] = {}
         self.done: set[str] = set()
         self.busy: str | None = None
@@ -317,24 +329,30 @@ class TaskExecutor:
         acts = self._bcast("value", tid, self.values[tid])
         return acts + self._try_start()
 
-    def _on_message(self, event: SimEvent) -> list:
-        wire = event.payload
+    def _check(self, src: str, wire: bytes) -> tuple | None:
         if len(wire) <= SIG_LEN:
-            self.rejected += 1
-            return []
+            return None
         body, sig = wire[:-SIG_LEN], wire[-SIG_LEN:]
-        if event.src not in self.members or not self.keystore.verify(event.src, body, sig):
-            self.rejected += 1
-            return []
+        if src not in self.members or not self.keystore.verify(src, body, sig):
+            return None
         try:
             fields = codec.unpack(body)
         except codec.CodecError:
-            self.rejected += 1
-            return []
+            return None
         if len(fields) != 5 or fields[0] != "bvm-val" or fields[1] != self.execution_id:
+            return None
+        return fields[2:]
+
+    def _on_message(self, event: SimEvent) -> list:
+        key = (event.src, event.payload)
+        try:
+            fields = self.verified[key]
+        except KeyError:
+            fields = self.verified[key] = self._check(*key)
+        if fields is None:
             self.rejected += 1
             return []
-        _, _, kind, ref, data = fields
+        kind, ref, data = fields
         if kind == "chunk":
             self.chunks.setdefault(ref, data)
         elif kind == "value":
@@ -367,6 +385,7 @@ class ExecutionReport:
     dropped: int
     in_flight: int
     trace: tuple[str, ...]
+    rejected: dict[str, int]      # node -> deliveries its executor refused
 
 
 def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, bytes]],
@@ -378,12 +397,13 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     holder_ids = {node: set(store) for node, store in holders.items()}
     schedule = topo_schedule(dag, ordered, holder_ids)
     net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
+    verified: dict[tuple[str, bytes], tuple | None] = {}
     execs: dict[str, TaskExecutor] = {}
     for node in ordered:
         assigned = [tid for layer in topo_layers(dag) for tid in layer
                     if schedule[tid] == node]
         execs[node] = TaskExecutor(execution_id, dag, node, ordered, assigned,
-                                   holders.get(node, {}), keystore)
+                                   holders.get(node, {}), keystore, verified)
         net.register(node, execs[node].step)
     for spec in faults:
         net.inject_fault(spec)
@@ -471,6 +491,7 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         dropped=net.dropped,
         in_flight=net.in_flight(),
         trace=tuple(net.trace),
+        rejected={node: e.rejected for node, e in execs.items()},
     )
 
 

@@ -7,7 +7,11 @@ retries). Replicas run honest logic only; adversarial behavior is injected
 by the network layer (crash, drop-all, delay-max, or per-recipient payload
 rewriting for equivocation). Every message carries a signature checked on
 receipt; anything malformed, stale, or from outside the group is dropped
-and counted, never raised.
+and counted, never raised. A broadcast hands the same wire bytes to every
+peer, so the replicas of one instance share a memo from wire to decoded
+message: each distinct wire is decoded and its signature checked once per
+instance, while the instance, membership and sender checks run, and drops
+are counted, on every delivery.
 
 Quorum rules follow the security plan: q = n - f_max for the Byzantine
 protocol (a replica is prepared on q matching prepares including its own,
@@ -181,14 +185,65 @@ def make_equivocation_transform(keystore: KeyStore):
 
 # -- byzantine-tolerant engine ---------------------------------------------
 
-class PBFTReplica:
-    """Three-phase replica: single slot, rotating leader, view changes."""
+class _Replica:
+    """What both engines share: signed broadcasts, generation-tagged timers,
+    and the memoised check that opens `step` for an incoming message.
 
-    def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore):
+    `verified` maps a wire to its decoded message, or None when it does not
+    decode or verify. That outcome depends only on the wire and the members'
+    keys, and each replica ensures its key when built, before any delivery;
+    so the replicas of one instance may share the memo. A replica built
+    without one gets a private memo."""
+
+    def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
+                 verified: dict[bytes, Msg | None] | None = None):
         self.cfg = cfg
         self.node = node
         self.keystore = keystore
         keystore.ensure(node)
+        self.verified = {} if verified is None else verified
+        self.decision: Decision | None = None
+        self.dropped = 0
+        self._timer_gen = 0
+
+    def _bcast(self, kind: MsgKind, **fields) -> list:
+        msg = Msg(self.cfg.instance_id, kind, self.node, **fields)
+        wire = encode_msg(self.keystore, msg)
+        return [Send(m, wire, kind.value) for m in self.cfg.members if m != self.node]
+
+    def _set_timer(self, delay: int) -> list:
+        self._timer_gen += 1
+        return [SetTimer(delay, f"t:{self._timer_gen}")]
+
+    def _timer_live(self, label: str) -> bool:
+        """True when `label` names the newest timer and nothing is decided."""
+        try:
+            gen = int(label.split(":", 1)[1])
+        except (IndexError, ValueError):
+            return False
+        return gen == self._timer_gen and self.decision is None
+
+    def _accept(self, event: SimEvent) -> Msg | None:
+        """The verified message of a delivery from a member of this instance,
+        or None, counted as a drop."""
+        wire = event.payload
+        try:
+            msg = self.verified[wire]
+        except KeyError:
+            msg = self.verified[wire] = verify_msg(self.keystore, wire)
+        if (msg is None or msg.instance != self.cfg.instance_id
+                or msg.sender not in self.cfg.members or msg.sender != event.src):
+            self.dropped += 1
+            return None
+        return msg
+
+
+class PBFTReplica(_Replica):
+    """Three-phase replica: single slot, rotating leader, view changes."""
+
+    def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
+                 verified: dict[bytes, Msg | None] | None = None):
+        super().__init__(cfg, node, keystore, verified)
         self.view = 0
         self.phase = "idle"
         self.request_value: bytes | None = None
@@ -202,21 +257,12 @@ class PBFTReplica:
         self.viewchanges: dict[int, dict[str, tuple[int, bytes | None]]] = {}
         self.vc_target = 0
         self.newview_done: set[int] = set()
-        self.decision: Decision | None = None
-        self.dropped = 0
-        self._timer_gen = 0
         self._timeout = cfg.view_timeout
 
     # helpers
 
-    def _bcast(self, kind: MsgKind, **fields) -> list:
-        msg = Msg(self.cfg.instance_id, kind, self.node, **fields)
-        wire = encode_msg(self.keystore, msg)
-        return [Send(m, wire, kind.value) for m in self.cfg.members if m != self.node]
-
     def _start_timer(self) -> list:
-        self._timer_gen += 1
-        return [SetTimer(self._timeout, f"t:{self._timer_gen}")]
+        return self._set_timer(self._timeout)
 
     def _decided_notice(self) -> bytes:
         d = self.decision
@@ -231,10 +277,8 @@ class PBFTReplica:
             return self._on_request(event.payload, now)
         if event.kind == "timer":
             return self._on_timer(event.label, now)
-        msg = verify_msg(self.keystore, event.payload)
-        if (msg is None or msg.instance != self.cfg.instance_id
-                or msg.sender not in self.cfg.members or msg.sender != event.src):
-            self.dropped += 1
+        msg = self._accept(event)
+        if msg is None:
             return []
         if self.decision is not None:
             if msg.kind is MsgKind.VIEWCHANGE:
@@ -356,11 +400,7 @@ class PBFTReplica:
         return [Record("decision", f"view={msg.view} value={codec.short(msg.value)} adopted")]
 
     def _on_timer(self, label: str, now: int) -> list:
-        try:
-            gen = int(label.split(":", 1)[1])
-        except (IndexError, ValueError):
-            return []
-        if gen != self._timer_gen or self.decision is not None:
+        if not self._timer_live(label):
             return []
         return self._start_viewchange(max(self.view, self.vc_target) + 1, now)
 
@@ -434,15 +474,13 @@ class PBFTReplica:
 
 # -- majority engine -------------------------------------------------------
 
-class PaxosReplica:
+class PaxosReplica(_Replica):
     """Single-decree proposer+acceptor+learner in one; ballot = (round, index)."""
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
-                 initial_proposer: bool = False):
-        self.cfg = cfg
-        self.node = node
-        self.keystore = keystore
-        keystore.ensure(node)
+                 initial_proposer: bool = False,
+                 verified: dict[bytes, Msg | None] | None = None):
+        super().__init__(cfg, node, keystore, verified)
         self.idx = cfg.index(node)
         self.initial_proposer = initial_proposer
         self.request_value: bytes | None = None
@@ -455,21 +493,11 @@ class PaxosReplica:
         # ballot -> sender -> (accepted_round, accepted_index, accepted_value)
         self.promises: dict[tuple[int, int], dict[str, tuple[int, int, bytes | None]]] = {}
         self.accept_tally: dict[tuple[int, int, bytes], set[str]] = {}
-        self.decision: Decision | None = None
-        self.dropped = 0
-        self._timer_gen = 0
-
-    def _bcast(self, kind: MsgKind, **fields) -> list:
-        msg = Msg(self.cfg.instance_id, kind, self.node, **fields)
-        wire = encode_msg(self.keystore, msg)
-        return [Send(m, wire, kind.value) for m in self.cfg.members if m != self.node]
 
     def _watchdog(self) -> list:
         """Deterministically staggered retry timer; index offsets avoid duels."""
-        self._timer_gen += 1
-        delay = (self.cfg.view_timeout * (self.idx + 1)
-                 + self.cfg.view_timeout * self.cfg.n * self.attempts)
-        return [SetTimer(delay, f"t:{self._timer_gen}")]
+        return self._set_timer(self.cfg.view_timeout * (self.idx + 1)
+                               + self.cfg.view_timeout * self.cfg.n * self.attempts)
 
     def _saw_round(self, rnd: int) -> None:
         if rnd > self.max_round_seen:
@@ -480,10 +508,8 @@ class PaxosReplica:
             return self._on_request(event.payload, now)
         if event.kind == "timer":
             return self._on_timer(event.label, now)
-        msg = verify_msg(self.keystore, event.payload)
-        if (msg is None or msg.instance != self.cfg.instance_id
-                or msg.sender not in self.cfg.members or msg.sender != event.src):
-            self.dropped += 1
+        msg = self._accept(event)
+        if msg is None:
             return []
         if msg.kind is MsgKind.P1A:
             return self._on_p1a(msg, now)
@@ -505,11 +531,7 @@ class PaxosReplica:
         return self._watchdog()
 
     def _on_timer(self, label: str, now: int) -> list:
-        try:
-            gen = int(label.split(":", 1)[1])
-        except (IndexError, ValueError):
-            return []
-        if gen != self._timer_gen or self.decision is not None:
+        if not self._timer_live(label):
             return []
         return self._propose(now)
 
@@ -632,6 +654,7 @@ class InstanceResult:
     ticks: int
     budget_exhausted: bool
     trace: tuple[str, ...]
+    replica_drops: dict[str, int]     # node -> deliveries its replica dropped
 
     def honest_values(self) -> list[bytes]:
         return sorted({d.value for n, d in self.decisions.items() if n in self.honest})
@@ -650,13 +673,15 @@ def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
     net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
     if initial_proposers is None:
         initial_proposers = (cfg.members[0],)
+    verified: dict[bytes, Msg | None] = {}
     replicas: dict[str, PBFTReplica | PaxosReplica] = {}
     for m in cfg.members:
         if plan.protocol is Protocol.PBFT:
-            replicas[m] = PBFTReplica(cfg, m, keystore)
+            replicas[m] = PBFTReplica(cfg, m, keystore, verified)
         else:
             replicas[m] = PaxosReplica(cfg, m, keystore,
-                                       initial_proposer=m in initial_proposers)
+                                       initial_proposer=m in initial_proposers,
+                                       verified=verified)
         net.register(m, replicas[m].step)
     for spec in faults:
         if spec.behavior is Behavior.EQUIVOCATE and spec.transform is None:
@@ -691,4 +716,5 @@ def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
         ticks=net.now,
         budget_exhausted=net.budget_exhausted,
         trace=tuple(net.trace),
+        replica_drops={m: r.dropped for m, r in replicas.items()},
     )

@@ -136,16 +136,7 @@ def share_secret(secret: int, threshold: int, count: int, rng,
 
 
 def _interpolate_at_zero(points, prime: int) -> int:
-    total = 0
-    for xj, yj in points:
-        num = den = 1
-        for xm, _ in points:
-            if xm == xj:
-                continue
-            num = num * (-xm) % prime
-            den = den * (xj - xm) % prime
-        total = (total + yj * num * pow(den, -1, prime)) % prime
-    return total
+    return _eval_lagrange(points, 0, prime)
 
 
 def reconstruct(shares, threshold: int, prime: int = PRIME) -> int:

@@ -145,7 +145,7 @@ class _Runner:
 
     def _faults_for(self, members) -> list[FaultSpec]:
         group = set(members)
-        return [FaultSpec(f.node, f.behavior, f.at_tick, f.scope)
+        return [FaultSpec(f.node, f.behavior, f.at_tick)
                 for f in self.scn.faults if f.node in group]
 
     def _submit(self, tx) -> str:
@@ -437,4 +437,6 @@ def run_scenario(scn: Scenario, base_dir: str | Path = ".",
                  max_ticks_override: int | None = None) -> RunResult:
     seed = scn.seed if seed_override is None else seed_override
     max_ticks = scn.max_ticks if max_ticks_override is None else max_ticks_override
+    if max_ticks < 1:
+        raise ScenarioError(f"max-ticks must be positive, got {max_ticks}")
     return _Runner(scn, Path(base_dir), seed, max_ticks).run()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .hypergraph import DEFAULT_ALPHA, DEFAULT_LATENCY_BOUND
-from .simnet import Behavior, GLOBAL_SCOPE
+from .simnet import Behavior
 
 
 class ScenarioError(ValueError):
@@ -36,7 +36,6 @@ class FaultDecl:
     node: str
     behavior: Behavior
     at_tick: int = 0
-    scope: str = GLOBAL_SCOPE
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ def parse_scenario(text: str) -> Scenario:
             oracles.append(parts[1])
         elif head == "fault":
             if len(parts) < 3:
-                _fail(ln, "fault wants: fault <node> <behavior> [at=<tick>] [scope=<s>]")
+                _fail(ln, "fault wants: fault <node> <behavior> [at=<tick>]")
             node, behavior_s = parts[1], parts[2]
             if node not in nodes:
                 _fail(ln, f"fault for undeclared node {node!r}")
@@ -262,18 +261,16 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 ok = ", ".join(b.value for b in Behavior)
                 _fail(ln, f"unknown behavior {behavior_s!r} (one of: {ok})")
-            at_tick, scope = 0, GLOBAL_SCOPE
+            at_tick = 0
             for tok in parts[3:]:
                 key, _, val = tok.partition("=")
                 if key == "at":
                     at_tick = _as_int(ln, val, "at")
                     if at_tick < 0:
                         _fail(ln, "at must be non-negative")
-                elif key == "scope":
-                    scope = val or GLOBAL_SCOPE
                 else:
                     _fail(ln, f"fault does not take {key!r}")
-            faults.append(FaultDecl(ln, node, behavior, at_tick, scope))
+            faults.append(FaultDecl(ln, node, behavior, at_tick))
         elif head == "chunk":
             if len(parts) != 4:
                 _fail(ln, "chunk wants: chunk <node> <id> <hex>")

@@ -11,6 +11,10 @@ drop-all suppresses its outbound messages, delay-max stretches them to the
 bound (landing after the stabilization tick when one is set), and
 equivocate rewrites value-bearing payloads per recipient through a
 protocol-supplied transform.
+
+Trace lines name a payload by its short digest. A broadcast puts the same
+payload on many lines, so each Network computes the digest once per
+distinct payload.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from enum import Enum
 from typing import Callable
 
 from . import codec
-
-GLOBAL_SCOPE = "global"
 
 
 class Behavior(str, Enum):
@@ -38,7 +40,6 @@ class FaultSpec:
     node: str
     behavior: Behavior
     at_tick: int = 0
-    scope: str = GLOBAL_SCOPE
     # equivocate only: (payload, dst, dst_index) -> payload
     transform: Callable[[bytes, str, int], bytes] | None = None
 
@@ -104,6 +105,7 @@ class Network:
         self._order: dict[str, int] = {}
         self._faults: dict[str, FaultSpec] = {}
         self.trace: list[str] = []
+        self._shorts: dict[bytes, str] = {}
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -135,6 +137,12 @@ class Network:
     def crashed(self, node: str, tick: int) -> bool:
         spec = self._fault(node, tick)
         return spec is not None and spec.behavior is Behavior.CRASH
+
+    def _short(self, payload: bytes) -> str:
+        digest = self._shorts.get(payload)
+        if digest is None:
+            digest = self._shorts[payload] = codec.short(payload)
+        return digest
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -184,7 +192,7 @@ class Network:
     def _drop(self, tick: int, src: str, dst: str, label: str, payload: bytes) -> None:
         self.dropped += 1
         self.trace.append(
-            f"{tick} {self._next_seq()} {src} {dst} drop:{label} {codec.short(payload)}")
+            f"{tick} {self._next_seq()} {src} {dst} drop:{label} {self._short(payload)}")
 
     # -- the loop ----------------------------------------------------------
 
@@ -207,13 +215,13 @@ class Network:
                     self.dropped += 1
                 self.trace.append(
                     f"{event.deliver_at} {event.seq} {event.src} {event.dst} "
-                    f"dead:{event.label} {codec.short(event.payload)}")
+                    f"dead:{event.label} {self._short(event.payload)}")
                 continue
             if event.kind == "msg":
                 self.delivered += 1
             self.trace.append(
                 f"{event.deliver_at} {event.seq} {event.src} {event.dst} "
-                f"{event.kind}:{event.label} {codec.short(event.payload)}")
+                f"{event.kind}:{event.label} {self._short(event.payload)}")
             actions = self._handlers[event.dst](event, event.deliver_at) or []
             for action in actions:
                 if isinstance(action, Send):

@@ -78,6 +78,14 @@ def test_run_bad_syntax_is_harness_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ticks", ["0", "-5"])
+def test_run_refuses_non_positive_max_ticks(workdir, capsys, ticks):
+    rc, out = do_run(workdir, "--max-ticks", ticks)
+    assert rc == 2
+    assert "max-ticks must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- verify-chain ----------------------------------------------------------
 
 def test_verify_intact_chain(workdir, capsys):

@@ -98,6 +98,7 @@ def test_action_kw_parsed():
     ("seed 1\nnode a\nfault a explode\n", 3),
     ("seed 1\nfault a crash\n", 2),
     ("seed 1\nnode a\nfault a crash at=-1\n", 3),
+    ("seed 1\nnode a\nfault a crash scope=global\n", 3),
     ("seed 1\nnode a\nfault a crash\nfault a crash\n", 4),
     ("seed 1\nnode a\nchunk a c zz\n", 3),
     ("seed 1\nchunk a c 00\n", 2),
