@@ -12,8 +12,9 @@ covering the most of their chunks (smallest node id on ties), everything
 else round-robins over the sorted members, layer by layer with the cursor
 carried across layers. Execution charges one tick per task per node, moves
 values between nodes as signed messages, and survives executor crashes by
-one reassignment round at quiescence. A quorum of members signs the final
-output digest so results can be checked without trusting any single node.
+one reassignment round at quiescence that places the missing tasks on the
+live members by the same rule. A quorum of members signs the final output
+digest so results can be checked without trusting any single node.
 A broadcast value reaches every peer as the same wire, so the executors of
 one execution share a memo from (sender, wire) to the checked message: each
 distinct pair is verified and decoded once, and every rejected delivery is
@@ -198,25 +199,25 @@ def outputs_digest(dag: TaskDAG, values: dict[str, bytes]) -> bytes:
 
 
 def topo_schedule(dag: TaskDAG, members, holders: dict[str, set[str]]) -> dict[str, str]:
-    """Assign every task to a member. Chunk-touching tasks go to the holder
-    covering the most of their chunks (smallest id on ties); the rest
-    round-robin over sorted members with the cursor carried across layers."""
-    ordered = sorted(members)
+    """Assign every task to a member, in topological order (see `_place`)."""
+    order = [tid for layer in topo_layers(dag) for tid in layer]
+    return _place(dag, order, sorted(members), holders)
+
+
+def _place(dag: TaskDAG, order, nodes, holders) -> dict[str, str]:
+    """Place the tasks of `order` on `nodes` (sorted). A task that reads
+    chunks goes to the node holding most of them, smallest id on ties;
+    any other task round-robins over the nodes with one cursor for all."""
     assign: dict[str, str] = {}
     cursor = 0
-    for layer in topo_layers(dag):
-        for tid in layer:
-            refs = dag.tasks[tid].chunk_refs()
-            if refs:
-                best_node, best_cover = None, -1
-                for node in ordered:
-                    cover = len(set(refs) & holders.get(node, set()))
-                    if cover > best_cover:
-                        best_node, best_cover = node, cover
-                assign[tid] = best_node
-            else:
-                assign[tid] = ordered[cursor % len(ordered)]
-                cursor += 1
+    for tid in order:
+        refs = set(dag.tasks[tid].chunk_refs())
+        if refs:
+            assign[tid] = max(
+                nodes, key=lambda n: len(refs.intersection(holders.get(n, ()))))
+        else:
+            assign[tid] = nodes[cursor % len(nodes)]
+            cursor += 1
     return assign
 
 
@@ -394,15 +395,16 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
                           max_tick: int = 5000) -> ExecutionReport:
     """Run the DAG across the members; one reassignment round on crashes."""
     ordered = tuple(sorted(members))
-    holder_ids = {node: set(store) for node, store in holders.items()}
-    schedule = topo_schedule(dag, ordered, holder_ids)
+    order = [tid for layer in topo_layers(dag) for tid in layer]
+    schedule = _place(dag, order, ordered, holders)
+    assigned: dict[str, list[str]] = {node: [] for node in ordered}
+    for tid in order:
+        assigned[schedule[tid]].append(tid)
     net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
     verified: dict[tuple[str, bytes], tuple | None] = {}
     execs: dict[str, TaskExecutor] = {}
     for node in ordered:
-        assigned = [tid for layer in topo_layers(dag) for tid in layer
-                    if schedule[tid] == node]
-        execs[node] = TaskExecutor(execution_id, dag, node, ordered, assigned,
+        execs[node] = TaskExecutor(execution_id, dag, node, ordered, assigned[node],
                                    holders.get(node, {}), keystore, verified)
         net.register(node, execs[node].step)
     for spec in faults:
@@ -424,7 +426,7 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     failed: list[str] = []
     retried = False
     values = merged_values()
-    missing = [tid for layer in topo_layers(dag) for tid in layer if tid not in values]
+    missing = [tid for tid in order if tid not in values]
     if missing and not net.budget_exhausted:
         retried = True
         live = live_nodes()
@@ -432,28 +434,16 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         for node in live:
             for cid, data in holders.get(node, {}).items():
                 live_chunks.setdefault(cid, data)
-        takeovers: dict[str, list[str]] = {}
-        cursor = 0
+        placeable = []
         for tid in missing:
-            refs = dag.tasks[tid].chunk_refs()
-            if refs and not set(refs) <= set(live_chunks):
-                failed.append(tid)
-                continue
-            if not live:
-                failed.append(tid)
-                continue
-            if refs:
-                best, cover = None, -1
-                for node in live:
-                    c = len(set(refs) & set(holder_ids.get(node, set())))
-                    if c > cover:
-                        best, cover = node, c
-                target = best
+            if live and live_chunks.keys() >= set(dag.tasks[tid].chunk_refs()):
+                placeable.append(tid)
             else:
-                target = live[cursor % len(live)]
-                cursor += 1
-            reassigned[tid] = target
-            takeovers.setdefault(target, []).append(tid)
+                failed.append(tid)
+        reassigned = _place(dag, placeable, live, holders)
+        takeovers: dict[str, list[str]] = {}
+        for tid, node in reassigned.items():
+            takeovers.setdefault(node, []).append(tid)
         start = net.now + 1
         for node in sorted(takeovers):
             payload = codec.pack("takeover", takeovers[node],

@@ -11,13 +11,21 @@ import argparse
 import sys
 from pathlib import Path
 
-from .did import AttestationPolicy, DIDRegistry
-from .keys import KeyStore
-from .ledger import load_chain, replay_chain, verify_chain
-from .otce import OTCERegistry
-from .plan import PlanMapping
-from .runner import run_scenario
-from .scenario import ScenarioError, parse_scenario
+from .keys import SEED_RANGE, KeyStore
+from .ledger import load_chain, verify_chain
+from .runner import audit_chain, run_scenario
+from .scenario import Scenario, ScenarioError, parse_scenario
+
+
+def _seed(tok: str) -> int:
+    """argparse type for key seeds: an integer that fits the keystore."""
+    try:
+        seed = int(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {tok!r}") from None
+    if seed not in SEED_RANGE:
+        raise argparse.ArgumentTypeError(f"seed must be in [-2^127, 2^127), got {tok}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("--scenario", required=True, help="scenario file path")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed-override", type=int, default=None)
+    p_run.add_argument("--seed-override", type=_seed, default=None)
     p_run.add_argument("--max-ticks", type=int, default=None)
 
     p_verify = sub.add_parser("verify-chain", help="check a chain dump's integrity")
@@ -39,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--dump", required=True, help="chain dump path")
     p_replay.add_argument("--scenario", default=None,
                           help="scenario file providing seed, mapping, and policy")
-    p_replay.add_argument("--seed", type=int, default=None,
+    p_replay.add_argument("--seed", type=_seed, default=None,
                           help="key seed (overrides the scenario's)")
     return parser
 
@@ -106,28 +114,18 @@ def _cmd_replay(args) -> int:
     chain, rc = _load_dump(args.dump)
     if chain is None:
         return rc
-    seed = 0
-    mapping = PlanMapping()
-    policy = None
+    scn = Scenario(seed=0)
     if args.scenario is not None:
         try:
             scn = parse_scenario(Path(args.scenario).read_text())
         except (OSError, ScenarioError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        seed = scn.seed
-        mapping = PlanMapping((tuple(scn.weights),), scn.tau)
-        policy = AttestationPolicy(scn.policy) if scn.policy else None
-    if args.seed is not None:
-        seed = args.seed
-    ks = KeyStore(seed)
-    bad = verify_chain(chain, ks)
+    ks = KeyStore(scn.seed if args.seed is None else args.seed)
+    bad, mismatches, (registry, dids) = audit_chain(chain, scn, ks)
     if bad is not None:
         print(f"chain corrupt: first bad height {bad}")
         return 1
-    registry = OTCERegistry(ks, mapping)
-    dids = DIDRegistry(policy)
-    mismatches = replay_chain(chain, [registry, dids])
     if mismatches:
         print(f"replay diverged ({len(mismatches)} mismatches):")
         for line in mismatches:

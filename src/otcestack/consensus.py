@@ -138,7 +138,6 @@ def config_from_plan(plan: SecurityPlan, members, instance_id: str,
 @dataclass(frozen=True)
 class Decision:
     instance_id: str
-    slot: int
     value: bytes
     decided_at: int
     node: str
@@ -245,7 +244,6 @@ class PBFTReplica(_Replica):
                  verified: dict[bytes, Msg | None] | None = None):
         super().__init__(cfg, node, keystore, verified)
         self.view = 0
-        self.phase = "idle"
         self.request_value: bytes | None = None
         self.proposals: dict[int, tuple[bytes, bytes]] = {}     # view -> (digest, value)
         self.prepares: dict[tuple[int, bytes], set[str]] = {}
@@ -313,7 +311,6 @@ class PBFTReplica(_Replica):
     def _propose(self, view: int, value: bytes, now: int) -> list:
         d = codec.sha(value)
         self.proposals[view] = (d, value)
-        self.phase = "preprepared"
         acts = self._bcast(MsgKind.PREPREPARE, view=view, value=value, digest=d)
         return acts + self._send_prepare(view, d, now)
 
@@ -335,7 +332,6 @@ class PBFTReplica(_Replica):
                 self.dropped += 1     # leader equivocation; keep the first
             return []
         self.proposals[msg.view] = (msg.digest, msg.value)
-        self.phase = "preprepared"
         return self._send_prepare(msg.view, msg.digest, now)
 
     def _on_prepare(self, msg: Msg, now: int) -> list:
@@ -358,7 +354,6 @@ class PBFTReplica(_Replica):
         if len(self.prepares.get((view, d), ())) < self.cfg.quorum:
             return []
         self.sent_commit.add(view)
-        self.phase = "prepared"
         if self.prepared_cert is None or view > self.prepared_cert[0]:
             self.prepared_cert = (view, d, prop[1])
         self.commits.setdefault((view, d), set()).add(self.node)
@@ -384,8 +379,7 @@ class PBFTReplica(_Replica):
             return []
         if len(self.commits.get((view, d), ())) < self.cfg.quorum:
             return []
-        self.decision = Decision(self.cfg.instance_id, 0, prop[1], now, self.node, view)
-        self.phase = "decided"
+        self.decision = Decision(self.cfg.instance_id, prop[1], now, self.node, view)
         self._timer_gen += 1
         return [Record("decision", f"view={view} value={codec.short(prop[1])}")]
 
@@ -393,9 +387,8 @@ class PBFTReplica(_Replica):
         if msg.value is None:
             self.dropped += 1
             return []
-        self.decision = Decision(self.cfg.instance_id, 0, msg.value, now,
+        self.decision = Decision(self.cfg.instance_id, msg.value, now,
                                  self.node, msg.view)
-        self.phase = "decided"
         self._timer_gen += 1
         return [Record("decision", f"view={msg.view} value={codec.short(msg.value)} adopted")]
 
@@ -406,7 +399,6 @@ class PBFTReplica(_Replica):
 
     def _start_viewchange(self, target: int, now: int) -> list:
         self.vc_target = target
-        self.phase = "view-change"
         self._timeout = min(self._timeout * 2, self.cfg.view_timeout * 16)
         cert_view, cert_value = -1, None
         if self.prepared_cert is not None:
@@ -625,7 +617,7 @@ class PaxosReplica(_Replica):
             return []
         tally.add(sender)
         if self.decision is None and len(tally) >= self.cfg.quorum:
-            self.decision = Decision(self.cfg.instance_id, 0, value, now,
+            self.decision = Decision(self.cfg.instance_id, value, now,
                                      self.node, ballot[0])
             self.phase = "decided"
             self._timer_gen += 1

@@ -13,6 +13,8 @@ import hashlib
 import hmac
 
 SIG_LEN = 32
+# Key secrets derive from the seed as 16 signed bytes.
+SEED_RANGE = range(-2**127, 2**127)
 
 
 class KeyStore:

@@ -10,6 +10,8 @@ scenario edit upstream does not perturb downstream randomness.
 The run ends with two self-checks recorded in the metrics: full chain
 verification, and a replay of the committed chain into fresh contract
 instances that must reproduce every recorded outcome and final dump.
+`contracts_for` builds a scenario's contract pair and `audit_chain` runs
+both checks; the run and ``otcestack replay`` share them.
 """
 
 from __future__ import annotations
@@ -80,6 +82,25 @@ class RunResult:
         }
 
 
+def contracts_for(scn: Scenario, keystore: KeyStore) -> tuple[OTCERegistry, DIDRegistry]:
+    """Fresh sandbox and identifier contracts under the scenario's plan
+    mapping and attestation policy."""
+    mapping = PlanMapping((tuple(scn.weights),), scn.tau)
+    policy = AttestationPolicy(scn.policy) if scn.policy else None
+    return OTCERegistry(keystore, mapping), DIDRegistry(policy)
+
+
+def audit_chain(chain, scn: Scenario, keystore: KeyStore):
+    """Verify the chain's links and signatures under the keystore and, when
+    they hold, replay it into `contracts_for(scn, keystore)`. Returns the
+    first bad height (None when intact), the replay mismatches and the
+    replayed contract pair."""
+    otce, dids = contracts_for(scn, keystore)
+    bad = verify_chain(chain, keystore)
+    mismatches = replay_chain(chain, [otce, dids]) if bad is None else []
+    return bad, mismatches, (otce, dids)
+
+
 def _net_seed(seed: int, index: int) -> int:
     return int.from_bytes(codec.digest("net-seed", seed, index)[:8], "big")
 
@@ -92,11 +113,8 @@ class _Runner:
         self.max_ticks = max_ticks
         self.ks = KeyStore(seed)
         self.graph = TrustHypergraph(alpha=scn.alpha, latency_bound=scn.latency_bound)
-        self.mapping = PlanMapping((tuple(scn.weights),), scn.tau)
-        self.policy = AttestationPolicy(scn.policy) if scn.policy else None
         self.ledger = Ledger(self.ks)
-        self.otce = OTCERegistry(self.ks, self.mapping)
-        self.dids = DIDRegistry(self.policy)
+        self.otce, self.dids = contracts_for(scn, self.ks)
         self.ledger.register_contract(self.otce)
         self.ledger.register_contract(self.dids)
         self.aliases: dict[str, str] = {}
@@ -145,8 +163,11 @@ class _Runner:
 
     def _faults_for(self, members) -> list[FaultSpec]:
         group = set(members)
-        return [FaultSpec(f.node, f.behavior, f.at_tick)
-                for f in self.scn.faults if f.node in group]
+        return [f for f in self.scn.faults if f.node in group]
+
+    def _count_net(self, run: InstanceResult | ExecutionReport) -> None:
+        for key in ("sent", "delivered", "dropped", "in_flight"):
+            self.m["net_" + key] += getattr(run, key)
 
     def _submit(self, tx) -> str:
         ok, reason = self.ledger.submit_tx(tx)
@@ -216,7 +237,8 @@ class _Runner:
         delta_t = self._int(action.kw["delta"], "delta")
         components = self._trust_components(action.kw["trust"])
         try:
-            plan = map_trust_to_plan(self.mapping, trust_vector(components), len(group))
+            plan = map_trust_to_plan(self.otce.mapping, trust_vector(components),
+                                     len(group))
         except PlanInfeasibleError as exc:
             raise ActionError(f"plan-infeasible: {exc}") from None
         except ValueError as exc:
@@ -253,38 +275,36 @@ class _Runner:
                      update_plan_payload(eid, components, nonce=index))
         return "submitted " + self._submit(tx)
 
-    def _do_observe(self, index: int, action: ParsedAction) -> str:
-        edge_id, subject, compliant_s, latency_s = action.args
+    def _observation(self, index: int, args, oracle_id: str | None) -> BehaviorObservation:
+        """Parse `edge subject compliant latency`; with an oracle, queue the
+        observation on its edge as that oracle's signed record."""
+        edge_id, subject, compliant_s, latency_s = args
         if compliant_s not in ("0", "1"):
             raise ActionError(f"compliant must be 0 or 1, got {compliant_s!r}")
         obs = BehaviorObservation(subject, edge_id, compliant_s == "1",
                                   self._int(latency_s, "latency"), observed_at=index)
-        oracle_id = action.kw.get("by-oracle")
         if oracle_id is not None:
             record = make_oracle_record(self.ks, oracle_id, obs)
             if not self.graph.ingest_oracle_record(record):
                 self.m["observations_rejected"] += 1
                 raise ActionError("oracle record rejected")
             self.m["observations_ingested"] += 1
-            return f"queued for {edge_id}"
+        return obs
+
+    def _do_observe(self, index: int, action: ParsedAction) -> str:
+        oracle_id = action.kw.get("by-oracle")
+        obs = self._observation(index, action.args, oracle_id)
+        if oracle_id is not None:
+            return f"queued for {obs.edge_id}"
         try:
-            new_trust = self.graph.update_trust(edge_id, [obs])
+            new_trust = self.graph.update_trust(obs.edge_id, [obs])
         except ValueError as exc:
             raise ActionError(str(exc)) from None
         self.m["trust_updates"] += 1
-        return f"trust[{edge_id}]={new_trust!r}"
+        return f"trust[{obs.edge_id}]={new_trust!r}"
 
     def _do_oracle_feed(self, index: int, action: ParsedAction) -> str:
-        oracle_id, edge_id, subject, compliant_s, latency_s = action.args
-        if compliant_s not in ("0", "1"):
-            raise ActionError(f"compliant must be 0 or 1, got {compliant_s!r}")
-        obs = BehaviorObservation(subject, edge_id, compliant_s == "1",
-                                  self._int(latency_s, "latency"), observed_at=index)
-        record = make_oracle_record(self.ks, oracle_id, obs)
-        if not self.graph.ingest_oracle_record(record):
-            self.m["observations_rejected"] += 1
-            raise ActionError("oracle record rejected")
-        self.m["observations_ingested"] += 1
+        edge_id = self._observation(index, action.args[1:], action.args[0]).edge_id
         return f"queued for {edge_id} ({self.graph.pending_count(edge_id)} pending)"
 
     def _do_update_trust(self, index: int, action: ParsedAction) -> str:
@@ -319,10 +339,7 @@ class _Runner:
         self.m["consensus_stalled"] += len(result.stalled)
         self.m["consensus_violations"] += len(result.violations)
         self.m["consensus_beyond_bound"] += 1 if result.beyond_bound else 0
-        self.m["net_sent"] += result.sent
-        self.m["net_delivered"] += result.delivered
-        self.m["net_dropped"] += result.dropped
-        self.m["net_in_flight"] += result.in_flight
+        self._count_net(result)
         if result.violations:
             return "violations: " + ";".join(result.violations)
         if result.stalled:
@@ -363,10 +380,7 @@ class _Runner:
         self.m["dag_runs"] += 1
         self.m["dag_completed"] += 1 if report.completed else 0
         self.m["dag_failed"] += 0 if report.completed else 1
-        self.m["net_sent"] += report.sent
-        self.m["net_delivered"] += report.delivered
-        self.m["net_dropped"] += report.dropped
-        self.m["net_in_flight"] += report.in_flight
+        self._count_net(report)
         if not report.completed:
             return "incomplete: " + ",".join(report.failed_tasks)
         return f"digest {codec.short(report.digest)} sigs={len(report.signatures)}"
@@ -414,11 +428,10 @@ class _Runner:
                 self.m["otces_terminated"] += 1
                 self.m["terminated_" + rec.cause] += 1
 
-        chain_ok = verify_chain(self.ledger.chain, self.ks) is None
-        replay_otce = OTCERegistry(self.ks, self.mapping)
-        replay_dids = DIDRegistry(self.policy)
-        mismatches = replay_chain(self.ledger.chain, [replay_otce, replay_dids])
-        replay_ok = (not mismatches
+        bad, mismatches, (replay_otce, replay_dids) = audit_chain(
+            self.ledger.chain, self.scn, self.ks)
+        chain_ok = bad is None
+        replay_ok = (chain_ok and not mismatches
                      and replay_otce.dump() == self.otce.dump()
                      and replay_dids.dump() == self.dids.dump())
         self.m["chain_ok"] = int(chain_ok)

@@ -13,10 +13,12 @@ and ``#`` starts a comment (inline or whole-line).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .hypergraph import DEFAULT_ALPHA, DEFAULT_LATENCY_BOUND
-from .simnet import Behavior
+from .keys import SEED_RANGE
+from .simnet import Behavior, FaultSpec
 
 
 class ScenarioError(ValueError):
@@ -28,14 +30,6 @@ class EdgeDecl:
     edge_id: str
     trust: float
     members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class FaultDecl:
-    line_no: int
-    node: str
-    behavior: Behavior
-    at_tick: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class Scenario:
     nodes: tuple[str, ...] = ()
     edges: tuple[EdgeDecl, ...] = ()
     oracles: tuple[str, ...] = ()
-    faults: tuple[FaultDecl, ...] = ()
+    faults: tuple[FaultSpec, ...] = ()
     chunks: tuple[ChunkDecl, ...] = ()
     actions: tuple[ParsedAction, ...] = field(default_factory=tuple)
 
@@ -151,7 +145,7 @@ def parse_scenario(text: str) -> Scenario:
     nodes: list[str] = []
     edges: list[EdgeDecl] = []
     oracles: list[str] = []
-    faults: list[FaultDecl] = []
+    faults: list[FaultSpec] = []
     chunks: list[ChunkDecl] = []
     actions: list[ParsedAction] = []
 
@@ -174,6 +168,8 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) != 2:
                 _fail(ln, "seed wants: seed <int>")
             seed = _as_int(ln, parts[1], "seed")
+            if seed not in SEED_RANGE:
+                _fail(ln, "seed must be in [-2^127, 2^127)")
         elif head == "max-ticks":
             once(ln, "max-ticks")
             if len(parts) != 2:
@@ -191,6 +187,8 @@ def parse_scenario(text: str) -> Scenario:
             cfg["drop_rate"] = _as_float(ln, parts[4], "drop-rate")
             if not 0 <= cfg["delay_min"] <= cfg["delay_max"]:
                 _fail(ln, "need 0 <= delay-min <= delay-max")
+            if cfg["gst"] is not None and cfg["gst"] < 0:
+                _fail(ln, "gst must be non-negative")
             if not 0.0 <= cfg["drop_rate"] <= 1.0:
                 _fail(ln, "drop-rate must be in [0, 1]")
         elif head == "trust":
@@ -209,6 +207,8 @@ def parse_scenario(text: str) -> Scenario:
             cfg["weights"] = tuple(_as_float(ln, t, "weight") for t in parts[2:])
             if not 0.0 <= cfg["tau"] <= 1.0:
                 _fail(ln, "tau must be in [0, 1]")
+            if not all(math.isfinite(w) for w in cfg["weights"]):
+                _fail(ln, "weights must be finite")
         elif head == "policy":
             once(ln, "policy")
             if len(parts) < 2:
@@ -270,7 +270,7 @@ def parse_scenario(text: str) -> Scenario:
                         _fail(ln, "at must be non-negative")
                 else:
                     _fail(ln, f"fault does not take {key!r}")
-            faults.append(FaultDecl(ln, node, behavior, at_tick))
+            faults.append(FaultSpec(node, behavior, at_tick))
         elif head == "chunk":
             if len(parts) != 4:
                 _fail(ln, "chunk wants: chunk <node> <id> <hex>")

@@ -159,11 +159,10 @@ class Network:
             raise ValueError(f"unknown node {node}")
         self._push(SimEvent(at, self._next_seq(), "local", node, node, payload, label))
 
-    def send(self, src: str, dst: str, payload: bytes, label: str = "msg",
-             now: int | None = None) -> None:
+    def send(self, src: str, dst: str, payload: bytes, label: str = "msg") -> None:
         if src not in self._handlers or dst not in self._handlers:
             raise ValueError("send between unknown nodes")
-        tick = self.now if now is None else now
+        tick = self.now
         self.sent += 1
         fault = self._fault(src, tick)
         if self.crashed(src, tick) or (fault and fault.behavior is Behavior.DROP_ALL):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import make_random_dag, spread_chunks
+from otcestack import bvm
 from otcestack.bvm import (CycleError, Task, TaskDAG, chunk_input, eval_op,
                            execute_collaborative, lit_input, outputs_digest,
                            parse_dag, sequential_oracle, task_input,
@@ -199,6 +200,25 @@ def test_crash_triggers_reassignment_and_completion():
     assert report.retried
     assert report.values == want
     assert all(node != "w1" for node in report.reassigned.values())
+
+
+def test_topological_order_computed_once_per_execution(monkeypatch):
+    calls = []
+    real = bvm.topo_layers
+
+    def counting(dag):
+        calls.append(dag)
+        return real(dag)
+
+    monkeypatch.setattr(bvm, "topo_layers", counting)
+    dag, chunks = diamond()
+    holders = {m: dict(chunks) for m in MEMBERS}
+    report = execute_collaborative(
+        dag, MEMBERS, holders, KeyStore(3),
+        net_cfg=NetworkConfig(delay_min=1, delay_max=2, seed=5),
+        faults=(FaultSpec("w1", Behavior.CRASH, at_tick=2),))
+    assert report.retried and report.reassigned
+    assert calls == [dag]
 
 
 def test_crash_sweep_with_replicated_chunks():

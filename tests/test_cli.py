@@ -86,6 +86,56 @@ def test_run_refuses_non_positive_max_ticks(workdir, capsys, ticks):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,bad", [
+    ("mapping 0.8 nan", "weights must be finite"),
+    ("mapping 0.8 inf", "weights must be finite"),
+    ("net 1 2 -5 0.0", "gst must be non-negative"),
+    (f"seed {10**40}", "seed must be in"),
+])
+def test_run_refuses_bad_scenario_values(workdir, capsys, line, bad):
+    (workdir / "case.scn").write_text(f"{line}\n{SCENARIO}")
+    rc, out = do_run(workdir)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"line 1: {bad}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def refused_seed(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("seed", [-10**40, 2**127, -2**127 - 1])
+def test_run_refuses_out_of_range_seed(workdir, capsys, seed):
+    out = workdir / "out"
+    err = refused_seed(capsys, ["run", "--scenario", str(workdir / "case.scn"),
+                                "--out", str(out), "--seed-override", str(seed)])
+    assert "seed must be in [-2^127, 2^127)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [str(10**40), "x"])
+def test_replay_refuses_bad_seed(workdir, capsys, seed):
+    _, out = do_run(workdir)
+    err = refused_seed(capsys, ["replay", "--dump", str(out / "chain.dump"),
+                                "--seed", seed])
+    assert "seed must be" in err
+
+
+def test_seed_range_ends_run_and_replay(workdir, capsys):
+    for seed in (str(-2**127), str(2**127 - 1)):
+        rc, out = do_run(workdir, "--seed-override", seed)
+        assert rc == 0
+        rc = main(["replay", "--dump", str(out / "chain.dump"), "--seed", seed])
+        assert rc == 0
+
+
 # -- verify-chain ----------------------------------------------------------
 
 def test_verify_intact_chain(workdir, capsys):

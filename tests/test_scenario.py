@@ -1,7 +1,8 @@
 import pytest
 
+from otcestack.keys import KeyStore
 from otcestack.scenario import ScenarioError, parse_scenario
-from otcestack.simnet import Behavior
+from otcestack.simnet import Behavior, FaultSpec
 
 FULL = """\
 # a full-featured scenario
@@ -41,7 +42,7 @@ def test_full_parse():
     assert len(scn.edges) == 1
     assert scn.edges[0].edge_id == "e1"
     assert scn.edges[0].members == ("n1", "n2", "n3")
-    assert len(scn.faults) == 1
+    assert scn.faults == (FaultSpec("n3", Behavior.CRASH, 5),)
     assert scn.faults[0].behavior is Behavior.CRASH
     assert scn.faults[0].at_tick == 5
     assert scn.chunks[0].data == b"\x0a\x0b"
@@ -110,6 +111,13 @@ def test_action_kw_parsed():
     ("seed 1\ndo consensus s value=aa bogus=1\n", 2),
     ("seed 1\ndo observe a b\n", 2),
     ("seed 1\ndo register-did a a=1 a=2\n", 2),
+    ("seed 1\nmapping 0.8 nan\n", 2),
+    ("seed 1\nmapping 0.8 0.5 inf\n", 2),
+    ("seed 1\nmapping 0.8 -inf\n", 2),
+    ("seed 1\nnet 1 2 -5 0.0\n", 2),
+    (f"# big\nseed {10**40}\n", 2),
+    (f"seed {2**127}\n", 1),
+    (f"seed {-2**127 - 1}\n", 1),
 ])
 def test_errors_carry_line_numbers(text, line):
     with pytest.raises(ScenarioError, match=f"line {line}:"):
@@ -124,3 +132,10 @@ def test_missing_seed_rejected():
 def test_register_did_takes_free_attributes():
     scn = parse_scenario("seed 1\ndo register-did n1 role=00 tier=ff\n")
     assert scn.actions[0].kw == {"role": "00", "tier": "ff"}
+
+
+@pytest.mark.parametrize("seed", [2**127 - 1, -2**127])
+def test_seed_range_ends_accepted(seed):
+    scn = parse_scenario(f"seed {seed}\n")
+    assert scn.seed == seed
+    KeyStore(scn.seed).ensure("a")
