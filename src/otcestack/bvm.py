@@ -337,12 +337,10 @@ class TaskExecutor:
         if src not in self.members or not self.keystore.verify(src, body, sig):
             return None
         try:
-            fields = codec.unpack(body)
+            return codec.unpack_record(body, "bvm-val", self.execution_id,
+                                       object, object, object)[2:]
         except codec.CodecError:
             return None
-        if len(fields) != 5 or fields[0] != "bvm-val" or fields[1] != self.execution_id:
-            return None
-        return fields[2:]
 
     def _on_message(self, event: SimEvent) -> list:
         key = (event.src, event.payload)

@@ -4,6 +4,14 @@ All on-chain records, signed messages, and tx payloads go through `pack`
 before hashing, so structurally equal values always map to identical bytes
 no matter where they were built. The format is a tagged, length-prefixed
 concatenation; `unpack` round-trips it exactly.
+
+No node trusts the records it is handed, so every decoder of packed data
+checks one record rule before acting: a tag, a fixed number of fields, each
+of a given type, else `CodecError`. `unpack_record` applies the rule to
+bytes and `check_record` to an already-unpacked tuple, such as a nested
+list. A shape gives one entry per field: a `str` the field must equal, or a
+type or tuple of types the field must be an instance of (`object` leaves the
+field unchecked; `bool` passes as `int`, as `isinstance` has it).
 """
 
 from __future__ import annotations
@@ -99,6 +107,24 @@ def unpack(data: bytes) -> tuple:
     except RecursionError:
         raise CodecError("nesting too deep") from None
     return tuple(items)
+
+
+def check_record(fields, *shape) -> tuple:
+    """`fields` if it is a tuple that matches `shape`, else CodecError."""
+    if not isinstance(fields, tuple) or len(fields) != len(shape):
+        raise CodecError(f"record needs {len(shape)} fields")
+    for i, want in enumerate(shape):
+        if isinstance(want, str):
+            if fields[i] != want:
+                raise CodecError(f"record field {i} is not {want!r}")
+        elif not isinstance(fields[i], want):
+            raise CodecError(f"record field {i} is not {want!r}")
+    return fields
+
+
+def unpack_record(data: bytes, *shape) -> tuple:
+    """The fields of `data`, checked against `shape` by `check_record`."""
+    return check_record(unpack(data), *shape)
 
 
 def sha(data: bytes) -> bytes:

@@ -75,24 +75,21 @@ def encode_msg(keystore: KeyStore, msg: Msg) -> bytes:
     return body + keystore.sign(msg.sender, body)
 
 
+_BYTES_OR_NONE = (bytes, type(None))
+
+
 def decode_msg(wire: bytes) -> Msg:
-    """Decode without verifying the signature; CodecError on bad shape."""
-    if len(wire) <= SIG_LEN:
-        raise codec.CodecError("message too short")
-    fields = codec.unpack(wire[:-SIG_LEN])
-    if len(fields) != 10 or fields[0] != "cons":
-        raise codec.CodecError("bad message shape")
-    _, instance, kind_s, sender, view, ballot_node, value, digest, cv, cn = fields
+    """Decode without verifying the signature; CodecError on bad shape.
+
+    A wire no longer than a signature has an empty body, which fails the
+    field count."""
+    _, instance, kind_s, sender, view, ballot_node, value, digest, cv, cn = (
+        codec.unpack_record(wire[:-SIG_LEN], "cons", str, str, str, int, int,
+                            _BYTES_OR_NONE, _BYTES_OR_NONE, int, int))
     try:
         kind = MsgKind(kind_s)
     except ValueError as exc:
         raise codec.CodecError(f"unknown message kind {kind_s!r}") from exc
-    if not (isinstance(instance, str) and isinstance(sender, str)
-            and isinstance(view, int) and isinstance(ballot_node, int)
-            and isinstance(cv, int) and isinstance(cn, int)
-            and (value is None or isinstance(value, bytes))
-            and (digest is None or isinstance(digest, bytes))):
-        raise codec.CodecError("bad message field types")
     return Msg(instance, kind, sender, view, ballot_node, value, digest, cv, cn)
 
 
@@ -222,6 +219,22 @@ class _Replica:
             return False
         return gen == self._timer_gen and self.decision is None
 
+    def _count_vote(self, tallies: dict, key, sender: str) -> set[str] | None:
+        """Add `sender` to the tally under `key` and return the tally; a
+        sender already counted there is a drop, and gives None."""
+        tally = tallies.setdefault(key, set())
+        if sender in tally:
+            self.dropped += 1
+            return None
+        tally.add(sender)
+        return tally
+
+    def _decide(self, value: bytes, view: int, now: int, note: str) -> list:
+        """Decide `value`, stop the timers, and trace `note`."""
+        self.decision = Decision(self.cfg.instance_id, value, now, self.node, view)
+        self._timer_gen += 1
+        return [Record("decision", note)]
+
     def _accept(self, event: SimEvent) -> Msg | None:
         """The verified message of a delivery from a member of this instance,
         or None, counted as a drop."""
@@ -338,11 +351,8 @@ class PBFTReplica(_Replica):
         if msg.view < self.view or msg.digest is None:
             self.dropped += 1
             return []
-        tally = self.prepares.setdefault((msg.view, msg.digest), set())
-        if msg.sender in tally:
-            self.dropped += 1
+        if self._count_vote(self.prepares, (msg.view, msg.digest), msg.sender) is None:
             return []
-        tally.add(msg.sender)
         return self._check_prepared(msg.view, msg.digest, now)
 
     def _check_prepared(self, view: int, d: bytes, now: int) -> list:
@@ -364,11 +374,8 @@ class PBFTReplica(_Replica):
         if msg.view < self.view or msg.digest is None:
             self.dropped += 1
             return []
-        tally = self.commits.setdefault((msg.view, msg.digest), set())
-        if msg.sender in tally:
-            self.dropped += 1
+        if self._count_vote(self.commits, (msg.view, msg.digest), msg.sender) is None:
             return []
-        tally.add(msg.sender)
         return self._check_decided(msg.view, msg.digest, now)
 
     def _check_decided(self, view: int, d: bytes, now: int) -> list:
@@ -379,18 +386,15 @@ class PBFTReplica(_Replica):
             return []
         if len(self.commits.get((view, d), ())) < self.cfg.quorum:
             return []
-        self.decision = Decision(self.cfg.instance_id, prop[1], now, self.node, view)
-        self._timer_gen += 1
-        return [Record("decision", f"view={view} value={codec.short(prop[1])}")]
+        return self._decide(prop[1], view, now,
+                            f"view={view} value={codec.short(prop[1])}")
 
     def _adopt_decision(self, msg: Msg, now: int) -> list:
         if msg.value is None:
             self.dropped += 1
             return []
-        self.decision = Decision(self.cfg.instance_id, msg.value, now,
-                                 self.node, msg.view)
-        self._timer_gen += 1
-        return [Record("decision", f"view={msg.view} value={codec.short(msg.value)} adopted")]
+        return self._decide(msg.value, msg.view, now,
+                            f"view={msg.view} value={codec.short(msg.value)} adopted")
 
     def _on_timer(self, label: str, now: int) -> list:
         if not self._timer_live(label):
@@ -611,19 +615,12 @@ class PaxosReplica(_Replica):
 
     def _tally_accept(self, ballot, value: bytes, sender: str, now: int) -> list:
         key = (ballot[0], ballot[1], codec.sha(value))
-        tally = self.accept_tally.setdefault(key, set())
-        if sender in tally:
-            self.dropped += 1
+        tally = self._count_vote(self.accept_tally, key, sender)
+        if tally is None or self.decision is not None or len(tally) < self.cfg.quorum:
             return []
-        tally.add(sender)
-        if self.decision is None and len(tally) >= self.cfg.quorum:
-            self.decision = Decision(self.cfg.instance_id, value, now,
-                                     self.node, ballot[0])
-            self.phase = "decided"
-            self._timer_gen += 1
-            return [Record("decision",
-                           f"round={ballot[0]} value={codec.short(value)}")]
-        return []
+        self.phase = "decided"
+        return self._decide(value, ballot[0], now,
+                            f"round={ballot[0]} value={codec.short(value)}")
 
 
 # -- instance driver -------------------------------------------------------

@@ -65,21 +65,10 @@ class DIDRegistry:
         self._pubkeys: set[bytes] = set()
 
     def decode_payload(self, kind: TxKind, payload: bytes):
-        fields = codec.unpack(payload)
-        if len(fields) != 4 or fields[0] != "register":
-            raise codec.CodecError("bad register payload")
-        pubkey, attrs, nonce = fields[1], fields[2], fields[3]
-        if not (isinstance(pubkey, bytes) and isinstance(attrs, tuple)
-                and isinstance(nonce, int)):
-            raise codec.CodecError("bad register field types")
-        attestation: dict[str, bytes] = {}
-        for pair in attrs:
-            if not (isinstance(pair, tuple) and len(pair) == 2
-                    and isinstance(pair[0], str) and isinstance(pair[1], bytes)):
-                raise codec.CodecError("bad attribute pair")
-            if pair[0] in attestation:
-                raise codec.CodecError("duplicate attribute")
-            attestation[pair[0]] = pair[1]
+        _, pubkey, attrs, _ = codec.unpack_record(payload, "register", bytes, tuple, int)
+        attestation = dict(codec.check_record(pair, str, bytes) for pair in attrs)
+        if len(attestation) != len(attrs):
+            raise codec.CodecError("duplicate attribute")
         return pubkey, attestation
 
     def apply(self, tx: Transaction, decoded, height: int) -> tuple[bool, str]:

@@ -39,9 +39,6 @@ class KeyStore:
     def pubkey(self, identity: str) -> bytes:
         return self._derive_pubkey(self._secrets[identity])
 
-    def known(self, identity: str) -> bool:
-        return identity in self._secrets
-
     def sign(self, identity: str, message: bytes) -> bytes:
         return hmac.new(self._secrets[identity], message, hashlib.sha256).digest()
 

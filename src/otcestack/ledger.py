@@ -64,17 +64,12 @@ def encode_tx(tx: Transaction) -> bytes:
 
 
 def decode_tx(data: bytes) -> Transaction:
-    fields = codec.unpack(data)
-    if len(fields) != 5:
-        raise codec.CodecError("transaction record needs 5 fields")
-    kind_num, payload, sender, signature, tx_id = fields
+    kind_num, payload, sender, signature, tx_id = codec.unpack_record(
+        data, object, bytes, str, bytes, bytes)
     try:
         kind = TxKind(kind_num)
     except ValueError as exc:
         raise codec.CodecError(f"unknown tx kind {kind_num}") from exc
-    if not (isinstance(payload, bytes) and isinstance(sender, str)
-            and isinstance(signature, bytes) and isinstance(tx_id, bytes)):
-        raise codec.CodecError("bad transaction field types")
     return Transaction(kind, payload, sender, signature, tx_id)
 
 

@@ -80,16 +80,12 @@ def _plan_fields(plan: SecurityPlan) -> list:
 
 
 def _plan_from_fields(fields) -> SecurityPlan:
-    if len(fields) != 5:
-        raise codec.CodecError("plan needs 5 fields")
-    proto_s, n, f_max, quorum, verify_threshold = fields
+    proto_s, *numbers = codec.check_record(fields, str, int, int, int, int)
     try:
         protocol = Protocol(proto_s)
     except ValueError as exc:
         raise codec.CodecError(f"unknown protocol {proto_s!r}") from exc
-    if not all(isinstance(x, int) for x in (n, f_max, quorum, verify_threshold)):
-        raise codec.CodecError("plan numbers must be ints")
-    return SecurityPlan(protocol, n, f_max, quorum, verify_threshold)
+    return SecurityPlan(protocol, *numbers)
 
 
 def create_payload(group, delta_t: int, plan: SecurityPlan, nonce: int) -> bytes:
@@ -135,11 +131,6 @@ def eid_for_tx(tx_id: bytes) -> str:
     return "E" + tx_id.hex()[:12]
 
 
-def _expect(cond: bool, what: str) -> None:
-    if not cond:
-        raise codec.CodecError(what)
-
-
 class OTCERegistry:
     """Contract state machine for sandbox records, driven by committed txs."""
 
@@ -161,52 +152,30 @@ class OTCERegistry:
     # -- payload validation (structural; semantic checks live in apply) ----
 
     def decode_payload(self, kind: TxKind, payload: bytes):
-        fields = codec.unpack(payload)
         if kind is TxKind.CREATE_OTCE:
-            _expect(len(fields) == 5 and fields[0] == "create", "bad create payload")
-            group, delta_t, plan_fields, nonce = fields[1], fields[2], fields[3], fields[4]
-            _expect(isinstance(group, tuple) and all(isinstance(m, str) for m in group),
-                    "group must be strings")
-            _expect(isinstance(delta_t, int) and isinstance(nonce, int),
-                    "delta_t and nonce must be ints")
-            _expect(isinstance(plan_fields, tuple), "plan must be a list")
+            _, group, delta_t, plan_fields, _ = codec.unpack_record(
+                payload, "create", tuple, int, tuple, int)
+            codec.check_record(group, *(str,) * len(group))
             return "create", group, delta_t, _plan_from_fields(plan_fields)
         if kind is TxKind.SUSPEND_OTCE:
-            _expect(len(fields) == 4 and fields[0] == "suspend"
-                    and isinstance(fields[1], str) and isinstance(fields[2], bytes)
-                    and isinstance(fields[3], int), "bad suspend payload")
-            return "suspend", fields[1], fields[2]
+            _, eid, meta, _ = codec.unpack_record(payload, "suspend", str, bytes, int)
+            return "suspend", eid, meta
         if kind is TxKind.RESUME_OTCE:
-            _expect(len(fields) == 3 and fields[0] == "resume"
-                    and isinstance(fields[1], str) and isinstance(fields[2], int),
-                    "bad resume payload")
-            return "resume", fields[1]
+            _, eid, _ = codec.unpack_record(payload, "resume", str, int)
+            return "resume", eid
         if kind is TxKind.TERMINATE_OTCE:
-            _expect(len(fields) == 4 and fields[0] == "terminate"
-                    and isinstance(fields[1], str) and isinstance(fields[2], str)
-                    and isinstance(fields[3], int), "bad terminate payload")
-            return "terminate", fields[1], fields[2]
+            _, eid, cause, _ = codec.unpack_record(payload, "terminate", str, str, int)
+            return "terminate", eid, cause
         if kind is TxKind.SUBMIT_RESULT:
-            _expect(len(fields) == 5 and fields[0] == "result"
-                    and isinstance(fields[1], str), "bad result payload")
-            digests, sigs = fields[2], fields[3]
-            _expect(isinstance(digests, tuple) and isinstance(sigs, tuple),
-                    "bad result payload")
-            for pair in list(digests) + list(sigs):
-                _expect(isinstance(pair, tuple) and len(pair) == 2
-                        and isinstance(pair[0], str) and isinstance(pair[1], bytes),
-                        "bad result pair")
-            sub = ResultSubmission(fields[1],
-                                   tuple((n, d) for n, d in digests),
-                                   tuple((s, g) for s, g in sigs))
-            return "result", sub
+            _, eid, digests, sigs, _ = codec.unpack_record(
+                payload, "result", str, tuple, tuple, object)
+            for pair in digests + sigs:
+                codec.check_record(pair, str, bytes)
+            return "result", ResultSubmission(eid, digests, sigs)
         if kind is TxKind.UPDATE_PLAN:
-            _expect(len(fields) == 4 and fields[0] == "plan"
-                    and isinstance(fields[1], str) and isinstance(fields[2], tuple)
-                    and isinstance(fields[3], int), "bad plan payload")
-            _expect(all(isinstance(c, float) for c in fields[2]),
-                    "trust components must be floats")
-            return "plan", fields[1], fields[2]
+            _, eid, components, _ = codec.unpack_record(payload, "plan", str, tuple, int)
+            codec.check_record(components, *(float,) * len(components))
+            return "plan", eid, components
         raise codec.CodecError(f"unsupported kind {kind.name}")
 
     # -- state transitions -------------------------------------------------

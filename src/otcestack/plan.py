@@ -77,9 +77,6 @@ class TrustVector:
             if not 0.0 <= c <= 1.0:
                 raise ValueError("trust components must be in [0, 1]")
 
-    def __len__(self) -> int:
-        return len(self.components)
-
 
 def trust_vector(values) -> TrustVector:
     return TrustVector(tuple(float(v) for v in values))

@@ -199,6 +199,8 @@ def parse_scenario(text: str) -> Scenario:
             cfg["latency_bound"] = _as_int(ln, parts[2], "latency-bound")
             if not 0.0 < cfg["alpha"] <= 1.0:
                 _fail(ln, "alpha must be in (0, 1]")
+            if cfg["latency_bound"] < 0:
+                _fail(ln, "latency-bound must be non-negative")
         elif head == "mapping":
             once(ln, "mapping")
             if len(parts) < 3:
@@ -219,7 +221,10 @@ def parse_scenario(text: str) -> Scenario:
                     _fail(ln, f"bad policy entry {tok!r}")
                 if any(name == have for have, _ in policy):
                     _fail(ln, f"duplicate policy attribute {name!r}")
-                policy.append((name, _as_int(ln, length, "length") if length else None))
+                size = _as_int(ln, length, "length") if length else None
+                if size is not None and size < 0:
+                    _fail(ln, "policy length must be non-negative")
+                policy.append((name, size))
         elif head == "node":
             if len(parts) != 2:
                 _fail(ln, "node wants: node <id>")

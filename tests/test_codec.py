@@ -106,6 +106,31 @@ def test_random_round_trips():
         assert codec.unpack(codec.pack(*items)) == tuple(normalize(i) for i in items)
 
 
+def test_unpack_record_checks_count_tag_and_types():
+    data = codec.pack("tag", 1, b"x", None, [1, 2])
+    shape = ("tag", int, bytes, (bytes, type(None)), tuple)
+    assert codec.unpack_record(data, *shape) == ("tag", 1, b"x", None, (1, 2))
+    assert codec.unpack_record(codec.pack("tag", True), "tag", int) == ("tag", True)
+    assert codec.unpack_record(codec.pack(b"t", 2.5), object, object) == (b"t", 2.5)
+    assert codec.unpack_record(b"") == ()
+    for bad in [("tag", int, bytes, object), ("tag", int, bytes, object, tuple, object),
+                ("gat", int, bytes, object, tuple), ("tag", str, bytes, object, tuple),
+                ("tag", int, str, object, tuple), ("tag", int, bytes, bytes, tuple),
+                ("tag", int, bytes, object, list), (bytes, int, bytes, object, tuple)]:
+        with pytest.raises(codec.CodecError):
+            codec.unpack_record(data, *bad)
+    with pytest.raises(codec.CodecError):
+        codec.unpack_record(b"Z", object)
+
+
+def test_check_record_takes_unpacked_tuples_only():
+    assert codec.check_record(("a", b"b"), str, bytes) == ("a", b"b")
+    assert codec.check_record(()) == ()
+    for bad in [["a", b"b"], "ab", b"ab", None, ("a",), ("a", b"b", b"c"), (b"a", b"b")]:
+        with pytest.raises(codec.CodecError):
+            codec.check_record(bad, str, bytes)
+
+
 def test_short_digest_is_8_hex_chars():
     s = codec.short(b"abc")
     assert len(s) == 8

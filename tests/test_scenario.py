@@ -115,6 +115,9 @@ def test_action_kw_parsed():
     ("seed 1\nmapping 0.8 0.5 inf\n", 2),
     ("seed 1\nmapping 0.8 -inf\n", 2),
     ("seed 1\nnet 1 2 -5 0.0\n", 2),
+    ("seed 1\ntrust 0.5 -3\n", 2),
+    ("seed 1\npolicy role:-1\n", 2),
+    ("seed 1\npolicy a b:4 c:-2\n", 2),
     (f"# big\nseed {10**40}\n", 2),
     (f"seed {2**127}\n", 1),
     (f"seed {-2**127 - 1}\n", 1),
