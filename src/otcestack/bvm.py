@@ -13,8 +13,10 @@ else round-robins over the sorted members, layer by layer with the cursor
 carried across layers. Execution charges one tick per task per node, moves
 values between nodes as signed messages, and survives executor crashes by
 one reassignment round at quiescence that places the missing tasks on the
-live members by the same rule. A quorum of members signs the final output
-digest so results can be checked without trusting any single node.
+live members by the same rule. The report names the live members that hold
+every sink value; they sign the sandbox contract's result message, and the
+contract accepts it only when the signers meet the group's security plan, so
+no single node is trusted with the result.
 A broadcast value reaches every peer as the same wire, so the executors of
 one execution share a memo from (sender, wire) to the checked message: each
 distinct pair is verified and decoded once, and every rejected delivery is
@@ -23,11 +25,11 @@ still counted by its receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import codec
 from .keys import SIG_LEN, KeyStore
-from .simnet import Behavior, FaultSpec, Network, NetworkConfig, Send, SetTimer, SimEvent
+from .simnet import Network, NetworkConfig, Send, SetTimer, SimEvent
 
 OPS = ("add", "mul", "concat", "hash")
 
@@ -199,7 +201,8 @@ def outputs_digest(dag: TaskDAG, values: dict[str, bytes]) -> bytes:
 
 
 def topo_schedule(dag: TaskDAG, members, holders: dict[str, set[str]]) -> dict[str, str]:
-    """Assign every task to a member, in topological order (see `_place`)."""
+    """Assign every task to a member, in topological order (see `_place`);
+    the returned dict lists the tasks in that order."""
     order = [tid for layer in topo_layers(dag) for tid in layer]
     return _place(dag, order, sorted(members), holders)
 
@@ -227,10 +230,6 @@ def _value_body(execution_id: str, kind: str, ref: str, data: bytes) -> bytes:
     return codec.pack("bvm-val", execution_id, kind, ref, data)
 
 
-def result_body(execution_id: str, digest: bytes) -> bytes:
-    return codec.pack("bvm-result", execution_id, digest)
-
-
 class TaskExecutor:
     """Per-node engine: runs its assigned tasks one at a time, one tick each,
     broadcasting finished values; learns remote values and chunks from
@@ -255,7 +254,6 @@ class TaskExecutor:
         keystore.ensure(node)
         self.verified = {} if verified is None else verified
         self.values: dict[str, bytes] = {}
-        self.done: set[str] = set()
         self.busy: str | None = None
         self.rejected = 0
 
@@ -279,7 +277,7 @@ class TaskExecutor:
         if self.busy is not None:
             return []
         for tid in self.assigned:
-            if tid not in self.done and self._ready(tid):
+            if tid not in self.values and self._ready(tid):
                 self.busy = tid
                 return [SetTimer(1, f"exec:{tid}")]
         return []
@@ -311,7 +309,6 @@ class TaskExecutor:
                 self.assigned.append(tid)
         for tid, val in known_values:
             self.values[tid] = val
-            self.done.add(tid)
         for cid, val in known_chunks:
             self.chunks.setdefault(cid, val)
         return self._try_start()
@@ -321,12 +318,11 @@ class TaskExecutor:
         if self.busy != tid:
             return []
         self.busy = None
-        if tid in self.done or not self._ready(tid):
+        if tid in self.values:
             return self._try_start()
         task = self.dag.tasks[tid]
         operands = [_resolve(i, self.values, self.chunks) for i in task.inputs]
         self.values[tid] = eval_op(task.op, operands)
-        self.done.add(tid)
         acts = self._bcast("value", tid, self.values[tid])
         return acts + self._try_start()
 
@@ -338,7 +334,7 @@ class TaskExecutor:
             return None
         try:
             return codec.unpack_record(body, "bvm-val", self.execution_id,
-                                       object, object, object)[2:]
+                                       object, object, bytes)[2:]
         except codec.CodecError:
             return None
 
@@ -357,7 +353,6 @@ class TaskExecutor:
         elif kind == "value":
             if ref in self.dag.tasks:
                 self.values.setdefault(ref, data)
-                self.done.add(ref)
             else:
                 self.rejected += 1
                 return []
@@ -374,7 +369,7 @@ class ExecutionReport:
     values: dict[str, bytes]
     failed_tasks: tuple[str, ...]
     digest: bytes | None
-    signatures: tuple[tuple[str, bytes], ...]
+    signers: tuple[str, ...]      # sorted live members holding every sink value
     schedule: dict[str, str]
     reassigned: dict[str, str]
     retried: bool
@@ -393,8 +388,8 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
                           max_tick: int = 5000) -> ExecutionReport:
     """Run the DAG across the members; one reassignment round on crashes."""
     ordered = tuple(sorted(members))
-    order = [tid for layer in topo_layers(dag) for tid in layer]
-    schedule = _place(dag, order, ordered, holders)
+    schedule = topo_schedule(dag, ordered, holders)
+    order = list(schedule)
     assigned: dict[str, list[str]] = {node: [] for node in ordered}
     for tid in order:
         assigned[schedule[tid]].append(tid)
@@ -456,20 +451,18 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     failed = sorted((all_tasks - set(values)) | set(failed))
     completed = not failed
     digest = outputs_digest(dag, values) if completed else None
-    signatures: list[tuple[str, bytes]] = []
+    signers: tuple[str, ...] = ()
     if completed:
-        body = result_body(execution_id, digest)
-        for node in live_nodes():
-            have = execs[node].values
-            if all(t in have for t in dag.sinks()):
-                signatures.append((node, keystore.sign(node, body)))
+        sinks = dag.sinks()
+        signers = tuple(node for node in live_nodes()
+                        if all(t in execs[node].values for t in sinks))
     return ExecutionReport(
         execution_id=execution_id,
         completed=completed,
         values=values,
         failed_tasks=tuple(failed),
         digest=digest,
-        signatures=tuple(signatures),
+        signers=signers,
         schedule=schedule,
         reassigned=reassigned,
         retried=retried,
@@ -481,21 +474,6 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         trace=tuple(net.trace),
         rejected={node: e.rejected for node, e in execs.items()},
     )
-
-
-def verify_results(report: ExecutionReport, keystore: KeyStore, members,
-                   threshold: int) -> bool:
-    """True when at least `threshold` distinct members signed the output digest."""
-    if not report.completed or report.digest is None:
-        return False
-    body = result_body(report.execution_id, report.digest)
-    group = set(members)
-    seen: set[str] = set()
-    for signer, sig in report.signatures:
-        if signer in group and signer not in seen:
-            if keystore.verify(signer, body, sig):
-                seen.add(signer)
-    return len(seen) >= threshold
 
 
 # -- text form -------------------------------------------------------------

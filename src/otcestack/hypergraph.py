@@ -116,8 +116,7 @@ class TrustHypergraph:
     def _compliant(self, obs: BehaviorObservation) -> bool:
         return obs.compliant and obs.latency <= self.latency_bound
 
-    def update_trust(self, edge_id: str, observations=None,
-                     alpha: float | None = None) -> float:
+    def update_trust(self, edge_id: str, observations=None) -> float:
         """Fold one batch of observations into the edge's trust.
 
         With observations=None the queued oracle records for the edge are
@@ -134,9 +133,7 @@ class TrustHypergraph:
                     f"observation for edge {obs.edge_id} applied to {edge_id}")
         if not observations:
             return edge.trust
-        a = self.alpha if alpha is None else alpha
-        if not 0.0 < a <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
+        a = self.alpha
         score = sum(1 for o in observations if self._compliant(o)) / len(observations)
         edge.trust = min(1.0, max(0.0, (1.0 - a) * edge.trust + a * score))
         return edge.trust

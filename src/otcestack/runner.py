@@ -217,17 +217,11 @@ class _Runner:
         return "submitted " + self._submit(tx)
 
     def _do_seal(self, index: int, action: ParsedAction) -> str:
-        count = self._int(action.args[0], "count") if action.args else 1
-        if count < 1:
-            raise ActionError("count must be positive")
-        sealed = []
-        for _ in range(count):
-            block = self.ledger.seal_block()
-            self.m["blocks_sealed"] += 1
-            self.m["txs_ok"] += sum(1 for ok, _ in block.status if ok)
-            self.m["txs_failed"] += sum(1 for ok, _ in block.status if not ok)
-            sealed.append(f"h{block.height}:{len(block.txs)}tx")
-        return "sealed " + ",".join(sealed)
+        block = self.ledger.seal_block()
+        self.m["blocks_sealed"] += 1
+        self.m["txs_ok"] += sum(1 for ok, _ in block.status if ok)
+        self.m["txs_failed"] += sum(1 for ok, _ in block.status if not ok)
+        return f"sealed h{block.height}:{len(block.txs)}tx"
 
     def _do_create_otce(self, index: int, action: ParsedAction) -> str:
         alias = action.args[0]
@@ -309,14 +303,8 @@ class _Runner:
 
     def _do_update_trust(self, index: int, action: ParsedAction) -> str:
         edge_id = action.args[0]
-        alpha = None
-        if "alpha" in action.kw:
-            try:
-                alpha = float(action.kw["alpha"])
-            except ValueError:
-                raise ActionError(f"bad alpha {action.kw['alpha']!r}") from None
         try:
-            new_trust = self.graph.update_trust(edge_id, None, alpha=alpha)
+            new_trust = self.graph.update_trust(edge_id)
         except ValueError as exc:
             raise ActionError(str(exc)) from None
         self.m["trust_updates"] += 1
@@ -326,7 +314,7 @@ class _Runner:
         alias = action.args[0]
         rec = self._sealed_record(alias)
         value = self._hex(action.kw["value"], "value")
-        instance_id = action.kw.get("instance", f"{alias}.{index}")
+        instance_id = f"{alias}.{index}"
         result = run_instance(rec.plan, rec.group, value, self.ks,
                               net_cfg=self._net_cfg(index),
                               faults=self._faults_for(rec.group),
@@ -383,7 +371,7 @@ class _Runner:
         self._count_net(report)
         if not report.completed:
             return "incomplete: " + ",".join(report.failed_tasks)
-        return f"digest {codec.short(report.digest)} sigs={len(report.signatures)}"
+        return f"digest {codec.short(report.digest)} sigs={len(report.signers)}"
 
     def _do_submit_result(self, index: int, action: ParsedAction) -> str:
         alias = action.args[0]
@@ -393,13 +381,13 @@ class _Runner:
             raise ActionError(f"no dag execution recorded for {alias!r}")
         if not report.completed or report.digest is None:
             raise ActionError(f"dag execution for {alias!r} incomplete")
-        signers = sorted(node for node, _ in report.signatures)
+        signers = report.signers
         digests = tuple((node, report.digest) for node in signers)
         message = result_message(eid, combined_digest(digests))
         sub = ResultSubmission(
             eid, digests,
             tuple((node, self.ks.sign(node, message)) for node in signers))
-        sender = action.kw.get("by", signers[0] if signers else "nobody")
+        sender = signers[0] if signers else "nobody"
         tx = make_tx(self.ks, sender, TxKind.SUBMIT_RESULT,
                      submit_result_payload(sub, nonce=index))
         return "submitted " + self._submit(tx)

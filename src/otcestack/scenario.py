@@ -71,15 +71,15 @@ class Scenario:
 # verb -> (min positional, max positional, required kw, optional kw, free kw)
 _SCHEMAS: dict[str, tuple[int, int, frozenset, frozenset, bool]] = {
     "register-did": (1, 1, frozenset(), frozenset(), True),
-    "seal": (0, 1, frozenset(), frozenset(), False),
+    "seal": (0, 0, frozenset(), frozenset(), False),
     "create-otce": (1, 1, frozenset({"group", "delta", "trust"}),
                     frozenset({"by"}), False),
     "observe": (4, 4, frozenset(), frozenset({"by-oracle"}), False),
     "oracle-feed": (5, 5, frozenset(), frozenset(), False),
-    "update-trust": (1, 1, frozenset(), frozenset({"alpha"}), False),
-    "consensus": (1, 1, frozenset({"value"}), frozenset({"instance"}), False),
+    "update-trust": (1, 1, frozenset(), frozenset(), False),
+    "consensus": (1, 1, frozenset({"value"}), frozenset(), False),
     "run-dag": (1, 1, frozenset({"file"}), frozenset(), False),
-    "submit-result": (1, 1, frozenset(), frozenset({"by"}), False),
+    "submit-result": (1, 1, frozenset(), frozenset(), False),
     "suspend": (1, 1, frozenset({"by"}), frozenset(), False),
     "resume": (1, 1, frozenset({"by"}), frozenset(), False),
     "terminate": (1, 1, frozenset({"by"}), frozenset(), False),

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from conftest import make_random_dag, spread_chunks
-from otcestack import bvm
-from otcestack.bvm import (CycleError, Task, TaskDAG, chunk_input, eval_op,
-                           execute_collaborative, lit_input, outputs_digest,
-                           parse_dag, sequential_oracle, task_input,
-                           topo_layers, topo_schedule, verify_results)
+from otcestack import bvm, codec
+from otcestack.bvm import (CycleError, Task, TaskDAG, TaskExecutor, chunk_input,
+                           eval_op, execute_collaborative, lit_input,
+                           outputs_digest, parse_dag, sequential_oracle,
+                           task_input, topo_layers, topo_schedule)
 from otcestack.keys import KeyStore
-from otcestack.simnet import Behavior, FaultSpec, NetworkConfig
+from otcestack.simnet import Behavior, FaultSpec, NetworkConfig, SetTimer, SimEvent
 
 MEMBERS = ("w1", "w2", "w3")
 
@@ -176,15 +176,10 @@ def test_distributed_matches_oracle_on_random_dags():
         assert report.digest == outputs_digest(dag, want)
 
 
-def test_report_carries_quorum_signatures():
+def test_clean_run_names_every_member_as_signer():
     dag, chunks = diamond()
-    ks, report = run_distributed(dag, chunks)
-    assert verify_results(report, ks, MEMBERS, threshold=len(MEMBERS))
-    assert not verify_results(report, ks, MEMBERS, threshold=len(MEMBERS) + 1)
-    wrong_ks = KeyStore(4)
-    for m in MEMBERS:
-        wrong_ks.ensure(m)
-    assert not verify_results(report, wrong_ks, MEMBERS, threshold=1)
+    _, report = run_distributed(dag, chunks)
+    assert report.signers == MEMBERS
 
 
 def test_crash_triggers_reassignment_and_completion():
@@ -200,6 +195,7 @@ def test_crash_triggers_reassignment_and_completion():
     assert report.retried
     assert report.values == want
     assert all(node != "w1" for node in report.reassigned.values())
+    assert report.signers == ("w2", "w3")
 
 
 def test_topological_order_computed_once_per_execution(monkeypatch):
@@ -248,7 +244,29 @@ def test_sole_holder_crash_fails_cleanly():
     assert not report.completed
     assert "t" in report.failed_tasks
     assert report.digest is None
-    assert not verify_results(report, ks, MEMBERS, threshold=1)
+    assert report.signers == ()
+
+
+@pytest.mark.parametrize("kind,inp", [("value", task_input("a")),
+                                      ("chunk", chunk_input("a"))],
+                         ids=["value", "chunk"])
+def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
+    ks = KeyStore(3)
+    ks.ensure("m0")
+    dag = TaskDAG({"a": Task("a", "add", (lit_input(b"\x01"),)),
+                   "b": Task("b", "add", (inp, lit_input(b"\x01")))})
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), ["b"], {}, ks)
+    body = codec.pack("bvm-val", "x", kind, "a", 5)
+    wire = body + ks.sign("m0", body)
+    assert executor.step(SimEvent(1, 1, "msg", "m0", "m1", wire, kind), 1) == []
+    assert executor.rejected == 1
+    assert executor.values == {} and executor.busy is None
+    good = codec.pack("bvm-val", "x", kind, "a", b"\x05")
+    acts = executor.step(SimEvent(2, 2, "msg", "m0", "m1",
+                                  good + ks.sign("m0", good), kind), 2)
+    assert acts == [SetTimer(1, "exec:b")]
+    executor.step(SimEvent(3, 3, "timer", "m1", "m1", b"", "exec:b"), 3)
+    assert executor.values["b"] == b"\x06"
 
 
 def test_deterministic_reruns():

@@ -13,8 +13,8 @@ def obs(subject, edge_id, compliant, latency, at=0):
     return BehaviorObservation(subject, edge_id, compliant, latency, at)
 
 
-def small_graph():
-    g = TrustHypergraph()
+def small_graph(**kw):
+    g = TrustHypergraph(**kw)
     for n in ("a", "b", "c", "d"):
         g.add_node(n)
     g.add_hyperedge(["a", "b", "c"], 0.5, edge_id="e1")
@@ -91,8 +91,8 @@ def test_empty_batch_leaves_trust():
 
 
 def test_alpha_override():
-    g = small_graph()
-    new = g.update_trust("e1", [obs("a", "e1", True, 1)], alpha=1.0)
+    g = small_graph(alpha=1.0)
+    new = g.update_trust("e1", [obs("a", "e1", True, 1)])
     assert new == 1.0
 
 

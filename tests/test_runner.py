@@ -101,6 +101,17 @@ def test_consensus_and_dag_results_recorded(tmp_path):
     assert res.metrics["net_sent"] >= cons.sent + report.sent
 
 
+def test_committed_result_is_signed_by_the_report_signers(tmp_path):
+    res = run(tmp_path)
+    report = res.dag_reports["boxr"]
+    assert report.signers
+    sub = res.otce.record(res.aliases["boxr"]).results
+    assert tuple(node for node, _ in sub.quorum_sigs) == report.signers
+    assert tuple(node for node, _ in sub.digests) == report.signers
+    run_dag = next(o for o in res.outcomes if o.verb == "run-dag")
+    assert run_dag.detail.endswith(f"sigs={len(report.signers)}")
+
+
 def test_dids_registered(tmp_path):
     res = run(tmp_path)
     assert res.metrics["dids_registered"] == 2

@@ -107,6 +107,10 @@ def test_action_kw_parsed():
     ("seed 1\ndo\n", 2),
     ("seed 1\ndo frobnicate x\n", 2),
     ("seed 1\ndo seal a b\n", 2),
+    ("seed 1\ndo seal 2\n", 2),
+    ("seed 1\ndo consensus s value=aa instance=i\n", 2),
+    ("seed 1\ndo update-trust e alpha=1.0\n", 2),
+    ("seed 1\ndo submit-result s by=a\n", 2),
     ("seed 1\ndo create-otce s delta=1 trust=edge:e\n", 2),
     ("seed 1\ndo consensus s value=aa bogus=1\n", 2),
     ("seed 1\ndo observe a b\n", 2),
