@@ -13,7 +13,10 @@ else round-robins over the sorted members, layer by layer with the cursor
 carried across layers. Execution charges one tick per task per node, moves
 values between nodes as signed messages, and survives executor crashes by
 one reassignment round at quiescence that places the missing tasks on the
-live members by the same rule. The report names the live members that hold
+live members by the same rule. Each node keeps a ready queue: a task waits
+under the inputs the node lacks and is re-checked only when one of them
+first arrives, so picking the next task costs a heap operation, not a scan
+of the node's tasks, and the work per task is fixed by its inputs. The report names the live members that hold
 every sink value; they sign the sandbox contract's result message, and the
 contract accepts it only when the signers meet the group's security plan, so
 no single node is trusted with the result.
@@ -25,7 +28,9 @@ still counted by its receiver.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import codec
 from .keys import SIG_LEN, KeyStore
@@ -102,53 +107,70 @@ class TaskDAG:
             raise CycleError(cyc)
 
     def _find_cycle(self) -> list[str] | None:
-        color: dict[str, int] = {}      # 1 in progress, 2 done
-        stack: list[str] = []
-
-        def visit(tid: str) -> list[str] | None:
-            color[tid] = 1
-            stack.append(tid)
-            for dep in self.tasks[tid].dep_tasks():
-                c = color.get(dep, 0)
-                if c == 1:
-                    return stack[stack.index(dep):] + [dep]
-                if c == 0:
-                    found = visit(dep)
-                    if found is not None:
-                        return found
-            stack.pop()
-            color[tid] = 2
-            return None
-
-        for tid in sorted(self.tasks):
-            if color.get(tid, 0) == 0:
-                found = visit(tid)
-                if found is not None:
-                    return found
+        """Depth-first search from each task in sorted order, following
+        dependencies in operand order; returns the first back edge's cycle.
+        Iterative, so a deep chain cannot exhaust the interpreter stack."""
+        color: dict[str, int] = {}      # 1 on the path, 2 done
+        for root in sorted(self.tasks):
+            if root in color:
+                continue
+            color[root] = 1
+            path = [root]
+            pending = [iter(self.tasks[root].dep_tasks())]
+            while pending:
+                for dep in pending[-1]:
+                    c = color.get(dep, 0)
+                    if c == 1:
+                        return path[path.index(dep):] + [dep]
+                    if c == 0:
+                        color[dep] = 1
+                        path.append(dep)
+                        pending.append(iter(self.tasks[dep].dep_tasks()))
+                        break
+                else:
+                    color[path.pop()] = 2
+                    pending.pop()
         return None
 
     def sinks(self) -> list[str]:
         referenced = {dep for t in self.tasks.values() for dep in t.dep_tasks()}
         return sorted(set(self.tasks) - referenced)
 
-    def chunk_ids(self) -> set[str]:
-        return {ref for t in self.tasks.values() for ref in t.chunk_refs()}
+    def chunk_ids(self) -> frozenset[str]:
+        return self._chunk_ids
+
+    @cached_property
+    def _chunk_ids(self) -> frozenset[str]:
+        # computed on first use, once per DAG, however many executors ask
+        return frozenset(ref for t in self.tasks.values() for ref in t.chunk_refs())
 
 
 def topo_layers(dag: TaskDAG) -> list[list[str]]:
     """Kahn layering; each layer sorted. Layer k holds tasks whose longest
-    dependency chain has length k."""
-    remaining = {tid: set(t.dep_tasks()) for tid, t in dag.tasks.items()}
-    layers: list[list[str]] = []
-    done: set[str] = set()
-    while remaining:
-        ready = sorted(tid for tid, deps in remaining.items() if deps <= done)
-        if not ready:
-            raise CycleError(sorted(remaining))    # unreachable after validation
-        layers.append(ready)
-        done.update(ready)
-        for tid in ready:
-            del remaining[tid]
+    dependency chain has length k. Linear in tasks plus edges, apart from
+    the sort of each layer."""
+    dependents: dict[str, list[str]] = {tid: [] for tid in dag.tasks}
+    indegree: dict[str, int] = {}
+    for tid, task in dag.tasks.items():
+        deps = set(task.dep_tasks())
+        indegree[tid] = len(deps)
+        for dep in deps:
+            dependents[dep].append(tid)
+    depth = dict.fromkeys(dag.tasks, 0)
+    queue = [tid for tid, n in indegree.items() if n == 0]
+    for tid in queue:                   # grows while it is walked
+        for child in dependents[tid]:
+            depth[child] = max(depth[child], depth[tid] + 1)
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                queue.append(child)
+    if len(queue) < len(dag.tasks):     # unreachable after validation
+        raise CycleError(sorted(set(dag.tasks) - set(queue)))
+    layers: list[list[str]] = [[] for _ in range(max(depth.values(), default=-1) + 1)]
+    for tid, k in depth.items():
+        layers[k].append(tid)
+    for layer in layers:
+        layer.sort()
     return layers
 
 
@@ -235,6 +257,18 @@ class TaskExecutor:
     broadcasting finished values; learns remote values and chunks from
     signed messages.
 
+    It starts the first task in `assigned` order that is ready (every task
+    input in `values`, every chunk input in `chunks`) and not yet finished;
+    tasks taken over after a crash come after the node's own. A ready queue
+    finds that task without rescanning: a task is known by its position in
+    `assigned`, which waits under every distinct input the node lacks, in
+    one table per input kind (TASK, CHUNK) since a task and a chunk may
+    share an id. The first time a value or chunk becomes known its waiters
+    are re-checked, and those now ready go on a min-heap of positions; a
+    start pops the heap, skipping finished tasks. Each task is checked at
+    most once per distinct input, so the work per task is fixed however
+    many events the node sees.
+
     `verified` maps (sender, wire) to the message's (kind, ref, data), or
     None when it is refused. The outcome depends only on that pair, the
     members, their keys (each executor ensures its key when built) and the
@@ -248,7 +282,6 @@ class TaskExecutor:
         self.dag = dag
         self.node = node
         self.members = tuple(sorted(members))
-        self.assigned = list(assigned)
         self.chunks = dict(chunks)
         self.keystore = keystore
         keystore.ensure(node)
@@ -256,6 +289,11 @@ class TaskExecutor:
         self.values: dict[str, bytes] = {}
         self.busy: str | None = None
         self.rejected = 0
+        self._heap: list[int] = []          # positions in `assigned`
+        self._waiting: dict[str, dict[str, list[int]]] = {TASK: {}, CHUNK: {}}
+        self.assigned: list[str] = []
+        for tid in assigned:
+            self._assign(tid)
 
     def _signed(self, kind: str, ref: str, data: bytes) -> bytes:
         body = _value_body(self.execution_id, kind, ref, data)
@@ -273,11 +311,29 @@ class TaskExecutor:
                 return False
         return True
 
+    def _assign(self, tid: str) -> None:
+        pos = len(self.assigned)
+        self.assigned.append(tid)
+        lacking = {(i.kind, i.ref) for i in self.dag.tasks[tid].inputs
+                   if (i.kind == TASK and i.ref not in self.values)
+                   or (i.kind == CHUNK and i.ref not in self.chunks)}
+        for kind, ref in lacking:
+            self._waiting[kind].setdefault(ref, []).append(pos)
+        if not lacking:
+            heapq.heappush(self._heap, pos)
+
+    def _learned(self, kind: str, ref: str) -> None:
+        """The value (TASK) or chunk (CHUNK) `ref` just became known."""
+        for pos in self._waiting[kind].pop(ref, ()):
+            if self._ready(self.assigned[pos]):
+                heapq.heappush(self._heap, pos)
+
     def _try_start(self) -> list:
         if self.busy is not None:
             return []
-        for tid in self.assigned:
-            if tid not in self.values and self._ready(tid):
+        while self._heap:
+            tid = self.assigned[heapq.heappop(self._heap)]
+            if tid not in self.values:
                 self.busy = tid
                 return [SetTimer(1, f"exec:{tid}")]
         return []
@@ -306,11 +362,16 @@ class TaskExecutor:
         _, task_ids, known_values, known_chunks = fields
         for tid in task_ids:
             if tid not in self.assigned:
-                self.assigned.append(tid)
+                self._assign(tid)
         for tid, val in known_values:
+            first = tid not in self.values
             self.values[tid] = val
+            if first:
+                self._learned(TASK, tid)
         for cid, val in known_chunks:
-            self.chunks.setdefault(cid, val)
+            if cid not in self.chunks:
+                self.chunks[cid] = val
+                self._learned(CHUNK, cid)
         return self._try_start()
 
     def _on_exec_timer(self, label: str) -> list:
@@ -323,6 +384,7 @@ class TaskExecutor:
         task = self.dag.tasks[tid]
         operands = [_resolve(i, self.values, self.chunks) for i in task.inputs]
         self.values[tid] = eval_op(task.op, operands)
+        self._learned(TASK, tid)
         acts = self._bcast("value", tid, self.values[tid])
         return acts + self._try_start()
 
@@ -349,16 +411,15 @@ class TaskExecutor:
             return []
         kind, ref, data = fields
         if kind == "chunk":
-            self.chunks.setdefault(ref, data)
-        elif kind == "value":
-            if ref in self.dag.tasks:
-                self.values.setdefault(ref, data)
-            else:
-                self.rejected += 1
-                return []
+            known, key = self.chunks, CHUNK
+        elif kind == "value" and ref in self.dag.tasks:
+            known, key = self.values, TASK
         else:
             self.rejected += 1
             return []
+        if ref not in known:
+            known[ref] = data
+            self._learned(key, ref)
         return self._try_start()
 
 
@@ -485,7 +546,7 @@ def parse_dag(text: str) -> tuple[TaskDAG, dict[str, bytes]]:
         task <id> <op> <operand> [...]
 
     where an operand is ``t:<task>``, ``l:<hex>``, or ``c:<chunk>``.
-    Raises ValueError naming the offending line."""
+    Raises ValueError naming the offending line, or when there is no task."""
     tasks: dict[str, Task] = {}
     chunks: dict[str, bytes] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -512,6 +573,8 @@ def parse_dag(text: str) -> tuple[TaskDAG, dict[str, bytes]]:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
+    if not tasks:
+        raise ValueError("no tasks")
     for tid, task in tasks.items():
         for ref in task.chunk_refs():
             if ref not in chunks:

@@ -93,6 +93,94 @@ def test_self_loop_detected():
         TaskDAG({"a": Task("a", "add", (task_input("a"),))})
 
 
+def recursive_find_cycle(tasks) -> list[str] | None:
+    """The recursive depth-first search `TaskDAG` used to run, kept as the
+    reference for the witness the iterative one must return."""
+    color: dict[str, int] = {}
+    stack: list[str] = []
+
+    def visit(tid):
+        color[tid] = 1
+        stack.append(tid)
+        for dep in tasks[tid].dep_tasks():
+            c = color.get(dep, 0)
+            if c == 1:
+                return stack[stack.index(dep):] + [dep]
+            if c == 0:
+                found = visit(dep)
+                if found is not None:
+                    return found
+        stack.pop()
+        color[tid] = 2
+        return None
+
+    for tid in sorted(tasks):
+        if color.get(tid, 0) == 0:
+            found = visit(tid)
+            if found is not None:
+                return found
+    return None
+
+
+def random_graph(rng, n):
+    """Tasks t0..t<n-1> with up to three task operands each, cycles allowed."""
+    tasks = {}
+    for i in range(n):
+        deps = [task_input(f"t{rng.randrange(n)}") for _ in range(rng.randint(0, 3))]
+        tasks[f"t{i}"] = Task(f"t{i}", "add", tuple(deps) + (lit_input(b"\x01"),))
+    return tasks
+
+
+def test_cycle_witness_matches_the_recursive_search():
+    rng = random.Random(4242)
+    cycles = 0
+    for _ in range(300):
+        tasks = random_graph(rng, rng.randint(1, 12))
+        want = recursive_find_cycle(tasks)
+        if want is None:
+            TaskDAG(tasks)
+            continue
+        cycles += 1
+        with pytest.raises(CycleError) as info:
+            TaskDAG(tasks)
+        assert info.value.witness == want
+    assert cycles > 100
+
+
+def longest_chain_layers(dag):
+    """Brute force: a task's layer is the length of its longest dependency
+    chain, found by trying every path."""
+    def depth(tid):
+        return max((1 + depth(d) for d in dag.tasks[tid].dep_tasks()), default=0)
+
+    by_depth: dict[int, list[str]] = {}
+    for tid in dag.tasks:
+        by_depth.setdefault(depth(tid), []).append(tid)
+    return [sorted(by_depth[k]) for k in range(len(by_depth))]
+
+
+def test_layers_equal_brute_force_longest_chains():
+    rng = random.Random(1962)
+    for _ in range(200):
+        dag, _ = make_random_dag(rng, max_tasks=10)
+        assert topo_layers(dag) == longest_chain_layers(dag)
+
+
+def deep_chain(n):
+    lines = ["task t0 add l:01"]
+    lines += [f"task t{i} add t:t{i - 1} l:01" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_chain_parses_and_evaluates():
+    n = 50_000
+    dag, chunks = parse_dag(deep_chain(n))
+    assert dag.sinks() == [f"t{n - 1}"]
+    values = sequential_oracle(dag, chunks)
+    assert len(values) == n
+    assert values[f"t{n - 1}"] == n.to_bytes(2, "big")
+
+
 def test_unknown_dependency_rejected():
     with pytest.raises(ValueError):
         TaskDAG({"a": Task("a", "add", (task_input("ghost"),))})
@@ -313,3 +401,6 @@ def test_parse_errors_name_the_line():
         parse_dag("task t add l:01\ntask t add l:02\n")
     with pytest.raises(ValueError, match="unknown chunk"):
         parse_dag("task t add c:ghost\n")
+    for text in ("", "# nothing here\nchunk k 00\n"):
+        with pytest.raises(ValueError, match="no tasks"):
+            parse_dag(text)

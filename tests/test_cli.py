@@ -234,3 +234,17 @@ def test_deeply_nested_tx_is_corrupt(tmp_path, capsys, command):
     (tmp_path / "deep.dump").write_text(line)
     assert main([command, "--dump", str(tmp_path / "deep.dump")]) == 1
     assert "nesting too deep" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dag", ["", "# no tasks\nchunk k 00\n"])
+def test_run_dag_without_tasks_is_refused(workdir, capsys, dag):
+    (workdir / "work.dag").write_text(dag)
+    (workdir / "case.scn").write_text(
+        SCENARIO.replace("do terminate box by=b\n",
+                         "do run-dag box file=work.dag\ndo submit-result box\n"))
+    rc, out = do_run(workdir)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "work.dag: no tasks" in err
+    assert "Traceback" not in err
+    assert not out.exists()

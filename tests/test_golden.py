@@ -2,7 +2,8 @@
 
 The digests are SHA-256 of each rendered output of the three shipped
 scenarios. The DAG case pins where `execute_collaborative` places every
-task, before and after a crash, since task placement decides the trace.
+task, before and after a crash, and the trace of that run, which records
+the order in which each node starts its tasks.
 """
 
 import hashlib
@@ -100,3 +101,9 @@ def test_crash_placement_is_pinned():
         "j": "w3", "i": "w4", "k": "w1", "n": "w3"}
     assert list(report.reassigned) == list("bcdfmgjikn")
     assert report.failed_tasks == ("e",)
+    # The trace records which task each node starts when, so its digest pins
+    # the start order before and after the takeover.
+    trace = hashlib.sha256("\n".join(report.trace).encode()).hexdigest()
+    assert trace == "98207c00b01f8f2d95c4e21a46827b073522b267136df996a7c4cc032c0325ee"
+    assert report.ticks == 21
+    assert report.digest is None
