@@ -16,10 +16,13 @@ one reassignment round at quiescence that places the missing tasks on the
 live members by the same rule. Each node keeps a ready queue: a task waits
 under the inputs the node lacks and is re-checked only when one of them
 first arrives, so picking the next task costs a heap operation, not a scan
-of the node's tasks, and the work per task is fixed by its inputs. The report names the live members that hold
-every sink value; they sign the sandbox contract's result message, and the
-contract accepts it only when the signers meet the group's security plan, so
-no single node is trusted with the result.
+of the node's tasks, and the work per task is fixed by its inputs. A node
+takes a signed chunk only when some task reads it and the sender holds it,
+and a signed value only for a task of the DAG; any other message counts as
+a rejection. The report names the live members that hold every sink
+value; they sign the sandbox contract's result message, and the contract
+accepts it only when the signers meet the group's security plan, so no
+single node is trusted with the result.
 A broadcast value reaches every peer as the same wire, so the executors of
 one execution share a memo from (sender, wire) to the checked message: each
 distinct pair is verified and decoded once, and every rejected delivery is
@@ -255,7 +258,9 @@ def _value_body(execution_id: str, kind: str, ref: str, data: bytes) -> bytes:
 class TaskExecutor:
     """Per-node engine: runs its assigned tasks one at a time, one tick each,
     broadcasting finished values; learns remote values and chunks from
-    signed messages.
+    signed messages. `holders` is the execution's map from node to the
+    chunks it holds, shared by every executor: the node starts with its own
+    entry and takes a chunk message only from a holder of that chunk.
 
     It starts the first task in `assigned` order that is ready (every task
     input in `values`, every chunk input in `chunks`) and not yet finished;
@@ -276,13 +281,15 @@ class TaskExecutor:
     executor built without one gets a private memo."""
 
     def __init__(self, execution_id: str, dag: TaskDAG, node: str, members,
-                 assigned: list[str], chunks: dict[str, bytes], keystore: KeyStore,
+                 assigned: list[str], holders: dict[str, dict[str, bytes]],
+                 keystore: KeyStore,
                  verified: dict[tuple[str, bytes], tuple | None] | None = None):
         self.execution_id = execution_id
         self.dag = dag
         self.node = node
         self.members = tuple(sorted(members))
-        self.chunks = dict(chunks)
+        self.holders = holders
+        self.chunks = dict(holders.get(node, {}))
         self.keystore = keystore
         keystore.ensure(node)
         self.verified = {} if verified is None else verified
@@ -410,7 +417,8 @@ class TaskExecutor:
             self.rejected += 1
             return []
         kind, ref, data = fields
-        if kind == "chunk":
+        if (kind == "chunk" and ref in self.dag.chunk_ids()
+                and ref in self.holders.get(event.src, ())):
             known, key = self.chunks, CHUNK
         elif kind == "value" and ref in self.dag.tasks:
             known, key = self.values, TASK
@@ -459,7 +467,7 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     execs: dict[str, TaskExecutor] = {}
     for node in ordered:
         execs[node] = TaskExecutor(execution_id, dag, node, ordered, assigned[node],
-                                   holders.get(node, {}), keystore, verified)
+                                   holders, keystore, verified)
         net.register(node, execs[node].step)
     for spec in faults:
         net.inject_fault(spec)

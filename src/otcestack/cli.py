@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .keys import SEED_RANGE, KeyStore
+from .keys import KeyStore
 from .ledger import load_chain, verify_chain
 from .runner import audit_chain, run_scenario
 from .scenario import Scenario, ScenarioError, parse_scenario
@@ -23,9 +23,10 @@ def _seed(tok: str) -> int:
         seed = int(tok)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {tok!r}") from None
-    if seed not in SEED_RANGE:
-        raise argparse.ArgumentTypeError(f"seed must be in [-2^127, 2^127), got {tok}")
-    return seed
+    try:
+        return KeyStore(seed).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {tok}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -41,6 +41,13 @@ class AttestationPolicy:
     def __post_init__(self):
         if not self.required:
             raise ValueError("policy needs at least one required attribute")
+        names = [name for name, _ in self.required]
+        if not all(names):
+            raise ValueError("policy attribute names must be non-empty")
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate policy attribute")
+        if any(length is not None and length < 0 for _, length in self.required):
+            raise ValueError("policy length must be non-negative")
 
     def check(self, attestation: dict[str, bytes]) -> str | None:
         for name, length in self.required:
@@ -124,17 +131,13 @@ def share_secret(secret: int, threshold: int, count: int, rng,
     return shares
 
 
-def _interpolate_at_zero(points, prime: int) -> int:
-    return _eval_lagrange(points, 0, prime)
-
-
 def reconstruct(shares, threshold: int, prime: int = PRIME) -> int:
     if len(shares) < threshold:
         raise ValueError("not enough shares to reconstruct")
     indices = [s.index for s in shares]
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate share indices")
-    return _interpolate_at_zero([(s.index, s.value) for s in shares], prime)
+    return _eval_lagrange([(s.index, s.value) for s in shares], 0, prime)
 
 
 def _eval_lagrange(points, x: int, prime: int) -> int:

@@ -67,6 +67,8 @@ class TrustHypergraph:
                  latency_bound: int = DEFAULT_LATENCY_BOUND):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
+        if latency_bound < 0:
+            raise ValueError("latency-bound must be non-negative")
         self.alpha = alpha
         self.latency_bound = latency_bound
         self.nodes: set[str] = set()
@@ -205,7 +207,7 @@ class TrustHypergraph:
             out[node] = 2.0 * links / (k * (k - 1))
         return out
 
-    # -- dump / load -------------------------------------------------------
+    # -- dump --------------------------------------------------------------
 
     def dump(self) -> str:
         lines = [f"node {n}" for n in sorted(self.nodes)]
@@ -213,21 +215,3 @@ class TrustHypergraph:
             edge = self.edges[edge_id]
             lines.append(f"edge {edge.edge_id} {edge.trust!r} {','.join(edge.members)}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def load(cls, text: str, alpha: float = DEFAULT_ALPHA,
-             latency_bound: int = DEFAULT_LATENCY_BOUND) -> "TrustHypergraph":
-        graph = cls(alpha=alpha, latency_bound=latency_bound)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "node" and len(parts) == 2:
-                graph.add_node(parts[1])
-            elif parts[0] == "edge" and len(parts) == 4:
-                graph.add_hyperedge(parts[3].split(","), float(parts[2]),
-                                    edge_id=parts[1])
-            else:
-                raise ValueError(f"bad graph line {lineno}: {line}")
-        return graph

@@ -19,9 +19,10 @@ SEED_RANGE = range(-2**127, 2**127)
 
 class KeyStore:
     def __init__(self, seed: int):
+        if seed not in SEED_RANGE:
+            raise ValueError("seed must be in [-2^127, 2^127)")
         self.seed = seed
         self._secrets: dict[str, bytes] = {}
-        self._by_pubkey: dict[bytes, str] = {}
 
     def ensure(self, identity: str) -> bytes:
         """Create the identity's key if missing; return its public key id."""
@@ -29,7 +30,6 @@ class KeyStore:
             base = self.seed.to_bytes(16, "big", signed=True)
             secret = hashlib.sha256(b"key/" + base + identity.encode()).digest()
             self._secrets[identity] = secret
-            self._by_pubkey[self._derive_pubkey(secret)] = identity
         return self.pubkey(identity)
 
     @staticmethod
@@ -46,9 +46,3 @@ class KeyStore:
         if identity not in self._secrets:
             return False
         return hmac.compare_digest(self.sign(identity, message), signature)
-
-    def verify_key(self, pubkey: bytes, message: bytes, signature: bytes) -> bool:
-        identity = self._by_pubkey.get(pubkey)
-        if identity is None:
-            return False
-        return self.verify(identity, message, signature)

@@ -228,6 +228,8 @@ class OTCERegistry:
         eid = eid_for_tx(tx.tx_id)
         if eid in self.records:
             return False, "eid-collision"
+        if tx.sender not in group:
+            return False, "not-a-member"
         rec = OTCERecord(eid=eid, state=OTCEState.NEW, group=tuple(sorted(group)),
                          delta_t=delta_t, created_height=height, plan=plan)
         self.records[eid] = rec

@@ -16,7 +16,7 @@ both checks; the run and ``otcestack replay`` share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import codec
@@ -156,10 +156,7 @@ class _Runner:
         return rec
 
     def _net_cfg(self, index: int) -> NetworkConfig:
-        scn = self.scn
-        return NetworkConfig(delay_min=scn.delay_min, delay_max=scn.delay_max,
-                             gst=scn.gst, drop_rate=scn.drop_rate,
-                             seed=_net_seed(self.seed, index))
+        return replace(self.scn.net, seed=_net_seed(self.seed, index))
 
     def _faults_for(self, members) -> list[FaultSpec]:
         group = set(members)

@@ -7,18 +7,22 @@ chunks). Action directives all start with ``do`` and run in file order:
 sealing blocks, registering identifiers, creating and steering sandboxes,
 feeding observations, running consensus instances and computation DAGs.
 
-The parser is strict: every error names its line. Blank lines are skipped
-and ``#`` starts a comment (inline or whole-line).
+The parser is strict: every error names its line. A directive's values
+are checked by building the component they configure (keystore, network,
+trust graph, plan mapping, attestation policy), so each rule lives in that
+component and the parser only names the line. Blank lines are skipped and
+``#`` starts a comment (inline or whole-line).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .hypergraph import DEFAULT_ALPHA, DEFAULT_LATENCY_BOUND
-from .keys import SEED_RANGE
-from .simnet import Behavior, FaultSpec
+from .did import AttestationPolicy
+from .hypergraph import DEFAULT_ALPHA, DEFAULT_LATENCY_BOUND, TrustHypergraph
+from .keys import KeyStore
+from .plan import PlanMapping
+from .simnet import Behavior, FaultSpec, NetworkConfig
 
 
 class ScenarioError(ValueError):
@@ -51,10 +55,7 @@ class ParsedAction:
 class Scenario:
     seed: int
     max_ticks: int = 5000
-    delay_min: int = 1
-    delay_max: int = 1
-    gst: int | None = None
-    drop_rate: float = 0.0
+    net: NetworkConfig = NetworkConfig()
     alpha: float = DEFAULT_ALPHA
     latency_bound: int = DEFAULT_LATENCY_BOUND
     tau: float = 0.8
@@ -105,6 +106,15 @@ def _as_float(ln: int, tok: str, what: str) -> float:
         _fail(ln, f"{what} must be a number, got {tok!r}")
 
 
+def _checked(ln: int, build, *args):
+    """`build(*args)`, with the ValueError by which it refuses its
+    arguments reported against line `ln`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        _fail(ln, str(exc))
+
+
 def _parse_action(ln: int, parts: list[str]) -> ParsedAction:
     if not parts:
         _fail(ln, "empty action")
@@ -148,6 +158,7 @@ def parse_scenario(text: str) -> Scenario:
     faults: list[FaultSpec] = []
     chunks: list[ChunkDecl] = []
     actions: list[ParsedAction] = []
+    graph = TrustHypergraph()       # answers the node and edge checks
 
     def once(ln: int, name: str) -> None:
         if name in singles:
@@ -167,9 +178,7 @@ def parse_scenario(text: str) -> Scenario:
             once(ln, "seed")
             if len(parts) != 2:
                 _fail(ln, "seed wants: seed <int>")
-            seed = _as_int(ln, parts[1], "seed")
-            if seed not in SEED_RANGE:
-                _fail(ln, "seed must be in [-2^127, 2^127)")
+            seed = _checked(ln, KeyStore, _as_int(ln, parts[1], "seed")).seed
         elif head == "max-ticks":
             once(ln, "max-ticks")
             if len(parts) != 2:
@@ -181,72 +190,47 @@ def parse_scenario(text: str) -> Scenario:
             once(ln, "net")
             if len(parts) != 5:
                 _fail(ln, "net wants: net <delay-min> <delay-max> <gst|-> <drop-rate>")
-            cfg["delay_min"] = _as_int(ln, parts[1], "delay-min")
-            cfg["delay_max"] = _as_int(ln, parts[2], "delay-max")
-            cfg["gst"] = None if parts[3] == "-" else _as_int(ln, parts[3], "gst")
-            cfg["drop_rate"] = _as_float(ln, parts[4], "drop-rate")
-            if not 0 <= cfg["delay_min"] <= cfg["delay_max"]:
-                _fail(ln, "need 0 <= delay-min <= delay-max")
-            if cfg["gst"] is not None and cfg["gst"] < 0:
-                _fail(ln, "gst must be non-negative")
-            if not 0.0 <= cfg["drop_rate"] <= 1.0:
-                _fail(ln, "drop-rate must be in [0, 1]")
+            cfg["net"] = _checked(
+                ln, NetworkConfig, _as_int(ln, parts[1], "delay-min"),
+                _as_int(ln, parts[2], "delay-max"),
+                None if parts[3] == "-" else _as_int(ln, parts[3], "gst"),
+                _as_float(ln, parts[4], "drop-rate"))
         elif head == "trust":
             once(ln, "trust")
             if len(parts) != 3:
                 _fail(ln, "trust wants: trust <alpha> <latency-bound>")
             cfg["alpha"] = _as_float(ln, parts[1], "alpha")
             cfg["latency_bound"] = _as_int(ln, parts[2], "latency-bound")
-            if not 0.0 < cfg["alpha"] <= 1.0:
-                _fail(ln, "alpha must be in (0, 1]")
-            if cfg["latency_bound"] < 0:
-                _fail(ln, "latency-bound must be non-negative")
+            _checked(ln, TrustHypergraph, cfg["alpha"], cfg["latency_bound"])
         elif head == "mapping":
             once(ln, "mapping")
             if len(parts) < 3:
                 _fail(ln, "mapping wants: mapping <tau> <w1> [w2 ...]")
             cfg["tau"] = _as_float(ln, parts[1], "tau")
             cfg["weights"] = tuple(_as_float(ln, t, "weight") for t in parts[2:])
-            if not 0.0 <= cfg["tau"] <= 1.0:
-                _fail(ln, "tau must be in [0, 1]")
-            if not all(math.isfinite(w) for w in cfg["weights"]):
-                _fail(ln, "weights must be finite")
+            _checked(ln, PlanMapping, (cfg["weights"],), cfg["tau"])
         elif head == "policy":
             once(ln, "policy")
             if len(parts) < 2:
                 _fail(ln, "policy wants: policy <name[:len]> ...")
             for tok in parts[1:]:
                 name, _, length = tok.partition(":")
-                if not name:
-                    _fail(ln, f"bad policy entry {tok!r}")
-                if any(name == have for have, _ in policy):
-                    _fail(ln, f"duplicate policy attribute {name!r}")
-                size = _as_int(ln, length, "length") if length else None
-                if size is not None and size < 0:
-                    _fail(ln, "policy length must be non-negative")
-                policy.append((name, size))
+                policy.append((name, _as_int(ln, length, "length") if length else None))
+            _checked(ln, AttestationPolicy, tuple(policy))
         elif head == "node":
             if len(parts) != 2:
                 _fail(ln, "node wants: node <id>")
-            if parts[1] in nodes:
+            if parts[1] in graph.nodes:
                 _fail(ln, f"duplicate node {parts[1]!r}")
+            graph.add_node(parts[1])
             nodes.append(parts[1])
         elif head == "edge":
             if len(parts) != 4:
                 _fail(ln, "edge wants: edge <id> <trust> <m1,m2,...>")
-            edge_id = parts[1]
-            if any(e.edge_id == edge_id for e in edges):
-                _fail(ln, f"duplicate edge {edge_id!r}")
             trust = _as_float(ln, parts[2], "trust")
-            if not 0.0 <= trust <= 1.0:
-                _fail(ln, "trust must be in [0, 1]")
             members = tuple(parts[3].split(","))
-            unknown = sorted(set(members) - set(nodes))
-            if unknown:
-                _fail(ln, f"edge over undeclared node(s): {', '.join(unknown)}")
-            if len(set(members)) < 2:
-                _fail(ln, "edge needs at least 2 distinct members")
-            edges.append(EdgeDecl(edge_id, trust, members))
+            _checked(ln, graph.add_hyperedge, members, trust, parts[1])
+            edges.append(EdgeDecl(parts[1], trust, members))
         elif head == "oracle":
             if len(parts) != 2:
                 _fail(ln, "oracle wants: oracle <id>")
@@ -257,7 +241,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) < 3:
                 _fail(ln, "fault wants: fault <node> <behavior> [at=<tick>]")
             node, behavior_s = parts[1], parts[2]
-            if node not in nodes:
+            if node not in graph.nodes:
                 _fail(ln, f"fault for undeclared node {node!r}")
             if any(f.node == node for f in faults):
                 _fail(ln, f"second fault for node {node!r}")
@@ -280,7 +264,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) != 4:
                 _fail(ln, "chunk wants: chunk <node> <id> <hex>")
             node, chunk_id = parts[1], parts[2]
-            if node not in nodes:
+            if node not in graph.nodes:
                 _fail(ln, f"chunk on undeclared node {node!r}")
             if any(c.node == node and c.chunk_id == chunk_id for c in chunks):
                 _fail(ln, f"duplicate chunk {chunk_id!r} on {node!r}")

@@ -343,7 +343,8 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
     ks.ensure("m0")
     dag = TaskDAG({"a": Task("a", "add", (lit_input(b"\x01"),)),
                    "b": Task("b", "add", (inp, lit_input(b"\x01")))})
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), ["b"], {}, ks)
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), ["b"],
+                            {"m0": {"a": b"\x05"}}, ks)
     body = codec.pack("bvm-val", "x", kind, "a", 5)
     wire = body + ks.sign("m0", body)
     assert executor.step(SimEvent(1, 1, "msg", "m0", "m1", wire, kind), 1) == []
@@ -355,6 +356,27 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
     assert acts == [SetTimer(1, "exec:b")]
     executor.step(SimEvent(3, 3, "timer", "m1", "m1", b"", "exec:b"), 3)
     assert executor.values["b"] == b"\x06"
+
+
+def test_chunk_accepted_only_from_a_holder_and_only_if_read():
+    ks = KeyStore(3)
+    for m in ("m0", "m2"):
+        ks.ensure(m)
+    dag = TaskDAG({"a": Task("a", "concat", (chunk_input("k"),))})
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), ["a"],
+                            {"m2": {"k": b"real"}}, ks)
+
+    def chunk_from(src, ref, data, t):
+        body = codec.pack("bvm-val", "x", "chunk", ref, data)
+        return executor.step(SimEvent(t, t, "msg", src, "m1",
+                                      body + ks.sign(src, body), "chunk"), t)
+
+    assert chunk_from("m0", "k", b"forged", 1) == []
+    assert chunk_from("m2", "nobody-reads", b"junk", 2) == []
+    assert executor.rejected == 2 and executor.chunks == {}
+    assert chunk_from("m2", "k", b"real", 3) == [SetTimer(1, "exec:a")]
+    executor.step(SimEvent(4, 4, "timer", "m1", "m1", b"", "exec:a"), 4)
+    assert executor.values == {"a": b"real"} and executor.rejected == 2
 
 
 def test_deterministic_reruns():

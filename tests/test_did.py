@@ -79,6 +79,16 @@ def test_policy_requires_some_attribute():
         AttestationPolicy(())
 
 
+@pytest.mark.parametrize("required", [
+    (("", None),),
+    (("role", None), ("role", 4)),
+    (("role", -1),),
+], ids=["empty-name", "duplicate", "negative-length"])
+def test_policy_refuses_bad_entries(required):
+    with pytest.raises(ValueError):
+        AttestationPolicy(required)
+
+
 def test_malformed_register_payload_rejected_at_admission():
     ks, ledger, _ = fresh()
     tx = make_tx(ks, "alice", TxKind.REGISTER_DID, codec.pack("register", 1, 2))

@@ -24,6 +24,14 @@ def small_graph(**kw):
 
 # -- construction ----------------------------------------------------------
 
+@pytest.mark.parametrize("kw", [{"alpha": 0.0}, {"alpha": float("nan")},
+                                {"latency_bound": -1}],
+                         ids=["alpha-zero", "alpha-nan", "negative-latency-bound"])
+def test_constructor_refuses_bad_parameters(kw):
+    with pytest.raises(ValueError):
+        TrustHypergraph(**kw)
+
+
 def test_edge_needs_known_nodes():
     g = TrustHypergraph()
     g.add_node("a")
@@ -258,23 +266,3 @@ def test_triangle_has_full_clustering():
         g.add_node(n)
     g.add_hyperedge(["x", "y", "z"], 0.5)
     assert g.clustering_coefficients() == {"x": 1.0, "y": 1.0, "z": 1.0}
-
-
-# -- dump / load -----------------------------------------------------------
-
-def test_dump_load_round_trip():
-    rng = random.Random(55)
-    for _ in range(20):
-        g, _, _ = random_graph(rng)
-        g2 = TrustHypergraph.load(g.dump())
-        assert g2.nodes == g.nodes
-        assert set(g2.edges) == set(g.edges)
-        for eid in g.edges:
-            assert g2.edges[eid].members == g.edges[eid].members
-            assert g2.edges[eid].trust == g.edges[eid].trust     # exact, via repr
-        assert g2.dump() == g.dump()
-
-
-def test_load_rejects_bad_line():
-    with pytest.raises(ValueError, match="line 2"):
-        TrustHypergraph.load("node a\nedge broken\n")

@@ -1,3 +1,5 @@
+import pytest
+
 from otcestack.keys import SIG_LEN, KeyStore
 
 
@@ -59,9 +61,7 @@ def test_cross_seed_signature_fails():
     assert not c.verify("x", b"m", a.sign("x", b"m"))
 
 
-def test_verify_key_maps_pubkey_to_identity():
-    ks = KeyStore(2)
-    pub = ks.ensure("node")
-    sig = ks.sign("node", b"m")
-    assert ks.verify_key(pub, b"m", sig)
-    assert not ks.verify_key(b"\x00" * 32, b"m", sig)
+@pytest.mark.parametrize("seed", [2**127, -2**127 - 1])
+def test_seed_outside_the_range_is_refused(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[-2\^127, 2\^127\)"):
+        KeyStore(seed)

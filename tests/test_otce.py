@@ -103,6 +103,15 @@ def test_create_refuses_nonpositive_lifetime():
     assert ledger.seal_block().status[0] == (False, "bad-delta")
 
 
+def test_create_by_a_non_member_refused():
+    ks, ledger, reg = fresh()
+    plan = make_plan(Protocol.PBFT, 4)
+    tx = make_tx(ks, "mallory", TxKind.CREATE_OTCE, create_payload(GROUP4, 10, plan, 0))
+    ledger.submit_tx(tx)
+    assert ledger.seal_block().status[0] == (False, "not-a-member")
+    assert reg.records == {}
+
+
 # -- suspend / resume ------------------------------------------------------
 
 def test_suspend_resume_cycle():

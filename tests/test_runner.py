@@ -144,6 +144,23 @@ def test_failed_action_is_recorded_not_fatal(tmp_path):
     assert res.chain_ok
 
 
+def test_create_by_a_non_member_is_refused(tmp_path):
+    text = """\
+seed 1
+node a
+node b
+node c
+node d
+node mallory
+do create-otce box group=a,b,c,d delta=10 trust=0.2 by=mallory
+do seal
+"""
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert res.metrics["txs_failed"] == 1 and res.metrics["txs_ok"] == 0
+    assert res.otce.records == {}
+    assert res.chain_ok and res.replay_ok
+
+
 def test_plan_switch_changes_next_consensus_engine(tmp_path):
     text = """\
 seed 9

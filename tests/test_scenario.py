@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from otcestack.keys import KeyStore
+from otcestack.runner import run_scenario
 from otcestack.scenario import ScenarioError, parse_scenario
-from otcestack.simnet import Behavior, FaultSpec
+from otcestack.simnet import Behavior, FaultSpec, NetworkConfig
 
 FULL = """\
 # a full-featured scenario
@@ -33,7 +36,7 @@ def test_full_parse():
     scn = parse_scenario(FULL)
     assert scn.seed == 42
     assert scn.max_ticks == 900
-    assert (scn.delay_min, scn.delay_max, scn.gst, scn.drop_rate) == (1, 4, 60, 0.25)
+    assert scn.net == NetworkConfig(1, 4, 60, 0.25)
     assert (scn.alpha, scn.latency_bound) == (0.3, 12)
     assert (scn.tau, scn.weights) == (0.75, (0.5, 0.5))
     assert scn.policy == (("role", None), ("proof", 4))
@@ -53,8 +56,7 @@ def test_full_parse():
 def test_defaults():
     scn = parse_scenario("seed 1\n")
     assert scn.max_ticks == 5000
-    assert (scn.delay_min, scn.delay_max) == (1, 1)
-    assert scn.gst is None and scn.drop_rate == 0.0
+    assert scn.net == NetworkConfig(1, 1, None, 0.0)
     assert (scn.alpha, scn.latency_bound) == (0.2, 10)
     assert (scn.tau, scn.weights) == (0.8, (1.0,))
     assert scn.policy == () and scn.actions == ()
@@ -62,7 +64,7 @@ def test_defaults():
 
 def test_gst_dash_means_unset():
     scn = parse_scenario("seed 1\nnet 1 2 - 0.0\n")
-    assert scn.gst is None
+    assert scn.net.gst is None
 
 
 def test_comments_and_blank_lines_ignored():
@@ -125,6 +127,11 @@ def test_action_kw_parsed():
     (f"# big\nseed {10**40}\n", 2),
     (f"seed {2**127}\n", 1),
     (f"seed {-2**127 - 1}\n", 1),
+    ("seed 1\nnet 1 2 - nan\n", 2),
+    ("seed 1\ntrust nan 10\n", 2),
+    ("seed 1\nnode a\nnode b\nedge e nan a,b\n", 4),
+    ("seed 1\nnode a\nnode b\nedge e 0.5 a,b\nedge e 0.9 a,b\n", 5),
+    ("seed 1\npolicy :4\n", 2),
 ])
 def test_errors_carry_line_numbers(text, line):
     with pytest.raises(ScenarioError, match=f"line {line}:"):
@@ -146,3 +153,71 @@ def test_seed_range_ends_accepted(seed):
     scn = parse_scenario(f"seed {seed}\n")
     assert scn.seed == seed
     KeyStore(scn.seed).ensure("a")
+
+
+# -- hostile tokens in config directives -----------------------------------
+
+SWEEP = """\
+seed 5
+max-ticks 400
+net 1 3 20 0.1
+trust 0.3 12
+mapping 0.75 0.5 0.5
+policy role proof:2
+node n1
+node n2
+node n3
+node n4
+oracle o1
+edge e1 0.9 n1,n2,n3,n4
+fault n4 crash at=30
+chunk n2 c1 0105
+do register-did n1 role=01 proof=abcd
+do create-otce box group=n1,n2,n3,n4 delta=50 trust=0.3,0.4
+do seal
+do consensus box value=aa
+do run-dag box file=work.dag
+do submit-result box
+do observe e1 n1 1 3
+do oracle-feed o1 e1 n2 0 2
+do update-trust e1
+do seal
+"""
+
+
+def hostile_variants(token: str):
+    """(line, text) for SWEEP with one token of one config line, or the
+    value after a token's `=` or `:`, replaced by `token`; an empty token
+    drops the token or leaves its value empty."""
+    lines = SWEEP.splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "do":
+            continue
+        for j in range(1, len(parts)):
+            heads = [""] + [parts[j].split(sep)[0] + sep for sep in "=:" if sep in parts[j]]
+            for head in heads:
+                new = " ".join(parts[:j] + [head + token] + parts[j + 1:])
+                yield i + 1, "\n".join(lines[:i] + [new] + lines[i + 1:]) + "\n"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-1", str(10**40), ""],
+                         ids=["nan", "inf", "minus-one", "ten-pow-40", "empty"])
+def test_hostile_config_token_is_refused_by_line_or_runs(tmp_path, token):
+    """A refusal names the changed line or a later line that relies on it;
+    a scenario the parser accepts runs to the end without raising."""
+    (tmp_path / "work.dag").write_text(
+        "chunk c1 0105\ntask t1 add l:02 c:c1\ntask t2 hash t:t1\n")
+    refused = ran = 0
+    for ln, text in hostile_variants(token):
+        try:
+            scn = parse_scenario(text)
+        except ScenarioError as exc:
+            named = re.match(r"line (\d+): ", str(exc))
+            assert named and int(named[1]) >= ln, (text, str(exc))
+            refused += 1
+            continue
+        result = run_scenario(scn, base_dir=tmp_path)
+        assert result.chain_ok and result.replay_ok, text
+        ran += 1
+    assert refused and ran
