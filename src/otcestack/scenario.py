@@ -157,6 +157,7 @@ def parse_scenario(text: str) -> Scenario:
     oracles: list[str] = []
     faults: list[FaultSpec] = []
     chunks: list[ChunkDecl] = []
+    chunk_data: dict[str, bytes] = {}   # one value per chunk id, on every holder
     actions: list[ParsedAction] = []
     graph = TrustHypergraph()       # answers the node and edge checks
 
@@ -250,16 +251,17 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 ok = ", ".join(b.value for b in Behavior)
                 _fail(ln, f"unknown behavior {behavior_s!r} (one of: {ok})")
-            at_tick = 0
+            at_tick = None
             for tok in parts[3:]:
                 key, _, val = tok.partition("=")
-                if key == "at":
-                    at_tick = _as_int(ln, val, "at")
-                    if at_tick < 0:
-                        _fail(ln, "at must be non-negative")
-                else:
+                if key != "at":
                     _fail(ln, f"fault does not take {key!r}")
-            faults.append(FaultSpec(node, behavior, at_tick))
+                if at_tick is not None:
+                    _fail(ln, f"duplicate argument {key!r}")
+                at_tick = _as_int(ln, val, "at")
+                if at_tick < 0:
+                    _fail(ln, "at must be non-negative")
+            faults.append(FaultSpec(node, behavior, at_tick or 0))
         elif head == "chunk":
             if len(parts) != 4:
                 _fail(ln, "chunk wants: chunk <node> <id> <hex>")
@@ -272,6 +274,8 @@ def parse_scenario(text: str) -> Scenario:
                 data = bytes.fromhex(parts[3])
             except ValueError:
                 _fail(ln, f"chunk data must be hex, got {parts[3]!r}")
+            if chunk_data.setdefault(chunk_id, data) != data:
+                _fail(ln, f"chunk {chunk_id!r} was declared with other data")
             chunks.append(ChunkDecl(node, chunk_id, data))
         else:
             _fail(ln, f"unknown directive {head!r}")

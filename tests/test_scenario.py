@@ -103,6 +103,8 @@ def test_action_kw_parsed():
     ("seed 1\nnode a\nfault a crash at=-1\n", 3),
     ("seed 1\nnode a\nfault a crash scope=global\n", 3),
     ("seed 1\nnode a\nfault a crash\nfault a crash\n", 4),
+    ("seed 1\nnode a\nfault a crash at=1 at=5\n", 3),
+    ("seed 1\nnode a\nnode b\nchunk a k 00\nchunk b k 01\n", 5),
     ("seed 1\nnode a\nchunk a c zz\n", 3),
     ("seed 1\nchunk a c 00\n", 2),
     ("seed 1\nwat 1 2\n", 2),
