@@ -37,7 +37,7 @@ from functools import cached_property
 
 from . import codec
 from .keys import SIG_LEN, KeyStore
-from .simnet import Network, NetworkConfig, Send, SetTimer, SimEvent
+from .simnet import Network, NetworkConfig, NetReport, Send, SetTimer, SimEvent
 
 OPS = ("add", "mul", "concat", "hash")
 
@@ -276,7 +276,7 @@ class TaskExecutor:
 
     `verified` maps (sender, wire) to the message's (kind, ref, data), or
     None when it is refused. The outcome depends only on that pair, the
-    members, their keys (each executor ensures its key when built) and the
+    members, the keystore's seed (which fixes every identity's key) and the
     execution id, so the executors of one execution may share the memo. An
     executor built without one gets a private memo."""
 
@@ -291,7 +291,6 @@ class TaskExecutor:
         self.holders = holders
         self.chunks = dict(holders.get(node, {}))
         self.keystore = keystore
-        keystore.ensure(node)
         self.verified = {} if verified is None else verified
         self.values: dict[str, bytes] = {}
         self.busy: str | None = None
@@ -432,7 +431,7 @@ class TaskExecutor:
 
 
 @dataclass
-class ExecutionReport:
+class ExecutionReport(NetReport):
     execution_id: str
     completed: bool
     values: dict[str, bytes]
@@ -442,12 +441,6 @@ class ExecutionReport:
     schedule: dict[str, str]
     reassigned: dict[str, str]
     retried: bool
-    ticks: int
-    sent: int
-    delivered: int
-    dropped: int
-    in_flight: int
-    trace: tuple[str, ...]
     rejected: dict[str, int]      # node -> deliveries its executor refused
 
 
@@ -525,7 +518,8 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         sinks = dag.sinks()
         signers = tuple(node for node in live_nodes()
                         if all(t in execs[node].values for t in sinks))
-    return ExecutionReport(
+    return net.report(
+        ExecutionReport,
         execution_id=execution_id,
         completed=completed,
         values=values,
@@ -535,12 +529,6 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         schedule=schedule,
         reassigned=reassigned,
         retried=retried,
-        ticks=net.now,
-        sent=net.sent,
-        delivered=net.delivered,
-        dropped=net.dropped,
-        in_flight=net.in_flight(),
-        trace=tuple(net.trace),
         rejected={node: e.rejected for node, e in execs.items()},
     )
 

@@ -3,7 +3,8 @@
 All on-chain records, signed messages, and tx payloads go through `pack`
 before hashing, so structurally equal values always map to identical bytes
 no matter where they were built. The format is a tagged, length-prefixed
-concatenation; `unpack` round-trips it exactly.
+concatenation; `unpack` round-trips it exactly, and refuses what `pack`
+would not produce, so one record has one encoding and one digest.
 
 Both directions run one loop over a run of items and recurse only into a
 nested list. `pack` dispatches on the exact type of each item, in the order
@@ -11,9 +12,11 @@ of their counts in the benchmark workloads' `pack` input: bytes, str, int,
 bool, list or tuple, None, float. An instance of a subclass of an encodable
 type (`TxKind`, an IntEnum, or a str enum) matches none of these; it is found
 by `isinstance` and encodes as its base type would. `unpack` refuses with
-`CodecError` a truncated item, an empty int body, bad utf-8, an unknown tag,
-and nesting too deep for the interpreter. `pack` and `unpack` are the entry
-points: `digest` calls `pack` and `unpack_record` calls `unpack` by their
+`CodecError` a truncated item, an empty int body, an int body of another
+length than `pack` gives that int (so `80` for -128, whose body is `ff80`),
+a bool byte other than 00 or 01, bad utf-8, an unknown tag, and nesting too
+deep for the interpreter. `pack` and `unpack` are the entry points:
+`digest` calls `pack` and `unpack_record` calls `unpack` by their
 module-global names, so a wrapper installed on those two names (as the
 benchmark's tracer does) sees every encoding and decoding.
 
@@ -117,7 +120,10 @@ def _decode_items(data: bytes, offset: int, count: int) -> tuple[tuple, int]:
                 elif offset == start:
                     raise CodecError("empty int body")
                 else:
-                    append(int.from_bytes(data[start:offset], "big", signed=True))
+                    v = int.from_bytes(data[start:offset], "big", signed=True)
+                    if offset - start != (v.bit_length() + 8) // 8:
+                        raise CodecError("non-canonical int")
+                    append(v)
             elif tag == _L:
                 n = u32(data, offset)[0]
                 sub, offset = _decode_items(data, offset + 4, n)
@@ -129,7 +135,10 @@ def _decode_items(data: bytes, offset: int, count: int) -> tuple[tuple, int]:
             elif tag == _T:
                 if offset >= end:
                     raise CodecError("truncated encoding")
-                append(data[offset] != 0)
+                b = data[offset]
+                if b > 1:
+                    raise CodecError("non-canonical bool")
+                append(b == 1)
                 offset += 1
             elif tag == _F:
                 append(_F64.unpack_from(data, offset)[0])

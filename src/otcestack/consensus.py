@@ -31,8 +31,8 @@ from enum import Enum
 from . import codec
 from .keys import SIG_LEN, KeyStore
 from .plan import Protocol, SecurityPlan
-from .simnet import (Behavior, FaultSpec, Network, NetworkConfig, Record,
-                     Send, SetTimer, SimEvent)
+from .simnet import (Behavior, FaultSpec, Network, NetworkConfig, NetReport,
+                     Record, Send, SetTimer, SimEvent)
 
 DEFAULT_VIEW_TIMEOUT = 40
 
@@ -186,17 +186,16 @@ class _Replica:
     and the memoised check that opens `step` for an incoming message.
 
     `verified` maps a wire to its decoded message, or None when it does not
-    decode or verify. That outcome depends only on the wire and the members'
-    keys, and each replica ensures its key when built, before any delivery;
-    so the replicas of one instance may share the memo. A replica built
-    without one gets a private memo."""
+    decode or verify. That outcome depends only on the wire and the
+    keystore's seed, which fixes every identity's key, so the replicas of
+    one instance may share the memo. A replica built without one gets a
+    private memo."""
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  verified: dict[bytes, Msg | None] | None = None):
         self.cfg = cfg
         self.node = node
         self.keystore = keystore
-        keystore.ensure(node)
         self.verified = {} if verified is None else verified
         self.decision: Decision | None = None
         self.dropped = 0
@@ -626,7 +625,7 @@ class PaxosReplica(_Replica):
 # -- instance driver -------------------------------------------------------
 
 @dataclass
-class InstanceResult:
+class InstanceResult(NetReport):
     instance_id: str
     protocol: Protocol
     members: tuple[str, ...]
@@ -636,13 +635,6 @@ class InstanceResult:
     stalled: tuple[str, ...]
     violations: tuple[str, ...]
     beyond_bound: bool
-    sent: int
-    delivered: int
-    dropped: int
-    in_flight: int
-    ticks: int
-    budget_exhausted: bool
-    trace: tuple[str, ...]
     replica_drops: dict[str, int]     # node -> deliveries its replica dropped
 
     def honest_values(self) -> list[bytes]:
@@ -688,7 +680,8 @@ def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
     violations: list[str] = []
     if len(values) > 1:
         violations.append("disagreement:" + ",".join(codec.short(v) for v in values))
-    return InstanceResult(
+    return net.report(
+        InstanceResult,
         instance_id=cfg.instance_id,
         protocol=plan.protocol,
         members=cfg.members,
@@ -698,12 +691,5 @@ def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
         stalled=stalled,
         violations=tuple(violations),
         beyond_bound=len(faulty) > plan.f_max,
-        sent=net.sent,
-        delivered=net.delivered,
-        dropped=net.dropped,
-        in_flight=net.in_flight(),
-        ticks=net.now,
-        budget_exhausted=net.budget_exhausted,
-        trace=tuple(net.trace),
         replica_drops={m: r.dropped for m, r in replicas.items()},
     )

@@ -50,7 +50,6 @@ def oracle_identity(oracle_id: str) -> str:
 
 def make_oracle_record(keystore: KeyStore, oracle_id: str,
                        obs: BehaviorObservation) -> OracleFeedRecord:
-    keystore.ensure(oracle_identity(oracle_id))
     sig = keystore.sign(oracle_identity(oracle_id), obs.encode())
     return OracleFeedRecord(obs, oracle_id, sig)
 
@@ -143,7 +142,6 @@ class TrustHypergraph:
     # -- oracle feed -------------------------------------------------------
 
     def register_oracle(self, oracle_id: str, keystore: KeyStore) -> None:
-        keystore.ensure(oracle_identity(oracle_id))
         self._oracles[oracle_id] = keystore
 
     def ingest_oracle_record(self, record: OracleFeedRecord) -> bool:

@@ -1,9 +1,12 @@
 """Seeded identity keys and signature checks.
 
-The keystore is the simulation's stand-in for a PKI: it derives one secret
-per identity from the run seed, publishes a key id (a hash of the secret),
-and verifies signatures by recomputation. Signature = HMAC-SHA256 over the
-message, so signing is deterministic and a single flipped byte fails
+The keystore is the simulation's stand-in for a PKI: every identity's
+secret derives from the run seed and the identity's name, so an identity
+has a key from the start and two keystores with one seed agree on every
+key. `sign`, `verify` and `pubkey` derive a secret the first time they
+need it and keep it. The public key id is a hash of the secret, and
+signatures are verified by recomputation. Signature = HMAC-SHA256 over
+the message, so signing is deterministic and a single flipped byte fails
 verification.
 """
 
@@ -17,32 +20,30 @@ SIG_LEN = 32
 SEED_RANGE = range(-2**127, 2**127)
 
 
+class _Secrets(dict):
+    """identity -> secret, deriving a missing secret from the seed."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self._base = b"key/" + seed.to_bytes(16, "big", signed=True)
+
+    def __missing__(self, identity: str) -> bytes:
+        secret = self[identity] = hashlib.sha256(self._base + identity.encode()).digest()
+        return secret
+
+
 class KeyStore:
     def __init__(self, seed: int):
         if seed not in SEED_RANGE:
             raise ValueError("seed must be in [-2^127, 2^127)")
         self.seed = seed
-        self._secrets: dict[str, bytes] = {}
-
-    def ensure(self, identity: str) -> bytes:
-        """Create the identity's key if missing; return its public key id."""
-        if identity not in self._secrets:
-            base = self.seed.to_bytes(16, "big", signed=True)
-            secret = hashlib.sha256(b"key/" + base + identity.encode()).digest()
-            self._secrets[identity] = secret
-        return self.pubkey(identity)
-
-    @staticmethod
-    def _derive_pubkey(secret: bytes) -> bytes:
-        return hashlib.sha256(b"pub/" + secret).digest()
+        self._secrets = _Secrets(seed)
 
     def pubkey(self, identity: str) -> bytes:
-        return self._derive_pubkey(self._secrets[identity])
+        return hashlib.sha256(b"pub/" + self._secrets[identity]).digest()
 
     def sign(self, identity: str, message: bytes) -> bytes:
         return hmac.new(self._secrets[identity], message, hashlib.sha256).digest()
 
     def verify(self, identity: str, message: bytes, signature: bytes) -> bool:
-        if identity not in self._secrets:
-            return False
         return hmac.compare_digest(self.sign(identity, message), signature)

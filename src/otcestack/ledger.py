@@ -54,7 +54,6 @@ def tx_digest(kind: TxKind, payload: bytes, sender: str) -> bytes:
 
 
 def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Transaction:
-    keystore.ensure(sender)
     txid = tx_digest(kind, payload, sender)
     return Transaction(kind, payload, sender, keystore.sign(sender, txid), txid)
 
@@ -98,7 +97,6 @@ class Ledger:
 
     def __init__(self, keystore: KeyStore):
         self.keystore = keystore
-        keystore.ensure(SYSTEM_SENDER)
         self.chain: list[Block] = [make_genesis()]
         # (tx, its admission-time payload decode)
         self.mempool: list[tuple[Transaction, object]] = []
@@ -179,12 +177,11 @@ def verify_chain(chain, keystore: KeyStore | None = None) -> int | None:
         for tx in block.txs:
             if tx.tx_id != tx_digest(tx.kind, tx.payload, tx.sender):
                 return i
-            if keystore is not None:
-                # keys are seed-derived, so the verifier can mint any
-                # sender's key on demand; forged signatures still fail
-                keystore.ensure(tx.sender)
-                if not keystore.verify(tx.sender, tx.tx_id, tx.signature):
-                    return i
+            # keys derive from the seed, so a keystore with the run's seed
+            # checks any sender's signature; forged signatures still fail
+            if keystore is not None and not keystore.verify(
+                    tx.sender, tx.tx_id, tx.signature):
+                return i
         if block.hash != block_hash(block.height, block.prev_hash, block.txs, block.status):
             return i
     return None

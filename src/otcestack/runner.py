@@ -34,7 +34,7 @@ from .otce import (OTCERegistry, combined_digest, create_payload, eid_for_tx,
                    update_plan_payload)
 from .plan import PlanInfeasibleError, PlanMapping, map_trust_to_plan, trust_vector
 from .scenario import ParsedAction, Scenario, ScenarioError
-from .simnet import FaultSpec, NetworkConfig
+from .simnet import FaultSpec, NetReport, NetworkConfig
 
 
 class ActionError(ValueError):
@@ -135,7 +135,6 @@ class _Runner:
         }
         for node in scn.nodes:
             self.graph.add_node(node)
-            self.ks.ensure(node)
         for edge in scn.edges:
             self.graph.add_hyperedge(edge.members, edge.trust, edge_id=edge.edge_id)
         for oracle_id in scn.oracles:
@@ -162,7 +161,12 @@ class _Runner:
         group = set(members)
         return [f for f in self.scn.faults if f.node in group]
 
-    def _count_net(self, run: InstanceResult | ExecutionReport) -> None:
+    def _record_run(self, index: int, action: ParsedAction, run_id: str,
+                    run: NetReport) -> None:
+        """Trace a network run under its action's header and add its
+        message counts to the `net_*` metrics."""
+        self.trace.append(f"# action {index} {action.verb} {run_id}")
+        self.trace.extend(run.trace)
         for key in ("sent", "delivered", "dropped", "in_flight"):
             self.m["net_" + key] += getattr(run, key)
 
@@ -206,7 +210,7 @@ class _Runner:
 
     def _do_register_did(self, index: int, action: ParsedAction) -> str:
         identity = action.args[0]
-        pubkey = self.ks.ensure(identity)
+        pubkey = self.ks.pubkey(identity)
         attestation = {name: self._hex(val, f"attribute {name}")
                        for name, val in action.kw.items()}
         payload = register_payload(pubkey, attestation, nonce=index)
@@ -266,37 +270,29 @@ class _Runner:
                      update_plan_payload(eid, components, nonce=index))
         return "submitted " + self._submit(tx)
 
-    def _observation(self, index: int, args, oracle_id: str | None) -> BehaviorObservation:
-        """Parse `edge subject compliant latency`; with an oracle, queue the
-        observation on its edge as that oracle's signed record."""
-        edge_id, subject, compliant_s, latency_s = args
+    def _do_observe(self, index: int, action: ParsedAction) -> str:
+        """`edge subject compliant latency`: update the edge's trust now, or
+        with `by-oracle=` queue the observation on its edge as that oracle's
+        signed record."""
+        edge_id, subject, compliant_s, latency_s = action.args
         if compliant_s not in ("0", "1"):
             raise ActionError(f"compliant must be 0 or 1, got {compliant_s!r}")
         obs = BehaviorObservation(subject, edge_id, compliant_s == "1",
                                   self._int(latency_s, "latency"), observed_at=index)
+        oracle_id = action.kw.get("by-oracle")
         if oracle_id is not None:
             record = make_oracle_record(self.ks, oracle_id, obs)
             if not self.graph.ingest_oracle_record(record):
                 self.m["observations_rejected"] += 1
                 raise ActionError("oracle record rejected")
             self.m["observations_ingested"] += 1
-        return obs
-
-    def _do_observe(self, index: int, action: ParsedAction) -> str:
-        oracle_id = action.kw.get("by-oracle")
-        obs = self._observation(index, action.args, oracle_id)
-        if oracle_id is not None:
-            return f"queued for {obs.edge_id}"
+            return f"queued for {edge_id}"
         try:
-            new_trust = self.graph.update_trust(obs.edge_id, [obs])
+            new_trust = self.graph.update_trust(edge_id, [obs])
         except ValueError as exc:
             raise ActionError(str(exc)) from None
         self.m["trust_updates"] += 1
-        return f"trust[{obs.edge_id}]={new_trust!r}"
-
-    def _do_oracle_feed(self, index: int, action: ParsedAction) -> str:
-        edge_id = self._observation(index, action.args[1:], action.args[0]).edge_id
-        return f"queued for {edge_id} ({self.graph.pending_count(edge_id)} pending)"
+        return f"trust[{edge_id}]={new_trust!r}"
 
     def _do_update_trust(self, index: int, action: ParsedAction) -> str:
         edge_id = action.args[0]
@@ -317,14 +313,12 @@ class _Runner:
                               faults=self._faults_for(rec.group),
                               max_tick=self.max_ticks, instance_id=instance_id)
         self.consensus_results.append(result)
-        self.trace.append(f"# action {index} consensus {instance_id}")
-        self.trace.extend(result.trace)
+        self._record_run(index, action, instance_id, result)
         self.m["consensus_runs"] += 1
         self.m["consensus_decided"] += 1 if (not result.stalled and result.decisions) else 0
         self.m["consensus_stalled"] += len(result.stalled)
         self.m["consensus_violations"] += len(result.violations)
         self.m["consensus_beyond_bound"] += 1 if result.beyond_bound else 0
-        self._count_net(result)
         if result.violations:
             return "violations: " + ";".join(result.violations)
         if result.stalled:
@@ -346,6 +340,9 @@ class _Runner:
             raise ScenarioError(f"dag file {path}: {exc}") from None
         holders: dict[str, dict[str, bytes]] = {}
         for decl in self.scn.chunks:
+            if file_chunks.get(decl.chunk_id, decl.data) != decl.data:
+                raise ScenarioError(f"dag file {path}: chunk {decl.chunk_id!r} "
+                                    "has other data than the scenario gives it")
             if decl.node in rec.group:
                 holders.setdefault(decl.node, {})[decl.chunk_id] = decl.data
         placed = {cid for store in holders.values() for cid in store}
@@ -360,12 +357,10 @@ class _Runner:
                                        execution_id=f"{alias}.{index}",
                                        max_tick=self.max_ticks)
         self.dag_reports[alias] = report
-        self.trace.append(f"# action {index} run-dag {report.execution_id}")
-        self.trace.extend(report.trace)
+        self._record_run(index, action, report.execution_id, report)
         self.m["dag_runs"] += 1
         self.m["dag_completed"] += 1 if report.completed else 0
         self.m["dag_failed"] += 0 if report.completed else 1
-        self._count_net(report)
         if not report.completed:
             return "incomplete: " + ",".join(report.failed_tasks)
         return f"digest {codec.short(report.digest)} sigs={len(report.signers)}"

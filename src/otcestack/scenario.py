@@ -76,7 +76,6 @@ _SCHEMAS: dict[str, tuple[int, int, frozenset, frozenset, bool]] = {
     "create-otce": (1, 1, frozenset({"group", "delta", "trust"}),
                     frozenset({"by"}), False),
     "observe": (4, 4, frozenset(), frozenset({"by-oracle"}), False),
-    "oracle-feed": (5, 5, frozenset(), frozenset(), False),
     "update-trust": (1, 1, frozenset(), frozenset(), False),
     "consensus": (1, 1, frozenset({"value"}), frozenset(), False),
     "run-dag": (1, 1, frozenset({"file"}), frozenset(), False),

@@ -23,7 +23,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, TypeVar
 
 from . import codec
 
@@ -95,6 +95,23 @@ class Record:
 Handler = Callable[[SimEvent, int], list]
 
 
+@dataclass
+class NetReport:
+    """What a finished network run reports. `ticks` is the tick the run
+    reached: where its last event fired, or the budget when it ran out.
+    The engines' results extend this record; `Network.report` fills it."""
+    sent: int
+    delivered: int
+    dropped: int
+    in_flight: int
+    ticks: int
+    budget_exhausted: bool
+    trace: tuple[str, ...]
+
+
+R = TypeVar("R", bound=NetReport)
+
+
 class Network:
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
@@ -110,7 +127,6 @@ class Network:
         self.delivered = 0
         self.dropped = 0
         self.now = 0
-        self.quiescent_at: int | None = None
         self.budget_exhausted = False
 
     # -- wiring ------------------------------------------------------------
@@ -196,7 +212,6 @@ class Network:
     # -- the loop ----------------------------------------------------------
 
     def run_until(self, max_tick: int) -> None:
-        self.quiescent_at = None
         self.budget_exhausted = False
         while self._heap:
             deliver_at, _, event = self._heap[0]
@@ -235,10 +250,17 @@ class Network:
                         f"record:{action.label} {action.data}")
                 else:
                     raise TypeError(f"unknown action {action!r}")
-        self.quiescent_at = self.now
 
     def in_flight(self) -> int:
         return sum(1 for _, _, e in self._heap if e.kind == "msg")
 
     def conservation_ok(self) -> bool:
         return self.sent == self.delivered + self.dropped + self.in_flight()
+
+    def report(self, record: type[R], **fields) -> R:
+        """A `record` (`NetReport` or a subclass) of the run so far, with
+        the subclass's own `fields`."""
+        return record(sent=self.sent, delivered=self.delivered,
+                      dropped=self.dropped, in_flight=self.in_flight(),
+                      ticks=self.now, budget_exhausted=self.budget_exhausted,
+                      trace=tuple(self.trace), **fields)

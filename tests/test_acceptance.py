@@ -155,8 +155,6 @@ def test_criterion_04_lifecycle_fuzz():
     total_steps = 0
     for seed in (101, 202, 303):
         ks = KeyStore(11)
-        for node in pool + ("outsider",):
-            ks.ensure(node)
         ledger = Ledger(ks)
         reg = OTCERegistry(ks, PlanMapping())
         ledger.register_contract(reg)

@@ -335,12 +335,26 @@ def test_sole_holder_crash_fails_cleanly():
     assert report.signers == ()
 
 
+@pytest.mark.parametrize("max_tick", [5000, 4])
+def test_report_accounts_for_every_message(max_tick):
+    dag, chunks = make_random_dag(random.Random(6))
+    report = execute_collaborative(
+        dag, MEMBERS, {m: dict(chunks) for m in MEMBERS}, KeyStore(3),
+        net_cfg=NetworkConfig(delay_min=1, delay_max=3, drop_rate=0.2, gst=15, seed=4),
+        faults=(FaultSpec("w2", Behavior.CRASH, at_tick=2),), max_tick=max_tick)
+    assert report.dropped > 0
+    assert report.sent == report.delivered + report.dropped + report.in_flight
+    cut = max_tick == 4
+    assert report.budget_exhausted == cut and (report.in_flight > 0) == cut
+    assert report.completed != cut and report.retried != cut
+    assert (report.ticks == max_tick) == cut
+
+
 @pytest.mark.parametrize("kind,inp", [("value", task_input("a")),
                                       ("chunk", chunk_input("a"))],
                          ids=["value", "chunk"])
 def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
     ks = KeyStore(3)
-    ks.ensure("m0")
     dag = TaskDAG({"a": Task("a", "add", (lit_input(b"\x01"),)),
                    "b": Task("b", "add", (inp, lit_input(b"\x01")))})
     executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), ["b"],
@@ -360,8 +374,6 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
 
 def test_chunk_accepted_only_from_a_holder_and_only_if_read():
     ks = KeyStore(3)
-    for m in ("m0", "m2"):
-        ks.ensure(m)
     dag = TaskDAG({"a": Task("a", "concat", (chunk_input("k"),))})
     executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), ["a"],
                             {"m2": {"k": b"real"}}, ks)

@@ -248,3 +248,16 @@ def test_run_dag_without_tasks_is_refused(workdir, capsys, dag):
     assert "work.dag: no tasks" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_run_dag_chunk_with_other_data_than_the_scenario_is_refused(workdir, capsys):
+    (workdir / "work.dag").write_text("chunk k 00\ntask c concat c:k l:ff\n")
+    (workdir / "case.scn").write_text(
+        SCENARIO.replace("edge e1 0.4 a,b,c,d\n", "edge e1 0.4 a,b,c,d\nchunk a k 01\n")
+                .replace("do terminate box by=b\n", "do run-dag box file=work.dag\n"))
+    rc, out = do_run(workdir)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "work.dag: chunk 'k' has other data than the scenario gives it" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,9 +1,12 @@
 """The codec against a plain recursive reference: the same bytes out of
-`pack`, and the same values or the same refusal out of `unpack`."""
+`pack`, and out of `unpack` the same values or the same refusal, except
+that `unpack` refuses bytes that `pack` would not produce."""
 
 import math
 import random
 import struct
+
+import pytest
 
 from otcestack import codec
 from otcestack.consensus import MsgKind
@@ -190,21 +193,81 @@ DEEP = (bytes.fromhex("4c00000001" * 5000),
         bytes.fromhex("4c00000001" * 5000)[:-1])
 
 
+NONCANONICAL = {b"T": "non-canonical bool", b"I": "non-canonical int"}
+
+
+class _Found(Exception):
+    pass
+
+
+def first_noncanonical(data):
+    """The refusal for the first item of `data`, in decoding order, that the
+    reference decodes but `ref_pack` would encode as other bytes; None when
+    the reference refuses or runs out of data before any such item."""
+    def walk(offset):
+        if data[offset:offset + 1] == b"L":
+            ref_need(data, offset + 1, 4)
+            n = struct.unpack(">I", data[offset + 1:offset + 5])[0]
+            offset += 5
+            for _ in range(n):
+                offset = walk(offset)
+            return offset
+        item, end = ref_decode(data, offset)
+        if ref_pack(item) != data[offset:end]:
+            raise _Found(NONCANONICAL[data[offset:offset + 1]])
+        return end
+
+    offset = 0
+    try:
+        while offset < len(data):
+            offset = walk(offset)
+    except _Found as found:
+        return str(found)
+    except (codec.CodecError, RecursionError):
+        pass
+    return None
+
+
 def test_unpack_matches_the_reference_on_mutated_records():
+    """Canonical bytes decode as the reference decodes them. Bytes the
+    reference decodes to a record that packs otherwise are refused as
+    non-canonical. A reference refusal stays a refusal with the same
+    message, unless a non-canonical item comes first."""
     rng = random.Random(8086)
-    results = {"ok": 0, "refused": 0}
+    cases = {"canonical": 0, "non-canonical": 0, "refused": 0,
+             "non-canonical first": 0}
     messages = set()
     samples = [codec.pack(*[random_value(rng) for _ in range(rng.randrange(1, 6))])
                for _ in range(120)]
     for data in [m for s in samples for m in mutations(rng, s)] + list(DEEP):
         got = outcome(codec.unpack, data)
-        assert got == outcome(ref_unpack, data), data.hex()
-        results[got[0]] += 1
+        ref = outcome(ref_unpack, data)
+        found = first_noncanonical(data)
+        if ref == ("ok", data):
+            case, want = "canonical", ref
+        elif ref[0] == "ok":
+            assert found is not None, data.hex()
+            case, want = "non-canonical", ("refused", found)
+        elif found is None:
+            case, want = "refused", ref
+        else:
+            case, want = "non-canonical first", ("refused", found)
+        assert got == want, (case, data.hex())
+        cases[case] += 1
         if got[0] == "refused":
             messages.add("unknown tag" if got[1].startswith("unknown tag ") else got[1])
-    assert results["ok"] > 1000 and results["refused"] > 1000
+    assert cases["canonical"] > 1000 and cases["refused"] > 1000, cases
+    assert cases["non-canonical"] > 50 and cases["non-canonical first"] > 20, cases
     assert messages == {"truncated encoding", "empty int body", "bad utf-8 in string",
-                        "unknown tag", "nesting too deep"}
+                        "unknown tag", "nesting too deep", "non-canonical bool",
+                        "non-canonical int"}
+
+
+@pytest.mark.parametrize("data", ["5405", "4900000002" "0001", "4900000002" "ffff",
+                                  "4900000001" "80", "5402"])
+def test_non_canonical_bytes_are_refused(data):
+    with pytest.raises(codec.CodecError, match="non-canonical"):
+        codec.unpack(bytes.fromhex(data))
 
 
 def test_pinned_vector_covers_every_tag():

@@ -23,7 +23,6 @@ def pbft(members=MEMBERS4, value=b"v1", seed=0, faults=(), **kw):
 
 def test_message_round_trip_and_signature():
     ks = KeyStore(5)
-    ks.ensure("r0")
     msg = Msg("i1", MsgKind.PREPARE, "r0", view=2, digest=b"\x11" * 32)
     wire = encode_msg(ks, msg)
     assert decode_msg(wire) == msg
@@ -173,3 +172,16 @@ def test_safety_sweep_random_single_faults():
         assert res.violations == ()
         assert res.stalled == ()
         assert len(res.honest_values()) == 1
+
+
+@pytest.mark.parametrize("max_tick", [5000, 5])
+def test_report_accounts_for_every_message(max_tick):
+    cfg = NetworkConfig(delay_min=1, delay_max=3, drop_rate=0.2, gst=30, seed=8)
+    res = run_instance(make_plan(Protocol.PBFT, 7), MEMBERS7, b"v1", KeyStore(5),
+                       net_cfg=cfg, faults=(FaultSpec("r3", Behavior.CRASH, at_tick=4),),
+                       max_tick=max_tick)
+    assert res.dropped > 0
+    assert res.sent == res.delivered + res.dropped + res.in_flight
+    cut = max_tick == 5
+    assert res.budget_exhausted == cut and (res.in_flight > 0) == cut
+    assert res.agreed != cut and (res.ticks == max_tick) == cut

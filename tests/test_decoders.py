@@ -22,7 +22,6 @@ from otcestack.plan import Protocol, SecurityPlan
 
 REFUSED = "refused"
 KS = KeyStore(5)
-KS.ensure("m0")
 SIG = b"s" * 32
 TXID = b"i" * 32
 

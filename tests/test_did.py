@@ -20,7 +20,6 @@ def fresh(policy=None):
 
 
 def register(ks, ledger, identity, attestation, nonce=0):
-    ks.ensure(identity)
     tx = make_tx(ks, identity, TxKind.REGISTER_DID,
                  register_payload(ks.pubkey(identity), attestation, nonce))
     ok, reason = ledger.submit_tx(tx)
@@ -32,7 +31,7 @@ def register(ks, ledger, identity, attestation, nonce=0):
 
 def test_identifier_is_pubkey_hash_prefix():
     ks = KeyStore(13)
-    pk = ks.ensure("alice")
+    pk = ks.pubkey("alice")
     assert did_from_pubkey(pk) == hashlib.sha256(pk).hexdigest()[:16]
     assert len(did_from_pubkey(pk)) == 16
 

@@ -178,7 +178,6 @@ def test_record_signed_by_other_oracle_rejected():
     g.register_oracle("o1", ks)
     g.register_oracle("o2", ks)
     o = obs("a", "e1", True, 2)
-    ks.ensure(oracle_identity("o2"))
     forged = OracleFeedRecord(o, "o1", ks.sign(oracle_identity("o2"), o.encode()))
     assert not g.ingest_oracle_record(forged)
 

@@ -5,7 +5,6 @@ from otcestack.keys import SIG_LEN, KeyStore
 
 def test_sign_verify_round_trip():
     ks = KeyStore(1)
-    ks.ensure("alice")
     sig = ks.sign("alice", b"message")
     assert len(sig) == SIG_LEN
     assert ks.verify("alice", b"message", sig)
@@ -13,14 +12,12 @@ def test_sign_verify_round_trip():
 
 def test_wrong_message_fails():
     ks = KeyStore(1)
-    ks.ensure("alice")
     sig = ks.sign("alice", b"message")
     assert not ks.verify("alice", b"messagf", sig)
 
 
 def test_every_flipped_bit_fails():
     ks = KeyStore(5)
-    ks.ensure("n")
     sig = ks.sign("n", b"payload")
     for byte in range(len(sig)):
         for bit in range(8):
@@ -31,11 +28,25 @@ def test_every_flipped_bit_fails():
 
 def test_identities_have_distinct_keys():
     ks = KeyStore(1)
-    ks.ensure("a")
-    ks.ensure("b")
     assert ks.pubkey("a") != ks.pubkey("b")
     sig = ks.sign("a", b"m")
     assert not ks.verify("b", b"m", sig)
+
+
+def test_fresh_store_keys_an_identity_on_first_use():
+    ks = KeyStore(1)
+    sig = ks.sign("newcomer", b"m")
+    assert ks.verify("newcomer", b"m", sig)
+    assert len(ks.pubkey("newcomer")) == 32
+    assert KeyStore(1).pubkey("newcomer") == ks.pubkey("newcomer")
+
+
+def test_stores_with_one_seed_check_each_others_signatures():
+    signer, checker = KeyStore(4), KeyStore(4)
+    sig = signer.sign("x", b"m")
+    assert checker.verify("x", b"m", sig)
+    assert not checker.verify("y", b"m", sig)
+    assert checker.pubkey("y") == signer.pubkey("y")
 
 
 def test_unknown_identity_verifies_false():
@@ -45,19 +56,14 @@ def test_unknown_identity_verifies_false():
 
 def test_seed_determines_keys():
     a, b = KeyStore(9), KeyStore(9)
-    a.ensure("x")
-    b.ensure("x")
     assert a.pubkey("x") == b.pubkey("x")
     assert a.sign("x", b"m") == b.sign("x", b"m")
     c = KeyStore(10)
-    c.ensure("x")
     assert c.pubkey("x") != a.pubkey("x")
 
 
 def test_cross_seed_signature_fails():
     a, c = KeyStore(9), KeyStore(10)
-    a.ensure("x")
-    c.ensure("x")
     assert not c.verify("x", b"m", a.sign("x", b"m"))
 
 

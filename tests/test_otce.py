@@ -48,7 +48,6 @@ def good_submission(ks, eid, group, n_sigs):
     message = result_message(eid, combined_digest(digests))
     sigs = []
     for signer in sorted(group)[:n_sigs]:
-        ks.ensure(signer)
         sigs.append((signer, ks.sign(signer, message)))
     return ResultSubmission(eid, digests, tuple(sigs))
 
@@ -359,7 +358,6 @@ def test_result_outsider_signer_refused():
     eid = create(ks, ledger)
     sub = good_submission(ks, eid, GROUP4, n_sigs=3)
     message = result_message(eid, combined_digest(sub.digests))
-    ks.ensure("mallory")
     outsider = ResultSubmission(eid, sub.digests,
                                 sub.quorum_sigs[:2] + (("mallory", ks.sign("mallory", message)),))
     assert send(ks, ledger, "n1", TxKind.SUBMIT_RESULT,

@@ -40,7 +40,7 @@ do seal            # boxr results, boxc closed
 do seal            # height 4 >= 1+2: boxe expires
 
 do observe e1 n1 1 3
-do oracle-feed o1 e1 n2 0 2
+do observe e1 n2 0 2 by-oracle=o1
 do update-trust e1
 """
 

@@ -110,6 +110,7 @@ def test_action_kw_parsed():
     ("seed 1\nwat 1 2\n", 2),
     ("seed 1\ndo\n", 2),
     ("seed 1\ndo frobnicate x\n", 2),
+    ("seed 1\ndo oracle-feed o1 e1 n2 0 2\n", 2),
     ("seed 1\ndo seal a b\n", 2),
     ("seed 1\ndo seal 2\n", 2),
     ("seed 1\ndo consensus s value=aa instance=i\n", 2),
@@ -154,7 +155,7 @@ def test_register_did_takes_free_attributes():
 def test_seed_range_ends_accepted(seed):
     scn = parse_scenario(f"seed {seed}\n")
     assert scn.seed == seed
-    KeyStore(scn.seed).ensure("a")
+    KeyStore(scn.seed).pubkey("a")
 
 
 # -- hostile tokens in config directives -----------------------------------
@@ -181,7 +182,7 @@ do consensus box value=aa
 do run-dag box file=work.dag
 do submit-result box
 do observe e1 n1 1 3
-do oracle-feed o1 e1 n2 0 2
+do observe e1 n2 0 2 by-oracle=o1
 do update-trust e1
 do seal
 """

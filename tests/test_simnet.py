@@ -116,7 +116,7 @@ def test_conservation_without_faults():
     net = Network(NetworkConfig(delay_min=1, delay_max=4, seed=21))
     flood(net, ["a", "b", "c", "d", "e"])
     net.run_until(500)
-    assert net.quiescent_at is not None
+    assert not net.budget_exhausted
     assert net.dropped == 0
     assert net.sent == net.delivered == 20
     assert net.conservation_ok()
@@ -143,8 +143,7 @@ def test_budget_exhaustion_flagged():
     net = Network(NetworkConfig(delay_min=1, delay_max=1, seed=1))
     echo_ring(net, ["a", "b"], hops=1000)
     net.run_until(10)
-    assert net.budget_exhausted
-    assert net.quiescent_at is None
+    assert net.budget_exhausted and net.now == 10
     assert net.trace[-1].split()[4] == "budget-exhausted"
     assert net.conservation_ok()
 
@@ -258,7 +257,7 @@ def test_stale_timers_drain_to_quiescence():
     net.register("a", lambda e, now: [SetTimer(5, "t:x")] if e.label == "kick" else [])
     net.schedule_local("a", 0, b"", "kick")
     net.run_until(100)
-    assert net.quiescent_at == 5
+    assert not net.budget_exhausted and net.now == 5
     assert net.in_flight() == 0
 
 
@@ -278,4 +277,4 @@ def test_random_workloads_conserve_messages():
                                        at_tick=rng.randint(0, 10)))
         net.run_until(300)
         assert net.conservation_ok()
-        assert net.quiescent_at is not None
+        assert not net.budget_exhausted
