@@ -203,8 +203,8 @@ class _Replica:
 
     def _bcast(self, kind: MsgKind, **fields) -> list:
         msg = Msg(self.cfg.instance_id, kind, self.node, **fields)
-        wire = encode_msg(self.keystore, msg)
-        return [Send(m, wire, kind.value) for m in self.cfg.members if m != self.node]
+        wire, label = encode_msg(self.keystore, msg), kind.value
+        return [Send(m, wire, label) for m in self.cfg.members if m != self.node]
 
     def _set_timer(self, delay: int) -> list:
         self._timer_gen += 1

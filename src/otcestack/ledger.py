@@ -65,6 +65,11 @@ def encode_tx(tx: Transaction) -> bytes:
 def decode_tx(data: bytes) -> Transaction:
     kind_num, payload, sender, signature, tx_id = codec.unpack_record(
         data, object, bytes, str, bytes, bytes)
+    # Exactly an int, not a bool or a float: a tx's hash and signature cover
+    # the kind as `int(kind)`, so `T\x01` would verify in place of kind 1 and
+    # give one chain a second dump.
+    if type(kind_num) is not int:
+        raise codec.CodecError(f"tx kind {kind_num!r} is not an int")
     try:
         kind = TxKind(kind_num)
     except ValueError as exc:

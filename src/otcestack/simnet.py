@@ -12,6 +12,12 @@ bound (landing after the stabilization tick when one is set), and
 equivocate rewrites value-bearing payloads per recipient through a
 protocol-supplied transform.
 
+Each message costs one pass: `send` looks up the sender's fault once and
+`run_until` looks up the receiver's once per delivery. The network builds
+each event once and hands it to one handler, and a handler's actions are
+read once, so these per-message records are slotted rather than frozen:
+nothing shares them.
+
 Trace lines name a payload by its short digest. A broadcast puts the same
 payload on many lines, so each Network computes the digest once per
 distinct payload.
@@ -61,7 +67,7 @@ class NetworkConfig:
             raise ValueError("gst must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimEvent:
     deliver_at: int
     seq: int
@@ -73,20 +79,20 @@ class SimEvent:
 
 
 # handler actions
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     dst: str
     payload: bytes
     label: str = "msg"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetTimer:
     delay: int
     tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Record:
     label: str
     data: str = ""
@@ -144,15 +150,10 @@ class Network:
             raise ValueError(f"conflicting fault specs for {spec.node}")
         self._faults[spec.node] = spec
 
-    def _fault(self, node: str, tick: int) -> FaultSpec | None:
-        spec = self._faults.get(node)
-        if spec is not None and tick >= spec.at_tick:
-            return spec
-        return None
-
     def crashed(self, node: str, tick: int) -> bool:
-        spec = self._fault(node, tick)
-        return spec is not None and spec.behavior is Behavior.CRASH
+        spec = self._faults.get(node)
+        return (spec is not None and spec.behavior is Behavior.CRASH
+                and tick >= spec.at_tick)
 
     def _short(self, payload: bytes) -> str:
         digest = self._shorts.get(payload)
@@ -180,29 +181,28 @@ class Network:
             raise ValueError("send between unknown nodes")
         tick = self.now
         self.sent += 1
-        fault = self._fault(src, tick)
-        if self.crashed(src, tick) or (fault and fault.behavior is Behavior.DROP_ALL):
-            self._drop(tick, src, dst, label, payload)
-            return
-        if (fault and fault.behavior is Behavior.EQUIVOCATE
-                and fault.transform is not None):
-            payload = fault.transform(payload, dst, self._order[dst])
-        deliver_at = self._deliver_tick(tick, fault)
+        cfg = self.cfg
+        deliver_at = None
+        fault = self._faults.get(src)
+        if fault is not None and tick >= fault.at_tick:
+            behavior = fault.behavior
+            if behavior is Behavior.CRASH or behavior is Behavior.DROP_ALL:
+                self._drop(tick, src, dst, label, payload)
+                return
+            if behavior is Behavior.DELAY_MAX:
+                base = tick if cfg.gst is None else max(tick, cfg.gst)
+                deliver_at = base + cfg.delay_max
+            elif fault.transform is not None:     # equivocate
+                payload = fault.transform(payload, dst, self._order[dst])
         if deliver_at is None:
-            self._drop(tick, src, dst, label, payload)
-            return
+            if (cfg.drop_rate > 0.0 and (cfg.gst is None or tick < cfg.gst)
+                    and self.rng.random() < cfg.drop_rate):
+                self._drop(tick, src, dst, label, payload)
+                return
+            # randrange is what randint calls, so the random stream is the same
+            deliver_at = tick + self.rng.randrange(cfg.delay_min, cfg.delay_max + 1)
         self._push(SimEvent(deliver_at, self._next_seq(), "msg", src, dst,
                             payload, label))
-
-    def _deliver_tick(self, tick: int, fault: FaultSpec | None) -> int | None:
-        cfg = self.cfg
-        if fault is not None and fault.behavior is Behavior.DELAY_MAX:
-            base = tick if cfg.gst is None else max(tick, cfg.gst)
-            return base + cfg.delay_max
-        before_gst = cfg.gst is None or tick < cfg.gst
-        if cfg.drop_rate > 0.0 and before_gst and self.rng.random() < cfg.drop_rate:
-            return None
-        return tick + self.rng.randint(cfg.delay_min, cfg.delay_max)
 
     def _drop(self, tick: int, src: str, dst: str, label: str, payload: bytes) -> None:
         self.dropped += 1
@@ -213,40 +213,45 @@ class Network:
 
     def run_until(self, max_tick: int) -> None:
         self.budget_exhausted = False
-        while self._heap:
-            deliver_at, _, event = self._heap[0]
+        heap, trace, faults = self._heap, self.trace, self._faults
+        while heap:
+            deliver_at, seq, event = heap[0]
             if deliver_at > max_tick:
                 self.budget_exhausted = True
                 self.now = max_tick
-                self.trace.append(
+                trace.append(
                     f"{max_tick} {self._next_seq()} - - budget-exhausted "
                     f"inflight={self.in_flight()}")
                 return
-            heapq.heappop(self._heap)
-            self.now = event.deliver_at
-            if self.crashed(event.dst, event.deliver_at):
-                if event.kind == "msg":
+            heapq.heappop(heap)
+            self.now = deliver_at
+            dst, kind = event.dst, event.kind
+            fault = faults.get(dst)
+            if (fault is not None and fault.behavior is Behavior.CRASH
+                    and deliver_at >= fault.at_tick):
+                if kind == "msg":
                     self.dropped += 1
-                self.trace.append(
-                    f"{event.deliver_at} {event.seq} {event.src} {event.dst} "
+                trace.append(
+                    f"{deliver_at} {seq} {event.src} {dst} "
                     f"dead:{event.label} {self._short(event.payload)}")
                 continue
-            if event.kind == "msg":
+            if kind == "msg":
                 self.delivered += 1
-            self.trace.append(
-                f"{event.deliver_at} {event.seq} {event.src} {event.dst} "
-                f"{event.kind}:{event.label} {self._short(event.payload)}")
-            actions = self._handlers[event.dst](event, event.deliver_at) or []
+            trace.append(
+                f"{deliver_at} {seq} {event.src} {dst} "
+                f"{kind}:{event.label} {self._short(event.payload)}")
+            actions = self._handlers[dst](event, deliver_at)
+            if not actions:
+                continue
             for action in actions:
                 if isinstance(action, Send):
-                    self.send(event.dst, action.dst, action.payload, action.label)
+                    self.send(dst, action.dst, action.payload, action.label)
                 elif isinstance(action, SetTimer):
-                    self._push(SimEvent(self.now + action.delay, self._next_seq(),
-                                        "timer", event.dst, event.dst, b"",
-                                        action.tag))
+                    self._push(SimEvent(deliver_at + action.delay, self._next_seq(),
+                                        "timer", dst, dst, b"", action.tag))
                 elif isinstance(action, Record):
-                    self.trace.append(
-                        f"{self.now} {self._next_seq()} {event.dst} {event.dst} "
+                    trace.append(
+                        f"{deliver_at} {self._next_seq()} {dst} {dst} "
                         f"record:{action.label} {action.data}")
                 else:
                     raise TypeError(f"unknown action {action!r}")

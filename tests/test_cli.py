@@ -1,8 +1,11 @@
 import random
+import re
 
 import pytest
 
+from otcestack import codec
 from otcestack.cli import main
+from otcestack.ledger import TxKind
 
 SCENARIO = """\
 seed 21
@@ -172,6 +175,19 @@ def test_verify_detects_bit_flips(workdir, capsys):
             assert rc == 1, f"mutation at byte {i} slipped through"
             detected += 1
     assert detected > 0
+    assert "chain corrupt" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alias", [codec.pack(1.0), b"T\x01"], ids=["float", "bool"])
+def test_verify_refuses_a_tx_kind_that_is_not_an_int(workdir, capsys, alias):
+    # the create-otce tx's kind 1 as 1.0 or as True: the same int, other bytes
+    _, out = do_run(workdir)
+    dump = (out / "chain.dump").read_text()
+    kind_1 = codec.pack(int(TxKind.CREATE_OTCE)).hex()
+    forged, n = re.subn(rf"(?<=[ ;]){kind_1}", alias.hex(), dump)
+    assert n == 1
+    (workdir / "forged.dump").write_text(forged)
+    assert main(["verify-chain", "--dump", str(workdir / "forged.dump")]) == 1
     assert "chain corrupt" in capsys.readouterr().out
 
 

@@ -76,10 +76,8 @@ MSG = Msg("inst", MsgKind.PREPARE, "m0", 2, -1, None, b"d" * 32, -1, -1)
 
 CASES = [
     Case("tx", _codec_errors(decode_tx), [1, b"p", "alice", SIG, TXID], TX,
-         refused=[(0, 99), (0, 1.5), (0, "1"), (0, None), (1, "p"), (2, b"alice"),
-                  (3, "s"), (4, None)],
-         # TxKind(...) is the only check on the kind number
-         accepted=[(0, True, TX), (0, 1.0, TX)],
+         refused=[(0, 99), (0, 1.5), (0, "1"), (0, None), (0, True), (0, 1.0),
+                  (1, "p"), (2, b"alice"), (3, "s"), (4, None)],
          tagged=False),
     Case("otce-create", _otce(TxKind.CREATE_OTCE), ["create", list(GROUP), 5, PLAN, 7],
          ("create", GROUP, 5, PBFT4),

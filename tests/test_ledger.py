@@ -5,7 +5,7 @@ import pytest
 
 from otcestack import codec
 from otcestack.keys import KeyStore
-from otcestack.ledger import (SYSTEM_SENDER, ZERO_HASH, Ledger, TxKind,
+from otcestack.ledger import (SYSTEM_SENDER, ZERO_HASH, Block, Ledger, TxKind,
                               block_hash, decode_tx, dump_chain, encode_tx,
                               load_chain, make_genesis, make_tx, replay_chain,
                               tx_digest, verify_chain)
@@ -328,6 +328,27 @@ def test_load_rejects_mangled_line():
     text = dump_chain(build_chain(n_blocks=3)[1].chain)
     with pytest.raises(ValueError):
         load_chain(text.replace(" ", "", 1))
+
+
+@pytest.mark.parametrize("kind, alias", [(TxKind.SUSPEND_OTCE, codec.pack(2.0)),
+                                         (TxKind.CREATE_OTCE, b"T\x01")],
+                         ids=["float", "bool"])
+def test_load_refuses_a_tx_kind_that_is_not_an_int(kind, alias):
+    # int(alias) is the kind, so the hash and signature would still verify
+    ks = KeyStore(7)
+    genesis = make_genesis()
+    tx = make_tx(ks, "alice", kind, b"p")
+    status = ((True, "ok"),)
+    block = Block(1, genesis.hash, (tx,), status,
+                  block_hash(1, genesis.hash, (tx,), status))
+    text = dump_chain([genesis, block])
+    assert verify_chain(load_chain(text), ks) is None
+    head, _, recs = text.rstrip("\n").rpartition(" ")
+    canonical = codec.pack(int(kind)).hex()
+    assert recs.startswith(canonical)
+    forged = f"{head} {alias.hex()}{recs[len(canonical):]}\n"
+    with pytest.raises(codec.CodecError, match="not an int"):
+        load_chain(forged)
 
 
 def test_replay_reproduces_outcomes_and_state():

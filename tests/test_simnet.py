@@ -1,9 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 
+from otcestack.consensus import Msg, MsgKind
+from otcestack.keys import KeyStore
+from otcestack.ledger import TxKind, make_genesis, make_tx
 from otcestack.simnet import (Behavior, FaultSpec, Network, NetworkConfig,
-                              Record, Send, SetTimer)
+                              Record, Send, SetTimer, SimEvent)
 
 
 def echo_ring(net, nodes, hops):
@@ -223,6 +227,28 @@ def test_equivocate_rewrites_per_recipient():
     assert {got["p"], got["q"]} == {b"v", b"v!"}
 
 
+@pytest.mark.parametrize("behavior", [Behavior.DROP_ALL, Behavior.DELAY_MAX,
+                                      Behavior.EQUIVOCATE])
+def test_sender_is_honest_before_its_fault_tick(behavior):
+    def run(fault):
+        net = Network(NetworkConfig(delay_min=1, delay_max=5, seed=12))
+        arrivals = []
+        net.register("a", lambda e, now: [Send("b", b"v", "m")])
+        net.register("b", lambda e, now: arrivals.append((now, e.payload)) or [])
+        if fault:
+            net.inject_fault(FaultSpec("a", behavior, at_tick=10,
+                                       transform=lambda p, dst, i: p + b"!"))
+        for t in (0, 4, 8, 20):
+            net.schedule_local("a", t, b"", "kick")
+        net.run_until(100)
+        return arrivals
+
+    honest, faulty = run(False), run(True)
+    assert faulty[:3] == honest[:3]         # sent at 0, 4 and 8
+    assert faulty[3:] == {Behavior.DROP_ALL: [], Behavior.DELAY_MAX: [(25, b"v")],
+                          Behavior.EQUIVOCATE: [(honest[3][0], b"v!")]}[behavior]
+
+
 def test_fault_specs_conflict_and_unknown_node():
     net = Network(NetworkConfig(seed=1))
     net.register("a", lambda e, now: [])
@@ -278,3 +304,25 @@ def test_random_workloads_conserve_messages():
         net.run_until(300)
         assert net.conservation_ok()
         assert not net.budget_exhausted
+
+
+# -- which records are frozen ---------------------------------------------------
+
+def test_per_message_records_are_slotted():
+    records = [SimEvent(1, 2, "msg", "a", "b", b"x", "m"), Send("b", b"x"),
+               SetTimer(1, "t"), Record("r")]
+    for record in records:
+        assert not hasattr(record, "__dict__")
+
+
+def test_shared_records_stay_frozen():
+    # the wire memo hands one decoded Msg to every replica, and a run and
+    # its audit share the chain's blocks and their transactions
+    ks = KeyStore(1)
+    tx = make_tx(ks, "a", TxKind.CREATE_OTCE, b"p")
+    shared = [Msg("i", MsgKind.PREPARE, "a"), tx, make_genesis(),
+              FaultSpec("a", Behavior.CRASH)]
+    for record in shared:
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
