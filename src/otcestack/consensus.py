@@ -9,9 +9,9 @@ rewriting for equivocation). Every message carries a signature checked on
 receipt; anything malformed, stale, or from outside the group is dropped
 and counted, never raised. A broadcast hands the same wire bytes to every
 peer, so the replicas of one instance share a memo from wire to decoded
-message: each distinct wire is decoded and its signature checked once per
-instance, while the instance, membership and sender checks run, and drops
-are counted, on every delivery.
+message: each distinct wire is decoded, its sender checked for membership
+and then its signature checked once per instance, while the instance and
+sender checks run, and drops are counted, on every delivery.
 
 Quorum rules follow the security plan: q = n - f_max for the Byzantine
 protocol (a replica is prepared on q matching prepares including its own,
@@ -93,12 +93,17 @@ def decode_msg(wire: bytes) -> Msg:
     return Msg(instance, kind, sender, view, ballot_node, value, digest, cv, cn)
 
 
-def verify_msg(keystore: KeyStore, wire: bytes) -> Msg | None:
+def verify_msg(keystore: KeyStore, wire: bytes, members) -> Msg | None:
+    """The message of a wire that decodes, names a sender in `members` and
+    carries that sender's signature; None otherwise. Membership is decided
+    before the signature, so a wire naming an outsider costs no HMAC and
+    derives no key for that name."""
     try:
         msg = decode_msg(wire)
     except codec.CodecError:
         return None
-    if not keystore.verify(msg.sender, wire[:-SIG_LEN], wire[-SIG_LEN:]):
+    if msg.sender not in members or not keystore.verify(
+            msg.sender, wire[:-SIG_LEN], wire[-SIG_LEN:]):
         return None
     return msg
 
@@ -186,10 +191,10 @@ class _Replica:
     and the memoised check that opens `step` for an incoming message.
 
     `verified` maps a wire to its decoded message, or None when it does not
-    decode or verify. That outcome depends only on the wire and the
-    keystore's seed, which fixes every identity's key, so the replicas of
-    one instance may share the memo. A replica built without one gets a
-    private memo."""
+    decode, names a non-member or does not verify. That outcome depends only
+    on the wire, the instance's members and the keystore's seed, which fixes
+    every identity's key, so the replicas of one instance may share the
+    memo. A replica built without one gets a private memo."""
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  verified: dict[bytes, Msg | None] | None = None):
@@ -241,9 +246,10 @@ class _Replica:
         try:
             msg = self.verified[wire]
         except KeyError:
-            msg = self.verified[wire] = verify_msg(self.keystore, wire)
+            msg = self.verified[wire] = verify_msg(self.keystore, wire,
+                                                   self.cfg.members)
         if (msg is None or msg.instance != self.cfg.instance_id
-                or msg.sender not in self.cfg.members or msg.sender != event.src):
+                or msg.sender != event.src):
             self.dropped += 1
             return None
         return msg

@@ -158,10 +158,6 @@ class TrustHypergraph:
         self._pending[obs.edge_id].append(obs)
         return True
 
-    def pending_count(self, edge_id: str) -> int:
-        self._edge(edge_id)
-        return len(self._pending[edge_id])
-
     def drain_pending(self, edge_id: str) -> list[BehaviorObservation]:
         self._edge(edge_id)
         drained = self._pending[edge_id]

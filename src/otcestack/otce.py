@@ -1,11 +1,17 @@
 """Sandbox lifecycle contract: creation, suspend/resume, results, expiry.
 
 Each record tracks (eid, state, group, lifetime, results, security plan).
-Creation promotes straight to Running inside the sealing step that commits
-it. Termination is absorbing and has three causes: a verified result
-submission ("results"), a member-initiated close ("closed"), and the
-end-of-block expiry sweep ("expiry") once `created_height + delta_t` is
-reached — the countdown keeps running while a record is suspended.
+The plan is not sent: a create and an update-plan carry the group's trust
+vector, and the contract maps it to a plan under its `PlanMapping` in one
+helper, committing the chosen protocol as the tx's status. Replaying a
+chain therefore re-derives every plan, and a trust that maps to no
+feasible plan is a committed refusal.
+
+Creation promotes straight to Running inside the sealing step that
+commits it. Termination is absorbing and has three causes: a verified
+result submission ("results"), a member-initiated close ("closed"), and
+the end-of-block expiry sweep ("expiry") once `created_height + delta_t`
+is reached — the countdown keeps running while a record is suspended.
 
 The sweep is driven by an expiry index: a min-heap of (expiry height, eid)
 filled at creation. Each seal pops only the entries now due, and skips
@@ -22,8 +28,8 @@ from enum import Enum
 from . import codec
 from .keys import KeyStore
 from .ledger import SYSTEM_SENDER, Transaction, TxKind, make_tx
-from .plan import (PlanInfeasibleError, PlanMapping, Protocol, SecurityPlan,
-                   check_plan, map_trust_to_plan, trust_vector)
+from .plan import (PlanInfeasibleError, PlanMapping, SecurityPlan,
+                   map_trust_to_plan, trust_vector)
 
 
 class OTCEState(str, Enum):
@@ -75,21 +81,9 @@ class OTCERecord:
 
 # -- payload encodings -----------------------------------------------------
 
-def _plan_fields(plan: SecurityPlan) -> list:
-    return [plan.protocol.value, plan.n, plan.f_max, plan.quorum, plan.verify_threshold]
-
-
-def _plan_from_fields(fields) -> SecurityPlan:
-    proto_s, *numbers = codec.check_record(fields, str, int, int, int, int)
-    try:
-        protocol = Protocol(proto_s)
-    except ValueError as exc:
-        raise codec.CodecError(f"unknown protocol {proto_s!r}") from exc
-    return SecurityPlan(protocol, *numbers)
-
-
-def create_payload(group, delta_t: int, plan: SecurityPlan, nonce: int) -> bytes:
-    return codec.pack("create", sorted(group), delta_t, _plan_fields(plan), nonce)
+def create_payload(group, delta_t: int, components, nonce: int) -> bytes:
+    return codec.pack("create", sorted(group), delta_t, [float(c) for c in components],
+                      nonce)
 
 
 def suspend_payload(eid: str, meta: bytes, nonce: int) -> bytes:
@@ -153,10 +147,11 @@ class OTCERegistry:
 
     def decode_payload(self, kind: TxKind, payload: bytes):
         if kind is TxKind.CREATE_OTCE:
-            _, group, delta_t, plan_fields, _ = codec.unpack_record(
+            _, group, delta_t, components, _ = codec.unpack_record(
                 payload, "create", tuple, int, tuple, int)
             codec.check_record(group, *(str,) * len(group))
-            return "create", group, delta_t, _plan_from_fields(plan_fields)
+            codec.check_record(components, *(float,) * len(components))
+            return "create", group, delta_t, components
         if kind is TxKind.SUSPEND_OTCE:
             _, eid, meta, _ = codec.unpack_record(payload, "suspend", str, bytes, int)
             return "suspend", eid, meta
@@ -215,16 +210,29 @@ class OTCERegistry:
             return self._apply_result(tx, decoded, height)
         return self._apply_update_plan(tx, decoded, height)
 
+    def _plan(self, components, n: int) -> tuple[SecurityPlan | None, str]:
+        """The plan the mapping gives a group of n under this trust vector,
+        or None and the refusal reason."""
+        try:
+            return map_trust_to_plan(self.mapping, trust_vector(components), n), ""
+        except PlanInfeasibleError:
+            return None, "plan-infeasible"
+        except ValueError:
+            return None, "bad-trust-vector"
+
     def _apply_create(self, tx, decoded, height) -> tuple[bool, str]:
-        _, group, delta_t, plan = decoded
+        _, group, delta_t, components = decoded
         if not group:
             return False, "empty-group"
         if len(set(group)) != len(group):
             return False, "duplicate-members"
+        if "" in group:
+            return False, "empty-member"
         if delta_t < 1:
             return False, "bad-delta"
-        if plan.n != len(group) or not check_plan(plan):
-            return False, "plan-mismatch"
+        plan, refusal = self._plan(components, len(group))
+        if plan is None:
+            return False, refusal
         eid = eid_for_tx(tx.tx_id)
         if eid in self.records:
             return False, "eid-collision"
@@ -236,7 +244,7 @@ class OTCERegistry:
         heapq.heappush(self._expiry, (rec.expiry_height, eid))
         # creation and promotion to Running commit in the same sealing step
         self._transition(rec, OTCEState.RUNNING, height, "create")
-        return True, eid
+        return True, plan.protocol.value
 
     def _apply_suspend(self, tx, decoded, height) -> tuple[bool, str]:
         _, eid, meta = decoded
@@ -316,15 +324,11 @@ class OTCERegistry:
             return False, "not-a-member"
         if rec.state not in LIVE_STATES:
             return False, f"bad-state:{rec.state.value}"
-        try:
-            tv = trust_vector(components)
-            new_plan = map_trust_to_plan(self.mapping, tv, len(rec.group))
-        except PlanInfeasibleError:
-            return False, "plan-infeasible"
-        except ValueError:
-            return False, "bad-trust-vector"
-        rec.plan = new_plan
-        return True, new_plan.protocol.value
+        plan, refusal = self._plan(components, len(rec.group))
+        if plan is None:
+            return False, refusal
+        rec.plan = plan
+        return True, plan.protocol.value
 
     # -- expiry sweep ------------------------------------------------------
 

@@ -6,6 +6,10 @@ group gets the Byzantine-tolerant one (PBFT). Fault bounds use
 strict-minority floors, so n nodes never tolerate exactly n/3 (or n/2)
 faults. Byzantine plans are refused for groups smaller than 4, where the
 bound degenerates to zero.
+
+`map_trust_to_plan` is the one trust-to-plan rule. Its caller is the
+sandbox contract, at create and at update-plan, so every sandbox's plan
+is derived on the chain from a committed trust vector.
 """
 
 from __future__ import annotations
@@ -54,14 +58,6 @@ def make_plan(protocol: Protocol, n: int) -> SecurityPlan:
     else:
         quorum = n // 2 + 1
     return SecurityPlan(protocol, n, f, quorum, n - f)
-
-
-def check_plan(plan: SecurityPlan) -> bool:
-    """True iff the plan's derived fields match its protocol and group size."""
-    try:
-        return plan == make_plan(plan.protocol, plan.n)
-    except (PlanInfeasibleError, ValueError):
-        return False
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .otce import (OTCERegistry, combined_digest, create_payload, eid_for_tx,
                    result_message, ResultSubmission, resume_payload,
                    submit_result_payload, suspend_payload, terminate_payload,
                    update_plan_payload)
-from .plan import PlanInfeasibleError, PlanMapping, map_trust_to_plan, trust_vector
+from .plan import PlanMapping
 from .scenario import ParsedAction, Scenario, ScenarioError
 from .simnet import FaultSpec, NetReport, NetworkConfig
 
@@ -228,22 +228,15 @@ class _Runner:
         alias = action.args[0]
         if alias in self.aliases:
             raise ActionError(f"duplicate alias {alias!r}")
-        group = tuple(sorted(set(action.kw["group"].split(","))))
+        group = sorted(action.kw["group"].split(","))
         delta_t = self._int(action.kw["delta"], "delta")
         components = self._trust_components(action.kw["trust"])
-        try:
-            plan = map_trust_to_plan(self.otce.mapping, trust_vector(components),
-                                     len(group))
-        except PlanInfeasibleError as exc:
-            raise ActionError(f"plan-infeasible: {exc}") from None
-        except ValueError as exc:
-            raise ActionError(f"bad-trust-vector: {exc}") from None
         sender = action.kw.get("by", group[0])
         tx = make_tx(self.ks, sender, TxKind.CREATE_OTCE,
-                     create_payload(group, delta_t, plan, nonce=index))
+                     create_payload(group, delta_t, components, nonce=index))
         self._submit(tx)
         self.aliases[alias] = eid_for_tx(tx.tx_id)
-        return f"submitted {self.aliases[alias]} plan={plan.protocol.value}"
+        return "submitted " + self.aliases[alias]
 
     def _do_suspend(self, index: int, action: ParsedAction) -> str:
         eid = self._eid(action.args[0])

@@ -20,9 +20,8 @@ from otcestack.otce import (LEGAL_TRANSITIONS, OTCERegistry, create_payload,
                             eid_for_tx, resume_payload, submit_result_payload,
                             suspend_payload, terminate_payload,
                             update_plan_payload)
-from otcestack.plan import (PlanInfeasibleError, PlanMapping, Protocol,
-                            make_plan, map_trust_to_plan, plan_score,
-                            trust_vector)
+from otcestack.plan import (PlanMapping, Protocol, make_plan, map_trust_to_plan,
+                            plan_score, trust_vector)
 from otcestack.runner import run_scenario
 from otcestack.scenario import parse_scenario
 from otcestack.simnet import Behavior, FaultSpec, NetworkConfig
@@ -159,7 +158,7 @@ def test_criterion_04_lifecycle_fuzz():
         reg = OTCERegistry(ks, PlanMapping())
         ledger.register_contract(reg)
         rng = random.Random(seed)
-        live = {}          # eid -> (group, plan), admitted creates
+        live = {}          # eid -> group, admitted creates
         nonce = 0
         checked = 0        # transitions already audited
         for _ in range(4000):
@@ -168,22 +167,18 @@ def test_criterion_04_lifecycle_fuzz():
             roll = rng.random()
             if roll < 0.15 or not live:
                 group = tuple(sorted(rng.sample(pool, rng.randint(2, 7))))
-                proto = rng.choice((Protocol.PBFT, Protocol.PAXOS))
-                try:
-                    plan = make_plan(proto, len(group))
-                except PlanInfeasibleError:
-                    continue
+                # a low trust on a group under 4 maps to no feasible plan
+                tv = (round(rng.random(), 3),)
                 if rng.random() < 0.15:
-                    plan = replace(plan, quorum=plan.quorum - 1)  # tampered
+                    tv = (1.5,)                          # out of range
                 tx = make_tx(ks, rng.choice(group), TxKind.CREATE_OTCE,
-                             create_payload(group, rng.randint(1, 12), plan,
-                                            nonce))
+                             create_payload(group, rng.randint(1, 12), tv, nonce))
                 ok, _ = ledger.submit_tx(tx)
                 if ok:
-                    live[eid_for_tx(tx.tx_id)] = (group, plan)
+                    live[eid_for_tx(tx.tx_id)] = group
             elif roll < 0.60:
                 eid = rng.choice(sorted(live) + ["Edeadbeef0000"])
-                group = live.get(eid, (pool, None))[0]
+                group = live.get(eid, pool)
                 sender = rng.choice(group + ("outsider",))
                 op = rng.randrange(4)
                 if op == 0:
@@ -202,7 +197,7 @@ def test_criterion_04_lifecycle_fuzz():
                 ledger.submit_tx(make_tx(ks, sender, kind, payload))
             elif roll < 0.75:
                 eid = rng.choice(sorted(live))
-                group, plan = live[eid]
+                group = live[eid]
                 sub = good_submission(ks, eid, group, rng.randint(0, len(group)))
                 ledger.submit_tx(make_tx(ks, rng.choice(group),
                                          TxKind.SUBMIT_RESULT,

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from otcestack.consensus import (MsgKind, Msg, decode_msg, encode_msg,
-                                 run_instance, verify_msg)
+from otcestack.consensus import (MsgKind, Msg, PBFTReplica, config_from_plan,
+                                 decode_msg, encode_msg, run_instance,
+                                 verify_msg)
 from otcestack.keys import KeyStore
 from otcestack.plan import Protocol, make_plan
-from otcestack.simnet import Behavior, FaultSpec, NetworkConfig
+from otcestack.simnet import Behavior, FaultSpec, NetworkConfig, SimEvent
 
 MEMBERS4 = ("r0", "r1", "r2", "r3")
 MEMBERS7 = tuple(f"r{i}" for i in range(7))
@@ -26,15 +27,30 @@ def test_message_round_trip_and_signature():
     msg = Msg("i1", MsgKind.PREPARE, "r0", view=2, digest=b"\x11" * 32)
     wire = encode_msg(ks, msg)
     assert decode_msg(wire) == msg
-    assert verify_msg(ks, wire) == msg
+    assert verify_msg(ks, wire, ("r0",)) == msg
     tampered = wire[:-1] + bytes([wire[-1] ^ 1])
-    assert verify_msg(ks, tampered) is None
+    assert verify_msg(ks, tampered, ("r0",)) is None
 
 
 def test_garbage_wire_rejected():
     ks = KeyStore(5)
-    assert verify_msg(ks, b"not a message") is None
-    assert verify_msg(ks, b"") is None
+    assert verify_msg(ks, b"not a message", ("r0",)) is None
+    assert verify_msg(ks, b"", ("r0",)) is None
+
+
+def test_non_member_sender_dropped_before_any_signature_check():
+    ks = KeyStore(5)
+    verifies = []
+    ks.verify = lambda identity, *rest: verifies.append(identity)
+    cfg = config_from_plan(make_plan(Protocol.PBFT, 4), MEMBERS4, "i1")
+    replica = PBFTReplica(cfg, "r1", ks)
+    # signed under another store, so only the replica's checks touch `ks`
+    wire = encode_msg(KeyStore(6), Msg("i1", MsgKind.PREPARE, "stranger-1",
+                                       digest=b"\x11" * 32))
+    assert replica.step(SimEvent(1, 1, "msg", "r0", "r1", wire, "prepare"), 1) == []
+    assert replica.dropped == 1
+    assert verifies == []
+    assert "stranger-1" not in ks._secrets
 
 
 # -- clean runs ------------------------------------------------------------

@@ -18,7 +18,6 @@ from otcestack.did import DIDRegistry
 from otcestack.keys import KeyStore
 from otcestack.ledger import Transaction, TxKind, decode_tx
 from otcestack.otce import OTCERegistry, ResultSubmission
-from otcestack.plan import Protocol, SecurityPlan
 
 REFUSED = "refused"
 KS = KeyStore(5)
@@ -45,7 +44,7 @@ def _wire(fields):
 
 
 def _consensus(fields):
-    msg = verify_msg(KS, _wire(fields))
+    msg = verify_msg(KS, _wire(fields), ("m0",))
     return REFUSED if msg is None else msg
 
 
@@ -67,8 +66,6 @@ class Case:
     tagged: bool = True
 
 
-PLAN = ["pbft", 4, 1, 3, 3]
-PBFT4 = SecurityPlan(Protocol.PBFT, 4, 1, 3, 3)
 TX = Transaction(TxKind.CREATE_OTCE, b"p", "alice", SIG, TXID)
 GROUP = ("a", "b", "c", "d")
 RESULT = ResultSubmission("E1", (("a", b"d1"), ("b", b"d2")), (("a", b"s1"),))
@@ -79,15 +76,20 @@ CASES = [
          refused=[(0, 99), (0, 1.5), (0, "1"), (0, None), (0, True), (0, 1.0),
                   (1, "p"), (2, b"alice"), (3, "s"), (4, None)],
          tagged=False),
-    Case("otce-create", _otce(TxKind.CREATE_OTCE), ["create", list(GROUP), 5, PLAN, 7],
-         ("create", GROUP, 5, PBFT4),
+    Case("otce-create", _otce(TxKind.CREATE_OTCE),
+         ["create", list(GROUP), 5, [0.5, 0.25], 7],
+         ("create", GROUP, 5, (0.5, 0.25)),
          refused=[(1, b"a"), (1, ["a", 1]), (1, "abcd"), (2, "5"), (2, 5.0), (2, None),
-                  (3, b"x"), (3, PLAN[:4]), (3, PLAN + [0]), (3, ["raft", 4, 1, 3, 3]),
-                  (3, [b"pbft", 4, 1, 3, 3]), (3, ["pbft", 4, "1", 3, 3]),
-                  (3, ["pbft", 4, 1, 3, 3.0]), (4, "7"), (4, None)],
-         accepted=[(1, [], ("create", (), 5, PBFT4)),
-                   (2, True, ("create", GROUP, 1, PBFT4)),
-                   (4, False, ("create", GROUP, 5, PBFT4))]),
+                  (3, b"x"), (3, 0.5), (3, [0.5, 1]), (3, [True]), (3, ["0.5"]),
+                  (3, [[0.5]]), (4, "7"), (4, None),
+                  # a plan's fields in place of the trust vector
+                  (3, ["pbft", 4, 1, 3]), (3, ["pbft", 4, 1, 3, 3, 0]),
+                  (3, ["raft", 4, 1, 3, 3]), (3, [b"pbft", 4, 1, 3, 3]),
+                  (3, ["pbft", 4, "1", 3, 3]), (3, ["pbft", 4, 1, 3, 3.0])],
+         accepted=[(1, [], ("create", (), 5, (0.5, 0.25))),
+                   (2, True, ("create", GROUP, 1, (0.5, 0.25))),
+                   (3, [], ("create", GROUP, 5, ())),
+                   (4, False, ("create", GROUP, 5, (0.5, 0.25)))]),
     Case("otce-suspend", _otce(TxKind.SUSPEND_OTCE), ["suspend", "E1", b"m", 3],
          ("suspend", "E1", b"m"),
          refused=[(1, b"E1"), (2, "m"), (2, None), (3, "3")]),
@@ -168,4 +170,4 @@ def test_decoder_refusal_set(case, variant, fields, expected):
 
 def test_wire_no_longer_than_a_signature_is_dropped():
     for wire in (b"", b"\x00" * 31, KS.sign("m0", b"")):
-        assert verify_msg(KS, wire) is None
+        assert verify_msg(KS, wire, ("m0",)) is None

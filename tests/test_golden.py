@@ -21,28 +21,28 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "fig4": {
-        "chain.dump": "412370cd1a5c617c5ac5146de8668c444c9cdbd9d3987639e4bed524d8cee919",
+        "chain.dump": "9d59a78ebbafc27d9e402e0de7b8cbd1cc58a987e62cd7296b0a430dab790e6f",
         "did.dump": "599b6397d860b33cb75192f9c48963d8f71addc12f073ab8fb62d737d1a173a8",
         "graph.dump": "0dfb2412559d4ed1c0abdd8212bc55328de08b9e3fa5f4ed744a9b022bfd3d7f",
         "metrics.txt": "76ddcd39d43cb9bce938a6237d347645d843d69647c31cbf50ad0a7415f3d311",
-        "otce.dump": "a97b9a30eb2283ebd6f624b40db3705c693e77562f17b8af7bd8413cf172db04",
-        "trace.log": "0044a125784a565d585f62b946e10a727437c62741aaad598bdb71d31ed10a9f",
+        "otce.dump": "b4b1c99feaee166549feef99c145357461038ad6b307307fc6873b419d2c46d1",
+        "trace.log": "041c49f49dc4a12c3c7c4685a1374de7af7b733312adb08462c99ac61aecdedb",
     },
     "plan_switch": {
-        "chain.dump": "0e38f699cd476b79c2ca2c914e4993392729ce48e865b1d753ad68bd1796a79a",
+        "chain.dump": "09ac9b360425b8fed634f30f7c9f43d81b9e9a1f5f2769d6906047aa5b03c74c",
         "did.dump": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "graph.dump": "de2876041bdf9b009ba562aecbbe572e1390cbcdcaf32da7f19e9e7dd658c000",
         "metrics.txt": "4f423ad499b6477561cd8290ae2a1f8cedc9f0c92845e4d49cb1c6113c0f922d",
-        "otce.dump": "7cc0625322942fdf596304a2d538ff04ee0465334777452b8b767e31fc7fe57f",
-        "trace.log": "f0352e531fa94201f25fe9c36f1a52864a57792d4ae0a893ac3bfb3bc0c33d1b",
+        "otce.dump": "56f9513045e22298c05f1dab8916f239ff0ed40d7b5328c964d1ed30a51cc102",
+        "trace.log": "c331443d9a2dbfdecb4cb2a0a772630f38ee9bebe8b2ddc65dbd96fb81231c2c",
     },
     "beyond_bound": {
-        "chain.dump": "3132a5663426da390cfaf837e576f7c499de2a8e15877a7efd95816006cae64e",
+        "chain.dump": "230abdeb2c09d381b5303671cb97f39f6a86d7b7ce2b75a74078645eff04386d",
         "did.dump": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "graph.dump": "0e9451726b5bc3e415ad7706bdeb0724ac666c6ab0fc3a93bb5bbf55c6268ab9",
         "metrics.txt": "88cbc8febb37a9d2f6056627468b3ea04d4d8aba2bb2fedb87685629c38eacf2",
-        "otce.dump": "5430f91b28b67fec4e1ae7fde9a7915fa4475d692529fac4283c2e39927fdc34",
-        "trace.log": "ad9faa68423eea04ea0ac26d09fa16826726b0438409000031f619d95bc500c2",
+        "otce.dump": "6909300ee056e4f2828f59fb400dc40477d2d4463163646c0f6bf0eec1d02559",
+        "trace.log": "3b5d73f93c415676b26b65194dfc4ab869be54641fb25bed736475b265e03dc4",
     },
 }
 

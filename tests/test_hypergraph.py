@@ -140,10 +140,10 @@ def test_signed_record_queues_and_drains():
     g.register_oracle("o1", ks)
     rec = make_oracle_record(ks, "o1", obs("a", "e1", True, 2))
     assert g.ingest_oracle_record(rec)
-    assert g.pending_count("e1") == 1
-    new = g.update_trust("e1")
-    assert new == pytest.approx(0.6)
-    assert g.pending_count("e1") == 0
+    assert g.trust("e1") == 0.5                # queued, not yet applied
+    assert g.update_trust("e1") == pytest.approx(0.6)
+    # the record was drained: a second update has an empty batch
+    assert g.update_trust("e1") == pytest.approx(0.6)
 
 
 def test_unregistered_oracle_rejected():
@@ -161,7 +161,7 @@ def test_tampered_signature_rejected():
     bad = OracleFeedRecord(rec.payload, rec.oracle_id,
                            bytes(b ^ 1 for b in rec.signature))
     assert not g.ingest_oracle_record(bad)
-    assert g.pending_count("e1") == 0
+    assert g.update_trust("e1") == 0.5
 
 
 def test_record_for_unknown_edge_rejected():

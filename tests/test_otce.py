@@ -12,9 +12,11 @@ from otcestack.otce import (CAUSE_CLOSED, CAUSE_EXPIRY, CAUSE_RESULTS,
                             result_message, resume_payload,
                             submit_result_payload, suspend_payload,
                             terminate_payload, update_plan_payload)
-from otcestack.plan import PlanMapping, Protocol, make_plan
+from otcestack.plan import PlanMapping, Protocol
 
 GROUP4 = ("n1", "n2", "n3", "n4")
+# trust vectors on either side of the default mapping's tau (0.8)
+LOW, HIGH = (0.5,), (0.9,)
 
 
 def fresh():
@@ -25,11 +27,9 @@ def fresh():
     return ks, ledger, reg
 
 
-def create(ks, ledger, group=GROUP4, delta_t=100, protocol=Protocol.PBFT,
-           sender=None, nonce=0):
-    plan = make_plan(protocol, len(group))
+def create(ks, ledger, group=GROUP4, delta_t=100, trust=LOW, sender=None, nonce=0):
     tx = make_tx(ks, sender or group[0], TxKind.CREATE_OTCE,
-                 create_payload(group, delta_t, plan, nonce))
+                 create_payload(group, delta_t, trust, nonce))
     ok, reason = ledger.submit_tx(tx)
     assert ok, reason
     ledger.seal_block()
@@ -68,47 +68,55 @@ def test_create_promotes_to_running_in_one_seal():
 
 def test_create_id_comes_from_tx_id():
     ks, ledger, reg = fresh()
-    plan = make_plan(Protocol.PBFT, 4)
-    tx = make_tx(ks, "n1", TxKind.CREATE_OTCE, create_payload(GROUP4, 10, plan, 0))
+    tx = make_tx(ks, "n1", TxKind.CREATE_OTCE, create_payload(GROUP4, 10, LOW, 0))
     ledger.submit_tx(tx)
-    block = ledger.seal_block()
-    assert block.status[0] == (True, eid_for_tx(tx.tx_id))
+    ledger.seal_block()
     assert eid_for_tx(tx.tx_id) == "E" + tx.tx_id.hex()[:12]
+    assert list(reg.records) == [eid_for_tx(tx.tx_id)]
 
 
-def test_create_refuses_plan_group_mismatch():
-    ks, ledger, _ = fresh()
-    plan = make_plan(Protocol.PBFT, 5)              # wrong size for a 4-group
-    tx = make_tx(ks, "n1", TxKind.CREATE_OTCE, create_payload(GROUP4, 10, plan, 0))
+@pytest.mark.parametrize("trust,protocol", [(LOW, Protocol.PBFT), (HIGH, Protocol.PAXOS)])
+def test_create_maps_trust_to_plan_and_commits_the_protocol(trust, protocol):
+    ks, ledger, reg = fresh()
+    tx = make_tx(ks, "n1", TxKind.CREATE_OTCE, create_payload(GROUP4, 10, trust, 0))
     ledger.submit_tx(tx)
-    assert ledger.seal_block().status[0] == (False, "plan-mismatch")
+    assert ledger.seal_block().status[0] == (True, protocol.value)
+    plan = reg.record(eid_for_tx(tx.tx_id)).plan
+    assert (plan.protocol, plan.n) == (protocol, 4)
 
 
-def test_create_refuses_tampered_plan_numbers():
-    ks, ledger, _ = fresh()
-    plan = make_plan(Protocol.PBFT, 4)
-    bad = type(plan)(plan.protocol, plan.n, plan.f_max, plan.quorum + 1,
-                     plan.verify_threshold)
-    tx = make_tx(ks, "n1", TxKind.CREATE_OTCE, create_payload(GROUP4, 10, bad, 0))
-    ledger.submit_tx(tx)
-    assert ledger.seal_block().status[0] == (False, "plan-mismatch")
+def create_status(group, delta_t=10, trust=LOW, sender="n1"):
+    """The committed status of one create, and the registry's records."""
+    ks, ledger, reg = fresh()
+    tx = make_tx(ks, sender, TxKind.CREATE_OTCE, create_payload(group, delta_t, trust, 0))
+    assert ledger.submit_tx(tx) == (True, "ok")
+    status = ledger.seal_block().status[0]
+    assert replay_chain(ledger.chain, [OTCERegistry(ks, PlanMapping())]) == []
+    return status, reg.records
+
+
+@pytest.mark.parametrize("group,trust,reason", [
+    ((), LOW, "empty-group"),
+    (("n1", "n1", "n2", "n3", "n4"), LOW, "duplicate-members"),
+    (("", "n1", "n2", "n3"), HIGH, "empty-member"),
+    # below tau a 3-member group would need the byzantine plan, which needs 4
+    (("n1", "n2", "n3"), (0.1,), "plan-infeasible"),
+    (GROUP4, (1.5,), "bad-trust-vector"),
+    (GROUP4, (float("nan"),), "bad-trust-vector"),
+    (GROUP4, (-0.1,), "bad-trust-vector"),
+    (GROUP4, (), "bad-trust-vector"),
+    (GROUP4, (0.5, 0.5), "bad-trust-vector"),       # wider than the mapping
+])
+def test_create_refusals(group, trust, reason):
+    assert create_status(group, trust=trust) == ((False, reason), {})
 
 
 def test_create_refuses_nonpositive_lifetime():
-    ks, ledger, _ = fresh()
-    plan = make_plan(Protocol.PBFT, 4)
-    tx = make_tx(ks, "n1", TxKind.CREATE_OTCE, create_payload(GROUP4, 0, plan, 0))
-    ledger.submit_tx(tx)
-    assert ledger.seal_block().status[0] == (False, "bad-delta")
+    assert create_status(GROUP4, delta_t=0) == ((False, "bad-delta"), {})
 
 
 def test_create_by_a_non_member_refused():
-    ks, ledger, reg = fresh()
-    plan = make_plan(Protocol.PBFT, 4)
-    tx = make_tx(ks, "mallory", TxKind.CREATE_OTCE, create_payload(GROUP4, 10, plan, 0))
-    ledger.submit_tx(tx)
-    assert ledger.seal_block().status[0] == (False, "not-a-member")
-    assert reg.records == {}
+    assert create_status(GROUP4, sender="mallory") == ((False, "not-a-member"), {})
 
 
 # -- suspend / resume ------------------------------------------------------
@@ -262,14 +270,13 @@ def test_expiry_index_matches_full_scan():
     reg = SweepChecked(ks, PlanMapping())
     ledger.register_contract(reg)
     rng = random.Random(4242)
-    plan = make_plan(Protocol.PBFT, len(GROUP4))
     nonce = 0
     for _ in range(300):
         for _ in range(rng.randint(0, 4)):
             nonce += 1
             delta_t = rng.choice((1, 1, 2, 3, 5, 8, 13))
             tx = make_tx(ks, rng.choice(GROUP4), TxKind.CREATE_OTCE,
-                         create_payload(GROUP4, delta_t, plan, nonce))
+                         create_payload(GROUP4, delta_t, LOW, nonce))
             assert ledger.submit_tx(tx) == (True, "ok")
         for rec in reg.alive():
             nonce += 1
@@ -397,7 +404,7 @@ def test_result_while_suspended_refused():
 def test_paxos_group_threshold():
     ks, ledger, reg = fresh()
     group = ("m1", "m2", "m3", "m4", "m5")
-    eid = create(ks, ledger, group=group, protocol=Protocol.PAXOS)
+    eid = create(ks, ledger, group=group, trust=HIGH)
     assert reg.record(eid).plan.verify_threshold == 3
     sub = good_submission(ks, eid, group, n_sigs=3)
     assert send(ks, ledger, "m1", TxKind.SUBMIT_RESULT,
@@ -408,7 +415,7 @@ def test_paxos_group_threshold():
 
 def test_update_plan_switches_protocol():
     ks, ledger, reg = fresh()
-    eid = create(ks, ledger, protocol=Protocol.PBFT)
+    eid = create(ks, ledger, trust=LOW)
     assert send(ks, ledger, "n1", TxKind.UPDATE_PLAN,
                 update_plan_payload(eid, (0.95,), 1)) == (True, "paxos")
     plan = reg.record(eid).plan
@@ -422,7 +429,7 @@ def test_update_plan_switches_protocol():
 def test_update_plan_infeasible_for_small_group():
     ks, ledger, reg = fresh()
     group = ("a", "b", "c")
-    eid = create(ks, ledger, group=group, protocol=Protocol.PAXOS)
+    eid = create(ks, ledger, group=group, trust=HIGH)
     assert send(ks, ledger, "a", TxKind.UPDATE_PLAN,
                 update_plan_payload(eid, (0.1,), 1)) == (False, "plan-infeasible")
     assert reg.record(eid).plan.protocol is Protocol.PAXOS

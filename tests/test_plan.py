@@ -3,7 +3,7 @@ import random
 import pytest
 
 from otcestack.plan import (PlanInfeasibleError, PlanMapping, Protocol,
-                            TrustVector, fault_bound, make_plan, check_plan,
+                            TrustVector, fault_bound, make_plan,
                             map_trust_to_plan, plan_score, trust_vector)
 
 
@@ -60,15 +60,6 @@ def test_tiny_groups_infeasible():
     for protocol in Protocol:
         with pytest.raises(PlanInfeasibleError):
             make_plan(protocol, 1)
-
-
-def test_check_plan_rejects_tampered_fields():
-    plan = make_plan(Protocol.PBFT, 7)
-    assert check_plan(plan)
-    from dataclasses import replace
-    assert not check_plan(replace(plan, quorum=plan.quorum - 1))
-    assert not check_plan(replace(plan, f_max=plan.f_max + 1))
-    assert not check_plan(replace(plan, verify_threshold=0))
 
 
 def test_trust_vector_validation():

@@ -2,7 +2,7 @@ import pytest
 
 from otcestack.otce import OTCEState
 from otcestack.plan import Protocol
-from otcestack.runner import run_scenario
+from otcestack.runner import audit_chain, run_scenario
 from otcestack.scenario import ScenarioError, parse_scenario
 
 DAG_TEXT = """\
@@ -159,6 +159,38 @@ do seal
     assert res.metrics["txs_failed"] == 1 and res.metrics["txs_ok"] == 0
     assert res.otce.records == {}
     assert res.chain_ok and res.replay_ok
+
+
+ABCD = "seed 1\nnode a\nnode b\nnode c\nnode d\n"
+
+
+@pytest.mark.parametrize("group,trust,reason", [
+    ("a,a,b,c,d", "0.2", "duplicate-members"),
+    ("a,,b", "0.9", "empty-member"),
+    ("a,b,c", "0.1", "plan-infeasible"),        # byzantine plan needs 4
+    ("a,b,c,d", "1.5", "bad-trust-vector"),
+    ("a,b,c,d", "nan", "bad-trust-vector"),
+])
+def test_refused_create_is_a_committed_failed_tx(tmp_path, group, trust, reason):
+    text = ABCD + f"do create-otce box group={group} delta=10 trust={trust}\ndo seal\n"
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert all(o.ok for o in res.outcomes)
+    assert res.ledger.chain[1].status == ((False, reason),)
+    assert res.otce.records == {}
+    assert res.metrics["txs_failed"] == 1 and res.metrics["txs_ok"] == 0
+    assert res.metrics["chain_ok"] == 1 and res.metrics["replay_ok"] == 1
+
+
+def test_replay_re_derives_the_plan_of_a_create(tmp_path):
+    text = ABCD + "do create-otce box group=a,b,c,d delta=10 trust=0.2\ndo seal\n"
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert res.ledger.chain[1].status == ((True, "pbft"),)
+    # under tau 0.1 the same trust maps the group to the majority protocol
+    moved = parse_scenario(text.replace("seed 1\n", "seed 1\nmapping 0.1 1.0\n"))
+    bad, mismatches, _ = audit_chain(res.ledger.chain, moved, res.keystore)
+    assert bad is None
+    assert len(mismatches) == 1 and mismatches[0].startswith("height 1 ")
+    assert "'paxos'" in mismatches[0]
 
 
 def test_plan_switch_changes_next_consensus_engine(tmp_path):

@@ -137,9 +137,9 @@ def count_verifies_and_deliveries(monkeypatch):
     original_verify = consensus.verify_msg
     original_step = PBFTReplica.step
 
-    def counting_verify(keystore, wire):
+    def counting_verify(keystore, wire, members):
         verified[wire] += 1
-        results[wire] = original_verify(keystore, wire)
+        results[wire] = original_verify(keystore, wire, members)
         return results[wire]
 
     def recording_step(self, event, now):
