@@ -4,11 +4,12 @@ The network is modeled as a hypergraph: nodes plus hyperedges, each
 hyperedge linking a group of two or more nodes and carrying a single trust
 value in [0, 1]. Trust moves by an exponential moving average over batches
 of behavior observations (an observation counts against trust when it is
-flagged non-compliant or its latency exceeds the bound). Analytics — the
-degree histogram and per-node clustering coefficients on the clique
-expansion — describe the shape of the collaboration graph. External
-observations arrive as oracle-signed records and are queued until the next
-trust update drains them.
+flagged non-compliant or its latency exceeds the bound). Trust stays
+local to the group: an observation whose subject is not a member of its
+edge is refused. Analytics — the degree histogram and per-node clustering
+coefficients on the clique expansion — describe the shape of the
+collaboration graph. External observations arrive as oracle-signed records
+and are queued until the next trust update drains them.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ class TrustHypergraph:
             if obs.edge_id != edge_id:
                 raise ValueError(
                     f"observation for edge {obs.edge_id} applied to {edge_id}")
+            if obs.subject not in edge.members:
+                raise ValueError(f"subject {obs.subject} is not a member of edge {edge_id}")
         if not observations:
             return edge.trust
         a = self.alpha
@@ -150,7 +153,8 @@ class TrustHypergraph:
         if keystore is None:
             return False
         obs = record.payload
-        if obs.edge_id not in self.edges:
+        edge = self.edges.get(obs.edge_id)
+        if edge is None or obs.subject not in edge.members:
             return False
         if not keystore.verify(oracle_identity(record.oracle_id),
                                obs.encode(), record.signature):

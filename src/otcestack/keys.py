@@ -8,6 +8,11 @@ need it and keep it. The public key id is a hash of the secret, and
 signatures are verified by recomputation. Signature = HMAC-SHA256 over
 the message, so signing is deterministic and a single flipped byte fails
 verification.
+
+The HMAC key schedule runs once per identity: with the secret, the store
+keeps the SHA-256 states that have absorbed the secret's inner and outer
+pads (RFC 2104 §2), and `sign` continues copies of them. The signature
+bytes are those of `hmac.new(secret, message, hashlib.sha256)`.
 """
 
 from __future__ import annotations
@@ -19,17 +24,26 @@ SIG_LEN = 32
 # Key secrets derive from the seed as 16 signed bytes.
 SEED_RANGE = range(-2**127, 2**127)
 
+# HMAC's pads as `bytes.translate` tables, as the stdlib `hmac` fallback has them
+_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
 
 class _Secrets(dict):
-    """identity -> secret, deriving a missing secret from the seed."""
+    """identity -> (secret, inner pad state, outer pad state), deriving a
+    missing secret from the seed."""
 
     def __init__(self, seed: int):
         super().__init__()
         self._base = b"key/" + seed.to_bytes(16, "big", signed=True)
 
-    def __missing__(self, identity: str) -> bytes:
-        secret = self[identity] = hashlib.sha256(self._base + identity.encode()).digest()
-        return secret
+    def __missing__(self, identity: str):
+        secret = hashlib.sha256(self._base + identity.encode()).digest()
+        key = secret.ljust(_BLOCK, b"\0")
+        entry = self[identity] = (secret, hashlib.sha256(key.translate(_IPAD)),
+                                  hashlib.sha256(key.translate(_OPAD)))
+        return entry
 
 
 class KeyStore:
@@ -40,10 +54,15 @@ class KeyStore:
         self._secrets = _Secrets(seed)
 
     def pubkey(self, identity: str) -> bytes:
-        return hashlib.sha256(b"pub/" + self._secrets[identity]).digest()
+        return hashlib.sha256(b"pub/" + self._secrets[identity][0]).digest()
 
     def sign(self, identity: str, message: bytes) -> bytes:
-        return hmac.new(self._secrets[identity], message, hashlib.sha256).digest()
+        _, inner, outer = self._secrets[identity]
+        inner = inner.copy()
+        inner.update(message)
+        outer = outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def verify(self, identity: str, message: bytes, signature: bytes) -> bool:
         return hmac.compare_digest(self.sign(identity, message), signature)

@@ -15,11 +15,17 @@ contract's `apply` at sealing. Markers and replayed txs are decoded
 from their committed bytes, so replay checks what is on the chain, not
 what was admitted; a payload that does not decode there is refused as
 "malformed-payload".
+
+A tx is encoded, and its id checked, once, when it is built: a
+`Transaction` carries its canonical bytes (`wire`) and whether its id is
+the digest of its kind, payload and sender (`id_ok`). Admission, sealing,
+verification and the dump read these instead of packing the tx again;
+the tx is frozen, and `dataclasses.replace` rebuilds both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from . import codec
@@ -40,13 +46,21 @@ class TxKind(IntEnum):
     UPDATE_PLAN = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     kind: TxKind
     payload: bytes
     sender: str
     signature: bytes
     tx_id: bytes
+    # set by __post_init__ from the five fields above
+    wire: bytes = field(init=False, compare=False, repr=False)
+    id_ok: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        head = codec.pack(int(self.kind), self.payload, self.sender)
+        object.__setattr__(self, "wire", head + codec.pack(self.signature, self.tx_id))
+        object.__setattr__(self, "id_ok", codec.sha(head) == self.tx_id)
 
 
 def tx_digest(kind: TxKind, payload: bytes, sender: str) -> bytes:
@@ -59,7 +73,7 @@ def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Tr
 
 
 def encode_tx(tx: Transaction) -> bytes:
-    return codec.pack(int(tx.kind), tx.payload, tx.sender, tx.signature, tx.tx_id)
+    return tx.wire
 
 
 def decode_tx(data: bytes) -> Transaction:
@@ -77,7 +91,7 @@ def decode_tx(data: bytes) -> Transaction:
     return Transaction(kind, payload, sender, signature, tx_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     prev_hash: bytes
@@ -89,7 +103,7 @@ class Block:
 def block_hash(height: int, prev_hash: bytes, txs, status) -> bytes:
     parts: list = [height, prev_hash]
     for tx, (ok, reason) in zip(txs, status):
-        parts.append(codec.pack(encode_tx(tx), ok, reason))
+        parts.append(codec.pack(tx.wire, ok, reason))
     return codec.digest(*parts)
 
 
@@ -122,7 +136,7 @@ class Ledger:
 
     def submit_tx(self, tx: Transaction) -> tuple[bool, str]:
         """Structural admission into the mempool; contract checks run at sealing."""
-        if tx.tx_id != tx_digest(tx.kind, tx.payload, tx.sender):
+        if not tx.id_ok:
             return False, "bad-tx-id"
         if tx.tx_id in self._seen:
             return False, "duplicate"
@@ -180,7 +194,7 @@ def verify_chain(chain, keystore: KeyStore | None = None) -> int | None:
         if len(block.txs) != len(block.status):
             return i
         for tx in block.txs:
-            if tx.tx_id != tx_digest(tx.kind, tx.payload, tx.sender):
+            if not tx.id_ok:
                 return i
             # keys derive from the seed, so a keystore with the run's seed
             # checks any sender's signature; forged signatures still fail
@@ -197,7 +211,7 @@ def dump_chain(chain) -> str:
     lines = []
     for block in chain:
         recs = ";".join(
-            f"{encode_tx(tx).hex()}:{int(ok)}:{reason.encode().hex()}"
+            f"{tx.wire.hex()}:{int(ok)}:{reason.encode().hex()}"
             for tx, (ok, reason) in zip(block.txs, block.status))
         lines.append(f"{block.height} {block.prev_hash.hex()} {block.hash.hex()} {recs or '-'}")
     return "\n".join(lines) + "\n"

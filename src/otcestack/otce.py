@@ -61,7 +61,7 @@ class ResultSubmission:
     quorum_sigs: tuple[tuple[str, bytes], ...]   # (signer, signature), sorted
 
 
-@dataclass
+@dataclass(slots=True)
 class OTCERecord:
     eid: str
     state: OTCEState

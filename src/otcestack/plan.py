@@ -37,7 +37,7 @@ def fault_bound(protocol: Protocol, n: int) -> int:
     return (n - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecurityPlan:
     protocol: Protocol
     n: int

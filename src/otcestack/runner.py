@@ -41,7 +41,7 @@ class ActionError(ValueError):
     """A scripted action that could not take effect; recorded, not fatal."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionOutcome:
     index: int
     line_no: int
@@ -118,6 +118,11 @@ class _Runner:
         self.ledger.register_contract(self.otce)
         self.ledger.register_contract(self.dids)
         self.aliases: dict[str, str] = {}
+        # alias -> group of its create; tx id -> alias of each create not
+        # yet sealed; alias -> reason of each create sealed as refused
+        self._groups: dict[str, list[str]] = {}
+        self._creating: dict[bytes, str] = {}
+        self._refused: dict[str, str] = {}
         self.outcomes: list[ActionOutcome] = []
         self.consensus_results: list[InstanceResult] = []
         self.dag_reports: dict[str, ExecutionReport] = {}
@@ -145,6 +150,9 @@ class _Runner:
     def _eid(self, alias: str) -> str:
         eid = self.aliases.get(alias)
         if eid is None:
+            if alias in self._refused:
+                raise ActionError(
+                    f"sandbox {alias!r} was refused at creation: {self._refused[alias]}")
             raise ActionError(f"unknown sandbox alias {alias!r}")
         return eid
 
@@ -190,13 +198,19 @@ class _Runner:
         except ValueError:
             raise ActionError(f"{what} must be an integer, got {tok!r}") from None
 
-    def _trust_components(self, spec: str) -> tuple[float, ...]:
+    def _trust_components(self, spec: str, group) -> tuple[float, ...]:
+        """The trust vector a `trust=` spec gives `group`; `edge:<id>` is
+        that edge's trust, and only for a group within the edge."""
         if spec.startswith("edge:"):
             edge_id = spec[len("edge:"):]
-            try:
-                return (self.graph.trust(edge_id),)
-            except ValueError:
-                raise ActionError(f"unknown edge {edge_id!r}") from None
+            edge = self.graph.edges.get(edge_id)
+            if edge is None:
+                raise ActionError(f"unknown edge {edge_id!r}")
+            outside = sorted(set(group).difference(edge.members))
+            if outside:
+                raise ActionError(f"group member(s) {', '.join(outside)} "
+                                  f"not in edge {edge_id!r}")
+            return (edge.trust,)
         try:
             return tuple(float(tok) for tok in spec.split(","))
         except ValueError:
@@ -219,9 +233,18 @@ class _Runner:
 
     def _do_seal(self, index: int, action: ParsedAction) -> str:
         block = self.ledger.seal_block()
+        failed = 0
+        for tx, (ok, reason) in zip(block.txs, block.status):
+            alias = self._creating.pop(tx.tx_id, None)
+            if not ok:
+                failed += 1
+                if alias is not None:
+                    # a refused create frees its alias for another create
+                    del self.aliases[alias]
+                    self._refused[alias] = reason
         self.m["blocks_sealed"] += 1
-        self.m["txs_ok"] += sum(1 for ok, _ in block.status if ok)
-        self.m["txs_failed"] += sum(1 for ok, _ in block.status if not ok)
+        self.m["txs_ok"] += len(block.txs) - failed
+        self.m["txs_failed"] += failed
         return f"sealed h{block.height}:{len(block.txs)}tx"
 
     def _do_create_otce(self, index: int, action: ParsedAction) -> str:
@@ -230,11 +253,13 @@ class _Runner:
             raise ActionError(f"duplicate alias {alias!r}")
         group = sorted(action.kw["group"].split(","))
         delta_t = self._int(action.kw["delta"], "delta")
-        components = self._trust_components(action.kw["trust"])
+        components = self._trust_components(action.kw["trust"], group)
         sender = action.kw.get("by", group[0])
         tx = make_tx(self.ks, sender, TxKind.CREATE_OTCE,
                      create_payload(group, delta_t, components, nonce=index))
         self._submit(tx)
+        self._creating[tx.tx_id] = alias
+        self._groups[alias] = group
         self.aliases[alias] = eid_for_tx(tx.tx_id)
         return "submitted " + self.aliases[alias]
 
@@ -257,8 +282,9 @@ class _Runner:
         return "submitted " + self._submit(tx)
 
     def _do_update_plan(self, index: int, action: ParsedAction) -> str:
-        eid = self._eid(action.args[0])
-        components = self._trust_components(action.kw["trust"])
+        alias = action.args[0]
+        eid = self._eid(alias)
+        components = self._trust_components(action.kw["trust"], self._groups[alias])
         tx = make_tx(self.ks, action.kw["by"], TxKind.UPDATE_PLAN,
                      update_plan_payload(eid, components, nonce=index))
         return "submitted " + self._submit(tx)

@@ -110,6 +110,15 @@ def test_observation_for_other_edge_rejected():
         g.update_trust("e1", [obs("a", "e2", True, 1)])
 
 
+@pytest.mark.parametrize("subject", ["d", "nobody"], ids=["other-edge", "not-a-node"])
+def test_observation_of_a_non_member_rejected(subject):
+    # a batch with one outsider is refused whole, and trust does not move
+    g = small_graph()
+    with pytest.raises(ValueError, match="not a member of edge e1"):
+        g.update_trust("e1", [obs("a", "e1", True, 1), obs(subject, "e1", False, 99)])
+    assert g.trust("e1") == 0.5
+
+
 def test_trust_stays_in_unit_interval():
     rng = random.Random(99)
     g = small_graph()
@@ -170,6 +179,16 @@ def test_record_for_unknown_edge_rejected():
     g.register_oracle("o1", ks)
     rec = make_oracle_record(ks, "o1", obs("a", "zz", True, 2))
     assert not g.ingest_oracle_record(rec)
+
+
+def test_record_about_a_non_member_rejected():
+    ks = KeyStore(4)
+    g = small_graph()
+    g.register_oracle("o1", ks)
+    for subject in ("d", "nobody"):
+        rec = make_oracle_record(ks, "o1", obs(subject, "e1", False, 99))
+        assert not g.ingest_oracle_record(rec)
+    assert g.drain_pending("e1") == []
 
 
 def test_record_signed_by_other_oracle_rejected():

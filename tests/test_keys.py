@@ -1,3 +1,7 @@
+import hashlib
+import hmac
+import random
+
 import pytest
 
 from otcestack.keys import SIG_LEN, KeyStore
@@ -71,3 +75,19 @@ def test_cross_seed_signature_fails():
 def test_seed_outside_the_range_is_refused(seed):
     with pytest.raises(ValueError, match=r"seed must be in \[-2\^127, 2\^127\)"):
         KeyStore(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, -2**127, 2**127 - 1])
+def test_sign_equals_stdlib_hmac(seed):
+    # the stored pad states give the bytes of a full HMAC-SHA256 under the
+    # identity's secret, for messages shorter and longer than a 64-byte block
+    ks = KeyStore(seed)
+    rng = random.Random(seed)
+    base = b"key/" + seed.to_bytes(16, "big", signed=True)
+    for identity in ("", "a", "oracle:audit", "n\u00e9ud-\u03b1", "\u7bc0\u70b9"):
+        secret = hashlib.sha256(base + identity.encode()).digest()
+        for length in range(301):
+            msg = rng.randbytes(length)
+            want = hmac.new(secret, msg, hashlib.sha256).digest()
+            assert ks.sign(identity, msg) == want
+            assert ks.verify(identity, msg, want)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,10 @@ from otcestack.ledger import (SYSTEM_SENDER, ZERO_HASH, Block, Ledger, TxKind,
                               block_hash, decode_tx, dump_chain, encode_tx,
                               load_chain, make_genesis, make_tx, replay_chain,
                               tx_digest, verify_chain)
+from otcestack.runner import run_scenario
+from otcestack.scenario import parse_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class CounterContract:
@@ -140,6 +145,36 @@ def test_submit_rejects_bad_signature():
     tx = ctr_tx(ks, "alice", "x", 1, 0)
     bad = replace(tx, signature=bytes(b ^ 1 for b in tx.signature))
     assert ledger.submit_tx(bad) == (False, "bad-signature")
+
+
+def flip_first_bit(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+@pytest.mark.parametrize("field, change, reason", [
+    ("kind", lambda kind: TxKind.SUSPEND_OTCE, "bad-tx-id"),
+    ("payload", lambda payload: payload + b"!", "bad-tx-id"),
+    ("sender", lambda sender: sender + "x", "bad-tx-id"),
+    ("signature", flip_first_bit, "bad-signature"),
+    ("tx_id", flip_first_bit, "bad-tx-id"),
+])
+def test_replaced_tx_field_is_refused_at_admission_and_by_verify(field, change, reason):
+    # `replace` rebuilds the tx's cached encoding and id check, so a changed
+    # field can neither keep the old id check nor reach the chain's hashes
+    ks, ledger, _ = fresh()
+    tx = ctr_tx(ks, "alice", "x", 1, 0)
+    bad = replace(tx, **{field: change(getattr(tx, field))})
+    assert bad.wire == codec.pack(int(bad.kind), bad.payload, bad.sender,
+                                  bad.signature, bad.tx_id)
+    assert bad.id_ok is (field == "signature")
+    assert ledger.submit_tx(bad) == (False, reason)
+    # the block hash covers the changed tx, so only the tx's own checks can fail
+    genesis = make_genesis()
+    status = ((True, "ok"),)
+    block = Block(1, genesis.hash, (bad,), status,
+                  block_hash(1, genesis.hash, (bad,), status))
+    assert verify_chain([genesis, block], ks) == 1
+    assert verify_chain([genesis, block]) == (None if field == "signature" else 1)
 
 
 def test_submit_rejects_unhandled_kind():
@@ -322,6 +357,19 @@ def test_dump_load_round_trip():
     assert loaded == ledger.chain
     assert verify_chain(loaded, ks) is None
     assert dump_chain(loaded) == dump_chain(ledger.chain)
+
+
+@pytest.mark.parametrize("name", ["fig4", "plan_switch", "beyond_bound"])
+def test_cached_encoding_equals_the_five_field_pack(name):
+    path = SCENARIO_DIR / f"{name}.scn"
+    chain = run_scenario(parse_scenario(path.read_text()), base_dir=path.parent).ledger.chain
+    loaded = load_chain(dump_chain(chain))
+    txs = [tx for c in (chain, loaded) for block in c for tx in block.txs]
+    assert txs
+    for tx in txs:
+        assert tx.wire == codec.pack(int(tx.kind), tx.payload, tx.sender,
+                                     tx.signature, tx.tx_id)
+        assert tx.id_ok and tx.tx_id == tx_digest(tx.kind, tx.payload, tx.sender)
 
 
 def test_load_rejects_mangled_line():

@@ -181,6 +181,25 @@ def test_refused_create_is_a_committed_failed_tx(tmp_path, group, trust, reason)
     assert res.metrics["chain_ok"] == 1 and res.metrics["replay_ok"] == 1
 
 
+def test_create_refused_at_seal_frees_its_alias(tmp_path):
+    text = (ABCD.replace("node d\n", "")
+            + "do create-otce box group=a,b,c delta=10 trust=0.1\n"
+            + "do seal\n"
+            + "do consensus box value=01\n"
+            + "do create-otce box group=a,b,c delta=10 trust=0.9\n"
+            + "do seal\n"
+            + "do consensus box value=02\n")
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    ok = [o.ok for o in res.outcomes]
+    assert ok == [True, True, False, True, True, True]
+    assert res.outcomes[2].detail == "sandbox 'box' was refused at creation: plan-infeasible"
+    assert res.ledger.chain[1].status == ((False, "plan-infeasible"),)
+    assert res.ledger.chain[2].status == ((True, "paxos"),)
+    assert res.otce.record(res.aliases["box"]).plan.protocol is Protocol.PAXOS
+    assert res.consensus_results[0].agreed
+    assert res.chain_ok and res.replay_ok
+
+
 def test_replay_re_derives_the_plan_of_a_create(tmp_path):
     text = ABCD + "do create-otce box group=a,b,c,d delta=10 trust=0.2\ndo seal\n"
     res = run_scenario(parse_scenario(text), base_dir=tmp_path)
@@ -237,6 +256,51 @@ do seal
     eid = res.aliases["box"]
     # trust 0.95 >= tau 0.8 so the mapping picks the majority protocol
     assert res.otce.record(eid).plan.protocol is Protocol.PAXOS
+
+
+def test_observation_of_a_non_member_does_not_move_trust(tmp_path):
+    text = """\
+seed 3
+node a
+node b
+node c
+node z
+edge e1 0.9 a,b,c
+oracle o1
+do observe e1 z 0 99
+do observe e1 nobody 0 99
+do observe e1 nobody 0 99 by-oracle=o1
+do update-trust e1
+"""
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert [o.ok for o in res.outcomes] == [False, False, False, True]
+    assert res.outcomes[0].detail == "subject z is not a member of edge e1"
+    assert res.outcomes[2].detail == "oracle record rejected"
+    assert res.graph.trust("e1") == 0.9
+    assert res.metrics["observations_rejected"] == 1
+    assert res.metrics["trust_updates"] == 1
+
+
+def test_edge_trust_only_for_a_group_within_the_edge(tmp_path):
+    text = """\
+seed 3
+node a
+node b
+node c
+node d
+node z
+edge team 0.30 a,b,c,d
+edge other 0.99 a,z
+do create-otce box group=a,b,c,d delta=10 trust=edge:other by=b
+do create-otce box group=a,b,c,d delta=10 trust=edge:team by=b
+do update-plan box trust=edge:other by=a
+do seal
+"""
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert [o.ok for o in res.outcomes] == [False, True, False, True]
+    assert res.outcomes[0].detail == "group member(s) b, c, d not in edge 'other'"
+    assert res.outcomes[2].detail == res.outcomes[0].detail
+    assert res.otce.record(res.aliases["box"]).plan.protocol is Protocol.PBFT
 
 
 def test_faults_reach_consensus_networks(tmp_path):

@@ -6,6 +6,9 @@ import pytest
 from otcestack.consensus import Msg, MsgKind
 from otcestack.keys import KeyStore
 from otcestack.ledger import TxKind, make_genesis, make_tx
+from otcestack.otce import OTCERecord, OTCEState
+from otcestack.plan import Protocol, make_plan
+from otcestack.runner import ActionOutcome
 from otcestack.simnet import (Behavior, FaultSpec, Network, NetworkConfig,
                               Record, Send, SetTimer, SimEvent)
 
@@ -315,9 +318,19 @@ def test_per_message_records_are_slotted():
         assert not hasattr(record, "__dict__")
 
 
+def test_per_tx_records_are_slotted():
+    plan = make_plan(Protocol.PBFT, 4)
+    records = [make_tx(KeyStore(1), "a", TxKind.CREATE_OTCE, b"p"), make_genesis(),
+               OTCERecord("E1", OTCEState.RUNNING, ("a", "b"), 5, 1, plan),
+               ActionOutcome(0, 1, "seal", True, "sealed h1:0tx"), plan]
+    for record in records:
+        assert not hasattr(record, "__dict__")
+
+
 def test_shared_records_stay_frozen():
     # the wire memo hands one decoded Msg to every replica, and a run and
-    # its audit share the chain's blocks and their transactions
+    # its audit share the chain's blocks and their transactions; a tx's
+    # cached encoding and id check hold only while its fields cannot change
     ks = KeyStore(1)
     tx = make_tx(ks, "a", TxKind.CREATE_OTCE, b"p")
     shared = [Msg("i", MsgKind.PREPARE, "a"), tx, make_genesis(),
@@ -326,3 +339,7 @@ def test_shared_records_stay_frozen():
         field = dataclasses.fields(record)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, getattr(record, field))
+    for record in (tx, make_genesis()):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
