@@ -20,7 +20,15 @@ A tx is encoded, and its id checked, once, when it is built: a
 `Transaction` carries its canonical bytes (`wire`) and whether its id is
 the digest of its kind, payload and sender (`id_ok`). Admission, sealing,
 verification and the dump read these instead of packing the tx again;
-the tx is frozen, and `dataclasses.replace` rebuilds both.
+the tx is frozen, and `dataclasses.replace` rebuilds both. `make_tx`
+packs a tx's head (kind, payload, sender) once, for both its id and its
+wire. A tx loaded from a dump keeps the bytes it was decoded from as its
+wire: `decode_tx` refuses non-canonical bytes, so they are the bytes a
+re-pack would give.
+
+A dump has one text per chain: `load_chain` refuses a height not written
+as `str(int(h))`, a status token other than `0` or `1`, and upper-case
+hex.
 """
 
 from __future__ import annotations
@@ -53,23 +61,43 @@ class Transaction:
     sender: str
     signature: bytes
     tx_id: bytes
-    # set by __post_init__ from the five fields above
+    # set by `_set_wire` from the five fields above, in __post_init__ or,
+    # with the head already packed, in make_tx and decode_tx
     wire: bytes = field(init=False, compare=False, repr=False)
     id_ok: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        head = codec.pack(int(self.kind), self.payload, self.sender)
-        object.__setattr__(self, "wire", head + codec.pack(self.signature, self.tx_id))
-        object.__setattr__(self, "id_ok", codec.sha(head) == self.tx_id)
+        _set_wire(self, codec.pack(int(self.kind), self.payload, self.sender))
 
 
-def tx_digest(kind: TxKind, payload: bytes, sender: str) -> bytes:
-    return codec.digest(int(kind), payload, sender)
+def _set_wire(tx: Transaction, head: bytes, wire: bytes | None = None) -> None:
+    """Give `tx` its `wire`, `head + pack(signature, tx_id)` unless the
+    caller already holds those bytes, and `id_ok`, whether `tx_id` is the
+    digest of `head`, the packed kind, payload and sender."""
+    if wire is None:
+        wire = head + codec.pack(tx.signature, tx.tx_id)
+    object.__setattr__(tx, "wire", wire)
+    object.__setattr__(tx, "id_ok", codec.sha(head) == tx.tx_id)
+
+
+def _built_tx(kind: TxKind, payload: bytes, sender: str, signature: bytes,
+              tx_id: bytes, head: bytes, wire: bytes | None = None) -> Transaction:
+    """A `Transaction` of these fields whose head is already packed."""
+    tx = object.__new__(Transaction)
+    setattr_ = object.__setattr__
+    setattr_(tx, "kind", kind)
+    setattr_(tx, "payload", payload)
+    setattr_(tx, "sender", sender)
+    setattr_(tx, "signature", signature)
+    setattr_(tx, "tx_id", tx_id)
+    _set_wire(tx, head, wire)
+    return tx
 
 
 def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Transaction:
-    txid = tx_digest(kind, payload, sender)
-    return Transaction(kind, payload, sender, keystore.sign(sender, txid), txid)
+    head = codec.pack(int(kind), payload, sender)
+    txid = codec.sha(head)
+    return _built_tx(kind, payload, sender, keystore.sign(sender, txid), txid, head)
 
 
 def encode_tx(tx: Transaction) -> bytes:
@@ -88,7 +116,10 @@ def decode_tx(data: bytes) -> Transaction:
         kind = TxKind(kind_num)
     except ValueError as exc:
         raise codec.CodecError(f"unknown tx kind {kind_num}") from exc
-    return Transaction(kind, payload, sender, signature, tx_id)
+    # `data` is canonical, so it is the tx's wire, and its head is all of
+    # it but the trailing `pack(signature, tx_id)`: two 5-byte item heads
+    head = data[:len(data) - 10 - len(signature) - len(tx_id)]
+    return _built_tx(kind, payload, sender, signature, tx_id, head, data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +257,13 @@ def load_chain(text: str) -> list[Block]:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"bad chain line {lineno}")
+        # `bytes.fromhex` also takes upper case, and `int` a sign, leading
+        # zeros and other digits: refuse what `dump_chain` never writes
+        if line != line.lower():
+            raise ValueError(f"upper-case hex on chain line {lineno}")
         height = int(parts[0])
+        if parts[0] != str(height):
+            raise ValueError(f"non-canonical height on chain line {lineno}")
         prev_hash = bytes.fromhex(parts[1])
         block_h = bytes.fromhex(parts[2])
         txs: list[Transaction] = []
@@ -234,6 +271,8 @@ def load_chain(text: str) -> list[Block]:
         if parts[3] != "-":
             for rec in parts[3].split(";"):
                 tx_hex, ok_s, reason_hex = rec.split(":")
+                if ok_s != "1" and ok_s != "0":
+                    raise ValueError(f"bad status {ok_s!r} on chain line {lineno}")
                 txs.append(decode_tx(bytes.fromhex(tx_hex)))
                 status.append((ok_s == "1", bytes.fromhex(reason_hex).decode()))
         chain.append(Block(height, prev_hash, tuple(txs), tuple(status), block_h))

@@ -5,13 +5,17 @@ The plan is not sent: a create and an update-plan carry the group's trust
 vector, and the contract maps it to a plan under its `PlanMapping` in one
 helper, committing the chosen protocol as the tx's status. Replaying a
 chain therefore re-derives every plan, and a trust that maps to no
-feasible plan is a committed refusal.
+feasible plan is a committed refusal. Each registry maps a distinct trust
+vector and group size once and keeps the plan or the refusal; a fresh
+registry, so every replay, starts without any and derives its own.
 
 Creation promotes straight to Running inside the sealing step that
 commits it. Termination is absorbing and has three causes: a verified
 result submission ("results"), a member-initiated close ("closed"), and
 the end-of-block expiry sweep ("expiry") once `created_height + delta_t`
 is reached — the countdown keeps running while a record is suspended.
+A system-signed terminate is an expiry and is refused ("not-due") before
+that height.
 
 The sweep is driven by an expiry index: a min-heap of (expiry height, eid)
 filled at creation. Each seal pops only the entries now due, and skips
@@ -142,6 +146,8 @@ class OTCERegistry:
         # (expiry_height, eid) min-heap of every created record; entries of
         # records that terminated earlier are dropped when they come due
         self._expiry: list[tuple[int, str]] = []
+        # (components, n) as decoded -> what `_plan` returns for them
+        self._plans: dict[tuple, tuple[SecurityPlan | None, str]] = {}
 
     # -- payload validation (structural; semantic checks live in apply) ----
 
@@ -212,13 +218,18 @@ class OTCERegistry:
 
     def _plan(self, components, n: int) -> tuple[SecurityPlan | None, str]:
         """The plan the mapping gives a group of n under this trust vector,
-        or None and the refusal reason."""
-        try:
-            return map_trust_to_plan(self.mapping, trust_vector(components), n), ""
-        except PlanInfeasibleError:
-            return None, "plan-infeasible"
-        except ValueError:
-            return None, "bad-trust-vector"
+        or None and the refusal reason; derived once per distinct pair."""
+        key = (components, n)
+        got = self._plans.get(key)
+        if got is None:
+            try:
+                got = map_trust_to_plan(self.mapping, trust_vector(components), n), ""
+            except PlanInfeasibleError:
+                got = None, "plan-infeasible"
+            except ValueError:
+                got = None, "bad-trust-vector"
+            self._plans[key] = got
+        return got
 
     def _apply_create(self, tx, decoded, height) -> tuple[bool, str]:
         _, group, delta_t, components = decoded
@@ -277,6 +288,8 @@ class OTCERegistry:
         if rec is None:
             return False, "unknown-eid"
         if tx.sender == SYSTEM_SENDER:
+            if height < rec.expiry_height:
+                return False, "not-due"
             cause = CAUSE_EXPIRY
         elif tx.sender in rec.group:
             cause = CAUSE_CLOSED

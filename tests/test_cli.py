@@ -161,8 +161,9 @@ def test_verify_detects_bit_flips(workdir, capsys):
         i = rng.randrange(len(data))
         data[i] ^= 1 << rng.randrange(8)
         mutated = bytes(data)
-        # a flip that only changes hex-letter case decodes identically, so
-        # "intact" is then the right verdict
+        # a flip that leaves the dump decoding to the same chain must read
+        # "intact"; `load_chain` refuses a case-only flip of a hex letter, so
+        # that one is "corrupt"
         try:
             same = load_chain(mutated.decode()) == original
         except (ValueError, IndexError, UnicodeDecodeError):

@@ -9,7 +9,7 @@ from otcestack.keys import KeyStore
 from otcestack.ledger import (SYSTEM_SENDER, ZERO_HASH, Block, Ledger, TxKind,
                               block_hash, decode_tx, dump_chain, encode_tx,
                               load_chain, make_genesis, make_tx, replay_chain,
-                              tx_digest, verify_chain)
+                              verify_chain)
 from otcestack.runner import run_scenario
 from otcestack.scenario import parse_scenario
 
@@ -121,10 +121,12 @@ def test_decode_tx_rejects_garbage():
 
 
 def test_tx_id_binds_kind_payload_sender():
-    base = tx_digest(TxKind.REGISTER_DID, b"p", "alice")
-    assert tx_digest(TxKind.SUSPEND_OTCE, b"p", "alice") != base
-    assert tx_digest(TxKind.REGISTER_DID, b"q", "alice") != base
-    assert tx_digest(TxKind.REGISTER_DID, b"p", "bob") != base
+    ks = KeyStore(7)
+    base = make_tx(ks, "alice", TxKind.REGISTER_DID, b"p").tx_id
+    assert base == codec.digest(int(TxKind.REGISTER_DID), b"p", "alice")
+    assert make_tx(ks, "alice", TxKind.SUSPEND_OTCE, b"p").tx_id != base
+    assert make_tx(ks, "alice", TxKind.REGISTER_DID, b"q").tx_id != base
+    assert make_tx(ks, "bob", TxKind.REGISTER_DID, b"p").tx_id != base
 
 
 # -- admission -------------------------------------------------------------
@@ -369,7 +371,7 @@ def test_cached_encoding_equals_the_five_field_pack(name):
     for tx in txs:
         assert tx.wire == codec.pack(int(tx.kind), tx.payload, tx.sender,
                                      tx.signature, tx.tx_id)
-        assert tx.id_ok and tx.tx_id == tx_digest(tx.kind, tx.payload, tx.sender)
+        assert tx.id_ok and tx.tx_id == codec.digest(int(tx.kind), tx.payload, tx.sender)
 
 
 def test_load_rejects_mangled_line():
@@ -397,6 +399,41 @@ def test_load_refuses_a_tx_kind_that_is_not_an_int(kind, alias):
     forged = f"{head} {alias.hex()}{recs[len(canonical):]}\n"
     with pytest.raises(codec.CodecError, match="not an int"):
         load_chain(forged)
+
+
+def _status_x(text):
+    return text.replace(":0:", ":x:", 1)
+
+
+def _height_01(text):
+    return text.replace("\n1 ", "\n01 ", 1)
+
+
+def _upper_hex(text):
+    line = text.splitlines()[1]
+    return text.replace(line, line.upper(), 1)
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (_status_x, "bad status 'x'"),
+    (_height_01, "non-canonical height"),
+    (_upper_hex, "upper-case hex"),
+], ids=["status-x", "height-01", "upper-case-hex"])
+def test_load_refuses_dump_text_that_dump_chain_never_writes(tmp_path, capsys,
+                                                             mutate, match):
+    # each of these decodes to the same chain, so one chain would have many dumps
+    from otcestack.cli import main
+
+    ks, ledger, _ = build_chain()
+    text = dump_chain(ledger.chain)
+    assert ":0:" in text
+    forged = mutate(text)
+    assert forged != text
+    with pytest.raises(ValueError, match=match):
+        load_chain(forged)
+    (tmp_path / "chain.dump").write_text(forged)
+    assert main(["verify-chain", "--dump", str(tmp_path / "chain.dump")]) == 1
+    assert "chain corrupt" in capsys.readouterr().out
 
 
 def test_replay_reproduces_outcomes_and_state():

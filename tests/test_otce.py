@@ -239,6 +239,23 @@ def test_expiry_marker_survives_replay():
     assert replay_reg.dump() == reg.dump()
 
 
+def test_system_terminate_before_expiry_is_refused_as_not_due():
+    ks, ledger, reg = fresh()
+    eid = create(ks, ledger, delta_t=3)             # created at height 1, expires at 4
+    forged = terminate_payload(eid, CAUSE_EXPIRY, 1)
+    assert send(ks, ledger, "system", TxKind.TERMINATE_OTCE, forged) == (False, "not-due")
+    assert reg.record(eid).state is OTCEState.RUNNING
+    ledger.seal_block()                             # height 3
+    # due at height 4: a system terminate there is the expiry, and the
+    # sweep then finds nothing live to mark
+    due = terminate_payload(eid, CAUSE_EXPIRY, 2)
+    assert send(ks, ledger, "system", TxKind.TERMINATE_OTCE, due) == (True, "")
+    assert len(ledger.chain[-1].txs) == 1
+    rec = reg.record(eid)
+    assert (rec.cause, rec.terminated_height) == (CAUSE_EXPIRY, 4)
+    assert replay_chain(ledger.chain, [OTCERegistry(KeyStore(11), PlanMapping())]) == []
+
+
 def test_expiry_skips_already_terminated():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger, delta_t=2)

@@ -212,6 +212,25 @@ def test_replay_re_derives_the_plan_of_a_create(tmp_path):
     assert "'paxos'" in mismatches[0]
 
 
+def test_forged_expiry_before_the_due_height_is_a_committed_refusal(tmp_path):
+    # anyone can sign as the system sender here, so a system terminate is
+    # checked against the sandbox's expiry height, at sealing and in replay
+    text = ABCD + """\
+edge e 0.9 a,b,c,d
+do create-otce s group=a,b,c,d delta=500 trust=edge:e by=a
+do seal
+do terminate s by=system
+do seal
+"""
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert all(o.ok for o in res.outcomes)
+    assert res.ledger.chain[2].status == ((False, "not-due"),)
+    rec = res.otce.record(res.aliases["s"])
+    assert rec.state is OTCEState.RUNNING and rec.cause is None
+    assert res.metrics["txs_failed"] == 1
+    assert res.chain_ok and res.replay_ok
+
+
 def test_plan_switch_changes_next_consensus_engine(tmp_path):
     text = """\
 seed 9
