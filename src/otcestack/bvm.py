@@ -18,11 +18,11 @@ under the inputs the node lacks and is re-checked only when one of them
 first arrives, so picking the next task costs a heap operation, not a scan
 of the node's tasks, and the work per task is fixed by its inputs. A node
 takes a signed chunk only when some task reads it and the sender holds it,
-and a signed value only for a task of the DAG; any other message counts as
-a rejection. The report names the live members that hold every sink
-value; they sign the sandbox contract's result message, and the contract
-accepts it only when the signers meet the group's security plan, so no
-single node is trusted with the result.
+and a signed value only from a node the schedule or the reassignment gave
+that task; any other message counts as a rejection. The report names the
+live members that hold every sink value; they sign the sandbox contract's
+result message, and the contract accepts it only when the signers meet
+the group's security plan, so no single node is trusted with the result.
 A broadcast value reaches every peer as the same wire, so the executors of
 one execution share a memo from (sender, wire) to the checked message: each
 distinct pair is verified and decoded once, and every rejected delivery is
@@ -258,9 +258,13 @@ def _value_body(execution_id: str, kind: str, ref: str, data: bytes) -> bytes:
 class TaskExecutor:
     """Per-node engine: runs its assigned tasks one at a time, one tick each,
     broadcasting finished values; learns remote values and chunks from
-    signed messages. `holders` is the execution's map from node to the
-    chunks it holds, shared by every executor: the node starts with its own
-    entry and takes a chunk message only from a holder of that chunk.
+    signed messages. `assignees` (task -> the nodes given it, in schedule
+    order) and `holders` (node -> the chunks it holds) are the execution's
+    maps, shared by every executor: the node runs the tasks the schedule
+    gave it, starts with its own chunks, takes a value message only from a
+    node given that task and a chunk message only from a holder of that
+    chunk. The reassignment round after a crash adds each task's new node
+    to `assignees`; the scheduled node may still finish the task too.
 
     It starts the first task in `assigned` order that is ready (every task
     input in `values`, every chunk input in `chunks`) and not yet finished;
@@ -281,13 +285,14 @@ class TaskExecutor:
     executor built without one gets a private memo."""
 
     def __init__(self, execution_id: str, dag: TaskDAG, node: str, members,
-                 assigned: list[str], holders: dict[str, dict[str, bytes]],
+                 assignees: dict[str, list[str]], holders: dict[str, dict[str, bytes]],
                  keystore: KeyStore,
                  verified: dict[tuple[str, bytes], tuple | None] | None = None):
         self.execution_id = execution_id
         self.dag = dag
         self.node = node
         self.members = tuple(sorted(members))
+        self.assignees = assignees
         self.holders = holders
         self.chunks = dict(holders.get(node, {}))
         self.keystore = keystore
@@ -298,8 +303,9 @@ class TaskExecutor:
         self._heap: list[int] = []          # positions in `assigned`
         self._waiting: dict[str, dict[str, list[int]]] = {TASK: {}, CHUNK: {}}
         self.assigned: list[str] = []
-        for tid in assigned:
-            self._assign(tid)
+        for tid, nodes in assignees.items():
+            if nodes[0] == node:
+                self._assign(tid)
 
     def _signed(self, kind: str, ref: str, data: bytes) -> bytes:
         body = _value_body(self.execution_id, kind, ref, data)
@@ -419,7 +425,7 @@ class TaskExecutor:
         if (kind == "chunk" and ref in self.dag.chunk_ids()
                 and ref in self.holders.get(event.src, ())):
             known, key = self.chunks, CHUNK
-        elif kind == "value" and ref in self.dag.tasks:
+        elif kind == "value" and event.src in self.assignees.get(ref, ()):
             known, key = self.values, TASK
         else:
             self.rejected += 1
@@ -452,14 +458,12 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     ordered = tuple(sorted(members))
     schedule = topo_schedule(dag, ordered, holders)
     order = list(schedule)
-    assigned: dict[str, list[str]] = {node: [] for node in ordered}
-    for tid in order:
-        assigned[schedule[tid]].append(tid)
+    assignees = {tid: [node] for tid, node in schedule.items()}
     net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
     verified: dict[tuple[str, bytes], tuple | None] = {}
     execs: dict[str, TaskExecutor] = {}
     for node in ordered:
-        execs[node] = TaskExecutor(execution_id, dag, node, ordered, assigned[node],
+        execs[node] = TaskExecutor(execution_id, dag, node, ordered, assignees,
                                    holders, keystore, verified)
         net.register(node, execs[node].step)
     for spec in faults:
@@ -498,6 +502,7 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         reassigned = _place(dag, placeable, live, holders)
         takeovers: dict[str, list[str]] = {}
         for tid, node in reassigned.items():
+            assignees[tid].append(node)
             takeovers.setdefault(node, []).append(tid)
         start = net.now + 1
         for node in sorted(takeovers):

@@ -9,7 +9,7 @@ from otcestack.bvm import (CycleError, Task, TaskDAG, TaskExecutor, chunk_input,
                            eval_op, execute_collaborative, lit_input,
                            outputs_digest, parse_dag, sequential_oracle,
                            task_input, topo_layers, topo_schedule)
-from otcestack.keys import KeyStore
+from otcestack.keys import SIG_LEN, KeyStore
 from otcestack.simnet import Behavior, FaultSpec, NetworkConfig, SetTimer, SimEvent
 
 MEMBERS = ("w1", "w2", "w3")
@@ -283,7 +283,9 @@ def test_crash_triggers_reassignment_and_completion():
     assert report.retried
     assert report.values == want
     assert all(node != "w1" for node in report.reassigned.values())
+    # the takers' values come from the tasks' new assignees and are taken
     assert report.signers == ("w2", "w3")
+    assert report.rejected == dict.fromkeys(MEMBERS, 0)
 
 
 def test_topological_order_computed_once_per_execution(monkeypatch):
@@ -318,6 +320,8 @@ def test_crash_sweep_with_replicated_chunks():
             faults=(FaultSpec(victim, Behavior.CRASH, at_tick=rng.randrange(0, 8)),))
         assert report.completed, f"victim {victim}"
         assert report.values == sequential_oracle(dag, chunks)
+        # a live node still finishes a task the round moved elsewhere
+        assert report.rejected == dict.fromkeys(MEMBERS, 0)
 
 
 def test_sole_holder_crash_fails_cleanly():
@@ -357,7 +361,7 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
     ks = KeyStore(3)
     dag = TaskDAG({"a": Task("a", "add", (lit_input(b"\x01"),)),
                    "b": Task("b", "add", (inp, lit_input(b"\x01")))})
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), ["b"],
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), {"a": ["m0"], "b": ["m1"]},
                             {"m0": {"a": b"\x05"}}, ks)
     body = codec.pack("bvm-val", "x", kind, "a", 5)
     wire = body + ks.sign("m0", body)
@@ -375,7 +379,7 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
 def test_chunk_accepted_only_from_a_holder_and_only_if_read():
     ks = KeyStore(3)
     dag = TaskDAG({"a": Task("a", "concat", (chunk_input("k"),))})
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), ["a"],
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), {"a": ["m1"]},
                             {"m2": {"k": b"real"}}, ks)
 
     def chunk_from(src, ref, data, t):
@@ -389,6 +393,32 @@ def test_chunk_accepted_only_from_a_holder_and_only_if_read():
     assert chunk_from("m2", "k", b"real", 3) == [SetTimer(1, "exec:a")]
     executor.step(SimEvent(4, 4, "timer", "m1", "m1", b"", "exec:a"), 4)
     assert executor.values == {"a": b"real"} and executor.rejected == 2
+
+
+def test_value_accepted_only_from_the_tasks_assignee():
+    # m1 relabels its value for d as c, m2's task, and re-signs it
+    ks = KeyStore(3)
+    dag, chunks = parse_dag("chunk x 05\ntask a add c:x l:01\ntask b mul t:a l:03\n"
+                            "task c hash t:b\ntask d add t:a l:02\n")
+    members = ("m0", "m1", "m2", "m3")
+
+    def relabel(payload, dst, index):
+        fields = codec.unpack(payload[:-SIG_LEN])
+        if fields[2:4] != ("value", "d"):
+            return payload
+        body = codec.pack("bvm-val", fields[1], "value", "c", b"\xee" * 32)
+        return body + ks.sign("m1", body)
+
+    report = execute_collaborative(
+        dag, members, {m: dict(chunks) for m in members}, ks,
+        net_cfg=NetworkConfig(seed=1),
+        faults=(FaultSpec("m1", Behavior.EQUIVOCATE, transform=relabel),))
+    assert report.schedule == {"a": "m0", "b": "m0", "d": "m1", "c": "m2"}
+    assert report.completed
+    assert report.values == sequential_oracle(dag, chunks)
+    assert report.rejected == {"m0": 1, "m1": 0, "m2": 1, "m3": 1}
+    # only m1 holds d, the value it never sent under its own label
+    assert report.signers == ("m1",)
 
 
 def test_deterministic_reruns():

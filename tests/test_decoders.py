@@ -50,7 +50,7 @@ def _consensus(fields):
 
 def _bvm(fields):
     dag = TaskDAG({"t": Task("t", "hash", (lit_input(b"\x01"),))})
-    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), ["t"], {}, KS)
+    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": ["m1"]}, {}, KS)
     got = executor._check("m0", _wire(fields))
     return REFUSED if got is None else got
 
