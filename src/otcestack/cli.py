@@ -85,7 +85,8 @@ def _cmd_run(args) -> int:
 def _load_dump(path: str) -> tuple[list | None, int]:
     """(chain, 0) when readable; (None, 2) unreadable; (None, 1) corrupt text."""
     try:
-        text = Path(path).read_text()
+        # bytes, so a `\r` reaches `load_chain` rather than a newline
+        text = Path(path).read_bytes().decode()
     except UnicodeDecodeError as exc:
         print(f"chain corrupt: unparseable dump ({exc})")
         return None, 1

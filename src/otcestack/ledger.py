@@ -26,13 +26,17 @@ wire. A tx loaded from a dump keeps the bytes it was decoded from as its
 wire: `decode_tx` refuses non-canonical bytes, so they are the bytes a
 re-pack would give.
 
-A dump has one text per chain: `load_chain` refuses a height not written
-as `str(int(h))`, a status token other than `0` or `1`, and upper-case
-hex.
+A dump has one text per chain: `load_chain` refuses any character
+`dump_chain` never writes (upper-case hex, `#`, tabs, `\r`), a text that
+does not end with a newline, a line that is not four fields split by
+single spaces (a blank line, leading or trailing spaces, runs of spaces),
+a height not written as `str(int(h))` and a status token other than `0`
+or `1`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -98,10 +102,6 @@ def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Tr
     head = codec.pack(int(kind), payload, sender)
     txid = codec.sha(head)
     return _built_tx(kind, payload, sender, keystore.sign(sender, txid), txid, head)
-
-
-def encode_tx(tx: Transaction) -> bytes:
-    return tx.wire
 
 
 def decode_tx(data: bytes) -> Transaction:
@@ -248,19 +248,26 @@ def dump_chain(chain) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The characters `dump_chain` writes. `bytes.fromhex` also takes upper
+# case and skips whitespace, and `int` takes surrounding whitespace.
+_DUMP_CHARS = b"0123456789abcdef;:- \n"
+_NOT_DUMP_CHAR = re.compile(r"[^0-9a-f;: \n-]")
+
+
 def load_chain(text: str) -> list[Block]:
+    if not text.endswith("\n"):
+        raise ValueError("chain dump does not end with a newline")
+    if text.encode().translate(None, _DUMP_CHARS):
+        at = _NOT_DUMP_CHAR.search(text).start()
+        lineno = text.count("\n", 0, at) + 1
+        raise ValueError(f"{text[at]!r} on chain line {lineno}: "
+                         "not a character dump_chain writes")
     chain = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, line in enumerate(text[:-1].split("\n"), start=1):
+        parts = line.split(" ")
         if len(parts) != 4:
             raise ValueError(f"bad chain line {lineno}")
-        # `bytes.fromhex` also takes upper case, and `int` a sign, leading
-        # zeros and other digits: refuse what `dump_chain` never writes
-        if line != line.lower():
-            raise ValueError(f"upper-case hex on chain line {lineno}")
+        # `int` also takes a sign, leading zeros and other digits
         height = int(parts[0])
         if parts[0] != str(height):
             raise ValueError(f"non-canonical height on chain line {lineno}")
@@ -276,8 +283,6 @@ def load_chain(text: str) -> list[Block]:
                 txs.append(decode_tx(bytes.fromhex(tx_hex)))
                 status.append((ok_s == "1", bytes.fromhex(reason_hex).decode()))
         chain.append(Block(height, prev_hash, tuple(txs), tuple(status), block_h))
-    if not chain:
-        raise ValueError("chain dump holds no blocks")
     return chain
 
 

@@ -218,12 +218,19 @@ class OTCERegistry:
 
     def _plan(self, components, n: int) -> tuple[SecurityPlan | None, str]:
         """The plan the mapping gives a group of n under this trust vector,
-        or None and the refusal reason; derived once per distinct pair."""
+        or None and the refusal reason; derived once per distinct pair. A
+        vector that is no trust vector (a NaN, a component outside [0, 1])
+        is refused without a memo entry: a decoded NaN equals no other, so
+        its entries would only pile up."""
         key = (components, n)
         got = self._plans.get(key)
         if got is None:
             try:
-                got = map_trust_to_plan(self.mapping, trust_vector(components), n), ""
+                tv = trust_vector(components)
+            except ValueError:
+                return None, "bad-trust-vector"
+            try:
+                got = map_trust_to_plan(self.mapping, tv, n), ""
             except PlanInfeasibleError:
                 got = None, "plan-infeasible"
             except ValueError:

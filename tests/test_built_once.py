@@ -17,8 +17,8 @@ import pytest
 
 from otcestack import codec, otce
 from otcestack.keys import KeyStore
-from otcestack.ledger import (Transaction, TxKind, decode_tx, dump_chain,
-                              load_chain, make_tx)
+from otcestack.ledger import (Ledger, Transaction, TxKind, decode_tx,
+                              dump_chain, load_chain, make_tx)
 from otcestack.otce import OTCERegistry
 from otcestack.plan import (PlanInfeasibleError, PlanMapping, map_trust_to_plan,
                             trust_vector)
@@ -166,11 +166,32 @@ def test_memoised_plan_equals_the_rule_for_every_pair_of_the_workload(runs, deri
     ((0.9, 0.9), 4, "bad-trust-vector"),       # wider than the mapping
 ])
 def test_memoised_refusal_equals_the_rule(components, n, reason, derivations):
+    # only what `map_trust_to_plan` rules on is kept: a vector that is no
+    # trust vector is refused afresh each time
+    try:
+        trust_vector(components)
+        kept = True
+    except ValueError:
+        kept = False
     reg = OTCERegistry(KeyStore(1), PlanMapping())
     for _ in range(3):
         assert reg._plan(components, n) == (None, reason)
         assert reg._plan(components, n) == _reference_plan(reg.mapping, components, n)
-    assert len(derivations) == 1
+    assert reg._plans == ({(components, n): (None, reason)} if kept else {})
+    assert len(derivations) == (1 if kept else 6)
+
+
+def test_nan_creates_are_refused_without_memo_entries():
+    ks = KeyStore(1)
+    reg = OTCERegistry(ks, PlanMapping())
+    ledger = Ledger(ks)
+    ledger.register_contract(reg)
+    for nonce in range(3):
+        payload = otce.create_payload("abcd", 5, [math.nan], nonce)
+        assert ledger.submit_tx(make_tx(ks, "a", TxKind.CREATE_OTCE, payload)) == (True, "ok")
+    block = ledger.seal_block()
+    assert block.status == ((False, "bad-trust-vector"),) * 3
+    assert reg._plans == {}
 
 
 def test_replay_registry_starts_empty_and_derives_its_own_plans(runs, derivations):

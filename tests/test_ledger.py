@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from otcestack import codec
 from otcestack.keys import KeyStore
 from otcestack.ledger import (SYSTEM_SENDER, ZERO_HASH, Block, Ledger, TxKind,
-                              block_hash, decode_tx, dump_chain, encode_tx,
+                              block_hash, decode_tx, dump_chain,
                               load_chain, make_genesis, make_tx, replay_chain,
                               verify_chain)
 from otcestack.runner import run_scenario
@@ -106,7 +107,7 @@ def test_empty_blocks_advance_height():
 def test_tx_encode_decode_round_trip():
     ks = KeyStore(7)
     tx = ctr_tx(ks, "alice", "x", 3, 0)
-    assert decode_tx(encode_tx(tx)) == tx
+    assert decode_tx(tx.wire) == tx
 
 
 def test_decode_tx_rejects_garbage():
@@ -414,11 +415,26 @@ def _upper_hex(text):
     return text.replace(line, line.upper(), 1)
 
 
+def _line_2(text, old, new):
+    return text.replace("\n1 " + old, "\n1" + new, 1)
+
+
 @pytest.mark.parametrize("mutate, match", [
-    (_status_x, "bad status 'x'"),
+    (_status_x, "'x' on chain line"),
+    (lambda t: t.replace(":0:", ":2:", 1), "bad status '2'"),
     (_height_01, "non-canonical height"),
-    (_upper_hex, "upper-case hex"),
-], ids=["status-x", "height-01", "upper-case-hex"])
+    (_upper_hex, "on chain line 2: not a character dump_chain writes"),
+    (lambda t: t.replace("\n", "\n\n", 1), "bad chain line 2"),
+    (lambda t: "# note\n" + t, "'#' on chain line 1"),
+    (lambda t: t.replace("\n1 ", "\n  1 ", 1), "bad chain line 2"),
+    (lambda t: t.replace("\n", " \n", 1), "bad chain line 1"),
+    (lambda t: _line_2(t, "", "\t"), "'\\t' on chain line 2"),
+    (lambda t: t.replace("\n", "\r\n", 1), "'\\r' on chain line 1"),
+    (lambda t: _line_2(t, "", "  "), "bad chain line 2"),
+    (lambda t: t[:-1], "does not end with a newline"),
+], ids=["status-x", "status-2", "height-01", "upper-case-hex", "blank-line", "comment-line",
+        "leading-spaces", "trailing-space", "tab", "carriage-return",
+        "run-of-spaces", "no-final-newline"])
 def test_load_refuses_dump_text_that_dump_chain_never_writes(tmp_path, capsys,
                                                              mutate, match):
     # each of these decodes to the same chain, so one chain would have many dumps
@@ -429,7 +445,7 @@ def test_load_refuses_dump_text_that_dump_chain_never_writes(tmp_path, capsys,
     assert ":0:" in text
     forged = mutate(text)
     assert forged != text
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         load_chain(forged)
     (tmp_path / "chain.dump").write_text(forged)
     assert main(["verify-chain", "--dump", str(tmp_path / "chain.dump")]) == 1
