@@ -1,6 +1,12 @@
 """Sandbox lifecycle contract: creation, suspend/resume, results, expiry.
 
-Each record tracks (eid, state, group, lifetime, results, security plan).
+Each record tracks (eid, state, group, lifetime, security plan, and how
+and when it terminated). A payload carries only what the contract reads:
+a suspend, resume or terminate names the sandbox and nothing else, and a
+result carries the execution's output digest and the quorum's signatures
+over `result_message(eid, digest)`. `decode_payload` returns those fields
+untagged and `apply` dispatches on the tx kind.
+
 The plan is not sent: a create and an update-plan carry the group's trust
 vector, and the contract maps it to a plan under its `PlanMapping` in one
 helper, committing the chosen protocol as the tx's status. Replaying a
@@ -14,8 +20,8 @@ commits it. Termination is absorbing and has three causes: a verified
 result submission ("results"), a member-initiated close ("closed"), and
 the end-of-block expiry sweep ("expiry") once `created_height + delta_t`
 is reached — the countdown keeps running while a record is suspended.
-A system-signed terminate is an expiry and is refused ("not-due") before
-that height.
+The contract derives the cause from the sender: a system-signed
+terminate is an expiry and is refused ("not-due") before that height.
 
 The sweep is driven by an expiry index: a min-heap of (expiry height, eid)
 filled at creation. Each seal pops only the entries now due, and skips
@@ -58,13 +64,6 @@ CAUSE_CLOSED = "closed"
 LIVE_STATES = (OTCEState.RUNNING, OTCEState.SUSPEND)
 
 
-@dataclass(frozen=True)
-class ResultSubmission:
-    eid: str
-    digests: tuple[tuple[str, bytes], ...]       # (node, digest), sorted by node
-    quorum_sigs: tuple[tuple[str, bytes], ...]   # (signer, signature), sorted
-
-
 @dataclass(slots=True)
 class OTCERecord:
     eid: str
@@ -73,14 +72,21 @@ class OTCERecord:
     delta_t: int
     created_height: int
     plan: SecurityPlan
-    results: ResultSubmission | None = None
     cause: str | None = None
-    suspend_meta: bytes | None = None
     terminated_height: int | None = None
 
     @property
     def expiry_height(self) -> int:
         return self.created_height + self.delta_t
+
+
+# The tag of each payload that only names a sandbox: (tag, eid, nonce).
+LIFECYCLE_TAGS = {TxKind.SUSPEND_OTCE: "suspend", TxKind.RESUME_OTCE: "resume",
+                  TxKind.TERMINATE_OTCE: "terminate"}
+
+# suspend and resume: the state the record must be in, the state it moves to
+_SWITCH = {TxKind.SUSPEND_OTCE: (OTCEState.RUNNING, OTCEState.SUSPEND),
+           TxKind.RESUME_OTCE: (OTCEState.SUSPEND, OTCEState.RUNNING)}
 
 
 # -- payload encodings -----------------------------------------------------
@@ -90,39 +96,24 @@ def create_payload(group, delta_t: int, components, nonce: int) -> bytes:
                       nonce)
 
 
-def suspend_payload(eid: str, meta: bytes, nonce: int) -> bytes:
-    return codec.pack("suspend", eid, meta, nonce)
+def lifecycle_payload(kind: TxKind, eid: str, nonce: int) -> bytes:
+    """A suspend, resume or terminate of `eid`."""
+    return codec.pack(LIFECYCLE_TAGS[kind], eid, nonce)
 
 
-def resume_payload(eid: str, nonce: int) -> bytes:
-    return codec.pack("resume", eid, nonce)
-
-
-def terminate_payload(eid: str, cause: str, nonce: int) -> bytes:
-    return codec.pack("terminate", eid, cause, nonce)
-
-
-def submit_result_payload(sub: ResultSubmission, nonce: int) -> bytes:
-    digests = [[node, d] for node, d in sorted(sub.digests)]
-    sigs = [[signer, s] for signer, s in sorted(sub.quorum_sigs)]
-    return codec.pack("result", sub.eid, digests, sigs, nonce)
+def submit_result_payload(eid: str, digest: bytes, sigs, nonce: int) -> bytes:
+    """A result: the output digest and the (signer, signature) pairs over
+    `result_message(eid, digest)`, sorted by signer."""
+    return codec.pack("result", eid, digest, [[s, sig] for s, sig in sorted(sigs)], nonce)
 
 
 def update_plan_payload(eid: str, components, nonce: int) -> bytes:
     return codec.pack("plan", eid, [float(c) for c in components], nonce)
 
 
-def combined_digest(digests) -> bytes:
-    parts: list = []
-    for node, d in sorted(digests):
-        parts.append(node)
-        parts.append(d)
-    return codec.digest(*parts)
-
-
-def result_message(eid: str, combined: bytes) -> bytes:
-    """The byte string each quorum member signs to endorse a result set."""
-    return codec.pack("result-sig", eid, combined)
+def result_message(eid: str, digest: bytes) -> bytes:
+    """The byte string each quorum member signs to endorse a result."""
+    return codec.pack("result-sig", eid, digest)
 
 
 def eid_for_tx(tx_id: bytes) -> str:
@@ -152,31 +143,26 @@ class OTCERegistry:
     # -- payload validation (structural; semantic checks live in apply) ----
 
     def decode_payload(self, kind: TxKind, payload: bytes):
+        """The fields `apply` reads: a suspend, resume or terminate's eid."""
         if kind is TxKind.CREATE_OTCE:
             _, group, delta_t, components, _ = codec.unpack_record(
                 payload, "create", tuple, int, tuple, int)
             codec.check_record(group, *(str,) * len(group))
             codec.check_record(components, *(float,) * len(components))
-            return "create", group, delta_t, components
-        if kind is TxKind.SUSPEND_OTCE:
-            _, eid, meta, _ = codec.unpack_record(payload, "suspend", str, bytes, int)
-            return "suspend", eid, meta
-        if kind is TxKind.RESUME_OTCE:
-            _, eid, _ = codec.unpack_record(payload, "resume", str, int)
-            return "resume", eid
-        if kind is TxKind.TERMINATE_OTCE:
-            _, eid, cause, _ = codec.unpack_record(payload, "terminate", str, str, int)
-            return "terminate", eid, cause
+            return group, delta_t, components
+        tag = LIFECYCLE_TAGS.get(kind)
+        if tag is not None:
+            return codec.unpack_record(payload, tag, str, int)[1]
         if kind is TxKind.SUBMIT_RESULT:
-            _, eid, digests, sigs, _ = codec.unpack_record(
-                payload, "result", str, tuple, tuple, object)
-            for pair in digests + sigs:
+            _, eid, digest, sigs, _ = codec.unpack_record(
+                payload, "result", str, bytes, tuple, int)
+            for pair in sigs:
                 codec.check_record(pair, str, bytes)
-            return "result", ResultSubmission(eid, digests, sigs)
+            return eid, digest, sigs
         if kind is TxKind.UPDATE_PLAN:
             _, eid, components, _ = codec.unpack_record(payload, "plan", str, tuple, int)
             codec.check_record(components, *(float,) * len(components))
-            return "plan", eid, components
+            return eid, components
         raise codec.CodecError(f"unsupported kind {kind.name}")
 
     # -- state transitions -------------------------------------------------
@@ -188,6 +174,18 @@ class OTCERegistry:
                 f"illegal transition {rec.state.value} -> {new_state.value} for {rec.eid}")
         self.transitions.append((rec.eid, rec.state, new_state, height, note))
         rec.state = new_state
+
+    def _member_record(self, tx, eid: str, states) -> tuple[OTCERecord | None, str]:
+        """The record of `eid` when the sender is in its group and its state
+        is one of `states`; else None and the first refusal, in that order."""
+        rec = self.records.get(eid)
+        if rec is None:
+            return None, "unknown-eid"
+        if tx.sender not in rec.group:
+            return None, "not-a-member"
+        if rec.state not in states:
+            return None, f"bad-state:{rec.state.value}"
+        return rec, ""
 
     def record(self, eid: str) -> OTCERecord:
         try:
@@ -203,18 +201,7 @@ class OTCERegistry:
 
     def apply(self, tx: Transaction, decoded, height: int) -> tuple[bool, str]:
         """Apply a committed tx, given its payload as `decode_payload` returned it."""
-        verb = decoded[0]
-        if verb == "create":
-            return self._apply_create(tx, decoded, height)
-        if verb == "suspend":
-            return self._apply_suspend(tx, decoded, height)
-        if verb == "resume":
-            return self._apply_resume(tx, decoded, height)
-        if verb == "terminate":
-            return self._apply_terminate(tx, decoded, height)
-        if verb == "result":
-            return self._apply_result(tx, decoded, height)
-        return self._apply_update_plan(tx, decoded, height)
+        return _APPLY[tx.kind](self, tx, decoded, height)
 
     def _plan(self, components, n: int) -> tuple[SecurityPlan | None, str]:
         """The plan the mapping gives a group of n under this trust vector,
@@ -239,7 +226,7 @@ class OTCERegistry:
         return got
 
     def _apply_create(self, tx, decoded, height) -> tuple[bool, str]:
-        _, group, delta_t, components = decoded
+        group, delta_t, components = decoded
         if not group:
             return False, "empty-group"
         if len(set(group)) != len(group):
@@ -264,33 +251,17 @@ class OTCERegistry:
         self._transition(rec, OTCEState.RUNNING, height, "create")
         return True, plan.protocol.value
 
-    def _apply_suspend(self, tx, decoded, height) -> tuple[bool, str]:
-        _, eid, meta = decoded
-        rec = self.records.get(eid)
+    def _apply_switch(self, tx, eid, height) -> tuple[bool, str]:
+        """Suspend or resume: a member moves a record between Running and
+        Suspend."""
+        before, after = _SWITCH[tx.kind]
+        rec, refusal = self._member_record(tx, eid, (before,))
         if rec is None:
-            return False, "unknown-eid"
-        if tx.sender not in rec.group:
-            return False, "not-a-member"
-        if rec.state is not OTCEState.RUNNING:
-            return False, f"bad-state:{rec.state.value}"
-        rec.suspend_meta = meta
-        self._transition(rec, OTCEState.SUSPEND, height, "suspend")
+            return False, refusal
+        self._transition(rec, after, height, LIFECYCLE_TAGS[tx.kind])
         return True, ""
 
-    def _apply_resume(self, tx, decoded, height) -> tuple[bool, str]:
-        _, eid = decoded
-        rec = self.records.get(eid)
-        if rec is None:
-            return False, "unknown-eid"
-        if tx.sender not in rec.group:
-            return False, "not-a-member"
-        if rec.state is not OTCEState.SUSPEND:
-            return False, f"bad-state:{rec.state.value}"
-        self._transition(rec, OTCEState.RUNNING, height, "resume")
-        return True, ""
-
-    def _apply_terminate(self, tx, decoded, height) -> tuple[bool, str]:
-        _, eid, _cause = decoded
+    def _apply_terminate(self, tx, eid, height) -> tuple[bool, str]:
         rec = self.records.get(eid)
         if rec is None:
             return False, "unknown-eid"
@@ -310,40 +281,33 @@ class OTCERegistry:
         return True, ""
 
     def _apply_result(self, tx, decoded, height) -> tuple[bool, str]:
-        _, sub = decoded
-        rec = self.records.get(sub.eid)
+        eid, digest, sigs = decoded
+        rec = self.records.get(eid)
         if rec is None:
             return False, "unknown-eid"
         if rec.state is not OTCEState.RUNNING:
             return False, f"bad-state:{rec.state.value}"
-        signers = [s for s, _ in sub.quorum_sigs]
+        signers = [s for s, _ in sigs]
         if len(set(signers)) != len(signers):
             return False, "duplicate-signer"
         if any(s not in rec.group for s in signers):
             return False, "signer-not-in-group"
-        if any(n not in rec.group for n, _ in sub.digests):
-            return False, "digest-not-in-group"
         if len(signers) < rec.plan.verify_threshold:
             return False, "below-threshold"
-        message = result_message(sub.eid, combined_digest(sub.digests))
-        for signer, sig in sub.quorum_sigs:
+        message = result_message(eid, digest)
+        for signer, sig in sigs:
             if not self.keystore.verify(signer, message, sig):
                 return False, "bad-signature"
-        rec.results = sub
         rec.cause = CAUSE_RESULTS
         rec.terminated_height = height
         self._transition(rec, OTCEState.TERMINATED, height, CAUSE_RESULTS)
         return True, ""
 
     def _apply_update_plan(self, tx, decoded, height) -> tuple[bool, str]:
-        _, eid, components = decoded
-        rec = self.records.get(eid)
+        eid, components = decoded
+        rec, refusal = self._member_record(tx, eid, LIVE_STATES)
         if rec is None:
-            return False, "unknown-eid"
-        if tx.sender not in rec.group:
-            return False, "not-a-member"
-        if rec.state not in LIVE_STATES:
-            return False, f"bad-state:{rec.state.value}"
+            return False, refusal
         plan, refusal = self._plan(components, len(rec.group))
         if plan is None:
             return False, refusal
@@ -366,7 +330,7 @@ class OTCERegistry:
         due.sort()
         return [
             make_tx(self.keystore, SYSTEM_SENDER, TxKind.TERMINATE_OTCE,
-                    terminate_payload(eid, CAUSE_EXPIRY, nonce=height))
+                    lifecycle_payload(TxKind.TERMINATE_OTCE, eid, nonce=height))
             for eid in due
         ]
 
@@ -379,3 +343,15 @@ class OTCERegistry:
             lines.append(f"{rec.eid} {rec.state.value} {','.join(rec.group)} "
                          f"{rec.delta_t} {rec.created_height}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+# tx kind -> the rule `apply` runs; plain functions, so the table holds no
+# reference to any registry
+_APPLY = {
+    TxKind.CREATE_OTCE: OTCERegistry._apply_create,
+    TxKind.SUSPEND_OTCE: OTCERegistry._apply_switch,
+    TxKind.RESUME_OTCE: OTCERegistry._apply_switch,
+    TxKind.TERMINATE_OTCE: OTCERegistry._apply_terminate,
+    TxKind.SUBMIT_RESULT: OTCERegistry._apply_result,
+    TxKind.UPDATE_PLAN: OTCERegistry._apply_update_plan,
+}

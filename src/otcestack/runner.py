@@ -28,9 +28,8 @@ from .hypergraph import (BehaviorObservation, TrustHypergraph,
 from .keys import KeyStore
 from .ledger import (Ledger, TxKind, dump_chain, make_tx, replay_chain,
                      verify_chain)
-from .otce import (OTCERegistry, combined_digest, create_payload, eid_for_tx,
-                   result_message, ResultSubmission, resume_payload,
-                   submit_result_payload, suspend_payload, terminate_payload,
+from .otce import (LIFECYCLE_TAGS, OTCERegistry, create_payload, eid_for_tx,
+                   lifecycle_payload, result_message, submit_result_payload,
                    update_plan_payload)
 from .plan import PlanMapping
 from .scenario import ParsedAction, Scenario, ScenarioError
@@ -99,6 +98,10 @@ def audit_chain(chain, scn: Scenario, keystore: KeyStore):
     bad = verify_chain(chain, keystore)
     mismatches = replay_chain(chain, [otce, dids]) if bad is None else []
     return bad, mismatches, (otce, dids)
+
+
+# the scenario verbs that name only a sandbox -> their tx kinds
+_LIFECYCLE_KINDS = {verb: kind for kind, verb in LIFECYCLE_TAGS.items()}
 
 
 def _net_seed(seed: int, index: int) -> int:
@@ -263,23 +266,15 @@ class _Runner:
         self.aliases[alias] = eid_for_tx(tx.tx_id)
         return "submitted " + self.aliases[alias]
 
-    def _do_suspend(self, index: int, action: ParsedAction) -> str:
+    def _do_lifecycle(self, index: int, action: ParsedAction) -> str:
+        """`suspend`, `resume` and `terminate`: a tx naming only the sandbox."""
         eid = self._eid(action.args[0])
-        tx = make_tx(self.ks, action.kw["by"], TxKind.SUSPEND_OTCE,
-                     suspend_payload(eid, b"", nonce=index))
+        kind = _LIFECYCLE_KINDS[action.verb]
+        tx = make_tx(self.ks, action.kw["by"], kind,
+                     lifecycle_payload(kind, eid, nonce=index))
         return "submitted " + self._submit(tx)
 
-    def _do_resume(self, index: int, action: ParsedAction) -> str:
-        eid = self._eid(action.args[0])
-        tx = make_tx(self.ks, action.kw["by"], TxKind.RESUME_OTCE,
-                     resume_payload(eid, nonce=index))
-        return "submitted " + self._submit(tx)
-
-    def _do_terminate(self, index: int, action: ParsedAction) -> str:
-        eid = self._eid(action.args[0])
-        tx = make_tx(self.ks, action.kw["by"], TxKind.TERMINATE_OTCE,
-                     terminate_payload(eid, "closed", nonce=index))
-        return "submitted " + self._submit(tx)
+    _do_suspend = _do_resume = _do_terminate = _do_lifecycle
 
     def _do_update_plan(self, index: int, action: ParsedAction) -> str:
         alias = action.args[0]
@@ -393,14 +388,11 @@ class _Runner:
         if not report.completed or report.digest is None:
             raise ActionError(f"dag execution for {alias!r} incomplete")
         signers = report.signers
-        digests = tuple((node, report.digest) for node in signers)
-        message = result_message(eid, combined_digest(digests))
-        sub = ResultSubmission(
-            eid, digests,
-            tuple((node, self.ks.sign(node, message)) for node in signers))
+        message = result_message(eid, report.digest)
+        sigs = [(node, self.ks.sign(node, message)) for node in signers]
         sender = signers[0] if signers else "nobody"
         tx = make_tx(self.ks, sender, TxKind.SUBMIT_RESULT,
-                     submit_result_payload(sub, nonce=index))
+                     submit_result_payload(eid, report.digest, sigs, nonce=index))
         return "submitted " + self._submit(tx)
 
     # -- whole run ---------------------------------------------------------

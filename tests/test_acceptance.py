@@ -17,8 +17,7 @@ from otcestack.did import consistent_candidates, reconstruct, share_secret
 from otcestack.keys import KeyStore
 from otcestack.ledger import Ledger, TxKind, make_tx, replay_chain, verify_chain
 from otcestack.otce import (LEGAL_TRANSITIONS, OTCERegistry, create_payload,
-                            eid_for_tx, resume_payload, submit_result_payload,
-                            suspend_payload, terminate_payload,
+                            eid_for_tx, lifecycle_payload, submit_result_payload,
                             update_plan_payload)
 from otcestack.plan import (PlanMapping, Protocol, make_plan, map_trust_to_plan,
                             plan_score, trust_vector)
@@ -150,7 +149,6 @@ def test_criterion_03_beyond_bound_never_silent():
 
 def test_criterion_04_lifecycle_fuzz():
     pool = ("n1", "n2", "n3", "n4", "n5", "n6", "n7")
-    causes = ("closed", "expiry", "results", "bogus")
     total_steps = 0
     for seed in (101, 202, 303):
         ks = KeyStore(11)
@@ -180,20 +178,12 @@ def test_criterion_04_lifecycle_fuzz():
                 eid = rng.choice(sorted(live) + ["Edeadbeef0000"])
                 group = live.get(eid, pool)
                 sender = rng.choice(group + ("outsider",))
-                op = rng.randrange(4)
-                if op == 0:
-                    payload = suspend_payload(eid, rng.randbytes(3), nonce)
-                    kind = TxKind.SUSPEND_OTCE
-                elif op == 1:
-                    payload = resume_payload(eid, nonce)
-                    kind = TxKind.RESUME_OTCE
-                elif op == 2:
-                    payload = terminate_payload(eid, rng.choice(causes), nonce)
-                    kind = TxKind.TERMINATE_OTCE
+                kind = rng.choice((TxKind.SUSPEND_OTCE, TxKind.RESUME_OTCE,
+                                   TxKind.TERMINATE_OTCE, TxKind.UPDATE_PLAN))
+                if kind is TxKind.UPDATE_PLAN:
+                    payload = update_plan_payload(eid, (round(rng.random(), 3),), nonce)
                 else:
-                    tv = (round(rng.random(), 3),)
-                    payload = update_plan_payload(eid, tv, nonce)
-                    kind = TxKind.UPDATE_PLAN
+                    payload = lifecycle_payload(kind, eid, nonce)
                 ledger.submit_tx(make_tx(ks, sender, kind, payload))
             elif roll < 0.75:
                 eid = rng.choice(sorted(live))
@@ -201,7 +191,7 @@ def test_criterion_04_lifecycle_fuzz():
                 sub = good_submission(ks, eid, group, rng.randint(0, len(group)))
                 ledger.submit_tx(make_tx(ks, rng.choice(group),
                                          TxKind.SUBMIT_RESULT,
-                                         submit_result_payload(sub, nonce)))
+                                         submit_result_payload(*sub, nonce)))
             else:
                 ledger.seal_block()
                 height = ledger.current_height()

@@ -17,7 +17,7 @@ from otcestack.consensus import Msg, MsgKind, verify_msg
 from otcestack.did import DIDRegistry
 from otcestack.keys import KeyStore
 from otcestack.ledger import Transaction, TxKind, decode_tx
-from otcestack.otce import OTCERegistry, ResultSubmission
+from otcestack.otce import OTCERegistry
 
 REFUSED = "refused"
 KS = KeyStore(5)
@@ -68,7 +68,7 @@ class Case:
 
 TX = Transaction(TxKind.CREATE_OTCE, b"p", "alice", SIG, TXID)
 GROUP = ("a", "b", "c", "d")
-RESULT = ResultSubmission("E1", (("a", b"d1"), ("b", b"d2")), (("a", b"s1"),))
+SIGS = (("a", b"s1"),)
 MSG = Msg("inst", MsgKind.PREPARE, "m0", 2, -1, None, b"d" * 32, -1, -1)
 
 CASES = [
@@ -78,7 +78,7 @@ CASES = [
          tagged=False),
     Case("otce-create", _otce(TxKind.CREATE_OTCE),
          ["create", list(GROUP), 5, [0.5, 0.25], 7],
-         ("create", GROUP, 5, (0.5, 0.25)),
+         (GROUP, 5, (0.5, 0.25)),
          refused=[(1, b"a"), (1, ["a", 1]), (1, "abcd"), (2, "5"), (2, 5.0), (2, None),
                   (3, b"x"), (3, 0.5), (3, [0.5, 1]), (3, [True]), (3, ["0.5"]),
                   (3, [[0.5]]), (4, "7"), (4, None),
@@ -86,33 +86,29 @@ CASES = [
                   (3, ["pbft", 4, 1, 3]), (3, ["pbft", 4, 1, 3, 3, 0]),
                   (3, ["raft", 4, 1, 3, 3]), (3, [b"pbft", 4, 1, 3, 3]),
                   (3, ["pbft", 4, "1", 3, 3]), (3, ["pbft", 4, 1, 3, 3.0])],
-         accepted=[(1, [], ("create", (), 5, (0.5, 0.25))),
-                   (2, True, ("create", GROUP, 1, (0.5, 0.25))),
-                   (3, [], ("create", GROUP, 5, ())),
-                   (4, False, ("create", GROUP, 5, (0.5, 0.25)))]),
-    Case("otce-suspend", _otce(TxKind.SUSPEND_OTCE), ["suspend", "E1", b"m", 3],
-         ("suspend", "E1", b"m"),
-         refused=[(1, b"E1"), (2, "m"), (2, None), (3, "3")]),
-    Case("otce-resume", _otce(TxKind.RESUME_OTCE), ["resume", "E1", 3], ("resume", "E1"),
+         accepted=[(1, [], ((), 5, (0.5, 0.25))),
+                   (2, True, (GROUP, 1, (0.5, 0.25))),
+                   (3, [], (GROUP, 5, ())),
+                   (4, False, (GROUP, 5, (0.5, 0.25)))]),
+    # suspend, resume and terminate name the sandbox and nothing else
+    Case("otce-suspend", _otce(TxKind.SUSPEND_OTCE), ["suspend", "E1", 3], "E1",
+         refused=[(1, b"E1"), (2, "m"), (2, None), (2, "3")]),
+    Case("otce-resume", _otce(TxKind.RESUME_OTCE), ["resume", "E1", 3], "E1",
          refused=[(1, 5), (2, 3.0), (2, b"3")]),
-    Case("otce-terminate", _otce(TxKind.TERMINATE_OTCE), ["terminate", "E1", "closed", 3],
-         ("terminate", "E1", "closed"),
-         refused=[(1, None), (2, b"closed"), (3, "3")]),
+    Case("otce-terminate", _otce(TxKind.TERMINATE_OTCE), ["terminate", "E1", 3], "E1",
+         refused=[(1, None), (2, b"closed"), (2, "3")]),
     Case("otce-result", _otce(TxKind.SUBMIT_RESULT),
-         ["result", "E1", [["a", b"d1"], ["b", b"d2"]], [["a", b"s1"]], 3],
-         ("result", RESULT),
-         refused=[(1, 1), (2, b"x"), (3, "x"), (2, [["a"]]), (2, [["a", b"d", 1]]),
-                  (2, [[b"a", b"d"]]), (2, ["a"]), (3, [["a", "s"]]), (3, [b"ab"]),
-                  (3, [["a", b"s"], []])],
-         # the nonce of a result is not checked
-         accepted=[(4, "n", ("result", RESULT)), (4, None, ("result", RESULT)),
-                   (4, [1, b"2"], ("result", RESULT)),
-                   (2, [], ("result", ResultSubmission("E1", (), (("a", b"s1"),))))]),
+         ["result", "E1", b"d", [["a", b"s1"]], 3], ("E1", b"d", SIGS),
+         refused=[(1, 1), (2, []), (2, [["a"]]), (2, [["a", b"d", 1]]),
+                  (2, [[b"a", b"d"]]), (2, ["a"]), (3, "x"), (3, [["a", "s"]]),
+                  (3, [b"ab"]), (3, [["a", b"s"], []]), (4, "n"), (4, None),
+                  (4, [1, b"2"])],
+         accepted=[(2, b"x", ("E1", b"x", SIGS)), (3, [], ("E1", b"d", ()))]),
     Case("otce-plan", _otce(TxKind.UPDATE_PLAN), ["plan", "E1", [0.5, 0.25], 3],
-         ("plan", "E1", (0.5, 0.25)),
+         ("E1", (0.5, 0.25)),
          refused=[(1, b"E1"), (2, b"x"), (2, [0.5, 1]), (2, [True]), (2, ["0.5"]),
                   (3, "3")],
-         accepted=[(2, [], ("plan", "E1", ()))]),
+         accepted=[(2, [], ("E1", ()))]),
     Case("did-register", _codec_errors(
              lambda data: DIDRegistry().decode_payload(TxKind.REGISTER_DID, data)),
          ["register", b"pk", [["role", b"\x00"], ["tier", b"\xff"]], 3],

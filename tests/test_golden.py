@@ -21,12 +21,12 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "fig4": {
-        "chain.dump": "9d59a78ebbafc27d9e402e0de7b8cbd1cc58a987e62cd7296b0a430dab790e6f",
+        "chain.dump": "2f136b7cdd2d938915bf662ef88c7fc4d9314c57600f94cd51154ffa8371c222",
         "did.dump": "599b6397d860b33cb75192f9c48963d8f71addc12f073ab8fb62d737d1a173a8",
         "graph.dump": "0dfb2412559d4ed1c0abdd8212bc55328de08b9e3fa5f4ed744a9b022bfd3d7f",
         "metrics.txt": "76ddcd39d43cb9bce938a6237d347645d843d69647c31cbf50ad0a7415f3d311",
         "otce.dump": "b4b1c99feaee166549feef99c145357461038ad6b307307fc6873b419d2c46d1",
-        "trace.log": "041c49f49dc4a12c3c7c4685a1374de7af7b733312adb08462c99ac61aecdedb",
+        "trace.log": "763e117fb7e89100bd0a2087a593d295b1b8b3c69f5abe2d0b52af8237845087",
     },
     "plan_switch": {
         "chain.dump": "09ac9b360425b8fed634f30f7c9f43d81b9e9a1f5f2769d6906047aa5b03c74c",

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -7,11 +9,9 @@ from otcestack import codec
 from otcestack.keys import KeyStore
 from otcestack.ledger import Ledger, TxKind, make_tx, replay_chain, verify_chain
 from otcestack.otce import (CAUSE_CLOSED, CAUSE_EXPIRY, CAUSE_RESULTS,
-                            OTCERegistry, OTCEState, ResultSubmission,
-                            combined_digest, create_payload, eid_for_tx,
-                            result_message, resume_payload,
-                            submit_result_payload, suspend_payload,
-                            terminate_payload, update_plan_payload)
+                            OTCERegistry, OTCEState, create_payload, eid_for_tx,
+                            lifecycle_payload, result_message,
+                            submit_result_payload, update_plan_payload)
 from otcestack.plan import PlanMapping, Protocol
 
 GROUP4 = ("n1", "n2", "n3", "n4")
@@ -43,13 +43,24 @@ def send(ks, ledger, sender, kind, payload):
     return block.status[0]
 
 
+def suspend_payload(eid, nonce):
+    return lifecycle_payload(TxKind.SUSPEND_OTCE, eid, nonce)
+
+
+def resume_payload(eid, nonce):
+    return lifecycle_payload(TxKind.RESUME_OTCE, eid, nonce)
+
+
+def terminate_payload(eid, nonce):
+    return lifecycle_payload(TxKind.TERMINATE_OTCE, eid, nonce)
+
+
 def good_submission(ks, eid, group, n_sigs):
-    digests = tuple(sorted((n, codec.digest("task", n)) for n in group))
-    message = result_message(eid, combined_digest(digests))
-    sigs = []
-    for signer in sorted(group)[:n_sigs]:
-        sigs.append((signer, ks.sign(signer, message)))
-    return ResultSubmission(eid, digests, tuple(sigs))
+    """(eid, digest, sigs) of a result the first n_sigs members sign."""
+    digest = codec.digest("task", eid)
+    message = result_message(eid, digest)
+    sigs = tuple((signer, ks.sign(signer, message)) for signer in sorted(group)[:n_sigs])
+    return eid, digest, sigs
 
 
 # -- creation --------------------------------------------------------------
@@ -125,9 +136,8 @@ def test_suspend_resume_cycle():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger)
     assert send(ks, ledger, "n2", TxKind.SUSPEND_OTCE,
-                suspend_payload(eid, b"snapshot", 1)) == (True, "")
+                suspend_payload(eid, 1)) == (True, "")
     assert reg.record(eid).state is OTCEState.SUSPEND
-    assert reg.record(eid).suspend_meta == b"snapshot"
     assert send(ks, ledger, "n3", TxKind.RESUME_OTCE,
                 resume_payload(eid, 2)) == (True, "")
     assert reg.record(eid).state is OTCEState.RUNNING
@@ -137,16 +147,16 @@ def test_suspend_by_outsider_refused():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger)
     assert send(ks, ledger, "mallory", TxKind.SUSPEND_OTCE,
-                suspend_payload(eid, b"", 1)) == (False, "not-a-member")
+                suspend_payload(eid, 1)) == (False, "not-a-member")
     assert reg.record(eid).state is OTCEState.RUNNING
 
 
 def test_double_suspend_refused():
     ks, ledger, _ = fresh()
     eid = create(ks, ledger)
-    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, b"", 1))
+    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, 1))
     assert send(ks, ledger, "n1", TxKind.SUSPEND_OTCE,
-                suspend_payload(eid, b"", 2)) == (False, "bad-state:Suspend")
+                suspend_payload(eid, 2)) == (False, "bad-state:Suspend")
 
 
 def test_resume_while_running_refused():
@@ -160,7 +170,18 @@ def test_unknown_eid_refused():
     ks, ledger, _ = fresh()
     create(ks, ledger)
     assert send(ks, ledger, "n1", TxKind.SUSPEND_OTCE,
-                suspend_payload("E000000000000", b"", 1)) == (False, "unknown-eid")
+                suspend_payload("E000000000000", 1)) == (False, "unknown-eid")
+
+
+@pytest.mark.parametrize("kind", [TxKind.SUSPEND_OTCE, TxKind.RESUME_OTCE,
+                                  TxKind.TERMINATE_OTCE])
+def test_lifecycle_payload_under_another_kind_is_malformed(kind):
+    # the three payloads differ only in their tag, which must match the kind
+    ks, ledger, _ = fresh()
+    eid = create(ks, ledger)
+    other = next(k for k in (TxKind.RESUME_OTCE, TxKind.SUSPEND_OTCE) if k is not kind)
+    tx = make_tx(ks, "n1", kind, lifecycle_payload(other, eid, 1))
+    assert ledger.submit_tx(tx) == (False, "malformed-payload")
 
 
 # -- member termination ----------------------------------------------------
@@ -169,7 +190,7 @@ def test_member_close_records_cause():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger)
     assert send(ks, ledger, "n4", TxKind.TERMINATE_OTCE,
-                terminate_payload(eid, CAUSE_CLOSED, 1)) == (True, "")
+                terminate_payload(eid, 1)) == (True, "")
     rec = reg.record(eid)
     assert rec.state is OTCEState.TERMINATED
     assert rec.cause == CAUSE_CLOSED
@@ -179,22 +200,22 @@ def test_member_close_records_cause():
 def test_close_from_suspend_allowed():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger)
-    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, b"", 1))
+    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, 1))
     assert send(ks, ledger, "n1", TxKind.TERMINATE_OTCE,
-                terminate_payload(eid, CAUSE_CLOSED, 2)) == (True, "")
+                terminate_payload(eid, 2)) == (True, "")
     assert reg.record(eid).cause == CAUSE_CLOSED
 
 
 def test_termination_is_absorbing():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger)
-    send(ks, ledger, "n1", TxKind.TERMINATE_OTCE, terminate_payload(eid, CAUSE_CLOSED, 1))
+    send(ks, ledger, "n1", TxKind.TERMINATE_OTCE, terminate_payload(eid, 1))
     assert send(ks, ledger, "n1", TxKind.SUSPEND_OTCE,
-                suspend_payload(eid, b"", 2)) == (False, "bad-state:Terminated")
+                suspend_payload(eid, 2)) == (False, "bad-state:Terminated")
     assert send(ks, ledger, "n1", TxKind.RESUME_OTCE,
                 resume_payload(eid, 3)) == (False, "bad-state:Terminated")
     assert send(ks, ledger, "n1", TxKind.TERMINATE_OTCE,
-                terminate_payload(eid, CAUSE_CLOSED, 4)) == (False, "bad-state:Terminated")
+                terminate_payload(eid, 4)) == (False, "bad-state:Terminated")
     assert reg.record(eid).terminated_height == 2
 
 
@@ -219,7 +240,7 @@ def test_expiry_fires_at_inclusive_height():
 def test_suspension_does_not_pause_countdown():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger, delta_t=3)
-    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, b"", 1))  # height 2
+    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, 1))  # height 2
     ledger.seal_block()                                                        # height 3
     ledger.seal_block()                                                        # height 4
     rec = reg.record(eid)
@@ -242,13 +263,13 @@ def test_expiry_marker_survives_replay():
 def test_system_terminate_before_expiry_is_refused_as_not_due():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger, delta_t=3)             # created at height 1, expires at 4
-    forged = terminate_payload(eid, CAUSE_EXPIRY, 1)
+    forged = terminate_payload(eid, 1)
     assert send(ks, ledger, "system", TxKind.TERMINATE_OTCE, forged) == (False, "not-due")
     assert reg.record(eid).state is OTCEState.RUNNING
     ledger.seal_block()                             # height 3
     # due at height 4: a system terminate there is the expiry, and the
     # sweep then finds nothing live to mark
-    due = terminate_payload(eid, CAUSE_EXPIRY, 2)
+    due = terminate_payload(eid, 2)
     assert send(ks, ledger, "system", TxKind.TERMINATE_OTCE, due) == (True, "")
     assert len(ledger.chain[-1].txs) == 1
     rec = reg.record(eid)
@@ -259,7 +280,7 @@ def test_system_terminate_before_expiry_is_refused_as_not_due():
 def test_expiry_skips_already_terminated():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger, delta_t=2)
-    send(ks, ledger, "n1", TxKind.TERMINATE_OTCE, terminate_payload(eid, CAUSE_CLOSED, 1))
+    send(ks, ledger, "n1", TxKind.TERMINATE_OTCE, terminate_payload(eid, 1))
     block = ledger.seal_block()                     # height 3, past expiry
     assert block.txs == ()
     assert reg.record(eid).cause == CAUSE_CLOSED
@@ -275,7 +296,7 @@ class SweepChecked(OTCERegistry):
     def on_block_end(self, height):
         want = sorted(r.eid for r in self.alive() if height >= r.expiry_height)
         markers = super().on_block_end(height)
-        got = [self.decode_payload(m.kind, m.payload)[1] for m in markers]
+        got = [self.decode_payload(m.kind, m.payload) for m in markers]
         assert got == want, f"height {height}"
         self.swept.append(got)
         return markers
@@ -299,16 +320,16 @@ def test_expiry_index_matches_full_scan():
             nonce += 1
             roll = rng.random()
             if roll < 0.25:
-                kind, payload = TxKind.SUSPEND_OTCE, suspend_payload(rec.eid, b"", nonce)
+                kind, payload = TxKind.SUSPEND_OTCE, suspend_payload(rec.eid, nonce)
             elif roll < 0.4:
                 kind, payload = TxKind.RESUME_OTCE, resume_payload(rec.eid, nonce)
             elif roll < 0.45:
                 kind = TxKind.TERMINATE_OTCE
-                payload = terminate_payload(rec.eid, CAUSE_CLOSED, nonce)
+                payload = terminate_payload(rec.eid, nonce)
             elif roll < 0.5:
                 kind = TxKind.SUBMIT_RESULT
                 payload = submit_result_payload(
-                    good_submission(ks, rec.eid, GROUP4, 3), nonce)
+                    *good_submission(ks, rec.eid, GROUP4, 3), nonce)
             else:
                 continue
             tx = make_tx(ks, rng.choice(GROUP4), kind, payload)
@@ -339,7 +360,7 @@ def test_sweep_orders_markers_by_eid_across_heights():
     restored = OTCERegistry(ks, PlanMapping())
     assert replay_chain(ledger.chain, [restored]) == []
     markers = restored.on_block_end(100)
-    got = [restored.decode_payload(m.kind, m.payload)[1] for m in markers]
+    got = [restored.decode_payload(m.kind, m.payload) for m in markers]
     assert got == sorted(eids)
     assert restored.on_block_end(101) == []
 
@@ -351,11 +372,11 @@ def test_result_with_quorum_terminates():
     eid = create(ks, ledger)                        # pbft n=4: threshold 3
     sub = good_submission(ks, eid, GROUP4, n_sigs=3)
     assert send(ks, ledger, "n1", TxKind.SUBMIT_RESULT,
-                submit_result_payload(sub, 1)) == (True, "")
+                submit_result_payload(*sub, 1)) == (True, "")
     rec = reg.record(eid)
     assert rec.state is OTCEState.TERMINATED
     assert rec.cause == CAUSE_RESULTS
-    assert rec.results == sub
+    assert rec.terminated_height == 2
 
 
 def test_result_below_threshold_refused():
@@ -363,59 +384,55 @@ def test_result_below_threshold_refused():
     eid = create(ks, ledger)
     sub = good_submission(ks, eid, GROUP4, n_sigs=2)
     assert send(ks, ledger, "n1", TxKind.SUBMIT_RESULT,
-                submit_result_payload(sub, 1)) == (False, "below-threshold")
+                submit_result_payload(*sub, 1)) == (False, "below-threshold")
     assert reg.record(eid).state is OTCEState.RUNNING
 
 
 def test_result_duplicate_signer_refused():
     ks, ledger, _ = fresh()
     eid = create(ks, ledger)
-    sub = good_submission(ks, eid, GROUP4, n_sigs=3)
-    dup = ResultSubmission(eid, sub.digests,
-                           (sub.quorum_sigs[0],) + sub.quorum_sigs[:2])
+    _, digest, sigs = good_submission(ks, eid, GROUP4, n_sigs=3)
     assert send(ks, ledger, "n1", TxKind.SUBMIT_RESULT,
-                submit_result_payload(dup, 1)) == (False, "duplicate-signer")
+                submit_result_payload(eid, digest, (sigs[0],) + sigs[:2], 1)
+                ) == (False, "duplicate-signer")
 
 
 def test_result_outsider_signer_refused():
     ks, ledger, _ = fresh()
     eid = create(ks, ledger)
-    sub = good_submission(ks, eid, GROUP4, n_sigs=3)
-    message = result_message(eid, combined_digest(sub.digests))
-    outsider = ResultSubmission(eid, sub.digests,
-                                sub.quorum_sigs[:2] + (("mallory", ks.sign("mallory", message)),))
+    _, digest, sigs = good_submission(ks, eid, GROUP4, n_sigs=3)
+    outsider = ("mallory", ks.sign("mallory", result_message(eid, digest)))
     assert send(ks, ledger, "n1", TxKind.SUBMIT_RESULT,
-                submit_result_payload(outsider, 1)) == (False, "signer-not-in-group")
+                submit_result_payload(eid, digest, sigs[:2] + (outsider,), 1)
+                ) == (False, "signer-not-in-group")
 
 
 def test_result_forged_signature_refused():
     ks, ledger, _ = fresh()
     eid = create(ks, ledger)
-    sub = good_submission(ks, eid, GROUP4, n_sigs=3)
-    signer, sig = sub.quorum_sigs[0]
-    forged = ResultSubmission(eid, sub.digests,
-                              ((signer, bytes(b ^ 1 for b in sig)),) + sub.quorum_sigs[1:])
+    _, digest, sigs = good_submission(ks, eid, GROUP4, n_sigs=3)
+    signer, sig = sigs[0]
+    forged = ((signer, bytes(b ^ 1 for b in sig)),) + sigs[1:]
     assert send(ks, ledger, "n1", TxKind.SUBMIT_RESULT,
-                submit_result_payload(forged, 1)) == (False, "bad-signature")
+                submit_result_payload(eid, digest, forged, 1)) == (False, "bad-signature")
 
 
 def test_result_signature_binds_digest_set():
     ks, ledger, _ = fresh()
     eid = create(ks, ledger)
-    sub = good_submission(ks, eid, GROUP4, n_sigs=3)
-    other = tuple(sorted((n, codec.digest("other", n)) for n in GROUP4))
-    swapped = ResultSubmission(eid, other, sub.quorum_sigs)
+    _, _, sigs = good_submission(ks, eid, GROUP4, n_sigs=3)
+    other = codec.digest("other", eid)
     assert send(ks, ledger, "n1", TxKind.SUBMIT_RESULT,
-                submit_result_payload(swapped, 1)) == (False, "bad-signature")
+                submit_result_payload(eid, other, sigs, 1)) == (False, "bad-signature")
 
 
 def test_result_while_suspended_refused():
     ks, ledger, _ = fresh()
     eid = create(ks, ledger)
-    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, b"", 1))
+    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, 1))
     sub = good_submission(ks, eid, GROUP4, n_sigs=3)
     assert send(ks, ledger, "n1", TxKind.SUBMIT_RESULT,
-                submit_result_payload(sub, 2)) == (False, "bad-state:Suspend")
+                submit_result_payload(*sub, 2)) == (False, "bad-state:Suspend")
 
 
 def test_paxos_group_threshold():
@@ -425,7 +442,7 @@ def test_paxos_group_threshold():
     assert reg.record(eid).plan.verify_threshold == 3
     sub = good_submission(ks, eid, group, n_sigs=3)
     assert send(ks, ledger, "m1", TxKind.SUBMIT_RESULT,
-                submit_result_payload(sub, 1)) == (True, "")
+                submit_result_payload(*sub, 1)) == (True, "")
 
 
 # -- plan updates ----------------------------------------------------------
@@ -473,9 +490,23 @@ def test_alive_lists_running_and_suspended():
     e1 = create(ks, ledger, nonce=1)
     e2 = create(ks, ledger, nonce=2)
     e3 = create(ks, ledger, nonce=3)
-    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(e2, b"", 10))
-    send(ks, ledger, "n1", TxKind.TERMINATE_OTCE, terminate_payload(e3, CAUSE_CLOSED, 11))
+    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(e2, 10))
+    send(ks, ledger, "n1", TxKind.TERMINATE_OTCE, terminate_payload(e3, 11))
     assert {r.eid for r in reg.alive()} == {e1, e2}
+
+
+def test_registry_is_freed_without_the_cycle_collector():
+    # the kind-to-rule table is module-level, so no registry refers to itself
+    ks, ledger, reg = fresh()
+    eid = create(ks, ledger)
+    send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, 1))
+    ref = weakref.ref(reg)
+    gc.disable()
+    try:
+        del ledger, reg
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_dump_format():

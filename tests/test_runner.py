@@ -1,5 +1,6 @@
 import pytest
 
+from otcestack.ledger import TxKind
 from otcestack.otce import OTCEState
 from otcestack.plan import Protocol
 from otcestack.runner import audit_chain, run_scenario
@@ -105,9 +106,12 @@ def test_committed_result_is_signed_by_the_report_signers(tmp_path):
     res = run(tmp_path)
     report = res.dag_reports["boxr"]
     assert report.signers
-    sub = res.otce.record(res.aliases["boxr"]).results
-    assert tuple(node for node, _ in sub.quorum_sigs) == report.signers
-    assert tuple(node for node, _ in sub.digests) == report.signers
+    committed = [tx for block in res.ledger.chain for tx in block.txs
+                 if tx.kind is TxKind.SUBMIT_RESULT]
+    assert len(committed) == 1
+    eid, digest, sigs = res.otce.decode_payload(TxKind.SUBMIT_RESULT, committed[0].payload)
+    assert eid == res.aliases["boxr"] and digest == report.digest
+    assert tuple(node for node, _ in sigs) == report.signers
     run_dag = next(o for o in res.outcomes if o.verb == "run-dag")
     assert run_dag.detail.endswith(f"sigs={len(report.signers)}")
 
