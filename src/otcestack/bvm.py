@@ -258,13 +258,14 @@ def _value_body(execution_id: str, kind: str, ref: str, data: bytes) -> bytes:
 class TaskExecutor:
     """Per-node engine: runs its assigned tasks one at a time, one tick each,
     broadcasting finished values; learns remote values and chunks from
-    signed messages. `assignees` (task -> the nodes given it, in schedule
-    order) and `holders` (node -> the chunks it holds) are the execution's
-    maps, shared by every executor: the node runs the tasks the schedule
-    gave it, starts with its own chunks, takes a value message only from a
-    node given that task and a chunk message only from a holder of that
-    chunk. The reassignment round after a crash adds each task's new node
-    to `assignees`; the scheduled node may still finish the task too.
+    signed messages. `schedule` and `reassigned` (task -> node, the first
+    in topological order) and `holders` (node -> the chunks it holds) are
+    the execution's maps, shared by every executor: the node runs the tasks
+    the schedule gave it, starts with its own chunks, takes a value message
+    only from a node that either map gives the task and a chunk message
+    only from a holder of that chunk. The reassignment round after a crash
+    fills `reassigned` in place; a scheduled node whose task it moved may
+    still finish that task too.
 
     It starts the first task in `assigned` order that is ready (every task
     input in `values`, every chunk input in `chunks`) and not yet finished;
@@ -285,14 +286,15 @@ class TaskExecutor:
     executor built without one gets a private memo."""
 
     def __init__(self, execution_id: str, dag: TaskDAG, node: str, members,
-                 assignees: dict[str, list[str]], holders: dict[str, dict[str, bytes]],
-                 keystore: KeyStore,
+                 schedule: dict[str, str], reassigned: dict[str, str],
+                 holders: dict[str, dict[str, bytes]], keystore: KeyStore,
                  verified: dict[tuple[str, bytes], tuple | None] | None = None):
         self.execution_id = execution_id
         self.dag = dag
         self.node = node
         self.members = tuple(sorted(members))
-        self.assignees = assignees
+        self.schedule = schedule
+        self.reassigned = reassigned
         self.holders = holders
         self.chunks = dict(holders.get(node, {}))
         self.keystore = keystore
@@ -303,8 +305,8 @@ class TaskExecutor:
         self._heap: list[int] = []          # positions in `assigned`
         self._waiting: dict[str, dict[str, list[int]]] = {TASK: {}, CHUNK: {}}
         self.assigned: list[str] = []
-        for tid, nodes in assignees.items():
-            if nodes[0] == node:
+        for tid, owner in schedule.items():
+            if owner == node:
                 self._assign(tid)
 
     def _signed(self, kind: str, ref: str, data: bytes) -> bytes:
@@ -425,7 +427,8 @@ class TaskExecutor:
         if (kind == "chunk" and ref in self.dag.chunk_ids()
                 and ref in self.holders.get(event.src, ())):
             known, key = self.chunks, CHUNK
-        elif kind == "value" and event.src in self.assignees.get(ref, ()):
+        elif kind == "value" and event.src in (self.schedule.get(ref),
+                                               self.reassigned.get(ref)):
             known, key = self.values, TASK
         else:
             self.rejected += 1
@@ -458,13 +461,13 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     ordered = tuple(sorted(members))
     schedule = topo_schedule(dag, ordered, holders)
     order = list(schedule)
-    assignees = {tid: [node] for tid, node in schedule.items()}
+    reassigned: dict[str, str] = {}
     net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
     verified: dict[tuple[str, bytes], tuple | None] = {}
     execs: dict[str, TaskExecutor] = {}
     for node in ordered:
-        execs[node] = TaskExecutor(execution_id, dag, node, ordered, assignees,
-                                   holders, keystore, verified)
+        execs[node] = TaskExecutor(execution_id, dag, node, ordered, schedule,
+                                   reassigned, holders, keystore, verified)
         net.register(node, execs[node].step)
     for spec in faults:
         net.inject_fault(spec)
@@ -481,7 +484,6 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
             out.update(execs[node].values)
         return out
 
-    reassigned: dict[str, str] = {}
     failed: list[str] = []
     retried = False
     values = merged_values()
@@ -499,10 +501,9 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
                 placeable.append(tid)
             else:
                 failed.append(tid)
-        reassigned = _place(dag, placeable, live, holders)
+        reassigned.update(_place(dag, placeable, live, holders))
         takeovers: dict[str, list[str]] = {}
         for tid, node in reassigned.items():
-            assignees[tid].append(node)
             takeovers.setdefault(node, []).append(tid)
         start = net.now + 1
         for node in sorted(takeovers):

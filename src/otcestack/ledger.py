@@ -36,7 +36,6 @@ or `1`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -251,14 +250,13 @@ def dump_chain(chain) -> str:
 # The characters `dump_chain` writes. `bytes.fromhex` also takes upper
 # case and skips whitespace, and `int` takes surrounding whitespace.
 _DUMP_CHARS = b"0123456789abcdef;:- \n"
-_NOT_DUMP_CHAR = re.compile(r"[^0-9a-f;: \n-]")
 
 
 def load_chain(text: str) -> list[Block]:
     if not text.endswith("\n"):
         raise ValueError("chain dump does not end with a newline")
     if text.encode().translate(None, _DUMP_CHARS):
-        at = _NOT_DUMP_CHAR.search(text).start()
+        at = next(i for i, c in enumerate(text) if c.encode() not in _DUMP_CHARS)
         lineno = text.count("\n", 0, at) + 1
         raise ValueError(f"{text[at]!r} on chain line {lineno}: "
                          "not a character dump_chain writes")

@@ -143,7 +143,8 @@ class OTCERegistry:
     # -- payload validation (structural; semantic checks live in apply) ----
 
     def decode_payload(self, kind: TxKind, payload: bytes):
-        """The fields `apply` reads: a suspend, resume or terminate's eid."""
+        """The fields `apply` reads, untagged; a suspend, resume or
+        terminate gives its eid alone."""
         if kind is TxKind.CREATE_OTCE:
             _, group, delta_t, components, _ = codec.unpack_record(
                 payload, "create", tuple, int, tuple, int)

@@ -361,7 +361,7 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
     ks = KeyStore(3)
     dag = TaskDAG({"a": Task("a", "add", (lit_input(b"\x01"),)),
                    "b": Task("b", "add", (inp, lit_input(b"\x01")))})
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), {"a": ["m0"], "b": ["m1"]},
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), {"a": "m0", "b": "m1"}, {},
                             {"m0": {"a": b"\x05"}}, ks)
     body = codec.pack("bvm-val", "x", kind, "a", 5)
     wire = body + ks.sign("m0", body)
@@ -379,7 +379,7 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
 def test_chunk_accepted_only_from_a_holder_and_only_if_read():
     ks = KeyStore(3)
     dag = TaskDAG({"a": Task("a", "concat", (chunk_input("k"),))})
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), {"a": ["m1"]},
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), {"a": "m1"}, {},
                             {"m2": {"k": b"real"}}, ks)
 
     def chunk_from(src, ref, data, t):

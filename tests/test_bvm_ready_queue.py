@@ -164,8 +164,8 @@ def test_ready_checks_stay_linear_in_a_wide_fan_in(repeat):
         tasks[f"r{i}"] = Task(f"r{i}", "add", (task_input("root"),) * repeat)
     dag = TaskDAG(tasks)
     RUNS.clear()
-    ex = CountingExecutor("x", dag, "m0", ("m0",), {tid: ["m0"] for tid in tasks}, {},
-                          KeyStore(1))
+    ex = CountingExecutor("x", dag, "m0", ("m0",), dict.fromkeys(tasks, "m0"), {},
+                          {}, KeyStore(1))
     acts = ex._on_start()
     for _ in range(n + 1):
         assert len(acts) == 1

@@ -50,7 +50,7 @@ def _consensus(fields):
 
 def _bvm(fields):
     dag = TaskDAG({"t": Task("t", "hash", (lit_input(b"\x01"),))})
-    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": ["m1"]}, {}, KS)
+    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1"}, {}, {}, KS)
     got = executor._check("m0", _wire(fields))
     return REFUSED if got is None else got
 
@@ -90,13 +90,14 @@ CASES = [
                    (2, True, (GROUP, 1, (0.5, 0.25))),
                    (3, [], (GROUP, 5, ())),
                    (4, False, (GROUP, 5, (0.5, 0.25)))]),
-    # suspend, resume and terminate name the sandbox and nothing else
+    # suspend, resume and terminate name the sandbox and nothing else; each
+    # refuses the others' tags
     Case("otce-suspend", _otce(TxKind.SUSPEND_OTCE), ["suspend", "E1", 3], "E1",
-         refused=[(1, b"E1"), (2, "m"), (2, None), (2, "3")]),
+         refused=[(0, "resume"), (1, b"E1"), (2, "m"), (2, None), (2, "3")]),
     Case("otce-resume", _otce(TxKind.RESUME_OTCE), ["resume", "E1", 3], "E1",
-         refused=[(1, 5), (2, 3.0), (2, b"3")]),
+         refused=[(0, "suspend"), (1, 5), (2, 3.0), (2, b"3")]),
     Case("otce-terminate", _otce(TxKind.TERMINATE_OTCE), ["terminate", "E1", 3], "E1",
-         refused=[(1, None), (2, b"closed"), (2, "3")]),
+         refused=[(0, "suspend"), (1, None), (2, b"closed"), (2, "3")]),
     Case("otce-result", _otce(TxKind.SUBMIT_RESULT),
          ["result", "E1", b"d", [["a", b"s1"]], 3], ("E1", b"d", SIGS),
          refused=[(1, 1), (2, []), (2, [["a"]]), (2, [["a", b"d", 1]]),

@@ -173,17 +173,6 @@ def test_unknown_eid_refused():
                 suspend_payload("E000000000000", 1)) == (False, "unknown-eid")
 
 
-@pytest.mark.parametrize("kind", [TxKind.SUSPEND_OTCE, TxKind.RESUME_OTCE,
-                                  TxKind.TERMINATE_OTCE])
-def test_lifecycle_payload_under_another_kind_is_malformed(kind):
-    # the three payloads differ only in their tag, which must match the kind
-    ks, ledger, _ = fresh()
-    eid = create(ks, ledger)
-    other = next(k for k in (TxKind.RESUME_OTCE, TxKind.SUSPEND_OTCE) if k is not kind)
-    tx = make_tx(ks, "n1", kind, lifecycle_payload(other, eid, 1))
-    assert ledger.submit_tx(tx) == (False, "malformed-payload")
-
-
 # -- member termination ----------------------------------------------------
 
 def test_member_close_records_cause():

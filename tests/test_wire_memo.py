@@ -192,8 +192,8 @@ def test_bvm_memo_is_keyed_on_sender_and_wire():
     ks = KeyStore(3)
     members = ("d1", "d2", "d3", "d4")
     verified: dict = {}
-    execs = {m: TaskExecutor("x", chain_dag(), m, members, {"a": ["d1"], "b": ["d2"]}, {},
-                             ks, verified)
+    execs = {m: TaskExecutor("x", chain_dag(), m, members, {"a": "d1", "b": "d2"}, {},
+                             {}, ks, verified)
              for m in members}
     wire = execs["d1"]._signed("value", "a", b"\x01")
     msg = SimEvent(1, 1, "msg", "d1", "d3", wire, "value")
