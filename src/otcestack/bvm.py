@@ -427,8 +427,8 @@ class TaskExecutor:
         if (kind == "chunk" and ref in self.dag.chunk_ids()
                 and ref in self.holders.get(event.src, ())):
             known, key = self.chunks, CHUNK
-        elif kind == "value" and event.src in (self.schedule.get(ref),
-                                               self.reassigned.get(ref)):
+        elif kind == "value" and (self.schedule.get(ref) == event.src
+                                  or self.reassigned.get(ref) == event.src):
             known, key = self.values, TASK
         else:
             self.rejected += 1
