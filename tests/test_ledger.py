@@ -415,10 +415,6 @@ def _upper_hex(text):
     return text.replace(line, line.upper(), 1)
 
 
-def _line_2(text, old, new):
-    return text.replace("\n1 " + old, "\n1" + new, 1)
-
-
 @pytest.mark.parametrize("mutate, match", [
     (_status_x, "'x' on chain line"),
     (lambda t: t.replace(":0:", ":2:", 1), "bad status '2'"),
@@ -428,12 +424,12 @@ def _line_2(text, old, new):
     (lambda t: "# note\n" + t, "'#' on chain line 1"),
     (lambda t: t.replace("\n1 ", "\n  1 ", 1), "bad chain line 2"),
     (lambda t: t.replace("\n", " \n", 1), "bad chain line 1"),
-    (lambda t: _line_2(t, "", "\t"), "'\\t' on chain line 2"),
+    (lambda t: t.replace("\n1 ", "\n1\t", 1), "'\\t' on chain line 2"),
     (lambda t: t.replace("\n", "\r\n", 1), "'\\r' on chain line 1"),
-    (lambda t: _line_2(t, "", "  "), "bad chain line 2"),
+    (lambda t: t.replace("\n1 ", "\n1  ", 1), "bad chain line 2"),
     (lambda t: t[:-1], "does not end with a newline"),
-], ids=["status-x", "status-2", "height-01", "upper-case-hex", "blank-line", "comment-line",
-        "leading-spaces", "trailing-space", "tab", "carriage-return",
+], ids=["status-x", "status-2", "height-01", "upper-case-hex", "blank-line",
+        "comment-line", "leading-spaces", "trailing-space", "tab", "carriage-return",
         "run-of-spaces", "no-final-newline"])
 def test_load_refuses_dump_text_that_dump_chain_never_writes(tmp_path, capsys,
                                                              mutate, match):

@@ -230,8 +230,8 @@ def test_suspension_does_not_pause_countdown():
     ks, ledger, reg = fresh()
     eid = create(ks, ledger, delta_t=3)
     send(ks, ledger, "n1", TxKind.SUSPEND_OTCE, suspend_payload(eid, 1))  # height 2
-    ledger.seal_block()                                                        # height 3
-    ledger.seal_block()                                                        # height 4
+    ledger.seal_block()                                                  # height 3
+    ledger.seal_block()                                                  # height 4
     rec = reg.record(eid)
     assert rec.state is OTCEState.TERMINATED
     assert rec.cause == CAUSE_EXPIRY
