@@ -10,23 +10,24 @@ hash work on raw bytes.
 Scheduling is deterministic: tasks touching chunks go to the holder
 covering the most of their chunks (smallest node id on ties), everything
 else round-robins over the sorted members, layer by layer with the cursor
-carried across layers. Execution charges one tick per task per node, moves
-values between nodes as signed messages, and survives executor crashes by
-one reassignment round at quiescence that places the missing tasks on the
-live members by the same rule. Each node keeps a ready queue: a task waits
-under the inputs the node lacks and is re-checked only when one of them
-first arrives, so picking the next task costs a heap operation, not a scan
-of the node's tasks, and the work per task is fixed by its inputs. A node
+carried across layers. Execution charges one tick per task per node and
+moves values and chunks only as signed messages. The harness is only the
+crash model's perfect failure detector: whenever the network goes quiet
+while a live member lacks a value, it moves the tasks of crashed owners to
+live members by the same rule and syncs the live members, which pull what
+they lack with signed `need` messages. Each node keeps a ready queue: a
+task waits under the inputs the node lacks and is re-checked only when one
+of them first arrives, so the work per task is fixed by its inputs. A node
 takes a signed chunk only when some task reads it and the sender holds it,
 and a signed value only from a node the schedule or the reassignment gave
-that task; any other message counts as a rejection. The report names the
-live members that hold every sink value; they sign the sandbox contract's
-result message, and the contract accepts it only when the signers meet
-the group's security plan, so no single node is trusted with the result.
-A broadcast value reaches every peer as the same wire, so the executors of
-one execution share a memo from (sender, wire) to the checked message: each
-distinct pair is verified and decoded once, and every rejected delivery is
-still counted by its receiver.
+that task; any other message counts as a rejection. The run is complete
+when every live member holds every sink with the same value; those members
+sign the sandbox contract's result message, and the contract accepts it
+only when the signers meet the group's security plan. A broadcast value
+reaches every peer as the same wire, so the executors of one execution
+share a memo from (sender, wire) to the checked message: each distinct
+pair is verified and decoded once, and every rejected delivery is still
+counted by its receiver.
 """
 
 from __future__ import annotations
@@ -263,9 +264,13 @@ class TaskExecutor:
     the execution's maps, shared by every executor: the node runs the tasks
     the schedule gave it, starts with its own chunks, takes a value message
     only from a node that either map gives the task and a chunk message
-    only from a holder of that chunk. The reassignment round after a crash
-    fills `reassigned` in place; a scheduled node whose task it moved may
-    still finish that task too.
+    only from a holder of that chunk. The failure detector fills
+    `reassigned` in place and then sends a `sync`: the node takes the tasks
+    newly given to it and sends a signed `need` to the owner of each task
+    it lacks whose task inputs it holds, and to every holder of each chunk
+    its tasks wait on. It answers a need for a task it owns or a chunk it
+    holds, once it has the data, to the requester alone; any other need
+    counts as a rejection.
 
     It starts the first task in `assigned` order that is ready (every task
     input in `values`, every chunk input in `chunks`) and not yet finished;
@@ -305,6 +310,7 @@ class TaskExecutor:
         self._heap: list[int] = []          # positions in `assigned`
         self._waiting: dict[str, dict[str, list[int]]] = {TASK: {}, CHUNK: {}}
         self.assigned: list[str] = []
+        self._owned: set[str] = set()
         for tid, owner in schedule.items():
             if owner == node:
                 self._assign(tid)
@@ -328,6 +334,7 @@ class TaskExecutor:
     def _assign(self, tid: str) -> None:
         pos = len(self.assigned)
         self.assigned.append(tid)
+        self._owned.add(tid)
         lacking = {(i.kind, i.ref) for i in self.dag.tasks[tid].inputs
                    if (i.kind == TASK and i.ref not in self.values)
                    or (i.kind == CHUNK and i.ref not in self.chunks)}
@@ -356,8 +363,8 @@ class TaskExecutor:
         if event.kind == "local":
             if event.label == "start":
                 return self._on_start()
-            if event.label == "takeover":
-                return self._on_takeover(event.payload)
+            if event.label == "sync":
+                return self._on_sync()
             return []
         if event.kind == "timer":
             return self._on_exec_timer(event.label)
@@ -371,30 +378,27 @@ class TaskExecutor:
                 acts += self._bcast("chunk", cid, self.chunks[cid])
         return acts + self._try_start()
 
-    def _on_takeover(self, payload: bytes) -> list:
-        fields = codec.unpack(payload)
-        _, task_ids, known_values, known_chunks = fields
-        for tid in task_ids:
-            if tid not in self.assigned:
+    def _on_sync(self) -> list:
+        for tid, owner in self.reassigned.items():
+            if owner == self.node and tid not in self._owned:
                 self._assign(tid)
-        for tid, val in known_values:
-            first = tid not in self.values
-            self.values[tid] = val
-            if first:
-                self._learned(TASK, tid)
-        for cid, val in known_chunks:
-            if cid not in self.chunks:
-                self.chunks[cid] = val
-                self._learned(CHUNK, cid)
-        return self._try_start()
+        acts = []
+        for tid, owner in self.schedule.items():
+            owner = self.reassigned.get(tid, owner)
+            if (tid not in self.values and owner != self.node
+                    and all(d in self.values for d in self.dag.tasks[tid].dep_tasks())):
+                acts.append(Send(owner, self._signed("need", tid, b""), "need"))
+        for cid in sorted(self._waiting[CHUNK]):
+            wire = self._signed("need", cid, b"")
+            acts += [Send(m, wire, "need") for m in self.members
+                     if cid in self.holders.get(m, ())]
+        return acts + self._try_start()
 
     def _on_exec_timer(self, label: str) -> list:
         tid = label.split(":", 1)[1]
         if self.busy != tid:
             return []
         self.busy = None
-        if tid in self.values:
-            return self._try_start()
         task = self.dag.tasks[tid]
         operands = [_resolve(i, self.values, self.chunks) for i in task.inputs]
         self.values[tid] = eval_op(task.op, operands)
@@ -424,6 +428,8 @@ class TaskExecutor:
             self.rejected += 1
             return []
         kind, ref, data = fields
+        if kind == "need":
+            return self._on_need(event.src, ref, data)
         if (kind == "chunk" and ref in self.dag.chunk_ids()
                 and ref in self.holders.get(event.src, ())):
             known, key = self.chunks, CHUNK
@@ -438,6 +444,19 @@ class TaskExecutor:
             self._learned(key, ref)
         return self._try_start()
 
+    def _on_need(self, src: str, ref: str, data: bytes) -> list:
+        owns = self.reassigned.get(ref, self.schedule.get(ref)) == self.node
+        holds = ref in self.dag.chunk_ids() and ref in self.holders.get(self.node, ())
+        if data or not (owns or holds):
+            self.rejected += 1
+            return []
+        acts = []
+        if owns and ref in self.values:
+            acts.append(Send(src, self._signed("value", ref, self.values[ref]), "value"))
+        if holds:
+            acts.append(Send(src, self._signed("chunk", ref, self.chunks[ref]), "chunk"))
+        return acts
+
 
 @dataclass
 class ExecutionReport(NetReport):
@@ -446,10 +465,9 @@ class ExecutionReport(NetReport):
     values: dict[str, bytes]
     failed_tasks: tuple[str, ...]
     digest: bytes | None
-    signers: tuple[str, ...]      # sorted live members holding every sink value
+    signers: tuple[str, ...]      # the sorted live members if completed, else ()
     schedule: dict[str, str]
     reassigned: dict[str, str]
-    retried: bool
     rejected: dict[str, int]      # node -> deliveries its executor refused
 
 
@@ -457,10 +475,15 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
                           keystore: KeyStore, net_cfg: NetworkConfig | None = None,
                           faults=(), execution_id: str = "exec",
                           max_tick: int = 5000) -> ExecutionReport:
-    """Run the DAG across the members; one reassignment round on crashes."""
+    """Run the DAG across the members. Whenever the network goes quiet while
+    a live member lacks a value, act as the failure detector: move the tasks
+    of crashed owners to live members and sync every live member, so each
+    pulls what it lacks. Stop when a round adds no value and finds no new
+    crash (one that starts before GST on a lossy network does not count),
+    or the budget runs out. `values` is the union of the live members' own
+    values, for audit only."""
     ordered = tuple(sorted(members))
     schedule = topo_schedule(dag, ordered, holders)
-    order = list(schedule)
     reassigned: dict[str, str] = {}
     net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
     verified: dict[tuple[str, bytes], tuple | None] = {}
@@ -475,66 +498,41 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         net.schedule_local(node, 0, b"", "start")
     net.run_until(max_tick)
 
-    def live_nodes() -> list[str]:
-        return [n for n in ordered if not net.crashed(n, net.now)]
-
-    def merged_values() -> dict[str, bytes]:
-        out: dict[str, bytes] = {}
-        for node in live_nodes():
-            out.update(execs[node].values)
-        return out
-
-    failed: list[str] = []
-    retried = False
-    values = merged_values()
-    missing = [tid for tid in order if tid not in values]
-    if missing and not net.budget_exhausted:
-        retried = True
-        live = live_nodes()
-        live_chunks: dict[str, bytes] = {}
-        for node in live:
-            for cid, data in holders.get(node, {}).items():
-                live_chunks.setdefault(cid, data)
-        placeable = []
-        for tid in missing:
-            if live and live_chunks.keys() >= set(dag.tasks[tid].chunk_refs()):
-                placeable.append(tid)
-            else:
-                failed.append(tid)
-        reassigned.update(_place(dag, placeable, live, holders))
-        takeovers: dict[str, list[str]] = {}
-        for tid, node in reassigned.items():
-            takeovers.setdefault(node, []).append(tid)
+    last = None             # (live members, values held) before a lossless round
+    while True:
+        live = [n for n in ordered if not net.crashed(n, net.now)]
+        held = (len(live), sum(len(e.values) for e in execs.values()))
+        if (net.budget_exhausted or held == last
+                or all(len(execs[n].values) == len(dag.tasks) for n in live)):
+            break
+        moved = [tid for tid, owner in schedule.items()
+                 if reassigned.get(tid, owner) not in live]
+        reassigned.update(_place(dag, moved, live, holders))
         start = net.now + 1
-        for node in sorted(takeovers):
-            payload = codec.pack("takeover", takeovers[node],
-                                 [[tid, v] for tid, v in sorted(values.items())],
-                                 [[cid, v] for cid, v in sorted(live_chunks.items())])
-            net.schedule_local(node, start, payload, "takeover")
-        if takeovers:
-            net.run_until(max_tick)
-        values = merged_values()
+        for node in live:
+            net.schedule_local(node, start, b"", "sync")
+        cfg = net.cfg       # a round before GST may lose needs: no proof of a stall
+        last = None if cfg.drop_rate and cfg.gst is not None and start < cfg.gst else held
+        net.run_until(max_tick)
 
-    all_tasks = set(dag.tasks)
-    failed = sorted((all_tasks - set(values)) | set(failed))
+    values: dict[str, bytes] = {}
+    for node in live:
+        values.update(execs[node].values)
+    sinks = set(dag.sinks())
+    failed = tuple(sorted(
+        tid for tid in dag.tasks if tid not in values or (
+            tid in sinks and any(execs[n].values.get(tid) != values[tid] for n in live))))
     completed = not failed
-    digest = outputs_digest(dag, values) if completed else None
-    signers: tuple[str, ...] = ()
-    if completed:
-        sinks = dag.sinks()
-        signers = tuple(node for node in live_nodes()
-                        if all(t in execs[node].values for t in sinks))
     return net.report(
         ExecutionReport,
         execution_id=execution_id,
         completed=completed,
         values=values,
-        failed_tasks=tuple(failed),
-        digest=digest,
-        signers=signers,
+        failed_tasks=failed,
+        digest=outputs_digest(dag, execs[live[0]].values) if completed else None,
+        signers=tuple(live) if completed else (),
         schedule=schedule,
         reassigned=reassigned,
-        retried=retried,
         rejected={node: e.rejected for node, e in execs.items()},
     )
 

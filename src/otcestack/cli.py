@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for a completed run or an intact chain, 1 when corruption or
-a replay mismatch is detected, 2 for harness errors (unreadable files, bad
-scenario syntax, bad arguments).
+a replay mismatch is detected, 2 for harness errors (unreadable or
+non-UTF-8 input files, bad scenario syntax, bad arguments).
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as exc:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:
@@ -119,8 +119,8 @@ def _cmd_replay(args) -> int:
     scn = Scenario(seed=0)
     if args.scenario is not None:
         try:
-            scn = parse_scenario(Path(args.scenario).read_text())
-        except (OSError, ScenarioError) as exc:
+            scn = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, ScenarioError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     ks = KeyStore(scn.seed if args.seed is None else args.seed)

@@ -345,8 +345,8 @@ class _Runner:
         rec = self._sealed_record(alias)
         path = self.base_dir / action.kw["file"]
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read dag file {path}: {exc}") from None
         try:
             dag, file_chunks = parse_dag(text)

@@ -10,7 +10,7 @@ from otcestack.bvm import (CycleError, Task, TaskDAG, TaskExecutor, chunk_input,
                            outputs_digest, parse_dag, sequential_oracle,
                            task_input, topo_layers, topo_schedule)
 from otcestack.keys import SIG_LEN, KeyStore
-from otcestack.simnet import Behavior, FaultSpec, NetworkConfig, SetTimer, SimEvent
+from otcestack.simnet import Behavior, FaultSpec, NetworkConfig, Send, SetTimer, SimEvent
 
 MEMBERS = ("w1", "w2", "w3")
 
@@ -249,7 +249,6 @@ def test_distributed_matches_oracle_on_diamond():
     assert report.failed_tasks == ()
     assert report.values == want
     assert report.digest == outputs_digest(dag, want)
-    assert not report.retried
 
 
 def test_distributed_matches_oracle_on_random_dags():
@@ -280,7 +279,6 @@ def test_crash_triggers_reassignment_and_completion():
         faults=(FaultSpec("w1", Behavior.CRASH, at_tick=2),))
     want = sequential_oracle(dag, chunks)
     assert report.completed
-    assert report.retried
     assert report.values == want
     assert all(node != "w1" for node in report.reassigned.values())
     # the takers' values come from the tasks' new assignees and are taken
@@ -303,7 +301,7 @@ def test_topological_order_computed_once_per_execution(monkeypatch):
         dag, MEMBERS, holders, KeyStore(3),
         net_cfg=NetworkConfig(delay_min=1, delay_max=2, seed=5),
         faults=(FaultSpec("w1", Behavior.CRASH, at_tick=2),))
-    assert report.retried and report.reassigned
+    assert report.reassigned
     assert calls == [dag]
 
 
@@ -320,8 +318,88 @@ def test_crash_sweep_with_replicated_chunks():
             faults=(FaultSpec(victim, Behavior.CRASH, at_tick=rng.randrange(0, 8)),))
         assert report.completed, f"victim {victim}"
         assert report.values == sequential_oracle(dag, chunks)
-        # a live node still finishes a task the round moved elsewhere
+        # every value and chunk comes from its owner or a holder
         assert report.rejected == dict.fromkeys(MEMBERS, 0)
+
+
+CHAIN = "task t0 add l:01 l:02\n" + "".join(
+    f"task t{i} add t:t{i - 1} l:01\n" for i in range(1, 40))
+
+
+@pytest.mark.parametrize("second", ["m0", "m2", "m3", "m4"])
+def test_two_crashes_on_a_chain_always_complete(second):
+    # m1 stalls the round-robin chain at t1; a second member crashes at
+    # any tick, before, during or after the first recovery round
+    dag, chunks = parse_dag(CHAIN)
+    want = sequential_oracle(dag, chunks)
+    members = [f"m{i}" for i in range(5)]
+    for tick in range(5, 120, 5):
+        report = execute_collaborative(
+            dag, members, {}, KeyStore(1), net_cfg=NetworkConfig(1, 2, seed=4),
+            faults=(FaultSpec("m1", Behavior.CRASH, at_tick=3),
+                    FaultSpec(second, Behavior.CRASH, at_tick=tick)))
+        assert report.completed, (second, tick, report.failed_tasks)
+        assert report.values == want
+        assert report.digest == outputs_digest(dag, want)
+
+
+def test_tasks_of_a_crashed_sole_holder_run_on_its_broadcast_chunk():
+    # m0 alone holds x and crashes once its start broadcast of x is out
+    dag, chunks = parse_dag("chunk x 05\ntask a add c:x l:01\ntask b mul t:a l:03\n")
+    members = [f"m{i}" for i in range(5)]
+    report = execute_collaborative(
+        dag, members, {"m0": dict(chunks)}, KeyStore(1),
+        net_cfg=NetworkConfig(seed=1), faults=(FaultSpec("m0", Behavior.CRASH, at_tick=1),))
+    assert report.completed
+    assert report.values == sequential_oracle(dag, chunks)
+    assert report.reassigned == {"a": "m1", "b": "m1"}
+    assert report.signers == ("m1", "m2", "m3", "m4")
+
+
+def test_only_tasks_of_crashed_owners_move():
+    rng = random.Random(1996)
+    moved = 0
+    for _ in range(40):
+        dag, chunks = make_random_dag(rng)
+        members = ("w1", "w2", "w3", "w4")
+        victims = rng.sample(members, rng.randint(1, 2))
+        faults = tuple(FaultSpec(v, Behavior.CRASH, at_tick=rng.randrange(0, 10))
+                       for v in victims)
+        report = execute_collaborative(
+            dag, members, {m: dict(chunks) for m in members}, KeyStore(3),
+            net_cfg=NetworkConfig(1, 3, gst=12, drop_rate=0.2, seed=rng.randrange(10**6)),
+            faults=faults)
+        down = {f.node for f in faults if f.at_tick <= report.ticks}
+        assert report.reassigned.keys() <= {t for t, n in report.schedule.items()
+                                            if n in down}
+        assert not set(report.reassigned.values()) - set(members)
+        assert report.completed and report.values == sequential_oracle(dag, chunks)
+        moved += len(report.reassigned)
+    assert moved > 0
+
+
+def test_clean_run_needs_no_recovery():
+    rng = random.Random(5)
+    for _ in range(10):
+        dag, chunks = make_random_dag(rng)
+        _, report = run_distributed(dag, chunks, rng=rng, seed=rng.randrange(10**6))
+        assert report.completed and report.reassigned == {}
+        assert not [line for line in report.trace if "sync" in line or "need" in line]
+
+
+def test_drops_before_gst_are_recovered_by_needs():
+    rng = random.Random(8)
+    pulled = 0
+    for _ in range(10):
+        dag, chunks = make_random_dag(rng)
+        holders = spread_chunks(rng, chunks, MEMBERS)
+        report = execute_collaborative(
+            dag, MEMBERS, holders, KeyStore(3),
+            net_cfg=NetworkConfig(1, 3, gst=30, drop_rate=0.3, seed=rng.randrange(10**6)))
+        assert report.completed and report.values == sequential_oracle(dag, chunks)
+        assert report.signers == MEMBERS and report.reassigned == {}
+        pulled += any("msg:need" in line for line in report.trace)
+    assert pulled > 0
 
 
 def test_sole_holder_crash_fails_cleanly():
@@ -350,7 +428,7 @@ def test_report_accounts_for_every_message(max_tick):
     assert report.sent == report.delivered + report.dropped + report.in_flight
     cut = max_tick == 4
     assert report.budget_exhausted == cut and (report.in_flight > 0) == cut
-    assert report.completed != cut and report.retried != cut
+    assert report.completed != cut
     assert (report.ticks == max_tick) == cut
 
 
@@ -395,6 +473,77 @@ def test_chunk_accepted_only_from_a_holder_and_only_if_read():
     assert executor.values == {"a": b"real"} and executor.rejected == 2
 
 
+def test_sync_takes_moved_tasks_and_needs_what_is_missing():
+    ks = KeyStore(3)
+    dag, _ = parse_dag("chunk k 07\ntask a add l:01\ntask b concat t:a c:k\n"
+                       "task c add t:b l:01\ntask e add l:02\n")
+    schedule = {"a": "m0", "e": "m2", "b": "m1", "c": "m2"}
+    reassigned: dict[str, str] = {}
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), schedule, reassigned,
+                            {"m0": {"k": b"\x07"}, "m2": {"k": b"\x07"}}, ks)
+    reassigned["a"] = "m1"              # m0 crashed
+
+    def need(dst, ref):
+        body = codec.pack("bvm-val", "x", "need", ref, b"")
+        return Send(dst, body + ks.sign("m1", body), "need")
+
+    # e's inputs are all held, c waits on b; b waits on k, which both holders may send
+    assert executor.step(SimEvent(5, 5, "local", "m1", "m1", b"", "sync"), 5) == [
+        need("m2", "e"), need("m0", "k"), need("m2", "k"), SetTimer(1, "exec:a")]
+    assert executor.assigned == ["b", "a"]
+    executor.step(SimEvent(6, 6, "local", "m1", "m1", b"", "sync"), 6)
+    assert executor.assigned == ["b", "a"]
+
+
+def test_members_disagreeing_on_a_sink_do_not_complete():
+    # m1 re-signs its value for the sink d with other data for each receiver
+    ks = KeyStore(3)
+    dag, chunks = parse_dag("task a add l:01\ntask d add t:a l:02\n")
+    members = ("m0", "m1", "m2")
+
+    def vary(payload, dst, index):
+        fields = codec.unpack(payload[:-SIG_LEN])
+        if fields[2:4] != ("value", "d"):
+            return payload
+        body = codec.pack("bvm-val", fields[1], "value", "d", bytes([index]))
+        return body + ks.sign("m1", body)
+
+    report = execute_collaborative(
+        dag, members, {}, ks, net_cfg=NetworkConfig(seed=1),
+        faults=(FaultSpec("m1", Behavior.EQUIVOCATE, transform=vary),))
+    assert report.schedule == {"a": "m0", "d": "m1"}
+    assert report.rejected == dict.fromkeys(members, 0)
+    assert not report.completed and report.failed_tasks == ("d",)
+    assert report.digest is None and report.signers == ()
+
+
+def test_need_answered_only_for_an_owned_task_or_a_held_chunk():
+    ks = KeyStore(3)
+    dag = TaskDAG({"a": Task("a", "concat", (chunk_input("k"),)),
+                   "b": Task("b", "add", (task_input("a"),))})
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), {"a": "m1", "b": "m2"},
+                            {}, {"m1": {"k": b"\x07"}}, ks)
+
+    def need(ref, data=b"", t=1):
+        body = codec.pack("bvm-val", "x", "need", ref, data)
+        return executor.step(SimEvent(t, t, "msg", "m2", "m1",
+                                      body + ks.sign("m2", body), "need"), t)
+
+    def answer(kind, ref, data):
+        body = codec.pack("bvm-val", "x", kind, ref, data)
+        return Send("m2", body + ks.sign("m1", body), kind)
+
+    assert need("a") == []                  # owned, not yet computed
+    assert need("k") == [answer("chunk", "k", b"\x07")]
+    assert executor.rejected == 0
+    assert need("b") == [] and need("ghost") == [] and need("k", b"\x00") == []
+    assert executor.rejected == 3
+    executor.step(SimEvent(2, 2, "local", "m1", "m1", b"", "start"), 2)
+    executor.step(SimEvent(3, 3, "timer", "m1", "m1", b"", "exec:a"), 3)
+    assert need("a", t=4) == [answer("value", "a", b"\x07")]
+    assert executor.rejected == 3
+
+
 def test_value_accepted_only_from_the_tasks_assignee():
     # m1 relabels its value for d as c, m2's task, and re-signs it
     ks = KeyStore(3)
@@ -414,11 +563,11 @@ def test_value_accepted_only_from_the_tasks_assignee():
         net_cfg=NetworkConfig(seed=1),
         faults=(FaultSpec("m1", Behavior.EQUIVOCATE, transform=relabel),))
     assert report.schedule == {"a": "m0", "b": "m0", "d": "m1", "c": "m2"}
-    assert report.completed
-    assert report.values == sequential_oracle(dag, chunks)
-    assert report.rejected == {"m0": 1, "m1": 0, "m2": 1, "m3": 1}
-    # only m1 holds d, the value it never sent under its own label
-    assert report.signers == ("m1",)
+    # each honest member refuses the relabelled broadcast and the relabelled
+    # answer to its need for d, so only m1 holds the sink d
+    assert report.rejected == {"m0": 2, "m1": 0, "m2": 2, "m3": 2}
+    assert not report.completed and report.failed_tasks == ("d",)
+    assert report.digest is None and report.signers == ()
 
 
 def test_deterministic_reruns():

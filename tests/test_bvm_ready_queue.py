@@ -47,26 +47,16 @@ class TakeoverFirstRescan(RescanExecutor):
 
 
 class CountingExecutor(TaskExecutor):
-    """The ready queue, counting `_ready` calls and remote values that
-    arrive for the node's own assigned tasks."""
+    """The ready queue, counting `_ready` calls."""
 
     def __init__(self, *args, **kw):
         self.ready_calls = 0
-        self.own_remote = 0
         super().__init__(*args, **kw)
         RUNS.append(self)
 
     def _ready(self, tid: str) -> bool:
         self.ready_calls += 1
         return super()._ready(tid)
-
-    def _on_message(self, event):
-        before = len(self.values)
-        acts = super()._on_message(event)
-        if len(self.values) > before:
-            ref = self.verified[(event.src, event.payload)][1]
-            self.own_remote += ref in self.assigned
-        return acts
 
 
 RUNS: list[CountingExecutor] = []
@@ -122,7 +112,7 @@ CASES = 220
 def test_ready_queue_starts_what_the_rescan_starts(monkeypatch):
     rng = random.Random(20261018)
     seen = {"takeover": 0, "drops": 0, "repeated operand": 0,
-            "task id equals chunk id": 0, "remote value for own task": 0}
+            "task id equals chunk id": 0, "need": 0}
     for _ in range(CASES):
         case = random_case(rng)
         dag = case[0]
@@ -139,7 +129,7 @@ def test_ready_queue_starts_what_the_rescan_starts(monkeypatch):
         seen["repeated operand"] += any(len(set(t.inputs)) < len(t.inputs)
                                         for t in dag.tasks.values())
         seen["task id equals chunk id"] += bool(dag.chunk_ids() & dag.tasks.keys())
-        seen["remote value for own task"] += any(ex.own_remote for ex in RUNS)
+        seen["need"] += any("msg:need" in line for line in report.trace)
     assert min(seen.values()) >= 5, seen
 
 

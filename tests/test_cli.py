@@ -73,6 +73,15 @@ def test_run_missing_scenario_is_harness_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_run_non_utf8_scenario_is_harness_error(workdir, capsys):
+    (workdir / "case.scn").write_bytes(SCENARIO.encode() + b"# \xff\n")
+    rc, out = do_run(workdir)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "cannot read scenario" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_bad_syntax_is_harness_error(tmp_path, capsys):
     (tmp_path / "bad.scn").write_text("seed 1\nwibble\n")
     rc = main(["run", "--scenario", str(tmp_path / "bad.scn"),
@@ -206,6 +215,16 @@ def test_replay_clean_with_scenario_keys(workdir, capsys):
     assert "replay clean" in capsys.readouterr().out
 
 
+def test_replay_non_utf8_scenario_is_harness_error(workdir, capsys):
+    _, out = do_run(workdir)
+    (workdir / "bad.scn").write_bytes(b"seed 21\n# \xff\n")
+    rc = main(["replay", "--dump", str(out / "chain.dump"),
+               "--scenario", str(workdir / "bad.scn")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "can't decode byte 0xff" in err and "Traceback" not in err
+
+
 def test_replay_with_explicit_seed(workdir, capsys):
     _, out = do_run(workdir)
     rc = main(["replay", "--dump", str(out / "chain.dump"), "--seed", "21"])
@@ -277,4 +296,15 @@ def test_run_dag_chunk_with_other_data_than_the_scenario_is_refused(workdir, cap
     assert rc == 2
     assert "work.dag: chunk 'k' has other data than the scenario gives it" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_dag_non_utf8_file_is_refused(workdir, capsys):
+    (workdir / "work.dag").write_bytes(b"task c add l:01\n# \xff\n")
+    (workdir / "case.scn").write_text(
+        SCENARIO.replace("do terminate box by=b\n", "do run-dag box file=work.dag\n"))
+    rc, out = do_run(workdir)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "cannot read dag file" in err and "Traceback" not in err
     assert not out.exists()

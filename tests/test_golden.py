@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from otcestack.bvm import execute_collaborative, parse_dag
+from otcestack.bvm import execute_collaborative, parse_dag, sequential_oracle
 from otcestack.keys import KeyStore
 from otcestack.runner import run_scenario
 from otcestack.scenario import parse_scenario
@@ -57,8 +57,10 @@ def test_shipped_scenario_outputs_are_pinned(name):
 
 
 # Chunk-reading tasks and chunk-free ones at several depths. k3 lives only
-# on w2, so once w2 crashes task e cannot be placed; b ties w3 against w4
-# (one chunk each) and goes to the smaller id.
+# on w2, which crashes at tick 1 after its start broadcast of k3 went out:
+# task e moves to w1 (no live node holds k3, so the smallest id) and runs on
+# the signed copy w1 received. b ties w3 against w4 (one chunk each) and
+# goes to the smaller id.
 CRASH_DAG = """\
 chunk k1 0a0b
 chunk k2 ff
@@ -96,14 +98,15 @@ def test_crash_placement_is_pinned():
         "f": "w3", "m": "w4", "g": "w1", "j": "w2", "i": "w3", "k": "w4",
         "n": "w1"}
     assert list(report.schedule) == list("abehcdfmgjikn")
-    assert report.reassigned == {
-        "b": "w3", "c": "w1", "d": "w4", "f": "w3", "m": "w4", "g": "w1",
-        "j": "w3", "i": "w4", "k": "w1", "n": "w3"}
-    assert list(report.reassigned) == list("bcdfmgjikn")
-    assert report.failed_tasks == ("e",)
-    # The trace records which task each node starts when, so its digest pins
-    # the start order before and after the takeover.
+    # only the crashed w2's tasks move, in topological order
+    assert report.reassigned == {"b": "w3", "e": "w1", "c": "w1", "d": "w4", "j": "w3"}
+    assert list(report.reassigned) == list("becdj")
+    assert report.failed_tasks == ()
+    assert report.values == sequential_oracle(dag, data)
+    # The trace records which task each node starts when, and every sync
+    # and need, so its digest pins the start order before and after the
+    # crash is detected.
     trace = hashlib.sha256("\n".join(report.trace).encode()).hexdigest()
-    assert trace == "98207c00b01f8f2d95c4e21a46827b073522b267136df996a7c4cc032c0325ee"
-    assert report.ticks == 21
-    assert report.digest is None
+    assert trace == "482249589bb340ae2e9dcd173648bd93b955013d17df20523c2b645dbc7fdbf1"
+    assert report.ticks == 26
+    assert report.signers == ("w1", "w3", "w4")
