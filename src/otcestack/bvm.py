@@ -11,23 +11,27 @@ Scheduling is deterministic: tasks touching chunks go to the holder
 covering the most of their chunks (smallest node id on ties), everything
 else round-robins over the sorted members, layer by layer with the cursor
 carried across layers. Execution charges one tick per task per node and
-moves values and chunks only as signed messages. The harness is only the
-crash model's perfect failure detector: whenever the network goes quiet
-while a live member lacks a value, it moves the tasks of crashed owners to
-live members by the same rule and syncs the live members, which pull what
-they lack with signed `need` messages. Each node keeps a ready queue: a
+moves values and chunks only as signed messages. Each holder broadcasts its
+chunks at start; a finished value goes only to the current owners of the
+tasks that read it, and a sink (a task no other task reads) to every
+member, since every member signs the result. The harness is only the crash
+model's perfect failure detector: whenever the network goes quiet while a
+task or sink fails, it moves the tasks of crashed owners to live members
+by the same rule and syncs the live members. Each then pulls what it needs,
+the inputs its unfinished tasks lack and the sinks it lacks, with one
+signed `need` per peer and input kind. Each node keeps a ready queue: a
 task waits under the inputs the node lacks and is re-checked only when one
 of them first arrives, so the work per task is fixed by its inputs. A node
 takes a signed chunk only when some task reads it and the sender holds it,
 and a signed value only from a node the schedule or the reassignment gave
 that task; any other message counts as a rejection. The run is complete
-when every live member holds every sink with the same value; those members
-sign the sandbox contract's result message, and the contract accepts it
-only when the signers meet the group's security plan. A broadcast value
-reaches every peer as the same wire, so the executors of one execution
-share a memo from (sender, wire) to the checked message: each distinct
-pair is verified and decoded once, and every rejected delivery is still
-counted by its receiver.
+when every task is held by a live member and every live member holds every
+sink with the same value; those members sign the sandbox contract's result
+message, and the contract accepts it only when the signers meet the
+group's security plan. A value or chunk sent to several peers reaches each
+as the same wire, so the executors of one execution share a memo from
+(sender, wire) to the checked message: each distinct pair is verified and
+decoded once, and every rejected delivery is still counted by its receiver.
 """
 
 from __future__ import annotations
@@ -137,16 +141,30 @@ class TaskDAG:
         return None
 
     def sinks(self) -> list[str]:
-        referenced = {dep for t in self.tasks.values() for dep in t.dep_tasks()}
-        return sorted(set(self.tasks) - referenced)
+        """The tasks no other task reads, sorted."""
+        return list(self._sinks)
 
     def chunk_ids(self) -> frozenset[str]:
         return self._chunk_ids
 
+    # each computed on first use, once per DAG, however many executors ask
+
     @cached_property
     def _chunk_ids(self) -> frozenset[str]:
-        # computed on first use, once per DAG, however many executors ask
         return frozenset(ref for t in self.tasks.values() for ref in t.chunk_refs())
+
+    @cached_property
+    def readers(self) -> dict[str, tuple[str, ...]]:
+        """Task -> the distinct tasks that read its value."""
+        readers: dict[str, list[str]] = {tid: [] for tid in self.tasks}
+        for tid, task in self.tasks.items():
+            for dep in dict.fromkeys(task.dep_tasks()):
+                readers[dep].append(tid)
+        return {tid: tuple(r) for tid, r in readers.items()}
+
+    @cached_property
+    def _sinks(self) -> tuple[str, ...]:
+        return tuple(sorted(tid for tid, r in self.readers.items() if not r))
 
 
 def topo_layers(dag: TaskDAG) -> list[list[str]]:
@@ -258,7 +276,8 @@ def _value_body(execution_id: str, kind: str, ref: str, data: bytes) -> bytes:
 
 class TaskExecutor:
     """Per-node engine: runs its assigned tasks one at a time, one tick each,
-    broadcasting finished values; learns remote values and chunks from
+    and sends each finished value to the current owners of the tasks that
+    read it (a sink to every peer); learns remote values and chunks from
     signed messages. `schedule` and `reassigned` (task -> node, the first
     in topological order) and `holders` (node -> the chunks it holds) are
     the execution's maps, shared by every executor: the node runs the tasks
@@ -266,19 +285,21 @@ class TaskExecutor:
     only from a node that either map gives the task and a chunk message
     only from a holder of that chunk. The failure detector fills
     `reassigned` in place and then sends a `sync`: the node takes the tasks
-    newly given to it and sends a signed `need` to the owner of each task
-    it lacks whose task inputs it holds, and to every holder of each chunk
-    its tasks wait on. It answers a need for a task it owns or a chunk it
-    holds, once it has the data, to the requester alone; any other need
-    counts as a rejection.
+    newly given to it and asks for what it needs, the inputs its unfinished
+    tasks lack and the sinks it lacks, with one signed `need` per peer and
+    input kind: the tasks the peer owns, in schedule order, or the chunks
+    it holds, in id order (every holder is asked). It answers a need
+    whose every ref is a task it owns or a chunk it holds with those it has,
+    each as its own signed value or chunk, to the requester alone; any other
+    need counts as one rejection.
 
     It starts the first task in `assigned` order that is ready (every task
     input in `values`, every chunk input in `chunks`) and not yet finished;
-    tasks taken over after a crash come after the node's own. A ready queue
-    finds that task without rescanning: a task is known by its position in
-    `assigned`, which waits under every distinct input the node lacks, in
-    one table per input kind (TASK, CHUNK) since a task and a chunk may
-    share an id. The first time a value or chunk becomes known its waiters
+    tasks taken over after a crash come after the node's own, and one whose
+    value it already holds is not run again. A ready queue finds that task
+    without rescanning: a task is known by its position in `assigned`,
+    which waits under every distinct input the node lacks, in one table per
+    input kind (TASK, CHUNK) since a task and a chunk may share an id. The first time a value or chunk becomes known its waiters
     are re-checked, and those now ready go on a min-heap of positions; a
     start pops the heap, skipping finished tasks. Each task is checked at
     most once per distinct input, so the work per task is fixed however
@@ -298,6 +319,7 @@ class TaskExecutor:
         self.dag = dag
         self.node = node
         self.members = tuple(sorted(members))
+        self.peers = tuple(m for m in self.members if m != node)
         self.schedule = schedule
         self.reassigned = reassigned
         self.holders = holders
@@ -319,9 +341,15 @@ class TaskExecutor:
         body = _value_body(self.execution_id, kind, ref, data)
         return body + self.keystore.sign(self.node, body)
 
-    def _bcast(self, kind: str, ref: str, data: bytes) -> list:
+    def _send(self, dsts, kind: str, ref: str, data: bytes) -> list:
+        """One signed wire to each of `dsts`; nothing is signed for none."""
+        if not dsts:
+            return []
         wire = self._signed(kind, ref, data)
-        return [Send(m, wire, kind) for m in self.members if m != self.node]
+        return [Send(m, wire, kind) for m in dsts]
+
+    def _owner(self, tid: str) -> str | None:
+        return self.reassigned.get(tid, self.schedule.get(tid))
 
     def _ready(self, tid: str) -> bool:
         for inp in self.dag.tasks[tid].inputs:
@@ -375,23 +403,27 @@ class TaskExecutor:
         needed = self.dag.chunk_ids()
         for cid in sorted(self.chunks):
             if cid in needed:
-                acts += self._bcast("chunk", cid, self.chunks[cid])
+                acts += self._send(self.peers, "chunk", cid, self.chunks[cid])
         return acts + self._try_start()
 
     def _on_sync(self) -> list:
         for tid, owner in self.reassigned.items():
             if owner == self.node and tid not in self._owned:
                 self._assign(tid)
-        acts = []
-        for tid, owner in self.schedule.items():
-            owner = self.reassigned.get(tid, owner)
-            if (tid not in self.values and owner != self.node
-                    and all(d in self.values for d in self.dag.tasks[tid].dep_tasks())):
-                acts.append(Send(owner, self._signed("need", tid, b""), "need"))
+        wanted = self._waiting[TASK].keys() | {
+            tid for tid in self.dag.sinks() if tid not in self.values}
+        asks: dict[tuple[str, str], list[str]] = {}     # (peer, kind) -> refs
+        for tid in self.schedule:
+            if tid in wanted:
+                owner = self._owner(tid)
+                if owner != self.node:
+                    asks.setdefault((owner, TASK), []).append(tid)
         for cid in sorted(self._waiting[CHUNK]):
-            wire = self._signed("need", cid, b"")
-            acts += [Send(m, wire, "need") for m in self.members
-                     if cid in self.holders.get(m, ())]
+            for m in self.peers:
+                if cid in self.holders.get(m, ()):
+                    asks.setdefault((m, CHUNK), []).append(cid)
+        acts = [Send(m, self._signed("need", kind, codec.pack(*refs)), "need")
+                for (m, kind), refs in sorted(asks.items())]
         return acts + self._try_start()
 
     def _on_exec_timer(self, label: str) -> list:
@@ -401,10 +433,15 @@ class TaskExecutor:
         self.busy = None
         task = self.dag.tasks[tid]
         operands = [_resolve(i, self.values, self.chunks) for i in task.inputs]
-        self.values[tid] = eval_op(task.op, operands)
+        value = self.values[tid] = eval_op(task.op, operands)
         self._learned(TASK, tid)
-        acts = self._bcast("value", tid, self.values[tid])
-        return acts + self._try_start()
+        readers = self.dag.readers[tid]
+        if readers:                     # the current owners of its readers
+            owners = {self._owner(r) for r in readers}
+            dsts = [m for m in self.peers if m in owners]
+        else:                           # a sink: every member signs the result
+            dsts = self.peers
+        return self._send(dsts, "value", tid, value) + self._try_start()
 
     def _check(self, src: str, wire: bytes) -> tuple | None:
         if len(wire) <= SIG_LEN:
@@ -444,18 +481,25 @@ class TaskExecutor:
             self._learned(key, ref)
         return self._try_start()
 
-    def _on_need(self, src: str, ref: str, data: bytes) -> list:
-        owns = self.reassigned.get(ref, self.schedule.get(ref)) == self.node
-        holds = ref in self.dag.chunk_ids() and ref in self.holders.get(self.node, ())
-        if data or not (owns or holds):
-            self.rejected += 1
-            return []
-        acts = []
-        if owns and ref in self.values:
-            acts.append(Send(src, self._signed("value", ref, self.values[ref]), "value"))
-        if holds:
-            acts.append(Send(src, self._signed("chunk", ref, self.chunks[ref]), "chunk"))
-        return acts
+    def _on_need(self, src: str, kind, data: bytes) -> list:
+        """Answer a need for the values (`kind` TASK) of tasks this node
+        owns, or the chunks (CHUNK) it holds, with those it has. `data`
+        packs the refs. A need that names none, or anything else, is refused
+        whole; a ref that is not a str matches no task or chunk id."""
+        try:
+            refs = codec.unpack(data)
+        except codec.CodecError:
+            refs = ()
+        if refs and kind == TASK and all(self._owner(ref) == self.node for ref in refs):
+            return [Send(src, self._signed("value", ref, self.values[ref]), "value")
+                    for ref in refs if ref in self.values]
+        held = self.holders.get(self.node, {})
+        if refs and kind == CHUNK and all(
+                ref in held and ref in self.dag.chunk_ids() for ref in refs):
+            return [Send(src, self._signed("chunk", ref, held[ref]), "chunk")
+                    for ref in refs]
+        self.rejected += 1
+        return []
 
 
 @dataclass
@@ -471,17 +515,32 @@ class ExecutionReport(NetReport):
     rejected: dict[str, int]      # node -> deliveries its executor refused
 
 
+def _outcome(dag: TaskDAG, held: list[dict[str, bytes]]):
+    """The union of the live members' values (`held` lists each one's), and
+    the failed tasks: those no live member holds, and the sinks some live
+    member lacks or holds with another value."""
+    values: dict[str, bytes] = {}
+    for own in held:
+        values.update(own)
+    failed = tuple(sorted(
+        tid for tid in dag.tasks if tid not in values or (
+            not dag.readers[tid] and any(own.get(tid) != values[tid] for own in held))))
+    return values, failed
+
+
 def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, bytes]],
                           keystore: KeyStore, net_cfg: NetworkConfig | None = None,
                           faults=(), execution_id: str = "exec",
                           max_tick: int = 5000) -> ExecutionReport:
     """Run the DAG across the members. Whenever the network goes quiet while
-    a live member lacks a value, act as the failure detector: move the tasks
-    of crashed owners to live members and sync every live member, so each
-    pulls what it lacks. Stop when a round adds no value and finds no new
-    crash (one that starts before GST on a lossy network does not count),
-    or the budget runs out. `values` is the union of the live members' own
-    values, for audit only."""
+    a task or sink fails by `_outcome`'s rule, act as the failure detector:
+    move the tasks of crashed owners to live members and sync every live
+    member, so each pulls what it needs. Stop when nothing fails, when a
+    round adds no value, finds no new crash and loses no message to the
+    link, or when the budget runs out. A moved task whose value its new
+    owner does not hold is evaluated again by that owner, since a value is
+    taken only from its task's owner. `values` is the union of the live
+    members' own values, for audit only."""
     ordered = tuple(sorted(members))
     schedule = topo_schedule(dag, ordered, holders)
     reassigned: dict[str, str] = {}
@@ -501,27 +560,19 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     last = None             # (live members, values held) before a lossless round
     while True:
         live = [n for n in ordered if not net.crashed(n, net.now)]
+        values, failed = _outcome(dag, [execs[n].values for n in live])
         held = (len(live), sum(len(e.values) for e in execs.values()))
-        if (net.budget_exhausted or held == last
-                or all(len(execs[n].values) == len(dag.tasks) for n in live)):
+        if net.budget_exhausted or not failed or held == last:
             break
         moved = [tid for tid, owner in schedule.items()
                  if reassigned.get(tid, owner) not in live]
         reassigned.update(_place(dag, moved, live, holders))
-        start = net.now + 1
         for node in live:
-            net.schedule_local(node, start, b"", "sync")
-        cfg = net.cfg       # a round before GST may lose needs: no proof of a stall
-        last = None if cfg.drop_rate and cfg.gst is not None and start < cfg.gst else held
+            net.schedule_local(node, net.now + 1, b"", "sync")
+        lost = net.lost     # a round that lost a message is no proof of a stall
         net.run_until(max_tick)
+        last = held if net.lost == lost else None
 
-    values: dict[str, bytes] = {}
-    for node in live:
-        values.update(execs[node].values)
-    sinks = set(dag.sinks())
-    failed = tuple(sorted(
-        tid for tid in dag.tasks if tid not in values or (
-            tid in sinks and any(execs[n].values.get(tid) != values[tid] for n in live))))
     completed = not failed
     return net.report(
         ExecutionReport,

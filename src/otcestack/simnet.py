@@ -132,6 +132,7 @@ class Network:
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
+        self.lost = 0           # drops drawn from drop_rate, not from faults
         self.now = 0
         self.budget_exhausted = False
 
@@ -197,6 +198,7 @@ class Network:
         if deliver_at is None:
             if (cfg.drop_rate > 0.0 and (cfg.gst is None or tick < cfg.gst)
                     and self.rng.random() < cfg.drop_rate):
+                self.lost += 1
                 self._drop(tick, src, dst, label, payload)
                 return
             # randrange is what randint calls, so the random stream is the same

@@ -402,6 +402,87 @@ def test_drops_before_gst_are_recovered_by_needs():
     assert pulled > 0
 
 
+def test_lossy_rounds_without_gst_do_not_end_recovery():
+    # no stabilization tick: any round may lose a need or its answer, so
+    # only a round that lost nothing and added nothing ends the recovery
+    members = [f"m{i}" for i in range(5)]
+    several_rounds = 0
+    for i in range(200):
+        rng = random.Random(i)
+        dag, chunks = make_random_dag(rng)
+        crash = FaultSpec(rng.choice(members), Behavior.CRASH, at_tick=rng.randrange(8))
+        report = execute_collaborative(
+            dag, members, {m: dict(chunks) for m in members}, KeyStore(1),
+            net_cfg=NetworkConfig(1, 3, gst=None, drop_rate=0.15, seed=i), faults=(crash,))
+        assert report.completed, (i, report.failed_tasks)
+        assert report.values == sequential_oracle(dag, chunks)
+        several_rounds += sum("local:sync" in line for line in report.trace) > 4
+    assert several_rounds > 50
+
+
+class RoutingRecorder(TaskExecutor):
+    """Records every delivered value that no reader's owner or sink
+    explains, and every sync that sends two needs of one kind to one peer."""
+
+    strays: list
+    repeats: list
+    needs: int
+
+    def step(self, event, now):
+        acts = super().step(event, now)
+        if event.kind == "msg" and event.label == "value":
+            ref = codec.unpack(event.payload[:-SIG_LEN])[3]
+            readers = self.dag.readers[ref]
+            if readers and all(self._owner(r) != self.node for r in readers):
+                RoutingRecorder.strays.append((self.node, ref))
+        if event.kind == "local" and event.label == "sync":
+            asks = [(a.dst, codec.unpack(a.payload[:-SIG_LEN])[3])
+                    for a in acts if isinstance(a, Send) and a.label == "need"]
+            RoutingRecorder.needs += len(asks)
+            if len(set(asks)) < len(asks):
+                RoutingRecorder.repeats.append((self.node, asks))
+        return acts
+
+
+def test_values_go_only_to_readers_and_each_sync_asks_each_peer_once(monkeypatch):
+    monkeypatch.setattr(bvm, "TaskExecutor", RoutingRecorder)
+    RoutingRecorder.strays, RoutingRecorder.repeats, RoutingRecorder.needs = [], [], 0
+    rng = random.Random(1707)
+    members = ("w1", "w2", "w3", "w4")
+    not_everyone = 0
+    for _ in range(40):
+        dag, chunks = make_random_dag(rng)
+        holders: dict[str, dict[str, bytes]] = {m: {} for m in members}
+        for cid, data in chunks.items():        # two holders: one survives
+            for m in rng.sample(members, 2):
+                holders[m][cid] = data
+        report = execute_collaborative(
+            dag, members, holders, KeyStore(3),
+            net_cfg=NetworkConfig(1, 3, gst=12, drop_rate=0.25, seed=rng.randrange(10**6)),
+            faults=(FaultSpec(rng.choice(members), Behavior.CRASH,
+                              at_tick=rng.randrange(10)),))
+        assert report.completed and report.values == sequential_oracle(dag, chunks)
+        sent = sum("msg:value" in line or "drop:value" in line or "dead:value" in line
+                   for line in report.trace)
+        not_everyone += sent < len(dag.tasks) * (len(members) - 1)
+    assert RoutingRecorder.strays == [] and RoutingRecorder.repeats == []
+    assert RoutingRecorder.needs > 0 and not_everyone > 0
+
+
+def test_a_value_only_its_owner_reads_is_neither_signed_nor_sent(monkeypatch):
+    dag, _ = parse_dag("task a add l:01\ntask b add t:a l:01\ntask c add l:02\n")
+    signed = []
+    real = KeyStore.sign
+    monkeypatch.setattr(KeyStore, "sign", lambda ks, node, body: signed.append(
+        codec.unpack(body)[3]) or real(ks, node, body))
+    report = execute_collaborative(dag, ("m0", "m1"), {}, KeyStore(3),
+                                   net_cfg=NetworkConfig(seed=1))
+    assert report.schedule == {"a": "m0", "c": "m1", "b": "m0"}
+    assert report.completed and report.values == sequential_oracle(dag, {})
+    # only the two sinks are signed (and verified, which signs again) and sent
+    assert set(signed) == {"b", "c"} and report.sent == 2
+
+
 def test_sole_holder_crash_fails_cleanly():
     tasks = {"t": Task("t", "concat", (chunk_input("c1"),))}
     dag = TaskDAG(tasks)
@@ -422,7 +503,7 @@ def test_report_accounts_for_every_message(max_tick):
     dag, chunks = make_random_dag(random.Random(6))
     report = execute_collaborative(
         dag, MEMBERS, {m: dict(chunks) for m in MEMBERS}, KeyStore(3),
-        net_cfg=NetworkConfig(delay_min=1, delay_max=3, drop_rate=0.2, gst=15, seed=4),
+        net_cfg=NetworkConfig(delay_min=1, delay_max=3, drop_rate=0.2, gst=15, seed=5),
         faults=(FaultSpec("w2", Behavior.CRASH, at_tick=2),), max_tick=max_tick)
     assert report.dropped > 0
     assert report.sent == report.delivered + report.dropped + report.in_flight
@@ -473,6 +554,11 @@ def test_chunk_accepted_only_from_a_holder_and_only_if_read():
     assert executor.values == {"a": b"real"} and executor.rejected == 2
 
 
+def need_wire(ks, src, kind, refs):
+    body = codec.pack("bvm-val", "x", "need", kind, codec.pack(*refs))
+    return body + ks.sign(src, body)
+
+
 def test_sync_takes_moved_tasks_and_needs_what_is_missing():
     ks = KeyStore(3)
     dag, _ = parse_dag("chunk k 07\ntask a add l:01\ntask b concat t:a c:k\n"
@@ -483,13 +569,14 @@ def test_sync_takes_moved_tasks_and_needs_what_is_missing():
                             {"m0": {"k": b"\x07"}, "m2": {"k": b"\x07"}}, ks)
     reassigned["a"] = "m1"              # m0 crashed
 
-    def need(dst, ref):
-        body = codec.pack("bvm-val", "x", "need", ref, b"")
-        return Send(dst, body + ks.sign("m1", body), "need")
+    def need(dst, kind, refs):
+        return Send(dst, need_wire(ks, "m1", kind, refs), "need")
 
-    # e's inputs are all held, c waits on b; b waits on k, which both holders may send
+    # b waits on a, now m1's own, and on k, which both holders may send; the
+    # sinks e and c are m2's, asked for in schedule order in one need
     assert executor.step(SimEvent(5, 5, "local", "m1", "m1", b"", "sync"), 5) == [
-        need("m2", "e"), need("m0", "k"), need("m2", "k"), SetTimer(1, "exec:a")]
+        need("m0", "c", ["k"]), need("m2", "c", ["k"]), need("m2", "t", ["e", "c"]),
+        SetTimer(1, "exec:a")]
     assert executor.assigned == ["b", "a"]
     executor.step(SimEvent(6, 6, "local", "m1", "m1", b"", "sync"), 6)
     assert executor.assigned == ["b", "a"]
@@ -520,12 +607,18 @@ def test_members_disagreeing_on_a_sink_do_not_complete():
 def test_need_answered_only_for_an_owned_task_or_a_held_chunk():
     ks = KeyStore(3)
     dag = TaskDAG({"a": Task("a", "concat", (chunk_input("k"),)),
-                   "b": Task("b", "add", (task_input("a"),))})
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), {"a": "m1", "b": "m2"},
-                            {}, {"m1": {"k": b"\x07"}}, ks)
+                   "b": Task("b", "add", (task_input("a"),)),
+                   "z": Task("z", "add", (lit_input(b"\x01"),))})
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"),
+                            {"a": "m1", "z": "m1", "b": "m2"}, {},
+                            {"m1": {"k": b"\x07"}}, ks)
 
-    def need(ref, data=b"", t=1):
-        body = codec.pack("bvm-val", "x", "need", ref, data)
+    def need(kind, refs, t=1):
+        return executor.step(SimEvent(t, t, "msg", "m2", "m1",
+                                      need_wire(ks, "m2", kind, refs), "need"), t)
+
+    def raw_need(kind, data, t=1):
+        body = codec.pack("bvm-val", "x", "need", kind, data)
         return executor.step(SimEvent(t, t, "msg", "m2", "m1",
                                       body + ks.sign("m2", body), "need"), t)
 
@@ -533,15 +626,23 @@ def test_need_answered_only_for_an_owned_task_or_a_held_chunk():
         body = codec.pack("bvm-val", "x", kind, ref, data)
         return Send("m2", body + ks.sign("m1", body), kind)
 
-    assert need("a") == []                  # owned, not yet computed
-    assert need("k") == [answer("chunk", "k", b"\x07")]
+    assert need("t", ["a", "z"]) == []      # owned, not yet computed
+    assert need("c", ["k"]) == [answer("chunk", "k", b"\x07")]
     assert executor.rejected == 0
-    assert need("b") == [] and need("ghost") == [] and need("k", b"\x00") == []
-    assert executor.rejected == 3
+    refused = [
+        need("x", ["a"]), need(None, ["a"]),             # unknown kind
+        raw_need("t", b""), raw_need("t", b"\xff"),      # not a packed run
+        raw_need("t", codec.pack(5)), raw_need("t", codec.pack("a", b"z")),
+        raw_need("t", codec.pack(["a"])),
+        need("t", ["a", "b"]), need("t", ["ghost"]),     # not owned
+        need("t", ["k"]), need("c", ["a"]),              # the other kind's ref
+        need("c", ["k", "elsewhere"]),                   # not held
+    ]
+    assert refused == [[]] * 12 and executor.rejected == 12
     executor.step(SimEvent(2, 2, "local", "m1", "m1", b"", "start"), 2)
     executor.step(SimEvent(3, 3, "timer", "m1", "m1", b"", "exec:a"), 3)
-    assert need("a", t=4) == [answer("value", "a", b"\x07")]
-    assert executor.rejected == 3
+    assert need("t", ["z", "a"], t=4) == [answer("value", "a", b"\x07")]
+    assert executor.rejected == 12
 
 
 def test_value_accepted_only_from_the_tasks_assignee():

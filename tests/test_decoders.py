@@ -3,8 +3,9 @@
 Each case starts from a valid encoding and checks that it decodes to the
 expected value; that a wrong tag, a missing field, an extra field, and each
 checked field given a wrong type are refused; and that the fields left
-unchecked accept other values. A refusal is a CodecError, or None from
-`verify_msg` and `TaskExecutor._check`.
+unchecked accept other values. A refusal is a CodecError, None from
+`verify_msg` and `TaskExecutor._check`, or a need that `TaskExecutor.step`
+counts as rejected.
 """
 
 from dataclasses import dataclass, field
@@ -12,12 +13,13 @@ from dataclasses import dataclass, field
 import pytest
 
 from otcestack import codec
-from otcestack.bvm import Task, TaskDAG, TaskExecutor, lit_input
+from otcestack.bvm import Task, TaskDAG, TaskExecutor, chunk_input, lit_input, task_input
 from otcestack.consensus import Msg, MsgKind, verify_msg
 from otcestack.did import DIDRegistry
-from otcestack.keys import KeyStore
+from otcestack.keys import SIG_LEN, KeyStore
 from otcestack.ledger import Transaction, TxKind, decode_tx
 from otcestack.otce import OTCERegistry
+from otcestack.simnet import SimEvent
 
 REFUSED = "refused"
 KS = KeyStore(5)
@@ -53,6 +55,20 @@ def _bvm(fields):
     executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1"}, {}, {}, KS)
     got = executor._check("m0", _wire(fields))
     return REFUSED if got is None else got
+
+
+def _bvm_need(fields):
+    # m1 owns t, holds k and has computed t; m0 owns u
+    dag = TaskDAG({"t": Task("t", "concat", (chunk_input("k"),)),
+                   "u": Task("u", "add", (task_input("t"),))})
+    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1", "u": "m0"}, {},
+                            {"m1": {"k": b"\x07"}}, KS)
+    executor.step(SimEvent(0, 0, "local", "m1", "m1", b"", "start"), 0)
+    executor.step(SimEvent(1, 1, "timer", "m1", "m1", b"", "exec:t"), 1)
+    acts = executor.step(SimEvent(2, 2, "msg", "m0", "m1", _wire(fields), "need"), 2)
+    if executor.rejected:
+        return REFUSED
+    return tuple((a.dst,) + codec.unpack(a.payload[:-SIG_LEN])[2:] for a in acts)
 
 
 @dataclass
@@ -134,6 +150,15 @@ CASES = [
          refused=[(1, "x2"), (1, b"x1"), (4, "s"), (4, 5)],
          # kind and ref are not checked by the shape
          accepted=[(2, 5, (5, "t", b"\x07")), (3, None, ("value", None, b"\x07"))]),
+    # a need names an input kind and packs a non-empty run of refs of that
+    # kind that the receiver owns (a task) or holds (a chunk)
+    Case("bvm-need", _bvm_need, ["bvm-val", "x1", "need", "t", codec.pack("t")],
+         (("m0", "value", "t", b"\x07"),),
+         refused=[(3, "x"), (3, None), (3, "value"), (3, "c"),
+                  (4, b""), (4, b"\xff"), (4, codec.pack()), (4, codec.pack(5)),
+                  (4, codec.pack(b"t")), (4, codec.pack(["t"])), (4, codec.pack("t", 5)),
+                  (4, codec.pack("u")), (4, codec.pack("t", "ghost")), (4, codec.pack("k"))],
+         accepted=[(4, codec.pack("t", "t"), (("m0", "value", "t", b"\x07"),) * 2)]),
 ]
 
 

@@ -24,9 +24,9 @@ GOLDEN = {
         "chain.dump": "2f136b7cdd2d938915bf662ef88c7fc4d9314c57600f94cd51154ffa8371c222",
         "did.dump": "599b6397d860b33cb75192f9c48963d8f71addc12f073ab8fb62d737d1a173a8",
         "graph.dump": "0dfb2412559d4ed1c0abdd8212bc55328de08b9e3fa5f4ed744a9b022bfd3d7f",
-        "metrics.txt": "76ddcd39d43cb9bce938a6237d347645d843d69647c31cbf50ad0a7415f3d311",
+        "metrics.txt": "b0617e2c27eb4b2c7a5ffaa4702b7affce2736a5e0dddb6742552603669bd543",
         "otce.dump": "b4b1c99feaee166549feef99c145357461038ad6b307307fc6873b419d2c46d1",
-        "trace.log": "763e117fb7e89100bd0a2087a593d295b1b8b3c69f5abe2d0b52af8237845087",
+        "trace.log": "6b1f6c821d7cf23353915287e1658543e382dbd0bb506888fe29d5294a70245f",
     },
     "plan_switch": {
         "chain.dump": "09ac9b360425b8fed634f30f7c9f43d81b9e9a1f5f2769d6906047aa5b03c74c",
@@ -107,6 +107,6 @@ def test_crash_placement_is_pinned():
     # and need, so its digest pins the start order before and after the
     # crash is detected.
     trace = hashlib.sha256("\n".join(report.trace).encode()).hexdigest()
-    assert trace == "482249589bb340ae2e9dcd173648bd93b955013d17df20523c2b645dbc7fdbf1"
-    assert report.ticks == 26
+    assert trace == "4bc8c1527b3f033c4cd1dd0878e4bc2a3397a8814442d5a1ef5f907ec16bd0fa"
+    assert report.ticks == 24
     assert report.signers == ("w1", "w3", "w4")

@@ -140,7 +140,7 @@ def test_drop_rate_loses_messages_before_gst_only():
     for t in range(60, 100):
         net.schedule_local("a", t, b"", "kick")       # after stabilization
     net.run_until(200)
-    assert net.dropped > 0
+    assert net.dropped > 0 and net.lost == net.dropped
     assert len(got) == 80 - net.dropped
     assert len([t for t in got if t >= 60]) == 40      # none lost after gst
     assert net.conservation_ok()
@@ -181,6 +181,7 @@ def test_crashed_destination_discards_delivery():
     net.run_until(50)
     assert seen == []
     assert any(" dead:" in line for line in net.trace)
+    assert net.dropped == 1 and net.lost == 0       # a fault's drop is no loss
     assert net.conservation_ok()
 
 
@@ -197,6 +198,7 @@ def test_drop_all_suppresses_outbound_but_node_keeps_receiving():
     net.run_until(50)
     assert "out" not in b_got               # a's sends vanish
     assert "back" in a_got                  # but a still hears b
+    assert net.dropped == 1 and net.lost == 0
     assert net.conservation_ok()
 
 
