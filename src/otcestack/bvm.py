@@ -23,15 +23,15 @@ signed `need` per peer and input kind. Each node keeps a ready queue: a
 task waits under the inputs the node lacks and is re-checked only when one
 of them first arrives, so the work per task is fixed by its inputs. A node
 takes a signed chunk only when some task reads it and the sender holds it,
-and a signed value only from a node the schedule or the reassignment gave
-that task; any other message counts as a rejection. The run is complete
-when every task is held by a live member and every live member holds every
-sink with the same value; those members sign the sandbox contract's result
-message, and the contract accepts it only when the signers meet the
-group's security plan. A value or chunk sent to several peers reaches each
-as the same wire, so the executors of one execution share a memo from
-(sender, wire) to the checked message: each distinct pair is verified and
-decoded once, and every rejected delivery is still counted by its receiver.
+and a signed value only from the task's current owner; any other message
+counts as a rejection. The run is complete when every task is held by a
+live member and every live member holds every sink with the same value;
+those members sign the sandbox contract's result message, and the
+contract accepts it only when the signers meet the group's security
+plan. A value or chunk sent to several peers reaches each as the same
+wire, so the executors of one execution share a memo from (sender, wire)
+to the checked message: each distinct pair is verified and decoded once,
+and every rejected delivery is still counted by its receiver.
 """
 
 from __future__ import annotations
@@ -278,20 +278,19 @@ class TaskExecutor:
     """Per-node engine: runs its assigned tasks one at a time, one tick each,
     and sends each finished value to the current owners of the tasks that
     read it (a sink to every peer); learns remote values and chunks from
-    signed messages. `schedule` and `reassigned` (task -> node, the first
-    in topological order) and `holders` (node -> the chunks it holds) are
-    the execution's maps, shared by every executor: the node runs the tasks
-    the schedule gave it, starts with its own chunks, takes a value message
-    only from a node that either map gives the task and a chunk message
-    only from a holder of that chunk. The failure detector fills
-    `reassigned` in place and then sends a `sync`: the node takes the tasks
-    newly given to it and asks for what it needs, the inputs its unfinished
-    tasks lack and the sinks it lacks, with one signed `need` per peer and
-    input kind: the tasks the peer owns, in schedule order, or the chunks
-    it holds, in id order (every holder is asked). It answers a need
-    whose every ref is a task it owns or a chunk it holds with those it has,
-    each as its own signed value or chunk, to the requester alone; any other
-    need counts as one rejection.
+    signed messages. `owners` (task -> its current owner, in topological
+    order) and `holders` (node -> the chunks it holds) are the execution's
+    maps, shared by every executor: the node runs the tasks it owns,
+    starts with its own chunks, takes a value message only from the task's
+    current owner and a chunk message only from a holder of that chunk.
+    The failure detector moves tasks in `owners` in place and then sends a
+    `sync`: the node takes the tasks newly given to it and asks for what it
+    needs, the inputs its unfinished tasks lack and the sinks it lacks,
+    with one signed `need` per peer and input kind: the tasks the peer
+    owns, in topological order, or the chunks it holds, in id order (every
+    holder is asked). It answers a need whose every ref is a task it owns
+    or a chunk it holds with those it has, each as its own signed value or
+    chunk, to the requester alone; any other need counts as one rejection.
 
     It starts the first task in `assigned` order that is ready (every task
     input in `values`, every chunk input in `chunks`) and not yet finished;
@@ -312,16 +311,15 @@ class TaskExecutor:
     executor built without one gets a private memo."""
 
     def __init__(self, execution_id: str, dag: TaskDAG, node: str, members,
-                 schedule: dict[str, str], reassigned: dict[str, str],
-                 holders: dict[str, dict[str, bytes]], keystore: KeyStore,
+                 owners: dict[str, str], holders: dict[str, dict[str, bytes]],
+                 keystore: KeyStore,
                  verified: dict[tuple[str, bytes], tuple | None] | None = None):
         self.execution_id = execution_id
         self.dag = dag
         self.node = node
         self.members = tuple(sorted(members))
         self.peers = tuple(m for m in self.members if m != node)
-        self.schedule = schedule
-        self.reassigned = reassigned
+        self.owners = owners
         self.holders = holders
         self.chunks = dict(holders.get(node, {}))
         self.keystore = keystore
@@ -333,7 +331,7 @@ class TaskExecutor:
         self._waiting: dict[str, dict[str, list[int]]] = {TASK: {}, CHUNK: {}}
         self.assigned: list[str] = []
         self._owned: set[str] = set()
-        for tid, owner in schedule.items():
+        for tid, owner in owners.items():
             if owner == node:
                 self._assign(tid)
 
@@ -347,9 +345,6 @@ class TaskExecutor:
             return []
         wire = self._signed(kind, ref, data)
         return [Send(m, wire, kind) for m in dsts]
-
-    def _owner(self, tid: str) -> str | None:
-        return self.reassigned.get(tid, self.schedule.get(tid))
 
     def _ready(self, tid: str) -> bool:
         for inp in self.dag.tasks[tid].inputs:
@@ -407,17 +402,15 @@ class TaskExecutor:
         return acts + self._try_start()
 
     def _on_sync(self) -> list:
-        for tid, owner in self.reassigned.items():
+        for tid, owner in self.owners.items():
             if owner == self.node and tid not in self._owned:
                 self._assign(tid)
         wanted = self._waiting[TASK].keys() | {
             tid for tid in self.dag.sinks() if tid not in self.values}
         asks: dict[tuple[str, str], list[str]] = {}     # (peer, kind) -> refs
-        for tid in self.schedule:
-            if tid in wanted:
-                owner = self._owner(tid)
-                if owner != self.node:
-                    asks.setdefault((owner, TASK), []).append(tid)
+        for tid, owner in self.owners.items():
+            if tid in wanted and owner != self.node:
+                asks.setdefault((owner, TASK), []).append(tid)
         for cid in sorted(self._waiting[CHUNK]):
             for m in self.peers:
                 if cid in self.holders.get(m, ()):
@@ -437,7 +430,7 @@ class TaskExecutor:
         self._learned(TASK, tid)
         readers = self.dag.readers[tid]
         if readers:                     # the current owners of its readers
-            owners = {self._owner(r) for r in readers}
+            owners = {self.owners.get(r) for r in readers}
             dsts = [m for m in self.peers if m in owners]
         else:                           # a sink: every member signs the result
             dsts = self.peers
@@ -470,8 +463,7 @@ class TaskExecutor:
         if (kind == "chunk" and ref in self.dag.chunk_ids()
                 and ref in self.holders.get(event.src, ())):
             known, key = self.chunks, CHUNK
-        elif kind == "value" and (self.schedule.get(ref) == event.src
-                                  or self.reassigned.get(ref) == event.src):
+        elif kind == "value" and self.owners.get(ref) == event.src:
             known, key = self.values, TASK
         else:
             self.rejected += 1
@@ -490,7 +482,7 @@ class TaskExecutor:
             refs = codec.unpack(data)
         except codec.CodecError:
             refs = ()
-        if refs and kind == TASK and all(self._owner(ref) == self.node for ref in refs):
+        if refs and kind == TASK and all(self.owners.get(ref) == self.node for ref in refs):
             return [Send(src, self._signed("value", ref, self.values[ref]), "value")
                     for ref in refs if ref in self.values]
         held = self.holders.get(self.node, {})
@@ -510,8 +502,8 @@ class ExecutionReport(NetReport):
     failed_tasks: tuple[str, ...]
     digest: bytes | None
     signers: tuple[str, ...]      # the sorted live members if completed, else ()
-    schedule: dict[str, str]
-    reassigned: dict[str, str]
+    schedule: dict[str, str]      # task -> its first owner, in topological order
+    reassigned: dict[str, str]    # task -> its last owner, for each moved task
     rejected: dict[str, int]      # node -> deliveries its executor refused
 
 
@@ -543,13 +535,13 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     members' own values, for audit only."""
     ordered = tuple(sorted(members))
     schedule = topo_schedule(dag, ordered, holders)
-    reassigned: dict[str, str] = {}
+    owners = dict(schedule)
     net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
     verified: dict[tuple[str, bytes], tuple | None] = {}
     execs: dict[str, TaskExecutor] = {}
     for node in ordered:
-        execs[node] = TaskExecutor(execution_id, dag, node, ordered, schedule,
-                                   reassigned, holders, keystore, verified)
+        execs[node] = TaskExecutor(execution_id, dag, node, ordered, owners,
+                                   holders, keystore, verified)
         net.register(node, execs[node].step)
     for spec in faults:
         net.inject_fault(spec)
@@ -564,9 +556,8 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         held = (len(live), sum(len(e.values) for e in execs.values()))
         if net.budget_exhausted or not failed or held == last:
             break
-        moved = [tid for tid, owner in schedule.items()
-                 if reassigned.get(tid, owner) not in live]
-        reassigned.update(_place(dag, moved, live, holders))
+        moved = [tid for tid, owner in owners.items() if owner not in live]
+        owners.update(_place(dag, moved, live, holders))
         for node in live:
             net.schedule_local(node, net.now + 1, b"", "sync")
         lost = net.lost     # a round that lost a message is no proof of a stall
@@ -583,7 +574,8 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         digest=outputs_digest(dag, execs[live[0]].values) if completed else None,
         signers=tuple(live) if completed else (),
         schedule=schedule,
-        reassigned=reassigned,
+        reassigned={tid: owner for tid, owner in owners.items()
+                    if owner != schedule[tid]},
         rejected={node: e.rejected for node, e in execs.items()},
     )
 

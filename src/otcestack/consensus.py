@@ -110,7 +110,6 @@ def verify_msg(keystore: KeyStore, wire: bytes, members) -> Msg | None:
 
 @dataclass(frozen=True)
 class ConsensusConfig:
-    protocol: Protocol
     members: tuple[str, ...]
     f_max: int
     quorum: int
@@ -133,7 +132,7 @@ def config_from_plan(plan: SecurityPlan, members, instance_id: str,
     ordered = tuple(sorted(members))
     if len(ordered) != plan.n:
         raise ValueError(f"plan for n={plan.n} but {len(ordered)} members")
-    return ConsensusConfig(plan.protocol, ordered, plan.f_max, plan.quorum,
+    return ConsensusConfig(ordered, plan.f_max, plan.quorum,
                            view_timeout, instance_id)
 
 
@@ -488,8 +487,7 @@ class PaxosReplica(_Replica):
         self.promised: tuple[int, int] | None = None
         self.accepted: tuple[tuple[int, int], bytes] | None = None
         self.max_round_seen = 0
-        self.current: tuple[int, int] | None = None
-        self.phase = "idle"
+        self.current: tuple[int, int] | None = None    # the ballot in phase 1
         self.attempts = 0
         # ballot -> sender -> (accepted_round, accepted_index, accepted_value)
         self.promises: dict[tuple[int, int], dict[str, tuple[int, int, bytes | None]]] = {}
@@ -542,7 +540,6 @@ class PaxosReplica(_Replica):
         self._saw_round(rnd)
         ballot = (rnd, self.idx)
         self.current = ballot
-        self.phase = "phase1"
         self.promises[ballot] = {}
         acts = self._bcast(MsgKind.P1A, view=rnd, ballot_node=self.idx)
         own = Msg(self.cfg.instance_id, MsgKind.P1A, self.node, view=rnd,
@@ -569,7 +566,7 @@ class PaxosReplica(_Replica):
 
     def _on_p1b(self, msg: Msg, now: int) -> list:
         ballot = (msg.view, msg.ballot_node)
-        if self.current != ballot or self.phase != "phase1":
+        if self.current != ballot:
             self.dropped += 1
             return []
         reports = self.promises[ballot]
@@ -579,7 +576,7 @@ class PaxosReplica(_Replica):
         reports[msg.sender] = (msg.cert_view, msg.cert_node, msg.value)
         if len(reports) < self.cfg.quorum:
             return []
-        self.phase = "phase2"
+        self.current = None
         best: tuple[tuple[int, int], bytes] | None = None
         for sender in sorted(reports):
             acc_round, acc_idx, acc_value = reports[sender]
@@ -623,7 +620,7 @@ class PaxosReplica(_Replica):
         tally = self._count_vote(self.accept_tally, key, sender)
         if tally is None or self.decision is not None or len(tally) < self.cfg.quorum:
             return []
-        self.phase = "decided"
+        self.current = None
         return self._decide(value, ballot[0], now,
                             f"round={ballot[0]} value={codec.short(value)}")
 

@@ -6,7 +6,10 @@ value in [0, 1]. Trust moves by an exponential moving average over batches
 of behavior observations (an observation counts against trust when it is
 flagged non-compliant or its latency exceeds the bound). Trust stays
 local to the group: an observation whose subject is not a member of its
-edge is refused. Analytics — the degree histogram and per-node clustering
+edge is refused, and a group is judged only by an edge that holds every
+member: `group_trust` gives the one-component trust vector from which
+the sandbox contract derives the group's plan. Edge ids are the
+scenario's own. Analytics — the degree histogram and per-node clustering
 coefficients on the clique expansion — describe the shape of the
 collaboration graph. External observations arrive as oracle-signed records
 and are queued until the next trust update drains them.
@@ -75,16 +78,14 @@ class TrustHypergraph:
         self.edges: dict[str, Hyperedge] = {}
         self._pending: dict[str, list[BehaviorObservation]] = {}
         self._oracles: dict[str, KeyStore] = {}
-        self._next_edge = 1
 
     # -- construction ------------------------------------------------------
 
     def add_node(self, node_id: str) -> None:
         self.nodes.add(node_id)
 
-    def add_hyperedge(self, members, initial_trust: float,
-                      edge_id: str | None = None) -> str:
-        """Add a hyperedge over existing nodes; returns its id."""
+    def add_hyperedge(self, members, initial_trust: float, edge_id: str) -> str:
+        """Add the hyperedge `edge_id` over existing nodes; returns its id."""
         uniq = tuple(sorted(set(members)))
         if len(uniq) < 2:
             raise ValueError("a hyperedge needs at least 2 distinct members")
@@ -93,12 +94,7 @@ class TrustHypergraph:
             raise ValueError(f"unknown member(s): {', '.join(unknown)}")
         if not 0.0 <= initial_trust <= 1.0:
             raise ValueError("trust must be in [0, 1]")
-        if edge_id is None:
-            while f"e{self._next_edge}" in self.edges:
-                self._next_edge += 1
-            edge_id = f"e{self._next_edge}"
-            self._next_edge += 1
-        elif edge_id in self.edges:
+        if edge_id in self.edges:
             raise ValueError(f"duplicate edge id {edge_id}")
         self.edges[edge_id] = Hyperedge(edge_id, uniq, float(initial_trust))
         self._pending[edge_id] = []
@@ -110,8 +106,18 @@ class TrustHypergraph:
         except KeyError:
             raise ValueError(f"unknown edge {edge_id}") from None
 
-    def trust(self, edge_id: str) -> float:
-        return self._edge(edge_id).trust
+    def group_trust(self, edge_id: str, group) -> tuple[float, ...]:
+        """The trust vector of `group` on the edge `edge_id`: the edge's
+        trust, `(trust,)`. Only members of the edge may be judged by it,
+        so an unknown edge or a group member outside it is a ValueError."""
+        edge = self.edges.get(edge_id)
+        if edge is None:
+            raise ValueError(f"unknown edge {edge_id!r}")
+        outside = sorted(set(group).difference(edge.members))
+        if outside:
+            raise ValueError(f"group member(s) {', '.join(outside)} "
+                             f"not in edge {edge_id!r}")
+        return (edge.trust,)
 
     # -- trust updates -----------------------------------------------------
 

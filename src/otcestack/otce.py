@@ -293,7 +293,7 @@ class OTCERegistry:
             return False, "duplicate-signer"
         if any(s not in rec.group for s in signers):
             return False, "signer-not-in-group"
-        if len(signers) < rec.plan.verify_threshold:
+        if len(signers) < rec.plan.quorum:
             return False, "below-threshold"
         message = result_message(eid, digest)
         for signer, sig in sigs:

@@ -5,11 +5,15 @@ the threshold the cheaper majority protocol (Paxos) suffices, below it the
 group gets the Byzantine-tolerant one (PBFT). Fault bounds use
 strict-minority floors, so n nodes never tolerate exactly n/3 (or n/2)
 faults. Byzantine plans are refused for groups smaller than 4, where the
-bound degenerates to zero.
+bound degenerates to zero. Under either protocol the quorum is n - f_max
+(for the majority protocol that equals n // 2 + 1): the votes a decision
+needs, and the member signatures a sandbox result needs.
 
 `map_trust_to_plan` is the one trust-to-plan rule. Its caller is the
 sandbox contract, at create and at update-plan, so every sandbox's plan
-is derived on the chain from a committed trust vector.
+is derived on the chain from a committed trust vector. A scenario's
+vector is its group's edge trust (`TrustHypergraph.group_trust`), one
+component wide.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class SecurityPlan:
     n: int
     f_max: int
     quorum: int
-    verify_threshold: int
 
 
 def make_plan(protocol: Protocol, n: int) -> SecurityPlan:
@@ -53,11 +56,7 @@ def make_plan(protocol: Protocol, n: int) -> SecurityPlan:
         raise PlanInfeasibleError(
             f"byzantine plan infeasible for n={n}: the fault bound degenerates below n=4")
     f = fault_bound(protocol, n)
-    if protocol is Protocol.PBFT:
-        quorum = n - f
-    else:
-        quorum = n // 2 + 1
-    return SecurityPlan(protocol, n, f, quorum, n - f)
+    return SecurityPlan(protocol, n, f, n - f)
 
 
 @dataclass(frozen=True)

@@ -202,22 +202,14 @@ class _Runner:
             raise ActionError(f"{what} must be an integer, got {tok!r}") from None
 
     def _trust_components(self, spec: str, group) -> tuple[float, ...]:
-        """The trust vector a `trust=` spec gives `group`; `edge:<id>` is
-        that edge's trust, and only for a group within the edge."""
-        if spec.startswith("edge:"):
-            edge_id = spec[len("edge:"):]
-            edge = self.graph.edges.get(edge_id)
-            if edge is None:
-                raise ActionError(f"unknown edge {edge_id!r}")
-            outside = sorted(set(group).difference(edge.members))
-            if outside:
-                raise ActionError(f"group member(s) {', '.join(outside)} "
-                                  f"not in edge {edge_id!r}")
-            return (edge.trust,)
+        """The trust vector `trust=edge:<id>` gives `group`: the edge's
+        trust, and only for a group within the edge."""
+        if not spec.startswith("edge:"):
+            raise ActionError(f"trust must be edge:<id>, got {spec!r}")
         try:
-            return tuple(float(tok) for tok in spec.split(","))
-        except ValueError:
-            raise ActionError(f"bad trust vector {spec!r}") from None
+            return self.graph.group_trust(spec[len("edge:"):], group)
+        except ValueError as exc:
+            raise ActionError(str(exc)) from None
 
     # -- actions -----------------------------------------------------------
 
@@ -362,8 +354,6 @@ class _Runner:
         placed = {cid for store in holders.values() for cid in store}
         home = rec.group[0]
         for cid in sorted(dag.chunk_ids() - placed):
-            if cid not in file_chunks:
-                raise ScenarioError(f"dag file {path}: chunk {cid!r} has no data")
             holders.setdefault(home, {})[cid] = file_chunks[cid]
         report = execute_collaborative(dag, rec.group, holders, self.ks,
                                        net_cfg=self._net_cfg(index),

@@ -314,7 +314,6 @@ def test_criterion_08_plan_bounds_monotonicity_and_switch():
         assert plan.f_max == (n - 1) // 3
         assert plan.quorum == n - plan.f_max
         assert plan.quorum >= 2 * plan.f_max + 1
-        assert plan.verify_threshold == n - plan.f_max
     for n in range(2, 101):
         plan = make_plan(Protocol.PAXOS, n)
         assert plan.f_max == (n - 1) // 2

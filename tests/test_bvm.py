@@ -433,7 +433,7 @@ class RoutingRecorder(TaskExecutor):
         if event.kind == "msg" and event.label == "value":
             ref = codec.unpack(event.payload[:-SIG_LEN])[3]
             readers = self.dag.readers[ref]
-            if readers and all(self._owner(r) != self.node for r in readers):
+            if readers and all(self.owners.get(r) != self.node for r in readers):
                 RoutingRecorder.strays.append((self.node, ref))
         if event.kind == "local" and event.label == "sync":
             asks = [(a.dst, codec.unpack(a.payload[:-SIG_LEN])[3])
@@ -520,7 +520,7 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
     ks = KeyStore(3)
     dag = TaskDAG({"a": Task("a", "add", (lit_input(b"\x01"),)),
                    "b": Task("b", "add", (inp, lit_input(b"\x01")))})
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), {"a": "m0", "b": "m1"}, {},
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), {"a": "m0", "b": "m1"},
                             {"m0": {"a": b"\x05"}}, ks)
     body = codec.pack("bvm-val", "x", kind, "a", 5)
     wire = body + ks.sign("m0", body)
@@ -538,7 +538,7 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
 def test_chunk_accepted_only_from_a_holder_and_only_if_read():
     ks = KeyStore(3)
     dag = TaskDAG({"a": Task("a", "concat", (chunk_input("k"),))})
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), {"a": "m1"}, {},
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), {"a": "m1"},
                             {"m2": {"k": b"real"}}, ks)
 
     def chunk_from(src, ref, data, t):
@@ -563,11 +563,10 @@ def test_sync_takes_moved_tasks_and_needs_what_is_missing():
     ks = KeyStore(3)
     dag, _ = parse_dag("chunk k 07\ntask a add l:01\ntask b concat t:a c:k\n"
                        "task c add t:b l:01\ntask e add l:02\n")
-    schedule = {"a": "m0", "e": "m2", "b": "m1", "c": "m2"}
-    reassigned: dict[str, str] = {}
-    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), schedule, reassigned,
+    owners = {"a": "m0", "e": "m2", "b": "m1", "c": "m2"}
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), owners,
                             {"m0": {"k": b"\x07"}, "m2": {"k": b"\x07"}}, ks)
-    reassigned["a"] = "m1"              # m0 crashed
+    owners["a"] = "m1"                  # m0 crashed
 
     def need(dst, kind, refs):
         return Send(dst, need_wire(ks, "m1", kind, refs), "need")
@@ -610,7 +609,7 @@ def test_need_answered_only_for_an_owned_task_or_a_held_chunk():
                    "b": Task("b", "add", (task_input("a"),)),
                    "z": Task("z", "add", (lit_input(b"\x01"),))})
     executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"),
-                            {"a": "m1", "z": "m1", "b": "m2"}, {},
+                            {"a": "m1", "z": "m1", "b": "m2"},
                             {"m1": {"k": b"\x07"}}, ks)
 
     def need(kind, refs, t=1):

@@ -52,7 +52,7 @@ def _consensus(fields):
 
 def _bvm(fields):
     dag = TaskDAG({"t": Task("t", "hash", (lit_input(b"\x01"),))})
-    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1"}, {}, {}, KS)
+    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1"}, {}, KS)
     got = executor._check("m0", _wire(fields))
     return REFUSED if got is None else got
 
@@ -61,7 +61,7 @@ def _bvm_need(fields):
     # m1 owns t, holds k and has computed t; m0 owns u
     dag = TaskDAG({"t": Task("t", "concat", (chunk_input("k"),)),
                    "u": Task("u", "add", (task_input("t"),))})
-    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1", "u": "m0"}, {},
+    executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1", "u": "m0"},
                             {"m1": {"k": b"\x07"}}, KS)
     executor.step(SimEvent(0, 0, "local", "m1", "m1", b"", "start"), 0)
     executor.step(SimEvent(1, 1, "timer", "m1", "m1", b"", "exec:t"), 1)

@@ -37,20 +37,20 @@ def test_edge_needs_known_nodes():
     g.add_node("a")
     g.add_node("b")
     with pytest.raises(ValueError):
-        g.add_hyperedge(["a", "z"], 0.5)
+        g.add_hyperedge(["a", "z"], 0.5, edge_id="e1")
 
 
 def test_edge_needs_two_distinct_members():
     g = TrustHypergraph()
     g.add_node("a")
     with pytest.raises(ValueError):
-        g.add_hyperedge(["a", "a"], 0.5)
+        g.add_hyperedge(["a", "a"], 0.5, edge_id="e1")
 
 
 def test_trust_range_enforced():
     g = small_graph()
     with pytest.raises(ValueError):
-        g.add_hyperedge(["a", "b"], 1.5)
+        g.add_hyperedge(["a", "b"], 1.5, edge_id="e3")
 
 
 def test_duplicate_edge_id_rejected():
@@ -59,11 +59,14 @@ def test_duplicate_edge_id_rejected():
         g.add_hyperedge(["a", "b"], 0.5, edge_id="e1")
 
 
-def test_auto_edge_ids_unique():
+def test_group_trust_only_from_an_edge_holding_the_group():
     g = small_graph()
-    e_new = g.add_hyperedge(["a", "d"], 0.1)
-    assert e_new not in ("e1", "e2")
-    assert g.trust(e_new) == 0.1
+    assert g.group_trust("e1", ["a", "b", "c"]) == (0.5,)
+    assert g.group_trust("e1", ["c", "a"]) == (0.5,)
+    with pytest.raises(ValueError, match="^unknown edge 'e9'$"):
+        g.group_trust("e9", ["a", "b"])
+    with pytest.raises(ValueError, match="^group member\\(s\\) d, z not in edge 'e1'$"):
+        g.group_trust("e1", ["a", "d", "z"])
 
 
 # -- trust updates ---------------------------------------------------------
@@ -95,7 +98,7 @@ def test_latency_at_bound_is_compliant():
 def test_empty_batch_leaves_trust():
     g = small_graph()
     assert g.update_trust("e1", []) == 0.5
-    assert g.trust("e1") == 0.5
+    assert g.edges["e1"].trust == 0.5
 
 
 def test_alpha_override():
@@ -116,7 +119,7 @@ def test_observation_of_a_non_member_rejected(subject):
     g = small_graph()
     with pytest.raises(ValueError, match="not a member of edge e1"):
         g.update_trust("e1", [obs("a", "e1", True, 1), obs(subject, "e1", False, 99)])
-    assert g.trust("e1") == 0.5
+    assert g.edges["e1"].trust == 0.5
 
 
 def test_trust_stays_in_unit_interval():
@@ -149,7 +152,7 @@ def test_signed_record_queues_and_drains():
     g.register_oracle("o1", ks)
     rec = make_oracle_record(ks, "o1", obs("a", "e1", True, 2))
     assert g.ingest_oracle_record(rec)
-    assert g.trust("e1") == 0.5                # queued, not yet applied
+    assert g.edges["e1"].trust == 0.5          # queued, not yet applied
     assert g.update_trust("e1") == pytest.approx(0.6)
     # the record was drained: a second update has an empty batch
     assert g.update_trust("e1") == pytest.approx(0.6)
@@ -245,7 +248,7 @@ def random_graph(rng):
     for _ in range(rng.randrange(0, 41)):
         arity = rng.randrange(2, min(6, n + 1))
         members = tuple(sorted(rng.sample(nodes, arity)))
-        eid = g.add_hyperedge(members, rng.random())
+        eid = g.add_hyperedge(members, rng.random(), edge_id=f"e{len(edges)}")
         edges[eid] = set(members)
     return g, set(nodes), edges
 
@@ -282,5 +285,5 @@ def test_triangle_has_full_clustering():
     g = TrustHypergraph()
     for n in ("x", "y", "z"):
         g.add_node(n)
-    g.add_hyperedge(["x", "y", "z"], 0.5)
+    g.add_hyperedge(["x", "y", "z"], 0.5, edge_id="e1")
     assert g.clustering_coefficients() == {"x": 1.0, "y": 1.0, "z": 1.0}

@@ -428,7 +428,7 @@ def test_paxos_group_threshold():
     ks, ledger, reg = fresh()
     group = ("m1", "m2", "m3", "m4", "m5")
     eid = create(ks, ledger, group=group, trust=HIGH)
-    assert reg.record(eid).plan.verify_threshold == 3
+    assert reg.record(eid).plan.quorum == 3
     sub = good_submission(ks, eid, group, n_sigs=3)
     assert send(ks, ledger, "m1", TxKind.SUBMIT_RESULT,
                 submit_result_payload(*sub, 1)) == (True, "")

@@ -41,13 +41,13 @@ def test_majority_quorum_is_majority():
 
 def test_known_plan_values():
     p4 = make_plan(Protocol.PBFT, 4)
-    assert (p4.f_max, p4.quorum, p4.verify_threshold) == (1, 3, 3)
+    assert (p4.f_max, p4.quorum) == (1, 3)
     p7 = make_plan(Protocol.PBFT, 7)
-    assert (p7.f_max, p7.quorum, p7.verify_threshold) == (2, 5, 5)
+    assert (p7.f_max, p7.quorum) == (2, 5)
     x3 = make_plan(Protocol.PAXOS, 3)
-    assert (x3.f_max, x3.quorum, x3.verify_threshold) == (1, 2, 2)
+    assert (x3.f_max, x3.quorum) == (1, 2)
     x5 = make_plan(Protocol.PAXOS, 5)
-    assert (x5.f_max, x5.quorum, x5.verify_threshold) == (2, 3, 3)
+    assert (x5.f_max, x5.quorum) == (2, 3)
 
 
 def test_byzantine_infeasible_below_4():

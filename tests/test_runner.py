@@ -21,6 +21,7 @@ node n3
 node n4
 node n5
 edge e1 0.9 n1,n2,n3,n4
+edge low 0.3 n1,n2,n3,n4,n5
 oracle o1
 chunk n2 c1 0105
 
@@ -28,9 +29,9 @@ do register-did n1 role=72656c6179
 do register-did n5 nickname=ff
 do seal
 
-do create-otce boxr group=n1,n2,n3,n4 delta=40 trust=0.3
-do create-otce boxe group=n1,n2,n3,n4 delta=2 trust=0.3
-do create-otce boxc group=n2,n3,n4,n5 delta=40 trust=0.3
+do create-otce boxr group=n1,n2,n3,n4 delta=40 trust=edge:low
+do create-otce boxe group=n1,n2,n3,n4 delta=2 trust=edge:low
+do create-otce boxc group=n2,n3,n4,n5 delta=40 trust=edge:low
 do seal
 
 do consensus boxr value=aa11
@@ -83,7 +84,7 @@ def test_trust_arithmetic_flows_through(tmp_path):
     res = run(tmp_path)
     # edge starts 0.9; direct compliant obs: 0.8*0.9+0.2 = 0.92;
     # then the queued non-compliant oracle batch: 0.8*0.92 = 0.736
-    assert res.graph.trust("e1") == pytest.approx(0.736)
+    assert res.graph.edges["e1"].trust == pytest.approx(0.736)
     assert res.metrics["trust_updates"] == 2
     assert res.metrics["observations_ingested"] == 1
 
@@ -156,7 +157,8 @@ node b
 node c
 node d
 node mallory
-do create-otce box group=a,b,c,d delta=10 trust=0.2 by=mallory
+edge team 0.2 a,b,c,d
+do create-otce box group=a,b,c,d delta=10 trust=edge:team by=mallory
 do seal
 """
     res = run_scenario(parse_scenario(text), base_dir=tmp_path)
@@ -170,13 +172,11 @@ ABCD = "seed 1\nnode a\nnode b\nnode c\nnode d\n"
 
 @pytest.mark.parametrize("group,trust,reason", [
     ("a,a,b,c,d", "0.2", "duplicate-members"),
-    ("a,,b", "0.9", "empty-member"),
     ("a,b,c", "0.1", "plan-infeasible"),        # byzantine plan needs 4
-    ("a,b,c,d", "1.5", "bad-trust-vector"),
-    ("a,b,c,d", "nan", "bad-trust-vector"),
 ])
 def test_refused_create_is_a_committed_failed_tx(tmp_path, group, trust, reason):
-    text = ABCD + f"do create-otce box group={group} delta=10 trust={trust}\ndo seal\n"
+    text = ABCD + (f"edge team {trust} a,b,c,d\n"
+                   f"do create-otce box group={group} delta=10 trust=edge:team\ndo seal\n")
     res = run_scenario(parse_scenario(text), base_dir=tmp_path)
     assert all(o.ok for o in res.outcomes)
     assert res.ledger.chain[1].status == ((False, reason),)
@@ -187,10 +187,12 @@ def test_refused_create_is_a_committed_failed_tx(tmp_path, group, trust, reason)
 
 def test_create_refused_at_seal_frees_its_alias(tmp_path):
     text = (ABCD.replace("node d\n", "")
-            + "do create-otce box group=a,b,c delta=10 trust=0.1\n"
+            + "edge low 0.1 a,b,c\n"
+            + "edge high 0.9 a,b,c\n"
+            + "do create-otce box group=a,b,c delta=10 trust=edge:low\n"
             + "do seal\n"
             + "do consensus box value=01\n"
-            + "do create-otce box group=a,b,c delta=10 trust=0.9\n"
+            + "do create-otce box group=a,b,c delta=10 trust=edge:high\n"
             + "do seal\n"
             + "do consensus box value=02\n")
     res = run_scenario(parse_scenario(text), base_dir=tmp_path)
@@ -205,7 +207,8 @@ def test_create_refused_at_seal_frees_its_alias(tmp_path):
 
 
 def test_replay_re_derives_the_plan_of_a_create(tmp_path):
-    text = ABCD + "do create-otce box group=a,b,c,d delta=10 trust=0.2\ndo seal\n"
+    text = ABCD + ("edge team 0.2 a,b,c,d\n"
+                   "do create-otce box group=a,b,c,d delta=10 trust=edge:team\ndo seal\n")
     res = run_scenario(parse_scenario(text), base_dir=tmp_path)
     assert res.ledger.chain[1].status == ((True, "pbft"),)
     # under tau 0.1 the same trust maps the group to the majority protocol
@@ -242,10 +245,12 @@ node a
 node b
 node c
 node d
-do create-otce box group=a,b,c,d delta=99 trust=0.2
+edge team 0.2 a,b,c,d
+edge trusted 0.95 a,b,c,d
+do create-otce box group=a,b,c,d delta=99 trust=edge:team
 do seal
 do consensus box value=01
-do update-plan box trust=0.95 by=a
+do update-plan box trust=edge:trusted by=a
 do seal
 do consensus box value=02
 """
@@ -299,7 +304,7 @@ do update-trust e1
     assert [o.ok for o in res.outcomes] == [False, False, False, True]
     assert res.outcomes[0].detail == "subject z is not a member of edge e1"
     assert res.outcomes[2].detail == "oracle record rejected"
-    assert res.graph.trust("e1") == 0.9
+    assert res.graph.edges["e1"].trust == 0.9
     assert res.metrics["observations_rejected"] == 1
     assert res.metrics["trust_updates"] == 1
 
@@ -326,6 +331,29 @@ do seal
     assert res.otce.record(res.aliases["box"]).plan.protocol is Protocol.PBFT
 
 
+@pytest.mark.parametrize("spec", ["0.99", "0.99,0.99", "other"])
+def test_trust_comes_only_from_an_edge(tmp_path, spec):
+    # a raw vector would give the low-trust team the crash-only plan
+    text = f"""\
+seed 3
+node a
+node b
+node c
+node d
+node z
+edge team 0.30 a,b,c,d
+edge other 0.99 a,z
+do create-otce box group=a,b,c,d delta=80 trust={spec} by=a
+do seal
+"""
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert [o.ok for o in res.outcomes] == [False, True]
+    assert res.outcomes[0].detail == f"trust must be edge:<id>, got {spec!r}"
+    assert res.otce.records == {} and res.aliases == {}
+    assert res.metrics["txs_ok"] == res.metrics["txs_failed"] == 0
+    assert res.chain_ok and res.replay_ok
+
+
 def test_faults_reach_consensus_networks(tmp_path):
     text = """\
 seed 5
@@ -335,7 +363,8 @@ node b
 node c
 node d
 fault d crash at=0
-do create-otce box group=a,b,c,d delta=50 trust=0.2
+edge team 0.2 a,b,c,d
+do create-otce box group=a,b,c,d delta=50 trust=edge:team
 do seal
 do consensus box value=0badf00d
 """
@@ -354,7 +383,8 @@ node a
 node b
 node c
 node d
-do create-otce box group=a,b,c,d delta=50 trust=0.2
+edge team 0.2 a,b,c,d
+do create-otce box group=a,b,c,d delta=50 trust=edge:team
 do seal
 do run-dag box file=missing.dag
 """

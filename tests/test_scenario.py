@@ -165,7 +165,7 @@ seed 5
 max-ticks 400
 net 1 3 20 0.1
 trust 0.3 12
-mapping 0.75 0.5 0.5
+mapping 0.95 1.0
 policy role proof:2
 node n1
 node n2
@@ -176,7 +176,7 @@ edge e1 0.9 n1,n2,n3,n4
 fault n4 crash at=30
 chunk n2 c1 0105
 do register-did n1 role=01 proof=abcd
-do create-otce box group=n1,n2,n3,n4 delta=50 trust=0.3,0.4
+do create-otce box group=n1,n2,n3,n4 delta=50 trust=edge:e1
 do seal
 do consensus box value=aa
 do run-dag box file=work.dag
