@@ -521,7 +521,7 @@ def _outcome(dag: TaskDAG, held: list[dict[str, bytes]]):
 
 
 def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, bytes]],
-                          keystore: KeyStore, net_cfg: NetworkConfig | None = None,
+                          keystore: KeyStore, net_cfg: NetworkConfig = NetworkConfig(),
                           faults=(), execution_id: str = "exec",
                           max_tick: int = 5000) -> ExecutionReport:
     """Run the DAG across the members. Whenever the network goes quiet while
@@ -536,7 +536,7 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     ordered = tuple(sorted(members))
     schedule = topo_schedule(dag, ordered, holders)
     owners = dict(schedule)
-    net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
+    net = Network(net_cfg)
     verified: dict[tuple[str, bytes], tuple | None] = {}
     execs: dict[str, TaskExecutor] = {}
     for node in ordered:

@@ -13,19 +13,27 @@ message: each distinct wire is decoded, its sender checked for membership
 and then its signature checked once per instance, while the instance and
 sender checks run, and drops are counted, on every delivery.
 
-Quorum rules follow the security plan: q = n - f_max for the Byzantine
-protocol (a replica is prepared on q matching prepares including its own,
-and decides on q matching commits), majority for the other. View changes
-use the safe thresholds: f_max + 1 observed view-changes make a replica
-join, and the new leader announces the view only after a full quorum,
-proposing the value of the highest prepared certificate it was shown. A
-replica that has decided answers later view-change traffic with a decision
-notice so stragglers converge without re-running the protocol.
+Both engines take the quorum q = n - f_max of the security plan, whose
+f_max is the protocol's fault bound. A Byzantine replica is prepared on q
+matching prepares including its own, and decides on q matching commits; a
+majority proposer needs q promises, and a value q accepts. View changes use
+the safe thresholds: f_max + 1 observed view-changes make a replica join,
+and the new leader announces the view only after a full quorum. A
+Byzantine replica that has decided answers later view-change traffic with
+a decision notice so stragglers converge without re-running the protocol.
+
+The engines share one replica skeleton, `_Replica`: one event entry that
+dispatches each verified message through the engine's table from kind to
+handler, one tally of sender -> report for every quorum (where a repeated
+sender is a drop), and one pick of the value to re-propose. That pick is
+the rule a new view and a phase 1 have in common: the value of the
+highest certificate among a quorum's reports, else the replica's own
+request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import codec
@@ -183,11 +191,19 @@ def make_equivocation_transform(keystore: KeyStore):
     return transform
 
 
-# -- byzantine-tolerant engine ---------------------------------------------
+# -- shared replica --------------------------------------------------------
 
 class _Replica:
-    """What both engines share: signed broadcasts, generation-tagged timers,
-    and the memoised check that opens `step` for an incoming message.
+    """What both engines share: the event entry, signed broadcasts,
+    generation-tagged timers, one tally for every quorum, and one rule for
+    the value a new leader or proposer re-proposes.
+
+    `step` takes the first request only and hands it to the engine's
+    `_on_request`; it passes a timer to `_on_timeout` only while the timer
+    is the newest and nothing is decided; it opens a delivery with
+    `_accept` and dispatches it through the engine's table `_ON` from
+    message kind to handler. A verified message of a kind the table lacks
+    is a drop.
 
     `verified` maps a wire to its decoded message, or None when it does not
     decode, names a non-member or does not verify. That outcome depends only
@@ -195,15 +211,35 @@ class _Replica:
     every identity's key, so the replicas of one instance may share the
     memo. A replica built without one gets a private memo."""
 
+    _ON: dict    # MsgKind -> handler(replica, msg, now), one table per engine
+
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  verified: dict[bytes, Msg | None] | None = None):
         self.cfg = cfg
         self.node = node
         self.keystore = keystore
         self.verified = {} if verified is None else verified
+        self.request_value: bytes | None = None
         self.decision: Decision | None = None
         self.dropped = 0
         self._timer_gen = 0
+
+    def step(self, event: SimEvent, now: int) -> list:
+        if event.kind == "local":
+            if self.request_value is not None:
+                return []
+            self.request_value = event.payload
+            return self._on_request(now)
+        if event.kind == "timer":
+            return self._on_timeout(now) if self._timer_live(event.label) else []
+        msg = self._accept(event)
+        if msg is None:
+            return []
+        handler = self._ON.get(msg.kind)
+        if handler is None:
+            self.dropped += 1
+            return []
+        return handler(self, msg, now)
 
     def _bcast(self, kind: MsgKind, **fields) -> list:
         msg = Msg(self.cfg.instance_id, kind, self.node, **fields)
@@ -222,15 +258,29 @@ class _Replica:
             return False
         return gen == self._timer_gen and self.decision is None
 
-    def _count_vote(self, tallies: dict, key, sender: str) -> set[str] | None:
-        """Add `sender` to the tally under `key` and return the tally; a
-        sender already counted there is a drop, and gives None."""
-        tally = tallies.setdefault(key, set())
+    def _tally(self, tallies: dict, key, sender: str, report=None) -> dict | None:
+        """Record `sender`'s `report` in the tally under `key`, a map sender
+        -> report, and return that tally; a sender already in it is a drop,
+        and gives None."""
+        tally = tallies.setdefault(key, {})
         if sender in tally:
             self.dropped += 1
             return None
-        tally.add(sender)
+        tally[sender] = report
         return tally
+
+    def _highest(self, reports: dict) -> bytes | None:
+        """The value to re-propose after a quorum's `reports`, sender ->
+        (certificate, value): the value of the highest certificate (tuples,
+        compared as such), the first sender's in sorted order on a tie. A
+        report with no value or a negative first entry certifies nothing;
+        without a certified value, this replica's own request."""
+        best = None
+        for sender in sorted(reports):
+            cert, value = reports[sender]
+            if value is not None and cert[0] >= 0 and (best is None or cert > best[0]):
+                best = (cert, value)
+        return self.request_value if best is None else best[1]
 
     def _decide(self, value: bytes, view: int, now: int, note: str) -> list:
         """Decide `value`, stop the timers, and trace `note`."""
@@ -254,6 +304,8 @@ class _Replica:
         return msg
 
 
+# -- byzantine-tolerant engine ---------------------------------------------
+
 class PBFTReplica(_Replica):
     """Three-phase replica: single slot, rotating leader, view changes."""
 
@@ -261,83 +313,57 @@ class PBFTReplica(_Replica):
                  verified: dict[bytes, Msg | None] | None = None):
         super().__init__(cfg, node, keystore, verified)
         self.view = 0
-        self.request_value: bytes | None = None
         self.proposals: dict[int, tuple[bytes, bytes]] = {}     # view -> (digest, value)
-        self.prepares: dict[tuple[int, bytes], set[str]] = {}
-        self.commits: dict[tuple[int, bytes], set[str]] = {}
+        # (PREPARE or COMMIT, view, digest) -> voters
+        self.votes: dict[tuple[MsgKind, int, bytes], dict[str, None]] = {}
+        self.voted: set[tuple[MsgKind, int]] = set()    # own votes: (kind, view)
         self.prepared_cert: tuple[int, bytes, bytes] | None = None
-        self.sent_prepare: set[int] = set()
-        self.sent_commit: set[int] = set()
-        # target view -> sender -> (cert_view, cert_value)
-        self.viewchanges: dict[int, dict[str, tuple[int, bytes | None]]] = {}
+        # target view -> sender -> ((cert_view,), cert_value)
+        self.viewchanges: dict[int, dict[str, tuple[tuple[int], bytes | None]]] = {}
         self.vc_target = 0
         self.newview_done: set[int] = set()
         self._timeout = cfg.view_timeout
 
-    # helpers
-
     def _start_timer(self) -> list:
         return self._set_timer(self._timeout)
 
-    def _decided_notice(self) -> bytes:
-        d = self.decision
-        msg = Msg(self.cfg.instance_id, MsgKind.DECIDED, self.node,
-                  view=d.view, value=d.value)
-        return encode_msg(self.keystore, msg)
-
-    # event entry
-
     def step(self, event: SimEvent, now: int) -> list:
-        if event.kind == "local":
-            return self._on_request(event.payload, now)
-        if event.kind == "timer":
-            return self._on_timer(event.label, now)
+        """The shared entry until a decision. After it, a verified view
+        change is answered with a decision notice and any other verified
+        message is ignored."""
+        if self.decision is None or event.kind != "msg":
+            return _Replica.step(self, event, now)
         msg = self._accept(event)
-        if msg is None:
+        if msg is None or msg.kind is not MsgKind.VIEWCHANGE:
             return []
-        if self.decision is not None:
-            if msg.kind is MsgKind.VIEWCHANGE:
-                return [Send(msg.sender, self._decided_notice(), MsgKind.DECIDED.value)]
-            return []
-        if msg.kind is MsgKind.PREPREPARE:
-            return self._on_preprepare(msg, now)
-        if msg.kind is MsgKind.PREPARE:
-            return self._on_prepare(msg, now)
-        if msg.kind is MsgKind.COMMIT:
-            return self._on_commit(msg, now)
-        if msg.kind is MsgKind.VIEWCHANGE:
-            return self._on_viewchange(msg, now)
-        if msg.kind is MsgKind.NEWVIEW:
-            return self._on_newview(msg, now)
-        if msg.kind is MsgKind.DECIDED:
-            return self._adopt_decision(msg, now)
-        self.dropped += 1
-        return []
+        d = self.decision
+        notice = Msg(self.cfg.instance_id, MsgKind.DECIDED, self.node,
+                     view=d.view, value=d.value)
+        return [Send(msg.sender, encode_msg(self.keystore, notice),
+                     MsgKind.DECIDED.value)]
 
     # protocol steps
 
-    def _on_request(self, value: bytes, now: int) -> list:
-        if self.request_value is not None:
-            return []
-        self.request_value = value
+    def _on_request(self, now: int) -> list:
         acts = self._start_timer()
         if self.node == self.cfg.leader(self.view) and self.view not in self.proposals:
-            acts += self._propose(self.view, value, now)
+            acts += self._propose(MsgKind.PREPREPARE, self.view, self.request_value, now)
         return acts
 
-    def _propose(self, view: int, value: bytes, now: int) -> list:
+    def _propose(self, kind: MsgKind, view: int, value: bytes, now: int) -> list:
         d = codec.sha(value)
         self.proposals[view] = (d, value)
-        acts = self._bcast(MsgKind.PREPREPARE, view=view, value=value, digest=d)
-        return acts + self._send_prepare(view, d, now)
+        acts = self._bcast(kind, view=view, value=value, digest=d)
+        return acts + self._vote(MsgKind.PREPARE, view, d, now)
 
-    def _send_prepare(self, view: int, d: bytes, now: int) -> list:
-        if view in self.sent_prepare:
+    def _vote(self, kind: MsgKind, view: int, d: bytes, now: int) -> list:
+        """Cast this replica's one `kind` vote of `view`, for digest `d`."""
+        if (kind, view) in self.voted:
             return []
-        self.sent_prepare.add(view)
-        self.prepares.setdefault((view, d), set()).add(self.node)
-        acts = self._bcast(MsgKind.PREPARE, view=view, digest=d)
-        return acts + self._check_prepared(view, d, now)
+        self.voted.add((kind, view))
+        self._tally(self.votes, (kind, view, d), self.node)
+        acts = self._bcast(kind, view=view, digest=d)
+        return acts + self._check(kind, view, d, now)
 
     def _on_preprepare(self, msg: Msg, now: int) -> list:
         if (msg.view != self.view or msg.sender != self.cfg.leader(msg.view)
@@ -349,49 +375,35 @@ class PBFTReplica(_Replica):
                 self.dropped += 1     # leader equivocation; keep the first
             return []
         self.proposals[msg.view] = (msg.digest, msg.value)
-        return self._send_prepare(msg.view, msg.digest, now)
+        return self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
 
-    def _on_prepare(self, msg: Msg, now: int) -> list:
+    def _on_vote(self, msg: Msg, now: int) -> list:
         if msg.view < self.view or msg.digest is None:
             self.dropped += 1
             return []
-        if self._count_vote(self.prepares, (msg.view, msg.digest), msg.sender) is None:
+        if self._tally(self.votes, (msg.kind, msg.view, msg.digest), msg.sender) is None:
             return []
-        return self._check_prepared(msg.view, msg.digest, now)
+        return self._check(msg.kind, msg.view, msg.digest, now)
 
-    def _check_prepared(self, view: int, d: bytes, now: int) -> list:
-        if view != self.view or view in self.sent_commit:
+    def _check(self, kind: MsgKind, view: int, d: bytes, now: int) -> list:
+        """Act when the proposal of `view` has digest `d` and a quorum voted
+        `kind` for it: prepared in the current view, commit; committed,
+        decide."""
+        if kind is MsgKind.COMMIT:
+            if self.decision is not None:
+                return []
+        elif view != self.view or (MsgKind.COMMIT, view) in self.voted:
             return []
         prop = self.proposals.get(view)
-        if prop is None or prop[0] != d:
+        if (prop is None or prop[0] != d
+                or len(self.votes.get((kind, view, d), ())) < self.cfg.quorum):
             return []
-        if len(self.prepares.get((view, d), ())) < self.cfg.quorum:
-            return []
-        self.sent_commit.add(view)
+        if kind is MsgKind.COMMIT:
+            return self._decide(prop[1], view, now,
+                                f"view={view} value={codec.short(prop[1])}")
         if self.prepared_cert is None or view > self.prepared_cert[0]:
             self.prepared_cert = (view, d, prop[1])
-        self.commits.setdefault((view, d), set()).add(self.node)
-        acts = self._bcast(MsgKind.COMMIT, view=view, digest=d)
-        return acts + self._check_decided(view, d, now)
-
-    def _on_commit(self, msg: Msg, now: int) -> list:
-        if msg.view < self.view or msg.digest is None:
-            self.dropped += 1
-            return []
-        if self._count_vote(self.commits, (msg.view, msg.digest), msg.sender) is None:
-            return []
-        return self._check_decided(msg.view, msg.digest, now)
-
-    def _check_decided(self, view: int, d: bytes, now: int) -> list:
-        if self.decision is not None:
-            return []
-        prop = self.proposals.get(view)
-        if prop is None or prop[0] != d:
-            return []
-        if len(self.commits.get((view, d), ())) < self.cfg.quorum:
-            return []
-        return self._decide(prop[1], view, now,
-                            f"view={view} value={codec.short(prop[1])}")
+        return self._vote(MsgKind.COMMIT, view, d, now)
 
     def _adopt_decision(self, msg: Msg, now: int) -> list:
         if msg.value is None:
@@ -400,9 +412,7 @@ class PBFTReplica(_Replica):
         return self._decide(msg.value, msg.view, now,
                             f"view={msg.view} value={codec.short(msg.value)} adopted")
 
-    def _on_timer(self, label: str, now: int) -> list:
-        if not self._timer_live(label):
-            return []
+    def _on_timeout(self, now: int) -> list:
         return self._start_viewchange(max(self.view, self.vc_target) + 1, now)
 
     def _start_viewchange(self, target: int, now: int) -> list:
@@ -411,7 +421,7 @@ class PBFTReplica(_Replica):
         cert_view, cert_value = -1, None
         if self.prepared_cert is not None:
             cert_view, _, cert_value = self.prepared_cert
-        self.viewchanges.setdefault(target, {})[self.node] = (cert_view, cert_value)
+        self._tally(self.viewchanges, target, self.node, ((cert_view,), cert_value))
         acts = self._bcast(MsgKind.VIEWCHANGE, view=target, value=cert_value,
                            cert_view=cert_view)
         acts += self._start_timer()
@@ -422,15 +432,13 @@ class PBFTReplica(_Replica):
         if target <= self.view:
             self.dropped += 1
             return []
-        vcs = self.viewchanges.setdefault(target, {})
-        if msg.sender in vcs:
-            self.dropped += 1
+        vcs = self._tally(self.viewchanges, target, msg.sender,
+                          ((msg.cert_view,), msg.value))
+        if vcs is None:
             return []
-        vcs[msg.sender] = (msg.cert_view, msg.value)
-        acts = []
         if len(vcs) >= self.cfg.f_max + 1 and self.vc_target < target:
-            acts += self._start_viewchange(target, now)
-        return acts + self._check_newview(target, now)
+            return self._start_viewchange(target, now)
+        return self._check_newview(target, now)
 
     def _check_newview(self, target: int, now: int) -> list:
         if (self.cfg.leader(target) != self.node or target <= self.view
@@ -440,20 +448,11 @@ class PBFTReplica(_Replica):
         if self.node not in vcs or len(vcs) < self.cfg.quorum:
             return []
         self.newview_done.add(target)
-        best_view, best_value = -1, None
-        for sender in sorted(vcs):
-            cert_view, cert_value = vcs[sender]
-            if cert_value is not None and cert_view > best_view:
-                best_view, best_value = cert_view, cert_value
-        value = best_value if best_value is not None else self.request_value
+        value = self._highest(vcs)
         if value is None:
             return []
         self.view = target
-        d = codec.sha(value)
-        self.proposals[target] = (d, value)
-        acts = self._bcast(MsgKind.NEWVIEW, view=target, value=value, digest=d)
-        acts += self._send_prepare(target, d, now)
-        return acts + self._start_timer()
+        return self._propose(MsgKind.NEWVIEW, target, value, now) + self._start_timer()
 
     def _on_newview(self, msg: Msg, now: int) -> list:
         if (msg.view < self.view or msg.sender != self.cfg.leader(msg.view)
@@ -466,16 +465,20 @@ class PBFTReplica(_Replica):
         elif self.proposals[msg.view][0] != msg.digest:
             self.dropped += 1
             return []
-        d = self.proposals[msg.view][0]
-        acts = self._send_prepare(msg.view, d, now)
-        acts += self._check_decided(msg.view, d, now)
+        acts = self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
+        acts += self._check(MsgKind.COMMIT, msg.view, msg.digest, now)
         return acts + self._start_timer()
+
+    _ON = {MsgKind.PREPREPARE: _on_preprepare, MsgKind.PREPARE: _on_vote,
+           MsgKind.COMMIT: _on_vote, MsgKind.VIEWCHANGE: _on_viewchange,
+           MsgKind.NEWVIEW: _on_newview, MsgKind.DECIDED: _adopt_decision}
 
 
 # -- majority engine -------------------------------------------------------
 
 class PaxosReplica(_Replica):
-    """Single-decree proposer+acceptor+learner in one; ballot = (round, index)."""
+    """Single-decree proposer+acceptor+learner in one; ballot = (round, index).
+    A decided replica keeps acting as an acceptor."""
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  initial_proposer: bool = False,
@@ -483,15 +486,17 @@ class PaxosReplica(_Replica):
         super().__init__(cfg, node, keystore, verified)
         self.idx = cfg.index(node)
         self.initial_proposer = initial_proposer
-        self.request_value: bytes | None = None
         self.promised: tuple[int, int] | None = None
         self.accepted: tuple[tuple[int, int], bytes] | None = None
         self.max_round_seen = 0
         self.current: tuple[int, int] | None = None    # the ballot in phase 1
         self.attempts = 0
-        # ballot -> sender -> (accepted_round, accepted_index, accepted_value)
-        self.promises: dict[tuple[int, int], dict[str, tuple[int, int, bytes | None]]] = {}
-        self.accept_tally: dict[tuple[int, int, bytes], set[str]] = {}
+        # ballot -> sender -> ((accepted_round, accepted_index), accepted_value)
+        self.promises: dict[tuple[int, int], dict[str, tuple[tuple[int, int], bytes | None]]] = {}
+        # (round, index, value digest) -> acceptors
+        self.accepts: dict[tuple[int, int, bytes], dict[str, None]] = {}
+
+    step = _Replica.step
 
     def _watchdog(self) -> list:
         """Deterministically staggered retry timer; index offsets avoid duels."""
@@ -502,36 +507,10 @@ class PaxosReplica(_Replica):
         if rnd > self.max_round_seen:
             self.max_round_seen = rnd
 
-    def step(self, event: SimEvent, now: int) -> list:
-        if event.kind == "local":
-            return self._on_request(event.payload, now)
-        if event.kind == "timer":
-            return self._on_timer(event.label, now)
-        msg = self._accept(event)
-        if msg is None:
-            return []
-        if msg.kind is MsgKind.P1A:
-            return self._on_p1a(msg, now)
-        if msg.kind is MsgKind.P1B:
-            return self._on_p1b(msg, now)
-        if msg.kind is MsgKind.P2A:
-            return self._on_p2a(msg, now)
-        if msg.kind is MsgKind.P2B:
-            return self._on_p2b(msg, now)
-        self.dropped += 1
-        return []
+    def _on_request(self, now: int) -> list:
+        return self._propose(now) if self.initial_proposer else self._watchdog()
 
-    def _on_request(self, value: bytes, now: int) -> list:
-        if self.request_value is not None:
-            return []
-        self.request_value = value
-        if self.initial_proposer:
-            return self._propose(now)
-        return self._watchdog()
-
-    def _on_timer(self, label: str, now: int) -> list:
-        if not self._timer_live(label):
-            return []
+    def _on_timeout(self, now: int) -> list:
         return self._propose(now)
 
     def _propose(self, now: int) -> list:
@@ -540,7 +519,6 @@ class PaxosReplica(_Replica):
         self._saw_round(rnd)
         ballot = (rnd, self.idx)
         self.current = ballot
-        self.promises[ballot] = {}
         acts = self._bcast(MsgKind.P1A, view=rnd, ballot_node=self.idx)
         own = Msg(self.cfg.instance_id, MsgKind.P1A, self.node, view=rnd,
                   ballot_node=self.idx)
@@ -569,21 +547,12 @@ class PaxosReplica(_Replica):
         if self.current != ballot:
             self.dropped += 1
             return []
-        reports = self.promises[ballot]
-        if msg.sender in reports:
-            self.dropped += 1
-            return []
-        reports[msg.sender] = (msg.cert_view, msg.cert_node, msg.value)
-        if len(reports) < self.cfg.quorum:
+        reports = self._tally(self.promises, ballot, msg.sender,
+                              ((msg.cert_view, msg.cert_node), msg.value))
+        if reports is None or len(reports) < self.cfg.quorum:
             return []
         self.current = None
-        best: tuple[tuple[int, int], bytes] | None = None
-        for sender in sorted(reports):
-            acc_round, acc_idx, acc_value = reports[sender]
-            if acc_value is not None and acc_round >= 0:
-                if best is None or (acc_round, acc_idx) > best[0]:
-                    best = ((acc_round, acc_idx), acc_value)
-        value = best[1] if best is not None else self.request_value
+        value = self._highest(reports)
         if value is None:
             return []
         acts = self._bcast(MsgKind.P2A, view=ballot[0], ballot_node=ballot[1],
@@ -616,13 +585,15 @@ class PaxosReplica(_Replica):
                                   msg.sender, now)
 
     def _tally_accept(self, ballot, value: bytes, sender: str, now: int) -> list:
-        key = (ballot[0], ballot[1], codec.sha(value))
-        tally = self._count_vote(self.accept_tally, key, sender)
+        tally = self._tally(self.accepts, (*ballot, codec.sha(value)), sender)
         if tally is None or self.decision is not None or len(tally) < self.cfg.quorum:
             return []
         self.current = None
         return self._decide(value, ballot[0], now,
                             f"round={ballot[0]} value={codec.short(value)}")
+
+    _ON = {MsgKind.P1A: _on_p1a, MsgKind.P1B: _on_p1b,
+           MsgKind.P2A: _on_p2a, MsgKind.P2B: _on_p2b}
 
 
 # -- instance driver -------------------------------------------------------
@@ -649,12 +620,12 @@ class InstanceResult(NetReport):
 
 
 def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
-                 net_cfg: NetworkConfig | None = None, faults=(),
+                 net_cfg: NetworkConfig = NetworkConfig(), faults=(),
                  max_tick: int = 5000, view_timeout: int = DEFAULT_VIEW_TIMEOUT,
                  initial_proposers=None, instance_id: str = "inst") -> InstanceResult:
     """Run one consensus instance to quiescence or the tick budget and audit it."""
     cfg = config_from_plan(plan, members, instance_id, view_timeout)
-    net = Network(net_cfg if net_cfg is not None else NetworkConfig(seed=0))
+    net = Network(net_cfg)
     if initial_proposers is None:
         initial_proposers = (cfg.members[0],)
     verified: dict[bytes, Msg | None] = {}

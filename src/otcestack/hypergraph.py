@@ -104,18 +104,16 @@ class TrustHypergraph:
         try:
             return self.edges[edge_id]
         except KeyError:
-            raise ValueError(f"unknown edge {edge_id}") from None
+            raise ValueError(f"unknown edge {edge_id!r}") from None
 
     def group_trust(self, edge_id: str, group) -> tuple[float, ...]:
         """The trust vector of `group` on the edge `edge_id`: the edge's
         trust, `(trust,)`. Only members of the edge may be judged by it,
         so an unknown edge or a group member outside it is a ValueError."""
-        edge = self.edges.get(edge_id)
-        if edge is None:
-            raise ValueError(f"unknown edge {edge_id!r}")
+        edge = self._edge(edge_id)
         outside = sorted(set(group).difference(edge.members))
         if outside:
-            raise ValueError(f"group member(s) {', '.join(outside)} "
+            raise ValueError(f"group member(s) {', '.join(map(repr, outside))} "
                              f"not in edge {edge_id!r}")
         return (edge.trust,)
 

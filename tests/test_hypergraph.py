@@ -65,8 +65,20 @@ def test_group_trust_only_from_an_edge_holding_the_group():
     assert g.group_trust("e1", ["c", "a"]) == (0.5,)
     with pytest.raises(ValueError, match="^unknown edge 'e9'$"):
         g.group_trust("e9", ["a", "b"])
-    with pytest.raises(ValueError, match="^group member\\(s\\) d, z not in edge 'e1'$"):
+    with pytest.raises(ValueError, match="^group member\\(s\\) 'd', 'z' not in edge 'e1'$"):
         g.group_trust("e1", ["a", "d", "z"])
+    with pytest.raises(ValueError, match="^group member\\(s\\) '' not in edge 'e1'$"):
+        g.group_trust("e1", ["a", "", "b"])
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda g: g.update_trust("e9", []),
+    lambda g: g.update_trust("e9"),
+    lambda g: g.drain_pending("e9"),
+])
+def test_unknown_edge_has_the_wording_of_group_trust(lookup):
+    with pytest.raises(ValueError, match="^unknown edge 'e9'$"):
+        lookup(small_graph())
 
 
 # -- trust updates ---------------------------------------------------------

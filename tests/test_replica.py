@@ -1,0 +1,138 @@
+"""What both consensus engines keep of their shared replica: the drop
+counts of the event entry, a decided PBFT replica's answers, the duplicate
+check of a tally, and which value a new leader or proposer re-proposes."""
+
+import pytest
+
+from otcestack import codec
+from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
+                                 config_from_plan, decode_msg, encode_msg)
+from otcestack.keys import KeyStore
+from otcestack.plan import Protocol, make_plan
+from otcestack.simnet import Send, SimEvent
+
+MEMBERS4 = ("r0", "r1", "r2", "r3")
+MEMBERS5 = tuple(f"p{i}" for i in range(5))
+KS = KeyStore(5)
+
+
+def pbft_replica(node: str) -> PBFTReplica:
+    return PBFTReplica(config_from_plan(make_plan(Protocol.PBFT, 4), MEMBERS4, "i"),
+                       node, KS)
+
+
+def paxos_replica(node: str, proposer: bool = False) -> PaxosReplica:
+    cfg = config_from_plan(make_plan(Protocol.PAXOS, 5), MEMBERS5, "i")
+    return PaxosReplica(cfg, node, KS, initial_proposer=proposer)
+
+
+def request(rep, value: bytes) -> list:
+    return rep.step(SimEvent(0, 0, "local", rep.node, rep.node, value, "request"), 0)
+
+
+def wire(kind: MsgKind, sender: str, **fields) -> bytes:
+    return encode_msg(KS, Msg("i", kind, sender, **fields))
+
+
+def deliver(rep, kind: MsgKind, sender: str, **fields) -> list:
+    payload = wire(kind, sender, **fields)
+    return rep.step(SimEvent(1, 1, "msg", sender, rep.node, payload, "m"), 1)
+
+
+def sent(acts, label: str) -> list[tuple[str, Msg]]:
+    return [(a.dst, decode_msg(a.payload)) for a in acts
+            if isinstance(a, Send) and a.label == label]
+
+
+@pytest.mark.parametrize("make,kind,sender", [
+    (lambda: pbft_replica("r1"), MsgKind.P1A, "r0"),
+    (lambda: paxos_replica("p1"), MsgKind.PREPARE, "p0"),
+])
+def test_other_engines_kind_is_one_drop_and_no_action(make, kind, sender):
+    rep = make()
+    assert deliver(rep, kind, sender, digest=codec.sha(b"v")) == []
+    assert rep.dropped == 1
+
+
+def decided_pbft_replica() -> PBFTReplica:
+    """r1 decides b"v" in view 0 on the leader's proposal and a quorum of
+    prepares and commits."""
+    rep = pbft_replica("r1")
+    d = codec.sha(b"v")
+    deliver(rep, MsgKind.PREPREPARE, "r0", view=0, value=b"v", digest=d)
+    for kind in (MsgKind.PREPARE, MsgKind.COMMIT):
+        for sender in ("r0", "r2"):
+            deliver(rep, kind, sender, view=0, digest=d)
+    assert rep.decision is not None and rep.dropped == 0
+    return rep
+
+
+def test_decided_pbft_replica_answers_only_a_view_change():
+    rep = decided_pbft_replica()
+    assert deliver(rep, MsgKind.PREPARE, "r3", view=0, digest=codec.sha(b"w")) == []
+    assert deliver(rep, MsgKind.P1A, "r3", view=1) == []
+    assert rep.dropped == 0
+    acts = deliver(rep, MsgKind.VIEWCHANGE, "r3", view=1)
+    assert len(acts) == 1
+    [(dst, notice)] = sent(acts, "decided")
+    assert dst == "r3"
+    assert (notice.kind, notice.sender) == (MsgKind.DECIDED, "r1")
+    assert (notice.view, notice.value) == (rep.decision.view, rep.decision.value)
+    assert rep.dropped == 0
+    forged = wire(MsgKind.VIEWCHANGE, "r3", view=2)
+    forged = forged[:-1] + bytes([forged[-1] ^ 1])
+    assert rep.step(SimEvent(1, 1, "msg", "r3", "r1", forged, "m"), 1) == []
+    assert rep.dropped == 1
+
+
+def newview_value(reports, target: int = 1) -> bytes:
+    """The value r1, leader of `target`, proposes in its NEWVIEW after the
+    view changes `reports` (sender, cert_view, value) arrive in that order."""
+    rep = pbft_replica("r1")
+    request(rep, b"own")
+    acts = []
+    for sender, cert_view, value in reports:
+        acts += deliver(rep, MsgKind.VIEWCHANGE, sender, view=target,
+                        cert_view=cert_view, value=value)
+    values = {msg.value for _, msg in sent(acts, "newview")}
+    assert len(values) == 1 and rep.view == target
+    return values.pop()
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_new_leader_takes_first_sender_on_a_cert_view_tie(order):
+    reports = [("r2", 0, b"A"), ("r3", 0, b"B")][::order]
+    assert newview_value(reports) == b"A"
+
+
+@pytest.mark.parametrize("reports,want", [
+    ([("r2", 3, b"A"), ("r3", 4, b"B")], b"B"),
+    ([("r2", 4, b"A"), ("r3", 3, b"B")], b"A"),
+    ([("r3", 4, b"B"), ("r2", 3, b"A")], b"B"),
+])
+def test_new_leader_takes_the_higher_cert_view(reports, want):
+    # r1 also leads view 5; cert views 3 and 4 are then both below it
+    assert newview_value(reports, target=5) == want
+
+
+def test_new_leader_proposes_own_request_without_a_certificate():
+    assert newview_value([("r2", -1, b"A"), ("r3", -1, b"B")]) == b"own"
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_paxos_phase_two_takes_first_sender_on_an_accepted_ballot_tie(order):
+    rep = paxos_replica("p0", proposer=True)
+    assert [m.view for _, m in sent(request(rep, b"own"), "p1a")] == [1] * 4
+    acts = []
+    for sender, value in [("p1", b"A"), ("p2", b"B")][::order]:
+        acts += deliver(rep, MsgKind.P1B, sender, view=1, ballot_node=0,
+                        value=value, cert_view=0, cert_node=3)
+    assert {m.value for _, m in sent(acts, "p2a")} == {b"A"}
+    assert rep.dropped == 0
+
+
+def test_repeated_view_change_from_one_sender_is_one_drop():
+    rep = pbft_replica("r0")
+    assert deliver(rep, MsgKind.VIEWCHANGE, "r2", view=1) == []
+    assert deliver(rep, MsgKind.VIEWCHANGE, "r2", view=1) == []
+    assert rep.dropped == 1

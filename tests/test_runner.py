@@ -326,7 +326,7 @@ do seal
 """
     res = run_scenario(parse_scenario(text), base_dir=tmp_path)
     assert [o.ok for o in res.outcomes] == [False, True, False, True]
-    assert res.outcomes[0].detail == "group member(s) b, c, d not in edge 'other'"
+    assert res.outcomes[0].detail == "group member(s) 'b', 'c', 'd' not in edge 'other'"
     assert res.outcomes[2].detail == res.outcomes[0].detail
     assert res.otce.record(res.aliases["box"]).plan.protocol is Protocol.PBFT
 

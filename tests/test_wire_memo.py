@@ -51,7 +51,7 @@ def test_forged_wire_dropped_on_every_delivery_then_valid_copy_accepted():
     assert verified[forged] is None
     for rep in receivers:
         deliver(rep, "r0", good)
-        assert "r0" in rep.prepares[(0, d)]
+        assert "r0" in rep.votes[(MsgKind.PREPARE, 0, d)]
     assert [rep.dropped for rep in receivers] == [2, 2, 2]
 
 
