@@ -140,17 +140,10 @@ class TaskDAG:
                     pending.pop()
         return None
 
-    def sinks(self) -> list[str]:
-        """The tasks no other task reads, sorted."""
-        return list(self._sinks)
-
-    def chunk_ids(self) -> frozenset[str]:
-        return self._chunk_ids
-
     # each computed on first use, once per DAG, however many executors ask
 
     @cached_property
-    def _chunk_ids(self) -> frozenset[str]:
+    def chunk_ids(self) -> frozenset[str]:
         return frozenset(ref for t in self.tasks.values() for ref in t.chunk_refs())
 
     @cached_property
@@ -163,7 +156,8 @@ class TaskDAG:
         return {tid: tuple(r) for tid, r in readers.items()}
 
     @cached_property
-    def _sinks(self) -> tuple[str, ...]:
+    def sinks(self) -> tuple[str, ...]:
+        """The tasks no other task reads, sorted."""
         return tuple(sorted(tid for tid, r in self.readers.items() if not r))
 
 
@@ -241,7 +235,7 @@ def _resolve(inp: Input, values: dict[str, bytes], chunks: dict[str, bytes]) -> 
 
 
 def outputs_digest(dag: TaskDAG, values: dict[str, bytes]) -> bytes:
-    return codec.digest("bvm-out", [[tid, values[tid]] for tid in dag.sinks()])
+    return codec.digest("bvm-out", [[tid, values[tid]] for tid in dag.sinks])
 
 
 def topo_schedule(dag: TaskDAG, members, holders: dict[str, set[str]]) -> dict[str, str]:
@@ -395,7 +389,7 @@ class TaskExecutor:
 
     def _on_start(self) -> list:
         acts = []
-        needed = self.dag.chunk_ids()
+        needed = self.dag.chunk_ids
         for cid in sorted(self.chunks):
             if cid in needed:
                 acts += self._send(self.peers, "chunk", cid, self.chunks[cid])
@@ -406,7 +400,7 @@ class TaskExecutor:
             if owner == self.node and tid not in self._owned:
                 self._assign(tid)
         wanted = self._waiting[TASK].keys() | {
-            tid for tid in self.dag.sinks() if tid not in self.values}
+            tid for tid in self.dag.sinks if tid not in self.values}
         asks: dict[tuple[str, str], list[str]] = {}     # (peer, kind) -> refs
         for tid, owner in self.owners.items():
             if tid in wanted and owner != self.node:
@@ -460,7 +454,7 @@ class TaskExecutor:
         kind, ref, data = fields
         if kind == "need":
             return self._on_need(event.src, ref, data)
-        if (kind == "chunk" and ref in self.dag.chunk_ids()
+        if (kind == "chunk" and ref in self.dag.chunk_ids
                 and ref in self.holders.get(event.src, ())):
             known, key = self.chunks, CHUNK
         elif kind == "value" and self.owners.get(ref) == event.src:
@@ -487,7 +481,7 @@ class TaskExecutor:
                     for ref in refs if ref in self.values]
         held = self.holders.get(self.node, {})
         if refs and kind == CHUNK and all(
-                ref in held and ref in self.dag.chunk_ids() for ref in refs):
+                ref in held and ref in self.dag.chunk_ids for ref in refs):
             return [Send(src, self._signed("chunk", ref, held[ref]), "chunk")
                     for ref in refs]
         self.rejected += 1

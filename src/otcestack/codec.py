@@ -9,9 +9,9 @@ would not produce, so one record has one encoding and one digest.
 Both directions run one loop over a run of items and recurse only into a
 nested list. `pack` dispatches on the exact type of each item, in the order
 of their counts in the benchmark workloads' `pack` input: bytes, str, int,
-bool, list or tuple, None, float. An instance of a subclass of an encodable
-type (`TxKind`, an IntEnum, or a str enum) matches none of these; it is found
-by `isinstance` and encodes as its base type would. `unpack` refuses with
+bool, list or tuple, None, float. Any other type, a subclass of one of these
+(such as an IntEnum) included, is refused with `CodecError`, so a caller
+passes `int(kind)` or `kind.value`. `unpack` refuses with
 `CodecError` a truncated item, an empty int body, an int body of another
 length than `pack` gives that int (so `80` for -128, whose body is `ff80`),
 a bool byte other than 00 or 01, bad utf-8, an unknown tag, and nesting too
@@ -70,23 +70,7 @@ def _encode_items(items, out: list[bytes]) -> None:
         elif t is float:
             append(b"F" + _F64.pack(item))
         else:
-            _encode_items((_as_base(item),), out)
-
-
-def _as_base(item):
-    """An instance of a subclass of an encodable type, such as `TxKind` (an
-    IntEnum) or a str enum, as the equal value of its exact base type."""
-    if isinstance(item, int):
-        return int.__int__(item)
-    if isinstance(item, float):
-        return float.__float__(item)
-    if isinstance(item, bytes):
-        return bytes(memoryview(item))
-    if isinstance(item, str):
-        return str.__str__(item)
-    if isinstance(item, (list, tuple)):
-        return tuple(item)
-    raise CodecError(f"unencodable type {type(item).__name__}")
+            raise CodecError(f"unencodable type {t.__name__}")
 
 
 def pack(*items) -> bytes:

@@ -146,10 +146,8 @@ def config_from_plan(plan: SecurityPlan, members, instance_id: str,
 
 @dataclass(frozen=True)
 class Decision:
-    instance_id: str
     value: bytes
     decided_at: int
-    node: str
     view: int
 
 
@@ -252,11 +250,7 @@ class _Replica:
 
     def _timer_live(self, label: str) -> bool:
         """True when `label` names the newest timer and nothing is decided."""
-        try:
-            gen = int(label.split(":", 1)[1])
-        except (IndexError, ValueError):
-            return False
-        return gen == self._timer_gen and self.decision is None
+        return label == f"t:{self._timer_gen}" and self.decision is None
 
     def _tally(self, tallies: dict, key, sender: str, report=None) -> dict | None:
         """Record `sender`'s `report` in the tally under `key`, a map sender
@@ -284,7 +278,7 @@ class _Replica:
 
     def _decide(self, value: bytes, view: int, now: int, note: str) -> list:
         """Decide `value`, stop the timers, and trace `note`."""
-        self.decision = Decision(self.cfg.instance_id, value, now, self.node, view)
+        self.decision = Decision(value, now, view)
         self._timer_gen += 1
         return [Record("decision", note)]
 

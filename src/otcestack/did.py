@@ -69,7 +69,6 @@ class DIDRegistry:
     def __init__(self, policy: AttestationPolicy | None = None):
         self.policy = policy        # None accepts any attestation
         self.records: dict[str, DIDRecord] = {}
-        self._pubkeys: set[bytes] = set()
 
     def decode_payload(self, kind: TxKind, payload: bytes):
         _, pubkey, attrs, _ = codec.unpack_record(payload, "register", bytes, tuple, int)
@@ -86,11 +85,10 @@ class DIDRegistry:
             if why is not None:
                 return False, why
         did = did_from_pubkey(pubkey)
-        if did in self.records or pubkey in self._pubkeys:
+        if did in self.records:
             return False, "duplicate-did"
         self.records[did] = DIDRecord(
             did, pubkey, tuple(sorted(attestation.items())), height)
-        self._pubkeys.add(pubkey)
         return True, did
 
     def dump(self) -> str:

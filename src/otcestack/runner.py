@@ -28,8 +28,8 @@ from .hypergraph import (BehaviorObservation, TrustHypergraph,
 from .keys import KeyStore
 from .ledger import (Ledger, TxKind, dump_chain, make_tx, replay_chain,
                      verify_chain)
-from .otce import (LIFECYCLE_TAGS, OTCERegistry, create_payload, eid_for_tx,
-                   lifecycle_payload, result_message, submit_result_payload,
+from .otce import (LIFECYCLE_TAGS, OTCERegistry, OTCEState, create_payload,
+                   eid_for_tx, lifecycle_payload, result_message, submit_result_payload,
                    update_plan_payload)
 from .plan import PlanMapping
 from .scenario import ParsedAction, Scenario, ScenarioError
@@ -159,10 +159,13 @@ class _Runner:
             raise ActionError(f"unknown sandbox alias {alias!r}")
         return eid
 
-    def _sealed_record(self, alias: str):
+    def _running_record(self, alias: str):
+        """The sandbox's record, which must be sealed and Running."""
         rec = self.otce.records.get(self._eid(alias))
         if rec is None:
             raise ActionError(f"sandbox {alias!r} not sealed yet")
+        if rec.state is not OTCEState.RUNNING:
+            raise ActionError(f"sandbox {alias!r} is {rec.state.value}, not Running")
         return rec
 
     def _net_cfg(self, index: int) -> NetworkConfig:
@@ -293,17 +296,16 @@ class _Runner:
                 raise ActionError("oracle record rejected")
             self.m["observations_ingested"] += 1
             return f"queued for {edge_id}"
-        try:
-            new_trust = self.graph.update_trust(edge_id, [obs])
-        except ValueError as exc:
-            raise ActionError(str(exc)) from None
-        self.m["trust_updates"] += 1
-        return f"trust[{edge_id}]={new_trust!r}"
+        return self._fold_trust(edge_id, [obs])
 
     def _do_update_trust(self, index: int, action: ParsedAction) -> str:
-        edge_id = action.args[0]
+        return self._fold_trust(action.args[0])
+
+    def _fold_trust(self, edge_id: str, observations=None) -> str:
+        """Fold `observations` (by default the edge's queued oracle records)
+        into the edge's trust."""
         try:
-            new_trust = self.graph.update_trust(edge_id)
+            new_trust = self.graph.update_trust(edge_id, observations)
         except ValueError as exc:
             raise ActionError(str(exc)) from None
         self.m["trust_updates"] += 1
@@ -311,7 +313,7 @@ class _Runner:
 
     def _do_consensus(self, index: int, action: ParsedAction) -> str:
         alias = action.args[0]
-        rec = self._sealed_record(alias)
+        rec = self._running_record(alias)
         value = self._hex(action.kw["value"], "value")
         instance_id = f"{alias}.{index}"
         result = run_instance(rec.plan, rec.group, value, self.ks,
@@ -334,7 +336,7 @@ class _Runner:
 
     def _do_run_dag(self, index: int, action: ParsedAction) -> str:
         alias = action.args[0]
-        rec = self._sealed_record(alias)
+        rec = self._running_record(alias)
         path = self.base_dir / action.kw["file"]
         try:
             text = path.read_text(encoding="utf-8")
@@ -353,7 +355,7 @@ class _Runner:
                 holders.setdefault(decl.node, {})[decl.chunk_id] = decl.data
         placed = {cid for store in holders.values() for cid in store}
         home = rec.group[0]
-        for cid in sorted(dag.chunk_ids() - placed):
+        for cid in sorted(dag.chunk_ids - placed):
             holders.setdefault(home, {})[cid] = file_chunks[cid]
         report = execute_collaborative(dag, rec.group, holders, self.ks,
                                        net_cfg=self._net_cfg(index),
@@ -375,13 +377,12 @@ class _Runner:
         report = self.dag_reports.get(alias)
         if report is None:
             raise ActionError(f"no dag execution recorded for {alias!r}")
-        if not report.completed or report.digest is None:
+        if not report.completed:
             raise ActionError(f"dag execution for {alias!r} incomplete")
         signers = report.signers
         message = result_message(eid, report.digest)
         sigs = [(node, self.ks.sign(node, message)) for node in signers]
-        sender = signers[0] if signers else "nobody"
-        tx = make_tx(self.ks, sender, TxKind.SUBMIT_RESULT,
+        tx = make_tx(self.ks, signers[0], TxKind.SUBMIT_RESULT,
                      submit_result_payload(eid, report.digest, sigs, nonce=index))
         return "submitted " + self._submit(tx)
 

@@ -204,10 +204,10 @@ def parse_scenario(text: str) -> Scenario:
             _checked(ln, TrustHypergraph, cfg["alpha"], cfg["latency_bound"])
         elif head == "mapping":
             once(ln, "mapping")
-            if len(parts) < 3:
-                _fail(ln, "mapping wants: mapping <tau> <w1> [w2 ...]")
+            if len(parts) != 3:
+                _fail(ln, "mapping wants: mapping <tau> <weight>")
             cfg["tau"] = _as_float(ln, parts[1], "tau")
-            cfg["weights"] = tuple(_as_float(ln, t, "weight") for t in parts[2:])
+            cfg["weights"] = (_as_float(ln, parts[2], "weight"),)
             _checked(ln, PlanMapping, (cfg["weights"],), cfg["tau"])
         elif head == "policy":
             once(ln, "policy")

@@ -71,8 +71,8 @@ def test_arithmetic_matches_integers():
 def test_layers_follow_longest_chain():
     dag, _ = diamond()
     assert topo_layers(dag) == [["a"], ["b", "c"], ["d"]]
-    assert dag.sinks() == ["d"]
-    assert dag.chunk_ids() == {"k"}
+    assert dag.sinks == ("d",)
+    assert dag.chunk_ids == {"k"}
 
 
 def test_cycle_detected_with_witness():
@@ -175,7 +175,7 @@ def deep_chain(n):
 def test_deep_chain_parses_and_evaluates():
     n = 50_000
     dag, chunks = parse_dag(deep_chain(n))
-    assert dag.sinks() == [f"t{n - 1}"]
+    assert dag.sinks == (f"t{n - 1}",)
     values = sequential_oracle(dag, chunks)
     assert len(values) == n
     assert values[f"t{n - 1}"] == n.to_bytes(2, "big")

@@ -128,7 +128,7 @@ def test_ready_queue_starts_what_the_rescan_starts(monkeypatch):
         seen["drops"] += report.dropped > 0 and case[3].gst is not None
         seen["repeated operand"] += any(len(set(t.inputs)) < len(t.inputs)
                                         for t in dag.tasks.values())
-        seen["task id equals chunk id"] += bool(dag.chunk_ids() & dag.tasks.keys())
+        seen["task id equals chunk id"] += bool(dag.chunk_ids & dag.tasks.keys())
         seen["need"] += any("msg:need" in line for line in report.trace)
     assert min(seen.values()) >= 5, seen
 

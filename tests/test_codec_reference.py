@@ -17,26 +17,27 @@ from otcestack.otce import OTCEState
 
 
 def ref_encode(item, out):
+    t = type(item)
     if item is None:
         out.append(b"N")
-    elif item is True or item is False:
+    elif t is bool:
         out.append(b"T" + (b"\x01" if item else b"\x00"))
-    elif isinstance(item, int):
+    elif t is int:
         body = item.to_bytes((item.bit_length() + 8) // 8, "big", signed=True)
         out.append(b"I" + struct.pack(">I", len(body)) + body)
-    elif isinstance(item, float):
+    elif t is float:
         out.append(b"F" + struct.pack(">d", item))
-    elif isinstance(item, bytes):
+    elif t is bytes:
         out.append(b"B" + struct.pack(">I", len(item)) + item)
-    elif isinstance(item, str):
+    elif t is str:
         body = item.encode("utf-8")
         out.append(b"S" + struct.pack(">I", len(body)) + body)
-    elif isinstance(item, (list, tuple)):
+    elif t is list or t is tuple:
         out.append(b"L" + struct.pack(">I", len(item)))
         for sub in item:
             ref_encode(sub, out)
     else:
-        raise codec.CodecError(f"unencodable type {type(item).__name__}")
+        raise codec.CodecError(f"unencodable type {t.__name__}")
 
 
 def ref_pack(*items):
@@ -103,7 +104,6 @@ def ref_unpack(data):
 
 # -- seeded values ---------------------------------------------------------------
 
-ENUMS = (*TxKind, *OTCEState, *MsgKind)
 INTS = (0, 1, -1, 127, 128, -128, -129, 255, 256, 2**31, 2**63, -2**63,
         2**70, -2**70, 2**70 - 1, -2**70 + 1)
 FLOATS = (0.0, -0.0, 1.5, -2.5e-300, math.inf, -math.inf, math.nan)
@@ -111,7 +111,7 @@ STRS = ("", "a", "create", "é世", "\U0001f600", "n\x00ul")
 
 
 def random_value(rng, depth=0):
-    kind = rng.randrange(12 if depth < 4 else 10)
+    kind = rng.randrange(10 if depth < 4 else 8)
     if kind == 0:
         return None
     if kind == 1:
@@ -128,10 +128,8 @@ def random_value(rng, depth=0):
         return rng.choice(STRS)
     if kind == 7:
         return "".join(chr(rng.randrange(1, 0x3000)) for _ in range(rng.randrange(0, 8)))
-    if kind in (8, 9):
-        return rng.choice(ENUMS)
     items = [random_value(rng, depth + 1) for _ in range(rng.randrange(0, 5))]
-    return items if kind == 10 else tuple(items)
+    return items if kind == 8 else tuple(items)
 
 
 def test_pack_gives_the_reference_bytes():
@@ -141,12 +139,13 @@ def test_pack_gives_the_reference_bytes():
         items = [random_value(rng) for _ in range(rng.randrange(1, 6))]
         seen.update(type(item) for item in items)
         assert codec.pack(*items) == ref_pack(*items), items
-    assert {type(None), bool, int, float, bytes, str, list, tuple,
-            TxKind, OTCEState, MsgKind} <= seen
+    assert {type(None), bool, int, float, bytes, str, list, tuple} <= seen
 
 
 def test_pack_refuses_what_the_reference_refuses():
-    for bad in (bytearray(b"x"), {1: 2}, {1}, 1j, object(), [1, [memoryview(b"")]]):
+    # exact types only: an enum member is refused like any other subclass
+    for bad in (bytearray(b"x"), {1: 2}, {1}, 1j, object(), [1, [memoryview(b"")]],
+                TxKind.CREATE_OTCE, MsgKind.PREPARE, OTCEState.RUNNING):
         for fn in (codec.pack, ref_pack):
             try:
                 fn("a", bad)

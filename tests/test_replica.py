@@ -1,6 +1,7 @@
 """What both consensus engines keep of their shared replica: the drop
-counts of the event entry, a decided PBFT replica's answers, the duplicate
-check of a tally, and which value a new leader or proposer re-proposes."""
+counts of the event entry, the timer a replica acts on, a decided PBFT
+replica's answers, the duplicate check of a tally, and which value a new
+leader or proposer re-proposes."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
                                  config_from_plan, decode_msg, encode_msg)
 from otcestack.keys import KeyStore
 from otcestack.plan import Protocol, make_plan
-from otcestack.simnet import Send, SimEvent
+from otcestack.simnet import Send, SetTimer, SimEvent
 
 MEMBERS4 = ("r0", "r1", "r2", "r3")
 MEMBERS5 = tuple(f"p{i}" for i in range(5))
@@ -44,6 +45,14 @@ def sent(acts, label: str) -> list[tuple[str, Msg]]:
             if isinstance(a, Send) and a.label == label]
 
 
+def fire(rep, label: str) -> list:
+    return rep.step(SimEvent(5, 5, "timer", rep.node, rep.node, b"", label), 5)
+
+
+def timer_labels(acts) -> list[str]:
+    return [a.tag for a in acts if isinstance(a, SetTimer)]
+
+
 @pytest.mark.parametrize("make,kind,sender", [
     (lambda: pbft_replica("r1"), MsgKind.P1A, "r0"),
     (lambda: paxos_replica("p1"), MsgKind.PREPARE, "p0"),
@@ -52,6 +61,22 @@ def test_other_engines_kind_is_one_drop_and_no_action(make, kind, sender):
     rep = make()
     assert deliver(rep, kind, sender, digest=codec.sha(b"v")) == []
     assert rep.dropped == 1
+
+
+def test_pbft_replica_acts_on_its_newest_timer_only():
+    rep = pbft_replica("r2")
+    assert timer_labels(request(rep, b"v")) == ["t:1"]
+    acts = fire(rep, "t:1")
+    assert {msg.view for _, msg in sent(acts, "viewchange")} == {1}
+    assert timer_labels(acts) == ["t:2"]
+    for stale in ("t:1", "t:3", "t:x", "t"):
+        assert fire(rep, stale) == []
+    assert rep.vc_target == 1
+    deliver(rep, MsgKind.DECIDED, "r3", view=0, value=b"w")
+    assert rep.decision is not None
+    for label in ("t:1", "t:2", "t:3"):
+        assert fire(rep, label) == []
+    assert rep.vc_target == 1 and rep.dropped == 0
 
 
 def decided_pbft_replica() -> PBFTReplica:

@@ -206,6 +206,37 @@ def test_create_refused_at_seal_frees_its_alias(tmp_path):
     assert res.chain_ok and res.replay_ok
 
 
+def test_work_runs_only_in_a_running_sandbox(tmp_path):
+    text = """\
+seed 5
+net 1 2 - 0.0
+node a
+node b
+node c
+edge team 0.9 a,b,c
+do create-otce box group=a,b,c delta=50 trust=edge:team
+do seal
+do suspend box by=a
+do seal
+do consensus box value=aa
+do run-dag box file=work.dag
+do resume box by=a
+do seal
+do consensus box value=bb
+do terminate box by=b
+do seal
+do consensus box value=cc
+do run-dag box file=work.dag
+"""
+    res = run(tmp_path, text)
+    assert [o.ok for o in res.outcomes] == [True] * 4 + [False] * 2 + [True] * 5 + [False] * 2
+    assert {o.detail for o in res.outcomes[4:6]} == {"sandbox 'box' is Suspend, not Running"}
+    assert {o.detail for o in res.outcomes[11:]} == {"sandbox 'box' is Terminated, not Running"}
+    assert res.outcomes[8].detail.startswith("decided ")
+    assert len(res.consensus_results) == 1 and res.dag_reports == {}
+    assert res.otce.record(res.aliases["box"]).state is OTCEState.TERMINATED
+
+
 def test_replay_re_derives_the_plan_of_a_create(tmp_path):
     text = ABCD + ("edge team 0.2 a,b,c,d\n"
                    "do create-otce box group=a,b,c,d delta=10 trust=edge:team\ndo seal\n")

@@ -13,7 +13,7 @@ seed 42
 max-ticks 900
 net 1 4 60 0.25
 trust 0.3 12
-mapping 0.75 0.5 0.5
+mapping 0.75 0.5
 policy role proof:4
 
 node n1
@@ -38,7 +38,7 @@ def test_full_parse():
     assert scn.max_ticks == 900
     assert scn.net == NetworkConfig(1, 4, 60, 0.25)
     assert (scn.alpha, scn.latency_bound) == (0.3, 12)
-    assert (scn.tau, scn.weights) == (0.75, (0.5, 0.5))
+    assert (scn.tau, scn.weights) == (0.75, (0.5,))
     assert scn.policy == (("role", None), ("proof", 4))
     assert scn.nodes == ("n1", "n2", "n3")
     assert scn.oracles == ("watcher",)
@@ -122,6 +122,8 @@ def test_action_kw_parsed():
     ("seed 1\ndo register-did a a=1 a=2\n", 2),
     ("seed 1\nmapping 0.8 nan\n", 2),
     ("seed 1\nmapping 0.8 0.5 inf\n", 2),
+    ("seed 1\nmapping 0.8 0.5 0.5\n", 2),
+    ("seed 1\nmapping 0.8 inf\n", 2),
     ("seed 1\nmapping 0.8 -inf\n", 2),
     ("seed 1\nnet 1 2 -5 0.0\n", 2),
     ("seed 1\ntrust 0.5 -3\n", 2),
