@@ -39,7 +39,7 @@ from . import codec
 from .keys import KeyStore
 from .ledger import SYSTEM_SENDER, Transaction, TxKind, make_tx
 from .plan import (PlanInfeasibleError, PlanMapping, SecurityPlan,
-                   map_trust_to_plan, trust_vector)
+                   certificate_refusal, map_trust_to_plan, trust_vector)
 
 
 class OTCEState(str, Enum):
@@ -288,17 +288,11 @@ class OTCERegistry:
             return False, "unknown-eid"
         if rec.state is not OTCEState.RUNNING:
             return False, f"bad-state:{rec.state.value}"
-        signers = [s for s, _ in sigs]
-        if len(set(signers)) != len(signers):
-            return False, "duplicate-signer"
-        if any(s not in rec.group for s in signers):
-            return False, "signer-not-in-group"
-        if len(signers) < rec.plan.quorum:
-            return False, "below-threshold"
         message = result_message(eid, digest)
-        for signer, sig in sigs:
-            if not self.keystore.verify(signer, message, sig):
-                return False, "bad-signature"
+        refusal = certificate_refusal(rec.plan.quorum, rec.group, sigs,
+                                      self.keystore, lambda signer: message)
+        if refusal is not None:
+            return False, refusal
         rec.cause = CAUSE_RESULTS
         rec.terminated_height = height
         self._transition(rec, OTCEState.TERMINATED, height, CAUSE_RESULTS)

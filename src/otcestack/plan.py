@@ -8,6 +8,9 @@ faults. Byzantine plans are refused for groups smaller than 4, where the
 bound degenerates to zero. Under either protocol the quorum is n - f_max
 (for the majority protocol that equals n // 2 + 1): the votes a decision
 needs, and the member signatures a sandbox result needs.
+`certificate_refusal` is the one check that enough distinct members of a
+group signed something: a sandbox result on the chain and a majority
+decision's certificate on the wire both go through it.
 
 `map_trust_to_plan` is the one trust-to-plan rule. Its caller is the
 sandbox contract, at create and at update-plan, so every sandbox's plan
@@ -47,6 +50,27 @@ class SecurityPlan:
     n: int
     f_max: int
     quorum: int
+
+
+def certificate_refusal(quorum: int, group, pairs, keystore,
+                        message_of) -> str | None:
+    """Why the (signer, signature) `pairs` do not show `quorum` distinct
+    members of `group` signing, or None when they do. `message_of(signer)`
+    gives the message that signer's signature covers. The refusals, in the
+    order they are checked: duplicate-signer, signer-not-in-group,
+    below-threshold, bad-signature. Signatures come last, so a pair list
+    of the wrong shape costs no HMAC."""
+    signers = [s for s, _ in pairs]
+    if len(set(signers)) != len(signers):
+        return "duplicate-signer"
+    if any(s not in group for s in signers):
+        return "signer-not-in-group"
+    if len(signers) < quorum:
+        return "below-threshold"
+    for signer, sig in pairs:
+        if not keystore.verify(signer, message_of(signer), sig):
+            return "bad-signature"
+    return None
 
 
 def make_plan(protocol: Protocol, n: int) -> SecurityPlan:

@@ -323,7 +323,8 @@ class _Runner:
         self.consensus_results.append(result)
         self._record_run(index, action, instance_id, result)
         self.m["consensus_runs"] += 1
-        self.m["consensus_decided"] += 1 if (not result.stalled and result.decisions) else 0
+        self.m["consensus_decided"] += 1 if (not result.stalled and result.decisions
+                                             and not result.violations) else 0
         self.m["consensus_stalled"] += len(result.stalled)
         self.m["consensus_violations"] += len(result.violations)
         self.m["consensus_beyond_bound"] += 1 if result.beyond_bound else 0

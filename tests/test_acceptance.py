@@ -141,8 +141,28 @@ def test_criterion_03_beyond_bound_never_silent():
             stalls += 1
         elif len(vals) == 1:
             agreements += 1
+    # a crash plan's fault model has no liars: one equivocator is already
+    # outside it, within f_max or not
+    disagreements = 0
+    for n in (3, 5):
+        members = tuple(f"r{i}" for i in range(n))
+        plan = make_plan(Protocol.PAXOS, n)
+        for s in range(100):
+            rng = random.Random(33_000 + 1000 * n + s)
+            faults = (FaultSpec(rng.choice(members), Behavior.EQUIVOCATE),)
+            cfg = NetworkConfig(delay_min=1, delay_max=rng.randint(1, 30),
+                                gst=rng.randint(0, 40), seed=s)
+            res = run_instance(plan, members, b"\x77", ks, net_cfg=cfg,
+                               faults=faults, view_timeout=rng.randint(5, 40),
+                               initial_proposers=members)
+            assert res.beyond_bound, (n, s)
+            if len(res.honest_values()) > 1:
+                assert res.violations, (n, s)
+                disagreements += 1
     print(f"[criterion 03] PASS beyond-bound: 100 double-equivocator runs "
-          f"all flagged ({stalls} stalls, {agreements} flagged agreements)")
+          f"all flagged ({stalls} stalls, {agreements} flagged agreements); "
+          f"200 crash-plan runs with one equivocator all flagged "
+          f"({disagreements} disagreements)")
 
 
 # -- criterion 4: lifecycle fuzz -------------------------------------------

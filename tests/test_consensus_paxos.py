@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from otcestack.consensus import (MsgKind, PaxosReplica, config_from_plan,
                                  run_instance)
 from otcestack.keys import KeyStore
@@ -78,6 +80,23 @@ def test_majority_crashed_is_flagged_beyond_bound():
     assert res.beyond_bound
     assert res.violations == ()
     assert res.stalled != ()
+
+
+@pytest.mark.parametrize("behavior,beyond", [
+    (Behavior.CRASH, False), (Behavior.DROP_ALL, False), (Behavior.DELAY_MAX, False),
+    (Behavior.EQUIVOCATE, True),
+])
+def test_a_liar_is_outside_a_crash_plan_within_f_max(behavior, beyond):
+    res = paxos(members=MEMBERS5, seed=2, faults=(FaultSpec("p3", behavior),))
+    assert res.beyond_bound is beyond
+    assert res.violations == ()
+
+
+def test_any_payload_transform_is_outside_a_crash_plan():
+    res = paxos(seed=2, faults=(FaultSpec("p2", Behavior.DROP_ALL,
+                                          transform=lambda payload, dst, i: payload),))
+    assert res.faulty == ("p2",)
+    assert res.beyond_bound
 
 
 def test_dueling_proposers_converge():

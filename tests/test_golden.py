@@ -32,9 +32,9 @@ GOLDEN = {
         "chain.dump": "09ac9b360425b8fed634f30f7c9f43d81b9e9a1f5f2769d6906047aa5b03c74c",
         "did.dump": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "graph.dump": "de2876041bdf9b009ba562aecbbe572e1390cbcdcaf32da7f19e9e7dd658c000",
-        "metrics.txt": "4f423ad499b6477561cd8290ae2a1f8cedc9f0c92845e4d49cb1c6113c0f922d",
+        "metrics.txt": "9f639e2a9a7293873c9ae25a6a649a4909044c461d996303e530d3c0ed503235",
         "otce.dump": "56f9513045e22298c05f1dab8916f239ff0ed40d7b5328c964d1ed30a51cc102",
-        "trace.log": "c331443d9a2dbfdecb4cb2a0a772630f38ee9bebe8b2ddc65dbd96fb81231c2c",
+        "trace.log": "3ee9f453b6182f89343a07a50090214e7c915fad9870a37174862751eb095931",
     },
     "beyond_bound": {
         "chain.dump": "230abdeb2c09d381b5303671cb97f39f6a86d7b7ce2b75a74078645eff04386d",

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from otcestack.keys import KeyStore
 from otcestack.plan import (PlanInfeasibleError, PlanMapping, Protocol,
-                            TrustVector, fault_bound, make_plan,
-                            map_trust_to_plan, plan_score, trust_vector)
+                            TrustVector, certificate_refusal, fault_bound,
+                            make_plan, map_trust_to_plan, plan_score,
+                            trust_vector)
 
 
 def test_fault_bound_floors():
@@ -111,3 +113,44 @@ def test_threshold_monotone_in_trust():
         p_hi = map_trust_to_plan(mapping, trust_vector(hi), 6)
         if p_lo.protocol is Protocol.PAXOS:
             assert p_hi.protocol is Protocol.PAXOS
+
+
+# -- the one quorum-certificate check --------------------------------------
+
+CERT_KS = KeyStore(9)
+GROUP = ("g0", "g1", "g2", "g3")
+
+
+def signed(signer: str, message: bytes = b"m") -> tuple[str, bytes]:
+    return signer, CERT_KS.sign(signer, message)
+
+
+def refusal(pairs, quorum: int = 3) -> str | None:
+    return certificate_refusal(quorum, GROUP, pairs, CERT_KS, lambda signer: b"m")
+
+
+@pytest.mark.parametrize("pairs,want", [
+    ([signed("g0"), signed("g1"), signed("g2")], None),
+    ([signed("g0"), signed("g1"), signed("g2"), signed("g3")], None),
+    ([signed("g0"), signed("g1")], "below-threshold"),
+    ([signed("g0"), signed("g1"), signed("g1")], "duplicate-signer"),
+    ([signed("g0"), signed("g1"), signed("x9")], "signer-not-in-group"),
+    ([signed("g0"), signed("g1"), signed("g2", b"other")], "bad-signature"),
+    ([signed("g0"), ("g1", bytes(32)), signed("g2")], "bad-signature"),
+    # the order of the checks: repeats, then outsiders, then the count, then HMACs
+    ([signed("x9"), signed("x9")], "duplicate-signer"),
+    ([signed("x9"), ("g0", b"")], "signer-not-in-group"),
+    ([("g0", b""), ("g1", b"")], "below-threshold"),
+])
+def test_certificate_refusal(pairs, want):
+    assert refusal(pairs) == want
+
+
+def test_certificate_refusal_checks_each_signer_over_its_own_message():
+    def message_of(signer):
+        return b"vote/" + signer.encode()
+
+    pairs = [(s, CERT_KS.sign(s, message_of(s))) for s in GROUP[:3]]
+    assert certificate_refusal(3, GROUP, pairs, CERT_KS, message_of) is None
+    swapped = [(pairs[0][0], pairs[1][1]), (pairs[1][0], pairs[0][1]), pairs[2]]
+    assert certificate_refusal(3, GROUP, swapped, CERT_KS, message_of) == "bad-signature"

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from otcestack import runner
 from otcestack.ledger import TxKind
 from otcestack.otce import OTCEState
 from otcestack.plan import Protocol
@@ -430,3 +433,52 @@ def test_metrics_text_is_sorted_key_value(tmp_path):
     assert keys == sorted(keys)
     assert all("=" in line for line in lines)
     assert f"seed={res.seed}" in lines
+
+
+def test_an_instance_with_a_violation_is_not_counted_as_decided(tmp_path, monkeypatch):
+    real = runner.run_instance
+
+    def disagreeing(*args, instance_id, **kw):
+        result = real(*args, instance_id=instance_id, **kw)
+        if instance_id.startswith("box."):
+            return replace(result, violations=("disagreement:00000000,11111111",))
+        return result
+
+    monkeypatch.setattr(runner, "run_instance", disagreeing)
+    text = """\
+seed 5
+node a
+node b
+node c
+edge team 0.95 a,b,c
+do create-otce box group=a,b,c delta=99 trust=edge:team
+do create-otce other group=a,b,c delta=99 trust=edge:team
+do seal
+do consensus box value=01
+do consensus other value=02
+"""
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert all(not r.stalled and r.decisions for r in res.consensus_results)
+    assert (res.metrics["consensus_runs"], res.metrics["consensus_violations"],
+            res.metrics["consensus_decided"]) == (2, 1, 1)
+
+
+def test_an_equivocator_in_a_crash_plan_group_is_beyond_the_bound(tmp_path):
+    text = """\
+seed 1
+net 1 9 3 0.0
+node a
+node b
+node c
+edge team 0.95 a,b,c
+fault a equivocate
+do create-otce box group=a,b,c delta=80 trust=edge:team
+do seal
+do consensus box value=01
+do consensus box value=02
+do consensus box value=03
+"""
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert all(r.protocol is Protocol.PAXOS for r in res.consensus_results)
+    assert res.metrics["consensus_beyond_bound"] == 3
+    assert res.metrics["consensus_decided"] == 3 - res.metrics["consensus_violations"]

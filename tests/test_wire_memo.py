@@ -137,9 +137,9 @@ def count_verifies_and_deliveries(monkeypatch):
     original_verify = consensus.verify_msg
     original_step = PBFTReplica.step
 
-    def counting_verify(keystore, wire, members):
+    def counting_verify(keystore, wire, *rest):
         verified[wire] += 1
-        results[wire] = original_verify(keystore, wire, members)
+        results[wire] = original_verify(keystore, wire, *rest)
         return results[wire]
 
     def recording_step(self, event, now):
