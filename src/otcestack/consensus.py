@@ -14,24 +14,33 @@ and then its signature checked once per instance, while the instance and
 sender checks run, and drops are counted, on every delivery.
 
 Both engines take the quorum q = n - f_max of the security plan, whose
-f_max is the protocol's fault bound. A Byzantine replica is prepared on q
-matching prepares including its own, and decides on q matching commits; a
-majority proposer needs q promises, and a value q accepts. View changes use
-the safe thresholds: f_max + 1 observed view-changes make a replica join,
-and the new leader announces the view only after a full quorum. A
-Byzantine replica that has decided answers later view-change traffic with
-a decision notice so stragglers converge without re-running the protocol.
+f_max is the protocol's fault bound, and both vote through a collector
+(SBFT, Gueta et al., DSN 2019; HotStuff, Yin et al., PODC 2019; the
+distinguished learner of Lamport's "Paxos Made Simple", §2.3): a voter
+sends its signed vote to the collector only, and the collector, on q
+matching votes, broadcasts one certificate that carries the q sorted
+(voter, signature) pairs, each pair signing that voter's own vote body.
+`verify_msg` checks a certificate with `plan.certificate_refusal`, once
+per distinct wire. A decided replica keeps its certificate and answers a
+straggler with its own signed copy, so the straggler decides in one hop.
+A fault-free decision costs 5(n - 1) sends in either engine. The cost of
+the trade: when a collector crashes mid-phase nobody else holds the votes,
+and the decision waits for a view change or the next proposer.
 
-The majority engine's accept phase is linear (the distinguished learner of
-Lamport's "Paxos Made Simple", §2.3): an acceptor sends its signed P2B to
-the ballot's owner only; the owner decides on q of them and broadcasts one
-LEARN carrying the value and the q (acceptor, signature) pairs, each pair
-signing that acceptor's own P2B body. `verify_msg` checks the certificate
-with `plan.certificate_refusal`, once per distinct wire, and a replica
-decides on it. A decided replica answers a P1A with its own LEARN, so a
-late proposer learns the decision in one hop. A fault-free decision costs
-5(n - 1) sends. The cost of the trade: when the owner crashes after its
-P2A, nobody decides until the next proposer's watchdog fires.
+The Byzantine engine's collector is the leader of the view. A replica
+sends its PREPARE and COMMIT to that leader; the leader broadcasts
+PREPARED on q prepares and COMMITTED on q commits. A replica that gets
+PREPARED for its current view is prepared and votes COMMIT; a replica
+decides on any COMMITTED. A VIEWCHANGE for view v goes to the leader of v
+only, which joins the view change on f_max + 1 of them and announces the
+view in a NEWVIEW on a full quorum. A replica that has asked for a later
+view casts no vote in its current one (Castro & Liskov, OSDI '99, §4.4),
+and every view change doubles its timeout. A decided replica answers a
+VIEWCHANGE with its COMMITTED.
+
+The majority engine's collector is the ballot's owner: an acceptor sends
+its P2B to the owner, and the owner decides on q of them and broadcasts
+one LEARN. A decided replica answers a P1A with its own LEARN.
 
 A crash plan's fault model has no liars, so `run_instance` flags an
 equivocating member (or any payload transform) of a majority group as
@@ -40,10 +49,12 @@ beyond the bound, however few faulty members there are.
 The engines share one replica skeleton, `_Replica`: one event entry that
 dispatches each verified message through the engine's table from kind to
 handler, one tally of sender -> report for every quorum (where a repeated
-sender is a drop), and one pick of the value to re-propose. That pick is
-the rule a new view and a phase 1 have in common: the value of the
-highest certificate among a quorum's reports, else the replica's own
-request.
+sender is a drop), one decision that keeps its certificate, and one pick
+of the value to re-propose. That pick is the rule a new view and a phase
+1 have in common: the value of the highest certificate among a quorum's
+reports, else the replica's own request. A reply that reaches a collector
+after its quorum (a late promise or view change) is ignored, not counted
+as a drop.
 """
 
 from __future__ import annotations
@@ -64,15 +75,23 @@ class MsgKind(str, Enum):
     REQUEST = "request"
     PREPREPARE = "preprepare"
     PREPARE = "prepare"
+    PREPARED = "prepared"
     COMMIT = "commit"
+    COMMITTED = "committed"
     VIEWCHANGE = "viewchange"
     NEWVIEW = "newview"
-    DECIDED = "decided"
     P1A = "p1a"
     P1B = "p1b"
     P2A = "p2a"
     P2B = "p2b"
     LEARN = "learn"
+
+
+# certificate kind -> the kind of vote each of its (voter, signature) pairs signs
+VOTE_OF = {MsgKind.PREPARED: MsgKind.PREPARE, MsgKind.COMMITTED: MsgKind.COMMIT,
+           MsgKind.LEARN: MsgKind.P2B}
+_CERT_OF = {vote: cert for cert, vote in VOTE_OF.items()}
+_CERTIFIED = frozenset(kind.value for kind in VOTE_OF)
 
 
 @dataclass(frozen=True)
@@ -86,7 +105,7 @@ class Msg:
     digest: bytes | None = None
     cert_view: int = -1      # viewchange: prepared view; p1b: accepted round
     cert_node: int = -1      # p1b: accepted ballot index
-    cert: tuple[tuple[str, bytes], ...] = ()   # learn: (acceptor, p2b signature)
+    cert: tuple[tuple[str, bytes], ...] = ()   # certificate: (voter, vote signature)
     # the signature a decoded message arrived with; not part of the body
     sig: bytes = field(default=b"", compare=False, repr=False)
 
@@ -96,11 +115,11 @@ _FIELDS = ("cons", str, str, str, int, int, (bytes, type(None)),
 
 
 def msg_body(msg: Msg) -> bytes:
-    """The signed record. Only a LEARN carries the certificate, as one more
-    field, so every other kind keeps the record it always had."""
+    """The signed record. Only a certificate kind carries its pairs, as one
+    more field, so every other kind keeps the record it always had."""
     fields = ("cons", msg.instance, msg.kind.value, msg.sender, msg.view,
               msg.ballot_node, msg.value, msg.digest, msg.cert_view, msg.cert_node)
-    if msg.kind is MsgKind.LEARN:
+    if msg.kind in VOTE_OF:
         return codec.pack(*fields, msg.cert)
     return codec.pack(*fields)
 
@@ -116,25 +135,30 @@ def decode_msg(wire: bytes) -> Msg:
     A wire no longer than a signature has an empty body, which fails the
     field count."""
     fields = codec.unpack(wire[:-SIG_LEN])
-    learn = fields[2:3] == (MsgKind.LEARN.value,)
+    certified = len(fields) > 2 and fields[2] in _CERTIFIED
     _, instance, kind_s, sender, view, ballot_node, value, digest, cv, cn, *rest = (
-        codec.check_record(fields, *_FIELDS, *((tuple,) if learn else ())))
+        codec.check_record(fields, *_FIELDS, *((tuple,) if certified else ())))
     try:
         kind = MsgKind(kind_s)
     except ValueError as exc:
         raise codec.CodecError(f"unknown message kind {kind_s!r}") from exc
     cert = ()
-    if learn:
+    if certified:
         cert = tuple(codec.check_record(pair, str, bytes) for pair in rest[0])
     return Msg(instance, kind, sender, view, ballot_node, value, digest, cv, cn,
                cert, wire[-SIG_LEN:])
 
 
-def p2b_body(msg: Msg, voter: str) -> bytes:
-    """What `voter` signed when it accepted the value of `msg`'s ballot: its
-    own P2B body."""
-    return msg_body(Msg(msg.instance, MsgKind.P2B, voter, msg.view,
-                        msg.ballot_node, msg.value))
+def vote_body(cert: Msg, voter: str) -> bytes:
+    """What `voter` signed when it cast the vote that `cert` certifies: its
+    own P2B body for the ballot and value of a LEARN, its own PREPARE or
+    COMMIT body for the view and digest of a PREPARED or COMMITTED."""
+    kind = VOTE_OF[cert.kind]
+    if kind is MsgKind.P2B:
+        vote = Msg(cert.instance, kind, voter, cert.view, cert.ballot_node, cert.value)
+    else:
+        vote = Msg(cert.instance, kind, voter, cert.view, digest=cert.digest)
+    return msg_body(vote)
 
 
 def verify_msg(keystore: KeyStore, wire: bytes, members,
@@ -142,9 +166,10 @@ def verify_msg(keystore: KeyStore, wire: bytes, members,
     """The message of a wire that decodes, names a sender in `members` and
     carries that sender's signature; None otherwise. Membership is decided
     before the signature, so a wire naming an outsider costs no HMAC and
-    derives no key for that name. A LEARN must also carry a value and a
-    certificate of `quorum` (by default every member) distinct members'
-    P2B signatures over that value and its ballot."""
+    derives no key for that name. A certificate must also carry a value
+    (whose sha is the digest, for PREPARED and COMMITTED) and the vote
+    signatures of `quorum` (by default every member) distinct members over
+    that value or digest and its view or ballot."""
     try:
         msg = decode_msg(wire)
     except codec.CodecError:
@@ -152,9 +177,15 @@ def verify_msg(keystore: KeyStore, wire: bytes, members,
     if msg.sender not in members or not keystore.verify(
             msg.sender, wire[:-SIG_LEN], msg.sig):
         return None
-    if msg.kind is MsgKind.LEARN and (msg.value is None or certificate_refusal(
-            len(members) if quorum is None else quorum, members, msg.cert,
-            keystore, lambda voter: p2b_body(msg, voter)) is not None):
+    vote = VOTE_OF.get(msg.kind)
+    if vote is None:
+        return msg
+    if msg.value is None or (vote is not MsgKind.P2B
+                             and msg.digest != codec.sha(msg.value)):
+        return None
+    if certificate_refusal(len(members) if quorum is None else quorum, members,
+                           msg.cert, keystore,
+                           lambda voter: vote_body(msg, voter)) is not None:
         return None
     return msg
 
@@ -197,7 +228,7 @@ class Decision:
 # -- equivocation ----------------------------------------------------------
 
 # Only proposal and vote payloads are rewritten. Recovery metadata
-# (view-change certificates, promise reports, decision notices) stays
+# (view-change reports, promise reports) and quorum certificates stay
 # truthful: the fault model is a node lying about what it proposes and
 # votes, not forging protocol evidence.
 TRANSFORMABLE = frozenset({MsgKind.PREPREPARE, MsgKind.NEWVIEW, MsgKind.PREPARE,
@@ -236,8 +267,9 @@ def make_equivocation_transform(keystore: KeyStore):
 
 class _Replica:
     """What both engines share: the event entry, signed broadcasts,
-    generation-tagged timers, one tally for every quorum, and one rule for
-    the value a new leader or proposer re-proposes.
+    generation-tagged timers, one tally for every quorum, one decision that
+    keeps its certificate, and one rule for the value a new leader or
+    proposer re-proposes.
 
     `step` takes the first request only and hands it to the engine's
     `_on_request`; it passes a timer to `_on_timeout` only while the timer
@@ -247,13 +279,14 @@ class _Replica:
     is a drop.
 
     `verified` maps a wire to its decoded message, or None when it does not
-    decode, names a non-member or does not verify (a LEARN's certificate
+    decode, names a non-member or does not verify (a certificate's pairs
     included). That outcome depends only on the wire, the instance's
     members and quorum, and the keystore's seed, which fixes every
     identity's key, so the replicas of one instance may share the memo. A
     replica built without one gets a private memo."""
 
     _ON: dict    # MsgKind -> handler(replica, msg, now), one table per engine
+    _ROUND: str  # what a decision's trace note calls its view or round
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  verified: dict[bytes, Msg | None] | None = None):
@@ -263,6 +296,8 @@ class _Replica:
         self.verified = {} if verified is None else verified
         self.request_value: bytes | None = None
         self.decision: Decision | None = None
+        self.certificate: Msg | None = None    # this replica's own, once decided
+        self._certificate_wire: bytes | None = None
         self.dropped = 0
         self._timer_gen = 0
 
@@ -285,7 +320,9 @@ class _Replica:
 
     def _bcast(self, kind: MsgKind, **fields) -> list:
         msg = Msg(self.cfg.instance_id, kind, self.node, **fields)
-        wire, label = encode_msg(self.keystore, msg), kind.value
+        return self._to_all(encode_msg(self.keystore, msg), kind.value)
+
+    def _to_all(self, wire: bytes, label: str) -> list:
         return [Send(m, wire, label) for m in self.cfg.members if m != self.node]
 
     def _set_timer(self, delay: int) -> list:
@@ -320,11 +357,30 @@ class _Replica:
                 best = (cert, value)
         return self.request_value if best is None else best[1]
 
-    def _decide(self, value: bytes, view: int, now: int, note: str) -> list:
-        """Decide `value`, stop the timers, and trace `note`."""
-        self.decision = Decision(value, now, view)
+    def _certify(self, kind: MsgKind, tally: dict, **fields) -> tuple[Msg, bytes]:
+        """The `kind` certificate of a quorum's `tally`, voter -> signature,
+        from this replica, and its signed wire."""
+        cert = Msg(self.cfg.instance_id, kind, self.node,
+                   cert=tuple(sorted(tally.items())), **fields)
+        return cert, encode_msg(self.keystore, cert)
+
+    def _decide(self, cert: Msg, now: int, how: str,
+                wire: bytes | None = None) -> list:
+        """Decide the value of `cert`, a certificate of a quorum's votes,
+        keep it as this replica's own (with its `wire`, when this replica
+        signed it), stop the timers, and trace it."""
+        self.certificate = replace(cert, sender=self.node, sig=b"")
+        self._certificate_wire = wire
+        self.decision = Decision(cert.value, now, cert.view)
         self._timer_gen += 1
-        return [Record("decision", note)]
+        return [Record("decision", f"{self._ROUND}={cert.view} "
+                                   f"value={codec.short(cert.value)}{how}")]
+
+    def _answer(self, dst: str) -> list:
+        """Send `dst` this replica's own signed certificate, encoded once."""
+        if self._certificate_wire is None:
+            self._certificate_wire = encode_msg(self.keystore, self.certificate)
+        return [Send(dst, self._certificate_wire, self.certificate.kind.value)]
 
     def _accept(self, event: SimEvent) -> Msg | None:
         """The verified message of a delivery from a member of this instance,
@@ -346,18 +402,22 @@ class _Replica:
 # -- byzantine-tolerant engine ---------------------------------------------
 
 class PBFTReplica(_Replica):
-    """Three-phase replica: single slot, rotating leader, view changes."""
+    """Three-phase replica: single slot, rotating leader, view changes.
+    Votes and view changes go to the leader of their view, which
+    broadcasts the certificates the votes form."""
+
+    _ROUND = "view"
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  verified: dict[bytes, Msg | None] | None = None):
         super().__init__(cfg, node, keystore, verified)
         self.view = 0
         self.proposals: dict[int, tuple[bytes, bytes]] = {}     # view -> (digest, value)
-        # (PREPARE or COMMIT, view, digest) -> voters
-        self.votes: dict[tuple[MsgKind, int, bytes], dict[str, None]] = {}
+        # the leader's tallies: (PREPARE or COMMIT, view, digest) -> voter -> signature
+        self.votes: dict[tuple[MsgKind, int, bytes], dict[str, bytes]] = {}
         self.voted: set[tuple[MsgKind, int]] = set()    # own votes: (kind, view)
         self.prepared_cert: tuple[int, bytes, bytes] | None = None
-        # target view -> sender -> ((cert_view,), cert_value)
+        # the leader's tallies: target view -> sender -> ((cert_view,), cert_value)
         self.viewchanges: dict[int, dict[str, tuple[tuple[int], bytes | None]]] = {}
         self.vc_target = 0
         self.newview_done: set[int] = set()
@@ -368,18 +428,14 @@ class PBFTReplica(_Replica):
 
     def step(self, event: SimEvent, now: int) -> list:
         """The shared entry until a decision. After it, a verified view
-        change is answered with a decision notice and any other verified
-        message is ignored."""
+        change is answered with this replica's COMMITTED and any other
+        verified message is ignored."""
         if self.decision is None or event.kind != "msg":
             return _Replica.step(self, event, now)
         msg = self._accept(event)
         if msg is None or msg.kind is not MsgKind.VIEWCHANGE:
             return []
-        d = self.decision
-        notice = Msg(self.cfg.instance_id, MsgKind.DECIDED, self.node,
-                     view=d.view, value=d.value)
-        return [Send(msg.sender, encode_msg(self.keystore, notice),
-                     MsgKind.DECIDED.value)]
+        return self._answer(msg.sender)
 
     # protocol steps
 
@@ -396,13 +452,17 @@ class PBFTReplica(_Replica):
         return acts + self._vote(MsgKind.PREPARE, view, d, now)
 
     def _vote(self, kind: MsgKind, view: int, d: bytes, now: int) -> list:
-        """Cast this replica's one `kind` vote of `view`, for digest `d`."""
-        if (kind, view) in self.voted:
+        """Cast this replica's one `kind` vote of `view`, for digest `d`, to
+        the view's leader; none once this replica asked for a later view."""
+        if (kind, view) in self.voted or self.vc_target > view:
             return []
         self.voted.add((kind, view))
-        self._tally(self.votes, (kind, view, d), self.node)
-        acts = self._bcast(kind, view=view, digest=d)
-        return acts + self._check(kind, view, d, now)
+        vote = encode_msg(self.keystore, Msg(self.cfg.instance_id, kind, self.node,
+                                             view=view, digest=d))
+        leader = self.cfg.leader(view)
+        if leader != self.node:
+            return [Send(leader, vote, kind.value)]
+        return self._collect(kind, view, d, self.node, vote[-SIG_LEN:], now)
 
     def _on_preprepare(self, msg: Msg, now: int) -> list:
         if (msg.view != self.view or msg.sender != self.cfg.leader(msg.view)
@@ -417,59 +477,75 @@ class PBFTReplica(_Replica):
         return self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
 
     def _on_vote(self, msg: Msg, now: int) -> list:
-        if msg.view < self.view or msg.digest is None:
+        """Tally a vote of a view this replica leads; a vote sent to any
+        other replica is a drop."""
+        if (self.cfg.leader(msg.view) != self.node or msg.view < self.view
+                or msg.digest is None):
             self.dropped += 1
             return []
-        if self._tally(self.votes, (msg.kind, msg.view, msg.digest), msg.sender) is None:
-            return []
-        return self._check(msg.kind, msg.view, msg.digest, now)
+        return self._collect(msg.kind, msg.view, msg.digest, msg.sender, msg.sig, now)
 
-    def _check(self, kind: MsgKind, view: int, d: bytes, now: int) -> list:
-        """Act when the proposal of `view` has digest `d` and a quorum voted
-        `kind` for it: prepared in the current view, commit; committed,
+    def _collect(self, kind: MsgKind, view: int, d: bytes, voter: str, sig: bytes,
+                 now: int) -> list:
+        """Count `voter`'s signed `kind` vote. On the quorum-th vote for the
+        digest this leader proposed in `view`, broadcast the certificate
+        the votes form and act on it: prepared, vote COMMIT; committed,
         decide."""
-        if kind is MsgKind.COMMIT:
-            if self.decision is not None:
-                return []
-        elif view != self.view or (MsgKind.COMMIT, view) in self.voted:
-            return []
+        tally = self._tally(self.votes, (kind, view, d), voter, sig)
         prop = self.proposals.get(view)
-        if (prop is None or prop[0] != d
-                or len(self.votes.get((kind, view, d), ())) < self.cfg.quorum):
+        if (tally is None or len(tally) != self.cfg.quorum
+                or prop is None or prop[0] != d):
             return []
+        cert, wire = self._certify(_CERT_OF[kind], tally, view=view, value=prop[1],
+                                   digest=d)
+        acts = self._to_all(wire, cert.kind.value)
         if kind is MsgKind.COMMIT:
-            return self._decide(prop[1], view, now,
-                                f"view={view} value={codec.short(prop[1])}")
-        if self.prepared_cert is None or view > self.prepared_cert[0]:
-            self.prepared_cert = (view, d, prop[1])
-        return self._vote(MsgKind.COMMIT, view, d, now)
+            return acts + self._decide(cert, now, "", wire)
+        return acts + self._on_prepared(cert, now)
 
-    def _adopt_decision(self, msg: Msg, now: int) -> list:
-        if msg.value is None:
+    def _on_prepared(self, msg: Msg, now: int) -> list:
+        """Be prepared on a PREPARED of the current view, whose certificate
+        `verify_msg` has checked, and vote COMMIT."""
+        if msg.view != self.view:
             self.dropped += 1
             return []
-        return self._decide(msg.value, msg.view, now,
-                            f"view={msg.view} value={codec.short(msg.value)} adopted")
+        self.prepared_cert = (msg.view, msg.digest, msg.value)
+        return self._vote(MsgKind.COMMIT, msg.view, msg.digest, now)
+
+    def _on_committed(self, msg: Msg, now: int) -> list:
+        """Decide on a COMMITTED, whose certificate `verify_msg` has
+        checked: the leader's broadcast, or a decided peer's answer."""
+        how = "" if msg.sender == self.cfg.leader(msg.view) else " adopted"
+        return self._decide(msg, now, how)
 
     def _on_timeout(self, now: int) -> list:
         return self._start_viewchange(max(self.view, self.vc_target) + 1, now)
 
     def _start_viewchange(self, target: int, now: int) -> list:
         self.vc_target = target
-        self._timeout = min(self._timeout * 2, self.cfg.view_timeout * 16)
+        self._timeout *= 2
         cert_view, cert_value = -1, None
         if self.prepared_cert is not None:
             cert_view, _, cert_value = self.prepared_cert
+        acts = self._start_timer()
+        leader = self.cfg.leader(target)
+        if leader != self.node:
+            vc = Msg(self.cfg.instance_id, MsgKind.VIEWCHANGE, self.node, view=target,
+                     value=cert_value, cert_view=cert_view)
+            return [Send(leader, encode_msg(self.keystore, vc),
+                         MsgKind.VIEWCHANGE.value)] + acts
         self._tally(self.viewchanges, target, self.node, ((cert_view,), cert_value))
-        acts = self._bcast(MsgKind.VIEWCHANGE, view=target, value=cert_value,
-                           cert_view=cert_view)
-        acts += self._start_timer()
         return acts + self._check_newview(target, now)
 
     def _on_viewchange(self, msg: Msg, now: int) -> list:
+        """Tally a view change to a view this replica leads; one to a view
+        it has already entered is late and ignored, and one sent to any
+        other replica is a drop."""
         target = msg.view
-        if target <= self.view:
+        if self.cfg.leader(target) != self.node:
             self.dropped += 1
+            return []
+        if target <= self.view:
             return []
         vcs = self._tally(self.viewchanges, target, msg.sender,
                           ((msg.cert_view,), msg.value))
@@ -480,8 +556,7 @@ class PBFTReplica(_Replica):
         return self._check_newview(target, now)
 
     def _check_newview(self, target: int, now: int) -> list:
-        if (self.cfg.leader(target) != self.node or target <= self.view
-                or target in self.newview_done):
+        if target <= self.view or target in self.newview_done:
             return []
         vcs = self.viewchanges.get(target, {})
         if self.node not in vcs or len(vcs) < self.cfg.quorum:
@@ -505,12 +580,12 @@ class PBFTReplica(_Replica):
             self.dropped += 1
             return []
         acts = self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
-        acts += self._check(MsgKind.COMMIT, msg.view, msg.digest, now)
         return acts + self._start_timer()
 
     _ON = {MsgKind.PREPREPARE: _on_preprepare, MsgKind.PREPARE: _on_vote,
-           MsgKind.COMMIT: _on_vote, MsgKind.VIEWCHANGE: _on_viewchange,
-           MsgKind.NEWVIEW: _on_newview, MsgKind.DECIDED: _adopt_decision}
+           MsgKind.COMMIT: _on_vote, MsgKind.PREPARED: _on_prepared,
+           MsgKind.COMMITTED: _on_committed, MsgKind.VIEWCHANGE: _on_viewchange,
+           MsgKind.NEWVIEW: _on_newview}
 
 
 # -- majority engine -------------------------------------------------------
@@ -524,6 +599,8 @@ class PaxosReplica(_Replica):
     replica decides on a LEARN whose certificate verifies. A decided
     replica answers a P1A with its own LEARN, so a straggling proposer
     decides in one hop, and keeps acting as an acceptor."""
+
+    _ROUND = "round"
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  initial_proposer: bool = False,
@@ -540,8 +617,6 @@ class PaxosReplica(_Replica):
         self.promises: dict[tuple[int, int], dict[str, tuple[tuple[int, int], bytes | None]]] = {}
         # (round, index, value digest) of an own ballot -> acceptor -> P2B signature
         self.accepts: dict[tuple[int, int, bytes], dict[str, bytes]] = {}
-        self.learned: Msg | None = None     # this replica's LEARN, once decided
-        self._learn_wire: bytes | None = None
 
     step = _Replica.step
 
@@ -573,8 +648,8 @@ class PaxosReplica(_Replica):
         return acts + self._watchdog()
 
     def _on_p1a(self, msg: Msg, now: int) -> list:
-        if self.learned is not None:
-            return [Send(msg.sender, self._learn_reply(), MsgKind.LEARN.value)]
+        if self.decision is not None:
+            return self._answer(msg.sender)
         ballot = (msg.view, msg.ballot_node)
         self._saw_round(msg.view)
         if self.promised is not None and ballot <= self.promised:
@@ -594,7 +669,9 @@ class PaxosReplica(_Replica):
     def _on_p1b(self, msg: Msg, now: int) -> list:
         ballot = (msg.view, msg.ballot_node)
         if self.current != ballot:
-            self.dropped += 1
+            # a promise after the ballot's quorum is late, not a drop
+            if len(self.promises.get(ballot, ())) < self.cfg.quorum:
+                self.dropped += 1
             return []
         reports = self._tally(self.promises, ballot, msg.sender,
                               ((msg.cert_view, msg.cert_node), msg.value))
@@ -647,30 +724,18 @@ class PaxosReplica(_Replica):
         tally = self._tally(self.accepts, (*ballot, codec.sha(value)), sender, sig)
         if tally is None or self.decision is not None or len(tally) < self.cfg.quorum:
             return []
-        acts = self._learn(Msg(self.cfg.instance_id, MsgKind.LEARN, self.node,
-                               view=ballot[0], ballot_node=ballot[1], value=value,
-                               cert=tuple(sorted(tally.items()))), now, "")
-        wire = self._learn_reply()
-        return acts + [Send(m, wire, MsgKind.LEARN.value)
-                       for m in self.cfg.members if m != self.node]
+        cert, wire = self._certify(MsgKind.LEARN, tally, view=ballot[0],
+                                   ballot_node=ballot[1], value=value)
+        self.current = None
+        return (self._decide(cert, now, "", wire)
+                + self._to_all(wire, MsgKind.LEARN.value))
 
     def _on_learn(self, msg: Msg, now: int) -> list:
         """Decide on a LEARN; `verify_msg` has checked its certificate."""
         if self.decision is not None:
             return []
-        return self._learn(replace(msg, sender=self.node, sig=b""), now, " learned")
-
-    def _learn(self, learned: Msg, now: int, how: str) -> list:
-        self.learned = learned
         self.current = None
-        return self._decide(learned.value, learned.view, now,
-                            f"round={learned.view} value={codec.short(learned.value)}{how}")
-
-    def _learn_reply(self) -> bytes:
-        """This replica's own signed LEARN, encoded once."""
-        if self._learn_wire is None:
-            self._learn_wire = encode_msg(self.keystore, self.learned)
-        return self._learn_wire
+        return self._decide(msg, now, " learned")
 
     _ON = {MsgKind.P1A: _on_p1a, MsgKind.P1B: _on_p1b, MsgKind.P2A: _on_p2a,
            MsgKind.P2B: _on_p2b, MsgKind.LEARN: _on_learn}

@@ -9,8 +9,8 @@ bound degenerates to zero. Under either protocol the quorum is n - f_max
 (for the majority protocol that equals n // 2 + 1): the votes a decision
 needs, and the member signatures a sandbox result needs.
 `certificate_refusal` is the one check that enough distinct members of a
-group signed something: a sandbox result on the chain and a majority
-decision's certificate on the wire both go through it.
+group signed something: a sandbox result on the chain and each quorum
+certificate of either consensus engine on the wire go through it.
 
 `map_trust_to_plan` is the one trust-to-plan rule. Its caller is the
 sandbox contract, at create and at update-plan, so every sandbox's plan

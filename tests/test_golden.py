@@ -24,25 +24,25 @@ GOLDEN = {
         "chain.dump": "2f136b7cdd2d938915bf662ef88c7fc4d9314c57600f94cd51154ffa8371c222",
         "did.dump": "599b6397d860b33cb75192f9c48963d8f71addc12f073ab8fb62d737d1a173a8",
         "graph.dump": "0dfb2412559d4ed1c0abdd8212bc55328de08b9e3fa5f4ed744a9b022bfd3d7f",
-        "metrics.txt": "b0617e2c27eb4b2c7a5ffaa4702b7affce2736a5e0dddb6742552603669bd543",
+        "metrics.txt": "e4b3a98089de66281fd63aaef01f039d3e602af0c12e841ed7b27d894d8c704e",
         "otce.dump": "b4b1c99feaee166549feef99c145357461038ad6b307307fc6873b419d2c46d1",
-        "trace.log": "6b1f6c821d7cf23353915287e1658543e382dbd0bb506888fe29d5294a70245f",
+        "trace.log": "97d31c2d9e4f2bc3b7c94a581e508c4dc8bb3eaf2aa29da4b918fa3bc24464d6",
     },
     "plan_switch": {
         "chain.dump": "09ac9b360425b8fed634f30f7c9f43d81b9e9a1f5f2769d6906047aa5b03c74c",
         "did.dump": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "graph.dump": "de2876041bdf9b009ba562aecbbe572e1390cbcdcaf32da7f19e9e7dd658c000",
-        "metrics.txt": "9f639e2a9a7293873c9ae25a6a649a4909044c461d996303e530d3c0ed503235",
+        "metrics.txt": "165dee406dfbf35c77e96a859c433047a17010987eb995aef1f4ec12f39690d4",
         "otce.dump": "56f9513045e22298c05f1dab8916f239ff0ed40d7b5328c964d1ed30a51cc102",
-        "trace.log": "3ee9f453b6182f89343a07a50090214e7c915fad9870a37174862751eb095931",
+        "trace.log": "59d914050f1c4c150e2e9648a5907e85ef2a4cedbb6a6b3fca798eb369e2e21f",
     },
     "beyond_bound": {
         "chain.dump": "230abdeb2c09d381b5303671cb97f39f6a86d7b7ce2b75a74078645eff04386d",
         "did.dump": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "graph.dump": "0e9451726b5bc3e415ad7706bdeb0724ac666c6ab0fc3a93bb5bbf55c6268ab9",
-        "metrics.txt": "88cbc8febb37a9d2f6056627468b3ea04d4d8aba2bb2fedb87685629c38eacf2",
+        "metrics.txt": "50fa30c07aae25b00efa258864411bce45e8e2d57992ce05198ec0ba480b376f",
         "otce.dump": "6909300ee056e4f2828f59fb400dc40477d2d4463163646c0f6bf0eec1d02559",
-        "trace.log": "3b5d73f93c415676b26b65194dfc4ab869be54641fb25bed736475b265e03dc4",
+        "trace.log": "4fb04fd108cc91d54b6a9489ee580694e76148c788cc788541e9fe29a858edcd",
     },
 }
 

@@ -8,7 +8,7 @@ import pytest
 from otcestack import codec
 from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
                                  config_from_plan, decode_msg, encode_msg)
-from otcestack.keys import KeyStore
+from otcestack.keys import SIG_LEN, KeyStore
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import Send, SetTimer, SimEvent
 
@@ -45,6 +45,13 @@ def sent(acts, label: str) -> list[tuple[str, Msg]]:
             if isinstance(a, Send) and a.label == label]
 
 
+def certificate(vote: MsgKind, view: int, value: bytes, voters=("r0", "r2", "r3")):
+    """The pairs of a PREPARED or COMMITTED: each voter's signature over
+    its own `vote` of `view` for the digest of `value`."""
+    d = codec.sha(value)
+    return tuple((v, wire(vote, v, view=view, digest=d)[-SIG_LEN:]) for v in voters)
+
+
 def fire(rep, label: str) -> list:
     return rep.step(SimEvent(5, 5, "timer", rep.node, rep.node, b"", label), 5)
 
@@ -72,7 +79,8 @@ def test_pbft_replica_acts_on_its_newest_timer_only():
     for stale in ("t:1", "t:3", "t:x", "t"):
         assert fire(rep, stale) == []
     assert rep.vc_target == 1
-    deliver(rep, MsgKind.DECIDED, "r3", view=0, value=b"w")
+    deliver(rep, MsgKind.COMMITTED, "r3", view=0, value=b"w", digest=codec.sha(b"w"),
+            cert=certificate(MsgKind.COMMIT, 0, b"w"))
     assert rep.decision is not None
     for label in ("t:1", "t:2", "t:3"):
         assert fire(rep, label) == []
@@ -80,14 +88,15 @@ def test_pbft_replica_acts_on_its_newest_timer_only():
 
 
 def decided_pbft_replica() -> PBFTReplica:
-    """r1 decides b"v" in view 0 on the leader's proposal and a quorum of
-    prepares and commits."""
+    """r1 decides b"v" in view 0 on the leader's proposal and the leader's
+    prepared and committed certificates."""
     rep = pbft_replica("r1")
     d = codec.sha(b"v")
     deliver(rep, MsgKind.PREPREPARE, "r0", view=0, value=b"v", digest=d)
-    for kind in (MsgKind.PREPARE, MsgKind.COMMIT):
-        for sender in ("r0", "r2"):
-            deliver(rep, kind, sender, view=0, digest=d)
+    for vote, cert in ((MsgKind.PREPARE, MsgKind.PREPARED),
+                       (MsgKind.COMMIT, MsgKind.COMMITTED)):
+        deliver(rep, cert, "r0", view=0, value=b"v", digest=d,
+                cert=certificate(vote, 0, b"v"))
     assert rep.decision is not None and rep.dropped == 0
     return rep
 
@@ -99,10 +108,13 @@ def test_decided_pbft_replica_answers_only_a_view_change():
     assert rep.dropped == 0
     acts = deliver(rep, MsgKind.VIEWCHANGE, "r3", view=1)
     assert len(acts) == 1
-    [(dst, notice)] = sent(acts, "decided")
+    [(dst, proof)] = sent(acts, "committed")
     assert dst == "r3"
-    assert (notice.kind, notice.sender) == (MsgKind.DECIDED, "r1")
-    assert (notice.view, notice.value) == (rep.decision.view, rep.decision.value)
+    assert (proof.kind, proof.sender) == (MsgKind.COMMITTED, "r1")
+    assert (proof.view, proof.value) == (rep.decision.view, rep.decision.value)
+    assert proof.cert == certificate(MsgKind.COMMIT, 0, b"v")
+    # the proof is signed once and sent as it is to every asker
+    assert deliver(rep, MsgKind.VIEWCHANGE, "r2", view=2)[0].payload == acts[0].payload
     assert rep.dropped == 0
     forged = wire(MsgKind.VIEWCHANGE, "r3", view=2)
     forged = forged[:-1] + bytes([forged[-1] ^ 1])
@@ -157,7 +169,7 @@ def test_paxos_phase_two_takes_first_sender_on_an_accepted_ballot_tie(order):
 
 
 def test_repeated_view_change_from_one_sender_is_one_drop():
-    rep = pbft_replica("r0")
+    rep = pbft_replica("r1")
     assert deliver(rep, MsgKind.VIEWCHANGE, "r2", view=1) == []
     assert deliver(rep, MsgKind.VIEWCHANGE, "r2", view=1) == []
     assert rep.dropped == 1
