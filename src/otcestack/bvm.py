@@ -11,27 +11,32 @@ Scheduling is deterministic: tasks touching chunks go to the holder
 covering the most of their chunks (smallest node id on ties), everything
 else round-robins over the sorted members, layer by layer with the cursor
 carried across layers. Execution charges one tick per task per node and
-moves values and chunks only as signed messages. Each holder broadcasts its
-chunks at start; a finished value goes only to the current owners of the
-tasks that read it, and a sink (a task no other task reads) to every
-member, since every member signs the result. The harness is only the crash
-model's perfect failure detector: whenever the network goes quiet while a
-task or sink fails, it moves the tasks of crashed owners to live members
-by the same rule and syncs the live members. Each then pulls what it needs,
-the inputs its unfinished tasks lack and the sinks it lacks, with one
-signed `need` per peer and input kind. Each node keeps a ready queue: a
-task waits under the inputs the node lacks and is re-checked only when one
-of them first arrives, so the work per task is fixed by its inputs. A node
-takes a signed chunk only when some task reads it and the sender holds it,
-and a signed value only from the task's current owner; any other message
-counts as a rejection. The run is complete when every task is held by a
-live member and every live member holds every sink with the same value;
-those members sign the sandbox contract's result message, and the
-contract accepts it only when the signers meet the group's security
-plan. A value or chunk sent to several peers reaches each as the same
-wire, so the executors of one execution share a memo from (sender, wire)
-to the checked message: each distinct pair is verified and decoded once,
-and every rejected delivery is still counted by its receiver.
+moves values and chunks only as signed messages, each a batch: a non-empty,
+ordered list of (ref, data) pairs under one signature, so a small value
+does not pay for a message of its own. Each holder sends every peer one
+batch of its chunks at start; a finished value goes at once, alone, to the
+current owners of the tasks that read it; and a sink (a task no other task
+reads) goes to every member, since every member signs the result, in one
+batch per member once it holds the value of every task it owns. The
+harness is only the crash model's perfect failure detector: whenever the
+network goes quiet while a task or sink fails, it moves the tasks of
+crashed owners to live members by the same rule and syncs the live
+members. Each then pulls what it needs, the inputs its unfinished tasks
+lack and the sinks it lacks, with one signed `need` per peer and input
+kind, answered with one batch. Each node keeps a ready queue: a task waits
+under the inputs the node lacks and is re-checked only when one of them
+first arrives, so the work per task is fixed by its inputs. A node takes a
+batch only when every pair passes: a chunk only when some task reads it
+and the sender holds it, and a value only from the task's current owner;
+any other message counts as one rejection, and none of its pairs is
+stored. The run is complete when every task is held by a live member and
+every live member holds every sink with the same value; those members sign
+the sandbox contract's result message, and the contract accepts it only
+when the signers meet the group's security plan. A batch sent to several
+peers reaches each as the same wire, so the executors of one execution
+share a memo from (sender, wire) to the checked message: each distinct
+pair is verified and decoded once, and every rejected delivery is still
+counted by its receiver.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import codec
 from .keys import SIG_LEN, KeyStore
@@ -264,27 +270,32 @@ def _place(dag: TaskDAG, order, nodes, holders) -> dict[str, str]:
 
 # -- distributed execution -------------------------------------------------
 
-def _value_body(execution_id: str, kind: str, ref: str, data: bytes) -> bytes:
-    return codec.pack("bvm-val", execution_id, kind, ref, data)
-
-
 class TaskExecutor:
     """Per-node engine: runs its assigned tasks one at a time, one tick each,
-    and sends each finished value to the current owners of the tasks that
-    read it (a sink to every peer); learns remote values and chunks from
-    signed messages. `owners` (task -> its current owner, in topological
-    order) and `holders` (node -> the chunks it holds) are the execution's
-    maps, shared by every executor: the node runs the tasks it owns,
-    starts with its own chunks, takes a value message only from the task's
-    current owner and a chunk message only from a holder of that chunk.
-    The failure detector moves tasks in `owners` in place and then sends a
-    `sync`: the node takes the tasks newly given to it and asks for what it
-    needs, the inputs its unfinished tasks lack and the sinks it lacks,
-    with one signed `need` per peer and input kind: the tasks the peer
-    owns, in topological order, or the chunks it holds, in id order (every
-    holder is asked). It answers a need whose every ref is a task it owns
-    or a chunk it holds with those it has, each as its own signed value or
-    chunk, to the requester alone; any other need counts as one rejection.
+    and sends each finished value at once to the current owners of the
+    tasks that read it; learns remote values and chunks from signed
+    messages. A `value` or `chunk` message is a batch: the body
+    ("bvm-val", execution id, kind) followed by one or more (ref, data)
+    pairs, laid out flat, and a `need` is the same with one pair, (input
+    kind, packed refs). At start the node sends each peer one batch of the
+    chunks it holds that some task reads. It holds back the sinks it
+    finishes, counting the owned tasks whose value it lacks, and sends them
+    to every peer in one batch whenever that count falls to zero, so the
+    check is O(1) per event. `owners` (task -> its current owner, in
+    topological order) and `holders` (node -> the chunks it holds) are the
+    execution's maps, shared by every executor: the node runs the tasks it
+    owns, starts with its own chunks, and takes a batch only when every
+    pair passes, a value only from the task's current owner and a chunk
+    only from a holder of that chunk that some task reads; any other batch
+    counts as one rejection and stores nothing. The failure detector moves
+    tasks in `owners` in place and then sends a `sync`: the node takes the
+    tasks newly given to it and asks for what it needs, the inputs its
+    unfinished tasks lack and the sinks it lacks, with one signed `need`
+    per peer and input kind: the tasks the peer owns, in topological order,
+    or the chunks it holds, in id order (every holder is asked). It answers
+    a need whose every ref is a task it owns or a chunk it holds with one
+    batch of those it has, to the requester alone; any other need counts as
+    one rejection.
 
     It starts the first task in `assigned` order that is ready (every task
     input in `values`, every chunk input in `chunks`) and not yet finished;
@@ -292,17 +303,19 @@ class TaskExecutor:
     value it already holds is not run again. A ready queue finds that task
     without rescanning: a task is known by its position in `assigned`,
     which waits under every distinct input the node lacks, in one table per
-    input kind (TASK, CHUNK) since a task and a chunk may share an id. The first time a value or chunk becomes known its waiters
-    are re-checked, and those now ready go on a min-heap of positions; a
-    start pops the heap, skipping finished tasks. Each task is checked at
-    most once per distinct input, so the work per task is fixed however
-    many events the node sees.
+    input kind (TASK, CHUNK) since a task and a chunk may share an id. The
+    first time a value or chunk becomes known its waiters are re-checked,
+    and those now ready go on a min-heap of positions; a start pops the
+    heap, skipping finished tasks. Each task is checked at most once per
+    distinct input, so the work per task is fixed however many events the
+    node sees.
 
-    `verified` maps (sender, wire) to the message's (kind, ref, data), or
-    None when it is refused. The outcome depends only on that pair, the
-    members, the keystore's seed (which fixes every identity's key) and the
-    execution id, so the executors of one execution may share the memo. An
-    executor built without one gets a private memo."""
+    `verified` maps (sender, wire) to the message's kind and its (ref,
+    data) pairs, or None when it is refused. The outcome depends only on
+    that pair, the members, the keystore's seed (which fixes every
+    identity's key) and the execution id, so the executors of one
+    execution may share the memo. An executor built without one gets a
+    private memo."""
 
     def __init__(self, execution_id: str, dag: TaskDAG, node: str, members,
                  owners: dict[str, str], holders: dict[str, dict[str, bytes]],
@@ -325,19 +338,23 @@ class TaskExecutor:
         self._waiting: dict[str, dict[str, list[int]]] = {TASK: {}, CHUNK: {}}
         self.assigned: list[str] = []
         self._owned: set[str] = set()
+        self._unfinished = 0                # owned tasks whose value it lacks
+        self._sinks: list[tuple[str, bytes]] = []   # finished, not yet sent
         for tid, owner in owners.items():
             if owner == node:
                 self._assign(tid)
 
-    def _signed(self, kind: str, ref: str, data: bytes) -> bytes:
-        body = _value_body(self.execution_id, kind, ref, data)
+    def _signed(self, kind: str, *items) -> bytes:
+        """`items` are the message's (ref, data) pairs, laid out flat."""
+        body = codec.pack("bvm-val", self.execution_id, kind, *items)
         return body + self.keystore.sign(self.node, body)
 
-    def _send(self, dsts, kind: str, ref: str, data: bytes) -> list:
-        """One signed wire to each of `dsts`; nothing is signed for none."""
-        if not dsts:
+    def _send(self, dsts, kind: str, pairs) -> list:
+        """One signed wire of `pairs` to each of `dsts`; nothing is signed
+        for no destination or no pair."""
+        if not dsts or not pairs:
             return []
-        wire = self._signed(kind, ref, data)
+        wire = self._signed(kind, *chain.from_iterable(pairs))
         return [Send(m, wire, kind) for m in dsts]
 
     def _ready(self, tid: str) -> bool:
@@ -352,6 +369,8 @@ class TaskExecutor:
         pos = len(self.assigned)
         self.assigned.append(tid)
         self._owned.add(tid)
+        if tid not in self.values:
+            self._unfinished += 1
         lacking = {(i.kind, i.ref) for i in self.dag.tasks[tid].inputs
                    if (i.kind == TASK and i.ref not in self.values)
                    or (i.kind == CHUNK and i.ref not in self.chunks)}
@@ -388,12 +407,9 @@ class TaskExecutor:
         return self._on_message(event)
 
     def _on_start(self) -> list:
-        acts = []
         needed = self.dag.chunk_ids
-        for cid in sorted(self.chunks):
-            if cid in needed:
-                acts += self._send(self.peers, "chunk", cid, self.chunks[cid])
-        return acts + self._try_start()
+        pairs = [(cid, self.chunks[cid]) for cid in sorted(self.chunks) if cid in needed]
+        return self._send(self.peers, "chunk", pairs) + self._try_start()
 
     def _on_sync(self) -> list:
         for tid, owner in self.owners.items():
@@ -421,29 +437,40 @@ class TaskExecutor:
         task = self.dag.tasks[tid]
         operands = [_resolve(i, self.values, self.chunks) for i in task.inputs]
         value = self.values[tid] = eval_op(task.op, operands)
+        self._unfinished -= 1
         self._learned(TASK, tid)
         readers = self.dag.readers[tid]
-        if readers:                     # the current owners of its readers
+        if readers:                     # the current owners of its readers, at once
             owners = {self.owners.get(r) for r in readers}
-            dsts = [m for m in self.peers if m in owners]
+            acts = self._send([m for m in self.peers if m in owners], "value",
+                              [(tid, value)])
         else:                           # a sink: every member signs the result
-            dsts = self.peers
-        return self._send(dsts, "value", tid, value) + self._try_start()
+            self._sinks.append((tid, value))
+            acts = []
+        if not self._unfinished:        # every owned task done: send its sinks
+            acts += self._send(self.peers, "value", self._sinks)
+            self._sinks = []
+        return acts + self._try_start()
 
     def _check(self, src: str, wire: bytes) -> tuple | None:
+        """The message's kind and its (ref, data) pairs, or None."""
         if len(wire) <= SIG_LEN:
             return None
         body, sig = wire[:-SIG_LEN], wire[-SIG_LEN:]
         if src not in self.members or not self.keystore.verify(src, body, sig):
             return None
         try:
-            return codec.unpack_record(body, "bvm-val", self.execution_id,
-                                       object, object, bytes)[2:]
+            fields = codec.unpack(body)
+            codec.check_record(fields[:3], "bvm-val", self.execution_id, object)
+            pairs = tuple(codec.check_record(fields[i:i + 2], object, bytes)
+                          for i in range(3, len(fields), 2))
         except codec.CodecError:
             return None
+        return (fields[2], pairs) if pairs else None
 
     def _on_message(self, event: SimEvent) -> list:
-        key = (event.src, event.payload)
+        src = event.src
+        key = (src, event.payload)
         try:
             fields = self.verified[key]
         except KeyError:
@@ -451,39 +478,46 @@ class TaskExecutor:
         if fields is None:
             self.rejected += 1
             return []
-        kind, ref, data = fields
+        kind, pairs = fields
         if kind == "need":
-            return self._on_need(event.src, ref, data)
-        if (kind == "chunk" and ref in self.dag.chunk_ids
-                and ref in self.holders.get(event.src, ())):
-            known, key = self.chunks, CHUNK
-        elif kind == "value" and self.owners.get(ref) == event.src:
-            known, key = self.values, TASK
+            return self._on_need(src, pairs)
+        if kind == "chunk":
+            held, ids = self.holders.get(src, ()), self.dag.chunk_ids
+            ok = all(ref in ids and ref in held for ref, _ in pairs)
+            known, input_kind = self.chunks, CHUNK
+        elif kind == "value":
+            owners = self.owners
+            ok = all(owners.get(ref) == src for ref, _ in pairs)
+            known, input_kind = self.values, TASK
         else:
+            ok = False
+        if not ok:                      # one bad pair refuses the whole batch
             self.rejected += 1
             return []
-        if ref not in known:
-            known[ref] = data
-            self._learned(key, ref)
+        for ref, data in pairs:
+            if ref not in known:
+                known[ref] = data
+                self._learned(input_kind, ref)
         return self._try_start()
 
-    def _on_need(self, src: str, kind, data: bytes) -> list:
-        """Answer a need for the values (`kind` TASK) of tasks this node
-        owns, or the chunks (CHUNK) it holds, with those it has. `data`
-        packs the refs. A need that names none, or anything else, is refused
-        whole; a ref that is not a str matches no task or chunk id."""
+    def _on_need(self, src: str, pairs) -> list:
+        """Answer a need for the values (input kind TASK) of tasks this node
+        owns, or the chunks (CHUNK) it holds, with one message of those it
+        has. A need is one pair: the input kind and the packed refs. A need
+        that names none, or anything else, is refused whole; a ref that is
+        not a str matches no task or chunk id."""
+        kind, data = pairs[0]
         try:
-            refs = codec.unpack(data)
+            refs = dict.fromkeys(codec.unpack(data)) if len(pairs) == 1 else ()
         except codec.CodecError:
             refs = ()
         if refs and kind == TASK and all(self.owners.get(ref) == self.node for ref in refs):
-            return [Send(src, self._signed("value", ref, self.values[ref]), "value")
-                    for ref in refs if ref in self.values]
+            return self._send([src], "value",
+                              [(ref, self.values[ref]) for ref in refs if ref in self.values])
         held = self.holders.get(self.node, {})
         if refs and kind == CHUNK and all(
                 ref in held and ref in self.dag.chunk_ids for ref in refs):
-            return [Send(src, self._signed("chunk", ref, held[ref]), "chunk")
-                    for ref in refs]
+            return self._send([src], "chunk", [(ref, held[ref]) for ref in refs])
         self.rejected += 1
         return []
 
@@ -525,8 +559,9 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     round adds no value, finds no new crash and loses no message to the
     link, or when the budget runs out. A moved task whose value its new
     owner does not hold is evaluated again by that owner, since a value is
-    taken only from its task's owner. `values` is the union of the live
-    members' own values, for audit only."""
+    taken only from its task's owner; so are the sinks a crashed member
+    finished but still held back for its sink batch. `values` is the union
+    of the live members' own values, for audit only."""
     ordered = tuple(sorted(members))
     schedule = topo_schedule(dag, ordered, holders)
     owners = dict(schedule)

@@ -22,9 +22,10 @@ the digest of its kind, payload and sender (`id_ok`). Admission, sealing,
 verification and the dump read these instead of packing the tx again;
 the tx is frozen, and `dataclasses.replace` rebuilds both. `make_tx`
 packs a tx's head (kind, payload, sender) once, for both its id and its
-wire. A tx loaded from a dump keeps the bytes it was decoded from as its
-wire: `decode_tx` refuses non-canonical bytes, so they are the bytes a
-re-pack would give.
+wire, and hashes it once: the id it derives is the head's digest, so it
+does not check that again. A tx loaded from a dump keeps the bytes it
+was decoded from as its wire: `decode_tx` refuses non-canonical bytes, so
+they are the bytes a re-pack would give.
 
 A dump has one text per chain: `load_chain` refuses any character
 `dump_chain` never writes (upper-case hex, `#`, tabs, `\r`), a text that
@@ -64,28 +65,21 @@ class Transaction:
     sender: str
     signature: bytes
     tx_id: bytes
-    # set by `_set_wire` from the five fields above, in __post_init__ or,
-    # with the head already packed, in make_tx and decode_tx
+    # the packed five fields above, and whether `tx_id` is the digest of
+    # their head (kind, payload, sender); set from the fields in
+    # __post_init__, or by `_built_tx` for make_tx and decode_tx
     wire: bytes = field(init=False, compare=False, repr=False)
     id_ok: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _set_wire(self, codec.pack(int(self.kind), self.payload, self.sender))
-
-
-def _set_wire(tx: Transaction, head: bytes, wire: bytes | None = None) -> None:
-    """Give `tx` its `wire`, `head + pack(signature, tx_id)` unless the
-    caller already holds those bytes, and `id_ok`, whether `tx_id` is the
-    digest of `head`, the packed kind, payload and sender."""
-    if wire is None:
-        wire = head + codec.pack(tx.signature, tx.tx_id)
-    object.__setattr__(tx, "wire", wire)
-    object.__setattr__(tx, "id_ok", codec.sha(head) == tx.tx_id)
+        head = codec.pack(int(self.kind), self.payload, self.sender)
+        object.__setattr__(self, "wire", head + codec.pack(self.signature, self.tx_id))
+        object.__setattr__(self, "id_ok", codec.sha(head) == self.tx_id)
 
 
 def _built_tx(kind: TxKind, payload: bytes, sender: str, signature: bytes,
-              tx_id: bytes, head: bytes, wire: bytes | None = None) -> Transaction:
-    """A `Transaction` of these fields whose head is already packed."""
+              tx_id: bytes, wire: bytes, id_ok: bool) -> Transaction:
+    """A `Transaction` of these fields whose wire and id check are known."""
     tx = object.__new__(Transaction)
     setattr_ = object.__setattr__
     setattr_(tx, "kind", kind)
@@ -93,14 +87,17 @@ def _built_tx(kind: TxKind, payload: bytes, sender: str, signature: bytes,
     setattr_(tx, "sender", sender)
     setattr_(tx, "signature", signature)
     setattr_(tx, "tx_id", tx_id)
-    _set_wire(tx, head, wire)
+    setattr_(tx, "wire", wire)
+    setattr_(tx, "id_ok", id_ok)
     return tx
 
 
 def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Transaction:
     head = codec.pack(int(kind), payload, sender)
     txid = codec.sha(head)
-    return _built_tx(kind, payload, sender, keystore.sign(sender, txid), txid, head)
+    signature = keystore.sign(sender, txid)
+    return _built_tx(kind, payload, sender, signature, txid,
+                     head + codec.pack(signature, txid), True)
 
 
 def decode_tx(data: bytes) -> Transaction:
@@ -118,7 +115,8 @@ def decode_tx(data: bytes) -> Transaction:
     # `data` is canonical, so it is the tx's wire, and its head is all of
     # it but the trailing `pack(signature, tx_id)`: two 5-byte item heads
     head = data[:len(data) - 10 - len(signature) - len(tx_id)]
-    return _built_tx(kind, payload, sender, signature, tx_id, head, data)
+    return _built_tx(kind, payload, sender, signature, tx_id, data,
+                     codec.sha(head) == tx_id)
 
 
 @dataclass(frozen=True, slots=True)

@@ -202,3 +202,15 @@ def test_replay_registry_starts_empty_and_derives_its_own_plans(runs, derivation
     assert registry is not res.otce and registry._plans is not res.otce._plans
     assert registry._plans == res.otce._plans
     assert len(derivations) == len(registry._plans)
+
+
+def test_make_tx_hashes_its_head_once(monkeypatch):
+    hashed = []
+    real = codec.sha
+    monkeypatch.setattr(codec, "sha", lambda data: hashed.append(data) or real(data))
+    tx = make_tx(KeyStore(3), "alice", TxKind.CREATE_OTCE, b"payload")
+    assert hashed == [codec.pack(int(tx.kind), tx.payload, tx.sender)]
+    assert tx.id_ok and hashed[0] + codec.pack(tx.signature, tx.tx_id) == tx.wire
+    # a decoded tx still checks its id against its head
+    assert decode_tx(tx.wire).id_ok and len(hashed) == 2
+    assert not decode_tx(codec.pack(*codec.unpack(tx.wire)[:4], bytes(32))).id_ok

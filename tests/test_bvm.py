@@ -508,7 +508,8 @@ def test_report_accounts_for_every_message(max_tick):
     assert report.dropped > 0
     assert report.sent == report.delivered + report.dropped + report.in_flight
     cut = max_tick == 4
-    assert report.budget_exhausted == cut and (report.in_flight > 0) == cut
+    # the cut at tick 4 falls between deliveries, so nothing is in flight
+    assert report.budget_exhausted == cut and report.in_flight == 0
     assert report.completed != cut
     assert (report.ticks == max_tick) == cut
 
@@ -642,6 +643,147 @@ def test_need_answered_only_for_an_owned_task_or_a_held_chunk():
     executor.step(SimEvent(3, 3, "timer", "m1", "m1", b"", "exec:a"), 3)
     assert need("t", ["z", "a"], t=4) == [answer("value", "a", b"\x07")]
     assert executor.rejected == 12
+
+
+def batch_wire(ks, src, kind, *items):
+    body = codec.pack("bvm-val", "x", kind, *items)
+    return body + ks.sign(src, body)
+
+
+def test_clean_run_sends_one_batch_per_holder_and_per_sink_owner():
+    # sends = values routed to their readers' owners, plus one chunk batch
+    # from each holder and one sink batch from each member owning a sink,
+    # each to every peer
+    rng = random.Random(2323)
+    for members in (MEMBERS, ("w1", "w2", "w3", "w4")):
+        for _ in range(20):
+            dag, chunks = make_random_dag(rng)
+            holders = spread_chunks(rng, chunks, members)
+            report = execute_collaborative(
+                dag, members, holders, KeyStore(3),
+                net_cfg=NetworkConfig(1, 2, seed=rng.randrange(10**6)))
+            assert report.completed and report.values == sequential_oracle(dag, chunks)
+            owner = report.schedule
+            routed = sum(len({owner[r] for r in readers} - {owner[t]})
+                         for t, readers in dag.readers.items())
+            holding = sum(bool(dag.chunk_ids & set(held)) for held in holders.values())
+            sink_owners = len({owner[t] for t in dag.sinks})
+            assert report.sent == routed + (len(members) - 1) * (holding + sink_owners)
+
+
+def test_a_batch_with_one_bad_pair_is_one_rejection_and_stores_nothing():
+    ks = KeyStore(3)
+    dag = TaskDAG({"a": Task("a", "add", (lit_input(b"\x01"),)),
+                   "a2": Task("a2", "add", (lit_input(b"\x02"),)),
+                   "b": Task("b", "add", (lit_input(b"\x03"),)),
+                   "c": Task("c", "concat", (task_input("a"), task_input("a2"),
+                                             task_input("b"), chunk_input("k"),
+                                             chunk_input("q")))})
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"),
+                            {"a": "m0", "a2": "m0", "b": "m2", "c": "m1"},
+                            {"m0": {"k": b"K", "z": b"Z"}, "m2": {"q": b"Q"}}, ks)
+
+    def deliver(src, kind, *items, t=1):
+        return executor.step(SimEvent(t, t, "msg", src, "m1",
+                                      batch_wire(ks, src, kind, *items), kind), t)
+
+    bad = [
+        deliver("m0", "value", "a", b"A", "b", b"B"),       # b is m2's task
+        deliver("m0", "value", "b", b"B", "a", b"A"),
+        deliver("m0", "chunk", "k", b"K", "q", b"Q"),       # m0 does not hold q
+        deliver("m0", "chunk", "k", b"K", "z", b"Z"),       # no task reads z
+        deliver("m0", "value", "a", b"A", "a2"),            # a ref without data
+        deliver("m0", "value", "a", b"A", "a2", 2),         # data that is not bytes
+    ]
+    assert bad == [[]] * 6 and executor.rejected == 6
+    assert executor.values == {} and executor.chunks == {}
+    assert deliver("m0", "value", "a", b"A", "a2", b"A2") == []
+    assert deliver("m2", "value", "b", b"B") == []
+    assert deliver("m0", "chunk", "k", b"K") == []
+    assert deliver("m2", "chunk", "q", b"Q") == [SetTimer(1, "exec:c")]
+    assert executor.values == {"a": b"A", "a2": b"A2", "b": b"B"}
+    assert executor.chunks == {"k": b"K", "q": b"Q"} and executor.rejected == 6
+
+
+def test_a_need_gets_one_answer_message():
+    ks = KeyStore(3)
+    dag = TaskDAG({"a": Task("a", "concat", (chunk_input("k"),)),
+                   "z": Task("z", "concat", (chunk_input("j"),)),
+                   "b": Task("b", "add", (task_input("a"), task_input("z")))})
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"),
+                            {"a": "m1", "z": "m1", "b": "m2"},
+                            {"m1": {"k": b"\x07", "j": b"\x08"}}, ks)
+    executor.step(SimEvent(0, 0, "local", "m1", "m1", b"", "start"), 0)
+    executor.step(SimEvent(1, 1, "timer", "m1", "m1", b"", "exec:a"), 1)
+    executor.step(SimEvent(2, 2, "timer", "m1", "m1", b"", "exec:z"), 2)
+
+    def need(kind, refs):
+        return executor.step(SimEvent(3, 3, "msg", "m2", "m1",
+                                      need_wire(ks, "m2", kind, refs), "need"), 3)
+
+    assert need("t", ["z", "a", "z"]) == [
+        Send("m2", batch_wire(ks, "m1", "value", "z", b"\x08", "a", b"\x07"), "value")]
+    assert need("c", ["k", "j"]) == [
+        Send("m2", batch_wire(ks, "m1", "chunk", "k", b"\x07", "j", b"\x08"), "chunk")]
+    assert executor.rejected == 0
+
+
+def test_a_sink_batch_lost_before_gst_is_recovered_by_needs():
+    # m0 owns a and the sink c, m1 the sink b; every message before tick 3
+    # is lost, so both sink batches are, and each member pulls the other's
+    dag, _ = parse_dag("task a add l:01\ntask b add l:02\ntask c add t:a l:03\n")
+    report = execute_collaborative(dag, ("m0", "m1"), {}, KeyStore(3),
+                                   net_cfg=NetworkConfig(gst=3, drop_rate=1.0, seed=1))
+    assert report.schedule == {"a": "m0", "b": "m1", "c": "m0"}
+    assert report.completed and report.values == sequential_oracle(dag, {})
+    assert report.signers == ("m0", "m1") and report.reassigned == {}
+    labels = [line.split()[2:5] for line in report.trace]
+    assert ["m0", "m1", "drop:value"] in labels and ["m1", "m0", "drop:value"] in labels
+    assert ["m0", "m1", "msg:need"] in labels and ["m1", "m0", "msg:need"] in labels
+    assert ["m0", "m1", "msg:value"] in labels and ["m1", "m0", "msg:value"] in labels
+    # nothing is evaluated twice
+    assert sum("timer:exec" in line for line in report.trace) == 3
+
+
+def test_finished_sinks_wait_until_every_owned_task_is_done():
+    # m0 owns the sinks a and c and the task b that c reads; the sink batch
+    # goes out once, after c, with both sinks in finishing order
+    ks = KeyStore(3)
+    dag, _ = parse_dag("task a add l:01\ntask b add l:02\ntask c add t:b l:03\n")
+    executor = TaskExecutor("x", dag, "m0", ("m0", "m1"), {"a": "m0", "b": "m0", "c": "m0"},
+                            {}, ks)
+    assert executor.step(SimEvent(0, 0, "local", "m0", "m0", b"", "start"), 0) == [
+        SetTimer(1, "exec:a")]
+    assert executor.step(SimEvent(1, 1, "timer", "m0", "m0", b"", "exec:a"), 1) == [
+        SetTimer(1, "exec:b")]
+    assert executor.step(SimEvent(2, 2, "timer", "m0", "m0", b"", "exec:b"), 2) == [
+        SetTimer(1, "exec:c")]
+    values = sequential_oracle(dag, {})
+    assert executor.step(SimEvent(3, 3, "timer", "m0", "m0", b"", "exec:c"), 3) == [
+        Send("m1", batch_wire(ks, "m0", "value", "a", values["a"], "c", values["c"]),
+             "value")]
+
+
+def test_sinks_moved_by_a_sync_go_out_in_a_batch_of_their_own():
+    ks = KeyStore(3)
+    dag, _ = parse_dag("task a add l:01\ntask b add l:02\ntask c add l:03\n")
+    owners = {"a": "m0", "b": "m1", "c": "m0"}
+    executor = TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), owners, {}, ks)
+    values = sequential_oracle(dag, {})
+
+    def sink_batch(*refs):
+        wire = batch_wire(ks, "m1", "value", *(x for r in refs for x in (r, values[r])))
+        return [Send(m, wire, "value") for m in ("m0", "m2")]
+
+    executor.step(SimEvent(0, 0, "local", "m1", "m1", b"", "start"), 0)
+    assert executor.step(SimEvent(1, 1, "timer", "m1", "m1", b"", "exec:b"), 1) == (
+        sink_batch("b"))
+    owners.update(a="m1", c="m1")       # m0 crashed
+    executor.step(SimEvent(5, 5, "local", "m1", "m1", b"", "sync"), 5)
+    assert executor.step(SimEvent(6, 6, "timer", "m1", "m1", b"", "exec:a"), 6) == [
+        SetTimer(1, "exec:c")]
+    assert executor.step(SimEvent(7, 7, "timer", "m1", "m1", b"", "exec:c"), 7) == (
+        sink_batch("a", "c"))
 
 
 def test_value_accepted_only_from_the_tasks_assignee():

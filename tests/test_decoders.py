@@ -146,10 +146,10 @@ CASES = [
                    (4, True, Msg("inst", MsgKind.PREPARE, "m0", 1, -1, None, b"d" * 32,
                                  -1, -1))]),
     Case("bvm-value", _bvm, ["bvm-val", "x1", "value", "t", b"\x07"],
-         ("value", "t", b"\x07"),
+         ("value", (("t", b"\x07"),)),
          refused=[(1, "x2"), (1, b"x1"), (4, "s"), (4, 5)],
          # kind and ref are not checked by the shape
-         accepted=[(2, 5, (5, "t", b"\x07")), (3, None, ("value", None, b"\x07"))]),
+         accepted=[(2, 5, (5, (("t", b"\x07"),))), (3, None, ("value", ((None, b"\x07"),)))]),
     # a need names an input kind and packs a non-empty run of refs of that
     # kind that the receiver owns (a task) or holds (a chunk)
     Case("bvm-need", _bvm_need, ["bvm-val", "x1", "need", "t", codec.pack("t")],
@@ -158,7 +158,7 @@ CASES = [
                   (4, b""), (4, b"\xff"), (4, codec.pack()), (4, codec.pack(5)),
                   (4, codec.pack(b"t")), (4, codec.pack(["t"])), (4, codec.pack("t", 5)),
                   (4, codec.pack("u")), (4, codec.pack("t", "ghost")), (4, codec.pack("k"))],
-         accepted=[(4, codec.pack("t", "t"), (("m0", "value", "t", b"\x07"),) * 2)]),
+         accepted=[(4, codec.pack("t", "t"), (("m0", "value", "t", b"\x07"),))]),
 ]
 
 

@@ -107,6 +107,6 @@ def test_crash_placement_is_pinned():
     # and need, so its digest pins the start order before and after the
     # crash is detected.
     trace = hashlib.sha256("\n".join(report.trace).encode()).hexdigest()
-    assert trace == "4bc8c1527b3f033c4cd1dd0878e4bc2a3397a8814442d5a1ef5f907ec16bd0fa"
-    assert report.ticks == 24
+    assert trace == "1f09c55d2b8e7b755290efcdf9aa089567d77bf41bc7cfa1d51990e2cd57d247"
+    assert report.ticks == 26
     assert report.signers == ("w1", "w3", "w4")

@@ -8,8 +8,8 @@ from dataclasses import replace
 import pytest
 
 from otcestack import codec, consensus
-from otcestack.bvm import (Task, TaskDAG, TaskExecutor, execute_collaborative,
-                           lit_input, task_input)
+from otcestack.bvm import (Task, TaskDAG, TaskExecutor, chunk_input,
+                           execute_collaborative, lit_input, task_input)
 from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
                                  config_from_plan, encode_msg,
                                  make_equivocation_transform, run_instance)
@@ -235,8 +235,36 @@ def test_bvm_verifies_each_sender_wire_pair_once(monkeypatch):
     tasks = {f"t{i}": Task(f"t{i}", "add", (lit_input(bytes([i])),)) for i in range(6)}
     report = execute_collaborative(TaskDAG(tasks), ("w1", "w2", "w3", "w4"), {},
                                    KeyStore(3), net_cfg=NetworkConfig(1, 2, seed=1))
-    assert report.completed and report.delivered == 18
-    assert len(calls) == 6 and set(calls.values()) == {1}
+    assert report.completed and report.delivered == 12
+    assert len(calls) == 4 and set(calls.values()) == {1}
+
+
+def test_bvm_decodes_each_sender_wire_batch_once(monkeypatch):
+    decoded = Counter()
+    original = codec.unpack
+
+    def counting(data):
+        decoded[data] += 1
+        return original(data)
+
+    monkeypatch.setattr(codec, "unpack", counting)
+    # w1 holds k, which t1, t3, t5 and t7 read, and z, which no task reads;
+    # w2 holds j, which t0 reads; t8 to t11 round-robin; every task is a sink
+    reads = {"t0": "j", "t1": "k", "t3": "k", "t5": "k", "t7": "k"}
+    tasks = {tid: Task(tid, "add", (lit_input(b"\x01"),)
+                       + ((chunk_input(reads[tid]),) if tid in reads else ()))
+             for tid in list(reads) + ["t8", "t9", "t10", "t11"]}
+    report = execute_collaborative(TaskDAG(tasks), ("w1", "w2", "w3", "w4"),
+                                   {"w1": {"k": b"\x05", "z": b"\x07"}, "w2": {"j": b"\x06"}},
+                                   KeyStore(3), net_cfg=NetworkConfig(1, 2, seed=1))
+    assert report.completed
+    batches = [d for d in decoded if d.startswith(codec.pack("bvm-val"))]
+    # one chunk batch from each holder and one sink batch from each member,
+    # each delivered to three peers and decoded once
+    assert len(batches) == 2 + 4 and report.delivered == 3 * len(batches)
+    assert {decoded[b] for b in batches} == {1}
+    # w1's sink batch carries its five sinks
+    assert max(len(original(b)) for b in batches) == 3 + 2 * 5
 
 
 # -- simnet ----------------------------------------------------------------
