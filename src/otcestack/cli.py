@@ -53,14 +53,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _read_scenario(path: str) -> Scenario | None:
+    """The scenario in the file at `path`; None, with the error printed,
+    when the file cannot be read or does not parse."""
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
+        return parse_scenario(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_run(args) -> int:
+    scn = _read_scenario(args.scenario)
+    if scn is None:
         return 2
     try:
-        scn = parse_scenario(text)
         result = run_scenario(scn, base_dir=Path(args.scenario).parent,
                               seed_override=args.seed_override,
                               max_ticks_override=args.max_ticks)
@@ -118,10 +127,8 @@ def _cmd_replay(args) -> int:
         return rc
     scn = Scenario(seed=0)
     if args.scenario is not None:
-        try:
-            scn = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, ScenarioError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        scn = _read_scenario(args.scenario)
+        if scn is None:
             return 2
     ks = KeyStore(scn.seed if args.seed is None else args.seed)
     bad, mismatches, (registry, dids) = audit_chain(chain, scn, ks)

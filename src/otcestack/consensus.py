@@ -48,13 +48,17 @@ beyond the bound, however few faulty members there are.
 
 The engines share one replica skeleton, `_Replica`: one event entry that
 dispatches each verified message through the engine's table from kind to
-handler, one tally of sender -> report for every quorum (where a repeated
-sender is a drop), one decision that keeps its certificate, and one pick
-of the value to re-propose. That pick is the rule a new view and a phase
-1 have in common: the value of the highest certificate among a quorum's
-reports, else the replica's own request. A reply that reaches a collector
-after its quorum (a late promise or view change) is ignored, not counted
-as a drop.
+handler, one way to send, one tally of sender -> report for every quorum
+(where a repeated sender is a drop), one decision that keeps its
+certificate, and one pick of the value to re-propose. A replica reaches
+itself through that same table: its own proposal, vote, promise or view
+change goes to the handler a peer's would reach, a vote signed first, so
+every check a handler makes runs on the replica's own message too. Only a
+collector acts on its own certificate directly. The pick of the value is
+the rule a new view and a phase 1 have in common: the value of the
+highest certificate among a quorum's reports, else the replica's own
+request. A reply that reaches a collector after its quorum (a late
+promise or view change) is ignored, not counted as a drop.
 """
 
 from __future__ import annotations
@@ -161,15 +165,14 @@ def vote_body(cert: Msg, voter: str) -> bytes:
     return msg_body(vote)
 
 
-def verify_msg(keystore: KeyStore, wire: bytes, members,
-               quorum: int | None = None) -> Msg | None:
+def verify_msg(keystore: KeyStore, wire: bytes, members, quorum: int) -> Msg | None:
     """The message of a wire that decodes, names a sender in `members` and
     carries that sender's signature; None otherwise. Membership is decided
     before the signature, so a wire naming an outsider costs no HMAC and
     derives no key for that name. A certificate must also carry a value
     (whose sha is the digest, for PREPARED and COMMITTED) and the vote
-    signatures of `quorum` (by default every member) distinct members over
-    that value or digest and its view or ballot."""
+    signatures of `quorum` distinct members over that value or digest and
+    its view or ballot."""
     try:
         msg = decode_msg(wire)
     except codec.CodecError:
@@ -183,8 +186,7 @@ def verify_msg(keystore: KeyStore, wire: bytes, members,
     if msg.value is None or (vote is not MsgKind.P2B
                              and msg.digest != codec.sha(msg.value)):
         return None
-    if certificate_refusal(len(members) if quorum is None else quorum, members,
-                           msg.cert, keystore,
+    if certificate_refusal(quorum, members, msg.cert, keystore,
                            lambda voter: vote_body(msg, voter)) is not None:
         return None
     return msg
@@ -266,17 +268,19 @@ def make_equivocation_transform(keystore: KeyStore):
 # -- shared replica --------------------------------------------------------
 
 class _Replica:
-    """What both engines share: the event entry, signed broadcasts,
-    generation-tagged timers, one tally for every quorum, one decision that
-    keeps its certificate, and one rule for the value a new leader or
-    proposer re-proposes.
+    """What both engines share: the event entry, signed sends and
+    broadcasts that also reach this replica itself, generation-tagged
+    timers, one tally for every quorum, one decision that keeps its
+    certificate, and one rule for the value a new leader or proposer
+    re-proposes.
 
     `step` takes the first request only and hands it to the engine's
     `_on_request`; it passes a timer to `_on_timeout` only while the timer
     is the newest and nothing is decided; it opens a delivery with
     `_accept` and dispatches it through the engine's table `_ON` from
     message kind to handler. A verified message of a kind the table lacks
-    is a drop.
+    is a drop. `_send` and `_bcast` pass a message meant for this replica
+    to the same table, without the network.
 
     `verified` maps a wire to its decoded message, or None when it does not
     decode, names a non-member or does not verify (a certificate's pairs
@@ -318,9 +322,22 @@ class _Replica:
             return []
         return handler(self, msg, now)
 
-    def _bcast(self, kind: MsgKind, **fields) -> list:
+    def _send(self, dst: str, msg: Msg, now: int) -> list:
+        """One signed Send of `msg` to a peer `dst`; to this replica itself,
+        `msg` goes to its handler in `_ON`, signed first if it is a vote,
+        whose signature goes into the certificate."""
+        if dst != self.node:
+            return [Send(dst, encode_msg(self.keystore, msg), msg.kind.value)]
+        if msg.kind in _CERT_OF:
+            msg = replace(msg, sig=encode_msg(self.keystore, msg)[-SIG_LEN:])
+        return self._ON[msg.kind](self, msg, now)
+
+    def _bcast(self, kind: MsgKind, now: int, **fields) -> list:
+        """Broadcast a signed `kind` message to every peer, then hand the
+        same message to this replica's own handler."""
         msg = Msg(self.cfg.instance_id, kind, self.node, **fields)
-        return self._to_all(encode_msg(self.keystore, msg), kind.value)
+        acts = self._to_all(encode_msg(self.keystore, msg), kind.value)
+        return acts + self._ON[kind](self, msg, now)
 
     def _to_all(self, wire: bytes, label: str) -> list:
         return [Send(m, wire, label) for m in self.cfg.members if m != self.node]
@@ -389,8 +406,7 @@ class _Replica:
         try:
             msg = self.verified[wire]
         except KeyError:
-            msg = self.verified[wire] = verify_msg(self.keystore, wire,
-                                                   self.cfg.members,
+            msg = self.verified[wire] = verify_msg(self.keystore, wire, self.cfg.members,
                                                    self.cfg.quorum)
         if (msg is None or msg.instance != self.cfg.instance_id
                 or msg.sender != event.src):
@@ -420,7 +436,6 @@ class PBFTReplica(_Replica):
         # the leader's tallies: target view -> sender -> ((cert_view,), cert_value)
         self.viewchanges: dict[int, dict[str, tuple[tuple[int], bytes | None]]] = {}
         self.vc_target = 0
-        self.newview_done: set[int] = set()
         self._timeout = cfg.view_timeout
 
     def _start_timer(self) -> list:
@@ -446,10 +461,7 @@ class PBFTReplica(_Replica):
         return acts
 
     def _propose(self, kind: MsgKind, view: int, value: bytes, now: int) -> list:
-        d = codec.sha(value)
-        self.proposals[view] = (d, value)
-        acts = self._bcast(kind, view=view, value=value, digest=d)
-        return acts + self._vote(MsgKind.PREPARE, view, d, now)
+        return self._bcast(kind, now, view=view, value=value, digest=codec.sha(value))
 
     def _vote(self, kind: MsgKind, view: int, d: bytes, now: int) -> list:
         """Cast this replica's one `kind` vote of `view`, for digest `d`, to
@@ -457,12 +469,8 @@ class PBFTReplica(_Replica):
         if (kind, view) in self.voted or self.vc_target > view:
             return []
         self.voted.add((kind, view))
-        vote = encode_msg(self.keystore, Msg(self.cfg.instance_id, kind, self.node,
-                                             view=view, digest=d))
-        leader = self.cfg.leader(view)
-        if leader != self.node:
-            return [Send(leader, vote, kind.value)]
-        return self._collect(kind, view, d, self.node, vote[-SIG_LEN:], now)
+        vote = Msg(self.cfg.instance_id, kind, self.node, view=view, digest=d)
+        return self._send(self.cfg.leader(view), vote, now)
 
     def _on_preprepare(self, msg: Msg, now: int) -> list:
         if (msg.view != self.view or msg.sender != self.cfg.leader(msg.view)
@@ -477,29 +485,23 @@ class PBFTReplica(_Replica):
         return self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
 
     def _on_vote(self, msg: Msg, now: int) -> list:
-        """Tally a vote of a view this replica leads; a vote sent to any
-        other replica is a drop."""
-        if (self.cfg.leader(msg.view) != self.node or msg.view < self.view
-                or msg.digest is None):
+        """Count a signed vote of a view this replica leads; a vote sent to
+        any other replica is a drop. On the quorum-th vote for the digest
+        this leader proposed in the view, broadcast the certificate the
+        votes form and act on it: prepared, vote COMMIT; committed, decide."""
+        view, d = msg.view, msg.digest
+        if self.cfg.leader(view) != self.node or view < self.view or d is None:
             self.dropped += 1
             return []
-        return self._collect(msg.kind, msg.view, msg.digest, msg.sender, msg.sig, now)
-
-    def _collect(self, kind: MsgKind, view: int, d: bytes, voter: str, sig: bytes,
-                 now: int) -> list:
-        """Count `voter`'s signed `kind` vote. On the quorum-th vote for the
-        digest this leader proposed in `view`, broadcast the certificate
-        the votes form and act on it: prepared, vote COMMIT; committed,
-        decide."""
-        tally = self._tally(self.votes, (kind, view, d), voter, sig)
+        tally = self._tally(self.votes, (msg.kind, view, d), msg.sender, msg.sig)
         prop = self.proposals.get(view)
         if (tally is None or len(tally) != self.cfg.quorum
                 or prop is None or prop[0] != d):
             return []
-        cert, wire = self._certify(_CERT_OF[kind], tally, view=view, value=prop[1],
-                                   digest=d)
+        cert, wire = self._certify(_CERT_OF[msg.kind], tally, view=view,
+                                   value=prop[1], digest=d)
         acts = self._to_all(wire, cert.kind.value)
-        if kind is MsgKind.COMMIT:
+        if msg.kind is MsgKind.COMMIT:
             return acts + self._decide(cert, now, "", wire)
         return acts + self._on_prepared(cert, now)
 
@@ -527,15 +529,9 @@ class PBFTReplica(_Replica):
         cert_view, cert_value = -1, None
         if self.prepared_cert is not None:
             cert_view, _, cert_value = self.prepared_cert
-        acts = self._start_timer()
-        leader = self.cfg.leader(target)
-        if leader != self.node:
-            vc = Msg(self.cfg.instance_id, MsgKind.VIEWCHANGE, self.node, view=target,
-                     value=cert_value, cert_view=cert_view)
-            return [Send(leader, encode_msg(self.keystore, vc),
-                         MsgKind.VIEWCHANGE.value)] + acts
-        self._tally(self.viewchanges, target, self.node, ((cert_view,), cert_value))
-        return acts + self._check_newview(target, now)
+        vc = Msg(self.cfg.instance_id, MsgKind.VIEWCHANGE, self.node, view=target,
+                 value=cert_value, cert_view=cert_view)
+        return self._send(self.cfg.leader(target), vc, now) + self._start_timer()
 
     def _on_viewchange(self, msg: Msg, now: int) -> list:
         """Tally a view change to a view this replica leads; one to a view
@@ -556,17 +552,18 @@ class PBFTReplica(_Replica):
         return self._check_newview(target, now)
 
     def _check_newview(self, target: int, now: int) -> list:
-        if target <= self.view or target in self.newview_done:
+        """Propose the NEWVIEW of `target` once this leader and a quorum
+        have asked for it; the leader enters the view as it handles that
+        NEWVIEW itself."""
+        if target <= self.view:
             return []
         vcs = self.viewchanges.get(target, {})
         if self.node not in vcs or len(vcs) < self.cfg.quorum:
             return []
-        self.newview_done.add(target)
         value = self._highest(vcs)
         if value is None:
             return []
-        self.view = target
-        return self._propose(MsgKind.NEWVIEW, target, value, now) + self._start_timer()
+        return self._propose(MsgKind.NEWVIEW, target, value, now)
 
     def _on_newview(self, msg: Msg, now: int) -> list:
         if (msg.view < self.view or msg.sender != self.cfg.leader(msg.view)
@@ -618,6 +615,7 @@ class PaxosReplica(_Replica):
         # (round, index, value digest) of an own ballot -> acceptor -> P2B signature
         self.accepts: dict[tuple[int, int, bytes], dict[str, bytes]] = {}
 
+    # an entry of this class's own, so each engine's step can be wrapped apart
     step = _Replica.step
 
     def _watchdog(self) -> list:
@@ -641,11 +639,8 @@ class PaxosReplica(_Replica):
         self._saw_round(rnd)
         ballot = (rnd, self.idx)
         self.current = ballot
-        acts = self._bcast(MsgKind.P1A, view=rnd, ballot_node=self.idx)
-        own = Msg(self.cfg.instance_id, MsgKind.P1A, self.node, view=rnd,
-                  ballot_node=self.idx)
-        acts += self._on_p1a(own, now)
-        return acts + self._watchdog()
+        return (self._bcast(MsgKind.P1A, now, view=rnd, ballot_node=self.idx)
+                + self._watchdog())
 
     def _on_p1a(self, msg: Msg, now: int) -> list:
         if self.decision is not None:
@@ -662,9 +657,7 @@ class PaxosReplica(_Replica):
         reply = Msg(self.cfg.instance_id, MsgKind.P1B, self.node, view=msg.view,
                     ballot_node=msg.ballot_node, value=acc_value,
                     cert_view=acc_round, cert_node=acc_idx)
-        if msg.sender == self.node:
-            return self._on_p1b(reply, now)
-        return [Send(msg.sender, encode_msg(self.keystore, reply), MsgKind.P1B.value)]
+        return self._send(msg.sender, reply, now)
 
     def _on_p1b(self, msg: Msg, now: int) -> list:
         ballot = (msg.view, msg.ballot_node)
@@ -681,11 +674,8 @@ class PaxosReplica(_Replica):
         value = self._highest(reports)
         if value is None:
             return []
-        acts = self._bcast(MsgKind.P2A, view=ballot[0], ballot_node=ballot[1],
+        return self._bcast(MsgKind.P2A, now, view=ballot[0], ballot_node=ballot[1],
                            value=value)
-        own = Msg(self.cfg.instance_id, MsgKind.P2A, self.node, view=ballot[0],
-                  ballot_node=ballot[1], value=value)
-        return acts + self._on_p2a(own, now)
 
     def _on_p2a(self, msg: Msg, now: int) -> list:
         """Accept the value of a ballot its sender owns, unless promised to a
@@ -700,32 +690,25 @@ class PaxosReplica(_Replica):
             return []
         self.promised = ballot
         self.accepted = (ballot, msg.value)
-        vote = encode_msg(self.keystore, Msg(
-            self.cfg.instance_id, MsgKind.P2B, self.node, view=ballot[0],
-            ballot_node=ballot[1], value=msg.value))
-        if msg.sender != self.node:
-            return [Send(msg.sender, vote, MsgKind.P2B.value)]
-        return self._tally_accept(ballot, msg.value, self.node, vote[-SIG_LEN:], now)
+        vote = Msg(self.cfg.instance_id, MsgKind.P2B, self.node, view=ballot[0],
+                   ballot_node=ballot[1], value=msg.value)
+        return self._send(msg.sender, vote, now)
 
     def _on_p2b(self, msg: Msg, now: int) -> list:
-        """Tally an accept of one of this replica's own ballots; a P2B for a
-        ballot it does not own is a drop."""
+        """Count a signed accept of one of this replica's own ballots; a P2B
+        for a ballot it does not own is a drop. On a quorum, decide and
+        broadcast the LEARN that carries the quorum's signatures."""
         if msg.value is None or msg.ballot_node != self.idx:
             self.dropped += 1
             return []
         self._saw_round(msg.view)
-        return self._tally_accept((msg.view, msg.ballot_node), msg.value,
-                                  msg.sender, msg.sig, now)
-
-    def _tally_accept(self, ballot, value: bytes, sender: str, sig: bytes,
-                      now: int) -> list:
-        """Count `sender`'s signed accept; on a quorum, decide and broadcast
-        the LEARN that carries the quorum's signatures."""
-        tally = self._tally(self.accepts, (*ballot, codec.sha(value)), sender, sig)
+        ballot = (msg.view, msg.ballot_node)
+        tally = self._tally(self.accepts, (*ballot, codec.sha(msg.value)),
+                            msg.sender, msg.sig)
         if tally is None or self.decision is not None or len(tally) < self.cfg.quorum:
             return []
         cert, wire = self._certify(MsgKind.LEARN, tally, view=ballot[0],
-                                   ballot_node=ballot[1], value=value)
+                                   ballot_node=ballot[1], value=msg.value)
         self.current = None
         return (self._decide(cert, now, "", wire)
                 + self._to_all(wire, MsgKind.LEARN.value))

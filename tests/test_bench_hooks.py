@@ -1,0 +1,61 @@
+"""The benchmark's traced pass (perfbench/tracer.py) wraps functions and
+methods of the package by name, a method through its own class's dict.
+Renaming a target, or leaving a method to be inherited, breaks that pass;
+this installs the tracer, checks that every target is wrapped, and checks
+that uninstalling puts every original back."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def target(mod_name: str, attr: str):
+    """What the tracer wraps for `attr` of `mod_name`: a module's function,
+    or a method in its class's own dict (None when the class inherits it)."""
+    module = importlib.import_module(f"otcestack.{mod_name}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        return vars(getattr(module, cls_name)).get(meth)
+    return getattr(module, attr, None)
+
+
+def bindings() -> dict:
+    """Every name bound in a package module or in one of its classes."""
+    out = {}
+    for key, module in list(sys.modules.items()):
+        if key == "otcestack" or key.startswith("otcestack."):
+            for name, value in vars(module).items():
+                out[key, name] = value
+                if isinstance(value, type) and value.__module__ == key:
+                    for meth, fn in vars(value).items():
+                        out[key, f"{name}.{meth}"] = fn
+    return out
+
+
+def test_tracer_wraps_every_target_and_restores_each_original():
+    tracer = load_tracer()
+    originals = {(m, a): target(m, a) for m, a, _ in tracer.TARGETS}
+    missing = [key for key, fn in originals.items() if fn is None]
+    assert not missing, f"traced names the package no longer defines: {missing}"
+    before = bindings()
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        for key, fn in originals.items():
+            wrapped = target(*key)
+            assert wrapped is not fn and wrapped.__wrapped__ is fn, key
+    finally:
+        tr.uninstall()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []

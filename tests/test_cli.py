@@ -225,6 +225,28 @@ def test_replay_non_utf8_scenario_is_harness_error(workdir, capsys):
     assert "can't decode byte 0xff" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "replay"])
+@pytest.mark.parametrize("text,want", [
+    (None, "error: cannot read scenario: "),
+    ("seed 1\nwibble\n", "error: line 2: unknown directive 'wibble'"),
+], ids=["missing", "bad-syntax"])
+def test_missing_or_bad_scenario_is_the_same_harness_error(workdir, capsys, command,
+                                                           text, want):
+    scn = workdir / "other.scn"
+    if text is not None:
+        scn.write_text(text)
+    if command == "run":
+        argv = ["run", "--scenario", str(scn), "--out", str(workdir / "o")]
+    else:
+        _, out = do_run(workdir)
+        argv = ["replay", "--dump", str(out / "chain.dump"), "--scenario", str(scn)]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(want) and "Traceback" not in err
+
+
 def test_replay_with_explicit_seed(workdir, capsys):
     _, out = do_run(workdir)
     rc = main(["replay", "--dump", str(out / "chain.dump"), "--seed", "21"])

@@ -27,15 +27,15 @@ def test_message_round_trip_and_signature():
     msg = Msg("i1", MsgKind.PREPARE, "r0", view=2, digest=b"\x11" * 32)
     wire = encode_msg(ks, msg)
     assert decode_msg(wire) == msg
-    assert verify_msg(ks, wire, ("r0",)) == msg
+    assert verify_msg(ks, wire, ("r0",), 1) == msg
     tampered = wire[:-1] + bytes([wire[-1] ^ 1])
-    assert verify_msg(ks, tampered, ("r0",)) is None
+    assert verify_msg(ks, tampered, ("r0",), 1) is None
 
 
 def test_garbage_wire_rejected():
     ks = KeyStore(5)
-    assert verify_msg(ks, b"not a message", ("r0",)) is None
-    assert verify_msg(ks, b"", ("r0",)) is None
+    assert verify_msg(ks, b"not a message", ("r0",), 1) is None
+    assert verify_msg(ks, b"", ("r0",), 1) is None
 
 
 def test_non_member_sender_dropped_before_any_signature_check():

@@ -46,7 +46,7 @@ def _wire(fields):
 
 
 def _consensus(fields):
-    msg = verify_msg(KS, _wire(fields), ("m0",))
+    msg = verify_msg(KS, _wire(fields), ("m0",), 1)
     return REFUSED if msg is None else msg
 
 
@@ -192,4 +192,4 @@ def test_decoder_refusal_set(case, variant, fields, expected):
 
 def test_wire_no_longer_than_a_signature_is_dropped():
     for wire in (b"", b"\x00" * 31, KS.sign("m0", b"")):
-        assert verify_msg(KS, wire, ("m0",)) is None
+        assert verify_msg(KS, wire, ("m0",), 1) is None

@@ -1,16 +1,21 @@
 """What both consensus engines keep of their shared replica: the drop
 counts of the event entry, the timer a replica acts on, a decided PBFT
-replica's answers, the duplicate check of a tally, and which value a new
-leader or proposer re-proposes."""
+replica's answers, the duplicate check of a tally, which value a new
+leader or proposer re-proposes, and the one way a replica reaches itself:
+its own proposals, votes and reports go through the handler table, like a
+peer's."""
+
+from collections import Counter
 
 import pytest
 
 from otcestack import codec
 from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
-                                 config_from_plan, decode_msg, encode_msg)
+                                 config_from_plan, decode_msg, encode_msg,
+                                 run_instance)
 from otcestack.keys import SIG_LEN, KeyStore
 from otcestack.plan import Protocol, make_plan
-from otcestack.simnet import Send, SetTimer, SimEvent
+from otcestack.simnet import Behavior, FaultSpec, Send, SetTimer, SimEvent
 
 MEMBERS4 = ("r0", "r1", "r2", "r3")
 MEMBERS5 = tuple(f"p{i}" for i in range(5))
@@ -173,3 +178,44 @@ def test_repeated_view_change_from_one_sender_is_one_drop():
     assert deliver(rep, MsgKind.VIEWCHANGE, "r2", view=1) == []
     assert deliver(rep, MsgKind.VIEWCHANGE, "r2", view=1) == []
     assert rep.dropped == 1
+
+
+def handled(monkeypatch, cls, protocol: Protocol, members, faults=()) -> Counter:
+    """Run one instance with every handler of `cls` wrapped, and count its
+    calls by (kind, whether the replica handles its own message)."""
+    calls: Counter = Counter()
+    for kind, handler in list(cls._ON.items()):
+        def counted(rep, msg, now, handler=handler):
+            calls[msg.kind, msg.sender == rep.node] += 1
+            return handler(rep, msg, now)
+        monkeypatch.setitem(cls._ON, kind, counted)
+    result = run_instance(make_plan(protocol, len(members)), members, b"v", KS,
+                          faults=faults)
+    assert result.agreed
+    return calls
+
+
+# (kinds every replica handles once, kinds only the proposer or collector
+# handles from itself): the PBFT leader decides on its quorum of COMMITs
+# before the last peer's arrives, and a decided replica ignores a COMMIT
+@pytest.mark.parametrize("cls,protocol,members,everyone,own_only", [
+    (PBFTReplica, Protocol.PBFT, MEMBERS4, (MsgKind.PREPREPARE, MsgKind.PREPARE),
+     (MsgKind.COMMIT,)),
+    (PaxosReplica, Protocol.PAXOS, MEMBERS5,
+     (MsgKind.P1A, MsgKind.P1B, MsgKind.P2A, MsgKind.P2B), ()),
+], ids=["pbft", "paxos"])
+def test_own_proposals_and_votes_reach_the_handler_table(monkeypatch, cls, protocol,
+                                                         members, everyone, own_only):
+    calls = handled(monkeypatch, cls, protocol, members)
+    for kind in everyone:
+        assert calls[kind, False] + calls[kind, True] == len(members), kind
+    for kind in everyone + own_only:
+        assert calls[kind, True] == 1, kind
+
+
+def test_new_leaders_own_view_change_and_newview_reach_their_handlers(monkeypatch):
+    calls = handled(monkeypatch, PBFTReplica, Protocol.PBFT, MEMBERS4,
+                    faults=(FaultSpec("r0", Behavior.CRASH),))
+    assert calls[MsgKind.VIEWCHANGE, True] == 1
+    assert calls[MsgKind.NEWVIEW, True] == 1
+    assert calls[MsgKind.NEWVIEW, False] == 2
