@@ -583,7 +583,7 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         live = [n for n in ordered if not net.crashed(n, net.now)]
         values, failed = _outcome(dag, [execs[n].values for n in live])
         held = (len(live), sum(len(e.values) for e in execs.values()))
-        if net.budget_exhausted or not failed or held == last:
+        if net.budget_exhausted or not failed or held == last or not live:
             break
         moved = [tid for tid, owner in owners.items() if owner not in live]
         owners.update(_place(dag, moved, live, holders))
@@ -617,15 +617,15 @@ def parse_dag(text: str) -> tuple[TaskDAG, dict[str, bytes]]:
         chunk <id> <hex>
         task <id> <op> <operand> [...]
 
-    where an operand is ``t:<task>``, ``l:<hex>``, or ``c:<chunk>``.
-    Raises ValueError naming the offending line, or when there is no task."""
+    where an operand is ``t:<task>``, ``l:<hex>``, or ``c:<chunk>``, and
+    ``#`` starts a comment. Raises ValueError naming the offending line, or
+    when there is no task."""
     tasks: dict[str, Task] = {}
     chunks: dict[str, bytes] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             if parts[0] == "chunk":
                 if len(parts) != 3:

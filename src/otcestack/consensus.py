@@ -456,7 +456,7 @@ class PBFTReplica(_Replica):
 
     def _on_request(self, now: int) -> list:
         acts = self._start_timer()
-        if self.node == self.cfg.leader(self.view) and self.view not in self.proposals:
+        if self.node == self.cfg.leader(self.view):
             acts += self._propose(MsgKind.PREPREPARE, self.view, self.request_value, now)
         return acts
 
@@ -536,7 +536,9 @@ class PBFTReplica(_Replica):
     def _on_viewchange(self, msg: Msg, now: int) -> list:
         """Tally a view change to a view this replica leads; one to a view
         it has already entered is late and ignored, and one sent to any
-        other replica is a drop."""
+        other replica is a drop. Propose the NEWVIEW once this leader and a
+        quorum have asked for the view; the leader enters the view as it
+        handles that NEWVIEW itself."""
         target = msg.view
         if self.cfg.leader(target) != self.node:
             self.dropped += 1
@@ -549,15 +551,6 @@ class PBFTReplica(_Replica):
             return []
         if len(vcs) >= self.cfg.f_max + 1 and self.vc_target < target:
             return self._start_viewchange(target, now)
-        return self._check_newview(target, now)
-
-    def _check_newview(self, target: int, now: int) -> list:
-        """Propose the NEWVIEW of `target` once this leader and a quorum
-        have asked for it; the leader enters the view as it handles that
-        NEWVIEW itself."""
-        if target <= self.view:
-            return []
-        vcs = self.viewchanges.get(target, {})
         if self.node not in vcs or len(vcs) < self.cfg.quorum:
             return []
         value = self._highest(vcs)

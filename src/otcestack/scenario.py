@@ -7,16 +7,22 @@ chunks). Action directives all start with ``do`` and run in file order:
 sealing blocks, registering identifiers, creating and steering sandboxes,
 feeding observations, running consensus instances and computation DAGs.
 
-The parser is strict: every error names its line. A directive's values
-are checked by building the component they configure (keystore, network,
-trust graph, plan mapping, attestation policy), so each rule lives in that
-component and the parser only names the line. Blank lines are skipped and
-``#`` starts a comment (inline or whole-line).
+The parser is strict: every error names its line. Every line, directive
+and action alike, is shaped by one schema table: a ``key=value`` token is
+a keyword and any other token a positional, and the head's schema fixes
+how many positionals it takes and which keywords (on a setup line, only
+``fault``'s ``at=``). The six world-wide directives (``seed`` through
+``policy``) may appear once each. A directive's values are then checked
+by building the component they configure (keystore, network, trust graph,
+plan mapping, attestation policy), so each rule lives in that component
+and the parser only names the line. Blank lines are skipped and ``#``
+starts a comment (inline or whole-line).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .did import AttestationPolicy
 from .hypergraph import DEFAULT_ALPHA, DEFAULT_LATENCY_BOUND, TrustHypergraph
@@ -43,8 +49,8 @@ class ChunkDecl:
     data: bytes
 
 
-@dataclass(frozen=True)
-class ParsedAction:
+class ParsedAction(NamedTuple):
+    """One ``do`` line; a named tuple builds faster than a frozen dataclass."""
     line_no: int
     verb: str
     args: tuple[str, ...]
@@ -69,21 +75,32 @@ class Scenario:
     actions: tuple[ParsedAction, ...] = field(default_factory=tuple)
 
 
-# verb -> (min positional, max positional, required kw, optional kw, free kw)
-_SCHEMAS: dict[str, tuple[int, int, frozenset, frozenset, bool]] = {
-    "register-did": (1, 1, frozenset(), frozenset(), True),
-    "seal": (0, 0, frozenset(), frozenset(), False),
-    "create-otce": (1, 1, frozenset({"group", "delta", "trust"}),
-                    frozenset({"by"}), False),
-    "observe": (4, 4, frozenset(), frozenset({"by-oracle"}), False),
-    "update-trust": (1, 1, frozenset(), frozenset(), False),
-    "consensus": (1, 1, frozenset({"value"}), frozenset(), False),
-    "run-dag": (1, 1, frozenset({"file"}), frozenset(), False),
-    "submit-result": (1, 1, frozenset(), frozenset(), False),
-    "suspend": (1, 1, frozenset({"by"}), frozenset(), False),
-    "resume": (1, 1, frozenset({"by"}), frozenset(), False),
-    "terminate": (1, 1, frozenset({"by"}), frozenset(), False),
-    "update-plan": (1, 1, frozenset({"trust", "by"}), frozenset(), False),
+def _schema(lo: int, hi: float | None = None, required=(), optional=(), free=False):
+    """(min positional, max positional (default `lo`), required keywords,
+    accepted keywords (required and optional), any keyword accepted): how
+    a line's head shapes its tokens."""
+    accepted = frozenset((*required, *optional))
+    return lo, lo if hi is None else hi, frozenset(required), accepted, free
+
+
+# setup head -> schema; `policy` takes any number of names
+_DIRECTIVES = {
+    "seed": _schema(1), "max-ticks": _schema(1), "net": _schema(4),
+    "trust": _schema(2), "mapping": _schema(2), "policy": _schema(1, float("inf")),
+    "node": _schema(1), "edge": _schema(3), "oracle": _schema(1),
+    "fault": _schema(2, optional={"at"}), "chunk": _schema(3),
+}
+_ONCE = frozenset({"seed", "max-ticks", "net", "trust", "mapping", "policy"})
+
+# `do` verb -> schema
+_ACTIONS = {
+    "register-did": _schema(1, free=True), "seal": _schema(0),
+    "create-otce": _schema(1, required={"group", "delta", "trust"}, optional={"by"}),
+    "observe": _schema(4, optional={"by-oracle"}), "update-trust": _schema(1),
+    "consensus": _schema(1, required={"value"}), "run-dag": _schema(1, required={"file"}),
+    "submit-result": _schema(1), "suspend": _schema(1, required={"by"}),
+    "resume": _schema(1, required={"by"}), "terminate": _schema(1, required={"by"}),
+    "update-plan": _schema(1, required={"trust", "by"}),
 }
 
 
@@ -114,36 +131,40 @@ def _checked(ln: int, build, *args):
         _fail(ln, str(exc))
 
 
-def _parse_action(ln: int, parts: list[str]) -> ParsedAction:
+def _parse_line(ln: int, parts: list[str], schemas: dict, kind: str):
+    """Shape one line's tokens by its head's schema into (head,
+    positionals, keywords): a `key=value` token is a keyword, any other
+    token a positional."""
     if not parts:
-        _fail(ln, "empty action")
+        _fail(ln, f"empty {kind}")
     verb = parts[0]
-    schema = _SCHEMAS.get(verb)
-    if schema is None:
-        _fail(ln, f"unknown action {verb!r}")
-    lo, hi, required, optional, free = schema
-    args: list[str] = []
+    try:
+        lo, hi, required, accepted, free = schemas[verb]
+    except KeyError:
+        _fail(ln, f"unknown {kind} {verb!r}")
+    args = parts[1:]
     kw: dict[str, str] = {}
-    for tok in parts[1:]:
-        if "=" in tok:
-            key, _, val = tok.partition("=")
-            if not key:
-                _fail(ln, f"bad argument {tok!r}")
-            if key in kw:
-                _fail(ln, f"duplicate argument {key!r}")
-            kw[key] = val
-        else:
-            args.append(tok)
+    if "=" in "".join(args):    # most lines have no keyword: skip the token loop
+        args = []
+        for tok in parts[1:]:
+            if "=" in tok:
+                key, _, val = tok.partition("=")
+                if not key:
+                    _fail(ln, f"bad argument {tok!r}")
+                if key in kw:
+                    _fail(ln, f"duplicate argument {key!r}")
+                kw[key] = val
+            else:
+                args.append(tok)
     if not lo <= len(args) <= hi:
         _fail(ln, f"{verb} takes {lo}..{hi} positional arguments, got {len(args)}")
-    missing = sorted(required - set(kw))
-    if missing:
-        _fail(ln, f"{verb} needs {', '.join(k + '=' for k in missing)}")
-    if not free:
-        unknown = sorted(set(kw) - required - optional)
-        if unknown:
-            _fail(ln, f"{verb} does not take {', '.join(unknown)}")
-    return ParsedAction(ln, verb, tuple(args), kw)
+    if kw or required:
+        if not required.issubset(kw):
+            missing = sorted(required - kw.keys())
+            _fail(ln, f"{verb} needs {', '.join(k + '=' for k in missing)}")
+        if not (free or accepted.issuperset(kw)):
+            _fail(ln, f"{verb} does not take {', '.join(sorted(kw.keys() - accepted))}")
+    return verb, tuple(args), kw
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -160,87 +181,60 @@ def parse_scenario(text: str) -> Scenario:
     actions: list[ParsedAction] = []
     graph = TrustHypergraph()       # answers the node and edge checks
 
-    def once(ln: int, name: str) -> None:
-        if name in singles:
-            _fail(ln, f"duplicate {name} directive")
-        singles.add(name)
-
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        head = parts[0]
+        if parts[0] == "do":
+            actions.append(ParsedAction(ln, *_parse_line(ln, parts[1:], _ACTIONS, "action")))
+            continue
+        head, args, kw = _parse_line(ln, parts, _DIRECTIVES, "directive")
+        if head in _ONCE:
+            if head in singles:
+                _fail(ln, f"duplicate {head} directive")
+            singles.add(head)
 
-        if head == "do":
-            actions.append(_parse_action(ln, parts[1:]))
-        elif head == "seed":
-            once(ln, "seed")
-            if len(parts) != 2:
-                _fail(ln, "seed wants: seed <int>")
-            seed = _checked(ln, KeyStore, _as_int(ln, parts[1], "seed")).seed
+        if head == "seed":
+            seed = _checked(ln, KeyStore, _as_int(ln, args[0], "seed")).seed
         elif head == "max-ticks":
-            once(ln, "max-ticks")
-            if len(parts) != 2:
-                _fail(ln, "max-ticks wants: max-ticks <int>")
-            cfg["max_ticks"] = _as_int(ln, parts[1], "max-ticks")
+            cfg["max_ticks"] = _as_int(ln, args[0], "max-ticks")
             if cfg["max_ticks"] < 1:
                 _fail(ln, "max-ticks must be positive")
         elif head == "net":
-            once(ln, "net")
-            if len(parts) != 5:
-                _fail(ln, "net wants: net <delay-min> <delay-max> <gst|-> <drop-rate>")
             cfg["net"] = _checked(
-                ln, NetworkConfig, _as_int(ln, parts[1], "delay-min"),
-                _as_int(ln, parts[2], "delay-max"),
-                None if parts[3] == "-" else _as_int(ln, parts[3], "gst"),
-                _as_float(ln, parts[4], "drop-rate"))
+                ln, NetworkConfig, _as_int(ln, args[0], "delay-min"),
+                _as_int(ln, args[1], "delay-max"),
+                None if args[2] == "-" else _as_int(ln, args[2], "gst"),
+                _as_float(ln, args[3], "drop-rate"))
         elif head == "trust":
-            once(ln, "trust")
-            if len(parts) != 3:
-                _fail(ln, "trust wants: trust <alpha> <latency-bound>")
-            cfg["alpha"] = _as_float(ln, parts[1], "alpha")
-            cfg["latency_bound"] = _as_int(ln, parts[2], "latency-bound")
+            cfg["alpha"] = _as_float(ln, args[0], "alpha")
+            cfg["latency_bound"] = _as_int(ln, args[1], "latency-bound")
             _checked(ln, TrustHypergraph, cfg["alpha"], cfg["latency_bound"])
         elif head == "mapping":
-            once(ln, "mapping")
-            if len(parts) != 3:
-                _fail(ln, "mapping wants: mapping <tau> <weight>")
-            cfg["tau"] = _as_float(ln, parts[1], "tau")
-            cfg["weights"] = (_as_float(ln, parts[2], "weight"),)
+            cfg["tau"] = _as_float(ln, args[0], "tau")
+            cfg["weights"] = (_as_float(ln, args[1], "weight"),)
             _checked(ln, PlanMapping, (cfg["weights"],), cfg["tau"])
         elif head == "policy":
-            once(ln, "policy")
-            if len(parts) < 2:
-                _fail(ln, "policy wants: policy <name[:len]> ...")
-            for tok in parts[1:]:
+            for tok in args:
                 name, _, length = tok.partition(":")
                 policy.append((name, _as_int(ln, length, "length") if length else None))
             _checked(ln, AttestationPolicy, tuple(policy))
         elif head == "node":
-            if len(parts) != 2:
-                _fail(ln, "node wants: node <id>")
-            if parts[1] in graph.nodes:
-                _fail(ln, f"duplicate node {parts[1]!r}")
-            graph.add_node(parts[1])
-            nodes.append(parts[1])
+            if args[0] in graph.nodes:
+                _fail(ln, f"duplicate node {args[0]!r}")
+            graph.add_node(args[0])
+            nodes.append(args[0])
         elif head == "edge":
-            if len(parts) != 4:
-                _fail(ln, "edge wants: edge <id> <trust> <m1,m2,...>")
-            trust = _as_float(ln, parts[2], "trust")
-            members = tuple(parts[3].split(","))
-            _checked(ln, graph.add_hyperedge, members, trust, parts[1])
-            edges.append(EdgeDecl(parts[1], trust, members))
+            trust = _as_float(ln, args[1], "trust")
+            members = tuple(args[2].split(","))
+            _checked(ln, graph.add_hyperedge, members, trust, args[0])
+            edges.append(EdgeDecl(args[0], trust, members))
         elif head == "oracle":
-            if len(parts) != 2:
-                _fail(ln, "oracle wants: oracle <id>")
-            if parts[1] in oracles:
-                _fail(ln, f"duplicate oracle {parts[1]!r}")
-            oracles.append(parts[1])
+            if args[0] in oracles:
+                _fail(ln, f"duplicate oracle {args[0]!r}")
+            oracles.append(args[0])
         elif head == "fault":
-            if len(parts) < 3:
-                _fail(ln, "fault wants: fault <node> <behavior> [at=<tick>]")
-            node, behavior_s = parts[1], parts[2]
+            node, behavior_s = args
             if node not in graph.nodes:
                 _fail(ln, f"fault for undeclared node {node!r}")
             if any(f.node == node for f in faults):
@@ -250,34 +244,23 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 ok = ", ".join(b.value for b in Behavior)
                 _fail(ln, f"unknown behavior {behavior_s!r} (one of: {ok})")
-            at_tick = None
-            for tok in parts[3:]:
-                key, _, val = tok.partition("=")
-                if key != "at":
-                    _fail(ln, f"fault does not take {key!r}")
-                if at_tick is not None:
-                    _fail(ln, f"duplicate argument {key!r}")
-                at_tick = _as_int(ln, val, "at")
-                if at_tick < 0:
-                    _fail(ln, "at must be non-negative")
-            faults.append(FaultSpec(node, behavior, at_tick or 0))
-        elif head == "chunk":
-            if len(parts) != 4:
-                _fail(ln, "chunk wants: chunk <node> <id> <hex>")
-            node, chunk_id = parts[1], parts[2]
+            at_tick = _as_int(ln, kw.get("at", "0"), "at")
+            if at_tick < 0:
+                _fail(ln, "at must be non-negative")
+            faults.append(FaultSpec(node, behavior, at_tick))
+        else:   # chunk
+            node, chunk_id, hex_data = args
             if node not in graph.nodes:
                 _fail(ln, f"chunk on undeclared node {node!r}")
             if any(c.node == node and c.chunk_id == chunk_id for c in chunks):
                 _fail(ln, f"duplicate chunk {chunk_id!r} on {node!r}")
             try:
-                data = bytes.fromhex(parts[3])
+                data = bytes.fromhex(hex_data)
             except ValueError:
-                _fail(ln, f"chunk data must be hex, got {parts[3]!r}")
+                _fail(ln, f"chunk data must be hex, got {hex_data!r}")
             if chunk_data.setdefault(chunk_id, data) != data:
                 _fail(ln, f"chunk {chunk_id!r} was declared with other data")
             chunks.append(ChunkDecl(node, chunk_id, data))
-        else:
-            _fail(ln, f"unknown directive {head!r}")
 
     if seed is None:
         raise ScenarioError("scenario needs a seed directive")

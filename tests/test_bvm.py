@@ -498,6 +498,20 @@ def test_sole_holder_crash_fails_cleanly():
     assert report.signers == ()
 
 
+def test_every_member_crashed_ends_at_once_as_incomplete():
+    dag, chunks = diamond()
+    holders = {m: dict(chunks) for m in MEMBERS}
+    report = execute_collaborative(
+        dag, MEMBERS, holders, KeyStore(3),
+        net_cfg=NetworkConfig(delay_min=1, delay_max=1, seed=1),
+        faults=tuple(FaultSpec(m, Behavior.CRASH, at_tick=0) for m in MEMBERS))
+    assert not report.completed
+    assert report.failed_tasks == tuple(sorted(dag.tasks))
+    assert report.digest is None
+    assert report.signers == ()
+    assert report.reassigned == {}
+
+
 @pytest.mark.parametrize("max_tick", [5000, 4])
 def test_report_accounts_for_every_message(max_tick):
     dag, chunks = make_random_dag(random.Random(6))
@@ -843,6 +857,19 @@ def test_parse_round_trips_through_oracle():
     assert values["a"] == b"\x01\x03"
     assert values["b"] == b"\x03\x09"
     assert values["c"] == hashlib.sha256(b"\x03\x09" + b"\xff").digest()
+
+
+def test_parse_skips_inline_comments():
+    dag, chunks = parse_dag(
+        "chunk left 01ff              # named input bytes (hex)\n"
+        "chunk right 02\n"
+        "task sum add c:left l:0a     # inputs: c:<chunk>  t:<task>  l:<hex>\n"
+        "task scaled mul t:sum c:right\n"
+        "  # indented comment\n"
+        "task proof hash t:scaled#no space before the comment\n")
+    assert set(dag.tasks) == {"sum", "scaled", "proof"}
+    assert chunks == {"left": b"\x01\xff", "right": b"\x02"}
+    assert dag.tasks["proof"].inputs == (task_input("scaled"),)
 
 
 def test_parse_errors_name_the_line():

@@ -330,3 +330,26 @@ def test_run_dag_non_utf8_file_is_refused(workdir, capsys):
     assert rc == 2
     assert "cannot read dag file" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_run_dag_with_every_member_crashed_ends_incomplete(workdir, capsys):
+    (workdir / "work.dag").write_text("task s add l:01 l:02\ntask h hash t:s\n")
+    (workdir / "case.scn").write_text("""\
+seed 3
+node a
+node b
+node c
+edge team 0.95 a,b,c
+fault a crash at=0
+fault b crash at=0
+fault c crash at=0
+do create-otce box group=a,b,c delta=30 trust=edge:team
+do seal
+do run-dag box file=work.dag
+""")
+    rc, out = do_run(workdir)
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert "run-dag ok incomplete: h,s" in (out / "trace.log").read_text()
+    metrics = (out / "metrics.txt").read_text().splitlines()
+    assert "dag_failed=1" in metrics and "dag_completed=0" in metrics

@@ -143,6 +143,52 @@ def test_errors_carry_line_numbers(text, line):
         parse_scenario(text)
 
 
+# -- one shape rule for every setup line -----------------------------------
+
+VALID_SETUP = {
+    "seed": "seed 1", "max-ticks": "max-ticks 9", "net": "net 1 2 - 0.0",
+    "trust": "trust 0.2 10", "mapping": "mapping 0.8 1.0", "policy": "policy role",
+    "node": "node c", "edge": "edge e 0.5 a,b", "oracle": "oracle o",
+    "fault": "fault a crash", "chunk": "chunk a k 00",
+}
+NODES = "node a\nnode b\n"
+
+
+def off_by_one_token():
+    """(head, line) for each setup head with one positional too few and
+    one too many; `policy` takes any number of names, so only too few."""
+    for head, line in VALID_SETUP.items():
+        yield head, line.rsplit(" ", 1)[0]
+        if head != "policy":
+            yield head, line + " x"
+
+
+@pytest.mark.parametrize("head", VALID_SETUP)
+def test_each_setup_line_parses(head):
+    seed = "" if head == "seed" else "seed 1\n"
+    parse_scenario(NODES + seed + VALID_SETUP[head] + "\n")
+
+
+@pytest.mark.parametrize("head,line", list(off_by_one_token()))
+def test_setup_arity_is_shaped_like_an_action(head, line):
+    with pytest.raises(ScenarioError,
+                       match=f"line 3: {head} takes .* positional arguments, got"):
+        parse_scenario(NODES + line + "\nseed 1\n")
+
+
+@pytest.mark.parametrize("line,why", [
+    ("node a=b", "node takes 1..1 positional arguments, got 0"),
+    ("node c x=1", "node does not take x"),
+    ("edge e=1 0.5 a,b", "edge takes 3..3 positional arguments, got 2"),
+    ("fault a crash by=b", "fault does not take by"),
+    ("fault a crash =1", "bad argument '=1'"),
+    ("seed 1 at=2", "seed does not take at"),
+])
+def test_a_setup_keyword_is_refused_unless_its_schema_takes_it(line, why):
+    with pytest.raises(ScenarioError, match=f"^line 3: {re.escape(why)}$"):
+        parse_scenario(NODES + line + "\nseed 1\n")
+
+
 def test_missing_seed_rejected():
     with pytest.raises(ScenarioError, match="seed"):
         parse_scenario("node a\n")
