@@ -22,7 +22,6 @@ starts a comment (inline or whole-line).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .did import AttestationPolicy
 from .hypergraph import DEFAULT_ALPHA, DEFAULT_LATENCY_BOUND, TrustHypergraph
@@ -49,8 +48,8 @@ class ChunkDecl:
     data: bytes
 
 
-class ParsedAction(NamedTuple):
-    """One ``do`` line; a named tuple builds faster than a frozen dataclass."""
+@dataclass(frozen=True)
+class ParsedAction:
     line_no: int
     verb: str
     args: tuple[str, ...]
@@ -142,28 +141,25 @@ def _parse_line(ln: int, parts: list[str], schemas: dict, kind: str):
         lo, hi, required, accepted, free = schemas[verb]
     except KeyError:
         _fail(ln, f"unknown {kind} {verb!r}")
-    args = parts[1:]
+    args: list[str] = []
     kw: dict[str, str] = {}
-    if "=" in "".join(args):    # most lines have no keyword: skip the token loop
-        args = []
-        for tok in parts[1:]:
-            if "=" in tok:
-                key, _, val = tok.partition("=")
-                if not key:
-                    _fail(ln, f"bad argument {tok!r}")
-                if key in kw:
-                    _fail(ln, f"duplicate argument {key!r}")
-                kw[key] = val
-            else:
-                args.append(tok)
+    for tok in parts[1:]:
+        if "=" in tok:
+            key, _, val = tok.partition("=")
+            if not key:
+                _fail(ln, f"bad argument {tok!r}")
+            if key in kw:
+                _fail(ln, f"duplicate argument {key!r}")
+            kw[key] = val
+        else:
+            args.append(tok)
     if not lo <= len(args) <= hi:
         _fail(ln, f"{verb} takes {lo}..{hi} positional arguments, got {len(args)}")
-    if kw or required:
-        if not required.issubset(kw):
-            missing = sorted(required - kw.keys())
-            _fail(ln, f"{verb} needs {', '.join(k + '=' for k in missing)}")
-        if not (free or accepted.issuperset(kw)):
-            _fail(ln, f"{verb} does not take {', '.join(sorted(kw.keys() - accepted))}")
+    if not required.issubset(kw):
+        missing = sorted(required - kw.keys())
+        _fail(ln, f"{verb} needs {', '.join(k + '=' for k in missing)}")
+    if not (free or accepted.issuperset(kw)):
+        _fail(ln, f"{verb} does not take {', '.join(sorted(kw.keys() - accepted))}")
     return verb, tuple(args), kw
 
 
