@@ -9,15 +9,3 @@ injection; two consensus engines (byzantine-tolerant and majority); a
 collaborative DAG executor; and a scenario runner plus CLI gluing it all
 together.
 """
-
-from .plan import (PlanInfeasibleError, PlanMapping, Protocol, SecurityPlan,
-                   TrustVector, fault_bound, make_plan, map_trust_to_plan,
-                   plan_score, trust_vector)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "PlanInfeasibleError", "PlanMapping", "Protocol", "SecurityPlan",
-    "TrustVector", "fault_bound", "make_plan", "map_trust_to_plan",
-    "plan_score", "trust_vector", "__version__",
-]

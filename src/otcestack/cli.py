@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .keys import KeyStore
@@ -38,8 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("--scenario", required=True, help="scenario file path")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed-override", type=_seed, default=None)
-    p_run.add_argument("--max-ticks", type=int, default=None)
+    p_run.add_argument("--seed-override", type=_seed, default=None,
+                       help="key seed (replaces the scenario's seed)")
+    p_run.add_argument("--max-ticks", type=int, default=None,
+                       help="per-instance tick budget (replaces the scenario's max-ticks)")
 
     p_verify = sub.add_parser("verify-chain", help="check a chain dump's integrity")
     p_verify.add_argument("--dump", required=True, help="chain dump path")
@@ -69,10 +72,12 @@ def _cmd_run(args) -> int:
     scn = _read_scenario(args.scenario)
     if scn is None:
         return 2
+    if args.seed_override is not None:
+        scn = replace(scn, seed=args.seed_override)
+    if args.max_ticks is not None:
+        scn = replace(scn, max_ticks=args.max_ticks)
     try:
-        result = run_scenario(scn, base_dir=Path(args.scenario).parent,
-                              seed_override=args.seed_override,
-                              max_ticks_override=args.max_ticks)
+        result = run_scenario(scn, base_dir=Path(args.scenario).parent)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

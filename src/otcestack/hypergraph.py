@@ -91,7 +91,7 @@ class TrustHypergraph:
             raise ValueError("a hyperedge needs at least 2 distinct members")
         unknown = [m for m in uniq if m not in self.nodes]
         if unknown:
-            raise ValueError(f"unknown member(s): {', '.join(unknown)}")
+            raise ValueError(f"unknown member(s): {', '.join(map(repr, unknown))}")
         if not 0.0 <= initial_trust <= 1.0:
             raise ValueError("trust must be in [0, 1]")
         if edge_id in self.edges:

@@ -1,10 +1,13 @@
 """Scenario execution: scripted actions against the ledger, trust graph,
 sandbox registry, consensus engines, and DAG executor.
 
-One run owns one keystore (seeded from the scenario seed), one ledger, and
-one trust graph. Every networked action (a consensus instance, a DAG
-execution) gets its own network whose seed is derived from the run seed
-and the action index, so runs are reproducible action by action and a
+One object per run: `RunResult` holds the run's keystore (seeded from the
+scenario seed), ledger, trust graph and contracts, runs the scenario's
+actions, and renders the outputs. The scenario is the run's only
+configuration; `otcestack run` applies its override flags to the parsed
+scenario before the run. Every networked action (a consensus instance, a
+DAG execution) gets its own network whose seed is derived from the run
+seed and the action index, so runs are reproducible action by action and a
 scenario edit upstream does not perturb downstream randomness.
 
 The run ends with two self-checks recorded in the metrics: full chain
@@ -49,38 +52,6 @@ class ActionOutcome:
     detail: str
 
 
-@dataclass
-class RunResult:
-    scenario: Scenario
-    seed: int
-    keystore: KeyStore
-    graph: TrustHypergraph
-    ledger: Ledger
-    otce: OTCERegistry
-    dids: DIDRegistry
-    aliases: dict[str, str]
-    outcomes: list[ActionOutcome]
-    consensus_results: list[InstanceResult]
-    dag_reports: dict[str, ExecutionReport]
-    trace: list[str]
-    metrics: dict[str, int]
-    chain_ok: bool
-    replay_ok: bool
-
-    def metrics_text(self) -> str:
-        return "".join(f"{k}={self.metrics[k]}\n" for k in sorted(self.metrics))
-
-    def outputs(self) -> dict[str, str]:
-        return {
-            "chain.dump": dump_chain(self.ledger.chain),
-            "trace.log": "".join(line + "\n" for line in self.trace),
-            "metrics.txt": self.metrics_text(),
-            "otce.dump": self.otce.dump(),
-            "did.dump": self.dids.dump(),
-            "graph.dump": self.graph.dump(),
-        }
-
-
 def contracts_for(scn: Scenario, keystore: KeyStore) -> tuple[OTCERegistry, DIDRegistry]:
     """Fresh sandbox and identifier contracts under the scenario's plan
     mapping and attestation policy."""
@@ -108,45 +79,60 @@ def _net_seed(seed: int, index: int) -> int:
     return int.from_bytes(codec.digest("net-seed", seed, index)[:8], "big")
 
 
-class _Runner:
-    def __init__(self, scn: Scenario, base_dir: Path, seed: int, max_ticks: int):
-        self.scn = scn
+class RunResult:
+    """One run of `scenario`: its state, its actions and its outputs."""
+
+    def __init__(self, scenario: Scenario, base_dir: Path):
+        self.scenario = scenario
         self.base_dir = base_dir
-        self.seed = seed
-        self.max_ticks = max_ticks
-        self.ks = KeyStore(seed)
-        self.graph = TrustHypergraph(alpha=scn.alpha, latency_bound=scn.latency_bound)
-        self.ledger = Ledger(self.ks)
-        self.otce, self.dids = contracts_for(scn, self.ks)
+        self.keystore = KeyStore(scenario.seed)
+        self.graph = TrustHypergraph(scenario.alpha, scenario.latency_bound)
+        self.ledger = Ledger(self.keystore)
+        self.otce, self.dids = contracts_for(scenario, self.keystore)
         self.ledger.register_contract(self.otce)
         self.ledger.register_contract(self.dids)
         self.aliases: dict[str, str] = {}
-        # alias -> group of its create; tx id -> alias of each create not
-        # yet sealed; alias -> reason of each create sealed as refused
-        self._groups: dict[str, list[str]] = {}
+        # alias -> `group=` text of its create (the scenario holds it); tx id
+        # -> alias of each create not yet sealed; alias -> reason of each
+        # create sealed as refused
+        self._groups: dict[str, str] = {}
         self._creating: dict[bytes, str] = {}
         self._refused: dict[str, str] = {}
         self.outcomes: list[ActionOutcome] = []
         self.consensus_results: list[InstanceResult] = []
         self.dag_reports: dict[str, ExecutionReport] = {}
-        self.trace: list[str] = [f"# run seed={seed} max-ticks={max_ticks}"]
-        self.m: dict[str, int] = {
-            "actions_total": 0, "blocks_sealed": 0, "txs_ok": 0, "txs_failed": 0,
-            "otces_created": 0, "otces_terminated": 0, "terminated_results": 0,
-            "terminated_expiry": 0, "terminated_closed": 0,
+        self.trace: list[str] = [
+            f"# run seed={scenario.seed} max-ticks={scenario.max_ticks}"]
+        self.metrics: dict[str, int] = {
+            "txs_ok": 0, "txs_failed": 0, "otces_terminated": 0,
+            "terminated_results": 0, "terminated_expiry": 0, "terminated_closed": 0,
             "consensus_runs": 0, "consensus_decided": 0, "consensus_stalled": 0,
             "consensus_violations": 0, "consensus_beyond_bound": 0,
             "dag_runs": 0, "dag_completed": 0, "dag_failed": 0,
             "net_sent": 0, "net_delivered": 0, "net_dropped": 0, "net_in_flight": 0,
             "observations_ingested": 0, "observations_rejected": 0,
-            "trust_updates": 0, "dids_registered": 0,
+            "trust_updates": 0,
         }
-        for node in scn.nodes:
+        self.chain_ok = self.replay_ok = False
+        for node in scenario.nodes:
             self.graph.add_node(node)
-        for edge in scn.edges:
+        for edge in scenario.edges:
             self.graph.add_hyperedge(edge.members, edge.trust, edge_id=edge.edge_id)
-        for oracle_id in scn.oracles:
-            self.graph.register_oracle(oracle_id, self.ks)
+        for oracle_id in scenario.oracles:
+            self.graph.register_oracle(oracle_id, self.keystore)
+
+    def metrics_text(self) -> str:
+        return "".join(f"{k}={self.metrics[k]}\n" for k in sorted(self.metrics))
+
+    def outputs(self) -> dict[str, str]:
+        return {
+            "chain.dump": dump_chain(self.ledger.chain),
+            "trace.log": "".join(line + "\n" for line in self.trace),
+            "metrics.txt": self.metrics_text(),
+            "otce.dump": self.otce.dump(),
+            "did.dump": self.dids.dump(),
+            "graph.dump": self.graph.dump(),
+        }
 
     # -- shared lookups ----------------------------------------------------
 
@@ -169,11 +155,11 @@ class _Runner:
         return rec
 
     def _net_cfg(self, index: int) -> NetworkConfig:
-        return replace(self.scn.net, seed=_net_seed(self.seed, index))
+        return replace(self.scenario.net, seed=_net_seed(self.scenario.seed, index))
 
     def _faults_for(self, members) -> list[FaultSpec]:
         group = set(members)
-        return [f for f in self.scn.faults if f.node in group]
+        return [f for f in self.scenario.faults if f.node in group]
 
     def _record_run(self, index: int, action: ParsedAction, run_id: str,
                     run: NetReport) -> None:
@@ -182,7 +168,7 @@ class _Runner:
         self.trace.append(f"# action {index} {action.verb} {run_id}")
         self.trace.extend(run.trace)
         for key in ("sent", "delivered", "dropped", "in_flight"):
-            self.m["net_" + key] += getattr(run, key)
+            self.metrics["net_" + key] += getattr(run, key)
 
     def _submit(self, tx) -> str:
         ok, reason = self.ledger.submit_tx(tx)
@@ -222,11 +208,11 @@ class _Runner:
 
     def _do_register_did(self, index: int, action: ParsedAction) -> str:
         identity = action.args[0]
-        pubkey = self.ks.pubkey(identity)
+        pubkey = self.keystore.pubkey(identity)
         attestation = {name: self._hex(val, f"attribute {name}")
                        for name, val in action.kw.items()}
         payload = register_payload(pubkey, attestation, nonce=index)
-        tx = make_tx(self.ks, identity, TxKind.REGISTER_DID, payload)
+        tx = make_tx(self.keystore, identity, TxKind.REGISTER_DID, payload)
         return "submitted " + self._submit(tx)
 
     def _do_seal(self, index: int, action: ParsedAction) -> str:
@@ -240,9 +226,8 @@ class _Runner:
                     # a refused create frees its alias for another create
                     del self.aliases[alias]
                     self._refused[alias] = reason
-        self.m["blocks_sealed"] += 1
-        self.m["txs_ok"] += len(block.txs) - failed
-        self.m["txs_failed"] += failed
+        self.metrics["txs_ok"] += len(block.txs) - failed
+        self.metrics["txs_failed"] += failed
         return f"sealed h{block.height}:{len(block.txs)}tx"
 
     def _do_create_otce(self, index: int, action: ParsedAction) -> str:
@@ -253,11 +238,11 @@ class _Runner:
         delta_t = self._int(action.kw["delta"], "delta")
         components = self._trust_components(action.kw["trust"], group)
         sender = action.kw.get("by", group[0])
-        tx = make_tx(self.ks, sender, TxKind.CREATE_OTCE,
+        tx = make_tx(self.keystore, sender, TxKind.CREATE_OTCE,
                      create_payload(group, delta_t, components, nonce=index))
         self._submit(tx)
         self._creating[tx.tx_id] = alias
-        self._groups[alias] = group
+        self._groups[alias] = action.kw["group"]
         self.aliases[alias] = eid_for_tx(tx.tx_id)
         return "submitted " + self.aliases[alias]
 
@@ -265,7 +250,7 @@ class _Runner:
         """`suspend`, `resume` and `terminate`: a tx naming only the sandbox."""
         eid = self._eid(action.args[0])
         kind = _LIFECYCLE_KINDS[action.verb]
-        tx = make_tx(self.ks, action.kw["by"], kind,
+        tx = make_tx(self.keystore, action.kw["by"], kind,
                      lifecycle_payload(kind, eid, nonce=index))
         return "submitted " + self._submit(tx)
 
@@ -274,8 +259,9 @@ class _Runner:
     def _do_update_plan(self, index: int, action: ParsedAction) -> str:
         alias = action.args[0]
         eid = self._eid(alias)
-        components = self._trust_components(action.kw["trust"], self._groups[alias])
-        tx = make_tx(self.ks, action.kw["by"], TxKind.UPDATE_PLAN,
+        components = self._trust_components(action.kw["trust"],
+                                            self._groups[alias].split(","))
+        tx = make_tx(self.keystore, action.kw["by"], TxKind.UPDATE_PLAN,
                      update_plan_payload(eid, components, nonce=index))
         return "submitted " + self._submit(tx)
 
@@ -290,11 +276,11 @@ class _Runner:
                                   self._int(latency_s, "latency"), observed_at=index)
         oracle_id = action.kw.get("by-oracle")
         if oracle_id is not None:
-            record = make_oracle_record(self.ks, oracle_id, obs)
+            record = make_oracle_record(self.keystore, oracle_id, obs)
             if not self.graph.ingest_oracle_record(record):
-                self.m["observations_rejected"] += 1
+                self.metrics["observations_rejected"] += 1
                 raise ActionError("oracle record rejected")
-            self.m["observations_ingested"] += 1
+            self.metrics["observations_ingested"] += 1
             return f"queued for {edge_id}"
         return self._fold_trust(edge_id, [obs])
 
@@ -308,7 +294,7 @@ class _Runner:
             new_trust = self.graph.update_trust(edge_id, observations)
         except ValueError as exc:
             raise ActionError(str(exc)) from None
-        self.m["trust_updates"] += 1
+        self.metrics["trust_updates"] += 1
         return f"trust[{edge_id}]={new_trust!r}"
 
     def _do_consensus(self, index: int, action: ParsedAction) -> str:
@@ -316,18 +302,18 @@ class _Runner:
         rec = self._running_record(alias)
         value = self._hex(action.kw["value"], "value")
         instance_id = f"{alias}.{index}"
-        result = run_instance(rec.plan, rec.group, value, self.ks,
+        result = run_instance(rec.plan, rec.group, value, self.keystore,
                               net_cfg=self._net_cfg(index),
                               faults=self._faults_for(rec.group),
-                              max_tick=self.max_ticks, instance_id=instance_id)
+                              max_tick=self.scenario.max_ticks, instance_id=instance_id)
         self.consensus_results.append(result)
         self._record_run(index, action, instance_id, result)
-        self.m["consensus_runs"] += 1
-        self.m["consensus_decided"] += 1 if (not result.stalled and result.decisions
-                                             and not result.violations) else 0
-        self.m["consensus_stalled"] += len(result.stalled)
-        self.m["consensus_violations"] += len(result.violations)
-        self.m["consensus_beyond_bound"] += 1 if result.beyond_bound else 0
+        self.metrics["consensus_runs"] += 1
+        self.metrics["consensus_decided"] += 1 if (not result.stalled and result.decisions
+                                                   and not result.violations) else 0
+        self.metrics["consensus_stalled"] += len(result.stalled)
+        self.metrics["consensus_violations"] += len(result.violations)
+        self.metrics["consensus_beyond_bound"] += 1 if result.beyond_bound else 0
         if result.violations:
             return "violations: " + ";".join(result.violations)
         if result.stalled:
@@ -348,7 +334,7 @@ class _Runner:
         except ValueError as exc:
             raise ScenarioError(f"dag file {path}: {exc}") from None
         holders: dict[str, dict[str, bytes]] = {}
-        for decl in self.scn.chunks:
+        for decl in self.scenario.chunks:
             if file_chunks.get(decl.chunk_id, decl.data) != decl.data:
                 raise ScenarioError(f"dag file {path}: chunk {decl.chunk_id!r} "
                                     "has other data than the scenario gives it")
@@ -358,16 +344,16 @@ class _Runner:
         home = rec.group[0]
         for cid in sorted(dag.chunk_ids - placed):
             holders.setdefault(home, {})[cid] = file_chunks[cid]
-        report = execute_collaborative(dag, rec.group, holders, self.ks,
+        report = execute_collaborative(dag, rec.group, holders, self.keystore,
                                        net_cfg=self._net_cfg(index),
                                        faults=self._faults_for(rec.group),
                                        execution_id=f"{alias}.{index}",
-                                       max_tick=self.max_ticks)
+                                       max_tick=self.scenario.max_ticks)
         self.dag_reports[alias] = report
         self._record_run(index, action, report.execution_id, report)
-        self.m["dag_runs"] += 1
-        self.m["dag_completed"] += 1 if report.completed else 0
-        self.m["dag_failed"] += 0 if report.completed else 1
+        self.metrics["dag_runs"] += 1
+        self.metrics["dag_completed"] += 1 if report.completed else 0
+        self.metrics["dag_failed"] += 0 if report.completed else 1
         if not report.completed:
             return "incomplete: " + ",".join(report.failed_tasks)
         return f"digest {codec.short(report.digest)} sigs={len(report.signers)}"
@@ -382,16 +368,15 @@ class _Runner:
             raise ActionError(f"dag execution for {alias!r} incomplete")
         signers = report.signers
         message = result_message(eid, report.digest)
-        sigs = [(node, self.ks.sign(node, message)) for node in signers]
-        tx = make_tx(self.ks, signers[0], TxKind.SUBMIT_RESULT,
+        sigs = [(node, self.keystore.sign(node, message)) for node in signers]
+        tx = make_tx(self.keystore, signers[0], TxKind.SUBMIT_RESULT,
                      submit_result_payload(eid, report.digest, sigs, nonce=index))
         return "submitted " + self._submit(tx)
 
     # -- whole run ---------------------------------------------------------
 
-    def run(self) -> RunResult:
-        for index, action in enumerate(self.scn.actions):
-            self.m["actions_total"] += 1
+    def run(self) -> None:
+        for index, action in enumerate(self.scenario.actions):
             try:
                 detail = self.run_action(index, action)
                 ok = True
@@ -402,37 +387,31 @@ class _Runner:
             self.trace.append(
                 f"# outcome {index} {action.verb} {'ok' if ok else 'failed'} {detail}")
 
-        self.m["seed"] = self.seed
-        self.m["chain_height"] = self.ledger.current_height()
-        self.m["dids_registered"] = len(self.dids.records)
-        self.m["otces_created"] = len(self.otce.records)
+        self.metrics["seed"] = self.scenario.seed
+        self.metrics["actions_total"] = len(self.outcomes)
+        self.metrics["chain_height"] = self.metrics["blocks_sealed"] = self.ledger.current_height()
+        self.metrics["dids_registered"] = len(self.dids.records)
+        self.metrics["otces_created"] = len(self.otce.records)
         for rec in self.otce.records.values():
             if rec.cause is not None:
-                self.m["otces_terminated"] += 1
-                self.m["terminated_" + rec.cause] += 1
+                self.metrics["otces_terminated"] += 1
+                self.metrics["terminated_" + rec.cause] += 1
 
         bad, mismatches, (replay_otce, replay_dids) = audit_chain(
-            self.ledger.chain, self.scn, self.ks)
-        chain_ok = bad is None
-        replay_ok = (chain_ok and not mismatches
-                     and replay_otce.dump() == self.otce.dump()
-                     and replay_dids.dump() == self.dids.dump())
-        self.m["chain_ok"] = int(chain_ok)
-        self.m["replay_ok"] = int(replay_ok)
-
-        return RunResult(
-            scenario=self.scn, seed=self.seed, keystore=self.ks, graph=self.graph,
-            ledger=self.ledger, otce=self.otce, dids=self.dids,
-            aliases=self.aliases, outcomes=self.outcomes,
-            consensus_results=self.consensus_results, dag_reports=self.dag_reports,
-            trace=self.trace, metrics=self.m, chain_ok=chain_ok, replay_ok=replay_ok)
+            self.ledger.chain, self.scenario, self.keystore)
+        self.chain_ok = bad is None
+        self.replay_ok = (self.chain_ok and not mismatches
+                          and replay_otce.dump() == self.otce.dump()
+                          and replay_dids.dump() == self.dids.dump())
+        self.metrics["chain_ok"] = int(self.chain_ok)
+        self.metrics["replay_ok"] = int(self.replay_ok)
 
 
-def run_scenario(scn: Scenario, base_dir: str | Path = ".",
-                 seed_override: int | None = None,
-                 max_ticks_override: int | None = None) -> RunResult:
-    seed = scn.seed if seed_override is None else seed_override
-    max_ticks = scn.max_ticks if max_ticks_override is None else max_ticks_override
-    if max_ticks < 1:
-        raise ScenarioError(f"max-ticks must be positive, got {max_ticks}")
-    return _Runner(scn, Path(base_dir), seed, max_ticks).run()
+def run_scenario(scn: Scenario, base_dir: str | Path = ".") -> RunResult:
+    """Run `scn`, reading the DAG files its `run-dag` actions name from
+    `base_dir`."""
+    if scn.max_ticks < 1:
+        raise ScenarioError(f"max-ticks must be positive, got {scn.max_ticks}")
+    result = RunResult(scn, Path(base_dir))
+    result.run()
+    return result

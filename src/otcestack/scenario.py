@@ -170,9 +170,9 @@ def parse_scenario(text: str) -> Scenario:
     policy: list[tuple[str, int | None]] = []
     nodes: list[str] = []
     edges: list[EdgeDecl] = []
-    oracles: list[str] = []
-    faults: list[FaultSpec] = []
-    chunks: list[ChunkDecl] = []
+    oracles: dict[str, None] = {}       # an ordered set
+    faults: dict[str, FaultSpec] = {}   # by node, in file order
+    chunks: dict[tuple[str, str], ChunkDecl] = {}   # by (node, chunk id)
     chunk_data: dict[str, bytes] = {}   # one value per chunk id, on every holder
     actions: list[ParsedAction] = []
     graph = TrustHypergraph()       # answers the node and edge checks
@@ -228,12 +228,12 @@ def parse_scenario(text: str) -> Scenario:
         elif head == "oracle":
             if args[0] in oracles:
                 _fail(ln, f"duplicate oracle {args[0]!r}")
-            oracles.append(args[0])
+            oracles[args[0]] = None
         elif head == "fault":
             node, behavior_s = args
             if node not in graph.nodes:
                 _fail(ln, f"fault for undeclared node {node!r}")
-            if any(f.node == node for f in faults):
+            if node in faults:
                 _fail(ln, f"second fault for node {node!r}")
             try:
                 behavior = Behavior(behavior_s)
@@ -243,12 +243,12 @@ def parse_scenario(text: str) -> Scenario:
             at_tick = _as_int(ln, kw.get("at", "0"), "at")
             if at_tick < 0:
                 _fail(ln, "at must be non-negative")
-            faults.append(FaultSpec(node, behavior, at_tick))
+            faults[node] = FaultSpec(node, behavior, at_tick)
         else:   # chunk
             node, chunk_id, hex_data = args
             if node not in graph.nodes:
                 _fail(ln, f"chunk on undeclared node {node!r}")
-            if any(c.node == node and c.chunk_id == chunk_id for c in chunks):
+            if (node, chunk_id) in chunks:
                 _fail(ln, f"duplicate chunk {chunk_id!r} on {node!r}")
             try:
                 data = bytes.fromhex(hex_data)
@@ -256,11 +256,11 @@ def parse_scenario(text: str) -> Scenario:
                 _fail(ln, f"chunk data must be hex, got {hex_data!r}")
             if chunk_data.setdefault(chunk_id, data) != data:
                 _fail(ln, f"chunk {chunk_id!r} was declared with other data")
-            chunks.append(ChunkDecl(node, chunk_id, data))
+            chunks[node, chunk_id] = ChunkDecl(node, chunk_id, data)
 
     if seed is None:
         raise ScenarioError("scenario needs a seed directive")
     return Scenario(seed=seed, policy=tuple(policy), nodes=tuple(nodes),
                     edges=tuple(edges), oracles=tuple(oracles),
-                    faults=tuple(faults), chunks=tuple(chunks),
+                    faults=tuple(faults.values()), chunks=tuple(chunks.values()),
                     actions=tuple(actions), **cfg)

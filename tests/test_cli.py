@@ -64,7 +64,11 @@ def test_run_is_reproducible(workdir, tmp_path):
 def test_run_seed_override(workdir):
     rc, out = do_run(workdir, "--seed-override", "99")
     assert rc == 0
-    assert "seed=99" in (out / "metrics.txt").read_text()
+    assert "seed=99" in (out / "metrics.txt").read_text().splitlines()
+    assert (out / "trace.log").read_text().splitlines()[0] == "# run seed=99 max-ticks=3000"
+    rc, out = do_run(workdir, "--seed-override", "99", "--max-ticks", "2500")
+    assert rc == 0
+    assert (out / "trace.log").read_text().splitlines()[0] == "# run seed=99 max-ticks=2500"
 
 
 def test_run_missing_scenario_is_harness_error(tmp_path, capsys):

@@ -5,12 +5,14 @@ fixed costs are spread over more units).
 Counted by wrapping the calls, not timed: per ledger tx, `codec.pack`,
 `codec.unpack` and HMACs (`KeyStore.sign`, which `KeyStore.verify` calls)
 over a run, its dump, load, verification and replay; per DAG task, network
-sends, HMACs and evaluations over a lossy run with a crash. Each generator
+sends, HMACs and evaluations over a lossy run with a crash; per scenario
+line, every Python-level call of the parse. Each generator
 draws the larger input as an extension of the smaller one, so a count that
 grows per unit comes from the code, not from a different input mix.
 """
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -152,3 +154,41 @@ def test_dag_work_per_task_is_linear(counts):
                           for key in ("send", "hmac", "eval")}
         assert report.completed and report.values == sequential_oracle(dag, chunks)
     assert_linear(per_task)
+
+
+# -- scenario parse --------------------------------------------------------
+
+def setup_lines(pairs: int) -> str:
+    """A node, a fault and a chunk line per node; more pairs extend fewer."""
+    lines = ["seed 3"]
+    lines += [f"node n{i}" for i in range(pairs)]
+    lines += [f"fault n{i} crash at={i}" for i in range(pairs)]
+    lines += [f"chunk n{i} k{i} {i % 256:02x}" for i in range(pairs)]
+    return "\n".join(lines) + "\n"
+
+
+def python_calls(fn, *args) -> int:
+    """The Python-level calls `fn(*args)` makes, counted as profiler `call`
+    events (a generator step is one)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_setup_parse_calls_per_line_are_linear():
+    per_line = {}
+    for size in SIZES:
+        text = setup_lines(100 * size)
+        scn = parse_scenario(text)
+        assert len(scn.faults) == len(scn.chunks) == 100 * size
+        per_line[size] = {"calls": python_calls(parse_scenario, text) / text.count("\n")}
+    assert_linear(per_line)

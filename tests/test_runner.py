@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -55,8 +56,8 @@ def write_scenario(tmp_path, text=THREE_CAUSES, dag=DAG_TEXT):
     return parse_scenario(text)
 
 
-def run(tmp_path, text=THREE_CAUSES, **kw):
-    return run_scenario(write_scenario(tmp_path, text), base_dir=tmp_path, **kw)
+def run(tmp_path, text=THREE_CAUSES):
+    return run_scenario(write_scenario(tmp_path, text), base_dir=tmp_path)
 
 
 # -- end-to-end ------------------------------------------------------------
@@ -137,11 +138,19 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
 
 def test_seed_override_changes_the_world(tmp_path):
     a = run(tmp_path)
-    b = run(tmp_path, seed_override=777)
-    assert b.seed == 777
-    assert b.metrics["seed"] == 777
+    b = run_scenario(replace(write_scenario(tmp_path), seed=777, max_ticks=2500),
+                     base_dir=tmp_path)
+    assert b.scenario.seed == b.metrics["seed"] == 777
+    assert b.trace[0] == "# run seed=777 max-ticks=2500"
+    # the scenario is the run's only configuration: no copy to disagree with it
+    assert not hasattr(b, "seed") and not hasattr(b, "max_ticks")
     assert a.outputs()["chain.dump"] != b.outputs()["chain.dump"]
     assert b.chain_ok and b.replay_ok
+
+
+def test_run_scenario_takes_only_the_scenario_and_its_directory():
+    params = inspect.signature(run_scenario).parameters
+    assert list(params) == ["scn", "base_dir"]
 
 
 def test_failed_action_is_recorded_not_fatal(tmp_path):
@@ -432,7 +441,7 @@ def test_metrics_text_is_sorted_key_value(tmp_path):
     keys = [line.split("=")[0] for line in lines]
     assert keys == sorted(keys)
     assert all("=" in line for line in lines)
-    assert f"seed={res.seed}" in lines
+    assert f"seed={res.scenario.seed}" in lines
 
 
 def test_an_instance_with_a_violation_is_not_counted_as_decided(tmp_path, monkeypatch):

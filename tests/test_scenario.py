@@ -189,6 +189,15 @@ def test_a_setup_keyword_is_refused_unless_its_schema_takes_it(line, why):
         parse_scenario(NODES + line + "\nseed 1\n")
 
 
+@pytest.mark.parametrize("members,named", [
+    ("a,,b", "''"), ("a,b,", "''"), ("a,ghost", "'ghost'"), ("x,a,", "'', 'x'"),
+])
+def test_an_unknown_edge_member_is_named_even_when_empty(members, named):
+    with pytest.raises(ScenarioError,
+                       match=f"^line 4: {re.escape('unknown member(s): ' + named)}$"):
+        parse_scenario(f"seed 1\n{NODES}edge e 0.5 {members}\n")
+
+
 def test_missing_seed_rejected():
     with pytest.raises(ScenarioError, match="seed"):
         parse_scenario("node a\n")
