@@ -32,11 +32,9 @@ any other message counts as one rejection, and none of its pairs is
 stored. The run is complete when every task is held by a live member and
 every live member holds every sink with the same value; those members sign
 the sandbox contract's result message, and the contract accepts it only
-when the signers meet the group's security plan. A batch sent to several
-peers reaches each as the same wire, so the executors of one execution
-share a memo from (sender, wire) to the checked message: each distinct
-pair is verified and decoded once, and every rejected delivery is still
-counted by its receiver.
+when the signers meet the group's security plan. Every message is a
+`bvm-val` envelope of its execution (see `keys`), and the executors of one
+execution share a memo of opened wires, by the rule in `keys`.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from functools import cached_property
 from itertools import chain
 
 from . import codec
-from .keys import SIG_LEN, KeyStore
+from .keys import KeyStore, seal, unseal
 from .simnet import Network, NetworkConfig, NetReport, Send, SetTimer, SimEvent
 
 OPS = ("add", "mul", "concat", "hash")
@@ -271,31 +269,28 @@ def _place(dag: TaskDAG, order, nodes, holders) -> dict[str, str]:
 # -- distributed execution -------------------------------------------------
 
 class TaskExecutor:
-    """Per-node engine: runs its assigned tasks one at a time, one tick each,
-    and sends each finished value at once to the current owners of the
+    """Per-node engine: runs its assigned tasks one at a time, one tick
+    each, and sends each finished value at once to the current owners of the
     tasks that read it; learns remote values and chunks from signed
-    messages. A `value` or `chunk` message is a batch: the body
-    ("bvm-val", execution id, kind) followed by one or more (ref, data)
-    pairs, laid out flat, and a `need` is the same with one pair, (input
-    kind, packed refs). At start the node sends each peer one batch of the
-    chunks it holds that some task reads. It holds back the sinks it
+    messages, each from the envelope's signer only. A `value` or `chunk`
+    message is a batch: a `bvm-val` envelope whose body is one or more (ref,
+    data) pairs, laid out flat, and a `need` is the same with one pair,
+    (input kind, packed refs). At start the node sends each peer one batch
+    of the chunks it holds that some task reads. It holds back the sinks it
     finishes, counting the owned tasks whose value it lacks, and sends them
     to every peer in one batch whenever that count falls to zero, so the
     check is O(1) per event. `owners` (task -> its current owner, in
     topological order) and `holders` (node -> the chunks it holds) are the
     execution's maps, shared by every executor: the node runs the tasks it
-    owns, starts with its own chunks, and takes a batch only when every
-    pair passes, a value only from the task's current owner and a chunk
-    only from a holder of that chunk that some task reads; any other batch
-    counts as one rejection and stores nothing. The failure detector moves
-    tasks in `owners` in place and then sends a `sync`: the node takes the
-    tasks newly given to it and asks for what it needs, the inputs its
-    unfinished tasks lack and the sinks it lacks, with one signed `need`
-    per peer and input kind: the tasks the peer owns, in topological order,
-    or the chunks it holds, in id order (every holder is asked). It answers
-    a need whose every ref is a task it owns or a chunk it holds with one
-    batch of those it has, to the requester alone; any other need counts as
-    one rejection.
+    owns, starts with its own chunks, and takes a batch by the rule in the
+    module docstring. The failure detector moves tasks in `owners` in place
+    and then sends a `sync`: the node takes the tasks newly given to it and
+    asks for what it needs, the inputs its unfinished tasks lack and the
+    sinks it lacks, with one signed `need` per peer and input kind: the
+    tasks the peer owns, in topological order, or the chunks it holds, in id
+    order (every holder is asked). It answers a need whose every ref is a
+    task it owns or a chunk it holds with one batch of those it has, to the
+    requester alone; any other need counts as one rejection.
 
     It starts the first task in `assigned` order that is ready (every task
     input in `values`, every chunk input in `chunks`) and not yet finished;
@@ -310,17 +305,13 @@ class TaskExecutor:
     distinct input, so the work per task is fixed however many events the
     node sees.
 
-    `verified` maps (sender, wire) to the message's kind and its (ref,
-    data) pairs, or None when it is refused. The outcome depends only on
-    that pair, the members, the keystore's seed (which fixes every
-    identity's key) and the execution id, so the executors of one
-    execution may share the memo. An executor built without one gets a
-    private memo."""
+    `verified` maps a wire to what `_check` made of it, and is shared by
+    the executors of one execution by the memo rule in `keys`."""
 
     def __init__(self, execution_id: str, dag: TaskDAG, node: str, members,
                  owners: dict[str, str], holders: dict[str, dict[str, bytes]],
                  keystore: KeyStore,
-                 verified: dict[tuple[str, bytes], tuple | None] | None = None):
+                 verified: dict[bytes, tuple | None] | None = None):
         self.execution_id = execution_id
         self.dag = dag
         self.node = node
@@ -344,17 +335,13 @@ class TaskExecutor:
             if owner == node:
                 self._assign(tid)
 
-    def _signed(self, kind: str, *items) -> bytes:
-        """`items` are the message's (ref, data) pairs, laid out flat."""
-        body = codec.pack("bvm-val", self.execution_id, kind, *items)
-        return body + self.keystore.sign(self.node, body)
-
     def _send(self, dsts, kind: str, pairs) -> list:
         """One signed wire of `pairs` to each of `dsts`; nothing is signed
         for no destination or no pair."""
         if not dsts or not pairs:
             return []
-        wire = self._signed(kind, *chain.from_iterable(pairs))
+        wire = seal(self.keystore, "bvm-val", self.execution_id, self.node, kind,
+                    *chain.from_iterable(pairs))
         return [Send(m, wire, kind) for m in dsts]
 
     def _ready(self, tid: str) -> bool:
@@ -425,8 +412,8 @@ class TaskExecutor:
             for m in self.peers:
                 if cid in self.holders.get(m, ()):
                     asks.setdefault((m, CHUNK), []).append(cid)
-        acts = [Send(m, self._signed("need", kind, codec.pack(*refs)), "need")
-                for (m, kind), refs in sorted(asks.items())]
+        acts = [act for (m, kind), refs in sorted(asks.items())
+                for act in self._send([m], "need", [(kind, codec.pack(*refs))])]
         return acts + self._try_start()
 
     def _on_exec_timer(self, label: str) -> list:
@@ -452,33 +439,29 @@ class TaskExecutor:
             self._sinks = []
         return acts + self._try_start()
 
-    def _check(self, src: str, wire: bytes) -> tuple | None:
-        """The message's kind and its (ref, data) pairs, or None."""
-        if len(wire) <= SIG_LEN:
+    def _check(self, wire: bytes) -> tuple | None:
+        """The message's signer, its kind and its (ref, data) pairs, or None."""
+        opened = unseal(self.keystore, wire, "bvm-val", self.execution_id, self.members)
+        if opened is None:
             return None
-        body, sig = wire[:-SIG_LEN], wire[-SIG_LEN:]
-        if src not in self.members or not self.keystore.verify(src, body, sig):
-            return None
+        signer, kind, body = opened
         try:
-            fields = codec.unpack(body)
-            codec.check_record(fields[:3], "bvm-val", self.execution_id, object)
-            pairs = tuple(codec.check_record(fields[i:i + 2], object, bytes)
-                          for i in range(3, len(fields), 2))
+            pairs = tuple(codec.check_record(body[i:i + 2], object, bytes)
+                          for i in range(0, len(body), 2))
         except codec.CodecError:
             return None
-        return (fields[2], pairs) if pairs else None
+        return (signer, kind, pairs) if pairs else None
 
     def _on_message(self, event: SimEvent) -> list:
-        src = event.src
-        key = (src, event.payload)
+        wire = event.payload
         try:
-            fields = self.verified[key]
+            checked = self.verified[wire]
         except KeyError:
-            fields = self.verified[key] = self._check(*key)
-        if fields is None:
+            checked = self.verified[wire] = self._check(wire)
+        if checked is None or checked[0] != event.src:
             self.rejected += 1
             return []
-        kind, pairs = fields
+        src, kind, pairs = checked
         if kind == "need":
             return self._on_need(src, pairs)
         if kind == "chunk":
@@ -566,7 +549,7 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     schedule = topo_schedule(dag, ordered, holders)
     owners = dict(schedule)
     net = Network(net_cfg)
-    verified: dict[tuple[str, bytes], tuple | None] = {}
+    verified: dict[bytes, tuple | None] = {}
     execs: dict[str, TaskExecutor] = {}
     for node in ordered:
         execs[node] = TaskExecutor(execution_id, dag, node, ordered, owners,

@@ -5,13 +5,11 @@ three-phase Byzantine-tolerant protocol (pre-prepare / prepare / commit
 with view changes) and a majority protocol (promise / accept with proposer
 retries). Replicas run honest logic only; adversarial behavior is injected
 by the network layer (crash, drop-all, delay-max, or per-recipient payload
-rewriting for equivocation). Every message carries a signature checked on
-receipt; anything malformed, stale, or from outside the group is dropped
-and counted, never raised. A broadcast hands the same wire bytes to every
-peer, so the replicas of one instance share a memo from wire to decoded
-message: each distinct wire is decoded, its sender checked for membership
-and then its signature checked once per instance, while the instance and
-sender checks run, and drops are counted, on every delivery.
+rewriting for equivocation). Every message is a `cons` envelope of its
+instance (see `keys`), opened on receipt; anything malformed, stale, or
+from outside the instance or the group is dropped and counted, never
+raised. The replicas of one instance share a memo of opened wires, by the
+rule in `keys`.
 
 Both engines take the quorum q = n - f_max of the security plan, whose
 f_max is the protocol's fault bound, and both vote through a collector
@@ -67,7 +65,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import codec
-from .keys import SIG_LEN, KeyStore
+from .keys import SIG_LEN, KeyStore, envelope, seal, unseal
 from .plan import Protocol, SecurityPlan, certificate_refusal
 from .simnet import (Behavior, FaultSpec, Network, NetworkConfig, NetReport,
                      Record, Send, SetTimer, SimEvent)
@@ -95,7 +93,6 @@ class MsgKind(str, Enum):
 VOTE_OF = {MsgKind.PREPARED: MsgKind.PREPARE, MsgKind.COMMITTED: MsgKind.COMMIT,
            MsgKind.LEARN: MsgKind.P2B}
 _CERT_OF = {vote: cert for cert, vote in VOTE_OF.items()}
-_CERTIFIED = frozenset(kind.value for kind in VOTE_OF)
 
 
 @dataclass(frozen=True)
@@ -114,71 +111,63 @@ class Msg:
     sig: bytes = field(default=b"", compare=False, repr=False)
 
 
-_FIELDS = ("cons", str, str, str, int, int, (bytes, type(None)),
-           (bytes, type(None)), int, int)
-
-
-def msg_body(msg: Msg) -> bytes:
-    """The signed record. Only a certificate kind carries its pairs, as one
-    more field, so every other kind keeps the record it always had."""
-    fields = ("cons", msg.instance, msg.kind.value, msg.sender, msg.view,
+def _fields(msg: Msg) -> tuple:
+    """The envelope fields of `msg`; a certificate kind adds its pairs."""
+    fields = ("cons", msg.instance, msg.sender, msg.kind.value, msg.view,
               msg.ballot_node, msg.value, msg.digest, msg.cert_view, msg.cert_node)
-    if msg.kind in VOTE_OF:
-        return codec.pack(*fields, msg.cert)
-    return codec.pack(*fields)
+    return fields + (msg.cert,) if msg.kind in VOTE_OF else fields
 
 
 def encode_msg(keystore: KeyStore, msg: Msg) -> bytes:
-    body = msg_body(msg)
-    return body + keystore.sign(msg.sender, body)
+    return seal(keystore, *_fields(msg))
 
 
-def decode_msg(wire: bytes) -> Msg:
-    """Decode without verifying the signature; CodecError on bad shape.
-
-    A wire no longer than a signature has an empty body, which fails the
-    field count."""
-    fields = codec.unpack(wire[:-SIG_LEN])
-    certified = len(fields) > 2 and fields[2] in _CERTIFIED
-    _, instance, kind_s, sender, view, ballot_node, value, digest, cv, cn, *rest = (
-        codec.check_record(fields, *_FIELDS, *((tuple,) if certified else ())))
+def _msg(instance: str, sender: str, kind_s: str, body: tuple, sig: bytes) -> Msg:
+    """The message of an envelope's header and body; CodecError if malformed."""
     try:
         kind = MsgKind(kind_s)
     except ValueError as exc:
         raise codec.CodecError(f"unknown message kind {kind_s!r}") from exc
-    cert = ()
-    if certified:
-        cert = tuple(codec.check_record(pair, str, bytes) for pair in rest[0])
-    return Msg(instance, kind, sender, view, ballot_node, value, digest, cv, cn,
-               cert, wire[-SIG_LEN:])
+    certified = kind in VOTE_OF
+    view, ballot_node, value, digest, cv, cn, *rest = codec.check_record(
+        body, int, int, (bytes, type(None)), (bytes, type(None)), int, int,
+        *((tuple,) if certified else ()))
+    cert = tuple(codec.check_record(p, str, bytes) for p in rest[0]) if certified else ()
+    return Msg(instance, kind, sender, view, ballot_node, value, digest, cv, cn, cert, sig)
+
+
+def decode_msg(wire: bytes) -> Msg:
+    """Decode without verifying the signature; CodecError on bad shape."""
+    fields = codec.unpack(wire[:-SIG_LEN])
+    _, instance, sender, kind_s = codec.check_record(fields[:4], "cons", str, str, str)
+    return _msg(instance, sender, kind_s, fields[4:], wire[-SIG_LEN:])
 
 
 def vote_body(cert: Msg, voter: str) -> bytes:
-    """What `voter` signed when it cast the vote that `cert` certifies: its
-    own P2B body for the ballot and value of a LEARN, its own PREPARE or
-    COMMIT body for the view and digest of a PREPARED or COMMITTED."""
+    """What `voter` signed when it cast the vote that `cert` certifies: the
+    envelope of its own P2B for the ballot and value of a LEARN, of its own
+    PREPARE or COMMIT for the view and digest of a PREPARED or COMMITTED."""
     kind = VOTE_OF[cert.kind]
     if kind is MsgKind.P2B:
         vote = Msg(cert.instance, kind, voter, cert.view, cert.ballot_node, cert.value)
     else:
         vote = Msg(cert.instance, kind, voter, cert.view, digest=cert.digest)
-    return msg_body(vote)
+    return envelope(*_fields(vote))
 
 
-def verify_msg(keystore: KeyStore, wire: bytes, members, quorum: int) -> Msg | None:
-    """The message of a wire that decodes, names a sender in `members` and
-    carries that sender's signature; None otherwise. Membership is decided
-    before the signature, so a wire naming an outsider costs no HMAC and
-    derives no key for that name. A certificate must also carry a value
-    (whose sha is the digest, for PREPARED and COMMITTED) and the vote
-    signatures of `quorum` distinct members over that value or digest and
-    its view or ballot."""
-    try:
-        msg = decode_msg(wire)
-    except codec.CodecError:
+def verify_msg(keystore: KeyStore, wire: bytes, instance: str, members,
+               quorum: int) -> Msg | None:
+    """The message of a wire that `unseal` opens as a `cons` envelope of
+    `instance` from one of `members`, of a known kind and body shape, else
+    None. A certificate must also carry a value (whose sha is the digest,
+    for PREPARED and COMMITTED) and the vote signatures of `quorum`
+    distinct members over that value or digest and its view or ballot."""
+    opened = unseal(keystore, wire, "cons", instance, members)
+    if opened is None:
         return None
-    if msg.sender not in members or not keystore.verify(
-            msg.sender, wire[:-SIG_LEN], msg.sig):
+    try:
+        msg = _msg(instance, *opened, wire[-SIG_LEN:])
+    except codec.CodecError:
         return None
     vote = VOTE_OF.get(msg.kind)
     if vote is None:
@@ -282,12 +271,8 @@ class _Replica:
     is a drop. `_send` and `_bcast` pass a message meant for this replica
     to the same table, without the network.
 
-    `verified` maps a wire to its decoded message, or None when it does not
-    decode, names a non-member or does not verify (a certificate's pairs
-    included). That outcome depends only on the wire, the instance's
-    members and quorum, and the keystore's seed, which fixes every
-    identity's key, so the replicas of one instance may share the memo. A
-    replica built without one gets a private memo."""
+    `verified` maps a wire to what `verify_msg` made of it (its certificate
+    checked too), shared by the replicas of one instance as `keys` says."""
 
     _ON: dict    # MsgKind -> handler(replica, msg, now), one table per engine
     _ROUND: str  # what a decision's trace note calls its view or round
@@ -400,16 +385,15 @@ class _Replica:
         return [Send(dst, self._certificate_wire, self.certificate.kind.value)]
 
     def _accept(self, event: SimEvent) -> Msg | None:
-        """The verified message of a delivery from a member of this instance,
-        or None, counted as a drop."""
+        """The verified message of a delivery from its signer, a member of
+        this instance, or None, counted as a drop."""
         wire = event.payload
         try:
             msg = self.verified[wire]
         except KeyError:
-            msg = self.verified[wire] = verify_msg(self.keystore, wire, self.cfg.members,
-                                                   self.cfg.quorum)
-        if (msg is None or msg.instance != self.cfg.instance_id
-                or msg.sender != event.src):
+            msg = self.verified[wire] = verify_msg(
+                self.keystore, wire, self.cfg.instance_id, self.cfg.members, self.cfg.quorum)
+        if msg is None or msg.sender != event.src:
             self.dropped += 1
             return None
         return msg

@@ -13,12 +13,28 @@ The HMAC key schedule runs once per identity: with the secret, the store
 keeps the SHA-256 states that have absorbed the secret's inner and outer
 pads (RFC 2104 §2), and `sign` continues copies of them. The signature
 bytes are those of `hmac.new(secret, message, hashlib.sha256)`.
+
+Every network message is one signed envelope: the packed record (protocol
+tag, scope, signer, kind, body...), where the scope is the consensus
+instance or DAG execution it belongs to, then the signer's signature.
+`envelope` packs the signed bytes, which a certificate's vote pairs also
+sign, and `seal` signs them. `unseal` checks cheapest first, so no HMAC runs
+until the rest pass: the wire decodes, tag and scope match, the signer is a
+member, the kind is a str; then the signature. The engine checks the body.
+
+Memo rule: what a wire opens to depends only on its bytes, the tag, scope,
+members and seed, so the nodes of one instance or execution share one memo,
+wire -> what it opened to (None if refused), and open each wire once. On
+every delivery a receiver checks that the network's sender is the signer,
+and counts a refusal itself. A node built without a memo gets its own.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+
+from . import codec
 
 SIG_LEN = 32
 # Key secrets derive from the seed as 16 signed bytes.
@@ -66,3 +82,29 @@ class KeyStore:
 
     def verify(self, identity: str, message: bytes, signature: bytes) -> bool:
         return hmac.compare_digest(self.sign(identity, message), signature)
+
+
+def envelope(tag: str, scope: str, signer: str, kind: str, *body) -> bytes:
+    """The signed bytes of an envelope."""
+    return codec.pack(tag, scope, signer, kind, *body)
+
+
+def seal(keystore: KeyStore, tag: str, scope: str, signer: str, kind: str, *body) -> bytes:
+    """The wire of an envelope: its bytes, then `signer`'s signature."""
+    data = envelope(tag, scope, signer, kind, *body)
+    return data + keystore.sign(signer, data)
+
+
+def unseal(keystore: KeyStore, wire: bytes, tag: str, scope: str, members):
+    """(signer, kind, body) of a `tag` envelope of `scope` signed by one of
+    `members`, else None; a wire no longer than a signature has no fields."""
+    data = wire[:-SIG_LEN]
+    try:
+        fields = codec.unpack(data)
+    except codec.CodecError:
+        return None
+    if (len(fields) < 4 or fields[0] != tag or fields[1] != scope
+            or fields[2] not in members or not isinstance(fields[3], str)
+            or not keystore.verify(fields[2], data, wire[-SIG_LEN:])):
+        return None
+    return fields[2], fields[3], fields[4:]

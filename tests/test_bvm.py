@@ -9,7 +9,7 @@ from otcestack.bvm import (CycleError, Task, TaskDAG, TaskExecutor, chunk_input,
                            eval_op, execute_collaborative, lit_input,
                            outputs_digest, parse_dag, sequential_oracle,
                            task_input, topo_layers, topo_schedule)
-from otcestack.keys import SIG_LEN, KeyStore
+from otcestack.keys import SIG_LEN, KeyStore, seal
 from otcestack.simnet import Behavior, FaultSpec, NetworkConfig, Send, SetTimer, SimEvent
 
 MEMBERS = ("w1", "w2", "w3")
@@ -431,12 +431,12 @@ class RoutingRecorder(TaskExecutor):
     def step(self, event, now):
         acts = super().step(event, now)
         if event.kind == "msg" and event.label == "value":
-            ref = codec.unpack(event.payload[:-SIG_LEN])[3]
+            ref = codec.unpack(event.payload[:-SIG_LEN])[4]
             readers = self.dag.readers[ref]
             if readers and all(self.owners.get(r) != self.node for r in readers):
                 RoutingRecorder.strays.append((self.node, ref))
         if event.kind == "local" and event.label == "sync":
-            asks = [(a.dst, codec.unpack(a.payload[:-SIG_LEN])[3])
+            asks = [(a.dst, codec.unpack(a.payload[:-SIG_LEN])[4])
                     for a in acts if isinstance(a, Send) and a.label == "need"]
             RoutingRecorder.needs += len(asks)
             if len(set(asks)) < len(asks):
@@ -474,7 +474,7 @@ def test_a_value_only_its_owner_reads_is_neither_signed_nor_sent(monkeypatch):
     signed = []
     real = KeyStore.sign
     monkeypatch.setattr(KeyStore, "sign", lambda ks, node, body: signed.append(
-        codec.unpack(body)[3]) or real(ks, node, body))
+        codec.unpack(body)[4]) or real(ks, node, body))
     report = execute_collaborative(dag, ("m0", "m1"), {}, KeyStore(3),
                                    net_cfg=NetworkConfig(seed=1))
     assert report.schedule == {"a": "m0", "c": "m1", "b": "m0"}
@@ -537,17 +537,48 @@ def test_signed_data_that_is_not_bytes_is_rejected(kind, inp):
                    "b": Task("b", "add", (inp, lit_input(b"\x01")))})
     executor = TaskExecutor("x", dag, "m1", ("m0", "m1"), {"a": "m0", "b": "m1"},
                             {"m0": {"a": b"\x05"}}, ks)
-    body = codec.pack("bvm-val", "x", kind, "a", 5)
-    wire = body + ks.sign("m0", body)
+    wire = seal(ks, "bvm-val", "x", "m0", kind, "a", 5)
     assert executor.step(SimEvent(1, 1, "msg", "m0", "m1", wire, kind), 1) == []
     assert executor.rejected == 1
     assert executor.values == {} and executor.busy is None
-    good = codec.pack("bvm-val", "x", kind, "a", b"\x05")
-    acts = executor.step(SimEvent(2, 2, "msg", "m0", "m1",
-                                  good + ks.sign("m0", good), kind), 2)
+    good = seal(ks, "bvm-val", "x", "m0", kind, "a", b"\x05")
+    acts = executor.step(SimEvent(2, 2, "msg", "m0", "m1", good, kind), 2)
     assert acts == [SetTimer(1, "exec:b")]
     executor.step(SimEvent(3, 3, "timer", "m1", "m1", b"", "exec:b"), 3)
     assert executor.values["b"] == b"\x06"
+
+
+def wire_test_executor(ks):
+    """m1's executor of execution x, where m0 owns a and m1 owns b, which reads a."""
+    dag = TaskDAG({"a": Task("a", "add", (lit_input(b"\x01"),)),
+                   "b": Task("b", "add", (task_input("a"), lit_input(b"\x01")))})
+    return TaskExecutor("x", dag, "m1", ("m0", "m1", "m2"), {"a": "m0", "b": "m1"}, {}, ks)
+
+
+@pytest.mark.parametrize("execution_id,signer", [("x", "stranger"), ("elsewhere", "m0")],
+                         ids=["non-member", "other-execution"])
+def test_a_wire_outside_the_execution_is_rejected_before_any_signature_check(
+        execution_id, signer):
+    ks = KeyStore(3)
+    verifies = []
+    ks.verify = lambda identity, *rest: verifies.append(identity)
+    executor = wire_test_executor(ks)
+    # signed under another store, so only the executor's checks touch `ks`
+    wire = seal(KeyStore(4), "bvm-val", execution_id, signer, "value", "a", b"\x05")
+    assert executor.step(SimEvent(1, 1, "msg", "m0", "m1", wire, "value"), 1) == []
+    assert executor.rejected == 1 and executor.values == {}
+    assert verifies == [] and signer not in ks._secrets
+
+
+def test_a_wire_delivered_by_another_member_than_its_signer_is_one_rejection():
+    ks = KeyStore(3)
+    executor = wire_test_executor(ks)
+    wire = seal(ks, "bvm-val", "x", "m0", "value", "a", b"\x05")
+    assert executor.step(SimEvent(1, 1, "msg", "m2", "m1", wire, "value"), 1) == []
+    assert executor.rejected == 1 and executor.values == {}
+    assert executor.step(SimEvent(2, 2, "msg", "m0", "m1", wire, "value"), 2) == [
+        SetTimer(1, "exec:b")]
+    assert executor.rejected == 1 and executor.values == {"a": b"\x05"}
 
 
 def test_chunk_accepted_only_from_a_holder_and_only_if_read():
@@ -557,9 +588,8 @@ def test_chunk_accepted_only_from_a_holder_and_only_if_read():
                             {"m2": {"k": b"real"}}, ks)
 
     def chunk_from(src, ref, data, t):
-        body = codec.pack("bvm-val", "x", "chunk", ref, data)
         return executor.step(SimEvent(t, t, "msg", src, "m1",
-                                      body + ks.sign(src, body), "chunk"), t)
+                                      batch_wire(ks, src, "chunk", ref, data), "chunk"), t)
 
     assert chunk_from("m0", "k", b"forged", 1) == []
     assert chunk_from("m2", "nobody-reads", b"junk", 2) == []
@@ -569,9 +599,12 @@ def test_chunk_accepted_only_from_a_holder_and_only_if_read():
     assert executor.values == {"a": b"real"} and executor.rejected == 2
 
 
+def batch_wire(ks, src, kind, *items):
+    return seal(ks, "bvm-val", "x", src, kind, *items)
+
+
 def need_wire(ks, src, kind, refs):
-    body = codec.pack("bvm-val", "x", "need", kind, codec.pack(*refs))
-    return body + ks.sign(src, body)
+    return batch_wire(ks, src, "need", kind, codec.pack(*refs))
 
 
 def test_sync_takes_moved_tasks_and_needs_what_is_missing():
@@ -604,10 +637,9 @@ def test_members_disagreeing_on_a_sink_do_not_complete():
 
     def vary(payload, dst, index):
         fields = codec.unpack(payload[:-SIG_LEN])
-        if fields[2:4] != ("value", "d"):
+        if fields[3:5] != ("value", "d"):
             return payload
-        body = codec.pack("bvm-val", fields[1], "value", "d", bytes([index]))
-        return body + ks.sign("m1", body)
+        return seal(ks, "bvm-val", fields[1], "m1", "value", "d", bytes([index]))
 
     report = execute_collaborative(
         dag, members, {}, ks, net_cfg=NetworkConfig(seed=1),
@@ -632,13 +664,11 @@ def test_need_answered_only_for_an_owned_task_or_a_held_chunk():
                                       need_wire(ks, "m2", kind, refs), "need"), t)
 
     def raw_need(kind, data, t=1):
-        body = codec.pack("bvm-val", "x", "need", kind, data)
         return executor.step(SimEvent(t, t, "msg", "m2", "m1",
-                                      body + ks.sign("m2", body), "need"), t)
+                                      batch_wire(ks, "m2", "need", kind, data), "need"), t)
 
     def answer(kind, ref, data):
-        body = codec.pack("bvm-val", "x", kind, ref, data)
-        return Send("m2", body + ks.sign("m1", body), kind)
+        return Send("m2", batch_wire(ks, "m1", kind, ref, data), kind)
 
     assert need("t", ["a", "z"]) == []      # owned, not yet computed
     assert need("c", ["k"]) == [answer("chunk", "k", b"\x07")]
@@ -657,11 +687,6 @@ def test_need_answered_only_for_an_owned_task_or_a_held_chunk():
     executor.step(SimEvent(3, 3, "timer", "m1", "m1", b"", "exec:a"), 3)
     assert need("t", ["z", "a"], t=4) == [answer("value", "a", b"\x07")]
     assert executor.rejected == 12
-
-
-def batch_wire(ks, src, kind, *items):
-    body = codec.pack("bvm-val", "x", kind, *items)
-    return body + ks.sign(src, body)
 
 
 def test_clean_run_sends_one_batch_per_holder_and_per_sink_owner():
@@ -809,10 +834,9 @@ def test_value_accepted_only_from_the_tasks_assignee():
 
     def relabel(payload, dst, index):
         fields = codec.unpack(payload[:-SIG_LEN])
-        if fields[2:4] != ("value", "d"):
+        if fields[3:5] != ("value", "d"):
             return payload
-        body = codec.pack("bvm-val", fields[1], "value", "c", b"\xee" * 32)
-        return body + ks.sign("m1", body)
+        return seal(ks, "bvm-val", fields[1], "m1", "value", "c", b"\xee" * 32)
 
     report = execute_collaborative(
         dag, members, {m: dict(chunks) for m in members}, ks,

@@ -74,7 +74,7 @@ def test_deeply_nested_wire_message_is_dropped():
     from otcestack.consensus import verify_msg
     from otcestack.keys import KeyStore
 
-    assert verify_msg(KeyStore(1), bytes.fromhex("4c00000001" * 5000), ("m0",), 1) is None
+    assert verify_msg(KeyStore(1), bytes.fromhex("4c00000001" * 5000), "i", ("m0",), 1) is None
 
 
 def test_random_round_trips():

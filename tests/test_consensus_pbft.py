@@ -27,30 +27,33 @@ def test_message_round_trip_and_signature():
     msg = Msg("i1", MsgKind.PREPARE, "r0", view=2, digest=b"\x11" * 32)
     wire = encode_msg(ks, msg)
     assert decode_msg(wire) == msg
-    assert verify_msg(ks, wire, ("r0",), 1) == msg
+    assert verify_msg(ks, wire, "i1", ("r0",), 1) == msg
     tampered = wire[:-1] + bytes([wire[-1] ^ 1])
-    assert verify_msg(ks, tampered, ("r0",), 1) is None
+    assert verify_msg(ks, tampered, "i1", ("r0",), 1) is None
 
 
 def test_garbage_wire_rejected():
     ks = KeyStore(5)
-    assert verify_msg(ks, b"not a message", ("r0",), 1) is None
-    assert verify_msg(ks, b"", ("r0",), 1) is None
+    assert verify_msg(ks, b"not a message", "i1", ("r0",), 1) is None
+    assert verify_msg(ks, b"", "i1", ("r0",), 1) is None
 
 
-def test_non_member_sender_dropped_before_any_signature_check():
+@pytest.mark.parametrize("instance,sender", [("i1", "stranger-1"), ("elsewhere", "r0")],
+                         ids=["non-member", "other-instance"])
+def test_non_member_sender_dropped_before_any_signature_check(instance, sender):
+    # a member's wire for another instance is refused on its scope alone
     ks = KeyStore(5)
     verifies = []
     ks.verify = lambda identity, *rest: verifies.append(identity)
     cfg = config_from_plan(make_plan(Protocol.PBFT, 4), MEMBERS4, "i1")
     replica = PBFTReplica(cfg, "r1", ks)
     # signed under another store, so only the replica's checks touch `ks`
-    wire = encode_msg(KeyStore(6), Msg("i1", MsgKind.PREPARE, "stranger-1",
+    wire = encode_msg(KeyStore(6), Msg(instance, MsgKind.PREPARE, sender,
                                        digest=b"\x11" * 32))
     assert replica.step(SimEvent(1, 1, "msg", "r0", "r1", wire, "prepare"), 1) == []
     assert replica.dropped == 1
     assert verifies == []
-    assert "stranger-1" not in ks._secrets
+    assert sender not in ks._secrets
 
 
 # -- clean runs ------------------------------------------------------------

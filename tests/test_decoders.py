@@ -4,8 +4,9 @@ Each case starts from a valid encoding and checks that it decodes to the
 expected value; that a wrong tag, a missing field, an extra field, and each
 checked field given a wrong type are refused; and that the fields left
 unchecked accept other values. A refusal is a CodecError, None from
-`verify_msg` and `TaskExecutor._check`, or a need that `TaskExecutor.step`
-counts as rejected.
+`unseal`, `verify_msg` and `TaskExecutor._check`, or a need that
+`TaskExecutor.step` counts as rejected. The envelope case covers the header
+that every network message shares, whatever its body.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from otcestack import codec
 from otcestack.bvm import Task, TaskDAG, TaskExecutor, chunk_input, lit_input, task_input
 from otcestack.consensus import Msg, MsgKind, verify_msg
 from otcestack.did import DIDRegistry
-from otcestack.keys import SIG_LEN, KeyStore
+from otcestack.keys import SIG_LEN, KeyStore, seal, unseal
 from otcestack.ledger import Transaction, TxKind, decode_tx
 from otcestack.otce import OTCERegistry
 from otcestack.simnet import SimEvent
@@ -40,20 +41,30 @@ def _otce(kind):
     return _codec_errors(lambda data: OTCERegistry(KS).decode_payload(kind, data))
 
 
-def _wire(fields):
+def _envelope(fields):
     body = codec.pack(*fields)
-    return body + KS.sign("m0", body)
+    got = unseal(KS, body + KS.sign("m0", body), "cons", "inst", ("m0", "m1"))
+    return REFUSED if got is None else got
 
 
 def _consensus(fields):
-    msg = verify_msg(KS, _wire(fields), ("m0",), 1)
+    # the tag, then a message's fields in `Msg` order, which puts the kind
+    # before the sender; m0 signs
+    tag, instance, kind, sender, *body = fields
+    wire = codec.pack(tag, instance, sender, kind, *body)
+    msg = verify_msg(KS, wire + KS.sign("m0", wire), "inst", ("m0",), 1)
     return REFUSED if msg is None else msg
+
+
+def _bvm_wire(fields):
+    # `seal`'s arguments, with m0 as the signer
+    return seal(KS, fields[0], fields[1], "m0", *fields[2:])
 
 
 def _bvm(fields):
     dag = TaskDAG({"t": Task("t", "hash", (lit_input(b"\x01"),))})
     executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1"}, {}, KS)
-    got = executor._check("m0", _wire(fields))
+    got = executor._check(_bvm_wire(fields))
     return REFUSED if got is None else got
 
 
@@ -65,10 +76,10 @@ def _bvm_need(fields):
                             {"m1": {"k": b"\x07"}}, KS)
     executor.step(SimEvent(0, 0, "local", "m1", "m1", b"", "start"), 0)
     executor.step(SimEvent(1, 1, "timer", "m1", "m1", b"", "exec:t"), 1)
-    acts = executor.step(SimEvent(2, 2, "msg", "m0", "m1", _wire(fields), "need"), 2)
+    acts = executor.step(SimEvent(2, 2, "msg", "m0", "m1", _bvm_wire(fields), "need"), 2)
     if executor.rejected:
         return REFUSED
-    return tuple((a.dst,) + codec.unpack(a.payload[:-SIG_LEN])[2:] for a in acts)
+    return tuple((a.dst,) + codec.unpack(a.payload[:-SIG_LEN])[3:] for a in acts)
 
 
 @dataclass
@@ -80,6 +91,7 @@ class Case:
     refused: list = field(default_factory=list)    # (index, value)
     accepted: list = field(default_factory=list)   # (index, value, expected)
     tagged: bool = True
+    extra: object = REFUSED       # what one more field at the end gives
 
 
 TX = Transaction(TxKind.CREATE_OTCE, b"p", "alice", SIG, TXID)
@@ -135,6 +147,16 @@ CASES = [
                   (2, [["r", b"0"], ["r", b"1"]]), (2, ["role"])],
          accepted=[(2, [], (b"pk", {})), (3, True, (b"pk", {"role": b"\x00",
                                                              "tier": b"\xff"}))]),
+    # (tag, scope, signer, kind) and then an open body, so a missing field
+    # is a missing kind and an extra one is the body; m0 signs every wire
+    Case("envelope", _envelope, ["cons", "inst", "m0", "prepare"], ("m0", "prepare", ()),
+         refused=[(0, "bvm-val"), (0, b"cons"), (1, "elsewhere"), (1, b"inst"), (1, None),
+                  (2, "stranger"), (2, b"m0"), (2, None),
+                  (2, "m1"),                    # a member, but not the one who signed
+                  (3, 5), (3, None), (3, b"prepare"), (3, ["prepare"])],
+         # the kind is the engine's to check
+         accepted=[(3, "bogus", ("m0", "bogus", ()))],
+         extra=("m0", "prepare", (0,))),
     Case("consensus", _consensus,
          ["cons", "inst", "prepare", "m0", 2, -1, None, b"d" * 32, -1, -1], MSG,
          refused=[(1, b"inst"), (2, "bogus"), (2, b"prepare"), (3, b"m0"), (4, "2"),
@@ -146,10 +168,12 @@ CASES = [
                    (4, True, Msg("inst", MsgKind.PREPARE, "m0", 1, -1, None, b"d" * 32,
                                  -1, -1))]),
     Case("bvm-value", _bvm, ["bvm-val", "x1", "value", "t", b"\x07"],
-         ("value", (("t", b"\x07"),)),
-         refused=[(1, "x2"), (1, b"x1"), (4, "s"), (4, 5)],
-         # kind and ref are not checked by the shape
-         accepted=[(2, 5, (5, (("t", b"\x07"),))), (3, None, ("value", ((None, b"\x07"),)))]),
+         ("m0", "value", (("t", b"\x07"),)),
+         # a kind that is not a str is the envelope's refusal
+         refused=[(1, "x2"), (1, b"x1"), (2, 5), (4, "s"), (4, 5)],
+         # the kind and ref are not checked by the shape
+         accepted=[(2, "other", ("m0", "other", (("t", b"\x07"),))),
+                   (3, None, ("m0", "value", ((None, b"\x07"),)))]),
     # a need names an input kind and packs a non-empty run of refs of that
     # kind that the receiver owns (a task) or holds (a chunk)
     Case("bvm-need", _bvm_need, ["bvm-val", "x1", "need", "t", codec.pack("t")],
@@ -168,7 +192,7 @@ def _variants():
         if case.tagged:
             yield case, "wrong-tag", ["nope"] + case.fields[1:], REFUSED
         yield case, "missing", case.fields[:-1], REFUSED
-        yield case, "extra", case.fields + [0], REFUSED
+        yield case, "extra", case.fields + [0], case.extra
         for i, value in case.refused:
             yield case, f"bad-{i}-{value!r}", _replace(case.fields, i, value), REFUSED
         for i, value, expected in case.accepted:
@@ -192,4 +216,5 @@ def test_decoder_refusal_set(case, variant, fields, expected):
 
 def test_wire_no_longer_than_a_signature_is_dropped():
     for wire in (b"", b"\x00" * 31, KS.sign("m0", b"")):
-        assert verify_msg(KS, wire, ("m0",), 1) is None
+        assert unseal(KS, wire, "cons", "inst", ("m0",)) is None
+        assert verify_msg(KS, wire, "inst", ("m0",), 1) is None

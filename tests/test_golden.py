@@ -4,6 +4,12 @@ The digests are SHA-256 of each rendered output of the three shipped
 scenarios. The DAG case pins where `execute_collaborative` places every
 task, before and after a crash, and the trace of that run, which records
 the order in which each node starts its tasks.
+
+A trace line names the payload of each message by its digest, so any
+change to the wire bytes moves the `trace.log` pins and nothing else. The
+skeleton pins hash each trace with that field cut from every `msg:`,
+`drop:` and `dead:` line: they hold across such a change, and show that
+every event, tick, sender and label stayed where it was.
 """
 
 import hashlib
@@ -26,7 +32,7 @@ GOLDEN = {
         "graph.dump": "0dfb2412559d4ed1c0abdd8212bc55328de08b9e3fa5f4ed744a9b022bfd3d7f",
         "metrics.txt": "e4b3a98089de66281fd63aaef01f039d3e602af0c12e841ed7b27d894d8c704e",
         "otce.dump": "b4b1c99feaee166549feef99c145357461038ad6b307307fc6873b419d2c46d1",
-        "trace.log": "97d31c2d9e4f2bc3b7c94a581e508c4dc8bb3eaf2aa29da4b918fa3bc24464d6",
+        "trace.log": "ff6eff6d4b81f2ecfe297f33384c5169751fa2a534acc04645214d795349cd3d",
     },
     "plan_switch": {
         "chain.dump": "09ac9b360425b8fed634f30f7c9f43d81b9e9a1f5f2769d6906047aa5b03c74c",
@@ -34,7 +40,7 @@ GOLDEN = {
         "graph.dump": "de2876041bdf9b009ba562aecbbe572e1390cbcdcaf32da7f19e9e7dd658c000",
         "metrics.txt": "165dee406dfbf35c77e96a859c433047a17010987eb995aef1f4ec12f39690d4",
         "otce.dump": "56f9513045e22298c05f1dab8916f239ff0ed40d7b5328c964d1ed30a51cc102",
-        "trace.log": "59d914050f1c4c150e2e9648a5907e85ef2a4cedbb6a6b3fca798eb369e2e21f",
+        "trace.log": "9a67b22da6c60ca62ee6fe406e0ef2dc3a7692f7c1e47eb6dc77456a59bd14c9",
     },
     "beyond_bound": {
         "chain.dump": "230abdeb2c09d381b5303671cb97f39f6a86d7b7ce2b75a74078645eff04386d",
@@ -42,18 +48,45 @@ GOLDEN = {
         "graph.dump": "0e9451726b5bc3e415ad7706bdeb0724ac666c6ab0fc3a93bb5bbf55c6268ab9",
         "metrics.txt": "50fa30c07aae25b00efa258864411bce45e8e2d57992ce05198ec0ba480b376f",
         "otce.dump": "6909300ee056e4f2828f59fb400dc40477d2d4463163646c0f6bf0eec1d02559",
-        "trace.log": "4fb04fd108cc91d54b6a9489ee580694e76148c788cc788541e9fe29a858edcd",
+        "trace.log": "20c8c069c467eb1bce7447045027a1d7dd6297541c274953d94f90b3ace2b9f7",
     },
 }
 
 
+SKELETON = {
+    "fig4": "be5b3284ccdb8b2bebbfc921a5a5d0821830a77669eef920f6cf421afa460c33",
+    "plan_switch": "a5574611ed5cecc8eba27d4a52aaf2b925dc7d9e33df040e93b547d5d4d52a1e",
+    "beyond_bound": "30858e476af280e26d6e2adee566cd8846fb067939f67f1ce8ebf3b1e481e523",
+}
+
+
+def skeleton(lines) -> str:
+    """SHA-256 of the trace `lines` with the payload digest cut from every
+    line of a delivered, dropped or dead event."""
+    kept = []
+    for line in lines:
+        parts = line.split(" ")
+        if len(parts) == 6 and parts[4].startswith(("msg:", "drop:", "dead:")):
+            line = " ".join(parts[:5])
+        kept.append(line)
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
+
+
+def run_shipped(name):
+    path = SCENARIO_DIR / f"{name}.scn"
+    return run_scenario(parse_scenario(path.read_text()), base_dir=path.parent)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_outputs_are_pinned(name):
-    path = SCENARIO_DIR / f"{name}.scn"
-    result = run_scenario(parse_scenario(path.read_text()), base_dir=path.parent)
     digests = {out: hashlib.sha256(text.encode()).hexdigest()
-               for out, text in result.outputs().items()}
+               for out, text in run_shipped(name).outputs().items()}
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON))
+def test_shipped_scenario_trace_skeletons_are_pinned(name):
+    assert skeleton(run_shipped(name).trace) == SKELETON[name]
 
 
 # Chunk-reading tasks and chunk-free ones at several depths. k3 lives only
@@ -107,6 +140,7 @@ def test_crash_placement_is_pinned():
     # and need, so its digest pins the start order before and after the
     # crash is detected.
     trace = hashlib.sha256("\n".join(report.trace).encode()).hexdigest()
-    assert trace == "1f09c55d2b8e7b755290efcdf9aa089567d77bf41bc7cfa1d51990e2cd57d247"
+    assert trace == "4963fff3d1c382279e52661bbfb5c79a1f9c4db181885f031e5358056717ac2f"
+    assert skeleton(report.trace) == "3f61477edec5fde3309d48480d1f2bdb1f0e33fa84078b15fe4be017084ff8bc"
     assert report.ticks == 26
     assert report.signers == ("w1", "w3", "w4")

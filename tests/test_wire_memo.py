@@ -13,7 +13,7 @@ from otcestack.bvm import (Task, TaskDAG, TaskExecutor, chunk_input,
 from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
                                  config_from_plan, encode_msg,
                                  make_equivocation_transform, run_instance)
-from otcestack.keys import KeyStore
+from otcestack.keys import KeyStore, seal
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import (Behavior, FaultSpec, Network, NetworkConfig,
                               Send, SimEvent)
@@ -193,26 +193,27 @@ def chain_dag() -> TaskDAG:
                     "b": Task("b", "add", (task_input("a"), lit_input(b"\x02")))})
 
 
-def test_bvm_memo_is_keyed_on_sender_and_wire():
+def test_bvm_memo_is_keyed_on_the_wire():
     ks = KeyStore(3)
     members = ("d1", "d2", "d3", "d4")
     verified: dict = {}
     execs = {m: TaskExecutor("x", chain_dag(), m, members, {"a": "d1", "b": "d2"},
                              {}, ks, verified)
              for m in members}
-    wire = execs["d1"]._signed("value", "a", b"\x01")
+    wire = seal(ks, "bvm-val", "x", "d1", "value", "a", b"\x01")
     msg = SimEvent(1, 1, "msg", "d1", "d3", wire, "value")
     execs["d3"].step(msg, 1)
     assert execs["d3"].values == {"a": b"\x01"} and execs["d3"].rejected == 0
+    # the same wire relayed by d2 is still d1's message, not d2's
     for dst in ("d3", "d4"):
         execs[dst].step(replace(msg, src="d2", dst=dst), 1)
     assert (execs["d3"].rejected, execs["d4"].rejected) == (1, 1)
     assert execs["d4"].values == {}
-    assert verified[("d1", wire)] is not None and verified[("d2", wire)] is None
+    assert list(verified) == [wire] and verified[wire][0] == "d1"
     forged = flip_sig_byte(wire)
     for _ in range(2):
         execs["d2"].step(replace(msg, dst="d2", payload=forged), 1)
-    assert execs["d2"].rejected == 2
+    assert execs["d2"].rejected == 2 and verified[forged] is None
 
 
 def test_bvm_report_carries_rejections_per_node():
@@ -263,8 +264,8 @@ def test_bvm_decodes_each_sender_wire_batch_once(monkeypatch):
     # each delivered to three peers and decoded once
     assert len(batches) == 2 + 4 and report.delivered == 3 * len(batches)
     assert {decoded[b] for b in batches} == {1}
-    # w1's sink batch carries its five sinks
-    assert max(len(original(b)) for b in batches) == 3 + 2 * 5
+    # w1's sink batch carries its five sinks after the envelope's four fields
+    assert max(len(original(b)) for b in batches) == 4 + 2 * 5
 
 
 # -- simnet ----------------------------------------------------------------
