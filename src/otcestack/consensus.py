@@ -19,11 +19,10 @@ sends its signed vote to the collector only, and the collector, on q
 matching votes, broadcasts one certificate that carries the q sorted
 (voter, signature) pairs, each pair signing that voter's own vote body.
 `verify_msg` checks a certificate with `plan.certificate_refusal`, once
-per distinct wire. A decided replica keeps its certificate and answers a
-straggler with its own signed copy, so the straggler decides in one hop.
-A fault-free decision costs 5(n - 1) sends in either engine. The cost of
-the trade: when a collector crashes mid-phase nobody else holds the votes,
-and the decision waits for a view change or the next proposer.
+per distinct wire. A fault-free decision costs 5(n - 1) sends in either
+engine. The cost of the trade: when a collector crashes mid-phase nobody
+else holds the votes, and the decision waits for a view change or the next
+proposer.
 
 The Byzantine engine's collector is the leader of the view. A replica
 sends its PREPARE and COMMIT to that leader; the leader broadcasts
@@ -33,12 +32,11 @@ decides on any COMMITTED. A VIEWCHANGE for view v goes to the leader of v
 only, which joins the view change on f_max + 1 of them and announces the
 view in a NEWVIEW on a full quorum. A replica that has asked for a later
 view casts no vote in its current one (Castro & Liskov, OSDI '99, §4.4),
-and every view change doubles its timeout. A decided replica answers a
-VIEWCHANGE with its COMMITTED.
+and every view change doubles its timeout.
 
 The majority engine's collector is the ballot's owner: an acceptor sends
 its P2B to the owner, and the owner decides on q of them and broadcasts
-one LEARN. A decided replica answers a P1A with its own LEARN.
+one LEARN.
 
 A crash plan's fault model has no liars, so `run_instance` flags an
 equivocating member (or any payload transform) of a majority group as
@@ -48,15 +46,19 @@ The engines share one replica skeleton, `_Replica`: one event entry that
 dispatches each verified message through the engine's table from kind to
 handler, one way to send, one tally of sender -> report for every quorum
 (where a repeated sender is a drop), one decision that keeps its
-certificate, and one pick of the value to re-propose. A replica reaches
-itself through that same table: its own proposal, vote, promise or view
-change goes to the handler a peer's would reach, a vote signed first, so
-every check a handler makes runs on the replica's own message too. Only a
-collector acts on its own certificate directly. The pick of the value is
-the rule a new view and a phase 1 have in common: the value of the
-highest certificate among a quorum's reports, else the replica's own
-request. A reply that reaches a collector after its quorum (a late
-promise or view change) is ignored, not counted as a drop.
+certificate, one rule for a decided replica, and one pick of the value to
+re-propose. A decided replica only hands its certificate to whoever starts
+a new round (a VIEWCHANGE, a P1A): it answers that with its own signed
+certificate, so the straggler decides in one hop, and ignores every other
+message. A replica reaches itself through that same table: its own
+proposal, vote, promise or view change goes to the handler a peer's would
+reach, a vote signed first, so every check a handler makes runs on the
+replica's own message too. Only a collector acts on its own certificate
+directly. The pick of the value is the rule a new view and a phase 1 have
+in common: the value of the highest certificate among a quorum's reports,
+else the replica's own request. Neither a message to a decided replica nor
+a reply that reaches a collector after its quorum (a late promise or view
+change) counts as a drop.
 """
 
 from __future__ import annotations
@@ -226,30 +228,40 @@ TRANSFORMABLE = frozenset({MsgKind.PREPREPARE, MsgKind.NEWVIEW, MsgKind.PREPARE,
                            MsgKind.COMMIT, MsgKind.P2A, MsgKind.P2B})
 
 
+def _equivocate(keystore: KeyStore, digests: dict[bytes, bytes], payload: bytes) -> bytes:
+    """`payload` as an odd-indexed recipient gets it: a value altered, its
+    digest to match (kept in `digests` for a vote that carries only the
+    digest), and signed again by the sender; any other payload as it is."""
+    try:
+        msg = decode_msg(payload)
+    except codec.CodecError:
+        return payload
+    if msg.kind not in TRANSFORMABLE:
+        return payload
+    value, digest = msg.value, msg.digest
+    if value is not None:
+        alt = codec.sha(b"equivocate/" + value)
+        if digest is not None and digest == codec.sha(value):
+            digests[digest] = codec.sha(alt)
+            digest = digests[digest]
+        value = alt
+    elif digest is not None:
+        digest = digests.get(digest, codec.sha(b"equivocate/" + digest))
+    return encode_msg(keystore, replace(msg, value=value, digest=digest))
+
+
 def make_equivocation_transform(keystore: KeyStore):
-    """Per-recipient payload rewriter: odd-indexed recipients get an altered
-    value (or the matching altered digest), re-signed by the sender."""
-    memo: dict[bytes, bytes] = {}
+    """Per-recipient rewriter: odd-indexed recipients get `_equivocate`'s
+    bytes, the same for each, so each payload is rewritten once."""
+    digests: dict[bytes, bytes] = {}
+    rewritten: dict[bytes, bytes] = {}     # payload -> what odd recipients get
 
     def transform(payload: bytes, dst: str, dst_index: int) -> bytes:
         if dst_index % 2 == 0:
             return payload
-        try:
-            msg = decode_msg(payload)
-        except codec.CodecError:
-            return payload
-        if msg.kind not in TRANSFORMABLE:
-            return payload
-        value, digest = msg.value, msg.digest
-        if value is not None:
-            alt = codec.sha(b"equivocate/" + value)
-            if digest is not None and digest == codec.sha(value):
-                memo[digest] = codec.sha(alt)
-                digest = memo[digest]
-            value = alt
-        elif digest is not None:
-            digest = memo.get(digest, codec.sha(b"equivocate/" + digest))
-        return encode_msg(keystore, replace(msg, value=value, digest=digest))
+        if payload not in rewritten:
+            rewritten[payload] = _equivocate(keystore, digests, payload)
+        return rewritten[payload]
 
     return transform
 
@@ -268,14 +280,18 @@ class _Replica:
     is the newest and nothing is decided; it opens a delivery with
     `_accept` and dispatches it through the engine's table `_ON` from
     message kind to handler. A verified message of a kind the table lacks
-    is a drop. `_send` and `_bcast` pass a message meant for this replica
-    to the same table, without the network.
+    is a drop. Once decided, it answers a verified message of the engine's
+    `_STRAGGLER` kind with `_answer` and ignores any other, without a drop.
+    Each engine binds `step` in its own class, so each can be wrapped apart.
+    `_send` and `_bcast` pass a message meant for this replica to the same
+    table, without the network.
 
     `verified` maps a wire to what `verify_msg` made of it (its certificate
     checked too), shared by the replicas of one instance as `keys` says."""
 
     _ON: dict    # MsgKind -> handler(replica, msg, now), one table per engine
     _ROUND: str  # what a decision's trace note calls its view or round
+    _STRAGGLER: MsgKind   # what a decided replica answers with its certificate
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  verified: dict[bytes, Msg | None] | None = None):
@@ -301,6 +317,8 @@ class _Replica:
         msg = self._accept(event)
         if msg is None:
             return []
+        if self.decision is not None:
+            return self._answer(msg.sender) if msg.kind is self._STRAGGLER else []
         handler = self._ON.get(msg.kind)
         if handler is None:
             self.dropped += 1
@@ -407,6 +425,7 @@ class PBFTReplica(_Replica):
     broadcasts the certificates the votes form."""
 
     _ROUND = "view"
+    _STRAGGLER = MsgKind.VIEWCHANGE
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  verified: dict[bytes, Msg | None] | None = None):
@@ -422,24 +441,12 @@ class PBFTReplica(_Replica):
         self.vc_target = 0
         self._timeout = cfg.view_timeout
 
-    def _start_timer(self) -> list:
-        return self._set_timer(self._timeout)
-
-    def step(self, event: SimEvent, now: int) -> list:
-        """The shared entry until a decision. After it, a verified view
-        change is answered with this replica's COMMITTED and any other
-        verified message is ignored."""
-        if self.decision is None or event.kind != "msg":
-            return _Replica.step(self, event, now)
-        msg = self._accept(event)
-        if msg is None or msg.kind is not MsgKind.VIEWCHANGE:
-            return []
-        return self._answer(msg.sender)
+    step = _Replica.step
 
     # protocol steps
 
     def _on_request(self, now: int) -> list:
-        acts = self._start_timer()
+        acts = self._set_timer(self._timeout)
         if self.node == self.cfg.leader(self.view):
             acts += self._propose(MsgKind.PREPREPARE, self.view, self.request_value, now)
         return acts
@@ -515,7 +522,7 @@ class PBFTReplica(_Replica):
             cert_view, _, cert_value = self.prepared_cert
         vc = Msg(self.cfg.instance_id, MsgKind.VIEWCHANGE, self.node, view=target,
                  value=cert_value, cert_view=cert_view)
-        return self._send(self.cfg.leader(target), vc, now) + self._start_timer()
+        return self._send(self.cfg.leader(target), vc, now) + self._set_timer(self._timeout)
 
     def _on_viewchange(self, msg: Msg, now: int) -> list:
         """Tally a view change to a view this replica leads; one to a view
@@ -554,7 +561,7 @@ class PBFTReplica(_Replica):
             self.dropped += 1
             return []
         acts = self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
-        return acts + self._start_timer()
+        return acts + self._set_timer(self._timeout)
 
     _ON = {MsgKind.PREPREPARE: _on_preprepare, MsgKind.PREPARE: _on_vote,
            MsgKind.COMMIT: _on_vote, MsgKind.PREPARED: _on_prepared,
@@ -570,11 +577,10 @@ class PaxosReplica(_Replica):
     An acceptor sends its signed P2B to the ballot's owner only. The owner
     decides on a quorum of matching P2Bs and broadcasts one LEARN that
     carries the value and the quorum's (acceptor, signature) pairs; a
-    replica decides on a LEARN whose certificate verifies. A decided
-    replica answers a P1A with its own LEARN, so a straggling proposer
-    decides in one hop, and keeps acting as an acceptor."""
+    replica decides on a LEARN whose certificate verifies."""
 
     _ROUND = "round"
+    _STRAGGLER = MsgKind.P1A
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  initial_proposer: bool = False,
@@ -592,7 +598,6 @@ class PaxosReplica(_Replica):
         # (round, index, value digest) of an own ballot -> acceptor -> P2B signature
         self.accepts: dict[tuple[int, int, bytes], dict[str, bytes]] = {}
 
-    # an entry of this class's own, so each engine's step can be wrapped apart
     step = _Replica.step
 
     def _watchdog(self) -> list:
@@ -620,8 +625,6 @@ class PaxosReplica(_Replica):
                 + self._watchdog())
 
     def _on_p1a(self, msg: Msg, now: int) -> list:
-        if self.decision is not None:
-            return self._answer(msg.sender)
         ballot = (msg.view, msg.ballot_node)
         self._saw_round(msg.view)
         if self.promised is not None and ballot <= self.promised:
@@ -682,19 +685,15 @@ class PaxosReplica(_Replica):
         ballot = (msg.view, msg.ballot_node)
         tally = self._tally(self.accepts, (*ballot, codec.sha(msg.value)),
                             msg.sender, msg.sig)
-        if tally is None or self.decision is not None or len(tally) < self.cfg.quorum:
+        if tally is None or len(tally) != self.cfg.quorum:
             return []
         cert, wire = self._certify(MsgKind.LEARN, tally, view=ballot[0],
                                    ballot_node=ballot[1], value=msg.value)
-        self.current = None
         return (self._decide(cert, now, "", wire)
                 + self._to_all(wire, MsgKind.LEARN.value))
 
     def _on_learn(self, msg: Msg, now: int) -> list:
         """Decide on a LEARN; `verify_msg` has checked its certificate."""
-        if self.decision is not None:
-            return []
-        self.current = None
         return self._decide(msg, now, " learned")
 
     _ON = {MsgKind.P1A: _on_p1a, MsgKind.P1B: _on_p1b, MsgKind.P2A: _on_p2a,

@@ -1,18 +1,19 @@
 """What both consensus engines keep of their shared replica: the drop
-counts of the event entry, the timer a replica acts on, a decided PBFT
-replica's answers, the duplicate check of a tally, which value a new
+counts of the event entry, the timer a replica acts on, what a decided
+replica answers in either engine, the duplicate check of a tally, which value a new
 leader or proposer re-proposes, and the one way a replica reaches itself:
 its own proposals, votes and reports go through the handler table, like a
 peer's."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from otcestack import codec
-from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
+from otcestack.consensus import (VOTE_OF, Msg, MsgKind, PaxosReplica, PBFTReplica,
                                  config_from_plan, decode_msg, encode_msg,
-                                 run_instance)
+                                 run_instance, vote_body)
 from otcestack.keys import SIG_LEN, KeyStore
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import Behavior, FaultSpec, Send, SetTimer, SimEvent
@@ -127,6 +128,44 @@ def test_decided_pbft_replica_answers_only_a_view_change():
     assert rep.dropped == 1
 
 
+def signed_pairs(cert: Msg, voters) -> tuple:
+    """The (voter, signature) pairs of `cert`, each over the voter's own vote."""
+    return tuple((v, KS.sign(v, vote_body(cert, v))) for v in sorted(voters))
+
+
+def decided_paxos_replica() -> PaxosReplica:
+    """p1 decides b"v" on p0's LEARN for ballot (1, 0)."""
+    rep = paxos_replica("p1")
+    learn = Msg("i", MsgKind.LEARN, "p0", view=1, ballot_node=0, value=b"v")
+    deliver(rep, MsgKind.LEARN, "p0", view=1, ballot_node=0, value=b"v",
+            cert=signed_pairs(learn, MEMBERS5[:3]))
+    assert rep.decision is not None and rep.dropped == 0
+    return rep
+
+
+@pytest.mark.parametrize("make", [decided_pbft_replica, decided_paxos_replica],
+                         ids=["pbft", "paxos"])
+def test_a_decided_replica_answers_only_a_straggler_with_its_certificate(make):
+    """After a decision, a verified message of the engine's straggler kind
+    gets the replica's certificate back; every other kind, of either engine,
+    gets nothing and is no drop."""
+    rep = make()
+    asker = rep.cfg.members[3]
+    for kind in MsgKind:
+        msg = Msg("i", kind, asker, view=2, ballot_node=3, value=b"w",
+                  digest=codec.sha(b"w"))
+        if kind in VOTE_OF:
+            msg = replace(msg, cert=signed_pairs(msg, rep.cfg.members[:rep.cfg.quorum]))
+        event = SimEvent(1, 1, "msg", asker, rep.node, encode_msg(KS, msg), "m")
+        acts = rep.step(event, 1)
+        if kind is rep._STRAGGLER:
+            assert [(a.dst, decode_msg(a.payload)) for a in acts] == [
+                (asker, rep.certificate)]
+        else:
+            assert acts == [], kind
+        assert rep.dropped == 0, kind
+
+
 def newview_value(reports, target: int = 1) -> bytes:
     """The value r1, leader of `target`, proposes in its NEWVIEW after the
     view changes `reports` (sender, cert_view, value) arrive in that order."""
@@ -196,13 +235,13 @@ def handled(monkeypatch, cls, protocol: Protocol, members, faults=()) -> Counter
 
 
 # (kinds every replica handles once, kinds only the proposer or collector
-# handles from itself): the PBFT leader decides on its quorum of COMMITs
-# before the last peer's arrives, and a decided replica ignores a COMMIT
+# handles from itself): the collector decides on its quorum of COMMITs or
+# P2Bs before the last peer's arrives, and a decided replica ignores it
 @pytest.mark.parametrize("cls,protocol,members,everyone,own_only", [
     (PBFTReplica, Protocol.PBFT, MEMBERS4, (MsgKind.PREPREPARE, MsgKind.PREPARE),
      (MsgKind.COMMIT,)),
-    (PaxosReplica, Protocol.PAXOS, MEMBERS5,
-     (MsgKind.P1A, MsgKind.P1B, MsgKind.P2A, MsgKind.P2B), ()),
+    (PaxosReplica, Protocol.PAXOS, MEMBERS5, (MsgKind.P1A, MsgKind.P1B, MsgKind.P2A),
+     (MsgKind.P2B,)),
 ], ids=["pbft", "paxos"])
 def test_own_proposals_and_votes_reach_the_handler_table(monkeypatch, cls, protocol,
                                                          members, everyone, own_only):

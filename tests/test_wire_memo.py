@@ -186,6 +186,43 @@ def test_equivocator_rewrites_verified_as_separate_wires(monkeypatch):
     assert set(res.replica_drops) == set(MEMBERS4)
 
 
+def test_equivocator_rewrites_each_payload_once(monkeypatch):
+    """A broadcast reaches its odd-indexed recipients as one rewritten wire,
+    signed once, equal to what rewriting it again for each of them gives."""
+    ks = KeyStore(1)
+    signed = []
+    calls = []     # (payload, what its odd-indexed recipient got)
+    original_encode = consensus.encode_msg
+    original_make = consensus.make_equivocation_transform
+
+    def counting_encode(keystore, msg):
+        signed.append(original_encode(keystore, msg))
+        return signed[-1]
+
+    def recording_make(keystore):
+        transform = original_make(keystore)
+
+        def recording(payload, dst, dst_index):
+            out = transform(payload, dst, dst_index)
+            if dst_index % 2:
+                calls.append((payload, out))
+            return out
+        return recording
+
+    monkeypatch.setattr(consensus, "encode_msg", counting_encode)
+    monkeypatch.setattr(consensus, "make_equivocation_transform", recording_make)
+    members = tuple(f"r{i:02d}" for i in range(31))
+    res = run_instance(make_plan(Protocol.PBFT, 31), members, b"val", ks,
+                       net_cfg=NetworkConfig(1, 3, seed=1),
+                       faults=(FaultSpec("r00", Behavior.EQUIVOCATE),))
+    assert res.agreed and res.sent == 240
+    assert len(signed) == len(set(signed)) == 130
+    assert len(calls) > len({payload for payload, _ in calls})
+    digests: dict = {}
+    assert [out for _, out in calls] == [
+        consensus._equivocate(ks, digests, payload) for payload, _ in calls]
+
+
 # -- bvm -------------------------------------------------------------------
 
 def chain_dag() -> TaskDAG:
