@@ -40,7 +40,7 @@ execution share a memo of opened wires, by the rule in `keys`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -80,21 +80,28 @@ def chunk_input(chunk_id: str) -> Input:
 
 @dataclass(frozen=True)
 class Task:
+    """One operation over its `inputs`. `task_reads` and `chunk_reads` are
+    the refs of its task and chunk inputs, in operand order, duplicates
+    kept: derived once here for every reader, and not part of equality."""
     task_id: str
     op: str
     inputs: tuple[Input, ...]
+    task_reads: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    chunk_reads: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.op not in OPS:
             raise ValueError(f"unknown op {self.op!r}")
         if not self.inputs:
             raise ValueError(f"task {self.task_id}: no inputs")
-
-    def dep_tasks(self) -> list[str]:
-        return [i.ref for i in self.inputs if i.kind == TASK]
-
-    def chunk_refs(self) -> list[str]:
-        return [i.ref for i in self.inputs if i.kind == CHUNK]
+        task_reads, chunk_reads = [], []
+        for i in self.inputs:
+            if i.kind == TASK:
+                task_reads.append(i.ref)
+            elif i.kind == CHUNK:
+                chunk_reads.append(i.ref)
+        object.__setattr__(self, "task_reads", tuple(task_reads))
+        object.__setattr__(self, "chunk_reads", tuple(chunk_reads))
 
 
 class CycleError(ValueError):
@@ -111,7 +118,7 @@ class TaskDAG:
         for tid, task in self.tasks.items():
             if task.task_id != tid:
                 raise ValueError(f"task key {tid!r} != id {task.task_id!r}")
-            for dep in task.dep_tasks():
+            for dep in task.task_reads:
                 if dep not in self.tasks:
                     raise ValueError(f"task {tid}: unknown dependency {dep!r}")
         cyc = self._find_cycle()
@@ -128,7 +135,7 @@ class TaskDAG:
                 continue
             color[root] = 1
             path = [root]
-            pending = [iter(self.tasks[root].dep_tasks())]
+            pending = [iter(self.tasks[root].task_reads)]
             while pending:
                 for dep in pending[-1]:
                     c = color.get(dep, 0)
@@ -137,7 +144,7 @@ class TaskDAG:
                     if c == 0:
                         color[dep] = 1
                         path.append(dep)
-                        pending.append(iter(self.tasks[dep].dep_tasks()))
+                        pending.append(iter(self.tasks[dep].task_reads))
                         break
                 else:
                     color[path.pop()] = 2
@@ -148,14 +155,14 @@ class TaskDAG:
 
     @cached_property
     def chunk_ids(self) -> frozenset[str]:
-        return frozenset(ref for t in self.tasks.values() for ref in t.chunk_refs())
+        return frozenset(ref for t in self.tasks.values() for ref in t.chunk_reads)
 
     @cached_property
     def readers(self) -> dict[str, tuple[str, ...]]:
         """Task -> the distinct tasks that read its value."""
         readers: dict[str, list[str]] = {tid: [] for tid in self.tasks}
         for tid, task in self.tasks.items():
-            for dep in dict.fromkeys(task.dep_tasks()):
+            for dep in dict.fromkeys(task.task_reads):
                 readers[dep].append(tid)
         return {tid: tuple(r) for tid, r in readers.items()}
 
@@ -172,7 +179,7 @@ def topo_layers(dag: TaskDAG) -> list[list[str]]:
     dependents: dict[str, list[str]] = {tid: [] for tid in dag.tasks}
     indegree: dict[str, int] = {}
     for tid, task in dag.tasks.items():
-        deps = set(task.dep_tasks())
+        deps = set(task.task_reads)
         indegree[tid] = len(deps)
         for dep in deps:
             dependents[dep].append(tid)
@@ -256,8 +263,9 @@ def _place(dag: TaskDAG, order, nodes, holders) -> dict[str, str]:
     assign: dict[str, str] = {}
     cursor = 0
     for tid in order:
-        refs = set(dag.tasks[tid].chunk_refs())
-        if refs:
+        reads = dag.tasks[tid].chunk_reads
+        if reads:
+            refs = set(reads)
             assign[tid] = max(
                 nodes, key=lambda n: len(refs.intersection(holders.get(n, ()))))
         else:
@@ -345,10 +353,12 @@ class TaskExecutor:
         return [Send(m, wire, kind) for m in dsts]
 
     def _ready(self, tid: str) -> bool:
-        for inp in self.dag.tasks[tid].inputs:
-            if inp.kind == TASK and inp.ref not in self.values:
+        task = self.dag.tasks[tid]
+        for ref in task.task_reads:
+            if ref not in self.values:
                 return False
-            if inp.kind == CHUNK and inp.ref not in self.chunks:
+        for ref in task.chunk_reads:
+            if ref not in self.chunks:
                 return False
         return True
 
@@ -358,9 +368,11 @@ class TaskExecutor:
         self._owned.add(tid)
         if tid not in self.values:
             self._unfinished += 1
-        lacking = {(i.kind, i.ref) for i in self.dag.tasks[tid].inputs
-                   if (i.kind == TASK and i.ref not in self.values)
-                   or (i.kind == CHUNK and i.ref not in self.chunks)}
+        task = self.dag.tasks[tid]
+        lacking = [(TASK, ref) for ref in dict.fromkeys(task.task_reads)
+                   if ref not in self.values]
+        lacking += [(CHUNK, ref) for ref in dict.fromkeys(task.chunk_reads)
+                    if ref not in self.chunks]
         for kind, ref in lacking:
             self._waiting[kind].setdefault(ref, []).append(pos)
         if not lacking:
@@ -601,12 +613,14 @@ def parse_dag(text: str) -> tuple[TaskDAG, dict[str, bytes]]:
         task <id> <op> <operand> [...]
 
     where an operand is ``t:<task>``, ``l:<hex>``, or ``c:<chunk>``, and
-    ``#`` starts a comment. Raises ValueError naming the offending line, or
-    when there is no task."""
+    ``#`` starts a comment. A line ends at a newline. Raises
+    ValueError naming the offending line, or when there is no task. Each
+    distinct operand token is parsed once, and its tasks share the `Input`."""
     tasks: dict[str, Task] = {}
     chunks: dict[str, bytes] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
+    operands: dict[str, Input] = {}     # token -> its Input
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not parts:
             continue
         try:
@@ -622,8 +636,13 @@ def parse_dag(text: str) -> tuple[TaskDAG, dict[str, bytes]]:
                 tid = parts[1]
                 if tid in tasks:
                     raise ValueError(f"duplicate task {tid!r}")
-                tasks[tid] = Task(tid, parts[2],
-                                  tuple(_parse_operand(tok) for tok in parts[3:]))
+                inputs = []
+                for tok in parts[3:]:
+                    inp = operands.get(tok)
+                    if inp is None:     # a bad token raises before it is stored
+                        inp = operands[tok] = _parse_operand(tok)
+                    inputs.append(inp)
+                tasks[tid] = Task(tid, parts[2], tuple(inputs))
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as exc:
@@ -631,7 +650,7 @@ def parse_dag(text: str) -> tuple[TaskDAG, dict[str, bytes]]:
     if not tasks:
         raise ValueError("no tasks")
     for tid, task in tasks.items():
-        for ref in task.chunk_refs():
+        for ref in task.chunk_reads:
             if ref not in chunks:
                 raise ValueError(f"task {tid}: unknown chunk {ref!r}")
     return TaskDAG(tasks), chunks

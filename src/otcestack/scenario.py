@@ -15,8 +15,8 @@ how many positionals it takes and which keywords (on a setup line, only
 ``policy``) may appear once each. A directive's values are then checked
 by building the component they configure (keystore, network, trust graph,
 plan mapping, attestation policy), so each rule lives in that component
-and the parser only names the line. Blank lines are skipped and ``#``
-starts a comment (inline or whole-line).
+and the parser only names the line. A line ends at a newline, blank
+lines are skipped and ``#`` starts a comment (inline or whole-line).
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def parse_scenario(text: str) -> Scenario:
     actions: list[ParsedAction] = []
     graph = TrustHypergraph()       # answers the node and edge checks
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue

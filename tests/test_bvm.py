@@ -75,6 +75,29 @@ def test_layers_follow_longest_chain():
     assert dag.chunk_ids == {"k"}
 
 
+def test_derived_reads_are_the_operand_order_refs_of_each_kind():
+    mixed = Task("m", "concat", (chunk_input("k"), task_input("b"), lit_input(b"\x01"),
+                                 task_input("a"), chunk_input("k"), task_input("b")))
+    assert (mixed.task_reads, mixed.chunk_reads) == (("b", "a", "b"), ("k", "k"))
+    lits = Task("l", "add", (lit_input(b"\x01"), lit_input(b"\x01")))
+    assert (lits.task_reads, lits.chunk_reads) == ((), ())
+    rng = random.Random(2909)
+    for _ in range(100):
+        dag, _ = make_random_dag(rng)
+        for task in dag.tasks.values():
+            assert task.task_reads == tuple(i.ref for i in task.inputs if i.kind == bvm.TASK)
+            assert task.chunk_reads == tuple(i.ref for i in task.inputs if i.kind == bvm.CHUNK)
+
+
+def test_derived_reads_are_not_part_of_equality_or_hash():
+    inputs = (task_input("y"), chunk_input("k"))
+    one, other = Task("x", "add", inputs), Task("x", "add", inputs)
+    object.__setattr__(other, "task_reads", ())
+    object.__setattr__(other, "chunk_reads", ("elsewhere",))
+    assert one == other and hash(one) == hash(other)
+    assert one != Task("x", "add", inputs[::-1])
+
+
 def test_cycle_detected_with_witness():
     tasks = {
         "a": Task("a", "add", (task_input("c"),)),
@@ -102,7 +125,7 @@ def recursive_find_cycle(tasks) -> list[str] | None:
     def visit(tid):
         color[tid] = 1
         stack.append(tid)
-        for dep in tasks[tid].dep_tasks():
+        for dep in tasks[tid].task_reads:
             c = color.get(dep, 0)
             if c == 1:
                 return stack[stack.index(dep):] + [dep]
@@ -151,7 +174,7 @@ def longest_chain_layers(dag):
     """Brute force: a task's layer is the length of its longest dependency
     chain, found by trying every path."""
     def depth(tid):
-        return max((1 + depth(d) for d in dag.tasks[tid].dep_tasks()), default=0)
+        return max((1 + depth(d) for d in dag.tasks[tid].task_reads), default=0)
 
     by_depth: dict[int, list[str]] = {}
     for tid in dag.tasks:
@@ -910,3 +933,42 @@ def test_parse_errors_name_the_line():
     for text in ("", "# nothing here\nchunk k 00\n"):
         with pytest.raises(ValueError, match="no tasks"):
             parse_dag(text)
+    with pytest.raises(ValueError, match="line 2: bad operand"):
+        parse_dag("task a add l:01\ntask b add q:x\ntask c add q:x\n")
+
+
+def test_parse_gives_one_input_per_token_and_the_hand_built_dag():
+    dag, chunks = parse_dag("chunk k 07\n"
+                            "task a add l:01 l:01\n"
+                            "task b mul t:a c:k t:a l:01\n"
+                            "task c concat t:b c:k t:a\n")
+    assert chunks == {"k": b"\x07"}
+    assert dag == TaskDAG({
+        "a": Task("a", "add", (lit_input(b"\x01"), lit_input(b"\x01"))),
+        "b": Task("b", "mul", (task_input("a"), chunk_input("k"), task_input("a"),
+                               lit_input(b"\x01"))),
+        "c": Task("c", "concat", (task_input("b"), chunk_input("k"), task_input("a"))),
+    })
+    a, b, c = (dag.tasks[tid] for tid in "abc")
+    assert (b.task_reads, b.chunk_reads) == (("a", "a"), ("k",))
+    assert (c.task_reads, c.chunk_reads) == (("b", "a"), ("k",))
+    assert (dag.readers["a"], dag.chunk_ids) == (("b", "c"), {"k"})
+    assert a.inputs[0] is a.inputs[1] is b.inputs[3]
+    assert b.inputs[0] is b.inputs[2] is c.inputs[2]
+    assert b.inputs[1] is c.inputs[1]
+
+
+# `str.splitlines` also breaks a line at each of these
+NOT_NEWLINES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("brk", NOT_NEWLINES)
+def test_parse_ends_a_line_only_at_a_newline(brk):
+    dag, _ = parse_dag(f"task a add l:01{brk}\ntask b add t:a{brk}l:02 # x{brk}y\n")
+    assert dag.tasks["b"].inputs == (task_input("a"), lit_input(b"\x02"))
+    with pytest.raises(ValueError, match="line 2: duplicate task 'a'"):
+        parse_dag(f"task a add l:01{brk}\ntask a add l:02")
+
+
+def test_parse_reads_crlf_text_as_lf_text():
+    assert parse_dag(DAG_TEXT.replace("\n", "\r\n")) == parse_dag(DAG_TEXT)

@@ -6,7 +6,7 @@ Counted by wrapping the calls, not timed: per ledger tx, `codec.pack`,
 `codec.unpack` and HMACs (`KeyStore.sign`, which `KeyStore.verify` calls)
 over a run, its dump, load, verification and replay; per DAG task, network
 sends, HMACs and evaluations over a lossy run with a crash; per scenario
-line, every Python-level call of the parse. Each generator
+line and per DAG task, every Python-level call of the parse. Each generator
 draws the larger input as an extension of the smaller one, so a count that
 grows per unit comes from the code, not from a different input mix.
 """
@@ -192,3 +192,13 @@ def test_setup_parse_calls_per_line_are_linear():
         assert len(scn.faults) == len(scn.chunks) == 100 * size
         per_line[size] = {"calls": python_calls(parse_scenario, text) / text.count("\n")}
     assert_linear(per_line)
+
+
+def test_dag_parse_calls_per_task_are_linear():
+    per_task = {}
+    for size in SIZES:
+        text = dag_text(15 * size)
+        tasks = len(parse_dag(text)[0].tasks)
+        assert tasks == 15 * size * WIDTH
+        per_task[size] = {"calls": python_calls(parse_dag, text) / tasks}
+    assert_linear(per_task)

@@ -72,6 +72,23 @@ def test_comments_and_blank_lines_ignored():
     assert scn.seed == 7
 
 
+# `str.splitlines` also breaks a line at each of these
+NOT_NEWLINES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("brk", NOT_NEWLINES)
+def test_a_line_ends_only_at_a_newline(brk):
+    scn = parse_scenario(f"seed 7{brk}\nnode a{brk}# x{brk}node b\ndo update-trust{brk}e\n")
+    assert (scn.seed, scn.nodes) == (7, ("a",))
+    assert (scn.actions[0].args, scn.actions[0].line_no) == (("e",), 3)
+    with pytest.raises(ScenarioError, match="line 3: duplicate node"):
+        parse_scenario(f"seed 1{brk}\nnode a\nnode a\n")
+
+
+def test_crlf_text_parses_as_lf_text():
+    assert parse_scenario(FULL.replace("\n", "\r\n")) == parse_scenario(FULL)
+
+
 def test_action_kw_parsed():
     scn = parse_scenario("seed 1\ndo create-otce s group=a,b delta=9 trust=edge:e by=a\n")
     act = scn.actions[0]
