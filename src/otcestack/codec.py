@@ -15,10 +15,13 @@ passes `int(kind)` or `kind.value`. `unpack` refuses with
 `CodecError` a truncated item, an empty int body, an int body of another
 length than `pack` gives that int (so `80` for -128, whose body is `ff80`),
 a bool byte other than 00 or 01, bad utf-8, an unknown tag, and nesting too
-deep for the interpreter. `pack` and `unpack` are the entry points:
-`digest` calls `pack` and `unpack_record` calls `unpack` by their
-module-global names, so a wrapper installed on those two names (as the
-benchmark's tracer does) sees every encoding and decoding.
+deep for the interpreter. `pack` and `unpack` are the entry points, and
+`unpack_record` calls `unpack` by its module-global name, so a wrapper
+installed on those two names (as the benchmark's tracer does) sees every
+packed record and every decoding. `digest` hashes `pack`'s bytes as they
+are encoded, without packing the record, so its peak memory is set by its
+largest item rather than by the record's length, and such a wrapper does
+not see a digest's encoding.
 
 No node trusts the records it is handed, so every decoder of packed data
 checks one record rule before acting: a tag, a fixed number of fields, each
@@ -45,10 +48,10 @@ _HEAD = struct.Struct(">cI")    # a tag and a length
 _B, _S, _I, _L, _N, _T, _F = b"BSILNTF"
 
 
-def _encode_items(items, out: list[bytes]) -> None:
-    # One `out` entry per scalar: `b"".join` holds a buffer record for each
-    # entry, so more entries raise the peak memory of packing a long record.
-    append = out.append
+def _encode_items(items, append) -> None:
+    # One `append` call per scalar: `b"".join` holds a buffer record for
+    # each list entry, so more entries raise the peak memory of packing a
+    # long record.
     head = _HEAD.pack
     for item in items:
         t = type(item)
@@ -64,7 +67,7 @@ def _encode_items(items, out: list[bytes]) -> None:
             append(b"T\x01" if item else b"T\x00")
         elif t is list or t is tuple:
             append(head(b"L", len(item)))
-            _encode_items(item, out)
+            _encode_items(item, append)
         elif item is None:
             append(b"N")
         elif t is float:
@@ -75,7 +78,7 @@ def _encode_items(items, out: list[bytes]) -> None:
 
 def pack(*items) -> bytes:
     out: list[bytes] = []
-    _encode_items(items, out)
+    _encode_items(items, out.append)
     return b"".join(out)
 
 
@@ -166,7 +169,10 @@ def sha(data: bytes) -> bytes:
 
 
 def digest(*items) -> bytes:
-    return sha(pack(*items))
+    """`sha(pack(*items))`, hashed as it is encoded."""
+    h = hashlib.sha256()
+    _encode_items(items, h.update)
+    return h.digest()
 
 
 def short(data: bytes) -> str:

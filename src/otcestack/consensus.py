@@ -651,6 +651,10 @@ class PaxosReplica(_Replica):
         if reports is None or len(reports) < self.cfg.quorum:
             return []
         self.current = None
+        # this replica's acceptor has since promised a higher ballot and
+        # would refuse this one's P2A: drop it, the watchdog retries higher
+        if self.promised is not None and ballot < self.promised:
+            return []
         value = self._highest(reports)
         if value is None:
             return []

@@ -96,8 +96,8 @@ class DIDRegistry:
         for did in sorted(self.records):
             rec = self.records[did]
             attrs = ",".join(f"{name}={value.hex()}" for name, value in rec.attestation)
-            lines.append(f"{rec.did} {rec.pubkey.hex()} {rec.registered_at} {attrs}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            lines.append(f"{rec.did} {rec.pubkey.hex()} {rec.registered_at} {attrs}\n")
+        return "".join(lines)
 
 
 # -- threshold secret sharing ----------------------------------------------

@@ -212,8 +212,8 @@ class TrustHypergraph:
     # -- dump --------------------------------------------------------------
 
     def dump(self) -> str:
-        lines = [f"node {n}" for n in sorted(self.nodes)]
+        lines = [f"node {n}\n" for n in sorted(self.nodes)]
         for edge_id in sorted(self.edges):
             edge = self.edges[edge_id]
-            lines.append(f"edge {edge.edge_id} {edge.trust!r} {','.join(edge.members)}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            lines.append(f"edge {edge.edge_id} {edge.trust!r} {','.join(edge.members)}\n")
+        return "".join(lines)

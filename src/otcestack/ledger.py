@@ -241,8 +241,8 @@ def dump_chain(chain) -> str:
         recs = ";".join(
             f"{tx.wire.hex()}:{int(ok)}:{reason.encode().hex()}"
             for tx, (ok, reason) in zip(block.txs, block.status))
-        lines.append(f"{block.height} {block.prev_hash.hex()} {block.hash.hex()} {recs or '-'}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{block.height} {block.prev_hash.hex()} {block.hash.hex()} {recs or '-'}\n")
+    return "".join(lines)
 
 
 # The characters `dump_chain` writes. `bytes.fromhex` also takes upper

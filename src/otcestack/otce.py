@@ -336,8 +336,8 @@ class OTCERegistry:
         for eid in sorted(self.records):
             rec = self.records[eid]
             lines.append(f"{rec.eid} {rec.state.value} {','.join(rec.group)} "
-                         f"{rec.delta_t} {rec.created_height}")
-        return "\n".join(lines) + ("\n" if lines else "")
+                         f"{rec.delta_t} {rec.created_height}\n")
+        return "".join(lines)
 
 
 # tx kind -> the rule `apply` runs; plain functions, so the table holds no

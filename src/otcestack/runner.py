@@ -127,7 +127,9 @@ class RunResult:
     def outputs(self) -> dict[str, str]:
         return {
             "chain.dump": dump_chain(self.ledger.chain),
-            "trace.log": "".join(line + "\n" for line in self.trace),
+            # the empty last item ends the text with a newline, without a
+            # second copy of it
+            "trace.log": "\n".join([*self.trace, ""]),
             "metrics.txt": self.metrics_text(),
             "otce.dump": self.otce.dump(),
             "did.dump": self.dids.dump(),

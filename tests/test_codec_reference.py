@@ -142,11 +142,19 @@ def test_pack_gives_the_reference_bytes():
     assert {type(None), bool, int, float, bytes, str, list, tuple} <= seen
 
 
+def test_digest_is_the_sha_of_the_packed_record():
+    # `digest` streams the encoding into the hash without packing it
+    rng = random.Random(5151)
+    for _ in range(2500):
+        items = [random_value(rng) for _ in range(rng.randrange(1, 6))]
+        assert codec.digest(*items) == codec.sha(codec.pack(*items)), items
+
+
 def test_pack_refuses_what_the_reference_refuses():
     # exact types only: an enum member is refused like any other subclass
     for bad in (bytearray(b"x"), {1: 2}, {1}, 1j, object(), [1, [memoryview(b"")]],
                 TxKind.CREATE_OTCE, MsgKind.PREPARE, OTCEState.RUNNING):
-        for fn in (codec.pack, ref_pack):
+        for fn in (codec.pack, codec.digest, ref_pack):
             try:
                 fn("a", bad)
             except codec.CodecError as exc:

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from otcestack.consensus import (MsgKind, PaxosReplica, config_from_plan,
-                                 run_instance)
+                                 decode_msg, run_instance)
 from otcestack.keys import KeyStore
 from otcestack.plan import Protocol, make_plan
-from otcestack.simnet import Behavior, FaultSpec, Network, NetworkConfig
+from otcestack.simnet import Behavior, FaultSpec, Network, NetworkConfig, Send
 
 MEMBERS3 = ("p0", "p1", "p2")
 MEMBERS5 = tuple(f"p{i}" for i in range(5))
@@ -99,11 +99,25 @@ def test_any_payload_transform_is_outside_a_crash_plan():
     assert res.beyond_bound
 
 
+def _no_p2a_below_own_promise(rep: PaxosReplica):
+    """`rep.step`, checking that no P2A it sends is for a ballot below the
+    one its own acceptor has promised, which that acceptor would refuse."""
+    def step(event, now):
+        acts = rep.step(event, now)
+        for act in acts:
+            if isinstance(act, Send) and act.label == MsgKind.P2A.value:
+                msg = decode_msg(act.payload)
+                assert (msg.view, msg.ballot_node) >= rep.promised, (msg, rep.promised)
+        return acts
+    return step
+
+
 def test_dueling_proposers_converge():
     """Every member proposes its own value at tick 0: 300 runs each at
     n = 3 and 5, with delays 1-5, GST at none, 40 or 120, loss before it,
     an optional crash and view timeouts 5-40. No two members ever decide
-    apart, and once the network stabilizes every live member decides."""
+    apart, once the network stabilizes every live member decides, and no
+    member sends a P2A that its own acceptor has promised not to accept."""
     rng = random.Random(2468)
     ks = KeyStore(5)
     for members in (MEMBERS3, MEMBERS5):
@@ -118,7 +132,7 @@ def test_dueling_proposers_converge():
             reps = {m: PaxosReplica(ccfg, m, ks, initial_proposer=True)
                     for m in members}
             for m in members:
-                net.register(m, reps[m].step)
+                net.register(m, _no_p2a_below_own_promise(reps[m]))
                 net.schedule_local(m, 0, m.encode(), MsgKind.REQUEST.value)
             crashed = rng.choice((None,) + members)
             if crashed is not None:
