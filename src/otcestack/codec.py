@@ -27,13 +27,27 @@ No node trusts the records it is handed, so every decoder of packed data
 checks one record rule before acting: a tag, a fixed number of fields, each
 of a given type, else `CodecError`. `unpack_record` applies the rule to
 bytes and `check_record` to an already-unpacked tuple, such as a nested
-list. A shape gives one entry per field: a `str` the field must equal, or a
+list. A shape gives one entry per field: a `str` the field must equal, a
 type or tuple of types the field must be an instance of (`object` leaves the
-field unchecked; `bool` passes as `int`, as `isinstance` has it).
+field unchecked; `bool` passes as `int`, as `isinstance` has it), or
+`list_of(t)`, a list whose items are all instances of `t`, itself a type
+whose instance check says so.
+
+`unpack_record(data, *shape)` is `unpack(data, shape)`, which decodes and
+checks in one pass: each field's tag is checked against its entry before
+the field's body is read, since a tag fixes the type of what it decodes
+to; literal, `str`, `bytes` and `int` fields are decoded inline, and so
+are the items of a `list_of` field, each tag checked against `t`. Any
+other entry, or a nested list in a `tuple` or `object` field, takes the
+generic decoder and then an instance check. A record refused by the check
+is decoded again in full and refused by `check_record`, so it gives the
+fields, or the refusal and its message, that `check_record(unpack(data),
+*shape)` gives.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 
@@ -42,10 +56,17 @@ class CodecError(ValueError):
     """Raised when bytes are not a valid canonical encoding."""
 
 
+class _Mismatch(Exception):
+    """A field or list item whose tag its shape entry does not take."""
+
+
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 _HEAD = struct.Struct(">cI")    # a tag and a length
 _B, _S, _I, _L, _N, _T, _F = b"BSILNTF"
+# the tags whose values are instances of each type, `bool` passing as `int`
+_TAGS = {str: b"S", bytes: b"B", int: b"IT", float: b"F", tuple: b"L",
+         bool: b"T", type(None): b"N"}
 
 
 def _encode_items(items, append) -> None:
@@ -82,9 +103,12 @@ def pack(*items) -> bytes:
     return b"".join(out)
 
 
-def _decode_items(data: bytes, offset: int, count: int) -> tuple[tuple, int]:
+def _decode_items(data: bytes, offset: int, count: int,
+                  item: type | None = None) -> tuple[tuple, int]:
     """Up to `count` items from `data` at `offset`, fewer only where `data`
-    ends first, and the offset after them."""
+    ends first, and the offset after them; with an `item` type, each item's
+    tag is checked against it before the item's body is read."""
+    tags = None if item is None else _TAGS[item]
     items = []
     append = items.append
     end = len(data)
@@ -94,6 +118,8 @@ def _decode_items(data: bytes, offset: int, count: int) -> tuple[tuple, int]:
             if offset >= end:
                 break
             tag = data[offset]
+            if tags is not None and tag not in tags:
+                raise _Mismatch
             offset += 1
             if tag == _B or tag == _S or tag == _I:
                 start = offset + 4
@@ -139,11 +165,113 @@ def _decode_items(data: bytes, offset: int, count: int) -> tuple[tuple, int]:
     return tuple(items), offset
 
 
-def unpack(data: bytes) -> tuple:
+def unpack(data: bytes, shape: tuple | None = None) -> tuple:
+    """The items of `data`; with a `shape`, `check_record(unpack(data),
+    *shape)` in one pass."""
     try:
-        return _decode_items(data, 0, len(data))[0]
+        if shape is None:
+            return _decode_items(data, 0, len(data))[0]
+        return _decode_record(data, shape)
     except RecursionError:
         raise CodecError("nesting too deep") from None
+
+
+def _decode_record(data: bytes, shape: tuple) -> tuple:
+    """The fields of `data`, each field's tag checked against its entry in
+    `shape` before its body is read."""
+    fields = []
+    append = fields.append
+    end = len(data)
+    offset = 0
+    u32 = _U32.unpack_from
+    tags_of = _TAGS.get
+    try:
+        for want in shape:
+            if offset >= end:
+                break
+            tag = data[offset]
+            tags = tags_of(want)
+            if tags is None:
+                if want.__class__ is str:
+                    tags = b"S"
+                elif want.__class__ is _ListOf:
+                    if tag != _L:
+                        raise _Mismatch
+                    n = u32(data, offset + 1)[0]
+                    items, offset = _decode_items(data, offset + 5, n, want.item)
+                    if len(items) < n:
+                        raise CodecError("truncated encoding")
+                    append(items)
+                    continue
+                else:
+                    items, offset = _decode_items(data, offset, 1)
+                    if not isinstance(items[0], want):
+                        raise _Mismatch
+                    append(items[0])
+                    continue
+            if tag not in tags:
+                raise _Mismatch
+            if tag == _S or tag == _B or tag == _I:
+                start = offset + 5
+                offset = start + u32(data, offset + 1)[0]
+                if offset > end:
+                    raise CodecError("truncated encoding")
+                if tag == _S:
+                    value = data[start:offset].decode()
+                    if want is not str and value != want:
+                        raise _Mismatch
+                    append(value)
+                elif tag == _B:
+                    append(data[start:offset])
+                elif offset == start:
+                    raise CodecError("empty int body")
+                else:
+                    v = int.from_bytes(data[start:offset], "big", signed=True)
+                    if offset - start != (v.bit_length() + 8) // 8:
+                        raise CodecError("non-canonical int")
+                    append(v)
+            else:
+                items, offset = _decode_items(data, offset, 1)
+                append(items[0])
+    except struct.error:
+        raise CodecError("truncated encoding") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError("bad utf-8 in string") from exc
+    except _Mismatch:
+        pass
+    else:
+        if len(fields) == len(shape) and offset == end:
+            return tuple(fields)
+    # refused: decode it all, so the refusal is the one `check_record` gives
+    return check_record(_decode_items(data, 0, end)[0], *shape)
+
+
+def _noun(want) -> str:
+    """A shape entry as a refusal names it: 'create', an int, a str or a bytes."""
+    if isinstance(want, str):
+        return repr(want)
+    if isinstance(want, tuple):
+        return " or ".join(map(_noun, want))
+    name = want.__name__
+    return f"{'an' if name[0] in 'aeiou' else 'a'} {name}"
+
+
+class _ListOf(type):
+    """The class of `list_of`'s entries: an instance check of one passes a
+    tuple whose items are all instances of its `item`."""
+
+    def __instancecheck__(cls, value) -> bool:
+        item = cls.item
+        return isinstance(value, tuple) and all(isinstance(v, item) for v in value)
+
+
+@functools.cache
+def list_of(item: type) -> type:
+    """The shape entry of a list whose items are all instances of `item`,
+    one of the types a tag decodes to."""
+    if item not in _TAGS:
+        raise TypeError(f"no tag decodes to {item!r}")
+    return _ListOf(f"list of {item.__name__}", (), {"item": item})
 
 
 def check_record(fields, *shape) -> tuple:
@@ -153,15 +281,16 @@ def check_record(fields, *shape) -> tuple:
     for i, want in enumerate(shape):
         if isinstance(want, str):
             if fields[i] != want:
-                raise CodecError(f"record field {i} is not {want!r}")
+                raise CodecError(f"record field {i} is not {_noun(want)}")
         elif not isinstance(fields[i], want):
-            raise CodecError(f"record field {i} is not {want!r}")
+            raise CodecError(f"record field {i} is not {_noun(want)}")
     return fields
 
 
 def unpack_record(data: bytes, *shape) -> tuple:
-    """The fields of `data`, checked against `shape` by `check_record`."""
-    return check_record(unpack(data), *shape)
+    """The fields of `data`, checked against `shape` as `check_record`
+    checks them, while they are decoded."""
+    return unpack(data, shape)
 
 
 def sha(data: bytes) -> bytes:

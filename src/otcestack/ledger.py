@@ -58,6 +58,10 @@ class TxKind(IntEnum):
     UPDATE_PLAN = 7
 
 
+# each kind by its number, for `decode_tx`
+_KINDS = {kind.value: kind for kind in TxKind}
+
+
 @dataclass(frozen=True, slots=True)
 class Transaction:
     kind: TxKind
@@ -102,16 +106,15 @@ def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Tr
 
 def decode_tx(data: bytes) -> Transaction:
     kind_num, payload, sender, signature, tx_id = codec.unpack_record(
-        data, object, bytes, str, bytes, bytes)
-    # Exactly an int, not a bool or a float: a tx's hash and signature cover
-    # the kind as `int(kind)`, so `T\x01` would verify in place of kind 1 and
-    # give one chain a second dump.
+        data, int, bytes, str, bytes, bytes)
+    # Exactly an int, not a bool: a tx's hash and signature cover the kind
+    # as `int(kind)`, so `T\x01` would verify in place of kind 1 and give
+    # one chain a second dump.
     if type(kind_num) is not int:
         raise codec.CodecError(f"tx kind {kind_num!r} is not an int")
-    try:
-        kind = TxKind(kind_num)
-    except ValueError as exc:
-        raise codec.CodecError(f"unknown tx kind {kind_num}") from exc
+    kind = _KINDS.get(kind_num)
+    if kind is None:
+        raise codec.CodecError(f"unknown tx kind {kind_num}")
     # `data` is canonical, so it is the tx's wire, and its head is all of
     # it but the trailing `pack(signature, tx_id)`: two 5-byte item heads
     head = data[:len(data) - 10 - len(signature) - len(tx_id)]

@@ -88,6 +88,10 @@ LIFECYCLE_TAGS = {TxKind.SUSPEND_OTCE: "suspend", TxKind.RESUME_OTCE: "resume",
 _SWITCH = {TxKind.SUSPEND_OTCE: (OTCEState.RUNNING, OTCEState.SUSPEND),
            TxKind.RESUME_OTCE: (OTCEState.SUSPEND, OTCEState.RUNNING)}
 
+# the shape entries of a create's group and of a trust vector
+_GROUP = codec.list_of(str)
+_TRUST = codec.list_of(float)
+
 
 # -- payload encodings -----------------------------------------------------
 
@@ -147,9 +151,7 @@ class OTCERegistry:
         terminate gives its eid alone."""
         if kind is TxKind.CREATE_OTCE:
             _, group, delta_t, components, _ = codec.unpack_record(
-                payload, "create", tuple, int, tuple, int)
-            codec.check_record(group, *(str,) * len(group))
-            codec.check_record(components, *(float,) * len(components))
+                payload, "create", _GROUP, int, _TRUST, int)
             return group, delta_t, components
         tag = LIFECYCLE_TAGS.get(kind)
         if tag is not None:
@@ -161,8 +163,7 @@ class OTCERegistry:
                 codec.check_record(pair, str, bytes)
             return eid, digest, sigs
         if kind is TxKind.UPDATE_PLAN:
-            _, eid, components, _ = codec.unpack_record(payload, "plan", str, tuple, int)
-            codec.check_record(components, *(float,) * len(components))
+            _, eid, components, _ = codec.unpack_record(payload, "plan", str, _TRUST, int)
             return eid, components
         raise codec.CodecError(f"unsupported kind {kind.name}")
 

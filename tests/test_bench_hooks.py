@@ -9,7 +9,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from otcestack import codec
+from otcestack.ledger import TxKind, dump_chain, load_chain, replay_chain
+from otcestack.runner import contracts_for, run_scenario
+from otcestack.scenario import parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -59,3 +65,33 @@ def test_tracer_wraps_every_target_and_restores_each_original():
     after = bindings()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_an_audit_decodes_each_record_once_through_codec_unpack(monkeypatch):
+    """The tracer counts decodes by wrapping `codec.unpack` by its module
+    name. Loading and replaying a chain decode each tx record once and each
+    payload once; a decoder that skipped that name would count as none.
+    The two scenarios' chains hold a tx of every kind."""
+    real = codec.unpack
+    seen = []
+
+    def counted(data, *args, **kwargs):
+        seen.append(data)
+        return real(data, *args, **kwargs)
+
+    kinds = set()
+    for name in ("fig4", "plan_switch"):
+        scenarios = ROOT / "scenarios"
+        scn = parse_scenario((scenarios / f"{name}.scn").read_text())
+        result = run_scenario(scn, scenarios)
+        text = dump_chain(result.ledger.chain)
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(codec, "unpack", counted)
+            chain = load_chain(text)
+            assert seen == [tx.wire for block in chain for tx in block.txs]
+            seen.clear()
+            assert replay_chain(chain, contracts_for(scn, result.keystore)) == []
+            assert seen == [tx.payload for block in chain for tx in block.txs]
+        kinds.update(tx.kind for block in chain for tx in block.txs)
+    assert kinds == set(TxKind)

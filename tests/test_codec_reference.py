@@ -1,7 +1,10 @@
 """The codec against a plain recursive reference: the same bytes out of
 `pack`, and out of `unpack` the same values or the same refusal, except
-that `unpack` refuses bytes that `pack` would not produce."""
+that `unpack` refuses bytes that `pack` would not produce. And the
+one-pass `unpack_record` against its two passes, `check_record` applied
+to `unpack`'s items: the same fields or the same refusal."""
 
+import functools
 import math
 import random
 import struct
@@ -10,8 +13,10 @@ import pytest
 
 from otcestack import codec
 from otcestack.consensus import MsgKind
-from otcestack.ledger import TxKind
-from otcestack.otce import OTCEState
+from otcestack.did import DIDRegistry
+from otcestack.keys import KeyStore
+from otcestack.ledger import TxKind, decode_tx
+from otcestack.otce import OTCERegistry, OTCEState
 
 # -- reference: one recursive call per item -----------------------------------
 
@@ -290,3 +295,166 @@ def test_pinned_vector_covers_every_tag():
     assert codec.pack(*items) == vector
     assert codec.unpack(vector) == (None, True, False, 0, -1, 255, -(2**70), 1.5, -0.0,
                                     b"", b"\x00\xff", "", "é世", (7, ("x", b"y")), ())
+
+
+# -- one-pass record decoding against the two passes ---------------------------
+
+
+def package_shapes():
+    """Each shape the package's decoders pass to `unpack_record`, recorded
+    by feeding every decoder an empty record."""
+    shapes = []
+    real = codec.unpack_record
+
+    def record(data, *shape):
+        shapes.append(shape)
+        return real(data, *shape)
+
+    registry = OTCERegistry(KeyStore(1))
+    dids = DIDRegistry()
+    codec.unpack_record = record
+    try:
+        for decode in [decode_tx] + [
+                functools.partial(contract.decode_payload, kind)
+                for contract in (registry, dids) for kind in sorted(contract.KINDS)]:
+            with pytest.raises(codec.CodecError):
+                decode(b"")
+    finally:
+        codec.unpack_record = real
+    return list(dict.fromkeys(shapes))
+
+
+GROUP, TRUST = codec.list_of(str), codec.list_of(float)
+SCALARS = (str, bytes, int, float, bool, type(None), tuple)
+ENTRIES = (SCALARS + (object, (bytes, type(None)), (str, int))
+           + tuple(codec.list_of(t) for t in SCALARS) + STRS[:3])
+
+
+def random_shape(rng):
+    return tuple(rng.choice(ENTRIES) for _ in range(rng.randrange(1, 6)))
+
+
+def value_for(rng, want):
+    """A value that `want` takes, or now and then any value."""
+    if rng.random() < 0.15:
+        return random_value(rng)
+    if isinstance(want, str):
+        return want
+    if isinstance(want, tuple):
+        want = rng.choice(want)
+    if isinstance(want, codec._ListOf):
+        return [value_for(rng, want.item) for _ in range(rng.randrange(0, 5))]
+    while True:
+        value = random_value(rng)
+        if want is tuple and isinstance(value, list) or isinstance(value, want):
+            return value
+
+
+def record_outcome(decode, data, shape):
+    """`outcome` of one record decode: the fields as the reference encodes
+    them, or the refusal's message."""
+    try:
+        return "ok", ref_pack(*decode(data, shape))
+    except codec.CodecError as exc:
+        return "refused", str(exc)
+
+
+def one_pass(data, shape):
+    return codec.unpack_record(data, *shape)
+
+
+def two_passes(data, shape):
+    return codec.check_record(codec.unpack(data), *shape)
+
+
+def test_package_shapes_are_the_decoders_shapes():
+    assert package_shapes() == [
+        (int, bytes, str, bytes, bytes),
+        ("create", GROUP, int, TRUST, int), ("suspend", str, int), ("resume", str, int),
+        ("result", str, bytes, tuple, int), ("terminate", str, int),
+        ("plan", str, TRUST, int), ("register", bytes, tuple, int)]
+
+
+def test_unpack_record_matches_the_two_passes():
+    """`unpack_record` gives the fields `check_record(unpack(data))` gives,
+    or refuses with its message, on records of the package's shapes and of
+    random shapes, and on their mutants."""
+    rng = random.Random(4004)
+    shapes = package_shapes() + [random_shape(rng) for _ in range(60)]
+    cases = {"ok": 0, "refused": 0}
+    for shape in shapes:
+        for _ in range(8):
+            data = codec.pack(*[value_for(rng, want) for want in shape])
+            for mutant in [data] + list(mutations(rng, data))[::3]:
+                got = record_outcome(one_pass, mutant, shape)
+                assert got == record_outcome(two_passes, mutant, shape), (shape, mutant.hex())
+                cases[got[0]] += 1
+    assert cases["ok"] > 1000 and cases["refused"] > 10000, cases
+
+
+L3 = b"L" + struct.pack(">I", 3)        # a list head that claims three items
+
+
+EDGE_CASES = {
+    # a bool passes as an int, an int does not pass as a bool
+    "bool-as-int": (codec.pack("t", True), ("t", int), ("t", True)),
+    "int-as-bool": (codec.pack(1), (bool,), "record field 0 is not a bool"),
+    "bool-as-int-list": (codec.pack(True), (codec.list_of(int),),
+                         "record field 0 is not a list of int"),
+    "bools-in-int-list": (codec.pack([True, 2]), (codec.list_of(int),), ((True, 2),)),
+    "int-in-bool-list": (codec.pack([1]), (codec.list_of(bool),),
+                         "record field 0 is not a list of bool"),
+    # a list's count larger than its items, at the end or swallowing a field
+    "count-past-end": (L3 + codec.pack("a", "b"), (GROUP,), "truncated encoding"),
+    "count-swallows-int": (L3 + codec.pack("a", "b", 7), (GROUP, int),
+                           "record needs 2 fields"),
+    "count-swallows-float": (L3 + codec.pack(0.5, 0.25, 0.75), (TRUST, float),
+                             "record needs 2 fields"),
+    "count-past-end-object": (L3 + codec.pack("a"), (object,), "truncated encoding"),
+    # a wrong tag inside a typed list, alone or before bytes that do not decode
+    "int-in-group": (codec.pack("create", ["a", 1], 5, [0.5], 7),
+                     ("create", GROUP, int, TRUST, int),
+                     "record field 1 is not a list of str"),
+    "int-in-trust-then-junk": (codec.pack([0.5, 1]) + b"Z", (TRUST,), "unknown tag b'Z'"),
+    "list-in-trust": (codec.pack([[0.5]]), (TRUST,), "record field 0 is not a list of float"),
+    # nested lists in an `object` or `tuple` entry decode generically
+    "nested-object": (codec.pack("t", [1, ["x", [b"y"]]]), ("t", object),
+                      ("t", (1, ("x", (b"y",))))),
+    "list-of-tuples": (codec.pack([[1], []]), (codec.list_of(tuple),), (((1,), ()),)),
+    # a tx kind that is a float, and a tuple of types
+    "float-as-int": (codec.pack(2.0), (int,), "record field 0 is not an int"),
+    "str-as-bytes-or-none": (codec.pack("x", None), ((bytes, type(None)), object),
+                             "record field 0 is not a bytes or a NoneType"),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_unpack_record_edge_cases(case):
+    data, shape, want = EDGE_CASES[case]
+    for decode in (one_pass, two_passes):
+        if isinstance(want, str):
+            with pytest.raises(codec.CodecError) as exc:
+                decode(data, shape)
+            assert str(exc.value) == want
+        else:
+            assert decode(data, shape) == want
+
+
+@pytest.mark.parametrize("shape", [(object,), (tuple,), ("t", object), (int,), (GROUP,),
+                                   (codec.list_of(tuple),), (object, int)],
+                         ids=["object", "tuple", "tag-object", "int", "group",
+                              "list-of-tuple", "object-int"])
+def test_deep_nesting_in_a_record_is_a_codec_error(shape):
+    for data in DEEP:
+        for body in (data, codec.pack("t") + data):
+            got = record_outcome(one_pass, body, shape)
+            assert got == record_outcome(two_passes, body, shape)
+            assert got[0] == "refused"
+
+
+def test_list_of_is_one_entry_per_type():
+    assert codec.list_of(str) is GROUP
+    assert isinstance(("a", "b"), GROUP) and isinstance((), GROUP)
+    assert not isinstance(("a", b"b"), GROUP) and not isinstance(["a"], GROUP)
+    with pytest.raises(TypeError):
+        codec.list_of(list)
