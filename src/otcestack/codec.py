@@ -21,7 +21,12 @@ installed on those two names (as the benchmark's tracer does) sees every
 packed record and every decoding. `digest` hashes `pack`'s bytes as they
 are encoded, without packing the record, so its peak memory is set by its
 largest item rather than by the record's length, and such a wrapper does
-not see a digest's encoding.
+not see a digest's encoding. `digest_records(head, records)` is
+`digest(*head, *[pack(*r) for r in records])` streamed the same way: a
+(bytes, bool, str) record, a committed tx's wire and status, goes into the
+hash as its item heads around the wire, which is never copied, and any
+other record is packed by `pack`. A block's hash is one such call, so a
+`pack` wrapper no longer sees block hashing.
 
 No node trusts the records it is handed, so every decoder of packed data
 checks one record rule before acting: a tag, a fixed number of fields, each
@@ -34,15 +39,17 @@ field unchecked; `bool` passes as `int`, as `isinstance` has it), or
 whose instance check says so.
 
 `unpack_record(data, *shape)` is `unpack(data, shape)`, which decodes and
-checks in one pass: each field's tag is checked against its entry before
-the field's body is read, since a tag fixes the type of what it decodes
-to; literal, `str`, `bytes` and `int` fields are decoded inline, and so
-are the items of a `list_of` field, each tag checked against `t`. Any
-other entry, or a nested list in a `tuple` or `object` field, takes the
-generic decoder and then an instance check. A record refused by the check
-is decoded again in full and refused by `check_record`, so it gives the
-fields, or the refusal and its message, that `check_record(unpack(data),
-*shape)` gives.
+checks in one pass, from a plan compiled once per shape (shapes are
+module constants): one opcode per entry, with the tag its field must
+have. Each field's tag is checked before the field's body is read, since
+a tag fixes the type of what it decodes to. Literal, `str`, `bytes` and
+`int` fields are decoded inline, and so are the items of a `list_of(str)`
+or `list_of(float)` field; the items of any other `list_of(t)` go through
+the generic decoder, each tag checked against `t`. Any other entry takes
+the generic decoder and then an instance check. A record refused by the check is decoded again in
+full and checked by `check_record`, so it gives the fields, or the
+refusal and its message, that `check_record(unpack(data), *shape)` gives:
+a bool in an `int` field, whose `T` tag the plan refuses, passes there.
 """
 
 from __future__ import annotations
@@ -176,6 +183,34 @@ def unpack(data: bytes, shape: tuple | None = None) -> tuple:
         raise CodecError("nesting too deep") from None
 
 
+# decode-plan opcodes, one per shape entry (see `_plan`)
+_LIT, _STR, _BYTES, _INT, _STRS, _FLOATS, _LIST, _ANY = range(8)
+
+
+@functools.cache
+def _plan(shape: tuple) -> tuple:
+    """One (opcode, tag, argument) per entry of `shape`, built once per
+    shape: the tag its field must have, and what the opcode reads (the
+    literal, the item type of a `list_of`, or the entry)."""
+    plan = []
+    for want in shape:
+        if want.__class__ is str:
+            plan.append((_LIT, _S, want))
+        elif want is str:
+            plan.append((_STR, _S, want))
+        elif want is bytes:
+            plan.append((_BYTES, _B, want))
+        elif want is int:
+            plan.append((_INT, _I, want))
+        elif want.__class__ is _ListOf:
+            item = want.item
+            op = _STRS if item is str else _FLOATS if item is float else _LIST
+            plan.append((op, _L, item))
+        else:
+            plan.append((_ANY, None, want))
+    return tuple(plan)
+
+
 def _decode_record(data: bytes, shape: tuple) -> tuple:
     """The fields of `data`, each field's tag checked against its entry in
     `shape` before its body is read."""
@@ -184,45 +219,35 @@ def _decode_record(data: bytes, shape: tuple) -> tuple:
     end = len(data)
     offset = 0
     u32 = _U32.unpack_from
-    tags_of = _TAGS.get
+    f64 = _F64.unpack_from
     try:
-        for want in shape:
+        for op, want_tag, want in _plan(shape):
             if offset >= end:
                 break
             tag = data[offset]
-            tags = tags_of(want)
-            if tags is None:
-                if want.__class__ is str:
-                    tags = b"S"
-                elif want.__class__ is _ListOf:
-                    if tag != _L:
-                        raise _Mismatch
-                    n = u32(data, offset + 1)[0]
-                    items, offset = _decode_items(data, offset + 5, n, want.item)
-                    if len(items) < n:
-                        raise CodecError("truncated encoding")
-                    append(items)
-                    continue
-                else:
-                    items, offset = _decode_items(data, offset, 1)
-                    if not isinstance(items[0], want):
-                        raise _Mismatch
-                    append(items[0])
-                    continue
-            if tag not in tags:
-                raise _Mismatch
-            if tag == _S or tag == _B or tag == _I:
+            if tag != want_tag:
+                # a bool in an `int` field is refused here and passes the
+                # full decode below, as a bool passes as an int there
+                if op != _ANY:
+                    raise _Mismatch
+                items, offset = _decode_items(data, offset, 1)
+                if not isinstance(items[0], want):
+                    raise _Mismatch
+                append(items[0])
+                continue
+            if op <= _INT:
+                # a literal or a str, bytes or int: a length, then a body
                 start = offset + 5
                 offset = start + u32(data, offset + 1)[0]
                 if offset > end:
                     raise CodecError("truncated encoding")
-                if tag == _S:
+                if op == _BYTES:
+                    append(data[start:offset])
+                elif op != _INT:
                     value = data[start:offset].decode()
-                    if want is not str and value != want:
+                    if op == _LIT and value != want:
                         raise _Mismatch
                     append(value)
-                elif tag == _B:
-                    append(data[start:offset])
                 elif offset == start:
                     raise CodecError("empty int body")
                 else:
@@ -230,9 +255,35 @@ def _decode_record(data: bytes, shape: tuple) -> tuple:
                     if offset - start != (v.bit_length() + 8) // 8:
                         raise CodecError("non-canonical int")
                     append(v)
-            else:
-                items, offset = _decode_items(data, offset, 1)
-                append(items[0])
+                continue
+            # a `list_of` field
+            n = u32(data, offset + 1)[0]
+            offset += 5
+            if op == _LIST:
+                items, offset = _decode_items(data, offset, n, want)
+                if len(items) < n:
+                    raise CodecError("truncated encoding")
+                append(items)
+                continue
+            # a `list_of(str)` or `list_of(float)`: its items decoded here
+            items = []
+            for _ in range(n):
+                if offset >= end:
+                    raise CodecError("truncated encoding")
+                if op == _FLOATS:
+                    if data[offset] != _F:
+                        raise _Mismatch
+                    items.append(f64(data, offset + 1)[0])
+                    offset += 9
+                    continue
+                if data[offset] != _S:
+                    raise _Mismatch
+                start = offset + 5
+                offset = start + u32(data, offset + 1)[0]
+                if offset > end:
+                    raise CodecError("truncated encoding")
+                items.append(data[start:offset].decode())
+            append(tuple(items))
     except struct.error:
         raise CodecError("truncated encoding") from None
     except UnicodeDecodeError as exc:
@@ -301,6 +352,33 @@ def digest(*items) -> bytes:
     """`sha(pack(*items))`, hashed as it is encoded."""
     h = hashlib.sha256()
     _encode_items(items, h.update)
+    return h.digest()
+
+
+def digest_records(head: tuple, records) -> bytes:
+    """`digest(*head, *[pack(*r) for r in records])`, hashed as it is
+    encoded: a (bytes, bool, str) record, a committed tx's wire and
+    status, is written straight into the hash, its items' heads around its
+    wire, so the wire is never copied; a record of any other length or
+    types is packed by `pack`."""
+    h = hashlib.sha256()
+    update = h.update
+    _encode_items(head, update)
+    item_head = _HEAD.pack
+    for record in records:
+        if len(record) == 3:
+            wire, ok, reason = record
+            if type(wire) is bytes and type(ok) is bool and type(reason) is str:
+                body = reason.encode()
+                # the packed record is its wire's 5-byte head and body, a
+                # 2-byte bool and the reason's 5-byte head and body
+                update(item_head(b"B", 12 + len(wire) + len(body))
+                       + item_head(b"B", len(wire)))
+                update(wire)
+                update((b"T\x01" if ok else b"T\x00") + item_head(b"S", len(body)) + body)
+                continue
+        packed = pack(*record)
+        update(item_head(b"B", len(packed)) + packed)
     return h.digest()
 
 

@@ -25,7 +25,9 @@ packs a tx's head (kind, payload, sender) once, for both its id and its
 wire, and hashes it once: the id it derives is the head's digest, so it
 does not check that again. A tx loaded from a dump keeps the bytes it
 was decoded from as its wire: `decode_tx` refuses non-canonical bytes, so
-they are the bytes a re-pack would give.
+they are the bytes a re-pack would give. A block's hash streams each
+committed wire into the hash (`block_hash`), so sealing and verifying
+pack no committed tx again.
 
 A dump has one text per chain: `load_chain` refuses any character
 `dump_chain` never writes (upper-case hex, `#`, tabs, `\r`), a text that
@@ -117,7 +119,7 @@ def decode_tx(data: bytes) -> Transaction:
         raise codec.CodecError(f"unknown tx kind {kind_num}")
     # `data` is canonical, so it is the tx's wire, and its head is all of
     # it but the trailing `pack(signature, tx_id)`: two 5-byte item heads
-    head = data[:len(data) - 10 - len(signature) - len(tx_id)]
+    head = memoryview(data)[:len(data) - 10 - len(signature) - len(tx_id)]
     return _built_tx(kind, payload, sender, signature, tx_id, data,
                      codec.sha(head) == tx_id)
 
@@ -132,10 +134,11 @@ class Block:
 
 
 def block_hash(height: int, prev_hash: bytes, txs, status) -> bytes:
-    parts: list = [height, prev_hash]
-    for tx, (ok, reason) in zip(txs, status):
-        parts.append(codec.pack(tx.wire, ok, reason))
-    return codec.digest(*parts)
+    """The digest of the block's height and prev hash and of each tx's
+    packed (wire, ok, reason), streamed by `codec.digest_records`."""
+    return codec.digest_records(
+        (height, prev_hash),
+        [(tx.wire, ok, reason) for tx, (ok, reason) in zip(txs, status)])
 
 
 def make_genesis() -> Block:
@@ -266,21 +269,26 @@ def load_chain(text: str) -> list[Block]:
         parts = line.split(" ")
         if len(parts) != 4:
             raise ValueError(f"bad chain line {lineno}")
-        # `int` also takes a sign, leading zeros and other digits
-        height = int(parts[0])
-        if parts[0] != str(height):
-            raise ValueError(f"non-canonical height on chain line {lineno}")
-        prev_hash = bytes.fromhex(parts[1])
-        block_h = bytes.fromhex(parts[2])
         txs: list[Transaction] = []
         status: list[tuple[bool, str]] = []
-        if parts[3] != "-":
-            for rec in parts[3].split(";"):
-                tx_hex, ok_s, reason_hex = rec.split(":")
-                if ok_s != "1" and ok_s != "0":
-                    raise ValueError(f"bad status {ok_s!r} on chain line {lineno}")
-                txs.append(decode_tx(bytes.fromhex(tx_hex)))
-                status.append((ok_s == "1", bytes.fromhex(reason_hex).decode()))
+        try:
+            # `int` also takes a sign, leading zeros and other digits
+            height = int(parts[0])
+            if parts[0] != str(height):
+                raise ValueError("non-canonical height")
+            prev_hash = bytes.fromhex(parts[1])
+            block_h = bytes.fromhex(parts[2])
+            if parts[3] != "-":
+                for rec in parts[3].split(";"):
+                    tx_hex, ok_s, reason_hex = rec.split(":")
+                    if ok_s != "1" and ok_s != "0":
+                        raise ValueError(f"bad status {ok_s!r}")
+                    txs.append(decode_tx(bytes.fromhex(tx_hex)))
+                    status.append((ok_s == "1", bytes.fromhex(reason_hex).decode()))
+        except ValueError as exc:
+            # a tx that does not decode stays a CodecError
+            refusal = codec.CodecError if isinstance(exc, codec.CodecError) else ValueError
+            raise refusal(f"{exc} on chain line {lineno}") from exc
         chain.append(Block(height, prev_hash, tuple(txs), tuple(status), block_h))
     return chain
 

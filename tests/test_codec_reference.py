@@ -1,8 +1,10 @@
 """The codec against a plain recursive reference: the same bytes out of
 `pack`, and out of `unpack` the same values or the same refusal, except
-that `unpack` refuses bytes that `pack` would not produce. And the
-one-pass `unpack_record` against its two passes, `check_record` applied
-to `unpack`'s items: the same fields or the same refusal."""
+that `unpack` refuses bytes that `pack` would not produce. The streamed
+`digest_records`, and the `block_hash` built on it, against the two
+stages they replace, `digest` of each record's `pack`. And the one-pass
+`unpack_record` against its two passes, `check_record` applied to
+`unpack`'s items: the same fields or the same refusal."""
 
 import functools
 import math
@@ -15,7 +17,7 @@ from otcestack import codec
 from otcestack.consensus import MsgKind
 from otcestack.did import DIDRegistry
 from otcestack.keys import KeyStore
-from otcestack.ledger import TxKind, decode_tx
+from otcestack.ledger import ZERO_HASH, TxKind, block_hash, decode_tx, make_genesis, make_tx
 from otcestack.otce import OTCERegistry, OTCEState
 
 # -- reference: one recursive call per item -----------------------------------
@@ -166,6 +168,65 @@ def test_pack_refuses_what_the_reference_refuses():
                 assert "unencodable type" in str(exc)
             else:
                 raise AssertionError(f"{fn.__name__} took {bad!r}")
+
+
+# -- streamed record digests against the two stages ------------------------------
+
+REASONS = ("", "ok", "malformed-payload", "é世\U0001f600", "r" * 70000)
+
+
+def two_stage(head, records):
+    return codec.digest(*head, *[codec.pack(*record) for record in records])
+
+
+def random_record(rng):
+    """A committed tx's (wire, ok, reason), now and then with `ok` as an int
+    or another first item, which `digest_records` hands to `pack`."""
+    wire = rng.randbytes(rng.choice((0, 1, 40, 300, 70000)))
+    ok = rng.random() < 0.5
+    roll = rng.random()
+    if roll < 0.15:
+        ok = int(ok)
+    elif roll < 0.25:
+        wire = rng.choice(("wire", 7, [wire], None))
+    return wire, ok, rng.choice(REASONS)
+
+
+def test_digest_records_is_the_digest_of_each_packed_record():
+    rng = random.Random(3232)
+    kinds = set()
+    for _ in range(300):
+        head = (rng.randrange(0, 2**40), rng.randbytes(32))
+        records = [random_record(rng) for _ in range(rng.choice((0, 1, 2, 5, 30)))]
+        kinds.update((type(w), type(ok)) for w, ok, _ in records)
+        assert codec.digest_records(head, records) == two_stage(head, records), records
+    assert {(bytes, bool), (bytes, int), (str, bool)} <= kinds
+    # records of other lengths, and of no record, are packed as they are
+    for records in ([], [()], [(b"w", True)], [(b"w", True, "r", 0)],
+                    [(b"w", True, "r"), ("w",), (b"", False, "")]):
+        assert codec.digest_records((1, b"p"), records) == two_stage((1, b"p"), records)
+
+
+def test_digest_records_refuses_what_pack_refuses():
+    for record in ((bytearray(b"w"), True, "r"), (b"w", 1.5j, "r"), (b"w", True, {})):
+        with pytest.raises(codec.CodecError, match="unencodable type"):
+            codec.digest_records((1, b"p"), [(b"w", True, "ok"), record])
+
+
+def test_block_hash_is_the_digest_of_each_packed_record():
+    rng = random.Random(3233)
+    keys = KeyStore(5)
+    txs = [make_tx(keys, "alice", TxKind(rng.randrange(1, 8)),
+                   rng.randbytes(rng.randrange(0, 400))) for _ in range(40)]
+    genesis = make_genesis()
+    assert genesis.hash == block_hash(0, ZERO_HASH, (), ()) == codec.digest(0, ZERO_HASH)
+    for _ in range(200):
+        height, prev = rng.randrange(1, 10**6), rng.randbytes(32)
+        block_txs = rng.sample(txs, rng.choice((0, 1, 3, 40)))
+        status = [(rng.choice((True, False, 1, 0)), rng.choice(REASONS)) for _ in block_txs]
+        want = codec.digest(height, prev, *[codec.pack(tx.wire, ok, reason)
+                                            for tx, (ok, reason) in zip(block_txs, status)])
+        assert block_hash(height, prev, block_txs, status) == want
 
 
 # -- the same values or the same refusal ---------------------------------------
@@ -458,3 +519,16 @@ def test_list_of_is_one_entry_per_type():
     assert not isinstance(("a", b"b"), GROUP) and not isinstance(["a"], GROUP)
     with pytest.raises(TypeError):
         codec.list_of(list)
+
+
+def test_a_shapes_decode_plan_is_built_once():
+    shape = ("plan-once", str, codec.list_of(float), int)     # decoded by no other test
+    data = codec.pack("plan-once", "e", [0.5], 1)
+    before = codec._plan.cache_info()
+    for _ in range(2):
+        assert codec.unpack_record(data, *shape) == ("plan-once", "e", (0.5,), 1)
+    with pytest.raises(codec.CodecError, match="record field 3 is not an int"):
+        codec.unpack_record(codec.pack("plan-once", "e", [0.5], "1"), *shape)
+    after = codec._plan.cache_info()
+    assert (after.currsize - before.currsize, after.misses - before.misses,
+            after.hits - before.hits) == (1, 1, 2)

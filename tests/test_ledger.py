@@ -282,6 +282,42 @@ def build_chain(n_blocks=30, seed=17, sweep_every=5):
     return ks, ledger, contract
 
 
+def test_sealing_and_verifying_pack_no_committed_tx(monkeypatch):
+    """A tx is packed once, when it is built: sealing a block and verifying
+    the chain hash each committed wire without packing it again. The only
+    packs left are the sweep's, which builds its markers as it seals."""
+    ks, ledger, contract = fresh(sweep_every=2)
+    calls = {"seal": 0, "markers": 0, "verify": 0}
+    phase = "seal"
+    real_pack, real_sweep = codec.pack, contract.on_block_end
+
+    def counted(*items):
+        calls[phase] += 1
+        return real_pack(*items)
+
+    def sweep(height):
+        nonlocal phase
+        phase = "markers"
+        try:
+            return real_sweep(height)
+        finally:
+            phase = "seal"
+
+    txs = [ctr_tx(ks, "alice", "x", delta, nonce) for nonce, delta in enumerate(range(-2, 30))]
+    monkeypatch.setattr(codec, "pack", counted)
+    monkeypatch.setattr(contract, "on_block_end", sweep)
+    for i in range(0, len(txs), 4):
+        for tx in txs[i:i + 4]:
+            assert ledger.submit_tx(tx) == (True, "ok")
+        ledger.seal_block()
+    phase = "verify"
+    assert verify_chain(ledger.chain, ks) is None
+    committed = sum(len(block.txs) for block in ledger.chain)
+    assert committed == len(txs) + len(contract.marks) and contract.marks
+    # a marker packs its payload and, in `make_tx`, its head and its tail
+    assert calls == {"seal": 0, "markers": 3 * len(contract.marks), "verify": 0}
+
+
 def test_verify_accepts_honest_chain():
     ks, ledger, _ = build_chain()
     assert verify_chain(ledger.chain) is None
@@ -446,6 +482,54 @@ def test_load_refuses_dump_text_that_dump_chain_never_writes(tmp_path, capsys,
     (tmp_path / "chain.dump").write_text(forged)
     assert main(["verify-chain", "--dump", str(tmp_path / "chain.dump")]) == 1
     assert "chain corrupt" in capsys.readouterr().out
+
+
+def _in_first_record(edit):
+    """A mutation of the first line that holds records, applied to its
+    first record, and that line's number."""
+    def mutate(text):
+        lines = text.split("\n")
+        i = next(i for i, line in enumerate(lines) if ":" in line)
+        head, _, recs = lines[i].rpartition(" ")
+        rec, sep, rest = recs.partition(";")
+        lines[i] = f"{head} {edit(rec)}{sep}{rest}"
+        return "\n".join(lines), i + 1
+    return mutate
+
+
+def _reason_ff(rec):
+    tx_hex, ok, _ = rec.split(":")
+    return f"{tx_hex}:{ok}:ff"
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (_in_first_record(lambda rec: rec.replace(":", "::", 1)), "too many values"),
+    (_in_first_record(lambda rec: rec + ";;"), "not enough values"),
+    (_in_first_record(lambda rec: rec.replace(":", "0:", 1)), "fromhex"),
+    (_in_first_record(_reason_ff), "can't decode byte 0xff"),
+    (_in_first_record(lambda rec: "490000000163" + rec[12:]), "unknown tx kind 99"),
+], ids=["extra-colon", "empty-record", "odd-hex", "reason-not-utf8", "bad-tx"])
+def test_load_names_the_line_of_a_malformed_record(tmp_path, capsys, mutate, match):
+    from otcestack.cli import main
+
+    forged, lineno = mutate(dump_chain(build_chain()[1].chain))
+    with pytest.raises(ValueError, match=f"{match}.* on chain line {lineno}$"):
+        load_chain(forged)
+    (tmp_path / "chain.dump").write_text(forged)
+    assert main(["verify-chain", "--dump", str(tmp_path / "chain.dump")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("chain corrupt") and f"on chain line {lineno})" in out
+
+
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["height", "prev-hash", "hash"])
+def test_load_names_the_line_of_a_malformed_block_field(field):
+    text = dump_chain(build_chain(n_blocks=3)[1].chain)
+    lines = text.split("\n")
+    parts = lines[2].split(" ")
+    parts[field] = "-" if field == 0 else parts[field][1:]
+    lines[2] = " ".join(parts)
+    with pytest.raises(ValueError, match=" on chain line 3$"):
+        load_chain("\n".join(lines))
 
 
 def test_replay_reproduces_outcomes_and_state():
