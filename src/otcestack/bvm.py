@@ -33,8 +33,7 @@ stored. The run is complete when every task is held by a live member and
 every live member holds every sink with the same value; those members sign
 the sandbox contract's result message, and the contract accepts it only
 when the signers meet the group's security plan. Every message is a
-`bvm-val` envelope of its execution (see `keys`), and the executors of one
-execution share a memo of opened wires, by the rule in `keys`.
+`bvm-val` envelope of its execution (see `keys`).
 """
 
 from __future__ import annotations
@@ -43,9 +42,10 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter, itemgetter
 
 from . import codec
-from .keys import KeyStore, seal, unseal
+from .keys import KeyStore, Peer, seal, unseal
 from .simnet import Network, NetworkConfig, NetReport, Send, SetTimer, SimEvent
 
 OPS = ("add", "mul", "concat", "hash")
@@ -276,11 +276,12 @@ def _place(dag: TaskDAG, order, nodes, holders) -> dict[str, str]:
 
 # -- distributed execution -------------------------------------------------
 
-class TaskExecutor:
-    """Per-node engine: runs its assigned tasks one at a time, one tick
-    each, and sends each finished value at once to the current owners of the
-    tasks that read it; learns remote values and chunks from signed
-    messages, each from the envelope's signer only. A `value` or `chunk`
+class TaskExecutor(Peer):
+    """Per-node engine, a `keys.Peer`: runs its assigned tasks one at a
+    time, one tick each, and sends each finished value at once to the
+    current owners of the tasks that read it; learns remote values and
+    chunks from signed messages, each from the envelope's signer only
+    (`Peer.step` checks that). A `value` or `chunk`
     message is a batch: a `bvm-val` envelope whose body is one or more (ref,
     data) pairs, laid out flat, and a `need` is the same with one pair,
     (input kind, packed refs). At start the node sends each peer one batch
@@ -311,28 +312,23 @@ class TaskExecutor:
     and those now ready go on a min-heap of positions; a start pops the
     heap, skipping finished tasks. Each task is checked at most once per
     distinct input, so the work per task is fixed however many events the
-    node sees.
+    node sees. `rejected` is `dropped`: the deliveries it refused."""
 
-    `verified` maps a wire to what `_check` made of it, and is shared by
-    the executors of one execution by the memo rule in `keys`."""
+    _SIGNER = itemgetter(0)
 
     def __init__(self, execution_id: str, dag: TaskDAG, node: str, members,
                  owners: dict[str, str], holders: dict[str, dict[str, bytes]],
                  keystore: KeyStore,
                  verified: dict[bytes, tuple | None] | None = None):
+        super().__init__(node, keystore, tuple(sorted(members)), verified)
         self.execution_id = execution_id
         self.dag = dag
-        self.node = node
-        self.members = tuple(sorted(members))
         self.peers = tuple(m for m in self.members if m != node)
         self.owners = owners
         self.holders = holders
         self.chunks = dict(holders.get(node, {}))
-        self.keystore = keystore
-        self.verified = {} if verified is None else verified
         self.values: dict[str, bytes] = {}
         self.busy: str | None = None
-        self.rejected = 0
         self._heap: list[int] = []          # positions in `assigned`
         self._waiting: dict[str, dict[str, list[int]]] = {TASK: {}, CHUNK: {}}
         self.assigned: list[str] = []
@@ -342,6 +338,9 @@ class TaskExecutor:
         for tid, owner in owners.items():
             if owner == node:
                 self._assign(tid)
+
+    step = Peer.step
+    rejected = property(attrgetter("dropped"))
 
     def _send(self, dsts, kind: str, pairs) -> list:
         """One signed wire of `pairs` to each of `dsts`; nothing is signed
@@ -394,16 +393,12 @@ class TaskExecutor:
                 return [SetTimer(1, f"exec:{tid}")]
         return []
 
-    def step(self, event: SimEvent, now: int) -> list:
-        if event.kind == "local":
-            if event.label == "start":
-                return self._on_start()
-            if event.label == "sync":
-                return self._on_sync()
-            return []
-        if event.kind == "timer":
-            return self._on_exec_timer(event.label)
-        return self._on_message(event)
+    def _on_local(self, event: SimEvent, now: int) -> list:
+        if event.label == "start":
+            return self._on_start()
+        if event.label == "sync":
+            return self._on_sync()
+        return []
 
     def _on_start(self) -> list:
         needed = self.dag.chunk_ids
@@ -428,8 +423,8 @@ class TaskExecutor:
                 for act in self._send([m], "need", [(kind, codec.pack(*refs))])]
         return acts + self._try_start()
 
-    def _on_exec_timer(self, label: str) -> list:
-        tid = label.split(":", 1)[1]
+    def _on_timer(self, event: SimEvent, now: int) -> list:
+        tid = event.label.split(":", 1)[1]
         if self.busy != tid:
             return []
         self.busy = None
@@ -451,7 +446,7 @@ class TaskExecutor:
             self._sinks = []
         return acts + self._try_start()
 
-    def _check(self, wire: bytes) -> tuple | None:
+    def _open(self, wire: bytes) -> tuple | None:
         """The message's signer, its kind and its (ref, data) pairs, or None."""
         opened = unseal(self.keystore, wire, "bvm-val", self.execution_id, self.members)
         if opened is None:
@@ -464,16 +459,8 @@ class TaskExecutor:
             return None
         return (signer, kind, pairs) if pairs else None
 
-    def _on_message(self, event: SimEvent) -> list:
-        wire = event.payload
-        try:
-            checked = self.verified[wire]
-        except KeyError:
-            checked = self.verified[wire] = self._check(wire)
-        if checked is None or checked[0] != event.src:
-            self.rejected += 1
-            return []
-        src, kind, pairs = checked
+    def _on_msg(self, opened: tuple, now: int) -> list:
+        src, kind, pairs = opened
         if kind == "need":
             return self._on_need(src, pairs)
         if kind == "chunk":
@@ -487,7 +474,7 @@ class TaskExecutor:
         else:
             ok = False
         if not ok:                      # one bad pair refuses the whole batch
-            self.rejected += 1
+            self.dropped += 1
             return []
         for ref, data in pairs:
             if ref not in known:
@@ -513,7 +500,7 @@ class TaskExecutor:
         if refs and kind == CHUNK and all(
                 ref in held and ref in self.dag.chunk_ids for ref in refs):
             return self._send([src], "chunk", [(ref, held[ref]) for ref in refs])
-        self.rejected += 1
+        self.dropped += 1
         return []
 
 
@@ -562,16 +549,10 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     owners = dict(schedule)
     net = Network(net_cfg)
     verified: dict[bytes, tuple | None] = {}
-    execs: dict[str, TaskExecutor] = {}
-    for node in ordered:
-        execs[node] = TaskExecutor(execution_id, dag, node, ordered, owners,
-                                   holders, keystore, verified)
-        net.register(node, execs[node].step)
-    for spec in faults:
-        net.inject_fault(spec)
-    for node in ordered:
-        net.schedule_local(node, 0, b"", "start")
-    net.run_until(max_tick)
+    execs = {node: TaskExecutor(execution_id, dag, node, ordered, owners, holders,
+                                keystore, verified)
+             for node in ordered}
+    net.start({node: e.step for node, e in execs.items()}, faults, b"", "start", max_tick)
 
     last = None             # (live members, values held) before a lossless round
     while True:
@@ -600,7 +581,7 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
         schedule=schedule,
         reassigned={tid: owner for tid, owner in owners.items()
                     if owner != schedule[tid]},
-        rejected={node: e.rejected for node, e in execs.items()},
+        rejected={node: e.dropped for node, e in execs.items()},
     )
 
 

@@ -8,8 +8,7 @@ by the network layer (crash, drop-all, delay-max, or per-recipient payload
 rewriting for equivocation). Every message is a `cons` envelope of its
 instance (see `keys`), opened on receipt; anything malformed, stale, or
 from outside the instance or the group is dropped and counted, never
-raised. The replicas of one instance share a memo of opened wires, by the
-rule in `keys`.
+raised.
 
 Both engines take the quorum q = n - f_max of the security plan, whose
 f_max is the protocol's fault bound, and both vote through a collector
@@ -42,8 +41,8 @@ A crash plan's fault model has no liars, so `run_instance` flags an
 equivocating member (or any payload transform) of a majority group as
 beyond the bound, however few faulty members there are.
 
-The engines share one replica skeleton, `_Replica`: one event entry that
-dispatches each verified message through the engine's table from kind to
+The engines share one replica skeleton, `_Replica`, a `keys.Peer`: one
+dispatch of each verified message through the engine's table from kind to
 handler, one way to send, one tally of sender -> report for every quorum
 (where a repeated sender is a drop), one decision that keeps its
 certificate, one rule for a decided replica, and one pick of the value to
@@ -65,9 +64,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 
 from . import codec
-from .keys import SIG_LEN, KeyStore, envelope, seal, unseal
+from .keys import SIG_LEN, KeyStore, Peer, envelope, seal, unseal
 from .plan import Protocol, SecurityPlan, certificate_refusal
 from .simnet import (Behavior, FaultSpec, Network, NetworkConfig, NetReport,
                      Record, Send, SetTimer, SimEvent)
@@ -268,55 +268,53 @@ def make_equivocation_transform(keystore: KeyStore):
 
 # -- shared replica --------------------------------------------------------
 
-class _Replica:
-    """What both engines share: the event entry, signed sends and
-    broadcasts that also reach this replica itself, generation-tagged
-    timers, one tally for every quorum, one decision that keeps its
-    certificate, and one rule for the value a new leader or proposer
-    re-proposes.
+class _Replica(Peer):
+    """What both engines share: signed sends and broadcasts that also reach
+    this replica itself, generation-tagged timers, one tally for every
+    quorum, one decision that keeps its certificate, and one rule for the
+    value a new leader or proposer re-proposes.
 
-    `step` takes the first request only and hands it to the engine's
+    It takes the first request only and hands it to the engine's
     `_on_request`; it passes a timer to `_on_timeout` only while the timer
     is the newest and nothing is decided; it opens a delivery with
-    `_accept` and dispatches it through the engine's table `_ON` from
-    message kind to handler. A verified message of a kind the table lacks
-    is a drop. Once decided, it answers a verified message of the engine's
-    `_STRAGGLER` kind with `_answer` and ignores any other, without a drop.
-    Each engine binds `step` in its own class, so each can be wrapped apart.
-    `_send` and `_bcast` pass a message meant for this replica to the same
-    table, without the network.
-
-    `verified` maps a wire to what `verify_msg` made of it (its certificate
-    checked too), shared by the replicas of one instance as `keys` says."""
+    `verify_msg` (the certificate checked too) and dispatches it through
+    the engine's table `_ON` from message kind to handler. A verified
+    message of a kind the table lacks is a drop. Once decided, it answers a
+    verified message of the engine's `_STRAGGLER` kind with `_answer` and
+    ignores any other, without a drop. `_send` and `_bcast` pass a message
+    meant for this replica to the same table, without the network."""
 
     _ON: dict    # MsgKind -> handler(replica, msg, now), one table per engine
     _ROUND: str  # what a decision's trace note calls its view or round
     _STRAGGLER: MsgKind   # what a decided replica answers with its certificate
+    _SIGNER = attrgetter("sender")
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
                  verified: dict[bytes, Msg | None] | None = None):
+        super().__init__(node, keystore, cfg.members, verified)
         self.cfg = cfg
-        self.node = node
-        self.keystore = keystore
-        self.verified = {} if verified is None else verified
         self.request_value: bytes | None = None
         self.decision: Decision | None = None
         self.certificate: Msg | None = None    # this replica's own, once decided
         self._certificate_wire: bytes | None = None
-        self.dropped = 0
         self._timer_gen = 0
 
-    def step(self, event: SimEvent, now: int) -> list:
-        if event.kind == "local":
-            if self.request_value is not None:
-                return []
-            self.request_value = event.payload
-            return self._on_request(now)
-        if event.kind == "timer":
-            return self._on_timeout(now) if self._timer_live(event.label) else []
-        msg = self._accept(event)
-        if msg is None:
+    def _on_local(self, event: SimEvent, now: int) -> list:
+        if self.request_value is not None:
             return []
+        self.request_value = event.payload
+        return self._on_request(now)
+
+    def _on_timer(self, event: SimEvent, now: int) -> list:
+        if event.label != f"t:{self._timer_gen}" or self.decision is not None:
+            return []
+        return self._on_timeout(now)
+
+    def _open(self, wire: bytes) -> Msg | None:
+        return verify_msg(self.keystore, wire, self.cfg.instance_id, self.members,
+                          self.cfg.quorum)
+
+    def _on_msg(self, msg: Msg, now: int) -> list:
         if self.decision is not None:
             return self._answer(msg.sender) if msg.kind is self._STRAGGLER else []
         handler = self._ON.get(msg.kind)
@@ -343,15 +341,11 @@ class _Replica:
         return acts + self._ON[kind](self, msg, now)
 
     def _to_all(self, wire: bytes, label: str) -> list:
-        return [Send(m, wire, label) for m in self.cfg.members if m != self.node]
+        return [Send(m, wire, label) for m in self.members if m != self.node]
 
     def _set_timer(self, delay: int) -> list:
         self._timer_gen += 1
         return [SetTimer(delay, f"t:{self._timer_gen}")]
-
-    def _timer_live(self, label: str) -> bool:
-        """True when `label` names the newest timer and nothing is decided."""
-        return label == f"t:{self._timer_gen}" and self.decision is None
 
     def _tally(self, tallies: dict, key, sender: str, report=None) -> dict | None:
         """Record `sender`'s `report` in the tally under `key`, a map sender
@@ -402,20 +396,6 @@ class _Replica:
             self._certificate_wire = encode_msg(self.keystore, self.certificate)
         return [Send(dst, self._certificate_wire, self.certificate.kind.value)]
 
-    def _accept(self, event: SimEvent) -> Msg | None:
-        """The verified message of a delivery from its signer, a member of
-        this instance, or None, counted as a drop."""
-        wire = event.payload
-        try:
-            msg = self.verified[wire]
-        except KeyError:
-            msg = self.verified[wire] = verify_msg(
-                self.keystore, wire, self.cfg.instance_id, self.cfg.members, self.cfg.quorum)
-        if msg is None or msg.sender != event.src:
-            self.dropped += 1
-            return None
-        return msg
-
 
 # -- byzantine-tolerant engine ---------------------------------------------
 
@@ -441,7 +421,7 @@ class PBFTReplica(_Replica):
         self.vc_target = 0
         self._timeout = cfg.view_timeout
 
-    step = _Replica.step
+    step = Peer.step
 
     # protocol steps
 
@@ -598,7 +578,7 @@ class PaxosReplica(_Replica):
         # (round, index, value digest) of an own ballot -> acceptor -> P2B signature
         self.accepts: dict[tuple[int, int, bytes], dict[str, bytes]] = {}
 
-    step = _Replica.step
+    step = Peer.step
 
     def _watchdog(self) -> list:
         """Deterministically staggered retry timer; index offsets avoid duels."""
@@ -745,14 +725,11 @@ def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
             replicas[m] = PaxosReplica(cfg, m, keystore,
                                        initial_proposer=m in initial_proposers,
                                        verified=verified)
-        net.register(m, replicas[m].step)
-    for spec in faults:
-        if spec.behavior is Behavior.EQUIVOCATE and spec.transform is None:
-            spec = replace(spec, transform=make_equivocation_transform(keystore))
-        net.inject_fault(spec)
-    for m in cfg.members:
-        net.schedule_local(m, 0, value, MsgKind.REQUEST.value)
-    net.run_until(max_tick)
+    wired = [replace(spec, transform=make_equivocation_transform(keystore))
+             if spec.behavior is Behavior.EQUIVOCATE and spec.transform is None
+             else spec for spec in faults]
+    net.start({m: r.step for m, r in replicas.items()}, wired,
+              value, MsgKind.REQUEST.value, max_tick)
 
     decisions = {m: r.decision for m, r in replicas.items() if r.decision is not None}
     faulty = tuple(sorted({spec.node for spec in faults}))

@@ -24,9 +24,10 @@ member, the kind is a str; then the signature. The engine checks the body.
 
 Memo rule: what a wire opens to depends only on its bytes, the tag, scope,
 members and seed, so the nodes of one instance or execution share one memo,
-wire -> what it opened to (None if refused), and open each wire once. On
-every delivery a receiver checks that the network's sender is the signer,
-and counts a refusal itself. A node built without a memo gets its own.
+wire -> what it opened to (None if refused), and open each wire once.
+`Peer` is the one receiver of both engines: on every delivery it checks
+that the network's sender is the signer, and counts a refusal as one drop
+of its own. A node built without a memo gets its own.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import hashlib
 import hmac
 
 from . import codec
+from .simnet import SimEvent
 
 SIG_LEN = 32
 # Key secrets derive from the seed as 16 signed bytes.
@@ -108,3 +110,40 @@ def unseal(keystore: KeyStore, wire: bytes, tag: str, scope: str, members):
             or not keystore.verify(fields[2], data, wire[-SIG_LEN:])):
         return None
     return fields[2], fields[3], fields[4:]
+
+
+class Peer:
+    """A member of a group that speaks only through signed envelopes: the
+    node, its keystore, the group's `members`, the memo `verified` (shared
+    by the memo rule above) and `dropped`, the deliveries it refused.
+
+    `step` is the event entry. A message is opened once per distinct wire
+    by the engine's `_open(wire)`; one that opens to None, or whose signer
+    (`_SIGNER` of what it opened to) is not the network's sender, is one
+    drop. An accepted message goes to `_on_msg(opened, now)`, a timer to
+    `_on_timer(event, now)` and a local event to `_on_local(event, now)`.
+    An engine binds `step` in its own class, so each can be wrapped apart;
+    it seals and sends its own messages."""
+
+    def __init__(self, node: str, keystore: KeyStore, members,
+                 verified: dict | None = None):
+        self.node = node
+        self.keystore = keystore
+        self.members = members
+        self.verified = {} if verified is None else verified
+        self.dropped = 0
+
+    def step(self, event: SimEvent, now: int) -> list:
+        if event.kind == "msg":     # first: most events are deliveries
+            wire = event.payload
+            try:
+                opened = self.verified[wire]
+            except KeyError:
+                opened = self.verified[wire] = self._open(wire)
+            if opened is None or self._SIGNER(opened) != event.src:
+                self.dropped += 1
+                return []
+            return self._on_msg(opened, now)
+        if event.kind == "timer":
+            return self._on_timer(event, now)
+        return self._on_local(event, now)

@@ -144,6 +144,19 @@ class Network:
         self._handlers[node] = handler
         self._order[node] = len(self._order)
 
+    def start(self, handlers: dict[str, Handler], faults, payload: bytes,
+              label: str, max_tick: int) -> None:
+        """Register each node's handler, in order, inject `faults`, give
+        every node a local `label` event with `payload` at tick 0, and run
+        until `max_tick`."""
+        for node, handler in handlers.items():
+            self.register(node, handler)
+        for spec in faults:
+            self.inject_fault(spec)
+        for node in handlers:
+            self.schedule_local(node, 0, payload, label)
+        self.run_until(max_tick)
+
     def inject_fault(self, spec: FaultSpec) -> None:
         if spec.node not in self._handlers:
             raise ValueError(f"fault for unknown node {spec.node}")

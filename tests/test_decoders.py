@@ -4,7 +4,7 @@ Each case starts from a valid encoding and checks that it decodes to the
 expected value; that a wrong tag, a missing field, an extra field, and each
 checked field given a wrong type are refused; and that the fields left
 unchecked accept other values. A refusal is a CodecError, None from
-`unseal`, `verify_msg` and `TaskExecutor._check`, or a need that
+`unseal`, `verify_msg` and `TaskExecutor._open`, or a need that
 `TaskExecutor.step` counts as rejected. The envelope case covers the header
 that every network message shares, whatever its body.
 """
@@ -64,7 +64,7 @@ def _bvm_wire(fields):
 def _bvm(fields):
     dag = TaskDAG({"t": Task("t", "hash", (lit_input(b"\x01"),))})
     executor = TaskExecutor("x1", dag, "m1", ("m0", "m1"), {"t": "m1"}, {}, KS)
-    got = executor._check(_bvm_wire(fields))
+    got = executor._open(_bvm_wire(fields))
     return REFUSED if got is None else got
 
 

@@ -87,7 +87,8 @@ def test_replica_without_memo_gets_a_private_one():
 
 def run_private_memos(protocol, members, value, ks, net_cfg, faults,
                       view_timeout, max_tick=5000):
-    """run_instance's wiring, but every replica keeps its own memo."""
+    """run_instance's replicas on `Network.start`, but every replica keeps
+    its own memo."""
     cfg = config_from_plan(make_plan(protocol, len(members)), members, "inst",
                            view_timeout)
     net = Network(net_cfg)
@@ -96,15 +97,10 @@ def run_private_memos(protocol, members, value, ks, net_cfg, faults,
     else:
         reps = {m: PaxosReplica(cfg, m, ks, initial_proposer=m == cfg.members[0])
                 for m in cfg.members}
-    for m in cfg.members:
-        net.register(m, reps[m].step)
-    for spec in faults:
-        if spec.behavior is Behavior.EQUIVOCATE:
-            spec = replace(spec, transform=make_equivocation_transform(ks))
-        net.inject_fault(spec)
-    for m in cfg.members:
-        net.schedule_local(m, 0, value, MsgKind.REQUEST.value)
-    net.run_until(max_tick)
+    faults = [replace(spec, transform=make_equivocation_transform(ks))
+              if spec.behavior is Behavior.EQUIVOCATE else spec for spec in faults]
+    net.start({m: r.step for m, r in reps.items()}, faults, value,
+              MsgKind.REQUEST.value, max_tick)
     return tuple(net.trace), {m: r.dropped for m, r in reps.items()}
 
 
