@@ -9,9 +9,13 @@ would not produce, so one record has one encoding and one digest.
 Both directions run one loop over a run of items and recurse only into a
 nested list. `pack` dispatches on the exact type of each item, in the order
 of their counts in the benchmark workloads' `pack` input: bytes, str, int,
-bool, list or tuple, None, float. Any other type, a subclass of one of these
-(such as an IntEnum) included, is refused with `CodecError`, so a caller
-passes `int(kind)` or `kind.value`. `unpack` refuses with
+bool, list or tuple, None, float. Any other type, a subclass of one of
+these (such as an IntEnum) included, is refused with `CodecError`, so a
+caller passes `int(kind)` or `kind.value`. An int in `SMALL_INT_RANGE`,
+-1 to 255 (the views, ballots, member indices and -1 sentinels of every
+consensus message), takes its bytes from a table that `pack` fills once
+at import by the general rule, so they are the rule's bytes; the table is
+fixed, not a cache that grows with the ints packed. `unpack` refuses with
 `CodecError` a truncated item, an empty int body, an int body of another
 length than `pack` gives that int (so `80` for -128, whose body is `ff80`),
 a bool byte other than 00 or 01, bad utf-8, an unknown tag, and nesting too
@@ -76,11 +80,18 @@ _TAGS = {str: b"S", bytes: b"B", int: b"IT", float: b"F", tuple: b"L",
          bool: b"T", type(None): b"N"}
 
 
+# int -> its encoding, for each int in SMALL_INT_RANGE; filled once at import
+# by the general rule of `_encode_items` (see below `pack`)
+SMALL_INT_RANGE = range(-1, 256)
+_SMALL_INTS: dict[int, bytes] = {}
+
+
 def _encode_items(items, append) -> None:
     # One `append` call per scalar: `b"".join` holds a buffer record for
     # each list entry, so more entries raise the peak memory of packing a
     # long record.
     head = _HEAD.pack
+    small = _SMALL_INTS.get
     for item in items:
         t = type(item)
         if t is bytes:
@@ -89,8 +100,11 @@ def _encode_items(items, append) -> None:
             body = item.encode()
             append(head(b"S", len(body)) + body)
         elif t is int:
-            body = item.to_bytes((item.bit_length() + 8) // 8, "big", signed=True)
-            append(head(b"I", len(body)) + body)
+            packed = small(item)
+            if packed is None:
+                body = item.to_bytes((item.bit_length() + 8) // 8, "big", signed=True)
+                packed = head(b"I", len(body)) + body
+            append(packed)
         elif t is bool:
             append(b"T\x01" if item else b"T\x00")
         elif t is list or t is tuple:
@@ -108,6 +122,10 @@ def pack(*items) -> bytes:
     out: list[bytes] = []
     _encode_items(items, out.append)
     return b"".join(out)
+
+
+# packed while the table is still empty, so by the general rule
+_SMALL_INTS.update([(i, pack(i)) for i in SMALL_INT_RANGE])
 
 
 def _decode_items(data: bytes, offset: int, count: int,

@@ -95,9 +95,14 @@ class MsgKind(str, Enum):
 VOTE_OF = {MsgKind.PREPARED: MsgKind.PREPARE, MsgKind.COMMITTED: MsgKind.COMMIT,
            MsgKind.LEARN: MsgKind.P2B}
 _CERT_OF = {vote: cert for cert, vote in VOTE_OF.items()}
+# a wire's kind string -> its kind; exactly the members' values, so a
+# member's name, a padded value or an empty string is no kind
+_KIND_OF = {kind.value: kind for kind in MsgKind}
 
 
-@dataclass(frozen=True)
+# Frozen, since the wire memo hands one decoded Msg to every replica of an
+# instance; slotted, since one is built for each message sent or opened.
+@dataclass(frozen=True, slots=True)
 class Msg:
     instance: str
     kind: MsgKind
@@ -126,10 +131,9 @@ def encode_msg(keystore: KeyStore, msg: Msg) -> bytes:
 
 def _msg(instance: str, sender: str, kind_s: str, body: tuple, sig: bytes) -> Msg:
     """The message of an envelope's header and body; CodecError if malformed."""
-    try:
-        kind = MsgKind(kind_s)
-    except ValueError as exc:
-        raise codec.CodecError(f"unknown message kind {kind_s!r}") from exc
+    kind = _KIND_OF.get(kind_s)
+    if kind is None:
+        raise codec.CodecError(f"unknown message kind {kind_s!r}")
     certified = kind in VOTE_OF
     view, ballot_node, value, digest, cv, cn, *rest = codec.check_record(
         body, int, int, (bytes, type(None)), (bytes, type(None)), int, int,
@@ -148,13 +152,15 @@ def decode_msg(wire: bytes) -> Msg:
 def vote_body(cert: Msg, voter: str) -> bytes:
     """What `voter` signed when it cast the vote that `cert` certifies: the
     envelope of its own P2B for the ballot and value of a LEARN, of its own
-    PREPARE or COMMIT for the view and digest of a PREPARED or COMMITTED."""
+    PREPARE or COMMIT for the view and digest of a PREPARED or COMMITTED.
+    The vote's envelope fields, as `_fields` gives them for that vote, are
+    packed directly, without building the vote."""
     kind = VOTE_OF[cert.kind]
     if kind is MsgKind.P2B:
-        vote = Msg(cert.instance, kind, voter, cert.view, cert.ballot_node, cert.value)
-    else:
-        vote = Msg(cert.instance, kind, voter, cert.view, digest=cert.digest)
-    return envelope(*_fields(vote))
+        return envelope("cons", cert.instance, voter, kind.value, cert.view,
+                        cert.ballot_node, cert.value, None, -1, -1)
+    return envelope("cons", cert.instance, voter, kind.value, cert.view,
+                    -1, None, cert.digest, -1, -1)
 
 
 def verify_msg(keystore: KeyStore, wire: bytes, instance: str, members,
@@ -185,18 +191,27 @@ def verify_msg(keystore: KeyStore, wire: bytes, instance: str, members,
 
 @dataclass(frozen=True)
 class ConsensusConfig:
+    """An instance's group and bounds. `member_set` and the position map
+    behind `index` are built once from `members`, so a membership check
+    or an index costs one hash lookup whatever the group's size."""
     members: tuple[str, ...]
     f_max: int
     quorum: int
     view_timeout: int
     instance_id: str
+    member_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "member_set", frozenset(self.members))
+        object.__setattr__(self, "_position", {m: i for i, m in enumerate(self.members)})
 
     @property
     def n(self) -> int:
         return len(self.members)
 
     def index(self, node: str) -> int:
-        return self.members.index(node)
+        return self._position[node]
 
     def leader(self, view: int) -> str:
         return self.members[view % self.n]
@@ -311,7 +326,7 @@ class _Replica(Peer):
         return self._on_timeout(now)
 
     def _open(self, wire: bytes) -> Msg | None:
-        return verify_msg(self.keystore, wire, self.cfg.instance_id, self.members,
+        return verify_msg(self.keystore, wire, self.cfg.instance_id, self.cfg.member_set,
                           self.cfg.quorum)
 
     def _on_msg(self, msg: Msg, now: int) -> list:
@@ -383,7 +398,9 @@ class _Replica(Peer):
         """Decide the value of `cert`, a certificate of a quorum's votes,
         keep it as this replica's own (with its `wire`, when this replica
         signed it), stop the timers, and trace it."""
-        self.certificate = replace(cert, sender=self.node, sig=b"")
+        self.certificate = Msg(cert.instance, cert.kind, self.node, cert.view,
+                               cert.ballot_node, cert.value, cert.digest,
+                               cert.cert_view, cert.cert_node, cert.cert)
         self._certificate_wire = wire
         self.decision = Decision(cert.value, now, cert.view)
         self._timer_gen += 1

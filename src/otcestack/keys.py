@@ -99,7 +99,8 @@ def seal(keystore: KeyStore, tag: str, scope: str, signer: str, kind: str, *body
 
 def unseal(keystore: KeyStore, wire: bytes, tag: str, scope: str, members):
     """(signer, kind, body) of a `tag` envelope of `scope` signed by one of
-    `members`, else None; a wire no longer than a signature has no fields."""
+    `members`, else None; a wire no longer than a signature has no fields.
+    `members` may be any container with `in`, such as a frozenset."""
     data = wire[:-SIG_LEN]
     try:
         fields = codec.unpack(data)

@@ -149,6 +149,24 @@ def test_pack_gives_the_reference_bytes():
     assert {type(None), bool, int, float, bytes, str, list, tuple} <= seen
 
 
+def test_small_int_table_holds_the_reference_bytes_and_stays_fixed():
+    table = codec._SMALL_INTS
+    ints = codec.SMALL_INT_RANGE
+    assert sorted(table) == list(ints)
+    for i in range(ints.start - 2, ints.stop + 2):
+        assert codec.pack(i) == ref_pack(i), i
+        assert codec.pack("a", [i, (i,)], i) == ref_pack("a", [i, (i,)], i), i
+        assert codec.digest(i) == codec.sha(ref_pack(i)), i
+    # a bool keeps its own tag, though True == 1 and False == 0 as keys
+    assert codec.pack(True, False, 1, 0) == ref_pack(True, False, 1, 0)
+    assert codec.pack(True)[:1] == codec.pack(False)[:1] == b"T"
+    rng = random.Random(257)
+    for _ in range(2000):
+        i = rng.randrange(-2**70, 2**70) >> rng.randrange(0, 70)
+        assert codec.pack(i) == ref_pack(i), i
+    assert len(table) == len(ints)
+
+
 def test_digest_is_the_sha_of_the_packed_record():
     # `digest` streams the encoding into the hash without packing it
     rng = random.Random(5151)

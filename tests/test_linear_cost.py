@@ -5,7 +5,9 @@ fixed costs are spread over more units).
 Counted by wrapping the calls, not timed: per ledger tx, `codec.pack`,
 `codec.unpack` and HMACs (`KeyStore.sign`, which `KeyStore.verify` calls)
 over a run, its dump, load, verification and replay; per DAG task, network
-sends, HMACs and evaluations over a lossy run with a crash; per scenario
+sends, HMACs and evaluations over a lossy run with a crash; per network
+send of a fault-free consensus instance of 16, 32 and 64 members,
+`codec.pack`, `codec.unpack`, HMACs and `Msg` constructions; per scenario
 line and per DAG task, every Python-level call of the parse. Each generator
 draws the larger input as an extension of the smaller one, so a count that
 grows per unit comes from the code, not from a different input mix.
@@ -19,8 +21,10 @@ import pytest
 
 from otcestack import bvm, codec
 from otcestack.bvm import execute_collaborative, parse_dag, sequential_oracle
+from otcestack.consensus import Msg, run_instance
 from otcestack.keys import KeyStore
 from otcestack.ledger import dump_chain, load_chain
+from otcestack.plan import Protocol, make_plan
 from otcestack.runner import audit_chain, run_scenario
 from otcestack.scenario import parse_scenario
 from otcestack.simnet import Behavior, FaultSpec, Network, NetworkConfig
@@ -48,12 +52,14 @@ def counts(monkeypatch):
     wrap(KeyStore, "sign", "hmac")      # `verify` signs again to compare
     wrap(Network, "send", "send")
     wrap(bvm, "eval_op", "eval")
+    wrap(Msg, "__init__", "msg")
     return seen
 
 
 def assert_linear(per_unit: dict[int, dict[str, float]]) -> None:
-    base = per_unit[SIZES[0]]
-    for size in SIZES[1:]:
+    sizes = sorted(per_unit)
+    base = per_unit[sizes[0]]
+    for size in sizes[1:]:
         for key, value in per_unit[size].items():
             assert value <= base[key] * SLACK, (key, size, per_unit)
 
@@ -154,6 +160,24 @@ def test_dag_work_per_task_is_linear(counts):
                           for key in ("send", "hmac", "eval")}
         assert report.completed and report.values == sequential_oracle(dag, chunks)
     assert_linear(per_task)
+
+
+# -- consensus -------------------------------------------------------------
+
+@pytest.mark.parametrize("protocol", [Protocol.PBFT, Protocol.PAXOS])
+def test_consensus_work_per_send_is_linear(counts, protocol):
+    """A fault-free decision is 5(n - 1) sends; the packing, decoding,
+    signing and message building behind each send stay flat as n grows."""
+    per_send = {}
+    for n in (16, 32, 64):
+        members = [f"m{i:02d}" for i in range(n)]
+        counts.clear()
+        res = run_instance(make_plan(protocol, n), members, b"value", KeyStore(4))
+        assert res.agreed and len(res.decisions) == n
+        assert res.sent == counts["send"] == 5 * (n - 1)
+        per_send[n] = {key: counts[key] / counts["send"]
+                       for key in ("pack", "unpack", "hmac", "msg")}
+    assert_linear(per_send)
 
 
 # -- scenario parse --------------------------------------------------------
