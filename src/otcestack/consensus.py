@@ -3,9 +3,10 @@
 Two single-decree engines share one message shape and envelope: a
 three-phase Byzantine-tolerant protocol (pre-prepare / prepare / commit
 with view changes) and a majority protocol (promise / accept with proposer
-retries). Replicas run honest logic only; adversarial behavior is injected
-by the network layer (crash, drop-all, delay-max, or per-recipient payload
-rewriting for equivocation). Every message is a `cons` envelope of its
+retries). The network injects crash, drop-all and delay-max; a lie is
+the replica's own: from the tick its `lie_from` names, an equivocating
+replica sends each odd-indexed peer a rewritten copy of its proposals and
+votes (see `_equivocate`). Every message is a `cons` envelope of its
 instance (see `keys`), opened on receipt; anything malformed, stale, or
 from outside the instance or the group is dropped and counted, never
 raised.
@@ -38,8 +39,8 @@ its P2B to the owner, and the owner decides on q of them and broadcasts
 one LEARN.
 
 A crash plan's fault model has no liars, so `run_instance` flags an
-equivocating member (or any payload transform) of a majority group as
-beyond the bound, however few faulty members there are.
+equivocating member of a majority group as beyond the bound, however few
+faulty members there are.
 
 The engines share one replica skeleton, `_Replica`, a `keys.Peer`: one
 dispatch of each verified message through the engine's table from kind to
@@ -69,8 +70,8 @@ from operator import attrgetter
 from . import codec
 from .keys import SIG_LEN, KeyStore, Peer, envelope, seal, unseal
 from .plan import Protocol, SecurityPlan, certificate_refusal
-from .simnet import (Behavior, FaultSpec, Network, NetworkConfig, NetReport,
-                     Record, Send, SetTimer, SimEvent)
+from .simnet import (Behavior, Network, NetworkConfig, NetReport, Record, Send,
+                     SetTimer, SimEvent)
 
 DEFAULT_VIEW_TIMEOUT = 40
 
@@ -120,7 +121,7 @@ class Msg:
 
 def _fields(msg: Msg) -> tuple:
     """The envelope fields of `msg`; a certificate kind adds its pairs."""
-    fields = ("cons", msg.instance, msg.sender, msg.kind.value, msg.view,
+    fields = ("cons", msg.instance, msg.sender, msg.kind._value_, msg.view,
               msg.ballot_node, msg.value, msg.digest, msg.cert_view, msg.cert_node)
     return fields + (msg.cert,) if msg.kind in VOTE_OF else fields
 
@@ -142,13 +143,6 @@ def _msg(instance: str, sender: str, kind_s: str, body: tuple, sig: bytes) -> Ms
     return Msg(instance, kind, sender, view, ballot_node, value, digest, cv, cn, cert, sig)
 
 
-def decode_msg(wire: bytes) -> Msg:
-    """Decode without verifying the signature; CodecError on bad shape."""
-    fields = codec.unpack(wire[:-SIG_LEN])
-    _, instance, sender, kind_s = codec.check_record(fields[:4], "cons", str, str, str)
-    return _msg(instance, sender, kind_s, fields[4:], wire[-SIG_LEN:])
-
-
 def vote_body(cert: Msg, voter: str) -> bytes:
     """What `voter` signed when it cast the vote that `cert` certifies: the
     envelope of its own P2B for the ballot and value of a LEARN, of its own
@@ -157,9 +151,9 @@ def vote_body(cert: Msg, voter: str) -> bytes:
     packed directly, without building the vote."""
     kind = VOTE_OF[cert.kind]
     if kind is MsgKind.P2B:
-        return envelope("cons", cert.instance, voter, kind.value, cert.view,
+        return envelope("cons", cert.instance, voter, kind._value_, cert.view,
                         cert.ballot_node, cert.value, None, -1, -1)
-    return envelope("cons", cert.instance, voter, kind.value, cert.view,
+    return envelope("cons", cert.instance, voter, kind._value_, cert.view,
                     -1, None, cert.digest, -1, -1)
 
 
@@ -235,24 +229,18 @@ class Decision:
 
 # -- equivocation ----------------------------------------------------------
 
-# Only proposal and vote payloads are rewritten. Recovery metadata
-# (view-change reports, promise reports) and quorum certificates stay
-# truthful: the fault model is a node lying about what it proposes and
+# An equivocating replica rewrites only its proposals and votes. Recovery
+# metadata (view-change reports, promise reports) and quorum certificates
+# stay truthful: the fault model is a node lying about what it proposes and
 # votes, not forging protocol evidence.
 TRANSFORMABLE = frozenset({MsgKind.PREPREPARE, MsgKind.NEWVIEW, MsgKind.PREPARE,
                            MsgKind.COMMIT, MsgKind.P2A, MsgKind.P2B})
 
 
-def _equivocate(keystore: KeyStore, digests: dict[bytes, bytes], payload: bytes) -> bytes:
-    """`payload` as an odd-indexed recipient gets it: a value altered, its
-    digest to match (kept in `digests` for a vote that carries only the
-    digest), and signed again by the sender; any other payload as it is."""
-    try:
-        msg = decode_msg(payload)
-    except codec.CodecError:
-        return payload
-    if msg.kind not in TRANSFORMABLE:
-        return payload
+def _equivocate(digests: dict[bytes, bytes], msg: Msg) -> Msg:
+    """`msg` as an equivocator tells it to an odd-indexed peer: its value
+    altered and its digest to match, kept in `digests` for a later vote that
+    carries only the digest."""
     value, digest = msg.value, msg.digest
     if value is not None:
         alt = codec.sha(b"equivocate/" + value)
@@ -262,23 +250,7 @@ def _equivocate(keystore: KeyStore, digests: dict[bytes, bytes], payload: bytes)
         value = alt
     elif digest is not None:
         digest = digests.get(digest, codec.sha(b"equivocate/" + digest))
-    return encode_msg(keystore, replace(msg, value=value, digest=digest))
-
-
-def make_equivocation_transform(keystore: KeyStore):
-    """Per-recipient rewriter: odd-indexed recipients get `_equivocate`'s
-    bytes, the same for each, so each payload is rewritten once."""
-    digests: dict[bytes, bytes] = {}
-    rewritten: dict[bytes, bytes] = {}     # payload -> what odd recipients get
-
-    def transform(payload: bytes, dst: str, dst_index: int) -> bytes:
-        if dst_index % 2 == 0:
-            return payload
-        if payload not in rewritten:
-            rewritten[payload] = _equivocate(keystore, digests, payload)
-        return rewritten[payload]
-
-    return transform
+    return replace(msg, value=value, digest=digest)
 
 
 # -- shared replica --------------------------------------------------------
@@ -297,7 +269,11 @@ class _Replica(Peer):
     message of a kind the table lacks is a drop. Once decided, it answers a
     verified message of the engine's `_STRAGGLER` kind with `_answer` and
     ignores any other, without a drop. `_send` and `_bcast` pass a message
-    meant for this replica to the same table, without the network."""
+    meant for this replica to the same table, without the network.
+
+    An honest replica's `lie_from` is None. An equivocator's is the tick
+    from which `_send` and `_bcast` hand each peer `_lie`'s wire: a
+    rewritten one for an odd-indexed peer."""
 
     _ON: dict    # MsgKind -> handler(replica, msg, now), one table per engine
     _ROUND: str  # what a decision's trace note calls its view or round
@@ -313,6 +289,9 @@ class _Replica(Peer):
         self.certificate: Msg | None = None    # this replica's own, once decided
         self._certificate_wire: bytes | None = None
         self._timer_gen = 0
+        self.lie_from: int | None = None
+        self._lies: dict[bytes, bytes] = {}     # honest wire -> what odd peers get
+        self._lie_digests: dict[bytes, bytes] = {}     # see `_equivocate`
 
     def _on_local(self, event: SimEvent, now: int) -> list:
         if self.request_value is not None:
@@ -343,7 +322,10 @@ class _Replica(Peer):
         `msg` goes to its handler in `_ON`, signed first if it is a vote,
         whose signature goes into the certificate."""
         if dst != self.node:
-            return [Send(dst, encode_msg(self.keystore, msg), msg.kind.value)]
+            wire = encode_msg(self.keystore, msg)
+            if self.lie_from is not None:
+                wire = self._lie(msg, wire, dst, now)
+            return [Send(dst, wire, msg.kind._value_)]
         if msg.kind in _CERT_OF:
             msg = replace(msg, sig=encode_msg(self.keystore, msg)[-SIG_LEN:])
         return self._ON[msg.kind](self, msg, now)
@@ -352,8 +334,27 @@ class _Replica(Peer):
         """Broadcast a signed `kind` message to every peer, then hand the
         same message to this replica's own handler."""
         msg = Msg(self.cfg.instance_id, kind, self.node, **fields)
-        acts = self._to_all(encode_msg(self.keystore, msg), kind.value)
+        wire, label = encode_msg(self.keystore, msg), kind._value_
+        if self.lie_from is None:
+            acts = self._to_all(wire, label)
+        else:
+            acts = [Send(m, self._lie(msg, wire, m, now), label)
+                    for m in self.members if m != self.node]
         return acts + self._ON[kind](self, msg, now)
+
+    def _lie(self, msg: Msg, wire: bytes, dst: str, now: int) -> bytes:
+        """What this equivocator sends peer `dst` in place of `wire`, the
+        honest wire of `msg`: from tick `lie_from` on, an odd-indexed peer
+        gets a proposal or vote rewritten by `_equivocate` and signed, once
+        per honest wire; else `wire`."""
+        if (now < self.lie_from or not self.cfg.index(dst) % 2
+                or msg.kind not in TRANSFORMABLE):
+            return wire
+        lie = self._lies.get(wire)
+        if lie is None:
+            lie = self._lies[wire] = encode_msg(
+                self.keystore, _equivocate(self._lie_digests, msg))
+        return lie
 
     def _to_all(self, wire: bytes, label: str) -> list:
         return [Send(m, wire, label) for m in self.members if m != self.node]
@@ -411,7 +412,7 @@ class _Replica(Peer):
         """Send `dst` this replica's own signed certificate, encoded once."""
         if self._certificate_wire is None:
             self._certificate_wire = encode_msg(self.keystore, self.certificate)
-        return [Send(dst, self._certificate_wire, self.certificate.kind.value)]
+        return [Send(dst, self._certificate_wire, self.certificate.kind._value_)]
 
 
 # -- byzantine-tolerant engine ---------------------------------------------
@@ -488,7 +489,7 @@ class PBFTReplica(_Replica):
             return []
         cert, wire = self._certify(_CERT_OF[msg.kind], tally, view=view,
                                    value=prop[1], digest=d)
-        acts = self._to_all(wire, cert.kind.value)
+        acts = self._to_all(wire, cert.kind._value_)
         if msg.kind is MsgKind.COMMIT:
             return acts + self._decide(cert, now, "", wire)
         return acts + self._on_prepared(cert, now)
@@ -691,7 +692,7 @@ class PaxosReplica(_Replica):
         cert, wire = self._certify(MsgKind.LEARN, tally, view=ballot[0],
                                    ballot_node=ballot[1], value=msg.value)
         return (self._decide(cert, now, "", wire)
-                + self._to_all(wire, MsgKind.LEARN.value))
+                + self._to_all(wire, MsgKind.LEARN._value_))
 
     def _on_learn(self, msg: Msg, now: int) -> list:
         """Decide on a LEARN; `verify_msg` has checked its certificate."""
@@ -742,18 +743,17 @@ def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
             replicas[m] = PaxosReplica(cfg, m, keystore,
                                        initial_proposer=m in initial_proposers,
                                        verified=verified)
-    wired = [replace(spec, transform=make_equivocation_transform(keystore))
-             if spec.behavior is Behavior.EQUIVOCATE and spec.transform is None
-             else spec for spec in faults]
-    net.start({m: r.step for m, r in replicas.items()}, wired,
+    for spec in faults:
+        if spec.behavior is Behavior.EQUIVOCATE and spec.node in replicas:
+            replicas[spec.node].lie_from = spec.at_tick
+    net.start({m: r.step for m, r in replicas.items()}, faults,
               value, MsgKind.REQUEST.value, max_tick)
 
     decisions = {m: r.decision for m, r in replicas.items() if r.decision is not None}
     faulty = tuple(sorted({spec.node for spec in faults}))
-    # a crash plan bets that no member lies: a rewritten payload is outside it
+    # a crash plan bets that no member lies: an equivocator is outside it
     out_of_model = plan.protocol is Protocol.PAXOS and any(
-        spec.behavior is Behavior.EQUIVOCATE or spec.transform is not None
-        for spec in faults)
+        spec.behavior is Behavior.EQUIVOCATE for spec in faults)
     honest = tuple(m for m in cfg.members if m not in faulty)
     stalled = tuple(m for m in honest if m not in decisions)
     values = sorted({d.value for n, d in decisions.items() if n in honest})

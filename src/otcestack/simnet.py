@@ -5,12 +5,11 @@ One Network instance is one logical execution: events fire in strict
 processed sequence is recorded as a line-oriented trace. Identical
 (seed, config, faults) must reproduce the trace byte for byte.
 
-Faulty-sender behaviors are applied on the send path, so protocol handlers
-always run their honest logic: crash silences a node from its crash tick,
-drop-all suppresses its outbound messages, delay-max stretches them to the
-bound (landing after the stabilization tick when one is set), and
-equivocate rewrites value-bearing payloads per recipient through a
-protocol-supplied transform.
+The send path holds the faults that only silence or slow a node: crash
+silences it from its crash tick, drop-all suppresses its outbound
+messages, and delay-max stretches them to the bound (landing after the
+stabilization tick when one is set). A lie is the sender's own code: the
+network carries an `equivocate` node's payloads as it sends them.
 
 Each message costs one pass: `send` looks up the sender's fault once and
 `run_until` looks up the receiver's once per delivery. The network builds
@@ -46,8 +45,6 @@ class FaultSpec:
     node: str
     behavior: Behavior
     at_tick: int = 0
-    # equivocate only: (payload, dst, dst_index) -> payload
-    transform: Callable[[bytes, str, int], bytes] | None = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,6 @@ class Network:
         self._heap: list[tuple[int, int, SimEvent]] = []
         self._seq = 0
         self._handlers: dict[str, Handler] = {}
-        self._order: dict[str, int] = {}
         self._faults: dict[str, FaultSpec] = {}
         self.trace: list[str] = []
         self._shorts: dict[bytes, str] = {}
@@ -142,7 +138,6 @@ class Network:
         if node in self._handlers:
             raise ValueError(f"node {node} already registered")
         self._handlers[node] = handler
-        self._order[node] = len(self._order)
 
     def start(self, handlers: dict[str, Handler], faults, payload: bytes,
               label: str, max_tick: int) -> None:
@@ -206,8 +201,6 @@ class Network:
             if behavior is Behavior.DELAY_MAX:
                 base = tick if cfg.gst is None else max(tick, cfg.gst)
                 deliver_at = base + cfg.delay_max
-            elif fault.transform is not None:     # equivocate
-                payload = fault.transform(payload, dst, self._order[dst])
         if deliver_at is None:
             if (cfg.drop_rate > 0.0 and (cfg.gst is None or tick < cfg.gst)
                     and self.rng.random() < cfg.drop_rate):

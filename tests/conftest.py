@@ -1,4 +1,4 @@
-"""Shared builders for randomized tests."""
+"""Shared builders for randomized tests, and a decoder of consensus wires."""
 
 import random
 import sys
@@ -6,10 +6,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from otcestack import codec  # noqa: E402
 from otcestack.bvm import (Task, TaskDAG, chunk_input, lit_input,  # noqa: E402
                            task_input)
+from otcestack.consensus import Msg, _msg  # noqa: E402
+from otcestack.keys import SIG_LEN  # noqa: E402
 
 OPS = ("add", "mul", "concat", "hash")
+
+
+def decode_msg(wire: bytes) -> Msg:
+    """The message of a consensus wire, its signature not checked;
+    CodecError on a bad shape."""
+    fields = codec.unpack(wire[:-SIG_LEN])
+    _, instance, sender, kind_s = codec.check_record(fields[:4], "cons", str, str, str)
+    return _msg(instance, sender, kind_s, fields[4:], wire[-SIG_LEN:])
 
 
 def make_random_dag(rng: random.Random, max_tasks: int = 12,

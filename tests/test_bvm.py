@@ -652,7 +652,22 @@ def test_sync_takes_moved_tasks_and_needs_what_is_missing():
     assert executor.assigned == ["b", "a"]
 
 
-def test_members_disagreeing_on_a_sink_do_not_complete():
+def lie_as(monkeypatch, node, members, rewrite):
+    """Make `node`'s executor send `rewrite(payload, dst, index of dst)` in
+    place of each payload it sends."""
+    original = bvm.TaskExecutor.step
+
+    def step(self, event, now):
+        acts = original(self, event, now)
+        if self.node != node:
+            return acts
+        return [Send(a.dst, rewrite(a.payload, a.dst, members.index(a.dst)), a.label)
+                if isinstance(a, Send) else a for a in acts]
+
+    monkeypatch.setattr(bvm.TaskExecutor, "step", step)
+
+
+def test_members_disagreeing_on_a_sink_do_not_complete(monkeypatch):
     # m1 re-signs its value for the sink d with other data for each receiver
     ks = KeyStore(3)
     dag, chunks = parse_dag("task a add l:01\ntask d add t:a l:02\n")
@@ -664,9 +679,10 @@ def test_members_disagreeing_on_a_sink_do_not_complete():
             return payload
         return seal(ks, "bvm-val", fields[1], "m1", "value", "d", bytes([index]))
 
+    lie_as(monkeypatch, "m1", members, vary)
     report = execute_collaborative(
         dag, members, {}, ks, net_cfg=NetworkConfig(seed=1),
-        faults=(FaultSpec("m1", Behavior.EQUIVOCATE, transform=vary),))
+        faults=(FaultSpec("m1", Behavior.EQUIVOCATE),))
     assert report.schedule == {"a": "m0", "d": "m1"}
     assert report.rejected == dict.fromkeys(members, 0)
     assert not report.completed and report.failed_tasks == ("d",)
@@ -848,7 +864,7 @@ def test_sinks_moved_by_a_sync_go_out_in_a_batch_of_their_own():
         sink_batch("a", "c"))
 
 
-def test_value_accepted_only_from_the_tasks_assignee():
+def test_value_accepted_only_from_the_tasks_assignee(monkeypatch):
     # m1 relabels its value for d as c, m2's task, and re-signs it
     ks = KeyStore(3)
     dag, chunks = parse_dag("chunk x 05\ntask a add c:x l:01\ntask b mul t:a l:03\n"
@@ -861,10 +877,11 @@ def test_value_accepted_only_from_the_tasks_assignee():
             return payload
         return seal(ks, "bvm-val", fields[1], "m1", "value", "c", b"\xee" * 32)
 
+    lie_as(monkeypatch, "m1", members, relabel)
     report = execute_collaborative(
         dag, members, {m: dict(chunks) for m in members}, ks,
         net_cfg=NetworkConfig(seed=1),
-        faults=(FaultSpec("m1", Behavior.EQUIVOCATE, transform=relabel),))
+        faults=(FaultSpec("m1", Behavior.EQUIVOCATE),))
     assert report.schedule == {"a": "m0", "b": "m0", "d": "m1", "c": "m2"}
     # each honest member refuses the relabelled broadcast and the relabelled
     # answer to its need for d, so only m1 holds the sink d

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
+from conftest import decode_msg
 from otcestack import codec
 from otcestack.consensus import (VOTE_OF, Msg, MsgKind, PaxosReplica, PBFTReplica,
-                                 config_from_plan, decode_msg, encode_msg, verify_msg,
-                                 vote_body)
+                                 config_from_plan, encode_msg, verify_msg, vote_body)
 from otcestack.keys import SIG_LEN, KeyStore, seal
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import SimEvent

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from conftest import decode_msg
 from otcestack.consensus import (MsgKind, PaxosReplica, config_from_plan,
-                                 decode_msg, run_instance)
+                                 run_instance)
 from otcestack.keys import KeyStore
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import Behavior, FaultSpec, Network, NetworkConfig, Send
@@ -90,13 +91,6 @@ def test_a_liar_is_outside_a_crash_plan_within_f_max(behavior, beyond):
     res = paxos(members=MEMBERS5, seed=2, faults=(FaultSpec("p3", behavior),))
     assert res.beyond_bound is beyond
     assert res.violations == ()
-
-
-def test_any_payload_transform_is_outside_a_crash_plan():
-    res = paxos(seed=2, faults=(FaultSpec("p2", Behavior.DROP_ALL,
-                                          transform=lambda payload, dst, i: payload),))
-    assert res.faulty == ("p2",)
-    assert res.beyond_bound
 
 
 def _no_p2a_below_own_promise(rep: PaxosReplica):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from conftest import decode_msg
 from otcestack.consensus import (MsgKind, Msg, PBFTReplica, config_from_plan,
-                                 decode_msg, encode_msg, run_instance,
-                                 verify_msg)
+                                 encode_msg, run_instance, verify_msg)
 from otcestack.keys import KeyStore
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import Behavior, FaultSpec, NetworkConfig, SimEvent

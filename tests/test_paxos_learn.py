@@ -10,8 +10,9 @@ from collections import Counter
 
 import pytest
 
+from conftest import decode_msg
 from otcestack.consensus import (Msg, MsgKind, PaxosReplica, config_from_plan,
-                                 decode_msg, encode_msg, run_instance)
+                                 encode_msg, run_instance)
 from otcestack.keys import SIG_LEN, KeyStore
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import Network, NetworkConfig, Send, SimEvent

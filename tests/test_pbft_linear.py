@@ -15,10 +15,10 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import decode_msg
 from otcestack import codec
 from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
-                                 config_from_plan, decode_msg, encode_msg,
-                                 run_instance)
+                                 config_from_plan, encode_msg, run_instance)
 from otcestack.keys import SIG_LEN, KeyStore
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import (Behavior, FaultSpec, NetworkConfig, Record, Send,
@@ -138,7 +138,7 @@ def test_a_certificate_without_a_quorum_of_matching_votes_is_one_drop(kind, case
 @pytest.mark.parametrize("kind", [MsgKind.PREPARED, MsgKind.COMMITTED])
 def test_an_equivocating_leaders_re_signed_certificate_is_one_drop(kind):
     """The leader rewrites a genuine certificate's value and digest, as the
-    equivocation transform does to a proposal, and signs it again: the
+    equivocator's `_equivocate` does to a proposal, and signs it again: the
     pairs still sign the old digest."""
     genuine = Msg("i", kind, "r0", view=0, value=b"v", digest=D,
                   cert=pairs(VOTE[kind], MEMBERS4[:Q]))

@@ -3,17 +3,19 @@ counts of the event entry, the timer a replica acts on, what a decided
 replica answers in either engine, the duplicate check of a tally, which value a new
 leader or proposer re-proposes, and the one way a replica reaches itself:
 its own proposals, votes and reports go through the handler table, like a
-peer's."""
+peer's. Last, what an equivocating replica tells its even- and odd-indexed
+peers, before and from its fault's tick."""
 
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from conftest import decode_msg
 from otcestack import codec
 from otcestack.consensus import (VOTE_OF, Msg, MsgKind, PaxosReplica, PBFTReplica,
-                                 config_from_plan, decode_msg, encode_msg,
-                                 run_instance, vote_body)
+                                 config_from_plan, encode_msg, run_instance,
+                                 verify_msg, vote_body)
 from otcestack.keys import SIG_LEN, KeyStore
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import Behavior, FaultSpec, Send, SetTimer, SimEvent
@@ -258,3 +260,91 @@ def test_new_leaders_own_view_change_and_newview_reach_their_handlers(monkeypatc
     assert calls[MsgKind.VIEWCHANGE, True] == 1
     assert calls[MsgKind.NEWVIEW, True] == 1
     assert calls[MsgKind.NEWVIEW, False] == 2
+
+
+# -- equivocation ----------------------------------------------------------------
+
+def deliver_at(rep, now: int, kind: MsgKind, sender: str, **fields) -> list:
+    payload = wire(kind, sender, **fields)
+    return rep.step(SimEvent(now, now, "msg", sender, rep.node, payload, "m"), now)
+
+
+def told(acts, kind: MsgKind) -> dict[str, bytes]:
+    """dst -> the wire of each `kind` Send in `acts`."""
+    return {a.dst: a.payload for a in acts if isinstance(a, Send) and a.label == kind.value}
+
+
+def assert_lie(lie: bytes, honest: Msg, members) -> None:
+    """`lie` is `honest` with its value and digest altered as `_equivocate`
+    alters them, signed by its sender, and `verify_msg` accepts it."""
+    opened = verify_msg(KS, lie, "i", frozenset(members), len(members))
+    assert opened is not None and opened.sender == honest.sender
+    if honest.value is None:
+        assert opened.value is None
+        assert opened.digest == codec.sha(b"equivocate/" + honest.digest)
+    else:
+        assert opened.value == codec.sha(b"equivocate/" + honest.value)
+        assert opened.digest == (honest.digest and codec.sha(opened.value))
+    assert replace(opened, value=honest.value, digest=honest.digest) == honest
+
+
+def test_equivocating_pbft_leader_tells_odd_peers_one_other_proposal():
+    rep = pbft_replica("r0")
+    rep.lie_from = 0
+    got = told(request(rep, b"v"), MsgKind.PREPREPARE)
+    honest = Msg("i", MsgKind.PREPREPARE, "r0", view=0, value=b"v", digest=codec.sha(b"v"))
+    assert got["r2"] == encode_msg(KS, honest)
+    assert got["r1"] == got["r3"] != got["r2"]
+    assert_lie(got["r1"], honest, MEMBERS4)
+
+
+def test_equivocating_pbft_voter_lies_to_an_odd_leader_only_from_its_tick():
+    rep = pbft_replica("r2")
+    rep.lie_from = 3
+    d = codec.sha(b"v")
+    # view 0's leader r0 is even; view 1's leader r1 is odd
+    to_r0 = told(deliver_at(rep, 3, MsgKind.PREPREPARE, "r0", view=0, value=b"v",
+                            digest=d), MsgKind.PREPARE)
+    assert to_r0 == {"r0": wire(MsgKind.PREPARE, "r2", view=0, digest=d)}
+    vote = Msg("i", MsgKind.PREPARE, "r2", view=1, digest=d)
+    early = pbft_replica("r2")
+    early.lie_from = 3
+    before = told(deliver_at(early, 2, MsgKind.NEWVIEW, "r1", view=1, value=b"v",
+                             digest=d), MsgKind.PREPARE)
+    assert before == {"r1": encode_msg(KS, vote)}
+    after = told(deliver_at(rep, 3, MsgKind.NEWVIEW, "r1", view=1, value=b"v",
+                            digest=d), MsgKind.PREPARE)
+    assert after["r1"] != encode_msg(KS, vote)
+    assert_lie(after["r1"], vote, MEMBERS4)
+
+
+def test_equivocating_paxos_proposer_tells_odd_peers_one_other_value():
+    rep = paxos_replica("p0", proposer=True)
+    rep.lie_from = 0
+    p1a = told(request(rep, b"v"), MsgKind.P1A)
+    assert len(set(p1a.values())) == 1          # a P1A carries no value
+    for peer in ("p1", "p2"):
+        acts = deliver_at(rep, 1, MsgKind.P1B, peer, view=1, ballot_node=0)
+    got = told(acts, MsgKind.P2A)
+    honest = Msg("i", MsgKind.P2A, "p0", view=1, ballot_node=0, value=b"v")
+    assert got["p2"] == got["p4"] == encode_msg(KS, honest)
+    assert got["p1"] == got["p3"] != got["p2"]
+    assert_lie(got["p1"], honest, MEMBERS5)
+
+
+def test_equivocating_paxos_acceptor_lies_to_an_odd_owner_only_from_its_tick():
+    rep = paxos_replica("p2")
+    rep.lie_from = 3
+    to_p0 = told(deliver_at(rep, 3, MsgKind.P2A, "p0", view=1, ballot_node=0,
+                            value=b"v"), MsgKind.P2B)
+    assert to_p0 == {"p0": wire(MsgKind.P2B, "p2", view=1, ballot_node=0, value=b"v")}
+    vote = Msg("i", MsgKind.P2B, "p2", view=1, ballot_node=1, value=b"w")
+    early = paxos_replica("p2")
+    early.lie_from = 3
+    before = told(deliver_at(early, 2, MsgKind.P2A, "p1", view=1, ballot_node=1,
+                             value=b"w"), MsgKind.P2B)
+    assert before == {"p1": encode_msg(KS, vote)}
+    after = told(deliver_at(rep, 3, MsgKind.P2A, "p1", view=1, ballot_node=1,
+                            value=b"w"), MsgKind.P2B)
+    assert after["p1"] != encode_msg(KS, vote)
+    assert_lie(after["p1"], vote, MEMBERS5)

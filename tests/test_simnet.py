@@ -216,24 +216,7 @@ def test_delay_max_lands_at_bound_after_stabilization():
     assert net.conservation_ok()
 
 
-def test_equivocate_rewrites_per_recipient():
-    def transform(payload, dst, dst_index):
-        return payload + (b"!" if dst_index % 2 else b"")
-
-    net = Network(NetworkConfig(seed=8))
-    got = {}
-    net.register("liar", lambda e, now: [Send(d, b"v", "m") for d in ("p", "q")]
-                 if e.label == "kick" else [])
-    net.register("p", lambda e, now: got.setdefault("p", e.payload) and [])
-    net.register("q", lambda e, now: got.setdefault("q", e.payload) and [])
-    net.inject_fault(FaultSpec("liar", Behavior.EQUIVOCATE, transform=transform))
-    net.schedule_local("liar", 0, b"", "kick")
-    net.run_until(50)
-    assert {got["p"], got["q"]} == {b"v", b"v!"}
-
-
-@pytest.mark.parametrize("behavior", [Behavior.DROP_ALL, Behavior.DELAY_MAX,
-                                      Behavior.EQUIVOCATE])
+@pytest.mark.parametrize("behavior", [Behavior.DROP_ALL, Behavior.DELAY_MAX])
 def test_sender_is_honest_before_its_fault_tick(behavior):
     def run(fault):
         net = Network(NetworkConfig(delay_min=1, delay_max=5, seed=12))
@@ -241,8 +224,7 @@ def test_sender_is_honest_before_its_fault_tick(behavior):
         net.register("a", lambda e, now: [Send("b", b"v", "m")])
         net.register("b", lambda e, now: arrivals.append((now, e.payload)) or [])
         if fault:
-            net.inject_fault(FaultSpec("a", behavior, at_tick=10,
-                                       transform=lambda p, dst, i: p + b"!"))
+            net.inject_fault(FaultSpec("a", behavior, at_tick=10))
         for t in (0, 4, 8, 20):
             net.schedule_local("a", t, b"", "kick")
         net.run_until(100)
@@ -250,8 +232,7 @@ def test_sender_is_honest_before_its_fault_tick(behavior):
 
     honest, faulty = run(False), run(True)
     assert faulty[:3] == honest[:3]         # sent at 0, 4 and 8
-    assert faulty[3:] == {Behavior.DROP_ALL: [], Behavior.DELAY_MAX: [(25, b"v")],
-                          Behavior.EQUIVOCATE: [(honest[3][0], b"v!")]}[behavior]
+    assert faulty[3:] == {Behavior.DROP_ALL: [], Behavior.DELAY_MAX: [(25, b"v")]}[behavior]
 
 
 def test_fault_specs_conflict_and_unknown_node():

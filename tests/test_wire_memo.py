@@ -10,9 +10,9 @@ import pytest
 from otcestack import codec, consensus
 from otcestack.bvm import (Task, TaskDAG, TaskExecutor, chunk_input,
                            execute_collaborative, lit_input, task_input)
-from otcestack.consensus import (Msg, MsgKind, PaxosReplica, PBFTReplica,
-                                 config_from_plan, encode_msg,
-                                 make_equivocation_transform, run_instance)
+from otcestack.consensus import (TRANSFORMABLE, Msg, MsgKind, PaxosReplica,
+                                 PBFTReplica, config_from_plan, encode_msg,
+                                 run_instance)
 from otcestack.keys import KeyStore, seal
 from otcestack.plan import Protocol, make_plan
 from otcestack.simnet import (Behavior, FaultSpec, Network, NetworkConfig,
@@ -87,8 +87,8 @@ def test_replica_without_memo_gets_a_private_one():
 
 def run_private_memos(protocol, members, value, ks, net_cfg, faults,
                       view_timeout, max_tick=5000):
-    """run_instance's replicas on `Network.start`, but every replica keeps
-    its own memo."""
+    """run_instance's replicas on `Network.start`, equivocators set to lie
+    from their fault's tick, but every replica keeps its own memo."""
     cfg = config_from_plan(make_plan(protocol, len(members)), members, "inst",
                            view_timeout)
     net = Network(net_cfg)
@@ -97,8 +97,9 @@ def run_private_memos(protocol, members, value, ks, net_cfg, faults,
     else:
         reps = {m: PaxosReplica(cfg, m, ks, initial_proposer=m == cfg.members[0])
                 for m in cfg.members}
-    faults = [replace(spec, transform=make_equivocation_transform(ks))
-              if spec.behavior is Behavior.EQUIVOCATE else spec for spec in faults]
+    for spec in faults:
+        if spec.behavior is Behavior.EQUIVOCATE:
+            reps[spec.node].lie_from = spec.at_tick
     net.start({m: r.step for m, r in reps.items()}, faults, value,
               MsgKind.REQUEST.value, max_tick)
     return tuple(net.trace), {m: r.dropped for m, r in reps.items()}
@@ -184,39 +185,45 @@ def test_equivocator_rewrites_verified_as_separate_wires(monkeypatch):
 
 def test_equivocator_rewrites_each_payload_once(monkeypatch):
     """A broadcast reaches its odd-indexed recipients as one rewritten wire,
-    signed once, equal to what rewriting it again for each of them gives."""
+    signed once, equal to what rewriting it again gives."""
     ks = KeyStore(1)
     signed = []
-    calls = []     # (payload, what its odd-indexed recipient got)
+    rewrites = []     # (honest message, what odd-indexed recipients are told)
+    lies = []         # each wire an odd-indexed recipient got of a proposal or vote
     original_encode = consensus.encode_msg
-    original_make = consensus.make_equivocation_transform
+    original_equivocate = consensus._equivocate
+    original_step = PBFTReplica.step
 
     def counting_encode(keystore, msg):
         signed.append(original_encode(keystore, msg))
         return signed[-1]
 
-    def recording_make(keystore):
-        transform = original_make(keystore)
+    def recording_equivocate(digests, msg):
+        rewrites.append((msg, original_equivocate(digests, msg)))
+        return rewrites[-1][1]
 
-        def recording(payload, dst, dst_index):
-            out = transform(payload, dst, dst_index)
-            if dst_index % 2:
-                calls.append((payload, out))
-            return out
-        return recording
+    def recording_step(self, event, now):
+        acts = original_step(self, event, now)
+        if self.node == "r00":
+            lies.extend(a.payload for a in acts if isinstance(a, Send)
+                        and self.cfg.index(a.dst) % 2
+                        and MsgKind(a.label) in TRANSFORMABLE)
+        return acts
 
     monkeypatch.setattr(consensus, "encode_msg", counting_encode)
-    monkeypatch.setattr(consensus, "make_equivocation_transform", recording_make)
+    monkeypatch.setattr(consensus, "_equivocate", recording_equivocate)
+    monkeypatch.setattr(PBFTReplica, "step", recording_step)
     members = tuple(f"r{i:02d}" for i in range(31))
     res = run_instance(make_plan(Protocol.PBFT, 31), members, b"val", ks,
                        net_cfg=NetworkConfig(1, 3, seed=1),
                        faults=(FaultSpec("r00", Behavior.EQUIVOCATE),))
     assert res.agreed and res.sent == 240
     assert len(signed) == len(set(signed)) == 130
-    assert len(calls) > len({payload for payload, _ in calls})
+    assert len(lies) > len(set(lies)) == len(rewrites) > 0
+    assert set(lies) == {original_encode(ks, out) for _, out in rewrites}
     digests: dict = {}
-    assert [out for _, out in calls] == [
-        consensus._equivocate(ks, digests, payload) for payload, _ in calls]
+    assert [out for _, out in rewrites] == [
+        original_equivocate(digests, msg) for msg, _ in rewrites]
 
 
 # -- bvm -------------------------------------------------------------------
