@@ -38,9 +38,9 @@ of a given type, else `CodecError`. `unpack_record` applies the rule to
 bytes and `check_record` to an already-unpacked tuple, such as a nested
 list. A shape gives one entry per field: a `str` the field must equal, a
 type or tuple of types the field must be an instance of (`object` leaves the
-field unchecked; `bool` passes as `int`, as `isinstance` has it), or
-`list_of(t)`, a list whose items are all instances of `t`, itself a type
-whose instance check says so.
+field unchecked), or `list_of(t)`, a list whose items are all of type `t`,
+itself a type whose instance check says so. A bool is no `int`, though
+`isinstance` has it so: only a `bool` or `object` entry takes one.
 
 `unpack_record(data, *shape)` is `unpack(data, shape)`, which decodes and
 checks in one pass, from a plan compiled once per shape (shapes are
@@ -50,10 +50,9 @@ a tag fixes the type of what it decodes to. Literal, `str`, `bytes` and
 `int` fields are decoded inline, and so are the items of a `list_of(str)`
 or `list_of(float)` field; the items of any other `list_of(t)` go through
 the generic decoder, each tag checked against `t`. Any other entry takes
-the generic decoder and then an instance check. A record refused by the check is decoded again in
-full and checked by `check_record`, so it gives the fields, or the
-refusal and its message, that `check_record(unpack(data), *shape)` gives:
-a bool in an `int` field, whose `T` tag the plan refuses, passes there.
+the generic decoder and then an instance check. A record refused by the
+check is decoded again in full and checked by `check_record`, so its
+refusal and message are the ones `check_record(unpack(data), *shape)` gives.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 _HEAD = struct.Struct(">cI")    # a tag and a length
 _B, _S, _I, _L, _N, _T, _F = b"BSILNTF"
-# the tags whose values are instances of each type, `bool` passing as `int`
-_TAGS = {str: b"S", bytes: b"B", int: b"IT", float: b"F", tuple: b"L",
+# the tag of the values each type entry takes
+_TAGS = {str: b"S", bytes: b"B", int: b"I", float: b"F", tuple: b"L",
          bool: b"T", type(None): b"N"}
 
 
@@ -244,12 +243,11 @@ def _decode_record(data: bytes, shape: tuple) -> tuple:
                 break
             tag = data[offset]
             if tag != want_tag:
-                # a bool in an `int` field is refused here and passes the
-                # full decode below, as a bool passes as an int there
                 if op != _ANY:
                     raise _Mismatch
                 items, offset = _decode_items(data, offset, 1)
-                if not isinstance(items[0], want):
+                if not isinstance(items[0], want) or (items[0].__class__ is bool
+                                                      and not _takes_bool(want)):
                     raise _Mismatch
                 append(items[0])
                 continue
@@ -325,19 +323,29 @@ def _noun(want) -> str:
     return f"{'an' if name[0] in 'aeiou' else 'a'} {name}"
 
 
+def _takes_bool(want) -> bool:
+    """Whether the type entry `want`, or a tuple of them, takes a bool:
+    only `bool` and `object` do, though `isinstance` counts a bool as an
+    `int` too."""
+    if want.__class__ is tuple:
+        return any(map(_takes_bool, want))
+    return want is bool or want is object
+
+
 class _ListOf(type):
     """The class of `list_of`'s entries: an instance check of one passes a
-    tuple whose items are all instances of its `item`."""
+    tuple whose items are all of type `item` exactly, as decoded items are,
+    so a list of ints takes no bool."""
 
     def __instancecheck__(cls, value) -> bool:
         item = cls.item
-        return isinstance(value, tuple) and all(isinstance(v, item) for v in value)
+        return isinstance(value, tuple) and all(v.__class__ is item for v in value)
 
 
 @functools.cache
 def list_of(item: type) -> type:
-    """The shape entry of a list whose items are all instances of `item`,
-    one of the types a tag decodes to."""
+    """The shape entry of a list whose items are all of type `item`, one of
+    the types a tag decodes to."""
     if item not in _TAGS:
         raise TypeError(f"no tag decodes to {item!r}")
     return _ListOf(f"list of {item.__name__}", (), {"item": item})
@@ -348,10 +356,11 @@ def check_record(fields, *shape) -> tuple:
     if not isinstance(fields, tuple) or len(fields) != len(shape):
         raise CodecError(f"record needs {len(shape)} fields")
     for i, want in enumerate(shape):
+        value = fields[i]
         if isinstance(want, str):
-            if fields[i] != want:
+            if value != want:
                 raise CodecError(f"record field {i} is not {_noun(want)}")
-        elif not isinstance(fields[i], want):
+        elif not isinstance(value, want) or value.__class__ is bool and not _takes_bool(want):
             raise CodecError(f"record field {i} is not {_noun(want)}")
     return fields
 

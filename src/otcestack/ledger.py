@@ -109,11 +109,6 @@ def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Tr
 def decode_tx(data: bytes) -> Transaction:
     kind_num, payload, sender, signature, tx_id = codec.unpack_record(
         data, int, bytes, str, bytes, bytes)
-    # Exactly an int, not a bool: a tx's hash and signature cover the kind
-    # as `int(kind)`, so `T\x01` would verify in place of kind 1 and give
-    # one chain a second dump.
-    if type(kind_num) is not int:
-        raise codec.CodecError(f"tx kind {kind_num!r} is not an int")
     kind = _KINDS.get(kind_num)
     if kind is None:
         raise codec.CodecError(f"unknown tx kind {kind_num}")

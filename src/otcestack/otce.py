@@ -12,8 +12,13 @@ vector, and the contract maps it to a plan under its `PlanMapping` in one
 helper, committing the chosen protocol as the tx's status. Replaying a
 chain therefore re-derives every plan, and a trust that maps to no
 feasible plan is a committed refusal. Each registry maps a distinct trust
-vector and group size once and keeps the plan or the refusal; a fresh
-registry, so every replay, starts without any and derives its own.
+vector and group size once and keeps the plan with its status, so every
+tx that gets one plan commits one shared status tuple; a fresh registry,
+so every replay, starts without any and derives its own.
+
+Records hold each fact once: a registry keeps one tuple per distinct
+sorted group, and every record of that group shares it, with the member
+names of the first create that named it.
 
 Creation promotes straight to Running inside the sealing step that
 commits it. Termination is absorbing and has three causes: a verified
@@ -142,7 +147,9 @@ class OTCERegistry:
         # records that terminated earlier are dropped when they come due
         self._expiry: list[tuple[int, str]] = []
         # (components, n) as decoded -> what `_plan` returns for them
-        self._plans: dict[tuple, tuple[SecurityPlan | None, str]] = {}
+        self._plans: dict[tuple, tuple[SecurityPlan | None, tuple[bool, str]]] = {}
+        # sorted group -> the one tuple every record of that group holds
+        self._groups: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     # -- payload validation (structural; semantic checks live in apply) ----
 
@@ -205,25 +212,26 @@ class OTCERegistry:
         """Apply a committed tx, given its payload as `decode_payload` returned it."""
         return _APPLY[tx.kind](self, tx, decoded, height)
 
-    def _plan(self, components, n: int) -> tuple[SecurityPlan | None, str]:
-        """The plan the mapping gives a group of n under this trust vector,
-        or None and the refusal reason; derived once per distinct pair. A
-        vector that is no trust vector (a NaN, a component outside [0, 1])
-        is refused without a memo entry: a decoded NaN equals no other, so
-        its entries would only pile up."""
+    def _plan(self, components, n: int) -> tuple[SecurityPlan | None, tuple[bool, str]]:
+        """The plan the mapping gives a group of n under this trust vector
+        and the status a tx that gets it commits, or None and the refusal;
+        derived once per distinct pair. A vector that is no trust vector (a
+        NaN, a component outside [0, 1]) is refused without a memo entry: a
+        decoded NaN equals no other, so its entries would only pile up."""
         key = (components, n)
         got = self._plans.get(key)
         if got is None:
             try:
                 tv = trust_vector(components)
             except ValueError:
-                return None, "bad-trust-vector"
+                return None, (False, "bad-trust-vector")
             try:
-                got = map_trust_to_plan(self.mapping, tv, n), ""
+                plan = map_trust_to_plan(self.mapping, tv, n)
+                got = plan, (True, plan.protocol.value)
             except PlanInfeasibleError:
-                got = None, "plan-infeasible"
+                got = None, (False, "plan-infeasible")
             except ValueError:
-                got = None, "bad-trust-vector"
+                got = None, (False, "bad-trust-vector")
             self._plans[key] = got
         return got
 
@@ -237,21 +245,23 @@ class OTCERegistry:
             return False, "empty-member"
         if delta_t < 1:
             return False, "bad-delta"
-        plan, refusal = self._plan(components, len(group))
+        plan, status = self._plan(components, len(group))
         if plan is None:
-            return False, refusal
+            return status
         eid = eid_for_tx(tx.tx_id)
         if eid in self.records:
             return False, "eid-collision"
         if tx.sender not in group:
             return False, "not-a-member"
-        rec = OTCERecord(eid=eid, state=OTCEState.NEW, group=tuple(sorted(group)),
+        key = tuple(sorted(group))
+        group = self._groups.setdefault(key, key)
+        rec = OTCERecord(eid=eid, state=OTCEState.NEW, group=group,
                          delta_t=delta_t, created_height=height, plan=plan)
         self.records[eid] = rec
         heapq.heappush(self._expiry, (rec.expiry_height, eid))
         # creation and promotion to Running commit in the same sealing step
         self._transition(rec, OTCEState.RUNNING, height, "create")
-        return True, plan.protocol.value
+        return status
 
     def _apply_switch(self, tx, eid, height) -> tuple[bool, str]:
         """Suspend or resume: a member moves a record between Running and
@@ -304,11 +314,10 @@ class OTCERegistry:
         rec, refusal = self._member_record(tx, eid, LIVE_STATES)
         if rec is None:
             return False, refusal
-        plan, refusal = self._plan(components, len(rec.group))
-        if plan is None:
-            return False, refusal
-        rec.plan = plan
-        return True, plan.protocol.value
+        plan, status = self._plan(components, len(rec.group))
+        if plan is not None:
+            rec.plan = plan
+        return status
 
     # -- expiry sweep ------------------------------------------------------
 

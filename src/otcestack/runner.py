@@ -10,6 +10,11 @@ DAG execution) gets its own network whose seed is derived from the run
 seed and the action index, so runs are reproducible action by action and a
 scenario edit upstream does not perturb downstream randomness.
 
+The run's trace keeps each network line as its instance wrote it and each
+action's `ActionOutcome` as the object the run already holds; `trace.log`
+is rendered at output time, each outcome's `# outcome` line included, so
+the run holds no second copy of its outcomes.
+
 The run ends with two self-checks recorded in the metrics: full chain
 verification, and a replay of the committed chain into fresh contract
 instances that must reproduce every recorded outcome and final dump.
@@ -50,6 +55,11 @@ class ActionOutcome:
     verb: str
     ok: bool
     detail: str
+
+    def __str__(self) -> str:
+        """The action's `# outcome` line in trace.log."""
+        status = "ok" if self.ok else "failed"
+        return f"# outcome {self.index} {self.verb} {status} {self.detail}"
 
 
 def contracts_for(scn: Scenario, keystore: KeyStore) -> tuple[OTCERegistry, DIDRegistry]:
@@ -101,7 +111,9 @@ class RunResult:
         self.outcomes: list[ActionOutcome] = []
         self.consensus_results: list[InstanceResult] = []
         self.dag_reports: dict[str, ExecutionReport] = {}
-        self.trace: list[str] = [
+        # the lines of trace.log, each action's outcome as the object,
+        # rendered to its line (`str`) only when the trace is read
+        self._trace: list[str | ActionOutcome] = [
             f"# run seed={scenario.seed} max-ticks={scenario.max_ticks}"]
         self.metrics: dict[str, int] = {
             "txs_ok": 0, "txs_failed": 0, "otces_terminated": 0,
@@ -121,15 +133,21 @@ class RunResult:
         for oracle_id in scenario.oracles:
             self.graph.register_oracle(oracle_id, self.keystore)
 
+    @property
+    def trace(self) -> list[str]:
+        """The lines of trace.log."""
+        return list(map(str, self._trace))
+
     def metrics_text(self) -> str:
         return "".join(f"{k}={self.metrics[k]}\n" for k in sorted(self.metrics))
 
     def outputs(self) -> dict[str, str]:
         return {
             "chain.dump": dump_chain(self.ledger.chain),
-            # the empty last item ends the text with a newline, without a
+            # the lines rendered into the one list the join takes; its
+            # empty last item ends the text with a newline, without a
             # second copy of it
-            "trace.log": "\n".join([*self.trace, ""]),
+            "trace.log": "\n".join([*map(str, self._trace), ""]),
             "metrics.txt": self.metrics_text(),
             "otce.dump": self.otce.dump(),
             "did.dump": self.dids.dump(),
@@ -167,8 +185,8 @@ class RunResult:
                     run: NetReport) -> None:
         """Trace a network run under its action's header and add its
         message counts to the `net_*` metrics."""
-        self.trace.append(f"# action {index} {action.verb} {run_id}")
-        self.trace.extend(run.trace)
+        self._trace.append(f"# action {index} {action.verb} {run_id}")
+        self._trace.extend(run.trace)
         for key in ("sent", "delivered", "dropped", "in_flight"):
             self.metrics["net_" + key] += getattr(run, key)
 
@@ -228,6 +246,9 @@ class RunResult:
                     # a refused create frees its alias for another create
                     del self.aliases[alias]
                     self._refused[alias] = reason
+            elif alias is not None:
+                # hold the contract's copy of the eid, not a second one
+                self.aliases[alias] = self.otce.records[self.aliases[alias]].eid
         self.metrics["txs_ok"] += len(block.txs) - failed
         self.metrics["txs_failed"] += failed
         return f"sealed h{block.height}:{len(block.txs)}tx"
@@ -384,10 +405,9 @@ class RunResult:
                 ok = True
             except ActionError as exc:
                 detail, ok = str(exc), False
-            self.outcomes.append(ActionOutcome(index, action.line_no, action.verb,
-                                               ok, detail))
-            self.trace.append(
-                f"# outcome {index} {action.verb} {'ok' if ok else 'failed'} {detail}")
+            outcome = ActionOutcome(index, action.line_no, action.verb, ok, detail)
+            self.outcomes.append(outcome)
+            self._trace.append(outcome)
 
         self.metrics["seed"] = self.scenario.seed
         self.metrics["actions_total"] = len(self.outcomes)

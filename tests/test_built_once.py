@@ -125,12 +125,14 @@ def test_replace_repacks_the_head(build):
 # -- plans -----------------------------------------------------------------
 
 def _reference_plan(mapping, components, n):
+    """The plan and the status a tx that gets it commits."""
     try:
-        return map_trust_to_plan(mapping, trust_vector(components), n), ""
+        plan = map_trust_to_plan(mapping, trust_vector(components), n)
     except PlanInfeasibleError:
-        return None, "plan-infeasible"
+        return None, (False, "plan-infeasible")
     except ValueError:
-        return None, "bad-trust-vector"
+        return None, (False, "bad-trust-vector")
+    return plan, (True, plan.protocol.value)
 
 
 @pytest.fixture()
@@ -175,9 +177,9 @@ def test_memoised_refusal_equals_the_rule(components, n, reason, derivations):
         kept = False
     reg = OTCERegistry(KeyStore(1), PlanMapping())
     for _ in range(3):
-        assert reg._plan(components, n) == (None, reason)
+        assert reg._plan(components, n) == (None, (False, reason))
         assert reg._plan(components, n) == _reference_plan(reg.mapping, components, n)
-    assert reg._plans == ({(components, n): (None, reason)} if kept else {})
+    assert reg._plans == ({(components, n): (None, (False, reason))} if kept else {})
     assert len(derivations) == (1 if kept else 6)
 
 

@@ -110,7 +110,10 @@ def test_unpack_record_checks_count_tag_and_types():
     data = codec.pack("tag", 1, b"x", None, [1, 2])
     shape = ("tag", int, bytes, (bytes, type(None)), tuple)
     assert codec.unpack_record(data, *shape) == ("tag", 1, b"x", None, (1, 2))
-    assert codec.unpack_record(codec.pack("tag", True), "tag", int) == ("tag", True)
+    # a bool is no int: only a `bool` or `object` entry takes one
+    with pytest.raises(codec.CodecError, match="record field 1 is not an int"):
+        codec.unpack_record(codec.pack("tag", True), "tag", int)
+    assert codec.unpack_record(codec.pack("tag", True), "tag", (int, bool)) == ("tag", True)
     assert codec.unpack_record(codec.pack(b"t", 2.5), object, object) == (b"t", 2.5)
     assert codec.unpack_record(b"") == ()
     for bad in [("tag", int, bytes, object), ("tag", int, bytes, object, tuple, object),

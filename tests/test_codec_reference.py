@@ -475,12 +475,17 @@ L3 = b"L" + struct.pack(">I", 3)        # a list head that claims three items
 
 
 EDGE_CASES = {
-    # a bool passes as an int, an int does not pass as a bool
-    "bool-as-int": (codec.pack("t", True), ("t", int), ("t", True)),
+    # a bool is no int and an int is no bool, alone, in a list or in a
+    # tuple of types
+    "bool-as-int": (codec.pack("t", True), ("t", int), "record field 1 is not an int"),
     "int-as-bool": (codec.pack(1), (bool,), "record field 0 is not a bool"),
     "bool-as-int-list": (codec.pack(True), (codec.list_of(int),),
                          "record field 0 is not a list of int"),
-    "bools-in-int-list": (codec.pack([True, 2]), (codec.list_of(int),), ((True, 2),)),
+    "bools-in-int-list": (codec.pack([True, 2]), (codec.list_of(int),),
+                          "record field 0 is not a list of int"),
+    "bool-as-str-or-int": (codec.pack(False), ((str, int),),
+                           "record field 0 is not a str or an int"),
+    "bool-as-int-or-bool": (codec.pack(False), ((int, bool),), (False,)),
     "int-in-bool-list": (codec.pack([1]), (codec.list_of(bool),),
                          "record field 0 is not a list of bool"),
     # a list's count larger than its items, at the end or swallowing a field

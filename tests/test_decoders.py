@@ -113,11 +113,11 @@ CASES = [
                   # a plan's fields in place of the trust vector
                   (3, ["pbft", 4, 1, 3]), (3, ["pbft", 4, 1, 3, 3, 0]),
                   (3, ["raft", 4, 1, 3, 3]), (3, [b"pbft", 4, 1, 3, 3]),
-                  (3, ["pbft", 4, "1", 3, 3]), (3, ["pbft", 4, 1, 3, 3.0])],
+                  (3, ["pbft", 4, "1", 3, 3]), (3, ["pbft", 4, 1, 3, 3.0]),
+                  # a bool is no int
+                  (2, True), (4, False)],
          accepted=[(1, [], ((), 5, (0.5, 0.25))),
-                   (2, True, (GROUP, 1, (0.5, 0.25))),
-                   (3, [], (GROUP, 5, ())),
-                   (4, False, (GROUP, 5, (0.5, 0.25)))]),
+                   (3, [], (GROUP, 5, ()))]),
     # suspend, resume and terminate name the sandbox and nothing else; each
     # refuses the others' tags
     Case("otce-suspend", _otce(TxKind.SUSPEND_OTCE), ["suspend", "E1", 3], "E1",
@@ -144,9 +144,8 @@ CASES = [
          (b"pk", {"role": b"\x00", "tier": b"\xff"}),
          refused=[(1, "pk"), (2, b"x"), (3, None), (2, [["role"]]),
                   (2, [["role", b"0", b"1"]]), (2, [["role", "00"]]), (2, [[1, b"0"]]),
-                  (2, [["r", b"0"], ["r", b"1"]]), (2, ["role"])],
-         accepted=[(2, [], (b"pk", {})), (3, True, (b"pk", {"role": b"\x00",
-                                                             "tier": b"\xff"}))]),
+                  (2, [["r", b"0"], ["r", b"1"]]), (2, ["role"]), (3, True)],
+         accepted=[(2, [], (b"pk", {}))]),
     # (tag, scope, signer, kind) and then an open body, so a missing field
     # is a missing kind and an extra one is the body; m0 signs every wire
     Case("envelope", _envelope, ["cons", "inst", "m0", "prepare"], ("m0", "prepare", ()),
@@ -160,12 +159,10 @@ CASES = [
     Case("consensus", _consensus,
          ["cons", "inst", "prepare", "m0", 2, -1, None, b"d" * 32, -1, -1], MSG,
          refused=[(1, b"inst"), (2, "bogus"), (2, b"prepare"), (3, b"m0"), (4, "2"),
-                  (5, 1.0), (6, "v"), (7, 5), (8, None), (9, b"x")],
+                  (5, 1.0), (6, "v"), (7, 5), (8, None), (9, b"x"), (4, True)],
          accepted=[(6, b"v", Msg("inst", MsgKind.PREPARE, "m0", 2, -1, b"v", b"d" * 32,
                                  -1, -1)),
                    (7, None, Msg("inst", MsgKind.PREPARE, "m0", 2, -1, None, None,
-                                 -1, -1)),
-                   (4, True, Msg("inst", MsgKind.PREPARE, "m0", 1, -1, None, b"d" * 32,
                                  -1, -1))]),
     Case("bvm-value", _bvm, ["bvm-val", "x1", "value", "t", b"\x07"],
          ("m0", "value", (("t", b"\x07"),)),

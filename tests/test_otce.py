@@ -130,6 +130,15 @@ def test_create_by_a_non_member_refused():
     assert create_status(GROUP4, sender="mallory") == ((False, "not-a-member"), {})
 
 
+def test_a_bool_lifetime_is_malformed_at_admission():
+    # True == 1 and signs as the same tx, but an int field takes no bool
+    ks, ledger, reg = fresh()
+    payload = codec.pack("create", ["a", "b", "c", "d"], True, [0.9], 0)
+    tx = make_tx(ks, "a", TxKind.CREATE_OTCE, payload)
+    assert ledger.submit_tx(tx) == (False, "malformed-payload")
+    assert ledger.mempool == [] and ledger.seal_block().txs == ()
+
+
 # -- suspend / resume ------------------------------------------------------
 
 def test_suspend_resume_cycle():

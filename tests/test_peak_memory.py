@@ -1,6 +1,7 @@
-"""Rendering an output holds one copy of its text, and hashing a record
-holds none: peaks measured with `tracemalloc`, which counts what the call
-allocates and still holds, its result included."""
+"""Rendering an output holds one copy of its text, hashing a record holds
+none, and a finished run holds each fact once: peaks and retained bytes
+measured with `tracemalloc`, which counts what the call allocates and
+still holds, its result included."""
 
 import gc
 import random
@@ -8,7 +9,10 @@ import tracemalloc
 
 from otcestack import codec
 from otcestack.keys import KeyStore
-from otcestack.ledger import Block, TxKind, block_hash, dump_chain, make_genesis, make_tx
+from otcestack.ledger import (Block, Ledger, TxKind, block_hash, dump_chain, make_genesis,
+                              make_tx, replay_chain)
+from otcestack.otce import OTCERegistry, eid_for_tx
+from otcestack.plan import PlanMapping
 from otcestack.runner import run_scenario
 from otcestack.scenario import parse_scenario
 
@@ -74,3 +78,59 @@ def test_digest_peak_is_set_by_the_largest_item_not_the_record_length():
         peaks.append(peak)
     assert peaks[1] <= peaks[0] + 4096, peaks
     assert peaks[1] <= 1.25 * len(blob), peaks
+
+
+def test_records_of_one_group_share_one_tuple_and_plans_one_status():
+    ks = KeyStore(4)
+    ledger = Ledger(ks)
+    reg = OTCERegistry(ks, PlanMapping())
+    ledger.register_contract(reg)
+    # one group in two member orders, and another group, all under one trust
+    txs = [make_tx(ks, "a", TxKind.CREATE_OTCE, codec.pack("create", group, 10, [0.5], nonce))
+           for nonce, group in enumerate([["d", "b", "a", "c"], ["a", "b", "c", "d"],
+                                          ["a", "b", "c", "e"]])]
+    for tx in txs:
+        assert ledger.submit_tx(tx) == (True, "ok")
+    block = ledger.seal_block()
+    assert block.status == ((True, "pbft"),) * 3
+    assert block.status[0] is block.status[1] is block.status[2]
+    replayed = OTCERegistry(ks, PlanMapping())
+    assert replay_chain(ledger.chain, [replayed]) == []
+    for registry in (reg, replayed):
+        first, second, other = (registry.records[eid_for_tx(tx.tx_id)].group for tx in txs)
+        assert first == ("a", "b", "c", "d") and first is second
+        assert other == ("a", "b", "c", "e")
+
+
+def ledger_scenario(creates: int) -> str:
+    """`creates` sandboxes of 4 to 8 members drawn from one 8-node edge,
+    sealed 25 at a time; none expires within the run."""
+    rng = random.Random(5)
+    nodes = [f"n{i}" for i in range(8)]
+    lines = ["seed 5", "trust 0.2 10", "mapping 0.8 1.0"]
+    lines += [f"node {n}" for n in nodes]
+    lines.append(f"edge e 0.4 {','.join(nodes)}")
+    for i in range(creates):
+        group = rng.sample(nodes, rng.randint(4, 8))
+        lines.append(f"do create-otce s{i} group={','.join(group)} delta=5000 trust=edge:e")
+        if i % 25 == 24:
+            lines.append("do seal")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_finished_ledger_run_retains_a_bounded_cost_per_action(tmp_path):
+    scn = parse_scenario(ledger_scenario(2000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_scenario(scn, tmp_path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.metrics["txs_ok"] == 2000 and result.replay_ok
+    # about 1.3 KB per action (a signed tx, its record and its outcome);
+    # a copy of each member name, outcome line, status or eid per action
+    # passes 1.8 KB
+    per_action = retained / len(scn.actions)
+    assert per_action <= 1600, per_action
