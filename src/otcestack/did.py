@@ -63,6 +63,9 @@ def register_payload(pubkey: bytes, attestation: dict[str, bytes], nonce: int) -
     return codec.pack("register", pubkey, attrs, nonce)
 
 
+_REGISTER_SHAPE = ("register", bytes, tuple, int)
+
+
 class DIDRegistry:
     KINDS = frozenset({TxKind.REGISTER_DID})
 
@@ -71,7 +74,7 @@ class DIDRegistry:
         self.records: dict[str, DIDRecord] = {}
 
     def decode_payload(self, kind: TxKind, payload: bytes):
-        _, pubkey, attrs, _ = codec.unpack_record(payload, "register", bytes, tuple, int)
+        _, pubkey, attrs, _ = codec.unpack(payload, _REGISTER_SHAPE)
         attestation = dict(codec.check_record(pair, str, bytes) for pair in attrs)
         if len(attestation) != len(attrs):
             raise codec.CodecError("duplicate attribute")

@@ -62,6 +62,8 @@ class TxKind(IntEnum):
 
 # each kind by its number, for `decode_tx`
 _KINDS = {kind.value: kind for kind in TxKind}
+# a tx's wire: kind, payload, sender, signature, tx id
+_TX_SHAPE = (int, bytes, str, bytes, bytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,8 +109,7 @@ def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Tr
 
 
 def decode_tx(data: bytes) -> Transaction:
-    kind_num, payload, sender, signature, tx_id = codec.unpack_record(
-        data, int, bytes, str, bytes, bytes)
+    kind_num, payload, sender, signature, tx_id = codec.unpack(data, _TX_SHAPE)
     kind = _KINDS.get(kind_num)
     if kind is None:
         raise codec.CodecError(f"unknown tx kind {kind_num}")

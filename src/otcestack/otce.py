@@ -96,6 +96,11 @@ _SWITCH = {TxKind.SUSPEND_OTCE: (OTCEState.RUNNING, OTCEState.SUSPEND),
 # the shape entries of a create's group and of a trust vector
 _GROUP = codec.list_of(str)
 _TRUST = codec.list_of(float)
+# the shape of each kind's payload
+_CREATE_SHAPE = ("create", _GROUP, int, _TRUST, int)
+_LIFECYCLE_SHAPES = {kind: (tag, str, int) for kind, tag in LIFECYCLE_TAGS.items()}
+_RESULT_SHAPE = ("result", str, bytes, tuple, int)
+_PLAN_SHAPE = ("plan", str, _TRUST, int)
 
 
 # -- payload encodings -----------------------------------------------------
@@ -157,20 +162,18 @@ class OTCERegistry:
         """The fields `apply` reads, untagged; a suspend, resume or
         terminate gives its eid alone."""
         if kind is TxKind.CREATE_OTCE:
-            _, group, delta_t, components, _ = codec.unpack_record(
-                payload, "create", _GROUP, int, _TRUST, int)
+            _, group, delta_t, components, _ = codec.unpack(payload, _CREATE_SHAPE)
             return group, delta_t, components
-        tag = LIFECYCLE_TAGS.get(kind)
-        if tag is not None:
-            return codec.unpack_record(payload, tag, str, int)[1]
+        shape = _LIFECYCLE_SHAPES.get(kind)
+        if shape is not None:
+            return codec.unpack(payload, shape)[1]
         if kind is TxKind.SUBMIT_RESULT:
-            _, eid, digest, sigs, _ = codec.unpack_record(
-                payload, "result", str, bytes, tuple, int)
+            _, eid, digest, sigs, _ = codec.unpack(payload, _RESULT_SHAPE)
             for pair in sigs:
                 codec.check_record(pair, str, bytes)
             return eid, digest, sigs
         if kind is TxKind.UPDATE_PLAN:
-            _, eid, components, _ = codec.unpack_record(payload, "plan", str, _TRUST, int)
+            _, eid, components, _ = codec.unpack(payload, _PLAN_SHAPE)
             return eid, components
         raise codec.CodecError(f"unsupported kind {kind.name}")
 

@@ -106,24 +106,24 @@ def test_random_round_trips():
         assert codec.unpack(codec.pack(*items)) == tuple(normalize(i) for i in items)
 
 
-def test_unpack_record_checks_count_tag_and_types():
+def test_unpack_with_a_shape_checks_count_tag_and_types():
     data = codec.pack("tag", 1, b"x", None, [1, 2])
     shape = ("tag", int, bytes, (bytes, type(None)), tuple)
-    assert codec.unpack_record(data, *shape) == ("tag", 1, b"x", None, (1, 2))
+    assert codec.unpack(data, shape) == ("tag", 1, b"x", None, (1, 2))
     # a bool is no int: only a `bool` or `object` entry takes one
     with pytest.raises(codec.CodecError, match="record field 1 is not an int"):
-        codec.unpack_record(codec.pack("tag", True), "tag", int)
-    assert codec.unpack_record(codec.pack("tag", True), "tag", (int, bool)) == ("tag", True)
-    assert codec.unpack_record(codec.pack(b"t", 2.5), object, object) == (b"t", 2.5)
-    assert codec.unpack_record(b"") == ()
+        codec.unpack(codec.pack("tag", True), ("tag", int))
+    assert codec.unpack(codec.pack("tag", True), ("tag", (int, bool))) == ("tag", True)
+    assert codec.unpack(codec.pack(b"t", 2.5), (object, object)) == (b"t", 2.5)
+    assert codec.unpack(b"", ()) == ()
     for bad in [("tag", int, bytes, object), ("tag", int, bytes, object, tuple, object),
                 ("gat", int, bytes, object, tuple), ("tag", str, bytes, object, tuple),
                 ("tag", int, str, object, tuple), ("tag", int, bytes, bytes, tuple),
                 ("tag", int, bytes, object, list), (bytes, int, bytes, object, tuple)]:
         with pytest.raises(codec.CodecError):
-            codec.unpack_record(data, *bad)
+            codec.unpack(data, bad)
     with pytest.raises(codec.CodecError):
-        codec.unpack_record(b"Z", object)
+        codec.unpack(b"Z", (object,))
 
 
 def test_check_record_takes_unpacked_tuples_only():

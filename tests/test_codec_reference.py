@@ -3,7 +3,7 @@
 that `unpack` refuses bytes that `pack` would not produce. The streamed
 `digest_records`, and the `block_hash` built on it, against the two
 stages they replace, `digest` of each record's `pack`. And the one-pass
-`unpack_record` against its two passes, `check_record` applied to
+`unpack(data, shape)` against its two passes, `check_record` applied to
 `unpack`'s items: the same fields or the same refusal."""
 
 import functools
@@ -380,18 +380,18 @@ def test_pinned_vector_covers_every_tag():
 
 
 def package_shapes():
-    """Each shape the package's decoders pass to `unpack_record`, recorded
-    by feeding every decoder an empty record."""
+    """Each shape the package's decoders pass to `unpack`, recorded by
+    feeding every decoder an empty record."""
     shapes = []
-    real = codec.unpack_record
+    real = codec.unpack
 
-    def record(data, *shape):
+    def record(data, shape=None):
         shapes.append(shape)
-        return real(data, *shape)
+        return real(data, shape)
 
     registry = OTCERegistry(KeyStore(1))
     dids = DIDRegistry()
-    codec.unpack_record = record
+    codec.unpack = record
     try:
         for decode in [decode_tx] + [
                 functools.partial(contract.decode_payload, kind)
@@ -399,7 +399,7 @@ def package_shapes():
             with pytest.raises(codec.CodecError):
                 decode(b"")
     finally:
-        codec.unpack_record = real
+        codec.unpack = real
     return list(dict.fromkeys(shapes))
 
 
@@ -439,7 +439,7 @@ def record_outcome(decode, data, shape):
 
 
 def one_pass(data, shape):
-    return codec.unpack_record(data, *shape)
+    return codec.unpack(data, shape)
 
 
 def two_passes(data, shape):
@@ -454,8 +454,8 @@ def test_package_shapes_are_the_decoders_shapes():
         ("plan", str, TRUST, int), ("register", bytes, tuple, int)]
 
 
-def test_unpack_record_matches_the_two_passes():
-    """`unpack_record` gives the fields `check_record(unpack(data))` gives,
+def test_unpack_with_a_shape_matches_the_two_passes():
+    """`unpack(data, shape)` gives the fields `check_record(unpack(data))` gives,
     or refuses with its message, on records of the package's shapes and of
     random shapes, and on their mutants."""
     rng = random.Random(4004)
@@ -509,6 +509,16 @@ EDGE_CASES = {
     "float-as-int": (codec.pack(2.0), (int,), "record field 0 is not an int"),
     "str-as-bytes-or-none": (codec.pack("x", None), ((bytes, type(None)), object),
                              "record field 0 is not a bytes or a NoneType"),
+    # a refused field is decoded by its own tag, and what follows it still
+    # decides the refusal: a decoding error first, then the field count,
+    # then the first refused field
+    "refused-then-truncated": (codec.pack("u", 5)[:-1], ("t", int), "truncated encoding"),
+    "refused-then-extra-item": (codec.pack(True, 7), (int,), "record needs 1 fields"),
+    "literal-then-type-mismatch": (codec.pack("u", "x", 2), ("t", int, int),
+                                   "record field 0 is not 't'"),
+    "wrong-tag-mid-group": (codec.pack(["a", 1, [b"x", None], 2.5, "b"], 7), (GROUP, int),
+                            "record field 0 is not a list of str"),
+    "record-then-unknown-tag": (codec.pack("t", 1) + b"Z", ("t", int), "unknown tag b'Z'"),
 }
 
 
@@ -522,6 +532,38 @@ def test_unpack_record_edge_cases(case):
             assert str(exc.value) == want
         else:
             assert decode(data, shape) == want
+
+
+def test_a_refused_record_is_decoded_once(monkeypatch):
+    """A record refused at field 0 enters the codec's one decoding function
+    no more often than the accepted record of the same layout does."""
+    entered = []
+    decode = codec._decode
+
+    def counted(*args):
+        entered.append(args[1])
+        return decode(*args)
+
+    monkeypatch.setattr(codec, "_decode", counted)
+    layouts = [
+        (("create", GROUP, int, TRUST, int), ("create", ["a", "b"], 5, [0.5, 0.25], 7),
+         ("cre8te", ["a", "b"], 5, [0.5, 0.25], 7), "record field 0 is not 'create'"),
+        (("result", str, bytes, tuple, int), ("result", "e", b"d", [["a", b"s"], ["b", b"t"]], 1),
+         (b"result", "e", b"d", [["a", b"s"], ["b", b"t"]], 1),
+         "record field 0 is not 'result'"),
+        ((int, bytes, str, bytes, bytes), (3, b"p", "alice", b"s", b"t"),
+         (True, b"p", "alice", b"s", b"t"), "record field 0 is not an int"),
+    ]
+    for shape, accepted, refused, message in layouts:
+        fields = codec.unpack(codec.pack(*accepted))
+        entered.clear()
+        assert codec.unpack(codec.pack(*accepted), shape) == fields
+        once = len(entered)
+        entered.clear()
+        with pytest.raises(codec.CodecError) as exc:
+            codec.unpack(codec.pack(*refused), shape)
+        assert str(exc.value) == message
+        assert 1 <= len(entered) <= once, (shape, once, entered)
 
 
 @pytest.mark.parametrize("shape", [(object,), (tuple,), ("t", object), (int,), (GROUP,),
@@ -549,9 +591,9 @@ def test_a_shapes_decode_plan_is_built_once():
     data = codec.pack("plan-once", "e", [0.5], 1)
     before = codec._plan.cache_info()
     for _ in range(2):
-        assert codec.unpack_record(data, *shape) == ("plan-once", "e", (0.5,), 1)
+        assert codec.unpack(data, shape) == ("plan-once", "e", (0.5,), 1)
     with pytest.raises(codec.CodecError, match="record field 3 is not an int"):
-        codec.unpack_record(codec.pack("plan-once", "e", [0.5], "1"), *shape)
+        codec.unpack(codec.pack("plan-once", "e", [0.5], "1"), shape)
     after = codec._plan.cache_info()
     assert (after.currsize - before.currsize, after.misses - before.misses,
             after.hits - before.hits) == (1, 1, 2)
