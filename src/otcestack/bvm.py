@@ -54,6 +54,9 @@ TASK = "t"
 LIT = "l"
 CHUNK = "c"
 
+# the shape of each (ref, data) pair a bvm-val message carries
+_REF_DATA = (object, bytes)
+
 
 @dataclass(frozen=True)
 class Input:
@@ -453,7 +456,7 @@ class TaskExecutor(Peer):
             return None
         signer, kind, body = opened
         try:
-            pairs = tuple(codec.check_record(body[i:i + 2], object, bytes)
+            pairs = tuple(codec.check_record(body[i:i + 2], _REF_DATA)
                           for i in range(0, len(body), 2))
         except codec.CodecError:
             return None

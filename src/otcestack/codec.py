@@ -9,8 +9,10 @@ No node trusts the records it is handed, so a decoder checks each against
 a shape: one entry per field, a `str` the field must equal, a type or tuple
 of types it must be exactly (`object` takes any), or `list_of(t)`.
 `unpack(data, shape)` decodes and checks in one pass, and refuses as
-`check_record(unpack(data), *shape)` does. A tracer wraps `pack` and
-`unpack` by name; `digest` and `digest_records` hash without `pack`.
+`check_record(unpack(data), shape)` does; each caller passes a shape it
+declares once, and a shape's decode plan is built once. A tracer wraps
+`pack` and `unpack` by name; `digest` and `digest_records` hash without
+`pack`.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def _decode(data: bytes, offset: int, plan) -> tuple[tuple, int, int | None]:
 
 def unpack(data: bytes, shape: tuple | None = None) -> tuple:
     """The items of `data`; with a `shape`, `check_record(unpack(data),
-    *shape)` in one pass."""
+    shape)` in one pass."""
     try:
         if shape is None:
             return _decode(data, 0, _ANYS)[0]
@@ -261,7 +263,12 @@ def _noun(want) -> str:
     return f"{'an' if name[0] in 'aeiou' else 'a'} {name}"
 
 
-def check_record(fields, *shape) -> tuple:
+# the shape of a (name, bytes) pair: a certificate's (voter, signature), a
+# result's (signer, signature) and an identifier's (attribute, value)
+PAIR = (str, bytes)
+
+
+def check_record(fields, shape: tuple) -> tuple:
     """`fields` if it is a tuple that matches `shape`, else CodecError."""
     if not isinstance(fields, tuple) or len(fields) != len(shape):
         raise CodecError(f"record needs {len(shape)} fields")

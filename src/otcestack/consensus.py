@@ -9,7 +9,9 @@ replica sends each odd-indexed peer a rewritten copy of its proposals and
 votes (see `_equivocate`). Every message is a `cons` envelope of its
 instance (see `keys`), opened on receipt; anything malformed, stale, or
 from outside the instance or the group is dropped and counted, never
-raised.
+raised. One table, `_KIND_OF`, maps each kind string to its kind and its
+body's shape (a certificate kind's, built once from `VOTE_OF`, ends with
+its pairs), so opening a body is one lookup and one `check_record`.
 
 Both engines take the quorum q = n - f_max of the security plan, whose
 f_max is the protocol's fault bound, and both vote through a collector
@@ -96,9 +98,15 @@ class MsgKind(str, Enum):
 VOTE_OF = {MsgKind.PREPARED: MsgKind.PREPARE, MsgKind.COMMITTED: MsgKind.COMMIT,
            MsgKind.LEARN: MsgKind.P2B}
 _CERT_OF = {vote: cert for cert, vote in VOTE_OF.items()}
-# a wire's kind string -> its kind; exactly the members' values, so a
-# member's name, a padded value or an empty string is no kind
-_KIND_OF = {kind.value: kind for kind in MsgKind}
+# the body every message's envelope ends with: view, ballot_node, value,
+# digest, cert_view and cert_node
+_BODY = (int, int, (bytes, type(None)), (bytes, type(None)), int, int)
+# a wire's kind string -> its kind and the shape of its body, which for a
+# certificate kind ends with its (voter, signature) pairs; exactly the
+# members' values, so a member's name, a padded value or an empty string
+# is no kind
+_KIND_OF = {kind.value: (kind, _BODY + (tuple,) if kind in VOTE_OF else _BODY)
+            for kind in MsgKind}
 
 
 # Frozen, since the wire memo hands one decoded Msg to every replica of an
@@ -132,14 +140,12 @@ def encode_msg(keystore: KeyStore, msg: Msg) -> bytes:
 
 def _msg(instance: str, sender: str, kind_s: str, body: tuple, sig: bytes) -> Msg:
     """The message of an envelope's header and body; CodecError if malformed."""
-    kind = _KIND_OF.get(kind_s)
-    if kind is None:
+    got = _KIND_OF.get(kind_s)
+    if got is None:
         raise codec.CodecError(f"unknown message kind {kind_s!r}")
-    certified = kind in VOTE_OF
-    view, ballot_node, value, digest, cv, cn, *rest = codec.check_record(
-        body, int, int, (bytes, type(None)), (bytes, type(None)), int, int,
-        *((tuple,) if certified else ()))
-    cert = tuple(codec.check_record(p, str, bytes) for p in rest[0]) if certified else ()
+    kind, shape = got
+    view, ballot_node, value, digest, cv, cn, *cert = codec.check_record(body, shape)
+    cert = tuple(codec.check_record(p, codec.PAIR) for p in cert[0]) if cert else ()
     return Msg(instance, kind, sender, view, ballot_node, value, digest, cv, cn, cert, sig)
 
 

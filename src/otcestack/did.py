@@ -63,36 +63,41 @@ def register_payload(pubkey: bytes, attestation: dict[str, bytes], nonce: int) -
     return codec.pack("register", pubkey, attrs, nonce)
 
 
-_REGISTER_SHAPE = ("register", bytes, tuple, int)
-
-
 class DIDRegistry:
-    KINDS = frozenset({TxKind.REGISTER_DID})
-
     def __init__(self, policy: AttestationPolicy | None = None):
         self.policy = policy        # None accepts any attestation
         self.records: dict[str, DIDRecord] = {}
 
-    def decode_payload(self, kind: TxKind, payload: bytes):
-        _, pubkey, attrs, _ = codec.unpack(payload, _REGISTER_SHAPE)
-        attestation = dict(codec.check_record(pair, str, bytes) for pair in attrs)
-        if len(attestation) != len(attrs):
+    def decode_payload(self, kind: TxKind, payload: bytes) -> tuple:
+        """The fields between the payload's tag and its nonce, which `apply`
+        reads: the public key and its (name, value) attributes, each pair
+        checked here and no name given twice."""
+        fields = codec.unpack(payload, self.TXS[kind][0])[1:-1]
+        attrs = fields[1]
+        if len({codec.check_record(pair, codec.PAIR)[0] for pair in attrs}) != len(attrs):
             raise codec.CodecError("duplicate attribute")
-        return pubkey, attestation
+        return fields
 
     def apply(self, tx: Transaction, decoded, height: int) -> tuple[bool, str]:
         """Apply a committed tx, given its payload as `decode_payload` returned it."""
-        pubkey, attestation = decoded
+        return self.TXS[tx.kind][1](self, tx, decoded, height)
+
+    def _apply_register(self, tx, decoded, height) -> tuple[bool, str]:
+        pubkey, attrs = decoded
         if self.policy is not None:
-            why = self.policy.check(attestation)
+            why = self.policy.check(dict(attrs))
             if why is not None:
                 return False, why
         did = did_from_pubkey(pubkey)
         if did in self.records:
             return False, "duplicate-did"
-        self.records[did] = DIDRecord(
-            did, pubkey, tuple(sorted(attestation.items())), height)
+        self.records[did] = DIDRecord(did, pubkey, tuple(sorted(attrs)), height)
         return True, did
+
+    # tx kind -> the shape of its payload, (tag, *fields, nonce), and the
+    # rule `apply` runs on its fields
+    TXS = {TxKind.REGISTER_DID: (("register", bytes, tuple, int), _apply_register)}
+    KINDS = frozenset(TXS)
 
     def dump(self) -> str:
         lines = []

@@ -36,6 +36,10 @@ class BehaviorObservation:
     latency: int
     observed_at: int
 
+    def __post_init__(self):
+        if self.latency < 0:
+            raise ValueError("latency must be non-negative")
+
     def encode(self) -> bytes:
         return codec.pack("obs", self.subject, self.edge_id, self.compliant,
                           self.latency, self.observed_at)

@@ -4,8 +4,12 @@ Each record tracks (eid, state, group, lifetime, security plan, and how
 and when it terminated). A payload carries only what the contract reads:
 a suspend, resume or terminate names the sandbox and nothing else, and a
 result carries the execution's output digest and the quorum's signatures
-over `result_message(eid, digest)`. `decode_payload` returns those fields
-untagged and `apply` dispatches on the tx kind.
+over `result_message(eid, digest)`. One table, `OTCERegistry.TXS`, gives
+each tx kind its payload's shape, (tag, *fields, nonce), and its rule:
+`decode_payload` checks a payload against its kind's shape and returns the
+fields between the tag and the nonce (a suspend, resume or terminate gives
+`(eid,)`), `apply` runs its kind's rule on them, and `KINDS` is the
+table's keys, so a new tx kind is one row.
 
 The plan is not sent: a create and an update-plan carry the group's trust
 vector, and the contract maps it to a plan under its `PlanMapping` in one
@@ -85,10 +89,6 @@ class OTCERecord:
         return self.created_height + self.delta_t
 
 
-# The tag of each payload that only names a sandbox: (tag, eid, nonce).
-LIFECYCLE_TAGS = {TxKind.SUSPEND_OTCE: "suspend", TxKind.RESUME_OTCE: "resume",
-                  TxKind.TERMINATE_OTCE: "terminate"}
-
 # suspend and resume: the state the record must be in, the state it moves to
 _SWITCH = {TxKind.SUSPEND_OTCE: (OTCEState.RUNNING, OTCEState.SUSPEND),
            TxKind.RESUME_OTCE: (OTCEState.SUSPEND, OTCEState.RUNNING)}
@@ -96,11 +96,6 @@ _SWITCH = {TxKind.SUSPEND_OTCE: (OTCEState.RUNNING, OTCEState.SUSPEND),
 # the shape entries of a create's group and of a trust vector
 _GROUP = codec.list_of(str)
 _TRUST = codec.list_of(float)
-# the shape of each kind's payload
-_CREATE_SHAPE = ("create", _GROUP, int, _TRUST, int)
-_LIFECYCLE_SHAPES = {kind: (tag, str, int) for kind, tag in LIFECYCLE_TAGS.items()}
-_RESULT_SHAPE = ("result", str, bytes, tuple, int)
-_PLAN_SHAPE = ("plan", str, _TRUST, int)
 
 
 # -- payload encodings -----------------------------------------------------
@@ -137,11 +132,6 @@ def eid_for_tx(tx_id: bytes) -> str:
 class OTCERegistry:
     """Contract state machine for sandbox records, driven by committed txs."""
 
-    KINDS = frozenset({
-        TxKind.CREATE_OTCE, TxKind.SUSPEND_OTCE, TxKind.RESUME_OTCE,
-        TxKind.SUBMIT_RESULT, TxKind.TERMINATE_OTCE, TxKind.UPDATE_PLAN,
-    })
-
     def __init__(self, keystore: KeyStore, mapping: PlanMapping | None = None):
         self.keystore = keystore
         self.mapping = mapping if mapping is not None else PlanMapping()
@@ -158,24 +148,14 @@ class OTCERegistry:
 
     # -- payload validation (structural; semantic checks live in apply) ----
 
-    def decode_payload(self, kind: TxKind, payload: bytes):
-        """The fields `apply` reads, untagged; a suspend, resume or
-        terminate gives its eid alone."""
-        if kind is TxKind.CREATE_OTCE:
-            _, group, delta_t, components, _ = codec.unpack(payload, _CREATE_SHAPE)
-            return group, delta_t, components
-        shape = _LIFECYCLE_SHAPES.get(kind)
-        if shape is not None:
-            return codec.unpack(payload, shape)[1]
+    def decode_payload(self, kind: TxKind, payload: bytes) -> tuple:
+        """The fields between the payload's tag and its nonce, which `apply`
+        reads; a result's (signer, signature) pairs are checked here too."""
+        fields = codec.unpack(payload, self.TXS[kind][0])[1:-1]
         if kind is TxKind.SUBMIT_RESULT:
-            _, eid, digest, sigs, _ = codec.unpack(payload, _RESULT_SHAPE)
-            for pair in sigs:
-                codec.check_record(pair, str, bytes)
-            return eid, digest, sigs
-        if kind is TxKind.UPDATE_PLAN:
-            _, eid, components, _ = codec.unpack(payload, _PLAN_SHAPE)
-            return eid, components
-        raise codec.CodecError(f"unsupported kind {kind.name}")
+            for pair in fields[2]:
+                codec.check_record(pair, codec.PAIR)
+        return fields
 
     # -- state transitions -------------------------------------------------
 
@@ -213,7 +193,7 @@ class OTCERegistry:
 
     def apply(self, tx: Transaction, decoded, height: int) -> tuple[bool, str]:
         """Apply a committed tx, given its payload as `decode_payload` returned it."""
-        return _APPLY[tx.kind](self, tx, decoded, height)
+        return self.TXS[tx.kind][1](self, tx, decoded, height)
 
     def _plan(self, components, n: int) -> tuple[SecurityPlan | None, tuple[bool, str]]:
         """The plan the mapping gives a group of n under this trust vector
@@ -266,9 +246,10 @@ class OTCERegistry:
         self._transition(rec, OTCEState.RUNNING, height, "create")
         return status
 
-    def _apply_switch(self, tx, eid, height) -> tuple[bool, str]:
+    def _apply_switch(self, tx, decoded, height) -> tuple[bool, str]:
         """Suspend or resume: a member moves a record between Running and
         Suspend."""
+        (eid,) = decoded
         before, after = _SWITCH[tx.kind]
         rec, refusal = self._member_record(tx, eid, (before,))
         if rec is None:
@@ -276,7 +257,8 @@ class OTCERegistry:
         self._transition(rec, after, height, LIFECYCLE_TAGS[tx.kind])
         return True, ""
 
-    def _apply_terminate(self, tx, eid, height) -> tuple[bool, str]:
+    def _apply_terminate(self, tx, decoded, height) -> tuple[bool, str]:
+        (eid,) = decoded
         rec = self.records.get(eid)
         if rec is None:
             return False, "unknown-eid"
@@ -322,6 +304,19 @@ class OTCERegistry:
             rec.plan = plan
         return status
 
+    # tx kind -> the shape of its payload, (tag, *fields, nonce), and the
+    # rule `apply` runs on its fields; plain functions, so the table holds
+    # no reference to any registry
+    TXS = {
+        TxKind.CREATE_OTCE: (("create", _GROUP, int, _TRUST, int), _apply_create),
+        TxKind.SUSPEND_OTCE: (("suspend", str, int), _apply_switch),
+        TxKind.RESUME_OTCE: (("resume", str, int), _apply_switch),
+        TxKind.SUBMIT_RESULT: (("result", str, bytes, tuple, int), _apply_result),
+        TxKind.TERMINATE_OTCE: (("terminate", str, int), _apply_terminate),
+        TxKind.UPDATE_PLAN: (("plan", str, _TRUST, int), _apply_update_plan),
+    }
+    KINDS = frozenset(TXS)
+
     # -- expiry sweep ------------------------------------------------------
 
     def on_block_end(self, height: int) -> list[Transaction]:
@@ -353,13 +348,6 @@ class OTCERegistry:
         return "".join(lines)
 
 
-# tx kind -> the rule `apply` runs; plain functions, so the table holds no
-# reference to any registry
-_APPLY = {
-    TxKind.CREATE_OTCE: OTCERegistry._apply_create,
-    TxKind.SUSPEND_OTCE: OTCERegistry._apply_switch,
-    TxKind.RESUME_OTCE: OTCERegistry._apply_switch,
-    TxKind.TERMINATE_OTCE: OTCERegistry._apply_terminate,
-    TxKind.SUBMIT_RESULT: OTCERegistry._apply_result,
-    TxKind.UPDATE_PLAN: OTCERegistry._apply_update_plan,
-}
+# The tag of each payload that only names a sandbox: (tag, eid, nonce).
+LIFECYCLE_TAGS = {kind: OTCERegistry.TXS[kind][0][0] for kind in
+                  (TxKind.SUSPEND_OTCE, TxKind.RESUME_OTCE, TxKind.TERMINATE_OTCE)}

@@ -295,8 +295,11 @@ class RunResult:
         edge_id, subject, compliant_s, latency_s = action.args
         if compliant_s not in ("0", "1"):
             raise ActionError(f"compliant must be 0 or 1, got {compliant_s!r}")
-        obs = BehaviorObservation(subject, edge_id, compliant_s == "1",
-                                  self._int(latency_s, "latency"), observed_at=index)
+        try:
+            obs = BehaviorObservation(subject, edge_id, compliant_s == "1",
+                                      self._int(latency_s, "latency"), observed_at=index)
+        except ValueError as exc:
+            raise ActionError(str(exc)) from None
         oracle_id = action.kw.get("by-oracle")
         if oracle_id is not None:
             record = make_oracle_record(self.keystore, oracle_id, obs)

@@ -13,13 +13,15 @@ from otcestack.consensus import Msg, _msg  # noqa: E402
 from otcestack.keys import SIG_LEN  # noqa: E402
 
 OPS = ("add", "mul", "concat", "hash")
+# the header of every consensus wire: tag, instance, sender, kind
+CONS_HEADER = ("cons", str, str, str)
 
 
 def decode_msg(wire: bytes) -> Msg:
     """The message of a consensus wire, its signature not checked;
     CodecError on a bad shape."""
     fields = codec.unpack(wire[:-SIG_LEN])
-    _, instance, sender, kind_s = codec.check_record(fields[:4], "cons", str, str, str)
+    _, instance, sender, kind_s = codec.check_record(fields[:4], CONS_HEADER)
     return _msg(instance, sender, kind_s, fields[4:], wire[-SIG_LEN:])
 
 

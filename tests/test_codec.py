@@ -127,11 +127,11 @@ def test_unpack_with_a_shape_checks_count_tag_and_types():
 
 
 def test_check_record_takes_unpacked_tuples_only():
-    assert codec.check_record(("a", b"b"), str, bytes) == ("a", b"b")
-    assert codec.check_record(()) == ()
+    assert codec.check_record(("a", b"b"), codec.PAIR) == ("a", b"b")
+    assert codec.check_record((), ()) == ()
     for bad in [["a", b"b"], "ab", b"ab", None, ("a",), ("a", b"b", b"c"), (b"a", b"b")]:
         with pytest.raises(codec.CodecError):
-            codec.check_record(bad, str, bytes)
+            codec.check_record(bad, codec.PAIR)
 
 
 def test_short_digest_is_8_hex_chars():

@@ -443,7 +443,7 @@ def one_pass(data, shape):
 
 
 def two_passes(data, shape):
-    return codec.check_record(codec.unpack(data), *shape)
+    return codec.check_record(codec.unpack(data), shape)
 
 
 def test_package_shapes_are_the_decoders_shapes():

@@ -16,10 +16,11 @@ import pytest
 from otcestack import codec
 from otcestack.bvm import Task, TaskDAG, TaskExecutor, chunk_input, lit_input, task_input
 from otcestack.consensus import Msg, MsgKind, verify_msg
-from otcestack.did import DIDRegistry
+from otcestack.did import DIDRegistry, register_payload
 from otcestack.keys import SIG_LEN, KeyStore, seal, unseal
 from otcestack.ledger import Transaction, TxKind, decode_tx
-from otcestack.otce import OTCERegistry
+from otcestack.otce import (OTCERegistry, create_payload, lifecycle_payload,
+                            submit_result_payload, update_plan_payload)
 from otcestack.simnet import SimEvent
 
 REFUSED = "refused"
@@ -120,11 +121,11 @@ CASES = [
                    (3, [], (GROUP, 5, ()))]),
     # suspend, resume and terminate name the sandbox and nothing else; each
     # refuses the others' tags
-    Case("otce-suspend", _otce(TxKind.SUSPEND_OTCE), ["suspend", "E1", 3], "E1",
+    Case("otce-suspend", _otce(TxKind.SUSPEND_OTCE), ["suspend", "E1", 3], ("E1",),
          refused=[(0, "resume"), (1, b"E1"), (2, "m"), (2, None), (2, "3")]),
-    Case("otce-resume", _otce(TxKind.RESUME_OTCE), ["resume", "E1", 3], "E1",
+    Case("otce-resume", _otce(TxKind.RESUME_OTCE), ["resume", "E1", 3], ("E1",),
          refused=[(0, "suspend"), (1, 5), (2, 3.0), (2, b"3")]),
-    Case("otce-terminate", _otce(TxKind.TERMINATE_OTCE), ["terminate", "E1", 3], "E1",
+    Case("otce-terminate", _otce(TxKind.TERMINATE_OTCE), ["terminate", "E1", 3], ("E1",),
          refused=[(0, "suspend"), (1, None), (2, b"closed"), (2, "3")]),
     Case("otce-result", _otce(TxKind.SUBMIT_RESULT),
          ["result", "E1", b"d", [["a", b"s1"]], 3], ("E1", b"d", SIGS),
@@ -141,11 +142,11 @@ CASES = [
     Case("did-register", _codec_errors(
              lambda data: DIDRegistry().decode_payload(TxKind.REGISTER_DID, data)),
          ["register", b"pk", [["role", b"\x00"], ["tier", b"\xff"]], 3],
-         (b"pk", {"role": b"\x00", "tier": b"\xff"}),
+         (b"pk", (("role", b"\x00"), ("tier", b"\xff"))),
          refused=[(1, "pk"), (2, b"x"), (3, None), (2, [["role"]]),
                   (2, [["role", b"0", b"1"]]), (2, [["role", "00"]]), (2, [[1, b"0"]]),
                   (2, [["r", b"0"], ["r", b"1"]]), (2, ["role"]), (3, True)],
-         accepted=[(2, [], (b"pk", {}))]),
+         accepted=[(2, [], (b"pk", ()))]),
     # (tag, scope, signer, kind) and then an open body, so a missing field
     # is a missing kind and an extra one is the body; m0 signs every wire
     Case("envelope", _envelope, ["cons", "inst", "m0", "prepare"], ("m0", "prepare", ()),
@@ -209,6 +210,30 @@ VARIANTS = list(_variants())
                          ids=[f"{c.name}:{v}" for c, v, _, _ in VARIANTS])
 def test_decoder_refusal_set(case, variant, fields, expected):
     assert case.decode(fields) == expected
+
+
+# a payload of each tx kind, as its builder gives it
+PAYLOADS = {
+    TxKind.CREATE_OTCE: create_payload(("b", "a"), 5, [0.5], 7),
+    **{kind: lifecycle_payload(kind, "E1", 3) for kind in (
+        TxKind.SUSPEND_OTCE, TxKind.RESUME_OTCE, TxKind.TERMINATE_OTCE)},
+    TxKind.SUBMIT_RESULT: submit_result_payload("E1", b"d", [("b", b"s2"), ("a", b"s1")], 3),
+    TxKind.UPDATE_PLAN: update_plan_payload("E1", [0.25], 3),
+    TxKind.REGISTER_DID: register_payload(b"pk", {"tier": b"\x01", "role": b"\x00"}, 3),
+}
+
+
+def test_each_contract_declares_its_kinds_once():
+    assert PAYLOADS.keys() == OTCERegistry.KINDS | DIDRegistry.KINDS
+    for contract in (OTCERegistry, DIDRegistry):
+        assert contract.KINDS == contract.TXS.keys()
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOADS), ids=lambda kind: kind.name)
+def test_a_payload_decodes_to_the_fields_between_its_tag_and_its_nonce(kind):
+    contract = OTCERegistry(KS) if kind in OTCERegistry.KINDS else DIDRegistry()
+    payload = PAYLOADS[kind]
+    assert contract.decode_payload(kind, payload) == codec.unpack(payload)[1:-1]
 
 
 def test_wire_no_longer_than_a_signature_is_dropped():

@@ -294,7 +294,7 @@ class SweepChecked(OTCERegistry):
     def on_block_end(self, height):
         want = sorted(r.eid for r in self.alive() if height >= r.expiry_height)
         markers = super().on_block_end(height)
-        got = [self.decode_payload(m.kind, m.payload) for m in markers]
+        got = [self.decode_payload(m.kind, m.payload)[0] for m in markers]
         assert got == want, f"height {height}"
         self.swept.append(got)
         return markers
@@ -358,7 +358,7 @@ def test_sweep_orders_markers_by_eid_across_heights():
     restored = OTCERegistry(ks, PlanMapping())
     assert replay_chain(ledger.chain, [restored]) == []
     markers = restored.on_block_end(100)
-    got = [restored.decode_payload(m.kind, m.payload) for m in markers]
+    got = [restored.decode_payload(m.kind, m.payload)[0] for m in markers]
     assert got == sorted(eids)
     assert restored.on_block_end(101) == []
 

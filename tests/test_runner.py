@@ -5,7 +5,7 @@ import pytest
 
 from otcestack import runner
 from otcestack.ledger import TxKind
-from otcestack.otce import OTCEState
+from otcestack.otce import OTCEState, eid_for_tx
 from otcestack.plan import Protocol
 from otcestack.runner import audit_chain, run_scenario
 from otcestack.scenario import ScenarioError, parse_scenario
@@ -350,6 +350,71 @@ do update-trust e1
     assert res.graph.edges["e1"].trust == 0.9
     assert res.metrics["observations_rejected"] == 1
     assert res.metrics["trust_updates"] == 1
+
+
+def test_a_negative_latency_fails_the_observation_on_both_paths(tmp_path):
+    text = """\
+seed 3
+trust 0.5 10
+node a
+node b
+edge team 0.5 a,b
+oracle o1
+do observe team b 1 -7
+do observe team b 1 -7 by-oracle=o1
+do update-trust team
+"""
+    res = run_scenario(parse_scenario(text), base_dir=tmp_path)
+    assert [o.ok for o in res.outcomes] == [False, False, True]
+    assert [o.detail for o in res.outcomes[:2]] == ["latency must be non-negative"] * 2
+    assert res.graph.edges["team"].trust == 0.5
+    assert res.metrics["observations_ingested"] == 0
+    assert res.metrics["trust_updates"] == 1
+
+
+def _locality_run(tmp_path, left_actions):
+    """A run of two groups on edges that share no member, with
+    `left_actions` on the left edge between the creates and the update-plans."""
+    text = "\n".join([
+        "seed 5", "trust 0.5 10", *(f"node {n}" for n in "abcdefghz"),
+        "edge left 0.9 a,b,c,d", "edge right 0.9 e,f,g,h", "oracle o1",
+        "do create-otce L group=a,b,c,d delta=50 trust=edge:left by=a",
+        "do create-otce R group=e,f,g,h delta=50 trust=edge:right by=e",
+        "do seal", *(f"do {a}" for a in left_actions),
+        "do update-plan L trust=edge:left by=b",
+        "do update-plan R trust=edge:right by=f", "do seal", ""])
+    return run_scenario(parse_scenario(text), base_dir=tmp_path)
+
+
+def _group_view(res, alias):
+    """The committed (kind, status) of each create and update-plan of the
+    sandbox `alias`, and its otce.dump line."""
+    eid = res.aliases[alias]
+    statuses = [(tx.kind, status) for block in res.ledger.chain
+                for tx, status in zip(block.txs, block.status)
+                if eid_for_tx(tx.tx_id) == eid or (
+                    tx.kind is TxKind.UPDATE_PLAN
+                    and res.otce.decode_payload(tx.kind, tx.payload)[0] == eid)]
+    lines = [line for line in res.otce.dump().splitlines() if line.startswith(eid)]
+    return statuses, lines
+
+
+def test_a_group_is_free_from_interference_by_irrelevant_nodes(tmp_path):
+    # the quiet run's observations name a node outside the left edge, so
+    # they are refused and move nothing; both runs have as many actions, so
+    # each tx has the same nonce, and each sandbox the same eid, in both
+    quiet = _locality_run(tmp_path, ["observe left z 0 99"] * 3)
+    loud = _locality_run(tmp_path, ["observe left a 0 99",
+                                    "observe left b 0 99 by-oracle=o1",
+                                    "update-trust left"])
+    assert [o.ok for o in loud.outcomes] == [True] * len(loud.outcomes)
+    # the left edge's trust fell below tau, so its group's plan moved ...
+    assert loud.graph.edges["left"].trust < 0.8 <= quiet.graph.edges["left"].trust
+    assert _group_view(loud, "L")[0][-1] != _group_view(quiet, "L")[0][-1]
+    # ... and the right group's committed statuses and record did not
+    assert _group_view(loud, "R") == _group_view(quiet, "R")
+    assert _group_view(loud, "R")[0] == [(TxKind.CREATE_OTCE, (True, "paxos")),
+                                         (TxKind.UPDATE_PLAN, (True, "paxos"))]
 
 
 def test_edge_trust_only_for_a_group_within_the_edge(tmp_path):
