@@ -176,20 +176,15 @@ class TaskDAG:
 
 
 def topo_layers(dag: TaskDAG) -> list[list[str]]:
-    """Kahn layering; each layer sorted. Layer k holds tasks whose longest
-    dependency chain has length k. Linear in tasks plus edges, apart from
-    the sort of each layer."""
-    dependents: dict[str, list[str]] = {tid: [] for tid in dag.tasks}
-    indegree: dict[str, int] = {}
-    for tid, task in dag.tasks.items():
-        deps = set(task.task_reads)
-        indegree[tid] = len(deps)
-        for dep in deps:
-            dependents[dep].append(tid)
+    """Kahn layering over `dag.readers`; each layer sorted. Layer k holds
+    tasks whose longest dependency chain has length k. Linear in tasks plus
+    edges, apart from the sort of each layer."""
+    readers = dag.readers
+    indegree = {tid: len(set(task.task_reads)) for tid, task in dag.tasks.items()}
     depth = dict.fromkeys(dag.tasks, 0)
     queue = [tid for tid, n in indegree.items() if n == 0]
     for tid in queue:                   # grows while it is walked
-        for child in dependents[tid]:
+        for child in readers[tid]:
             depth[child] = max(depth[child], depth[tid] + 1)
             indegree[child] -= 1
             if indegree[child] == 0:

@@ -85,7 +85,7 @@ def _cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, content in sorted(result.outputs().items()):
-            (out_dir / name).write_text(content)
+            (out_dir / name).write_text(content, encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
@@ -151,6 +151,9 @@ def _cmd_replay(args) -> int:
 
 
 def main(argv=None) -> int:
+    # a character the stream's encoding lacks prints escaped, not as a traceback
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)

@@ -1,11 +1,8 @@
-"""Self-certifying identifier registry and dealer-based threshold secrets.
+"""Self-certifying identifier registry.
 
 An identifier is a prefix of the hash of the holder's public key, so a
 record can be checked against the key it names without consulting anyone.
 One identifier per public key keeps cheap duplicate identities out.
-Threshold sharing splits an integer secret into n field points of a random
-degree-(t-1) polynomial with the secret at x=0; any t distinct shares
-reconstruct it by Lagrange interpolation, and t-1 shares constrain nothing.
 """
 
 from __future__ import annotations
@@ -16,10 +13,6 @@ from dataclasses import dataclass
 from . import codec
 from .ledger import Transaction, TxKind
 
-PRIME = 2**127 - 1
-
-
-# -- identifier registry ---------------------------------------------------
 
 def did_from_pubkey(pubkey: bytes) -> str:
     return hashlib.sha256(pubkey).hexdigest()[:16]
@@ -106,71 +99,3 @@ class DIDRegistry:
             attrs = ",".join(f"{name}={value.hex()}" for name, value in rec.attestation)
             lines.append(f"{rec.did} {rec.pubkey.hex()} {rec.registered_at} {attrs}\n")
         return "".join(lines)
-
-
-# -- threshold secret sharing ----------------------------------------------
-
-@dataclass(frozen=True)
-class SecretShare:
-    index: int
-    value: int
-    group_id: str
-
-
-def share_secret(secret: int, threshold: int, count: int, rng,
-                 prime: int = PRIME, group_id: str = "share") -> list[SecretShare]:
-    if threshold < 1:
-        raise ValueError("threshold must be at least 1")
-    if threshold > count:
-        raise ValueError("threshold cannot exceed the share count")
-    if count >= prime:
-        raise ValueError("share count must be below the field size")
-    if not 0 <= secret < prime:
-        raise ValueError("secret outside the field")
-    coeffs = [secret] + [rng.randrange(prime) for _ in range(threshold - 1)]
-    shares = []
-    for i in range(1, count + 1):
-        y = 0
-        for c in reversed(coeffs):
-            y = (y * i + c) % prime
-        shares.append(SecretShare(i, y, group_id))
-    return shares
-
-
-def reconstruct(shares, threshold: int, prime: int = PRIME) -> int:
-    if len(shares) < threshold:
-        raise ValueError("not enough shares to reconstruct")
-    indices = [s.index for s in shares]
-    if len(set(indices)) != len(indices):
-        raise ValueError("duplicate share indices")
-    return _eval_lagrange([(s.index, s.value) for s in shares], 0, prime)
-
-
-def _eval_lagrange(points, x: int, prime: int) -> int:
-    total = 0
-    for xj, yj in points:
-        num = den = 1
-        for xm, _ in points:
-            if xm == xj:
-                continue
-            num = num * (x - xm) % prime
-            den = den * (xj - xm) % prime
-        total = (total + yj * num * pow(den, -1, prime)) % prime
-    return total
-
-
-def consistent_candidates(shares, threshold: int, prime: int) -> list[int]:
-    """Brute-force sweep: secrets s for which some degree<t polynomial passes
-    through (0, s) and every given share. Any t distinct points fix a unique
-    degree<t polynomial, so the sweep interpolates through the first t points
-    and checks the rest lie on it. With t-1 shares every field element stays
-    possible — the no-information property checked in tests."""
-    points = [(s.index, s.value) for s in shares]
-    out = []
-    for candidate in range(prime):
-        all_points = [(0, candidate)] + points
-        base, rest = all_points[:threshold], all_points[threshold:]
-        if len(base) < threshold or all(
-                _eval_lagrange(base, x, prime) == y for x, y in rest):
-            out.append(candidate)
-    return out

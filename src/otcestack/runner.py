@@ -51,7 +51,6 @@ class ActionError(ValueError):
 @dataclass(slots=True)
 class ActionOutcome:
     index: int
-    line_no: int
     verb: str
     ok: bool
     detail: str
@@ -408,7 +407,7 @@ class RunResult:
                 ok = True
             except ActionError as exc:
                 detail, ok = str(exc), False
-            outcome = ActionOutcome(index, action.line_no, action.verb, ok, detail)
+            outcome = ActionOutcome(index, action.verb, ok, detail)
             self.outcomes.append(outcome)
             self._trace.append(outcome)
 

@@ -13,7 +13,6 @@ from pathlib import Path
 from otcestack import codec
 from otcestack.bvm import execute_collaborative, sequential_oracle
 from otcestack.consensus import run_instance
-from otcestack.did import consistent_candidates, reconstruct, share_secret
 from otcestack.keys import KeyStore
 from otcestack.ledger import Ledger, TxKind, make_tx, replay_chain, verify_chain
 from otcestack.otce import (LEGAL_TRANSITIONS, OTCERegistry, create_payload,
@@ -368,33 +367,6 @@ def test_criterion_08_plan_bounds_monotonicity_and_switch():
     assert switches == 1
     print("[criterion 08] PASS plan bounds: floor identities n<=100, 1000 "
           "monotone mappings, on-chain downgrade switch executed")
-
-
-# -- criterion 9: secret sharing -------------------------------------------
-
-def test_criterion_09_secret_sharing():
-    rng = random.Random(99_310)
-    default_prime = 2**127 - 1
-    trips = 0
-    for n in range(1, 8):
-        for t in range(1, n + 1):
-            for _ in range(200):
-                secret = rng.randrange(default_prime)
-                shares = share_secret(secret, t, n, rng)
-                subset = rng.sample(shares, t)
-                assert reconstruct(subset, t) == secret
-                trips += 1
-    for _ in range(10):
-        t = rng.randint(2, 5)
-        n = rng.randint(t, 7)
-        secret = rng.randrange(257)
-        shares = share_secret(secret, t, n, rng, prime=257)
-        partial = rng.sample(shares, t - 1)
-        assert consistent_candidates(partial, t, 257) == list(range(257))
-        full = rng.sample(shares, t)
-        assert consistent_candidates(full, t, 257) == [secret]
-    print(f"[criterion 09] PASS secret sharing: {trips} round trips, "
-          f"t-1 shares reveal nothing over the 257 field")
 
 
 # -- criterion 10: collaborative evaluation --------------------------------

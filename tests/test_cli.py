@@ -1,8 +1,13 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import otcestack
 from otcestack import codec
 from otcestack.cli import main
 from otcestack.ledger import TxKind
@@ -357,3 +362,39 @@ do run-dag box file=work.dag
     assert "run-dag ok incomplete: h,s" in (out / "trace.log").read_text()
     metrics = (out / "metrics.txt").read_text().splitlines()
     assert "dag_failed=1" in metrics and "dag_completed=0" in metrics
+
+
+# -- host locale -----------------------------------------------------------
+
+def run_cli(*args, **env):
+    """The CLI's exit code, stdout and stderr in a fresh interpreter."""
+    src = str(Path(otcestack.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "otcestack.cli", *args],
+                          env={**os.environ, "PYTHONPATH": src, **env},
+                          capture_output=True, encoding="utf-8", errors="replace")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+ASCII_HOST = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+
+
+def test_outputs_do_not_depend_on_the_host_locale(tmp_path):
+    (tmp_path / "snow.scn").write_text(
+        "seed 5\nnode ☃\nnode b\nedge e 0.9 ☃,b\n"
+        "do register-did ☃ role=00\ndo seal\n", encoding="utf-8")
+    outs = {}
+    for name, env in (("ascii", ASCII_HOST), ("utf8", {"PYTHONUTF8": "1"})):
+        rc, _, err = run_cli("run", "--scenario", str(tmp_path / "snow.scn"),
+                             "--out", str(tmp_path / name), **env)
+        assert (rc, "Traceback" in err) == (0, False), err
+        outs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert len(outs["ascii"]) == 6 and outs["ascii"] == outs["utf8"]
+    assert "☃".encode() in outs["ascii"]["graph.dump"]
+
+
+def test_verify_prints_a_character_the_host_cannot_encode(tmp_path):
+    (tmp_path / "snow.dump").write_text("0 ☃\n", encoding="utf-8")
+    rc, out, err = run_cli("verify-chain", "--dump", str(tmp_path / "snow.dump"),
+                           **ASCII_HOST)
+    assert rc == 1
+    assert "chain corrupt" in out and "Traceback" not in err

@@ -1,12 +1,10 @@
 import hashlib
-import random
 
 import pytest
 
 from otcestack import codec
-from otcestack.did import (AttestationPolicy, DIDRegistry, SecretShare,
-                           consistent_candidates, did_from_pubkey,
-                           reconstruct, register_payload, share_secret)
+from otcestack.did import (AttestationPolicy, DIDRegistry, did_from_pubkey,
+                           register_payload)
 from otcestack.keys import KeyStore
 from otcestack.ledger import Ledger, TxKind, make_tx
 
@@ -109,100 +107,3 @@ def test_dump_lists_sorted_records():
     assert len(lines) == 2
     assert lines == sorted(lines)
     assert "role=" + b"r".hex() in lines[0] + lines[1]
-
-
-# -- threshold sharing -----------------------------------------------------
-
-def test_round_trip_all_small_shapes():
-    rng = random.Random(31)
-    for n in range(1, 8):
-        for t in range(1, n + 1):
-            for _ in range(5):
-                secret = rng.randrange(2**64)
-                shares = share_secret(secret, t, n, rng)
-                assert len(shares) == n
-                picked = rng.sample(shares, t)
-                assert reconstruct(picked, t) == secret
-
-
-def test_any_subset_of_threshold_size_works():
-    rng = random.Random(32)
-    secret = 123456789
-    shares = share_secret(secret, 3, 6, rng)
-    from itertools import combinations
-    for subset in combinations(shares, 3):
-        assert reconstruct(list(subset), 3) == secret
-
-
-def test_extra_shares_do_not_hurt():
-    rng = random.Random(33)
-    secret = rng.randrange(2**100)
-    shares = share_secret(secret, 4, 7, rng)
-    assert reconstruct(shares, 4) == secret
-
-
-def test_too_few_shares_refused():
-    rng = random.Random(34)
-    shares = share_secret(99, 3, 5, rng)
-    with pytest.raises(ValueError):
-        reconstruct(shares[:2], 3)
-
-
-def test_duplicate_indices_refused():
-    rng = random.Random(35)
-    shares = share_secret(99, 2, 4, rng)
-    with pytest.raises(ValueError):
-        reconstruct([shares[0], shares[0]], 2)
-
-
-def test_share_indices_start_at_one():
-    rng = random.Random(36)
-    shares = share_secret(5, 2, 4, rng)
-    assert [s.index for s in shares] == [1, 2, 3, 4]
-    assert all(s.group_id == "share" for s in shares)
-
-
-def test_bad_parameters_refused():
-    rng = random.Random(37)
-    with pytest.raises(ValueError):
-        share_secret(1, 0, 3, rng)
-    with pytest.raises(ValueError):
-        share_secret(1, 4, 3, rng)
-    with pytest.raises(ValueError):
-        share_secret(-1, 2, 3, rng)
-    with pytest.raises(ValueError):
-        share_secret(2**127 - 1, 2, 3, rng)
-
-
-def test_wrong_share_value_changes_answer():
-    rng = random.Random(38)
-    secret = 424242
-    shares = share_secret(secret, 3, 5, rng)
-    tampered = [SecretShare(shares[0].index, (shares[0].value + 1) % (2**127 - 1),
-                            shares[0].group_id)] + shares[1:3]
-    assert reconstruct(tampered, 3) != secret
-
-
-def test_below_threshold_reveals_nothing_small_field():
-    # in a 257-element field, sweep every candidate secret: with t-1 shares
-    # every field element remains consistent with some polynomial
-    prime = 257
-    rng = random.Random(39)
-    for _ in range(20):
-        secret = rng.randrange(prime)
-        t = rng.randrange(2, 5)
-        n = rng.randrange(t, 7)
-        shares = share_secret(secret, t, n, rng, prime=prime)
-        partial = rng.sample(shares, t - 1)
-        assert consistent_candidates(partial, t, prime) == list(range(prime))
-
-
-def test_threshold_shares_pin_one_candidate_small_field():
-    prime = 257
-    rng = random.Random(40)
-    for _ in range(10):
-        secret = rng.randrange(prime)
-        t = rng.randrange(1, 5)
-        shares = share_secret(secret, t, 6, rng, prime=prime)
-        picked = rng.sample(shares, t)
-        assert consistent_candidates(picked, t, prime) == [secret]

@@ -305,7 +305,7 @@ def test_per_tx_records_are_slotted():
     plan = make_plan(Protocol.PBFT, 4)
     records = [make_tx(KeyStore(1), "a", TxKind.CREATE_OTCE, b"p"), make_genesis(),
                OTCERecord("E1", OTCEState.RUNNING, ("a", "b"), 5, 1, plan),
-               ActionOutcome(0, 1, "seal", True, "sealed h1:0tx"), plan]
+               ActionOutcome(0, "seal", True, "sealed h1:0tx"), plan]
     for record in records:
         assert not hasattr(record, "__dict__")
 
