@@ -89,8 +89,8 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    failed = sum(1 for o in result.outcomes if not o.ok)
-    print(f"run complete: {len(result.outcomes)} actions ({failed} failed), "
+    print(f"run complete: {result.metrics['actions_total']} actions "
+          f"({len(result.failed)} failed), "
           f"height {result.ledger.current_height()}, outputs in {out_dir}")
     print(f"chain_ok={int(result.chain_ok)} replay_ok={int(result.replay_ok)}")
     return 0 if (result.chain_ok and result.replay_ok) else 1

@@ -16,16 +16,20 @@ from their committed bytes, so replay checks what is on the chain, not
 what was admitted; a payload that does not decode there is refused as
 "malformed-payload".
 
-A tx is encoded, and its id checked, once, when it is built: a
-`Transaction` carries its canonical bytes (`wire`) and whether its id is
-the digest of its kind, payload and sender (`id_ok`). Admission, sealing,
-verification and the dump read these instead of packing the tx again;
-the tx is frozen, and `dataclasses.replace` rebuilds both. `make_tx`
-packs a tx's head (kind, payload, sender) once, for both its id and its
-wire, and hashes it once: the id it derives is the head's digest, so it
-does not check that again. A tx loaded from a dump keeps the bytes it
-was decoded from as its wire: `decode_tx` refuses non-canonical bytes, so
-they are the bytes a re-pack would give. A block's hash streams each
+A tx is its wire: it is encoded, and its id checked, once, when it is
+built, and a `Transaction` holds its canonical bytes (`wire`), whether its
+id is the digest of its kind, payload and sender (`id_ok`), and the
+fields a check reads (kind, sender, tx id). Its payload and signature are
+read out of the wire when asked for, so a committed byte is held once.
+Admission, sealing, verification and the dump read these instead of
+packing the tx again; the tx is frozen, and a changed field means a new
+tx from the constructor, which packs all five fields. Two txs are equal
+when their wires are: the wire encodes the five fields one-to-one.
+`make_tx` packs a tx's head (kind, payload, sender) once, for both its id
+and its wire, and hashes it once: the id it derives is the head's digest,
+so it does not check that again. A tx loaded from a dump keeps the bytes
+it was decoded from as its wire: `decode_tx` refuses non-canonical bytes,
+so they are the bytes a re-pack would give. A block's hash streams each
 committed wire into the hash (`block_hash`), so sealing and verifying
 pack no committed tx again.
 
@@ -39,7 +43,8 @@ or `1`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
 
 from . import codec
@@ -64,39 +69,67 @@ class TxKind(IntEnum):
 _KINDS = {kind.value: kind for kind in TxKind}
 # a tx's wire: kind, payload, sender, signature, tx id
 _TX_SHAPE = (int, bytes, str, bytes, bytes)
+# the body length in a codec item head (a tag byte, then this)
+_LEN = struct.Struct(">I").unpack_from
 
 
-@dataclass(frozen=True, slots=True)
 class Transaction:
-    kind: TxKind
-    payload: bytes
-    sender: str
-    signature: bytes
-    tx_id: bytes
-    # the packed five fields above, and whether `tx_id` is the digest of
-    # their head (kind, payload, sender); set from the fields in
-    # __post_init__, or by `_built_tx` for make_tx and decode_tx
-    wire: bytes = field(init=False, compare=False, repr=False)
-    id_ok: bool = field(init=False, compare=False, repr=False)
+    """A frozen tx: its kind, sender and id; `wire`, the packed kind,
+    payload, sender, signature and tx id; `id_ok`, whether `tx_id` is the
+    digest of their head (kind, payload, sender); and the signature's
+    length, which places it in the wire before the tx id."""
 
-    def __post_init__(self):
-        head = codec.pack(int(self.kind), self.payload, self.sender)
-        object.__setattr__(self, "wire", head + codec.pack(self.signature, self.tx_id))
-        object.__setattr__(self, "id_ok", codec.sha(head) == self.tx_id)
+    __slots__ = ("kind", "sender", "tx_id", "wire", "id_ok", "_sig_len")
+
+    def __init__(self, kind: TxKind, payload: bytes, sender: str, signature: bytes,
+                 tx_id: bytes):
+        head = codec.pack(int(kind), payload, sender)
+        _fill(self, kind, sender, tx_id, head + codec.pack(signature, tx_id),
+              codec.sha(head) == tx_id, len(signature))
+
+    @property
+    def payload(self) -> bytes:
+        wire = self.wire
+        # the payload's body starts 5 bytes after the kind item, which is
+        # 5 bytes and its body long
+        at = 10 + _LEN(wire, 1)[0]
+        return wire[at:at + _LEN(wire, at - 4)[0]]
+
+    @property
+    def signature(self) -> bytes:
+        end = len(self.wire) - 5 - len(self.tx_id)
+        return self.wire[end - self._sig_len:end]
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Transaction:
+            return NotImplemented
+        return self.wire == other.wire
+
+    def __hash__(self):
+        return hash(self.wire)
+
+    def __repr__(self):
+        return (f"Transaction(kind={self.kind!r}, payload={self.payload!r}, "
+                f"sender={self.sender!r}, signature={self.signature!r}, "
+                f"tx_id={self.tx_id!r})")
 
 
-def _built_tx(kind: TxKind, payload: bytes, sender: str, signature: bytes,
-              tx_id: bytes, wire: bytes, id_ok: bool) -> Transaction:
-    """A `Transaction` of these fields whose wire and id check are known."""
-    tx = object.__new__(Transaction)
+def _fill(tx: Transaction, kind: TxKind, sender: str, tx_id: bytes, wire: bytes,
+          id_ok: bool, sig_len: int) -> Transaction:
+    """Set the slots of the frozen `tx`."""
     setattr_ = object.__setattr__
     setattr_(tx, "kind", kind)
-    setattr_(tx, "payload", payload)
     setattr_(tx, "sender", sender)
-    setattr_(tx, "signature", signature)
     setattr_(tx, "tx_id", tx_id)
     setattr_(tx, "wire", wire)
     setattr_(tx, "id_ok", id_ok)
+    setattr_(tx, "_sig_len", sig_len)
     return tx
 
 
@@ -104,20 +137,20 @@ def make_tx(keystore: KeyStore, sender: str, kind: TxKind, payload: bytes) -> Tr
     head = codec.pack(int(kind), payload, sender)
     txid = codec.sha(head)
     signature = keystore.sign(sender, txid)
-    return _built_tx(kind, payload, sender, signature, txid,
-                     head + codec.pack(signature, txid), True)
+    return _fill(object.__new__(Transaction), kind, sender, txid,
+                 head + codec.pack(signature, txid), True, len(signature))
 
 
 def decode_tx(data: bytes) -> Transaction:
-    kind_num, payload, sender, signature, tx_id = codec.unpack(data, _TX_SHAPE)
+    kind_num, _, sender, signature, tx_id = codec.unpack(data, _TX_SHAPE)
     kind = _KINDS.get(kind_num)
     if kind is None:
         raise codec.CodecError(f"unknown tx kind {kind_num}")
     # `data` is canonical, so it is the tx's wire, and its head is all of
     # it but the trailing `pack(signature, tx_id)`: two 5-byte item heads
     head = memoryview(data)[:len(data) - 10 - len(signature) - len(tx_id)]
-    return _built_tx(kind, payload, sender, signature, tx_id, data,
-                     codec.sha(head) == tx_id)
+    return _fill(object.__new__(Transaction), kind, sender, tx_id, data,
+                 codec.sha(head) == tx_id, len(signature))
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,10 +10,14 @@ DAG execution) gets its own network whose seed is derived from the run
 seed and the action index, so runs are reproducible action by action and a
 scenario edit upstream does not perturb downstream randomness.
 
-The run's trace keeps each network line as its instance wrote it and each
-action's `ActionOutcome` as the object the run already holds; `trace.log`
-is rendered at output time, each outcome's `# outcome` line included, so
-the run holds no second copy of its outcomes.
+The run keeps one detail slot per action, and the set of actions that
+failed; the action's index and verb are the scenario's. An action that
+submitted a tx keeps that tx's id, which the chain holds too, and its
+`submitted ...` text is rendered when read. A networked action keeps a
+reference to the trace lines its instance's result or DAG report holds,
+not a copy. `outcomes` builds `ActionOutcome`s from this record on demand,
+and `trace.log` is rendered from it at output time, each `# outcome` line
+included, so the run holds no second copy of a line or an outcome.
 
 The run ends with two self-checks recorded in the metrics: full chain
 verification, and a replay of the committed chain into fresh contract
@@ -55,10 +59,13 @@ class ActionOutcome:
     ok: bool
     detail: str
 
-    def __str__(self) -> str:
-        """The action's `# outcome` line in trace.log."""
-        status = "ok" if self.ok else "failed"
-        return f"# outcome {self.index} {self.verb} {status} {self.detail}"
+
+def _detail_text(verb: str, detail: str | bytes) -> str:
+    """An action's kept detail as text: the id of the tx it submitted reads
+    `submitted <eid>` for a create and `submitted <id prefix>` otherwise."""
+    if type(detail) is not bytes:
+        return detail
+    return "submitted " + (eid_for_tx(detail) if verb == "create-otce" else detail.hex()[:12])
 
 
 def contracts_for(scn: Scenario, keystore: KeyStore) -> tuple[OTCERegistry, DIDRegistry]:
@@ -107,13 +114,14 @@ class RunResult:
         self._groups: dict[str, str] = {}
         self._creating: dict[bytes, str] = {}
         self._refused: dict[str, str] = {}
-        self.outcomes: list[ActionOutcome] = []
+        # each action's detail, by index: its text, or the id of the tx it
+        # submitted; the indices of the actions that failed; and action
+        # index -> (run id, trace lines) of each networked action
+        self._details: list[str | bytes] = []
+        self.failed: set[int] = set()
+        self._runs: dict[int, tuple[str, tuple[str, ...]]] = {}
         self.consensus_results: list[InstanceResult] = []
         self.dag_reports: dict[str, ExecutionReport] = {}
-        # the lines of trace.log, each action's outcome as the object,
-        # rendered to its line (`str`) only when the trace is read
-        self._trace: list[str | ActionOutcome] = [
-            f"# run seed={scenario.seed} max-ticks={scenario.max_ticks}"]
         self.metrics: dict[str, int] = {
             "txs_ok": 0, "txs_failed": 0, "otces_terminated": 0,
             "terminated_results": 0, "terminated_expiry": 0, "terminated_closed": 0,
@@ -133,20 +141,40 @@ class RunResult:
             self.graph.register_oracle(oracle_id, self.keystore)
 
     @property
+    def outcomes(self) -> list[ActionOutcome]:
+        """Each action's outcome, built from the run's record."""
+        failed = self.failed
+        return [ActionOutcome(i, action.verb, i not in failed, _detail_text(action.verb, detail))
+                for i, (action, detail) in enumerate(zip(self.scenario.actions, self._details))]
+
+    @property
     def trace(self) -> list[str]:
-        """The lines of trace.log."""
-        return list(map(str, self._trace))
+        """The lines of trace.log, rendered from the run's record."""
+        scn, runs, failed = self.scenario, self._runs, self.failed
+        lines = [f"# run seed={scn.seed} max-ticks={scn.max_ticks}"]
+        append = lines.append
+        for i, (action, detail) in enumerate(zip(scn.actions, self._details)):
+            verb = action.verb
+            if i in runs:
+                run_id, run_trace = runs[i]
+                append(f"# action {i} {verb} {run_id}")
+                lines += run_trace
+            status = "failed" if i in failed else "ok"
+            append(f"# outcome {i} {verb} {status} {_detail_text(verb, detail)}")
+        return lines
 
     def metrics_text(self) -> str:
         return "".join(f"{k}={self.metrics[k]}\n" for k in sorted(self.metrics))
 
     def outputs(self) -> dict[str, str]:
+        chain = dump_chain(self.ledger.chain)
+        # an empty last line ends the text with a newline, without a
+        # second copy of it
+        lines = self.trace
+        lines.append("")
         return {
-            "chain.dump": dump_chain(self.ledger.chain),
-            # the lines rendered into the one list the join takes; its
-            # empty last item ends the text with a newline, without a
-            # second copy of it
-            "trace.log": "\n".join([*map(str, self._trace), ""]),
+            "chain.dump": chain,
+            "trace.log": "\n".join(lines),
             "metrics.txt": self.metrics_text(),
             "otce.dump": self.otce.dump(),
             "did.dump": self.dids.dump(),
@@ -180,20 +208,19 @@ class RunResult:
         group = set(members)
         return [f for f in self.scenario.faults if f.node in group]
 
-    def _record_run(self, index: int, action: ParsedAction, run_id: str,
-                    run: NetReport) -> None:
-        """Trace a network run under its action's header and add its
-        message counts to the `net_*` metrics."""
-        self._trace.append(f"# action {index} {action.verb} {run_id}")
-        self._trace.extend(run.trace)
+    def _record_run(self, index: int, run_id: str, run: NetReport) -> None:
+        """Keep a network run's trace for its action's lines in trace.log,
+        and add its message counts to the `net_*` metrics."""
+        self._runs[index] = (run_id, run.trace)
         for key in ("sent", "delivered", "dropped", "in_flight"):
             self.metrics["net_" + key] += getattr(run, key)
 
-    def _submit(self, tx) -> str:
+    def _submit(self, tx) -> bytes:
+        """Admit `tx`; its id, the detail of the action that submitted it."""
         ok, reason = self.ledger.submit_tx(tx)
         if not ok:
             raise ActionError(f"rejected: {reason}")
-        return tx.tx_id.hex()[:12]
+        return tx.tx_id
 
     @staticmethod
     def _hex(tok: str, what: str) -> bytes:
@@ -221,18 +248,18 @@ class RunResult:
 
     # -- actions -----------------------------------------------------------
 
-    def run_action(self, index: int, action: ParsedAction) -> str:
+    def run_action(self, index: int, action: ParsedAction) -> str | bytes:
         handler = getattr(self, "_do_" + action.verb.replace("-", "_"))
         return handler(index, action)
 
-    def _do_register_did(self, index: int, action: ParsedAction) -> str:
+    def _do_register_did(self, index: int, action: ParsedAction) -> bytes:
         identity = action.args[0]
         pubkey = self.keystore.pubkey(identity)
         attestation = {name: self._hex(val, f"attribute {name}")
                        for name, val in action.kw.items()}
         payload = register_payload(pubkey, attestation, nonce=index)
         tx = make_tx(self.keystore, identity, TxKind.REGISTER_DID, payload)
-        return "submitted " + self._submit(tx)
+        return self._submit(tx)
 
     def _do_seal(self, index: int, action: ParsedAction) -> str:
         block = self.ledger.seal_block()
@@ -252,7 +279,7 @@ class RunResult:
         self.metrics["txs_failed"] += failed
         return f"sealed h{block.height}:{len(block.txs)}tx"
 
-    def _do_create_otce(self, index: int, action: ParsedAction) -> str:
+    def _do_create_otce(self, index: int, action: ParsedAction) -> bytes:
         alias = action.args[0]
         if alias in self.aliases:
             raise ActionError(f"duplicate alias {alias!r}")
@@ -266,26 +293,26 @@ class RunResult:
         self._creating[tx.tx_id] = alias
         self._groups[alias] = action.kw["group"]
         self.aliases[alias] = eid_for_tx(tx.tx_id)
-        return "submitted " + self.aliases[alias]
+        return tx.tx_id
 
-    def _do_lifecycle(self, index: int, action: ParsedAction) -> str:
+    def _do_lifecycle(self, index: int, action: ParsedAction) -> bytes:
         """`suspend`, `resume` and `terminate`: a tx naming only the sandbox."""
         eid = self._eid(action.args[0])
         kind = _LIFECYCLE_KINDS[action.verb]
         tx = make_tx(self.keystore, action.kw["by"], kind,
                      lifecycle_payload(kind, eid, nonce=index))
-        return "submitted " + self._submit(tx)
+        return self._submit(tx)
 
     _do_suspend = _do_resume = _do_terminate = _do_lifecycle
 
-    def _do_update_plan(self, index: int, action: ParsedAction) -> str:
+    def _do_update_plan(self, index: int, action: ParsedAction) -> bytes:
         alias = action.args[0]
         eid = self._eid(alias)
         components = self._trust_components(action.kw["trust"],
                                             self._groups[alias].split(","))
         tx = make_tx(self.keystore, action.kw["by"], TxKind.UPDATE_PLAN,
                      update_plan_payload(eid, components, nonce=index))
-        return "submitted " + self._submit(tx)
+        return self._submit(tx)
 
     def _do_observe(self, index: int, action: ParsedAction) -> str:
         """`edge subject compliant latency`: update the edge's trust now, or
@@ -332,7 +359,7 @@ class RunResult:
                               faults=self._faults_for(rec.group),
                               max_tick=self.scenario.max_ticks, instance_id=instance_id)
         self.consensus_results.append(result)
-        self._record_run(index, action, instance_id, result)
+        self._record_run(index, instance_id, result)
         self.metrics["consensus_runs"] += 1
         self.metrics["consensus_decided"] += 1 if (not result.stalled and result.decisions
                                                    and not result.violations) else 0
@@ -375,7 +402,7 @@ class RunResult:
                                        execution_id=f"{alias}.{index}",
                                        max_tick=self.scenario.max_ticks)
         self.dag_reports[alias] = report
-        self._record_run(index, action, report.execution_id, report)
+        self._record_run(index, report.execution_id, report)
         self.metrics["dag_runs"] += 1
         self.metrics["dag_completed"] += 1 if report.completed else 0
         self.metrics["dag_failed"] += 0 if report.completed else 1
@@ -383,7 +410,7 @@ class RunResult:
             return "incomplete: " + ",".join(report.failed_tasks)
         return f"digest {codec.short(report.digest)} sigs={len(report.signers)}"
 
-    def _do_submit_result(self, index: int, action: ParsedAction) -> str:
+    def _do_submit_result(self, index: int, action: ParsedAction) -> bytes:
         alias = action.args[0]
         eid = self._eid(alias)
         report = self.dag_reports.get(alias)
@@ -396,7 +423,7 @@ class RunResult:
         sigs = [(node, self.keystore.sign(node, message)) for node in signers]
         tx = make_tx(self.keystore, signers[0], TxKind.SUBMIT_RESULT,
                      submit_result_payload(eid, report.digest, sigs, nonce=index))
-        return "submitted " + self._submit(tx)
+        return self._submit(tx)
 
     # -- whole run ---------------------------------------------------------
 
@@ -404,15 +431,13 @@ class RunResult:
         for index, action in enumerate(self.scenario.actions):
             try:
                 detail = self.run_action(index, action)
-                ok = True
             except ActionError as exc:
-                detail, ok = str(exc), False
-            outcome = ActionOutcome(index, action.verb, ok, detail)
-            self.outcomes.append(outcome)
-            self._trace.append(outcome)
+                detail = str(exc)
+                self.failed.add(index)
+            self._details.append(detail)
 
         self.metrics["seed"] = self.scenario.seed
-        self.metrics["actions_total"] = len(self.outcomes)
+        self.metrics["actions_total"] = len(self._details)
         self.metrics["chain_height"] = self.metrics["blocks_sealed"] = self.ledger.current_height()
         self.metrics["dids_registered"] = len(self.dids.records)
         self.metrics["otces_created"] = len(self.otce.records)

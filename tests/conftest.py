@@ -1,4 +1,5 @@
-"""Shared builders for randomized tests, and a decoder of consensus wires."""
+"""Shared builders for randomized tests, a decoder of consensus wires, and
+a tx rebuilt with changed fields."""
 
 import random
 import sys
@@ -11,6 +12,7 @@ from otcestack.bvm import (Task, TaskDAG, chunk_input, lit_input,  # noqa: E402
                            task_input)
 from otcestack.consensus import Msg, _msg  # noqa: E402
 from otcestack.keys import SIG_LEN  # noqa: E402
+from otcestack.ledger import Transaction  # noqa: E402
 
 OPS = ("add", "mul", "concat", "hash")
 # the header of every consensus wire: tag, instance, sender, kind
@@ -23,6 +25,14 @@ def decode_msg(wire: bytes) -> Msg:
     fields = codec.unpack(wire[:-SIG_LEN])
     _, instance, sender, kind_s = codec.check_record(fields[:4], CONS_HEADER)
     return _msg(instance, sender, kind_s, fields[4:], wire[-SIG_LEN:])
+
+
+def rebuilt_tx(tx: Transaction, **changes) -> Transaction:
+    """`tx` with `changes` to its five fields, rebuilt by the constructor,
+    which packs them and checks the id afresh."""
+    fields = {"kind": tx.kind, "payload": tx.payload, "sender": tx.sender,
+              "signature": tx.signature, "tx_id": tx.tx_id}
+    return Transaction(**{**fields, **changes})
 
 
 def make_random_dag(rng: random.Random, max_tasks: int = 12,

@@ -24,7 +24,7 @@ from otcestack.runner import run_scenario
 from otcestack.scenario import parse_scenario
 from otcestack.simnet import Behavior, FaultSpec, NetworkConfig
 
-from conftest import make_random_dag, spread_chunks
+from conftest import make_random_dag, rebuilt_tx, spread_chunks
 from test_hypergraph import brute_clustering, brute_degrees, random_graph
 from test_ledger import build_chain, flip_bit
 from test_otce import good_submission
@@ -263,14 +263,14 @@ def test_criterion_05_single_bit_tamper_detection():
             txs, status = list(block.txs), list(block.status)
             tx = txs[ti]
             if field == "tx_payload":
-                txs[ti] = replace(tx, payload=flip_bit(tx.payload, rng))
+                txs[ti] = rebuilt_tx(tx, payload=flip_bit(tx.payload, rng))
             elif field == "tx_sender":
                 flipped = ord(tx.sender[0]) ^ (1 << rng.randrange(5))
-                txs[ti] = replace(tx, sender=chr(flipped) + tx.sender[1:])
+                txs[ti] = rebuilt_tx(tx, sender=chr(flipped) + tx.sender[1:])
             elif field == "tx_sig":
-                txs[ti] = replace(tx, signature=flip_bit(tx.signature, rng))
+                txs[ti] = rebuilt_tx(tx, signature=flip_bit(tx.signature, rng))
             elif field == "tx_id":
-                txs[ti] = replace(tx, tx_id=flip_bit(tx.tx_id, rng))
+                txs[ti] = rebuilt_tx(tx, tx_id=flip_bit(tx.tx_id, rng))
             elif field == "status_ok":
                 ok, reason = status[ti]
                 status[ti] = (not ok, reason)

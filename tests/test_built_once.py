@@ -10,7 +10,6 @@ inputs are every tx of the shipped scenarios and of the benchmark's
 import importlib.util
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +23,8 @@ from otcestack.plan import (PlanInfeasibleError, PlanMapping, map_trust_to_plan,
                             trust_vector)
 from otcestack.runner import audit_chain, run_scenario
 from otcestack.scenario import parse_scenario
+
+from conftest import rebuilt_tx
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ("fig4", "plan_switch", "beyond_bound")
@@ -116,7 +117,7 @@ def test_replace_repacks_the_head(build):
     assert tx.id_ok
     for changes in ({"payload": b"payloae"}, {"sender": "alicf"},
                     {"kind": TxKind.SUSPEND_OTCE}):
-        forged = replace(tx, **changes)
+        forged = rebuilt_tx(tx, **changes)
         assert not forged.id_ok
         assert forged.wire == codec.pack(int(forged.kind), forged.payload,
                                          forged.sender, forged.signature, forged.tx_id)

@@ -14,6 +14,8 @@ from otcestack.ledger import (SYSTEM_SENDER, ZERO_HASH, Block, Ledger, TxKind,
 from otcestack.runner import run_scenario
 from otcestack.scenario import parse_scenario
 
+from conftest import rebuilt_tx
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -140,13 +142,13 @@ def test_submit_accepts_well_formed():
 def test_submit_rejects_bad_tx_id():
     ks, ledger, _ = fresh()
     tx = ctr_tx(ks, "alice", "x", 1, 0)
-    assert ledger.submit_tx(replace(tx, payload=tx.payload + b"!")) == (False, "bad-tx-id")
+    assert ledger.submit_tx(rebuilt_tx(tx, payload=tx.payload + b"!")) == (False, "bad-tx-id")
 
 
 def test_submit_rejects_bad_signature():
     ks, ledger, _ = fresh()
     tx = ctr_tx(ks, "alice", "x", 1, 0)
-    bad = replace(tx, signature=bytes(b ^ 1 for b in tx.signature))
+    bad = rebuilt_tx(tx, signature=bytes(b ^ 1 for b in tx.signature))
     assert ledger.submit_tx(bad) == (False, "bad-signature")
 
 
@@ -162,11 +164,11 @@ def flip_first_bit(data: bytes) -> bytes:
     ("tx_id", flip_first_bit, "bad-tx-id"),
 ])
 def test_replaced_tx_field_is_refused_at_admission_and_by_verify(field, change, reason):
-    # `replace` rebuilds the tx's cached encoding and id check, so a changed
+    # the constructor rebuilds the tx's encoding and id check, so a changed
     # field can neither keep the old id check nor reach the chain's hashes
     ks, ledger, _ = fresh()
     tx = ctr_tx(ks, "alice", "x", 1, 0)
-    bad = replace(tx, **{field: change(getattr(tx, field))})
+    bad = rebuilt_tx(tx, **{field: change(getattr(tx, field))})
     assert bad.wire == codec.pack(int(bad.kind), bad.payload, bad.sender,
                                   bad.signature, bad.tx_id)
     assert bad.id_ok is (field == "signature")
@@ -354,13 +356,13 @@ def test_verify_detects_field_mutations_at_lowest_height():
             txs, status = list(block.txs), list(block.status)
             tx = txs[ti]
             if field == "tx_payload":
-                txs[ti] = replace(tx, payload=flip_bit(tx.payload, rng))
+                txs[ti] = rebuilt_tx(tx, payload=flip_bit(tx.payload, rng))
             elif field == "tx_sender":
-                txs[ti] = replace(tx, sender=tx.sender + "x")
+                txs[ti] = rebuilt_tx(tx, sender=tx.sender + "x")
             elif field == "tx_sig":
-                txs[ti] = replace(tx, signature=flip_bit(tx.signature, rng))
+                txs[ti] = rebuilt_tx(tx, signature=flip_bit(tx.signature, rng))
             elif field == "tx_id":
-                txs[ti] = replace(tx, tx_id=flip_bit(tx.tx_id, rng))
+                txs[ti] = rebuilt_tx(tx, tx_id=flip_bit(tx.tx_id, rng))
             elif field == "status_ok":
                 ok, reason = status[ti]
                 status[ti] = (not ok, reason)
@@ -379,7 +381,7 @@ def test_verify_without_keystore_skips_signatures_only():
     h = next(i for i, b in enumerate(chain) if b.txs)
     block = chain[h]
     txs = list(block.txs)
-    txs[0] = replace(txs[0], signature=flip_bit(txs[0].signature, rng))
+    txs[0] = rebuilt_tx(txs[0], signature=flip_bit(txs[0].signature, rng))
     # keep block hash consistent so only the signature is wrong
     new_hash = block_hash(block.height, block.prev_hash, txs, block.status)
     chain[h] = replace(block, txs=tuple(txs), hash=new_hash)

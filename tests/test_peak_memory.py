@@ -1,16 +1,17 @@
 """Rendering an output holds one copy of its text, hashing a record holds
-none, and a finished run holds each fact once: peaks and retained bytes
-measured with `tracemalloc`, which counts what the call allocates and
-still holds, its result included."""
+none, a tx holds its bytes once, and a finished run holds each fact once:
+peaks and retained bytes measured with `tracemalloc`, which counts what
+the call allocates and still holds, its result included."""
 
 import gc
 import random
+import sys
 import tracemalloc
 
 from otcestack import codec
 from otcestack.keys import KeyStore
-from otcestack.ledger import (Block, Ledger, TxKind, block_hash, dump_chain, make_genesis,
-                              make_tx, replay_chain)
+from otcestack.ledger import (Block, Ledger, Transaction, TxKind, block_hash, decode_tx,
+                              dump_chain, make_genesis, make_tx, replay_chain)
 from otcestack.otce import OTCERegistry, eid_for_tx
 from otcestack.plan import PlanMapping
 from otcestack.runner import run_scenario
@@ -27,6 +28,19 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def traced_retained(fn, *args):
+    """`fn(*args)` and the memory it allocated that is still held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return out, retained
 
 
 def test_dump_chain_holds_its_lines_and_one_text():
@@ -102,6 +116,48 @@ def test_records_of_one_group_share_one_tuple_and_plans_one_status():
         assert other == ("a", "b", "c", "e")
 
 
+# A tx holds its wire, its id, its sender and the tx object; its payload
+# and signature are read out of the wire. A second copy of a 200-byte
+# payload alone takes 233 bytes.
+TX_BEYOND_WIRE = 250
+
+
+def test_a_decoded_tx_holds_no_second_copy_of_its_wire_bytes():
+    rng = random.Random(13)
+    ks = KeyStore(6)
+    wires = [make_tx(ks, f"n{i % 8}", TxKind.CREATE_OTCE, rng.randbytes(200)).wire
+             for i in range(2000)]
+    txs, retained = traced_retained(lambda: [decode_tx(w) for w in wires])
+    assert all(tx.wire is w for tx, w in zip(txs, wires))
+    per_tx = retained / len(wires)
+    assert per_tx <= TX_BEYOND_WIRE, per_tx
+
+
+def test_a_made_tx_holds_its_payload_only_in_its_wire():
+    rng = random.Random(14)
+    ks = KeyStore(6)
+    senders = [f"n{i}" for i in range(8)]
+    for sender in senders:
+        ks.sign(sender, b"warm")    # derive each sender's key outside the window
+    txs, retained = traced_retained(
+        lambda: [make_tx(ks, senders[i % 8], TxKind.CREATE_OTCE, rng.randbytes(200))
+                 for i in range(2000)])
+    wires = sum(sys.getsizeof(tx.wire) for tx in txs)
+    per_tx = (retained - wires) / len(txs)
+    assert per_tx <= TX_BEYOND_WIRE, per_tx
+
+
+def test_payload_and_signature_are_the_wire_fields():
+    ks = KeyStore(2)
+    made = make_tx(ks, "alice", TxKind.UPDATE_PLAN, codec.pack("update", "E1", [0.5], 300))
+    decoded = decode_tx(made.wire)
+    built = Transaction(TxKind.SUBMIT_RESULT, bytes(300), "bob é", b"sig", b"an id")
+    for tx in (made, decoded, built):
+        kind, payload, sender, signature, tx_id = codec.unpack(tx.wire)
+        assert (kind, sender, tx_id) == (tx.kind, tx.sender, tx.tx_id)
+        assert tx.payload == payload and tx.signature == signature
+
+
 def ledger_scenario(creates: int) -> str:
     """`creates` sandboxes of 4 to 8 members drawn from one 8-node edge,
     sealed 25 at a time; none expires within the run."""
@@ -120,17 +176,10 @@ def ledger_scenario(creates: int) -> str:
 
 def test_a_finished_ledger_run_retains_a_bounded_cost_per_action(tmp_path):
     scn = parse_scenario(ledger_scenario(2000))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = run_scenario(scn, tmp_path)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    result, retained = traced_retained(run_scenario, scn, tmp_path)
     assert result.metrics["txs_ok"] == 2000 and result.replay_ok
-    # about 1.3 KB per action (a signed tx, its record and its outcome);
-    # a copy of each member name, outcome line, status or eid per action
-    # passes 1.8 KB
+    # about 1 KB per action: a tx's wire, id and object, its record, and
+    # the action's detail slot; a run that also holds each tx's payload and
+    # signature and an outcome object and text per action retains 1.3 KB
     per_action = retained / len(scn.actions)
-    assert per_action <= 1600, per_action
+    assert per_action <= 1150, per_action

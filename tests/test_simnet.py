@@ -5,7 +5,7 @@ import pytest
 
 from otcestack.consensus import Msg, MsgKind
 from otcestack.keys import KeyStore
-from otcestack.ledger import TxKind, make_genesis, make_tx
+from otcestack.ledger import Transaction, TxKind, make_genesis, make_tx
 from otcestack.otce import OTCERecord, OTCEState
 from otcestack.plan import Protocol, make_plan
 from otcestack.runner import ActionOutcome
@@ -319,10 +319,18 @@ def test_shared_records_stay_frozen():
     shared = [Msg("i", MsgKind.PREPARE, "a"), tx, make_genesis(),
               FaultSpec("a", Behavior.CRASH)]
     for record in shared:
-        field = dataclasses.fields(record)[0].name
+        field = attribute_names(record)[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, getattr(record, field))
     for record in (tx, make_genesis()):
-        for field in dataclasses.fields(record):
+        for field in attribute_names(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, field.name, getattr(record, field.name))
+                setattr(record, field, getattr(record, field))
+
+
+def attribute_names(record) -> tuple[str, ...]:
+    """A record's attributes: a tx's five fields and what it derives from
+    them, or a dataclass's fields."""
+    if isinstance(record, Transaction):
+        return ("kind", "payload", "sender", "signature", "tx_id", "wire", "id_ok")
+    return tuple(field.name for field in dataclasses.fields(record))
