@@ -1,66 +1,51 @@
-"""Executable consensus engines driven over the simulated network.
+"""The consensus engine, driven over the simulated network.
 
-Two single-decree engines share one message shape and envelope: a
-three-phase Byzantine-tolerant protocol (pre-prepare / prepare / commit
-with view changes) and a majority protocol (promise / accept with proposer
-retries). The network injects crash, drop-all and delay-max; a lie is
-the replica's own: from the tick its `lie_from` names, an equivocating
-replica sends each odd-indexed peer a rewritten copy of its proposals and
-votes (see `_equivocate`). Every message is a `cons` envelope of its
+One single-decree engine serves both security plans: views with a rotating
+leader, who collects the votes, and view changes, which is Viewstamped
+Replication (Liskov & Cowling, "Viewstamped Replication Revisited", 2012).
+Under a byzantine plan it is PBFT (Castro & Liskov, OSDI '99): a voter
+sends its signed PREPARE, then its COMMIT, to the view's leader only, and
+the leader, on q = n - f_max matching votes, broadcasts one certificate,
+PREPARED or COMMITTED, that carries the q sorted (voter, signature) pairs
+(SBFT, Gueta et al., DSN 2019; HotStuff, Yin et al., PODC 2019). A replica
+votes COMMIT on a PREPARED of its view and decides on any COMMITTED. A crash
+plan has no liars, so it has no PREPARE round: accepting the leader's
+PREPREPARE or NEWVIEW is the COMMIT vote, and the accepted (view, digest,
+value) is what the replica's next VIEWCHANGE reports. A view change is then
+Paxos's phase 1 with the view's leader as proposer, and view 0, below which
+nothing was accepted, needs none: the crash plan is Multi-Paxos in VR form
+(Lamport, "Paxos Made Simple", §3; Van Renesse & Altinbuken, "Paxos Made
+Moderately Complex", ACM CSUR 2015). A fault-free decision costs 5(n - 1)
+sends under a byzantine plan and 3(n - 1) under a crash plan. The cost of
+one collector: when the leader crashes mid-phase nobody else holds the
+votes, and the decision waits for a view change.
+
+A VIEWCHANGE for view v goes to the leader of v only, which joins the view
+change on f_max + 1 of them and announces the view in a NEWVIEW on a full
+quorum, proposing the value of the highest view reported, else its own
+request. A replica that has asked for a later view casts no vote in its
+current one (Castro & Liskov, §4.4), and every view change doubles its
+timeout.
+
+The network injects crash, drop-all and delay-max; a lie is the replica's
+own: from the tick its `lie_from` names, an equivocating replica sends each
+odd-indexed peer a rewritten copy of its proposals and votes (see
+`_equivocate`). A crash plan bets that no member lies, so `run_instance`
+flags an equivocating member of its group as beyond the bound, however few
+faulty members there are. Every message is a `cons` envelope of its
 instance (see `keys`), opened on receipt; anything malformed, stale, or
 from outside the instance or the group is dropped and counted, never
 raised. One table, `_KIND_OF`, maps each kind string to its kind and its
 body's shape (a certificate kind's, built once from `VOTE_OF`, ends with
-its pairs), so opening a body is one lookup and one `check_record`.
+its pairs), so opening a body is one lookup and one `check_record`;
+`verify_msg` checks a certificate with `plan.certificate_refusal`, once per
+distinct wire.
 
-Both engines take the quorum q = n - f_max of the security plan, whose
-f_max is the protocol's fault bound, and both vote through a collector
-(SBFT, Gueta et al., DSN 2019; HotStuff, Yin et al., PODC 2019; the
-distinguished learner of Lamport's "Paxos Made Simple", §2.3): a voter
-sends its signed vote to the collector only, and the collector, on q
-matching votes, broadcasts one certificate that carries the q sorted
-(voter, signature) pairs, each pair signing that voter's own vote body.
-`verify_msg` checks a certificate with `plan.certificate_refusal`, once
-per distinct wire. A fault-free decision costs 5(n - 1) sends in either
-engine. The cost of the trade: when a collector crashes mid-phase nobody
-else holds the votes, and the decision waits for a view change or the next
-proposer.
-
-The Byzantine engine's collector is the leader of the view. A replica
-sends its PREPARE and COMMIT to that leader; the leader broadcasts
-PREPARED on q prepares and COMMITTED on q commits. A replica that gets
-PREPARED for its current view is prepared and votes COMMIT; a replica
-decides on any COMMITTED. A VIEWCHANGE for view v goes to the leader of v
-only, which joins the view change on f_max + 1 of them and announces the
-view in a NEWVIEW on a full quorum. A replica that has asked for a later
-view casts no vote in its current one (Castro & Liskov, OSDI '99, §4.4),
-and every view change doubles its timeout.
-
-The majority engine's collector is the ballot's owner: an acceptor sends
-its P2B to the owner, and the owner decides on q of them and broadcasts
-one LEARN.
-
-A crash plan's fault model has no liars, so `run_instance` flags an
-equivocating member of a majority group as beyond the bound, however few
-faulty members there are.
-
-The engines share one replica skeleton, `_Replica`, a `keys.Peer`: one
-dispatch of each verified message through the engine's table from kind to
-handler, one way to send, one tally of sender -> report for every quorum
-(where a repeated sender is a drop), one decision that keeps its
-certificate, one rule for a decided replica, and one pick of the value to
-re-propose. A decided replica only hands its certificate to whoever starts
-a new round (a VIEWCHANGE, a P1A): it answers that with its own signed
-certificate, so the straggler decides in one hop, and ignores every other
-message. A replica reaches itself through that same table: its own
-proposal, vote, promise or view change goes to the handler a peer's would
-reach, a vote signed first, so every check a handler makes runs on the
-replica's own message too. Only a collector acts on its own certificate
-directly. The pick of the value is the rule a new view and a phase 1 have
-in common: the value of the highest certificate among a quorum's reports,
-else the replica's own request. Neither a message to a decided replica nor
-a reply that reaches a collector after its quorum (a late promise or view
-change) counts as a drop.
+`Replica` is the engine. `PBFTReplica` and `PaxosReplica` are the byzantine
+and the crash plan's replica: each binds `step` in its own class, because
+the benchmark's tracer wraps each by its class name, and the crash plan's
+holds its switch and a table without PREPARE and PREPARED, so either is a
+counted drop there.
 """
 
 from __future__ import annotations
@@ -87,20 +72,13 @@ class MsgKind(str, Enum):
     COMMITTED = "committed"
     VIEWCHANGE = "viewchange"
     NEWVIEW = "newview"
-    P1A = "p1a"
-    P1B = "p1b"
-    P2A = "p2a"
-    P2B = "p2b"
-    LEARN = "learn"
 
 
 # certificate kind -> the kind of vote each of its (voter, signature) pairs signs
-VOTE_OF = {MsgKind.PREPARED: MsgKind.PREPARE, MsgKind.COMMITTED: MsgKind.COMMIT,
-           MsgKind.LEARN: MsgKind.P2B}
+VOTE_OF = {MsgKind.PREPARED: MsgKind.PREPARE, MsgKind.COMMITTED: MsgKind.COMMIT}
 _CERT_OF = {vote: cert for cert, vote in VOTE_OF.items()}
-# the body every message's envelope ends with: view, ballot_node, value,
-# digest, cert_view and cert_node
-_BODY = (int, int, (bytes, type(None)), (bytes, type(None)), int, int)
+# the body every message's envelope ends with: view, value, digest, cert_view
+_BODY = (int, (bytes, type(None)), (bytes, type(None)), int)
 # a wire's kind string -> its kind and the shape of its body, which for a
 # certificate kind ends with its (voter, signature) pairs; exactly the
 # members' values, so a member's name, a padded value or an empty string
@@ -116,12 +94,10 @@ class Msg:
     instance: str
     kind: MsgKind
     sender: str
-    view: int = 0            # view (byzantine engine) or ballot round (majority)
-    ballot_node: int = -1    # ballot tie-break index (majority engine)
+    view: int = 0
     value: bytes | None = None
     digest: bytes | None = None
-    cert_view: int = -1      # viewchange: prepared view; p1b: accepted round
-    cert_node: int = -1      # p1b: accepted ballot index
+    cert_view: int = -1      # viewchange: the view of the value it reports
     cert: tuple[tuple[str, bytes], ...] = ()   # certificate: (voter, vote signature)
     # the signature a decoded message arrived with; not part of the body
     sig: bytes = field(default=b"", compare=False, repr=False)
@@ -130,7 +106,7 @@ class Msg:
 def _fields(msg: Msg) -> tuple:
     """The envelope fields of `msg`; a certificate kind adds its pairs."""
     fields = ("cons", msg.instance, msg.sender, msg.kind._value_, msg.view,
-              msg.ballot_node, msg.value, msg.digest, msg.cert_view, msg.cert_node)
+              msg.value, msg.digest, msg.cert_view)
     return fields + (msg.cert,) if msg.kind in VOTE_OF else fields
 
 
@@ -144,32 +120,27 @@ def _msg(instance: str, sender: str, kind_s: str, body: tuple, sig: bytes) -> Ms
     if got is None:
         raise codec.CodecError(f"unknown message kind {kind_s!r}")
     kind, shape = got
-    view, ballot_node, value, digest, cv, cn, *cert = codec.check_record(body, shape)
+    view, value, digest, cert_view, *cert = codec.check_record(body, shape)
     cert = tuple(codec.check_record(p, codec.PAIR) for p in cert[0]) if cert else ()
-    return Msg(instance, kind, sender, view, ballot_node, value, digest, cv, cn, cert, sig)
+    return Msg(instance, kind, sender, view, value, digest, cert_view, cert, sig)
 
 
 def vote_body(cert: Msg, voter: str) -> bytes:
     """What `voter` signed when it cast the vote that `cert` certifies: the
-    envelope of its own P2B for the ballot and value of a LEARN, of its own
-    PREPARE or COMMIT for the view and digest of a PREPARED or COMMITTED.
-    The vote's envelope fields, as `_fields` gives them for that vote, are
-    packed directly, without building the vote."""
-    kind = VOTE_OF[cert.kind]
-    if kind is MsgKind.P2B:
-        return envelope("cons", cert.instance, voter, kind._value_, cert.view,
-                        cert.ballot_node, cert.value, None, -1, -1)
-    return envelope("cons", cert.instance, voter, kind._value_, cert.view,
-                    -1, None, cert.digest, -1, -1)
+    envelope of its own PREPARE or COMMIT for the view and digest of a
+    PREPARED or COMMITTED. The vote's envelope fields, as `_fields` gives
+    them for that vote, are packed directly, without building the vote."""
+    return envelope("cons", cert.instance, voter, VOTE_OF[cert.kind]._value_,
+                    cert.view, None, cert.digest, -1)
 
 
 def verify_msg(keystore: KeyStore, wire: bytes, instance: str, members,
                quorum: int) -> Msg | None:
     """The message of a wire that `unseal` opens as a `cons` envelope of
     `instance` from one of `members`, of a known kind and body shape, else
-    None. A certificate must also carry a value (whose sha is the digest,
-    for PREPARED and COMMITTED) and the vote signatures of `quorum`
-    distinct members over that value or digest and its view or ballot."""
+    None. A certificate must also carry a value whose sha is its digest,
+    and the vote signatures of `quorum` distinct members over that digest
+    and its view."""
     opened = unseal(keystore, wire, "cons", instance, members)
     if opened is None:
         return None
@@ -177,11 +148,9 @@ def verify_msg(keystore: KeyStore, wire: bytes, instance: str, members,
         msg = _msg(instance, *opened, wire[-SIG_LEN:])
     except codec.CodecError:
         return None
-    vote = VOTE_OF.get(msg.kind)
-    if vote is None:
+    if msg.kind not in VOTE_OF:
         return msg
-    if msg.value is None or (vote is not MsgKind.P2B
-                             and msg.digest != codec.sha(msg.value)):
+    if msg.value is None or msg.digest != codec.sha(msg.value):
         return None
     if certificate_refusal(quorum, members, msg.cert, keystore,
                            lambda voter: vote_body(msg, voter)) is not None:
@@ -235,12 +204,12 @@ class Decision:
 
 # -- equivocation ----------------------------------------------------------
 
-# An equivocating replica rewrites only its proposals and votes. Recovery
-# metadata (view-change reports, promise reports) and quorum certificates
-# stay truthful: the fault model is a node lying about what it proposes and
-# votes, not forging protocol evidence.
+# An equivocating replica rewrites only its proposals and votes. Its view
+# change reports and quorum certificates stay truthful: the fault model is
+# a node lying about what it proposes and votes, not forging protocol
+# evidence.
 TRANSFORMABLE = frozenset({MsgKind.PREPREPARE, MsgKind.NEWVIEW, MsgKind.PREPARE,
-                           MsgKind.COMMIT, MsgKind.P2A, MsgKind.P2B})
+                           MsgKind.COMMIT})
 
 
 def _equivocate(digests: dict[bytes, bytes], msg: Msg) -> Msg:
@@ -259,31 +228,31 @@ def _equivocate(digests: dict[bytes, bytes], msg: Msg) -> Msg:
     return replace(msg, value=value, digest=digest)
 
 
-# -- shared replica --------------------------------------------------------
+# -- the replica -----------------------------------------------------------
 
-class _Replica(Peer):
-    """What both engines share: signed sends and broadcasts that also reach
-    this replica itself, generation-tagged timers, one tally for every
-    quorum, one decision that keeps its certificate, and one rule for the
-    value a new leader or proposer re-proposes.
+class Replica(Peer):
+    """The engine's replica: single slot, rotating leader, view changes.
+    Votes and view changes go to the leader of their view, which
+    broadcasts the certificates the votes form.
 
-    It takes the first request only and hands it to the engine's
-    `_on_request`; it passes a timer to `_on_timeout` only while the timer
-    is the newest and nothing is decided; it opens a delivery with
-    `verify_msg` (the certificate checked too) and dispatches it through
-    the engine's table `_ON` from message kind to handler. A verified
-    message of a kind the table lacks is a drop. Once decided, it answers a
-    verified message of the engine's `_STRAGGLER` kind with `_answer` and
-    ignores any other, without a drop. `_send` and `_bcast` pass a message
-    meant for this replica to the same table, without the network.
+    It takes the first request only; it acts on a timer only while the
+    timer is the newest and nothing is decided; it opens a delivery with
+    `verify_msg` (the certificate checked too) and dispatches it through the
+    table `_ON` from message kind to handler. A verified message of a kind
+    the table lacks is a drop. Once decided, it answers a VIEWCHANGE with
+    its own certificate (`_answer`), so a straggler decides in one hop, and
+    ignores any other message, without a drop. `_send` and `_bcast` pass a
+    message meant for this replica to the same table, without the network,
+    a vote signed first, so every check a handler makes runs on the
+    replica's own message too; only the leader acts on its own certificate
+    directly. `_CRASH` is the plan's one switch: under a crash plan a
+    proposal is accepted with a COMMIT, not a PREPARE (`_accept`).
 
     An honest replica's `lie_from` is None. An equivocator's is the tick
     from which `_send` and `_bcast` hand each peer `_lie`'s wire: a
     rewritten one for an odd-indexed peer."""
 
-    _ON: dict    # MsgKind -> handler(replica, msg, now), one table per engine
-    _ROUND: str  # what a decision's trace note calls its view or round
-    _STRAGGLER: MsgKind   # what a decided replica answers with its certificate
+    _CRASH = False
     _SIGNER = attrgetter("sender")
 
     def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
@@ -298,17 +267,34 @@ class _Replica(Peer):
         self.lie_from: int | None = None
         self._lies: dict[bytes, bytes] = {}     # honest wire -> what odd peers get
         self._lie_digests: dict[bytes, bytes] = {}     # see `_equivocate`
+        self.view = 0
+        self.proposals: dict[int, tuple[bytes, bytes]] = {}     # view -> (digest, value)
+        # the leader's tallies: (PREPARE or COMMIT, view, digest) -> voter -> signature
+        self.votes: dict[tuple[MsgKind, int, bytes], dict[str, bytes]] = {}
+        self.voted: set[tuple[MsgKind, int]] = set()    # own votes: (kind, view)
+        # (view, digest, value) a VIEWCHANGE reports: of the last PREPARED
+        # (byzantine plan) or the last accepted proposal (crash plan)
+        self.prepared_cert: tuple[int, bytes, bytes] | None = None
+        # the leader's tallies: target view -> sender -> (cert_view, cert_value)
+        self.viewchanges: dict[int, dict[str, tuple[int, bytes | None]]] = {}
+        self.vc_target = 0
+        self._timeout = cfg.view_timeout
 
     def _on_local(self, event: SimEvent, now: int) -> list:
+        """Take the first request: start the view timer, and propose the
+        request if this replica leads the view."""
         if self.request_value is not None:
             return []
         self.request_value = event.payload
-        return self._on_request(now)
+        acts = self._set_timer(self._timeout)
+        if self.node == self.cfg.leader(self.view):
+            acts += self._propose(MsgKind.PREPREPARE, self.view, self.request_value, now)
+        return acts
 
     def _on_timer(self, event: SimEvent, now: int) -> list:
         if event.label != f"t:{self._timer_gen}" or self.decision is not None:
             return []
-        return self._on_timeout(now)
+        return self._start_viewchange(max(self.view, self.vc_target) + 1, now)
 
     def _open(self, wire: bytes) -> Msg | None:
         return verify_msg(self.keystore, wire, self.cfg.instance_id, self.cfg.member_set,
@@ -316,7 +302,7 @@ class _Replica(Peer):
 
     def _on_msg(self, msg: Msg, now: int) -> list:
         if self.decision is not None:
-            return self._answer(msg.sender) if msg.kind is self._STRAGGLER else []
+            return self._answer(msg.sender) if msg.kind is MsgKind.VIEWCHANGE else []
         handler = self._ON.get(msg.kind)
         if handler is None:
             self.dropped += 1
@@ -381,17 +367,17 @@ class _Replica(Peer):
         return tally
 
     def _highest(self, reports: dict) -> bytes | None:
-        """The value to re-propose after a quorum's `reports`, sender ->
-        (certificate, value): the value of the highest certificate (tuples,
-        compared as such), the first sender's in sorted order on a tie. A
-        report with no value or a negative first entry certifies nothing;
-        without a certified value, this replica's own request."""
-        best = None
+        """The value a new leader proposes after a quorum's view changes,
+        `reports` sender -> (cert_view, value): the value of the highest
+        cert_view, the first sender's in sorted order on a tie. A report
+        with no value or a negative view certifies nothing; without a
+        certified value, this replica's own request."""
+        best_view, best = -1, None
         for sender in sorted(reports):
-            cert, value = reports[sender]
-            if value is not None and cert[0] >= 0 and (best is None or cert > best[0]):
-                best = (cert, value)
-        return self.request_value if best is None else best[1]
+            cert_view, value = reports[sender]
+            if value is not None and cert_view > best_view:
+                best_view, best = cert_view, value
+        return self.request_value if best is None else best
 
     def _certify(self, kind: MsgKind, tally: dict, **fields) -> tuple[Msg, bytes]:
         """The `kind` certificate of a quorum's `tally`, voter -> signature,
@@ -402,16 +388,15 @@ class _Replica(Peer):
 
     def _decide(self, cert: Msg, now: int, how: str,
                 wire: bytes | None = None) -> list:
-        """Decide the value of `cert`, a certificate of a quorum's votes,
-        keep it as this replica's own (with its `wire`, when this replica
-        signed it), stop the timers, and trace it."""
+        """Decide the value of `cert`, a COMMITTED, keep it as this
+        replica's own (with its `wire`, when this replica signed it), stop
+        the timers, and trace it."""
         self.certificate = Msg(cert.instance, cert.kind, self.node, cert.view,
-                               cert.ballot_node, cert.value, cert.digest,
-                               cert.cert_view, cert.cert_node, cert.cert)
+                               cert.value, cert.digest, cert.cert_view, cert.cert)
         self._certificate_wire = wire
         self.decision = Decision(cert.value, now, cert.view)
         self._timer_gen += 1
-        return [Record("decision", f"{self._ROUND}={cert.view} "
+        return [Record("decision", f"view={cert.view} "
                                    f"value={codec.short(cert.value)}{how}")]
 
     def _answer(self, dst: str) -> list:
@@ -420,40 +405,7 @@ class _Replica(Peer):
             self._certificate_wire = encode_msg(self.keystore, self.certificate)
         return [Send(dst, self._certificate_wire, self.certificate.kind._value_)]
 
-
-# -- byzantine-tolerant engine ---------------------------------------------
-
-class PBFTReplica(_Replica):
-    """Three-phase replica: single slot, rotating leader, view changes.
-    Votes and view changes go to the leader of their view, which
-    broadcasts the certificates the votes form."""
-
-    _ROUND = "view"
-    _STRAGGLER = MsgKind.VIEWCHANGE
-
-    def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
-                 verified: dict[bytes, Msg | None] | None = None):
-        super().__init__(cfg, node, keystore, verified)
-        self.view = 0
-        self.proposals: dict[int, tuple[bytes, bytes]] = {}     # view -> (digest, value)
-        # the leader's tallies: (PREPARE or COMMIT, view, digest) -> voter -> signature
-        self.votes: dict[tuple[MsgKind, int, bytes], dict[str, bytes]] = {}
-        self.voted: set[tuple[MsgKind, int]] = set()    # own votes: (kind, view)
-        self.prepared_cert: tuple[int, bytes, bytes] | None = None
-        # the leader's tallies: target view -> sender -> ((cert_view,), cert_value)
-        self.viewchanges: dict[int, dict[str, tuple[tuple[int], bytes | None]]] = {}
-        self.vc_target = 0
-        self._timeout = cfg.view_timeout
-
-    step = Peer.step
-
     # protocol steps
-
-    def _on_request(self, now: int) -> list:
-        acts = self._set_timer(self._timeout)
-        if self.node == self.cfg.leader(self.view):
-            acts += self._propose(MsgKind.PREPREPARE, self.view, self.request_value, now)
-        return acts
 
     def _propose(self, kind: MsgKind, view: int, value: bytes, now: int) -> list:
         return self._bcast(kind, now, view=view, value=value, digest=codec.sha(value))
@@ -467,6 +419,16 @@ class PBFTReplica(_Replica):
         vote = Msg(self.cfg.instance_id, kind, self.node, view=view, digest=d)
         return self._send(self.cfg.leader(view), vote, now)
 
+    def _accept(self, msg: Msg, now: int) -> list:
+        """Vote for `msg`, the leader's proposal of the current view: a
+        PREPARE under a byzantine plan. Under a crash plan no member lies,
+        so accepting is the COMMIT vote, and the proposal is what this
+        replica's next VIEWCHANGE reports."""
+        if not self._CRASH:
+            return self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
+        self.prepared_cert = (msg.view, msg.digest, msg.value)
+        return self._vote(MsgKind.COMMIT, msg.view, msg.digest, now)
+
     def _on_preprepare(self, msg: Msg, now: int) -> list:
         if (msg.view != self.view or msg.sender != self.cfg.leader(msg.view)
                 or msg.value is None or msg.digest != codec.sha(msg.value)):
@@ -477,7 +439,7 @@ class PBFTReplica(_Replica):
                 self.dropped += 1     # leader equivocation; keep the first
             return []
         self.proposals[msg.view] = (msg.digest, msg.value)
-        return self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
+        return self._accept(msg, now)
 
     def _on_vote(self, msg: Msg, now: int) -> list:
         """Count a signed vote of a view this replica leads; a vote sent to
@@ -515,9 +477,6 @@ class PBFTReplica(_Replica):
         how = "" if msg.sender == self.cfg.leader(msg.view) else " adopted"
         return self._decide(msg, now, how)
 
-    def _on_timeout(self, now: int) -> list:
-        return self._start_viewchange(max(self.view, self.vc_target) + 1, now)
-
     def _start_viewchange(self, target: int, now: int) -> list:
         self.vc_target = target
         self._timeout *= 2
@@ -541,7 +500,7 @@ class PBFTReplica(_Replica):
         if target <= self.view:
             return []
         vcs = self._tally(self.viewchanges, target, msg.sender,
-                          ((msg.cert_view,), msg.value))
+                          (msg.cert_view, msg.value))
         if vcs is None:
             return []
         if len(vcs) >= self.cfg.f_max + 1 and self.vc_target < target:
@@ -564,8 +523,7 @@ class PBFTReplica(_Replica):
         elif self.proposals[msg.view][0] != msg.digest:
             self.dropped += 1
             return []
-        acts = self._vote(MsgKind.PREPARE, msg.view, msg.digest, now)
-        return acts + self._set_timer(self._timeout)
+        return self._accept(msg, now) + self._set_timer(self._timeout)
 
     _ON = {MsgKind.PREPREPARE: _on_preprepare, MsgKind.PREPARE: _on_vote,
            MsgKind.COMMIT: _on_vote, MsgKind.PREPARED: _on_prepared,
@@ -573,139 +531,19 @@ class PBFTReplica(_Replica):
            MsgKind.NEWVIEW: _on_newview}
 
 
-# -- majority engine -------------------------------------------------------
-
-class PaxosReplica(_Replica):
-    """Single-decree proposer+acceptor+learner in one; ballot = (round, index).
-
-    An acceptor sends its signed P2B to the ballot's owner only. The owner
-    decides on a quorum of matching P2Bs and broadcasts one LEARN that
-    carries the value and the quorum's (acceptor, signature) pairs; a
-    replica decides on a LEARN whose certificate verifies."""
-
-    _ROUND = "round"
-    _STRAGGLER = MsgKind.P1A
-
-    def __init__(self, cfg: ConsensusConfig, node: str, keystore: KeyStore,
-                 initial_proposer: bool = False,
-                 verified: dict[bytes, Msg | None] | None = None):
-        super().__init__(cfg, node, keystore, verified)
-        self.idx = cfg.index(node)
-        self.initial_proposer = initial_proposer
-        self.promised: tuple[int, int] | None = None
-        self.accepted: tuple[tuple[int, int], bytes] | None = None
-        self.max_round_seen = 0
-        self.current: tuple[int, int] | None = None    # the ballot in phase 1
-        self.attempts = 0
-        # ballot -> sender -> ((accepted_round, accepted_index), accepted_value)
-        self.promises: dict[tuple[int, int], dict[str, tuple[tuple[int, int], bytes | None]]] = {}
-        # (round, index, value digest) of an own ballot -> acceptor -> P2B signature
-        self.accepts: dict[tuple[int, int, bytes], dict[str, bytes]] = {}
+class PBFTReplica(Replica):
+    """The byzantine plan's replica."""
 
     step = Peer.step
 
-    def _watchdog(self) -> list:
-        """Deterministically staggered retry timer; index offsets avoid duels."""
-        return self._set_timer(self.cfg.view_timeout * (self.idx + 1)
-                               + self.cfg.view_timeout * self.cfg.n * self.attempts)
 
-    def _saw_round(self, rnd: int) -> None:
-        if rnd > self.max_round_seen:
-            self.max_round_seen = rnd
+class PaxosReplica(Replica):
+    """The crash plan's replica: the engine without its PREPARE round."""
 
-    def _on_request(self, now: int) -> list:
-        return self._propose(now) if self.initial_proposer else self._watchdog()
-
-    def _on_timeout(self, now: int) -> list:
-        return self._propose(now)
-
-    def _propose(self, now: int) -> list:
-        self.attempts += 1
-        rnd = self.max_round_seen + 1
-        self._saw_round(rnd)
-        ballot = (rnd, self.idx)
-        self.current = ballot
-        return (self._bcast(MsgKind.P1A, now, view=rnd, ballot_node=self.idx)
-                + self._watchdog())
-
-    def _on_p1a(self, msg: Msg, now: int) -> list:
-        ballot = (msg.view, msg.ballot_node)
-        self._saw_round(msg.view)
-        if self.promised is not None and ballot <= self.promised:
-            self.dropped += 1
-            return []
-        self.promised = ballot
-        acc_round, acc_idx, acc_value = -1, -1, None
-        if self.accepted is not None:
-            (acc_round, acc_idx), acc_value = self.accepted
-        reply = Msg(self.cfg.instance_id, MsgKind.P1B, self.node, view=msg.view,
-                    ballot_node=msg.ballot_node, value=acc_value,
-                    cert_view=acc_round, cert_node=acc_idx)
-        return self._send(msg.sender, reply, now)
-
-    def _on_p1b(self, msg: Msg, now: int) -> list:
-        ballot = (msg.view, msg.ballot_node)
-        if self.current != ballot:
-            # a promise after the ballot's quorum is late, not a drop
-            if len(self.promises.get(ballot, ())) < self.cfg.quorum:
-                self.dropped += 1
-            return []
-        reports = self._tally(self.promises, ballot, msg.sender,
-                              ((msg.cert_view, msg.cert_node), msg.value))
-        if reports is None or len(reports) < self.cfg.quorum:
-            return []
-        self.current = None
-        # this replica's acceptor has since promised a higher ballot and
-        # would refuse this one's P2A: drop it, the watchdog retries higher
-        if self.promised is not None and ballot < self.promised:
-            return []
-        value = self._highest(reports)
-        if value is None:
-            return []
-        return self._bcast(MsgKind.P2A, now, view=ballot[0], ballot_node=ballot[1],
-                           value=value)
-
-    def _on_p2a(self, msg: Msg, now: int) -> list:
-        """Accept the value of a ballot its sender owns, unless promised to a
-        higher one, and sign the P2B for the owner."""
-        ballot = (msg.view, msg.ballot_node)
-        self._saw_round(msg.view)
-        if msg.value is None or self.cfg.index(msg.sender) != msg.ballot_node:
-            self.dropped += 1
-            return []
-        if self.promised is not None and ballot < self.promised:
-            self.dropped += 1
-            return []
-        self.promised = ballot
-        self.accepted = (ballot, msg.value)
-        vote = Msg(self.cfg.instance_id, MsgKind.P2B, self.node, view=ballot[0],
-                   ballot_node=ballot[1], value=msg.value)
-        return self._send(msg.sender, vote, now)
-
-    def _on_p2b(self, msg: Msg, now: int) -> list:
-        """Count a signed accept of one of this replica's own ballots; a P2B
-        for a ballot it does not own is a drop. On a quorum, decide and
-        broadcast the LEARN that carries the quorum's signatures."""
-        if msg.value is None or msg.ballot_node != self.idx:
-            self.dropped += 1
-            return []
-        self._saw_round(msg.view)
-        ballot = (msg.view, msg.ballot_node)
-        tally = self._tally(self.accepts, (*ballot, codec.sha(msg.value)),
-                            msg.sender, msg.sig)
-        if tally is None or len(tally) != self.cfg.quorum:
-            return []
-        cert, wire = self._certify(MsgKind.LEARN, tally, view=ballot[0],
-                                   ballot_node=ballot[1], value=msg.value)
-        return (self._decide(cert, now, "", wire)
-                + self._to_all(wire, MsgKind.LEARN._value_))
-
-    def _on_learn(self, msg: Msg, now: int) -> list:
-        """Decide on a LEARN; `verify_msg` has checked its certificate."""
-        return self._decide(msg, now, " learned")
-
-    _ON = {MsgKind.P1A: _on_p1a, MsgKind.P1B: _on_p1b, MsgKind.P2A: _on_p2a,
-           MsgKind.P2B: _on_p2b, MsgKind.LEARN: _on_learn}
+    step = Peer.step
+    _CRASH = True
+    _ON = {kind: handler for kind, handler in Replica._ON.items()
+           if kind not in (MsgKind.PREPARE, MsgKind.PREPARED)}
 
 
 # -- instance driver -------------------------------------------------------
@@ -734,21 +572,13 @@ class InstanceResult(NetReport):
 def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
                  net_cfg: NetworkConfig = NetworkConfig(), faults=(),
                  max_tick: int = 5000, view_timeout: int = DEFAULT_VIEW_TIMEOUT,
-                 initial_proposers=None, instance_id: str = "inst") -> InstanceResult:
+                 instance_id: str = "inst") -> InstanceResult:
     """Run one consensus instance to quiescence or the tick budget and audit it."""
     cfg = config_from_plan(plan, members, instance_id, view_timeout)
     net = Network(net_cfg)
-    if initial_proposers is None:
-        initial_proposers = (cfg.members[0],)
     verified: dict[bytes, Msg | None] = {}
-    replicas: dict[str, PBFTReplica | PaxosReplica] = {}
-    for m in cfg.members:
-        if plan.protocol is Protocol.PBFT:
-            replicas[m] = PBFTReplica(cfg, m, keystore, verified)
-        else:
-            replicas[m] = PaxosReplica(cfg, m, keystore,
-                                       initial_proposer=m in initial_proposers,
-                                       verified=verified)
+    cls = PBFTReplica if plan.protocol is Protocol.PBFT else PaxosReplica
+    replicas = {m: cls(cfg, m, keystore, verified) for m in cfg.members}
     for spec in faults:
         if spec.behavior is Behavior.EQUIVOCATE and spec.node in replicas:
             replicas[spec.node].lie_from = spec.at_tick

@@ -1,16 +1,17 @@
 """Trust-to-security-plan mapping and quorum arithmetic.
 
 A group's trust vector is pushed through a linear scoring map: at or above
-the threshold the cheaper majority protocol (Paxos) suffices, below it the
-group gets the Byzantine-tolerant one (PBFT). Fault bounds use
-strict-minority floors, so n nodes never tolerate exactly n/3 (or n/2)
-faults. Byzantine plans are refused for groups smaller than 4, where the
-bound degenerates to zero. Under either protocol the quorum is n - f_max
-(for the majority protocol that equals n // 2 + 1): the votes a decision
-needs, and the member signatures a sandbox result needs.
+the threshold a crash plan (`paxos`) suffices, below it the group gets a
+Byzantine plan (`pbft`). Both run the one consensus engine: the crash plan
+drops its PREPARE round, so a fault-free decision costs 3(n - 1) sends
+instead of 5(n - 1). Fault bounds use strict-minority floors, so n nodes
+never tolerate exactly n/3 (or n/2) faults. Byzantine plans are refused for
+groups smaller than 4, where the bound degenerates to zero. Under either
+plan the quorum is n - f_max (for a crash plan that equals n // 2 + 1): the
+votes a decision needs, and the member signatures a sandbox result needs.
 `certificate_refusal` is the one check that enough distinct members of a
 group signed something: a sandbox result on the chain and each quorum
-certificate of either consensus engine on the wire go through it.
+certificate of the consensus engine on the wire go through it.
 
 `map_trust_to_plan` is the one trust-to-plan rule. Its caller is the
 sandbox contract, at create and at update-plan, so every sandbox's plan

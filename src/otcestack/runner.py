@@ -1,5 +1,5 @@
 """Scenario execution: scripted actions against the ledger, trust graph,
-sandbox registry, consensus engines, and DAG executor.
+sandbox registry, consensus engine, and DAG executor.
 
 One object per run: `RunResult` holds the run's keystore (seeded from the
 scenario seed), ledger, trust graph and contracts, runs the scenario's
@@ -28,6 +28,7 @@ both checks; the run and ``otcestack replay`` share them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -333,7 +334,8 @@ class RunResult:
                 self.metrics["observations_rejected"] += 1
                 raise ActionError("oracle record rejected")
             self.metrics["observations_ingested"] += 1
-            return f"queued for {edge_id}"
+            # one string per edge, however many observations it queues
+            return sys.intern(f"queued for {edge_id}")
         return self._fold_trust(edge_id, [obs])
 
     def _do_update_trust(self, index: int, action: ParsedAction) -> str:

@@ -152,8 +152,7 @@ def test_criterion_03_beyond_bound_never_silent():
             cfg = NetworkConfig(delay_min=1, delay_max=rng.randint(1, 30),
                                 gst=rng.randint(0, 40), seed=s)
             res = run_instance(plan, members, b"\x77", ks, net_cfg=cfg,
-                               faults=faults, view_timeout=rng.randint(5, 40),
-                               initial_proposers=members)
+                               faults=faults, view_timeout=rng.randint(5, 40))
             assert res.beyond_bound, (n, s)
             if len(res.honest_values()) > 1:
                 assert res.violations, (n, s)

@@ -21,12 +21,8 @@ MEMBERS = ("r0", "r1", "r2", "r3")
 
 def own_vote(cert: Msg, voter: str) -> Msg:
     """The vote `voter` casts for what `cert` certifies, built as the
-    replicas build it (`PBFTReplica._vote`, `PaxosReplica._on_p2a`)."""
-    kind = VOTE_OF[cert.kind]
-    if kind is MsgKind.P2B:
-        return Msg(cert.instance, kind, voter, view=cert.view,
-                   ballot_node=cert.ballot_node, value=cert.value)
-    return Msg(cert.instance, kind, voter, view=cert.view, digest=cert.digest)
+    replicas build it (`Replica._vote`)."""
+    return Msg(cert.instance, VOTE_OF[cert.kind], voter, view=cert.view, digest=cert.digest)
 
 
 @pytest.mark.parametrize("kind", sorted(VOTE_OF, key=lambda k: k.value))
@@ -36,9 +32,7 @@ def test_vote_body_is_the_voters_own_signed_vote(kind):
         value = rng.randbytes(rng.choice((0, 1, 32, 300)))
         cert = Msg(rng.choice(("i", "inst-7", "é")), kind, "r0",
                    view=rng.choice((0, 1, 255, 256, 2**40)),
-                   ballot_node=rng.choice((-1, 0, 3, 63, 300)) if kind is MsgKind.LEARN
-                   else -1,
-                   value=value, digest=None if kind is MsgKind.LEARN else codec.sha(value),
+                   value=value, digest=codec.sha(value),
                    cert=(("r1", bytes(SIG_LEN)),))
         for voter in ("r1", "r3", "m63"):
             assert vote_body(cert, voter) == encode_msg(KS, own_vote(cert, voter))[:-SIG_LEN]
@@ -64,7 +58,7 @@ def replica(protocol: Protocol):
 
 @pytest.mark.parametrize("kind_s", BAD_KINDS)
 def test_an_envelope_of_no_kind_is_refused_and_one_drop(kind_s):
-    body = (0, -1, b"v", codec.sha(b"v"), -1, -1)
+    body = (0, b"v", codec.sha(b"v"), -1)
     wire = seal(KS, "cons", "inst", "r0", kind_s, *body)
     good = seal(KS, "cons", "inst", "r0", "preprepare", *body)
     members = frozenset(MEMBERS)

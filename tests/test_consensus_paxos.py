@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from conftest import decode_msg
+from otcestack import codec
 from otcestack.consensus import (MsgKind, PaxosReplica, config_from_plan,
                                  run_instance)
 from otcestack.keys import KeyStore
 from otcestack.plan import Protocol, make_plan
-from otcestack.simnet import Behavior, FaultSpec, Network, NetworkConfig, Send
+from otcestack.simnet import Behavior, FaultSpec, Network, NetworkConfig
 
 MEMBERS3 = ("p0", "p1", "p2")
 MEMBERS5 = tuple(f"p{i}" for i in range(5))
@@ -93,25 +93,11 @@ def test_a_liar_is_outside_a_crash_plan_within_f_max(behavior, beyond):
     assert res.violations == ()
 
 
-def _no_p2a_below_own_promise(rep: PaxosReplica):
-    """`rep.step`, checking that no P2A it sends is for a ballot below the
-    one its own acceptor has promised, which that acceptor would refuse."""
-    def step(event, now):
-        acts = rep.step(event, now)
-        for act in acts:
-            if isinstance(act, Send) and act.label == MsgKind.P2A.value:
-                msg = decode_msg(act.payload)
-                assert (msg.view, msg.ballot_node) >= rep.promised, (msg, rep.promised)
-        return acts
-    return step
-
-
 def test_dueling_proposers_converge():
-    """Every member proposes its own value at tick 0: 300 runs each at
+    """Every member asks for its own value at tick 0: 300 runs each at
     n = 3 and 5, with delays 1-5, GST at none, 40 or 120, loss before it,
     an optional crash and view timeouts 5-40. No two members ever decide
-    apart, once the network stabilizes every live member decides, and no
-    member sends a P2A that its own acceptor has promised not to accept."""
+    apart, and once the network stabilizes every live member decides."""
     rng = random.Random(2468)
     ks = KeyStore(5)
     for members in (MEMBERS3, MEMBERS5):
@@ -123,10 +109,9 @@ def test_dueling_proposers_converge():
             net = Network(NetworkConfig(1, rng.randint(1, 5), gst=gst,
                                         drop_rate=rng.choice([0.0, 0.2]),
                                         seed=rng.randrange(10**6)))
-            reps = {m: PaxosReplica(ccfg, m, ks, initial_proposer=True)
-                    for m in members}
+            reps = {m: PaxosReplica(ccfg, m, ks) for m in members}
             for m in members:
-                net.register(m, _no_p2a_below_own_promise(reps[m]))
+                net.register(m, reps[m].step)
                 net.schedule_local(m, 0, m.encode(), MsgKind.REQUEST.value)
             crashed = rng.choice((None,) + members)
             if crashed is not None:
@@ -167,33 +152,34 @@ def test_crash_sweep_never_violates_safety():
 # -- accepted-value adoption ------------------------------------------------
 
 def test_new_proposer_adopts_previously_accepted_value():
-    # p0 proposes X but its accept round reaches only p1 before p0 goes dark;
-    # p1's retry must then carry X forward even though p1 wanted Y
+    # p0, view 0's leader, proposes X; only p1 hears it, and p0 crashes
+    # before p1's COMMIT reaches it. View 1's leader p1 must then propose X
+    # although p1 asked for Y and p2, which never accepted X, for Z.
     ks = KeyStore(5)
     plan = make_plan(Protocol.PAXOS, 3)
     ccfg = config_from_plan(plan, MEMBERS3, "adopt", view_timeout=40)
     net = Network(NetworkConfig(delay_min=1, delay_max=1, seed=0))
-    reps = {m: PaxosReplica(ccfg, m, ks, initial_proposer=(m == "p0"))
-            for m in MEMBERS3}
+    reps = {m: PaxosReplica(ccfg, m, ks) for m in MEMBERS3}
 
     def guarded(node):
         def handler(event, now):
-            # p2 never hears p0's accept round, so only p1 accepts X
             if (event.kind == "msg" and node == "p2" and event.src == "p0"
-                    and event.label == MsgKind.P2A.value):
+                    and event.label == MsgKind.PREPREPARE.value):
                 return []
             return reps[node].step(event, now)
         return handler
 
     for m in MEMBERS3:
         net.register(m, guarded(m))
-    net.inject_fault(FaultSpec("p0", Behavior.CRASH, at_tick=20))
+    net.inject_fault(FaultSpec("p0", Behavior.CRASH, at_tick=1))
     net.schedule_local("p0", 0, b"X", MsgKind.REQUEST.value)
     net.schedule_local("p1", 0, b"Y", MsgKind.REQUEST.value)
     net.schedule_local("p2", 0, b"Z", MsgKind.REQUEST.value)
     net.run_until(4000)
 
-    assert reps["p1"].accepted is not None and reps["p1"].accepted[1] == b"X"
-    assert reps["p1"].decision is not None and reps["p1"].decision.value == b"X"
-    assert reps["p2"].decision is not None and reps["p2"].decision.value == b"X"
+    assert reps["p1"].prepared_cert == (1, codec.sha(b"X"), b"X")
+    assert reps["p2"].prepared_cert == (1, codec.sha(b"X"), b"X")
+    for m in ("p1", "p2"):
+        assert reps[m].decision is not None
+        assert (reps[m].decision.value, reps[m].decision.view) == (b"X", 1)
     assert net.conservation_ok()

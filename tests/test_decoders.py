@@ -98,7 +98,7 @@ class Case:
 TX = Transaction(TxKind.CREATE_OTCE, b"p", "alice", SIG, TXID)
 GROUP = ("a", "b", "c", "d")
 SIGS = (("a", b"s1"),)
-MSG = Msg("inst", MsgKind.PREPARE, "m0", 2, -1, None, b"d" * 32, -1, -1)
+MSG = Msg("inst", MsgKind.PREPARE, "m0", 2, None, b"d" * 32, -1)
 
 CASES = [
     Case("tx", _codec_errors(decode_tx), [1, b"p", "alice", SIG, TXID], TX,
@@ -157,14 +157,14 @@ CASES = [
          # the kind is the engine's to check
          accepted=[(3, "bogus", ("m0", "bogus", ()))],
          extra=("m0", "prepare", (0,))),
+    # view, value, digest and cert_view follow the header
     Case("consensus", _consensus,
-         ["cons", "inst", "prepare", "m0", 2, -1, None, b"d" * 32, -1, -1], MSG,
+         ["cons", "inst", "prepare", "m0", 2, None, b"d" * 32, -1], MSG,
          refused=[(1, b"inst"), (2, "bogus"), (2, b"prepare"), (3, b"m0"), (4, "2"),
-                  (5, 1.0), (6, "v"), (7, 5), (8, None), (9, b"x"), (4, True)],
-         accepted=[(6, b"v", Msg("inst", MsgKind.PREPARE, "m0", 2, -1, b"v", b"d" * 32,
-                                 -1, -1)),
-                   (7, None, Msg("inst", MsgKind.PREPARE, "m0", 2, -1, None, None,
-                                 -1, -1))]),
+                  (5, 1.0), (6, "v"), (6, 5), (7, None), (7, b"x"), (4, True)],
+         accepted=[(5, b"v", Msg("inst", MsgKind.PREPARE, "m0", 2, b"v", b"d" * 32, -1)),
+                   (6, b"v", Msg("inst", MsgKind.PREPARE, "m0", 2, None, b"v", -1)),
+                   (6, None, Msg("inst", MsgKind.PREPARE, "m0", 2, None, None, -1))]),
     Case("bvm-value", _bvm, ["bvm-val", "x1", "value", "t", b"\x07"],
          ("m0", "value", (("t", b"\x07"),)),
          # a kind that is not a str is the envelope's refusal

@@ -32,15 +32,15 @@ GOLDEN = {
         "graph.dump": "0dfb2412559d4ed1c0abdd8212bc55328de08b9e3fa5f4ed744a9b022bfd3d7f",
         "metrics.txt": "e4b3a98089de66281fd63aaef01f039d3e602af0c12e841ed7b27d894d8c704e",
         "otce.dump": "b4b1c99feaee166549feef99c145357461038ad6b307307fc6873b419d2c46d1",
-        "trace.log": "ff6eff6d4b81f2ecfe297f33384c5169751fa2a534acc04645214d795349cd3d",
+        "trace.log": "0af2a46ab3eff372a5f93ad6eb4f288470ccbb7abae3335ac4b05794f05cc377",
     },
     "plan_switch": {
         "chain.dump": "09ac9b360425b8fed634f30f7c9f43d81b9e9a1f5f2769d6906047aa5b03c74c",
         "did.dump": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "graph.dump": "de2876041bdf9b009ba562aecbbe572e1390cbcdcaf32da7f19e9e7dd658c000",
-        "metrics.txt": "165dee406dfbf35c77e96a859c433047a17010987eb995aef1f4ec12f39690d4",
+        "metrics.txt": "cacbbe5878b2f1627219e7b96ab1870e867f100561b1b3124c87de357b1b764d",
         "otce.dump": "56f9513045e22298c05f1dab8916f239ff0ed40d7b5328c964d1ed30a51cc102",
-        "trace.log": "9a67b22da6c60ca62ee6fe406e0ef2dc3a7692f7c1e47eb6dc77456a59bd14c9",
+        "trace.log": "fb1808c94bc79519c930af010a6d00293bc88d0623320e67e3e2cd0df3b52044",
     },
     "beyond_bound": {
         "chain.dump": "230abdeb2c09d381b5303671cb97f39f6a86d7b7ce2b75a74078645eff04386d",
@@ -48,14 +48,14 @@ GOLDEN = {
         "graph.dump": "0e9451726b5bc3e415ad7706bdeb0724ac666c6ab0fc3a93bb5bbf55c6268ab9",
         "metrics.txt": "50fa30c07aae25b00efa258864411bce45e8e2d57992ce05198ec0ba480b376f",
         "otce.dump": "6909300ee056e4f2828f59fb400dc40477d2d4463163646c0f6bf0eec1d02559",
-        "trace.log": "20c8c069c467eb1bce7447045027a1d7dd6297541c274953d94f90b3ace2b9f7",
+        "trace.log": "db1839e734b39a98e7a682c16ce028526333b40b3645690c457df1e85dfc9f37",
     },
 }
 
 
 SKELETON = {
     "fig4": "be5b3284ccdb8b2bebbfc921a5a5d0821830a77669eef920f6cf421afa460c33",
-    "plan_switch": "a5574611ed5cecc8eba27d4a52aaf2b925dc7d9e33df040e93b547d5d4d52a1e",
+    "plan_switch": "12af1738910569f0016ba49042cb4c6ebd0de07f445f7d38320666c67eae8dd9",
     "beyond_bound": "30858e476af280e26d6e2adee566cd8846fb067939f67f1ce8ebf3b1e481e523",
 }
 

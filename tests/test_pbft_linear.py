@@ -1,12 +1,14 @@
-"""The byzantine engine's linear phases: a replica sends its signed PREPARE
-and COMMIT to the view's leader only, the leader broadcasts one PREPARED and
-one COMMITTED certificate carrying a quorum's signatures, and a VIEWCHANGE
-goes to the leader of its target only. A certificate that does not show a
-quorum of distinct members voting for its view and digest, or whose value
-does not hash to its digest, is a counted drop, as is a vote or view change
-sent to a replica that does not lead its view. A replica that has asked for
-a later view casts no vote in its current one, so an equivocating member
-within the fault bound cannot split the honest replicas.
+"""The linear phases under a byzantine plan: a replica sends its signed
+PREPARE and COMMIT to the view's leader only, the leader broadcasts one
+PREPARED and one COMMITTED certificate carrying a quorum's signatures, and
+a VIEWCHANGE goes to the leader of its target only. A certificate that does
+not show a quorum of distinct members voting for its view and digest, or
+whose value does not hash to its digest, is a counted drop, as is a vote or
+view change sent to a replica that does not lead its view. A replica that
+has asked for a later view casts no vote in its current one, so an
+equivocating member within the fault bound cannot split the honest
+replicas. The seeded sweep also runs the crash plan, whose faults stop or
+slow a member.
 """
 
 import random
@@ -263,17 +265,19 @@ def test_every_view_change_doubles_the_timeout():
 # -- late replies ----------------------------------------------------------------
 
 def test_a_promise_after_the_quorum_is_not_a_drop():
+    """Under a crash plan a VIEWCHANGE is Paxos's promise: one that reaches
+    the new leader after its quorum is late, not a drop."""
     members = tuple(f"p{i}" for i in range(5))
     cfg = config_from_plan(make_plan(Protocol.PAXOS, 5), members, "i")
-    rep = PaxosReplica(cfg, "p0", KS, initial_proposer=True)
+    rep = PaxosReplica(cfg, "p1", KS)
     request(rep)
-    for sender in ("p1", "p2"):
-        deliver(rep, MsgKind.P1B, sender, view=1, ballot_node=0)
-    assert rep.current is None
-    assert deliver(rep, MsgKind.P1B, "p3", view=1, ballot_node=0) == []
+    for sender in ("p2", "p3", "p4"):
+        deliver(rep, MsgKind.VIEWCHANGE, sender, view=1)
+    assert rep.view == 1
+    assert deliver(rep, MsgKind.VIEWCHANGE, "p0", view=1) == []
     assert rep.dropped == 0
-    # a promise for a ballot this proposer never ran is still a drop
-    assert deliver(rep, MsgKind.P1B, "p3", view=2, ballot_node=0) == []
+    # a promise for a view this replica does not lead is still a drop
+    assert deliver(rep, MsgKind.VIEWCHANGE, "p3", view=2) == []
     assert rep.dropped == 1
 
 
@@ -296,21 +300,33 @@ def test_an_equivocating_leader_within_the_bound_cannot_split_the_group(
     assert len(res.honest_values()) == 1
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["equivocating", "mixed"])
-def test_seeded_sweep_within_the_bound(mixed):
-    """1500 seeds x n = 4, 7: 1 to f_max faulty members, all equivocating
-    or each with a random behaviour, delay_max 1-60, GST 0-80, drop rate 0
-    or U(0, 0.3), view timeout 5-40."""
+# (protocol, group sizes, the behaviours a faulty member draws from, or
+# None for equivocation from tick 0) of each sweep
+SWEEPS = {
+    "equivocating": (Protocol.PBFT, (4, 7), None),
+    "mixed": (Protocol.PBFT, (4, 7), list(Behavior)),
+    "crash-plan": (Protocol.PAXOS, (3, 5),
+                   [Behavior.CRASH, Behavior.DROP_ALL, Behavior.DELAY_MAX]),
+}
+
+
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_seeded_sweep_within_the_bound(sweep):
+    """1500 seeds x two group sizes: 1 to f_max faulty members, all
+    equivocating, or each with a random behaviour the plan's fault model
+    has, delay_max 1-60, GST 0-80, drop rate 0 or U(0, 0.3), view timeout
+    5-40. A byzantine plan runs at n = 4, 7, a crash plan at n = 3, 5."""
+    protocol, sizes, behaviors = SWEEPS[sweep]
     bad = []
     for seed in range(1500):
-        for n in (4, 7):
+        for n in sizes:
             rng = random.Random(seed)
             members = tuple(f"m{i}" for i in range(n))
-            plan = make_plan(Protocol.PBFT, n)
+            plan = make_plan(protocol, n)
             faulty = rng.sample(members, rng.randint(1, plan.f_max))
-            faults = tuple(FaultSpec(m, rng.choice(list(Behavior)) if mixed
-                                     else Behavior.EQUIVOCATE,
-                                     at_tick=rng.randrange(0, 30) if mixed else 0)
+            faults = tuple(FaultSpec(m, Behavior.EQUIVOCATE) if behaviors is None
+                           else FaultSpec(m, rng.choice(behaviors),
+                                          at_tick=rng.randrange(0, 30))
                            for m in faulty)
             net = NetworkConfig(1, rng.randint(1, 60), gst=rng.randint(0, 80),
                                 drop_rate=rng.choice([0.0, rng.uniform(0, 0.3)]),
@@ -318,7 +334,7 @@ def test_seeded_sweep_within_the_bound(mixed):
             res = run_instance(plan, members, bytes([seed % 256]) * 4, KeyStore(seed),
                                net_cfg=net, faults=faults,
                                view_timeout=rng.randint(5, 40), max_tick=20000)
-            if res.violations or res.stalled:
+            if res.violations or res.stalled or res.beyond_bound:
                 bad.append((seed, n, res.violations, res.stalled))
     assert bad == []
 

@@ -1,6 +1,7 @@
-"""The accept rules of `keys.Peer.step`, the one receiver of both engines:
-every refused delivery is one drop and no action, whichever engine gets it,
-and each distinct wire is opened once however often it arrives."""
+"""The accept rules of `keys.Peer.step`, the one receiver of the consensus
+replica under either plan and of the DAG executor: every refused delivery
+is one drop and no action, whichever of them gets it, and each distinct
+wire is opened once however often it arrives."""
 
 import pytest
 
@@ -17,8 +18,8 @@ SCOPE = "inst"     # the instance id of the replicas, the execution id of the ex
 
 # a message r1 takes from r0, per engine: (kind, body...)
 BODIES = {
-    "pbft": ("preprepare", 0, -1, b"v", codec.sha(b"v"), -1, -1),
-    "paxos": ("p1a", 1, 0, None, None, -1, -1),
+    "pbft": ("preprepare", 0, b"v", codec.sha(b"v"), -1),
+    "paxos": ("preprepare", 0, b"v", codec.sha(b"v"), -1),
     "executor": ("value", "a", b"\x01"),
 }
 TAGS = {"pbft": "cons", "paxos": "cons", "executor": "bvm-val"}

@@ -1,10 +1,10 @@
-"""What both consensus engines keep of their shared replica: the drop
-counts of the event entry, the timer a replica acts on, what a decided
-replica answers in either engine, the duplicate check of a tally, which value a new
-leader or proposer re-proposes, and the one way a replica reaches itself:
-its own proposals, votes and reports go through the handler table, like a
-peer's. Last, what an equivocating replica tells its even- and odd-indexed
-peers, before and from its fault's tick."""
+"""What the one consensus replica does under either plan: the drop counts
+of the event entry, the timer a replica acts on, what a decided replica
+answers, the duplicate check of a tally, which value a new leader
+re-proposes, and the one way a replica reaches itself: its own proposals,
+votes and reports go through the handler table, like a peer's. Last, what
+an equivocating replica tells its even- and odd-indexed peers, before and
+from its fault's tick."""
 
 from collections import Counter
 from dataclasses import replace
@@ -30,9 +30,9 @@ def pbft_replica(node: str) -> PBFTReplica:
                        node, KS)
 
 
-def paxos_replica(node: str, proposer: bool = False) -> PaxosReplica:
-    cfg = config_from_plan(make_plan(Protocol.PAXOS, 5), MEMBERS5, "i")
-    return PaxosReplica(cfg, node, KS, initial_proposer=proposer)
+def paxos_replica(node: str) -> PaxosReplica:
+    return PaxosReplica(config_from_plan(make_plan(Protocol.PAXOS, 5), MEMBERS5, "i"),
+                        node, KS)
 
 
 def request(rep, value: bytes) -> list:
@@ -69,13 +69,18 @@ def timer_labels(acts) -> list[str]:
 
 
 @pytest.mark.parametrize("make,kind,sender", [
-    (lambda: pbft_replica("r1"), MsgKind.P1A, "r0"),
     (lambda: paxos_replica("p1"), MsgKind.PREPARE, "p0"),
+    (lambda: paxos_replica("p1"), MsgKind.PREPARED, "p0"),
 ])
 def test_other_engines_kind_is_one_drop_and_no_action(make, kind, sender):
+    """A crash-plan replica has no PREPARE round: a PREPARE, or a PREPARED
+    whose certificate verifies, is one drop."""
     rep = make()
-    assert deliver(rep, kind, sender, digest=codec.sha(b"v")) == []
-    assert rep.dropped == 1
+    fields = dict(view=0, value=b"v", digest=codec.sha(b"v"))
+    if kind in VOTE_OF:
+        fields["cert"] = signed_pairs(Msg("i", kind, sender, **fields), MEMBERS5[:3])
+    assert deliver(rep, kind, sender, **fields) == []
+    assert rep.dropped == 1 and rep.voted == set() and rep.prepared_cert is None
 
 
 def test_pbft_replica_acts_on_its_newest_timer_only():
@@ -112,7 +117,7 @@ def decided_pbft_replica() -> PBFTReplica:
 def test_decided_pbft_replica_answers_only_a_view_change():
     rep = decided_pbft_replica()
     assert deliver(rep, MsgKind.PREPARE, "r3", view=0, digest=codec.sha(b"w")) == []
-    assert deliver(rep, MsgKind.P1A, "r3", view=1) == []
+    assert deliver(rep, MsgKind.REQUEST, "r3", view=1) == []
     assert rep.dropped == 0
     acts = deliver(rep, MsgKind.VIEWCHANGE, "r3", view=1)
     assert len(acts) == 1
@@ -136,11 +141,13 @@ def signed_pairs(cert: Msg, voters) -> tuple:
 
 
 def decided_paxos_replica() -> PaxosReplica:
-    """p1 decides b"v" on p0's LEARN for ballot (1, 0)."""
+    """p1 decides b"v" on p0's COMMITTED for view 0, the crash plan's
+    certificate of three COMMITs."""
     rep = paxos_replica("p1")
-    learn = Msg("i", MsgKind.LEARN, "p0", view=1, ballot_node=0, value=b"v")
-    deliver(rep, MsgKind.LEARN, "p0", view=1, ballot_node=0, value=b"v",
-            cert=signed_pairs(learn, MEMBERS5[:3]))
+    committed = Msg("i", MsgKind.COMMITTED, "p0", view=0, value=b"v",
+                    digest=codec.sha(b"v"))
+    deliver(rep, MsgKind.COMMITTED, "p0", view=0, value=b"v", digest=codec.sha(b"v"),
+            cert=signed_pairs(committed, MEMBERS5[:3]))
     assert rep.decision is not None and rep.dropped == 0
     return rep
 
@@ -148,19 +155,18 @@ def decided_paxos_replica() -> PaxosReplica:
 @pytest.mark.parametrize("make", [decided_pbft_replica, decided_paxos_replica],
                          ids=["pbft", "paxos"])
 def test_a_decided_replica_answers_only_a_straggler_with_its_certificate(make):
-    """After a decision, a verified message of the engine's straggler kind
-    gets the replica's certificate back; every other kind, of either engine,
-    gets nothing and is no drop."""
+    """After a decision, a verified VIEWCHANGE gets the replica's
+    certificate back; every other kind, whether the plan's table has it or
+    not, gets nothing and is no drop."""
     rep = make()
     asker = rep.cfg.members[3]
     for kind in MsgKind:
-        msg = Msg("i", kind, asker, view=2, ballot_node=3, value=b"w",
-                  digest=codec.sha(b"w"))
+        msg = Msg("i", kind, asker, view=2, value=b"w", digest=codec.sha(b"w"))
         if kind in VOTE_OF:
             msg = replace(msg, cert=signed_pairs(msg, rep.cfg.members[:rep.cfg.quorum]))
         event = SimEvent(1, 1, "msg", asker, rep.node, encode_msg(KS, msg), "m")
         acts = rep.step(event, 1)
-        if kind is rep._STRAGGLER:
+        if kind is MsgKind.VIEWCHANGE:
             assert [(a.dst, decode_msg(a.payload)) for a in acts] == [
                 (asker, rep.certificate)]
         else:
@@ -204,14 +210,17 @@ def test_new_leader_proposes_own_request_without_a_certificate():
 
 @pytest.mark.parametrize("order", [1, -1])
 def test_paxos_phase_two_takes_first_sender_on_an_accepted_ballot_tie(order):
-    rep = paxos_replica("p0", proposer=True)
-    assert [m.view for _, m in sent(request(rep, b"own"), "p1a")] == [1] * 4
+    """Under a crash plan the view change is Paxos's phase 1: p1, leader of
+    view 1, asks for it itself, and two reports of a value accepted in one
+    view complete its quorum of three."""
+    rep = paxos_replica("p1")
+    request(rep, b"own")
+    assert sent(fire(rep, "t:1"), "viewchange") == [] and rep.vc_target == 1
     acts = []
-    for sender, value in [("p1", b"A"), ("p2", b"B")][::order]:
-        acts += deliver(rep, MsgKind.P1B, sender, view=1, ballot_node=0,
-                        value=value, cert_view=0, cert_node=3)
-    assert {m.value for _, m in sent(acts, "p2a")} == {b"A"}
-    assert rep.dropped == 0
+    for sender, value in [("p2", b"A"), ("p3", b"B")][::order]:
+        acts += deliver(rep, MsgKind.VIEWCHANGE, sender, view=1, value=value, cert_view=0)
+    assert {m.value for _, m in sent(acts, "newview")} == {b"A"}
+    assert rep.view == 1 and rep.dropped == 0
 
 
 def test_repeated_view_change_from_one_sender_is_one_drop():
@@ -236,14 +245,13 @@ def handled(monkeypatch, cls, protocol: Protocol, members, faults=()) -> Counter
     return calls
 
 
-# (kinds every replica handles once, kinds only the proposer or collector
-# handles from itself): the collector decides on its quorum of COMMITs or
-# P2Bs before the last peer's arrives, and a decided replica ignores it
+# (kinds every replica handles once, kinds only the leader handles from
+# itself): the leader decides on its quorum of COMMITs before the last
+# peer's arrives, and a decided replica ignores it
 @pytest.mark.parametrize("cls,protocol,members,everyone,own_only", [
     (PBFTReplica, Protocol.PBFT, MEMBERS4, (MsgKind.PREPREPARE, MsgKind.PREPARE),
      (MsgKind.COMMIT,)),
-    (PaxosReplica, Protocol.PAXOS, MEMBERS5, (MsgKind.P1A, MsgKind.P1B, MsgKind.P2A),
-     (MsgKind.P2B,)),
+    (PaxosReplica, Protocol.PAXOS, MEMBERS5, (MsgKind.PREPREPARE,), (MsgKind.COMMIT,)),
 ], ids=["pbft", "paxos"])
 def test_own_proposals_and_votes_reach_the_handler_table(monkeypatch, cls, protocol,
                                                          members, everyone, own_only):
@@ -319,32 +327,31 @@ def test_equivocating_pbft_voter_lies_to_an_odd_leader_only_from_its_tick():
 
 
 def test_equivocating_paxos_proposer_tells_odd_peers_one_other_value():
-    rep = paxos_replica("p0", proposer=True)
+    rep = paxos_replica("p0")
     rep.lie_from = 0
-    p1a = told(request(rep, b"v"), MsgKind.P1A)
-    assert len(set(p1a.values())) == 1          # a P1A carries no value
-    for peer in ("p1", "p2"):
-        acts = deliver_at(rep, 1, MsgKind.P1B, peer, view=1, ballot_node=0)
-    got = told(acts, MsgKind.P2A)
-    honest = Msg("i", MsgKind.P2A, "p0", view=1, ballot_node=0, value=b"v")
+    got = told(request(rep, b"v"), MsgKind.PREPREPARE)
+    honest = Msg("i", MsgKind.PREPREPARE, "p0", view=0, value=b"v", digest=codec.sha(b"v"))
     assert got["p2"] == got["p4"] == encode_msg(KS, honest)
     assert got["p1"] == got["p3"] != got["p2"]
     assert_lie(got["p1"], honest, MEMBERS5)
 
 
 def test_equivocating_paxos_acceptor_lies_to_an_odd_owner_only_from_its_tick():
+    """A crash-plan replica's accepting vote is its COMMIT: honest to view
+    0's even leader p0, a lie to view 1's odd leader p1 from tick 3 on."""
     rep = paxos_replica("p2")
     rep.lie_from = 3
-    to_p0 = told(deliver_at(rep, 3, MsgKind.P2A, "p0", view=1, ballot_node=0,
-                            value=b"v"), MsgKind.P2B)
-    assert to_p0 == {"p0": wire(MsgKind.P2B, "p2", view=1, ballot_node=0, value=b"v")}
-    vote = Msg("i", MsgKind.P2B, "p2", view=1, ballot_node=1, value=b"w")
+    d = codec.sha(b"v")
+    to_p0 = told(deliver_at(rep, 3, MsgKind.PREPREPARE, "p0", view=0, value=b"v",
+                            digest=d), MsgKind.COMMIT)
+    assert to_p0 == {"p0": wire(MsgKind.COMMIT, "p2", view=0, digest=d)}
+    vote = Msg("i", MsgKind.COMMIT, "p2", view=1, digest=d)
     early = paxos_replica("p2")
     early.lie_from = 3
-    before = told(deliver_at(early, 2, MsgKind.P2A, "p1", view=1, ballot_node=1,
-                             value=b"w"), MsgKind.P2B)
+    before = told(deliver_at(early, 2, MsgKind.NEWVIEW, "p1", view=1, value=b"v",
+                             digest=d), MsgKind.COMMIT)
     assert before == {"p1": encode_msg(KS, vote)}
-    after = told(deliver_at(rep, 3, MsgKind.P2A, "p1", view=1, ballot_node=1,
-                            value=b"w"), MsgKind.P2B)
+    after = told(deliver_at(rep, 3, MsgKind.NEWVIEW, "p1", view=1, value=b"v",
+                            digest=d), MsgKind.COMMIT)
     assert after["p1"] != encode_msg(KS, vote)
     assert_lie(after["p1"], vote, MEMBERS5)

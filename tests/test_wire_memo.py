@@ -92,11 +92,8 @@ def run_private_memos(protocol, members, value, ks, net_cfg, faults,
     cfg = config_from_plan(make_plan(protocol, len(members)), members, "inst",
                            view_timeout)
     net = Network(net_cfg)
-    if protocol is Protocol.PBFT:
-        reps = {m: PBFTReplica(cfg, m, ks) for m in cfg.members}
-    else:
-        reps = {m: PaxosReplica(cfg, m, ks, initial_proposer=m == cfg.members[0])
-                for m in cfg.members}
+    cls = PBFTReplica if protocol is Protocol.PBFT else PaxosReplica
+    reps = {m: cls(cfg, m, ks) for m in cfg.members}
     for spec in faults:
         if spec.behavior is Behavior.EQUIVOCATE:
             reps[spec.node].lie_from = spec.at_tick
