@@ -58,7 +58,7 @@ CHUNK = "c"
 _REF_DATA = (object, bytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Input:
     kind: str                 # "t" | "l" | "c"
     ref: str = ""             # task id or chunk id
@@ -81,7 +81,7 @@ def chunk_input(chunk_id: str) -> Input:
     return Input(CHUNK, ref=chunk_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """One operation over its `inputs`. `task_reads` and `chunk_reads` are
     the refs of its task and chunk inputs, in operand order, duplicates
@@ -422,8 +422,8 @@ class TaskExecutor(Peer):
         return acts + self._try_start()
 
     def _on_timer(self, event: SimEvent, now: int) -> list:
-        tid = event.label.split(":", 1)[1]
-        if self.busy != tid:
+        tid = self.busy             # values are keyed by the DAG's own id
+        if tid is None or event.label != f"exec:{tid}":
             return []
         self.busy = None
         task = self.dag.tasks[tid]
@@ -546,9 +546,8 @@ def execute_collaborative(dag: TaskDAG, members, holders: dict[str, dict[str, by
     schedule = topo_schedule(dag, ordered, holders)
     owners = dict(schedule)
     net = Network(net_cfg)
-    verified: dict[bytes, tuple | None] = {}
     execs = {node: TaskExecutor(execution_id, dag, node, ordered, owners, holders,
-                                keystore, verified)
+                                keystore, net.memo)
              for node in ordered}
     net.start({node: e.step for node, e in execs.items()}, faults, b"", "start", max_tick)
 

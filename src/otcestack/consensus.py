@@ -39,7 +39,7 @@ raised. One table, `_KIND_OF`, maps each kind string to its kind and its
 body's shape (a certificate kind's, built once from `VOTE_OF`, ends with
 its pairs), so opening a body is one lookup and one `check_record`;
 `verify_msg` checks a certificate with `plan.certificate_refusal`, once per
-distinct wire.
+distinct wire while a copy of it is queued.
 
 `Replica` is the engine. `PBFTReplica` and `PaxosReplica` are the byzantine
 and the crash plan's replica: each binds `step` in its own class, because
@@ -87,8 +87,9 @@ _KIND_OF = {kind.value: (kind, _BODY + (tuple,) if kind in VOTE_OF else _BODY)
             for kind in MsgKind}
 
 
-# Frozen, since the wire memo hands one decoded Msg to every replica of an
-# instance; slotted, since one is built for each message sent or opened.
+# Frozen, since the network's wire memo hands one decoded Msg to every
+# replica that a copy of its wire reaches while another is queued; slotted,
+# since one is built for each message sent or opened.
 @dataclass(frozen=True, slots=True)
 class Msg:
     instance: str
@@ -576,9 +577,8 @@ def run_instance(plan: SecurityPlan, members, value: bytes, keystore: KeyStore,
     """Run one consensus instance to quiescence or the tick budget and audit it."""
     cfg = config_from_plan(plan, members, instance_id, view_timeout)
     net = Network(net_cfg)
-    verified: dict[bytes, Msg | None] = {}
     cls = PBFTReplica if plan.protocol is Protocol.PBFT else PaxosReplica
-    replicas = {m: cls(cfg, m, keystore, verified) for m in cfg.members}
+    replicas = {m: cls(cfg, m, keystore, net.memo) for m in cfg.members}
     for spec in faults:
         if spec.behavior is Behavior.EQUIVOCATE and spec.node in replicas:
             replicas[spec.node].lie_from = spec.at_tick

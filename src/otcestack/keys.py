@@ -24,10 +24,13 @@ member, the kind is a str; then the signature. The engine checks the body.
 
 Memo rule: what a wire opens to depends only on its bytes, the tag, scope,
 members and seed, so the nodes of one instance or execution share one memo,
-wire -> what it opened to (None if refused), and open each wire once.
-`Peer` is the one receiver of both engines: on every delivery it checks
-that the network's sender is the signer, and counts a refusal as one drop
-of its own. A node built without a memo gets its own.
+wire -> what it opened to (None if refused): their network's `memo`, which
+holds a wire while a copy of it is queued (see `simnet`). So a wire is
+opened once while a copy of it is queued; one sent again after every copy
+was handled is opened again, to the same result. `Peer` is the one
+receiver of both engines: on every delivery it checks that the network's
+sender is the signer, and counts a refusal as one drop of its own. A node
+built without a memo gets its own, which keeps every wire.
 """
 
 from __future__ import annotations
@@ -115,11 +118,13 @@ def unseal(keystore: KeyStore, wire: bytes, tag: str, scope: str, members):
 
 class Peer:
     """A member of a group that speaks only through signed envelopes: the
-    node, its keystore, the group's `members`, the memo `verified` (shared
-    by the memo rule above) and `dropped`, the deliveries it refused.
+    node, its keystore, the group's `members`, the memo `verified` (the
+    network's, shared by the memo rule above) and `dropped`, the deliveries
+    it refused.
 
-    `step` is the event entry. A message is opened once per distinct wire
-    by the engine's `_open(wire)`; one that opens to None, or whose signer
+    `step` is the event entry. A message is opened by the engine's
+    `_open(wire)` when its wire is not in the memo, so once per distinct
+    wire while a copy of it is queued; one that opens to None, or whose signer
     (`_SIGNER` of what it opened to) is not the network's sender, is one
     drop. An accepted message goes to `_on_msg(opened, now)`, a timer to
     `_on_timer(event, now)` and a local event to `_on_local(event, now)`.

@@ -18,8 +18,18 @@ read once, so these per-message records are slotted rather than frozen:
 nothing shares them.
 
 Trace lines name a payload by its short digest. A broadcast puts the same
-payload on many lines, so each Network computes the digest once per
-distinct payload.
+payload on many lines, so a Network keeps one record per payload that has
+a queued copy, a message or a local event: how many copies are queued, and
+the digest, computed once when the first copy is queued. A drop on the
+send path reads the digest from the record when there is one. A timer
+carries no payload, so its digest is a constant. The network also owns
+the wire memo that its nodes share (see `keys`): a node stores there what
+a delivered wire opened to. When the last queued copy of a payload has
+been handled, delivered or shown `dead:` at a crashed node, and the
+handler queued no new copy of it, the network drops the payload's record
+and its memo entry. So the records and the memo grow with the messages in
+flight, not with every message sent. The memo is a cache: a wire sent
+again after that is opened again, to the same result.
 """
 
 from __future__ import annotations
@@ -97,6 +107,9 @@ class Record:
 
 Handler = Callable[[SimEvent, int], list]
 
+# the trace digest of every timer, whose payload is always empty
+_TIMER_SHORT = codec.short(b"")
+
 
 @dataclass
 class NetReport:
@@ -124,7 +137,9 @@ class Network:
         self._handlers: dict[str, Handler] = {}
         self._faults: dict[str, FaultSpec] = {}
         self.trace: list[str] = []
-        self._shorts: dict[bytes, str] = {}
+        # payload -> [copies queued, trace digest], while a copy is queued
+        self._queued: dict[bytes, list] = {}
+        self.memo: dict[bytes, object] = {}     # wire -> what it opened to
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -164,17 +179,20 @@ class Network:
         return (spec is not None and spec.behavior is Behavior.CRASH
                 and tick >= spec.at_tick)
 
-    def _short(self, payload: bytes) -> str:
-        digest = self._shorts.get(payload)
-        if digest is None:
-            digest = self._shorts[payload] = codec.short(payload)
-        return digest
-
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
 
     def _push(self, event: SimEvent) -> None:
+        heapq.heappush(self._heap, (event.deliver_at, event.seq, event))
+
+    def _queue(self, event: SimEvent) -> None:
+        """Push a message or local event and count its payload's copy."""
+        record = self._queued.get(event.payload)
+        if record is None:
+            self._queued[event.payload] = [1, codec.short(event.payload)]
+        else:
+            record[0] += 1
         heapq.heappush(self._heap, (event.deliver_at, event.seq, event))
 
     # -- event sources -----------------------------------------------------
@@ -183,7 +201,7 @@ class Network:
                        label: str = "local") -> None:
         if node not in self._handlers:
             raise ValueError(f"unknown node {node}")
-        self._push(SimEvent(at, self._next_seq(), "local", node, node, payload, label))
+        self._queue(SimEvent(at, self._next_seq(), "local", node, node, payload, label))
 
     def send(self, src: str, dst: str, payload: bytes, label: str = "msg") -> None:
         if src not in self._handlers or dst not in self._handlers:
@@ -209,19 +227,21 @@ class Network:
                 return
             # randrange is what randint calls, so the random stream is the same
             deliver_at = tick + self.rng.randrange(cfg.delay_min, cfg.delay_max + 1)
-        self._push(SimEvent(deliver_at, self._next_seq(), "msg", src, dst,
-                            payload, label))
+        self._queue(SimEvent(deliver_at, self._next_seq(), "msg", src, dst,
+                             payload, label))
 
     def _drop(self, tick: int, src: str, dst: str, label: str, payload: bytes) -> None:
         self.dropped += 1
-        self.trace.append(
-            f"{tick} {self._next_seq()} {src} {dst} drop:{label} {self._short(payload)}")
+        record = self._queued.get(payload)
+        short = codec.short(payload) if record is None else record[1]
+        self.trace.append(f"{tick} {self._next_seq()} {src} {dst} drop:{label} {short}")
 
     # -- the loop ----------------------------------------------------------
 
     def run_until(self, max_tick: int) -> None:
         self.budget_exhausted = False
         heap, trace, faults = self._heap, self.trace, self._faults
+        queued, memo = self._queued, self.memo
         while heap:
             deliver_at, seq, event = heap[0]
             if deliver_at > max_tick:
@@ -233,36 +253,41 @@ class Network:
                 return
             heapq.heappop(heap)
             self.now = deliver_at
-            dst, kind = event.dst, event.kind
+            dst, kind, payload = event.dst, event.kind, event.payload
+            if kind == "timer":
+                record, short = None, _TIMER_SHORT
+            else:               # this copy is handled below
+                record = queued[payload]
+                record[0] -= 1
+                short = record[1]
             fault = faults.get(dst)
             if (fault is not None and fault.behavior is Behavior.CRASH
                     and deliver_at >= fault.at_tick):
                 if kind == "msg":
                     self.dropped += 1
                 trace.append(
-                    f"{deliver_at} {seq} {event.src} {dst} "
-                    f"dead:{event.label} {self._short(event.payload)}")
-                continue
-            if kind == "msg":
-                self.delivered += 1
-            trace.append(
-                f"{deliver_at} {seq} {event.src} {dst} "
-                f"{kind}:{event.label} {self._short(event.payload)}")
-            actions = self._handlers[dst](event, deliver_at)
-            if not actions:
-                continue
-            for action in actions:
-                if isinstance(action, Send):
-                    self.send(dst, action.dst, action.payload, action.label)
-                elif isinstance(action, SetTimer):
-                    self._push(SimEvent(deliver_at + action.delay, self._next_seq(),
-                                        "timer", dst, dst, b"", action.tag))
-                elif isinstance(action, Record):
-                    trace.append(
-                        f"{deliver_at} {self._next_seq()} {dst} {dst} "
-                        f"record:{action.label} {action.data}")
-                else:
-                    raise TypeError(f"unknown action {action!r}")
+                    f"{deliver_at} {seq} {event.src} {dst} dead:{event.label} {short}")
+            else:
+                if kind == "msg":
+                    self.delivered += 1
+                trace.append(
+                    f"{deliver_at} {seq} {event.src} {dst} {kind}:{event.label} {short}")
+                for action in self._handlers[dst](event, deliver_at) or ():
+                    if isinstance(action, Send):
+                        self.send(dst, action.dst, action.payload, action.label)
+                    elif isinstance(action, SetTimer):
+                        self._push(SimEvent(deliver_at + action.delay, self._next_seq(),
+                                            "timer", dst, dst, b"", action.tag))
+                    elif isinstance(action, Record):
+                        trace.append(
+                            f"{deliver_at} {self._next_seq()} {dst} {dst} "
+                            f"record:{action.label} {action.data}")
+                    else:
+                        raise TypeError(f"unknown action {action!r}")
+            # the last copy is handled, and the handler queued no new one
+            if record is not None and not record[0]:
+                del queued[payload]
+                memo.pop(payload, None)
 
     def in_flight(self) -> int:
         return sum(1 for _, _, e in self._heap if e.kind == "msg")

@@ -1,7 +1,8 @@
 """Rendering an output holds one copy of its text, hashing a record holds
-none, a tx holds its bytes once, and a finished run holds each fact once:
-peaks and retained bytes measured with `tracemalloc`, which counts what
-the call allocates and still holds, its result included."""
+none, a tx holds its bytes once, a finished run holds each fact once, and
+a DAG execution holds a wire only while a copy of it is queued: peaks and
+retained bytes measured with `tracemalloc`, which counts what the call
+allocates and still holds, its result included."""
 
 import gc
 import random
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 
 from otcestack import codec
+from otcestack.bvm import Task, TaskDAG, execute_collaborative, lit_input, task_input
 from otcestack.keys import KeyStore
 from otcestack.ledger import (Block, Ledger, Transaction, TxKind, block_hash, decode_tx,
                               dump_chain, make_genesis, make_tx, replay_chain)
@@ -16,6 +18,7 @@ from otcestack.otce import OTCERegistry, eid_for_tx
 from otcestack.plan import PlanMapping
 from otcestack.runner import run_scenario
 from otcestack.scenario import parse_scenario
+from otcestack.simnet import NetworkConfig
 
 
 def traced_peak(fn, *args):
@@ -183,3 +186,37 @@ def test_a_finished_ledger_run_retains_a_bounded_cost_per_action(tmp_path):
     # signature and an outcome object and text per action retains 1.3 KB
     per_action = retained / len(scn.actions)
     assert per_action <= 1150, per_action
+
+
+def layered_dag(layers: int, width: int) -> TaskDAG:
+    """`layers` layers of `width` hash tasks; past the first layer, task i
+    reads tasks i and i + 1 (mod `width`) of the layer before."""
+    tasks = {}
+    for k in range(layers):
+        for i in range(width):
+            tid = f"l{k}.{i}"
+            inputs = ((task_input(f"l{k - 1}.{i}"), task_input(f"l{k - 1}.{(i + 1) % width}"))
+                      if k else (lit_input(bytes([i])),))
+            tasks[tid] = Task(tid, "hash", inputs)
+    return TaskDAG(tasks)
+
+
+# At the peak of a 1000-task execution on four members, each task costs
+# about 760 bytes: its value at each member that holds it, its trace lines
+# and its share of the messages in flight. A memo that keeps every
+# delivered wire and what it opened to, with a trace digest per payload,
+# costs about 1310.
+DAG_PEAK_PER_TASK = 1000
+
+
+def test_a_dag_execution_peak_does_not_hold_its_delivered_wires():
+    dag = layered_dag(25, 40)
+    members = ("w1", "w2", "w3", "w4")
+    ks = KeyStore(3)
+    for member in members:
+        ks.sign(member, b"warm")    # derive each member's key outside the window
+    report, peak = traced_peak(execute_collaborative, dag, members, {}, ks,
+                               NetworkConfig(1, 3, seed=2))
+    assert report.completed and report.delivered == 972
+    per_task = peak / len(dag.tasks)
+    assert per_task <= DAG_PEAK_PER_TASK, per_task

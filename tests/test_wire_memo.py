@@ -1,5 +1,7 @@
-"""Each distinct wire is verified and decoded once per run, and nothing a
-receiver accepts or counts changes because of it."""
+"""Each distinct wire is verified and decoded once while a copy of it is
+queued, and nothing a receiver accepts or counts changes because of it.
+The network owns the memo and drops a wire's entry once its last queued
+copy has been handled, so a run holds only the wires in flight."""
 
 import random
 from collections import Counter
@@ -7,7 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from otcestack import codec, consensus
+from conftest import decode_msg
+from otcestack import bvm, codec, consensus
 from otcestack.bvm import (Task, TaskDAG, TaskExecutor, chunk_input,
                            execute_collaborative, lit_input, task_input)
 from otcestack.consensus import (TRANSFORMABLE, Msg, MsgKind, PaxosReplica,
@@ -85,20 +88,29 @@ def test_replica_without_memo_gets_a_private_one():
     assert a.verified == {} and a.verified is not b.verified
 
 
-def run_private_memos(protocol, members, value, ks, net_cfg, faults,
-                      view_timeout, max_tick=5000):
+def run_replicas(protocol, members, value, ks, net_cfg, faults, view_timeout,
+                 memo=None, max_tick=5000):
     """run_instance's replicas on `Network.start`, equivocators set to lie
-    from their fault's tick, but every replica keeps its own memo."""
+    from their fault's tick, sharing `memo` in place of the network's;
+    without one, every replica keeps its own. The network and replicas."""
     cfg = config_from_plan(make_plan(protocol, len(members)), members, "inst",
                            view_timeout)
     net = Network(net_cfg)
     cls = PBFTReplica if protocol is Protocol.PBFT else PaxosReplica
-    reps = {m: cls(cfg, m, ks) for m in cfg.members}
+    reps = {m: cls(cfg, m, ks, memo) for m in cfg.members}
     for spec in faults:
         if spec.behavior is Behavior.EQUIVOCATE:
             reps[spec.node].lie_from = spec.at_tick
     net.start({m: r.step for m, r in reps.items()}, faults, value,
               MsgKind.REQUEST.value, max_tick)
+    return net, reps
+
+
+def run_private_memos(protocol, members, value, ks, net_cfg, faults,
+                      view_timeout, max_tick=5000):
+    """The trace and drops of `run_replicas` with a memo per replica."""
+    net, reps = run_replicas(protocol, members, value, ks, net_cfg, faults,
+                             view_timeout, max_tick=max_tick)
     return tuple(net.trace), {m: r.dropped for m, r in reps.items()}
 
 
@@ -324,3 +336,149 @@ def test_trace_digest_is_the_payload_digest_for_every_recipient():
     for payload in payloads:
         got = [ln for ln in lines if ln[5] == codec.short(payload)]
         assert sorted(ln[3] for ln in got) == ["b", "c", "d"]
+
+
+# -- the memo holds a wire only while a copy of it is queued ---------------
+
+def test_network_drops_a_memo_entry_with_the_last_handled_copy():
+    """b relays a's wire to c, so the wire's entry outlives b's copy: c's
+    copy, queued while b handled its own, is the last, and with it the
+    entry goes."""
+    net = Network(NetworkConfig(1, 1, seed=1))
+    held = []       # (node, wires in the memo as it handles a message)
+
+    def opener(forward):
+        def handler(event, now):
+            if event.kind == "local":
+                return [Send("b", b"wire", "m")]
+            held.append((event.dst, set(net.memo)))
+            net.memo.setdefault(event.payload, "opened")
+            return [Send(forward, event.payload, "m")] if forward else []
+        return handler
+
+    net.register("a", opener(None))
+    net.register("b", opener("c"))
+    net.register("c", opener(None))
+    net.schedule_local("a", 0, b"", "kick")
+    net.run_until(10)
+    assert held == [("b", set()), ("c", {b"wire"})]
+    assert net.memo == {} and net.delivered == 2
+
+
+def watch_memo(monkeypatch, module, engine) -> list:
+    """Wrap `engine.step` so that before each event is handled, every wire
+    in the network's memo has a copy queued, bar the event's own wire:
+    that holds after every event handled before it, a `dead:` one
+    included. The networks that `module` builds, in order."""
+    nets = []
+
+    class Watched(Network):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            nets.append(self)
+
+    original = engine.step
+
+    def step(self, event, now):
+        net = nets[-1]
+        assert self.verified is net.memo
+        queued = {e.payload for _, _, e in net._heap if e.kind != "timer"}
+        assert net.memo.keys() - {event.payload} <= queued
+        return original(self, event, now)
+
+    monkeypatch.setattr(module, "Network", Watched)
+    monkeypatch.setattr(engine, "step", step)
+    return nets
+
+
+def last_copy_dead(trace) -> bool:
+    """Whether the last copy of some payload was shown `dead:`, by digest."""
+    last = {}
+    for line in trace:
+        parts = line.split()
+        if parts[4].split(":")[0] in ("msg", "dead"):
+            last[parts[5]] = parts[4]
+    return any(kind.startswith("dead:") for kind in last.values())
+
+
+@pytest.mark.parametrize("protocol,n,faults,net_cfg", [
+    # r3 is last in every broadcast's order, so the last copy reaches it dead
+    (Protocol.PBFT, 4, (FaultSpec("r3", Behavior.CRASH),), NetworkConfig(1, 1)),
+    (Protocol.PAXOS, 5, (FaultSpec("r4", Behavior.CRASH, at_tick=3),),
+     NetworkConfig(1, 6, gst=30, drop_rate=0.2, seed=8)),
+    (Protocol.PBFT, 7, (FaultSpec("r0", Behavior.CRASH, at_tick=2),
+                        FaultSpec("r5", Behavior.EQUIVOCATE)),
+     NetworkConfig(1, 9, gst=30, drop_rate=0.1, seed=4)),
+])
+def test_consensus_memo_holds_only_wires_with_a_queued_copy(monkeypatch, protocol, n,
+                                                            faults, net_cfg):
+    engine = PBFTReplica if protocol is Protocol.PBFT else PaxosReplica
+    nets = watch_memo(monkeypatch, consensus, engine)
+    members = tuple(f"r{i}" for i in range(n))
+    res = run_instance(make_plan(protocol, n), members, b"val", KeyStore(2),
+                       net_cfg=net_cfg, faults=faults, view_timeout=12)
+    assert res.agreed and not res.budget_exhausted
+    assert len(nets) == 1 and nets[0].memo == {}
+    if net_cfg.delay_max == 1:
+        assert last_copy_dead(res.trace)
+
+
+@pytest.mark.parametrize("faults,net_cfg", [
+    # w4 is last in w1's chunk broadcast, so its last copy reaches w4 dead
+    ((FaultSpec("w4", Behavior.CRASH),), NetworkConfig(1, 1)),
+    ((FaultSpec("w2", Behavior.CRASH, at_tick=3),),
+     NetworkConfig(1, 4, gst=20, drop_rate=0.2, seed=6)),
+])
+def test_bvm_memo_holds_only_wires_with_a_queued_copy(monkeypatch, faults, net_cfg):
+    nets = watch_memo(monkeypatch, bvm, TaskExecutor)
+    members = ("w1", "w2", "w3", "w4")
+    tasks = {f"t{i}": Task(f"t{i}", "add", (chunk_input("k"), lit_input(bytes([i]))))
+             for i in range(4)}
+    tasks |= {f"u{i}": Task(f"u{i}", "hash", (task_input(f"t{i}"), task_input(f"t{i - 1}")))
+              for i in range(1, 4)}
+    holders = {"w1": {"k": b"\x05"}, "w3": {"k": b"\x05"}}
+    report = execute_collaborative(TaskDAG(tasks), members, holders, KeyStore(3),
+                                   net_cfg=net_cfg, faults=faults)
+    assert report.completed and not report.budget_exhausted
+    assert len(nets) == 1 and nets[0].memo == {}
+    if net_cfg.delay_max == 1:
+        assert last_copy_dead(report.trace)
+    else:                   # the failure detector moved w2's tasks
+        assert set(report.reassigned) == {t for t, m in report.schedule.items()
+                                          if m == "w2"} != set()
+
+
+@pytest.mark.parametrize("protocol,n,seeds", [(Protocol.PAXOS, 3, range(12)),
+                                              (Protocol.PBFT, 4, range(4))])
+def test_a_wire_sent_again_after_its_copies_were_handled_is_opened_again(
+        monkeypatch, protocol, n, seeds):
+    """A decided replica answers each straggler's VIEWCHANGE with the one
+    wire of its certificate; an answer sent after the last one was handled
+    is opened again, and drops, decisions and trace equal those of one
+    memo that keeps every wire."""
+    opened = Counter()
+    original = consensus.verify_msg
+
+    def counting(keystore, wire, *rest):
+        opened[wire] += 1
+        return original(keystore, wire, *rest)
+
+    monkeypatch.setattr(consensus, "verify_msg", counting)
+    members = tuple(f"r{i}" for i in range(n))
+    reopened = []
+    for seed in seeds:
+        net_cfg = NetworkConfig(1, 8, gst=40, drop_rate=0.3, seed=seed)
+        opened.clear()
+        res = run_instance(make_plan(protocol, n), members, b"val", KeyStore(7),
+                           net_cfg=net_cfg, view_timeout=10)
+        reopened += [decode_msg(w).kind for w, calls in opened.items() if calls > 1]
+        opened.clear()
+        memo: dict = {}
+        net, reps = run_replicas(protocol, members, b"val", KeyStore(7), net_cfg, (),
+                                 10, memo=memo)
+        assert set(opened) == set(memo) and set(opened.values()) == {1}
+        assert res.trace == tuple(net.trace)
+        assert res.replica_drops == {m: r.dropped for m, r in reps.items()}
+        assert res.decisions == {m: r.decision for m, r in reps.items()
+                                 if r.decision is not None}
+    assert reopened and set(reopened) == {MsgKind.COMMITTED}
