@@ -10,8 +10,8 @@ PREPARED or COMMITTED, that carries the q sorted (voter, signature) pairs
 (SBFT, Gueta et al., DSN 2019; HotStuff, Yin et al., PODC 2019). A replica
 votes COMMIT on a PREPARED of its view and decides on any COMMITTED. A crash
 plan has no liars, so it has no PREPARE round: accepting the leader's
-PREPREPARE or NEWVIEW is the COMMIT vote, and the accepted (view, digest,
-value) is what the replica's next VIEWCHANGE reports. A view change is then
+PREPREPARE is the COMMIT vote, and the accepted (view, digest, value) is
+what the replica's next VIEWCHANGE reports. A view change is then
 Paxos's phase 1 with the view's leader as proposer, and view 0, below which
 nothing was accepted, needs none: the crash plan is Multi-Paxos in VR form
 (Lamport, "Paxos Made Simple", §3; Van Renesse & Altinbuken, "Paxos Made
@@ -21,11 +21,11 @@ one collector: when the leader crashes mid-phase nobody else holds the
 votes, and the decision waits for a view change.
 
 A VIEWCHANGE for view v goes to the leader of v only, which joins the view
-change on f_max + 1 of them and announces the view in a NEWVIEW on a full
-quorum, proposing the value of the highest view reported, else its own
-request. A replica that has asked for a later view casts no vote in its
-current one (Castro & Liskov, §4.4), and every view change doubles its
-timeout.
+change on f_max + 1 of them and, on a full quorum, proposes v's PREPREPARE:
+the value of the highest view reported, else its own request. A replica
+enters v on that proposal, PBFT's NEW-VIEW (Castro & Liskov, §4.4), and
+casts no vote in a view once it has asked for a later one; every view
+change doubles its timeout.
 
 The network injects crash, drop-all and delay-max; a lie is the replica's
 own: from the tick its `lie_from` names, an equivocating replica sends each
@@ -71,7 +71,6 @@ class MsgKind(str, Enum):
     COMMIT = "commit"
     COMMITTED = "committed"
     VIEWCHANGE = "viewchange"
-    NEWVIEW = "newview"
 
 
 # certificate kind -> the kind of vote each of its (voter, signature) pairs signs
@@ -209,8 +208,7 @@ class Decision:
 # change reports and quorum certificates stay truthful: the fault model is
 # a node lying about what it proposes and votes, not forging protocol
 # evidence.
-TRANSFORMABLE = frozenset({MsgKind.PREPREPARE, MsgKind.NEWVIEW, MsgKind.PREPARE,
-                           MsgKind.COMMIT})
+TRANSFORMABLE = frozenset({MsgKind.PREPREPARE, MsgKind.PREPARE, MsgKind.COMMIT})
 
 
 def _equivocate(digests: dict[bytes, bytes], msg: Msg) -> Msg:
@@ -246,8 +244,9 @@ class Replica(Peer):
     message meant for this replica to the same table, without the network,
     a vote signed first, so every check a handler makes runs on the
     replica's own message too; only the leader acts on its own certificate
-    directly. `_CRASH` is the plan's one switch: under a crash plan a
-    proposal is accepted with a COMMIT, not a PREPARE (`_accept`).
+    directly. Every view's proposal is its leader's PREPREPARE. `_CRASH` is
+    the plan's one switch: under a crash plan a proposal is accepted with a
+    COMMIT, not a PREPARE (`_accept`).
 
     An honest replica's `lie_from` is None. An equivocator's is the tick
     from which `_send` and `_bcast` hand each peer `_lie`'s wire: a
@@ -431,7 +430,9 @@ class Replica(Peer):
         return self._vote(MsgKind.COMMIT, msg.view, msg.digest, now)
 
     def _on_preprepare(self, msg: Msg, now: int) -> list:
-        if (msg.view != self.view or msg.sender != self.cfg.leader(msg.view)
+        """Accept the leader's proposal of the current view, or of a later
+        view, entering it on a fresh timer; any other proposal is a drop."""
+        if (msg.view < self.view or msg.sender != self.cfg.leader(msg.view)
                 or msg.value is None or msg.digest != codec.sha(msg.value)):
             self.dropped += 1
             return []
@@ -440,7 +441,10 @@ class Replica(Peer):
                 self.dropped += 1     # leader equivocation; keep the first
             return []
         self.proposals[msg.view] = (msg.digest, msg.value)
-        return self._accept(msg, now)
+        if msg.view == self.view:
+            return self._accept(msg, now)
+        self.view = msg.view
+        return self._accept(msg, now) + self._set_timer(self._timeout)
 
     def _on_vote(self, msg: Msg, now: int) -> list:
         """Count a signed vote of a view this replica leads; a vote sent to
@@ -491,9 +495,9 @@ class Replica(Peer):
     def _on_viewchange(self, msg: Msg, now: int) -> list:
         """Tally a view change to a view this replica leads; one to a view
         it has already entered is late and ignored, and one sent to any
-        other replica is a drop. Propose the NEWVIEW once this leader and a
-        quorum have asked for the view; the leader enters the view as it
-        handles that NEWVIEW itself."""
+        other replica is a drop. Propose the view's PREPREPARE once this
+        leader and a quorum have asked for the view; the leader enters the
+        view as it handles that proposal itself."""
         target = msg.view
         if self.cfg.leader(target) != self.node:
             self.dropped += 1
@@ -511,25 +515,11 @@ class Replica(Peer):
         value = self._highest(vcs)
         if value is None:
             return []
-        return self._propose(MsgKind.NEWVIEW, target, value, now)
-
-    def _on_newview(self, msg: Msg, now: int) -> list:
-        if (msg.view < self.view or msg.sender != self.cfg.leader(msg.view)
-                or msg.value is None or msg.digest != codec.sha(msg.value)):
-            self.dropped += 1
-            return []
-        self.view = msg.view
-        if msg.view not in self.proposals:
-            self.proposals[msg.view] = (msg.digest, msg.value)
-        elif self.proposals[msg.view][0] != msg.digest:
-            self.dropped += 1
-            return []
-        return self._accept(msg, now) + self._set_timer(self._timeout)
+        return self._propose(MsgKind.PREPREPARE, target, value, now)
 
     _ON = {MsgKind.PREPREPARE: _on_preprepare, MsgKind.PREPARE: _on_vote,
            MsgKind.COMMIT: _on_vote, MsgKind.PREPARED: _on_prepared,
-           MsgKind.COMMITTED: _on_committed, MsgKind.VIEWCHANGE: _on_viewchange,
-           MsgKind.NEWVIEW: _on_newview}
+           MsgKind.COMMITTED: _on_committed, MsgKind.VIEWCHANGE: _on_viewchange}
 
 
 class PBFTReplica(Replica):

@@ -48,7 +48,7 @@ GOLDEN = {
         "graph.dump": "0e9451726b5bc3e415ad7706bdeb0724ac666c6ab0fc3a93bb5bbf55c6268ab9",
         "metrics.txt": "50fa30c07aae25b00efa258864411bce45e8e2d57992ce05198ec0ba480b376f",
         "otce.dump": "6909300ee056e4f2828f59fb400dc40477d2d4463163646c0f6bf0eec1d02559",
-        "trace.log": "db1839e734b39a98e7a682c16ce028526333b40b3645690c457df1e85dfc9f37",
+        "trace.log": "207ca762371d041cf93c6873093950c11bdd6e134b507f9c7f7dbe8687610f4f",
     },
 }
 
@@ -56,7 +56,7 @@ GOLDEN = {
 SKELETON = {
     "fig4": "be5b3284ccdb8b2bebbfc921a5a5d0821830a77669eef920f6cf421afa460c33",
     "plan_switch": "12af1738910569f0016ba49042cb4c6ebd0de07f445f7d38320666c67eae8dd9",
-    "beyond_bound": "30858e476af280e26d6e2adee566cd8846fb067939f67f1ce8ebf3b1e481e523",
+    "beyond_bound": "9b002ff6414bbdba1a20afec6b8c7c72a8bf3df4ef943c1bbc9182534663e3ee",
 }
 
 

@@ -1,6 +1,6 @@
 """The crash plan's accept phase, in Paxos's words: the crash plan is
 Multi-Paxos in VR form, so a ballot is a view, its owner is the view's
-leader, a P2A is the leader's PREPREPARE or NEWVIEW, an acceptor's P2B is
+leader, a P2A is the leader's PREPREPARE of its view, an acceptor's P2B is
 its COMMIT, and the LEARN is the leader's COMMITTED. An acceptor sends its
 signed COMMIT to the view's leader only, the leader decides on a quorum and
 broadcasts one COMMITTED that carries the quorum's signatures, and every
@@ -132,7 +132,7 @@ def test_an_acceptor_sends_its_p2b_to_the_ballot_owner_only():
     assert (vote.kind, vote.sender, vote.view, vote.digest) == (MsgKind.COMMIT, "p3", 0, D)
     assert vote.sig == commit_sig("p3")
     assert rep.prepared_cert == (0, D, b"v")
-    acts = deliver(rep, MsgKind.NEWVIEW, "p1", view=1, value=b"v", digest=D)
+    acts = deliver(rep, MsgKind.PREPREPARE, "p1", view=1, value=b"v", digest=D)
     assert [(dst, m.kind, m.view) for dst, m in sends(acts)] == [("p1", MsgKind.COMMIT, 1)]
     assert rep.prepared_cert == (1, D, b"v") and rep.dropped == 0
 
@@ -140,7 +140,7 @@ def test_an_acceptor_sends_its_p2b_to_the_ballot_owner_only():
 def test_a_p2a_from_a_member_that_does_not_own_its_ballot_is_one_drop():
     rep = replica("p3")
     assert deliver(rep, MsgKind.PREPREPARE, "p1", view=0, value=b"v", digest=D) == []
-    assert deliver(rep, MsgKind.NEWVIEW, "p1", view=2, value=b"v", digest=D) == []
+    assert deliver(rep, MsgKind.PREPREPARE, "p1", view=2, value=b"v", digest=D) == []
     assert rep.prepared_cert is None and rep.voted == set() and rep.dropped == 2
 
 
@@ -197,12 +197,15 @@ def test_a_straggler_that_missed_the_learn_decides_without_a_phase_two():
     cfg = config_from_plan(make_plan(Protocol.PAXOS, 3), members, "i")
     net = Network(NetworkConfig(delay_min=1, delay_max=2, seed=4))
     reps = {m: PaxosReplica(cfg, m, KS) for m in members}
+    proposed_to_p2 = []      # the view of each PREPREPARE p2 receives
 
     def handler(node):
         def step(event, now):
-            if (node == "p2" and event.kind == "msg" and event.label == "committed"
-                    and event.src == "p0"):
-                return []      # p2 never hears p0's certificate
+            if node == "p2" and event.kind == "msg":
+                if event.label == "committed" and event.src == "p0":
+                    return []      # p2 never hears p0's certificate
+                if event.label == "preprepare":
+                    proposed_to_p2.append(decode_msg(event.payload).view)
             return reps[node].step(event, now)
         return step
 
@@ -219,7 +222,8 @@ def test_a_straggler_that_missed_the_learn_decides_without_a_phase_two():
                      if line.split()[3] == "p2" and line.split()[2] != "p2")
     # p0's broadcast, withheld, and p1's answer
     assert p2_got["msg:committed"] == 2
-    assert "msg:newview" not in p2_got
+    # view 0's proposal only: no leader of a later view proposes again
+    assert p2_got["msg:preprepare"] == 1 and proposed_to_p2 == [0]
     assert reps["p2"].decision.view == 0
 
 

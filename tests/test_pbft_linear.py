@@ -12,7 +12,7 @@ slow a member.
 """
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -231,9 +231,10 @@ def test_the_new_leader_joins_on_f_plus_one_and_announces_on_a_quorum():
     assert deliver(rep, MsgKind.VIEWCHANGE, "r2", view=1) == []
     acts = deliver(rep, MsgKind.VIEWCHANGE, "r3", view=1)
     assert rep.vc_target == 1 and rep.view == 1
-    newviews = [(dst, m) for dst, m in sends(acts) if m.kind is MsgKind.NEWVIEW]
-    assert {dst for dst, _ in newviews} == set(MEMBERS4) - {"r1"}
-    assert {m.value for _, m in newviews} == {b"own"}
+    proposals = [(dst, m) for dst, m in sends(acts)
+                 if m.kind is MsgKind.PREPREPARE and m.view == 1]
+    assert {dst for dst, _ in proposals} == set(MEMBERS4) - {"r1"}
+    assert {m.value for _, m in proposals} == {b"own"}
     # a view change for a view the leader already entered is late, not a drop
     assert deliver(rep, MsgKind.VIEWCHANGE, "r0", view=1) == []
     assert rep.dropped == 0
@@ -298,6 +299,52 @@ def test_an_equivocating_leader_within_the_bound_cannot_split_the_group(
     assert not res.beyond_bound
     assert res.violations == () and res.stalled == ()
     assert len(res.honest_values()) == 1
+
+
+class Split(AssertionError):
+    """Honest replicas decided different values."""
+
+
+def run_fifo(reps, queue: deque, lost) -> None:
+    """Deliver the queued (src, Send) pairs in order, and queue what each
+    delivery sends, until none is left; a pair for which `lost(src, send)`
+    holds is lost. Timers fire only when a test fires them."""
+    now = 0
+    while queue:
+        src, send = queue.popleft()
+        if not lost(src, send):
+            now += 1
+            acts = reps[send.dst].step(SimEvent(now, now, "msg", src, send.dst,
+                                                send.payload, send.label), now)
+            queue.extend((send.dst, a) for a in acts if isinstance(a, Send))
+
+
+@pytest.mark.xfail(strict=True, raises=Split, reason=(
+    "ROADMAP item 1: a new view's proposal carries no view-change set that "
+    "justifies its value"))
+def test_a_new_leaders_own_value_cannot_split_the_honest_replicas():
+    """r1, leader of view 1, is byzantine within f_max = 1: it proposes its
+    own request y whatever the view changes report. r0 decides v in view 0
+    while r1 is cut off; r0's COMMITTED to r2 and r3 is lost, as a drop
+    before GST allows. r2 and r3, cut off from r0, report (view 0, v) to r1,
+    which proposes y for view 1. An honest r2 or r3 must not decide y."""
+    verified: dict = {}
+    reps = {m: PBFTReplica(CFG4, m, KS, verified) for m in MEMBERS4}
+    reps["r1"]._highest = lambda reports: reps["r1"].request_value
+    queue: deque = deque()
+    for m, rep in reps.items():
+        queue.extend((m, a) for a in request(rep, b"y" if m == "r1" else b"v")
+                     if isinstance(a, Send))
+    run_fifo(reps, queue, lambda src, send: "r1" in (src, send.dst) or (
+        src == "r0" and send.label == "committed"))
+    assert reps["r0"].decision.value == b"v"
+    for m in ("r2", "r3"):
+        assert reps[m].prepared_cert == (0, D, b"v") and reps[m].decision is None
+        queue.extend((m, a) for a in fire_newest(reps[m]) if isinstance(a, Send))
+    run_fifo(reps, queue, lambda src, send: "r0" in (src, send.dst))
+    decided = {m: rep.decision and rep.decision.value for m, rep in reps.items()}
+    if {decided[m] for m in ("r0", "r2", "r3")} - {None} != {b"v"}:
+        raise Split(decided)
 
 
 # (protocol, group sizes, the behaviours a faulty member draws from, or

@@ -1,10 +1,11 @@
 """What the one consensus replica does under either plan: the drop counts
-of the event entry, the timer a replica acts on, what a decided replica
-answers, the duplicate check of a tally, which value a new leader
-re-proposes, and the one way a replica reaches itself: its own proposals,
-votes and reports go through the handler table, like a peer's. Last, what
-an equivocating replica tells its even- and odd-indexed peers, before and
-from its fault's tick."""
+of the event entry, the timer a replica acts on, the proposals it takes
+(a later view's, from that view's leader, moves it into that view), what
+a decided replica answers, the duplicate check of a tally, which value a
+new leader re-proposes, and the one way a replica reaches itself: its own
+proposals, votes and reports go through the handler table, like a peer's.
+Last, what an equivocating replica tells its even- and odd-indexed peers,
+before and from its fault's tick."""
 
 from collections import Counter
 from dataclasses import replace
@@ -100,6 +101,53 @@ def test_pbft_replica_acts_on_its_newest_timer_only():
     assert rep.vc_target == 1 and rep.dropped == 0
 
 
+PLANS = [pytest.param(lambda: pbft_replica("r2"), MsgKind.PREPARE, id="pbft"),
+         pytest.param(lambda: paxos_replica("p2"), MsgKind.COMMIT, id="paxos")]
+
+
+def propose(rep, view: int, sender: int, value: bytes | None = b"v",
+            digest: bytes = codec.sha(b"v")) -> list:
+    """Deliver to `rep` a PREPREPARE of `view` from member number `sender`."""
+    return deliver(rep, MsgKind.PREPREPARE, rep.cfg.members[sender], view=view,
+                   value=value, digest=digest)
+
+
+@pytest.mark.parametrize("make,vote", PLANS)
+def test_a_later_views_proposal_from_its_leader_enters_that_view(make, vote):
+    """The replica enters the view on a fresh timer, so the old one is
+    stale, and casts the plan's vote for the proposal to its leader."""
+    rep = make()
+    assert timer_labels(request(rep, b"own")) == ["t:1"]
+    acts = propose(rep, 1, 1)
+    assert rep.view == 1 and rep.dropped == 0
+    assert [(dst, m.kind, m.view, m.digest) for dst, m in sent(acts, vote.value)] == [
+        (rep.cfg.leader(1), vote, 1, codec.sha(b"v"))]
+    assert timer_labels(acts) == ["t:2"]
+    assert fire(rep, "t:1") == [] and rep.vc_target == 0
+
+
+# (whether the replica first entered view 1 on its leader's proposal of
+# b"v", and the proposal it then gets: view, sender's member number, value,
+# digest); members 0 and 1 lead views 0 and 1
+@pytest.mark.parametrize("entered,view,sender,value,digest", [
+    pytest.param(True, 0, 0, b"v", codec.sha(b"v"), id="earlier view"),
+    pytest.param(False, 1, 3, b"v", codec.sha(b"v"), id="non-leader"),
+    pytest.param(False, 1, 1, None, codec.sha(b"v"), id="no value"),
+    pytest.param(False, 1, 1, b"v", codec.sha(b"w"), id="wrong digest"),
+    pytest.param(True, 1, 1, b"w", codec.sha(b"w"), id="second digest"),
+])
+@pytest.mark.parametrize("make,vote", PLANS)
+def test_a_refused_proposal_is_one_drop_and_casts_no_vote(make, vote, entered, view,
+                                                          sender, value, digest):
+    rep = make()
+    if entered:
+        propose(rep, 1, 1)
+    before = (rep.view, set(rep.voted), dict(rep.proposals), rep._timer_gen)
+    assert propose(rep, view, sender, value, digest) == []
+    assert rep.dropped == 1
+    assert (rep.view, rep.voted, rep.proposals, rep._timer_gen) == before
+
+
 def decided_pbft_replica() -> PBFTReplica:
     """r1 decides b"v" in view 0 on the leader's proposal and the leader's
     prepared and committed certificates."""
@@ -175,15 +223,16 @@ def test_a_decided_replica_answers_only_a_straggler_with_its_certificate(make):
 
 
 def newview_value(reports, target: int = 1) -> bytes:
-    """The value r1, leader of `target`, proposes in its NEWVIEW after the
-    view changes `reports` (sender, cert_view, value) arrive in that order."""
+    """The value r1, leader of `target`, proposes in its PREPREPARE of that
+    view after the view changes `reports` (sender, cert_view, value) arrive
+    in that order."""
     rep = pbft_replica("r1")
     request(rep, b"own")
     acts = []
     for sender, cert_view, value in reports:
         acts += deliver(rep, MsgKind.VIEWCHANGE, sender, view=target,
                         cert_view=cert_view, value=value)
-    values = {msg.value for _, msg in sent(acts, "newview")}
+    values = {msg.value for _, msg in sent(acts, "preprepare") if msg.view == target}
     assert len(values) == 1 and rep.view == target
     return values.pop()
 
@@ -219,7 +268,7 @@ def test_paxos_phase_two_takes_first_sender_on_an_accepted_ballot_tie(order):
     acts = []
     for sender, value in [("p2", b"A"), ("p3", b"B")][::order]:
         acts += deliver(rep, MsgKind.VIEWCHANGE, sender, view=1, value=value, cert_view=0)
-    assert {m.value for _, m in sent(acts, "newview")} == {b"A"}
+    assert {m.value for _, m in sent(acts, "preprepare") if m.view == 1} == {b"A"}
     assert rep.view == 1 and rep.dropped == 0
 
 
@@ -232,11 +281,11 @@ def test_repeated_view_change_from_one_sender_is_one_drop():
 
 def handled(monkeypatch, cls, protocol: Protocol, members, faults=()) -> Counter:
     """Run one instance with every handler of `cls` wrapped, and count its
-    calls by (kind, whether the replica handles its own message)."""
+    calls by (kind, view, whether the replica handles its own message)."""
     calls: Counter = Counter()
     for kind, handler in list(cls._ON.items()):
         def counted(rep, msg, now, handler=handler):
-            calls[msg.kind, msg.sender == rep.node] += 1
+            calls[msg.kind, msg.view, msg.sender == rep.node] += 1
             return handler(rep, msg, now)
         monkeypatch.setitem(cls._ON, kind, counted)
     result = run_instance(make_plan(protocol, len(members)), members, b"v", KS,
@@ -257,17 +306,17 @@ def test_own_proposals_and_votes_reach_the_handler_table(monkeypatch, cls, proto
                                                          members, everyone, own_only):
     calls = handled(monkeypatch, cls, protocol, members)
     for kind in everyone:
-        assert calls[kind, False] + calls[kind, True] == len(members), kind
+        assert calls[kind, 0, False] + calls[kind, 0, True] == len(members), kind
     for kind in everyone + own_only:
-        assert calls[kind, True] == 1, kind
+        assert calls[kind, 0, True] == 1, kind
 
 
 def test_new_leaders_own_view_change_and_newview_reach_their_handlers(monkeypatch):
     calls = handled(monkeypatch, PBFTReplica, Protocol.PBFT, MEMBERS4,
                     faults=(FaultSpec("r0", Behavior.CRASH),))
-    assert calls[MsgKind.VIEWCHANGE, True] == 1
-    assert calls[MsgKind.NEWVIEW, True] == 1
-    assert calls[MsgKind.NEWVIEW, False] == 2
+    assert calls[MsgKind.VIEWCHANGE, 1, True] == 1
+    assert calls[MsgKind.PREPREPARE, 1, True] == 1
+    assert calls[MsgKind.PREPREPARE, 1, False] == 2
 
 
 # -- equivocation ----------------------------------------------------------------
@@ -317,10 +366,10 @@ def test_equivocating_pbft_voter_lies_to_an_odd_leader_only_from_its_tick():
     vote = Msg("i", MsgKind.PREPARE, "r2", view=1, digest=d)
     early = pbft_replica("r2")
     early.lie_from = 3
-    before = told(deliver_at(early, 2, MsgKind.NEWVIEW, "r1", view=1, value=b"v",
+    before = told(deliver_at(early, 2, MsgKind.PREPREPARE, "r1", view=1, value=b"v",
                              digest=d), MsgKind.PREPARE)
     assert before == {"r1": encode_msg(KS, vote)}
-    after = told(deliver_at(rep, 3, MsgKind.NEWVIEW, "r1", view=1, value=b"v",
+    after = told(deliver_at(rep, 3, MsgKind.PREPREPARE, "r1", view=1, value=b"v",
                             digest=d), MsgKind.PREPARE)
     assert after["r1"] != encode_msg(KS, vote)
     assert_lie(after["r1"], vote, MEMBERS4)
@@ -348,10 +397,10 @@ def test_equivocating_paxos_acceptor_lies_to_an_odd_owner_only_from_its_tick():
     vote = Msg("i", MsgKind.COMMIT, "p2", view=1, digest=d)
     early = paxos_replica("p2")
     early.lie_from = 3
-    before = told(deliver_at(early, 2, MsgKind.NEWVIEW, "p1", view=1, value=b"v",
+    before = told(deliver_at(early, 2, MsgKind.PREPREPARE, "p1", view=1, value=b"v",
                              digest=d), MsgKind.COMMIT)
     assert before == {"p1": encode_msg(KS, vote)}
-    after = told(deliver_at(rep, 3, MsgKind.NEWVIEW, "p1", view=1, value=b"v",
+    after = told(deliver_at(rep, 3, MsgKind.PREPREPARE, "p1", view=1, value=b"v",
                             digest=d), MsgKind.COMMIT)
     assert after["p1"] != encode_msg(KS, vote)
     assert_lie(after["p1"], vote, MEMBERS5)
